@@ -79,9 +79,12 @@ struct TxInner {
     actions: HashMap<ActionId, Tx>,
     lock_parents: HashMap<ActionId, Option<ActionId>>,
     locks: LockManager,
-    /// The coordinator's durable decision record: `token → committed?`.
-    /// Store recovery consults this to resolve in-doubt transactions.
-    decisions: HashMap<TxToken, bool>,
+    /// The coordinator's commit records, kept only while a participant is
+    /// in doubt: `token →` the nodes whose phase-2 commit went
+    /// unacknowledged. Store recovery consults this to resolve in-doubt
+    /// intents and releases a node's claim once its intent log is settled;
+    /// a token without a record is presumed aborted.
+    decisions: HashMap<TxToken, Vec<NodeId>>,
     stats: TxStats,
     /// Observability registry (disabled by default: every recording call is
     /// an inlined no-op, so unobserved runs pay nothing).
@@ -540,11 +543,9 @@ impl TxSystem {
                 for p in participants.iter_mut() {
                     p.abort();
                 }
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.stats.prepare_failures += 1;
-                    inner.decisions.insert(TxToken::new(action.raw()), false);
-                }
+                // No abort record is written: a token without a record is
+                // presumed aborted.
+                self.inner.borrow_mut().stats.prepare_failures += 1;
                 self.abort(action);
                 return Err(TxError::PrepareFailed { node: bad_node });
             }
@@ -554,15 +555,22 @@ impl TxSystem {
             if !participants.is_empty() {
                 sim.charge_stable_write();
             }
-            {
-                let mut inner = self.inner.borrow_mut();
-                inner.decisions.insert(TxToken::new(action.raw()), true);
-            }
 
-            // Phase 2: best-effort commit; unreachable participants stay
-            // in-doubt and are resolved by store recovery via `decision`.
-            for p in participants.iter_mut() {
-                let _ = p.commit();
+            // Phase 2: best-effort commit. The record outlives the action
+            // only on behalf of participants that did not acknowledge; they
+            // stay in-doubt and are resolved by store recovery via
+            // `decision`. (The world is synchronous: nothing can consult
+            // the record between the decision point and the end of phase 2,
+            // so an all-acknowledged commit never materialises one.)
+            let in_doubt: Vec<NodeId> = participants
+                .iter_mut()
+                .filter_map(|p| (!p.commit()).then(|| p.node()))
+                .collect();
+            if !in_doubt.is_empty() {
+                self.inner
+                    .borrow_mut()
+                    .decisions
+                    .insert(TxToken::new(action.raw()), in_doubt);
             }
             if !participants.is_empty() {
                 obs.span(
@@ -682,11 +690,37 @@ impl TxSystem {
         TxToken::new(action.raw())
     }
 
-    /// The coordinator's decision for a transaction token: `Some(true)` if
-    /// committed, `Some(false)` if aborted, `None` if never decided
-    /// (presumed abort).
-    pub fn decision(&self, token: TxToken) -> Option<bool> {
-        self.inner.borrow().decisions.get(&token).copied()
+    /// Whether the coordinator holds a commit record for `token`. `false`
+    /// is presumed abort: the transaction aborted, never reached its
+    /// decision point, or committed with every participant acknowledged
+    /// (in which case no store holds an intent that could ask).
+    pub fn decision(&self, token: TxToken) -> bool {
+        self.inner.borrow().decisions.contains_key(&token)
+    }
+
+    /// The commit records currently held, each with the participant nodes
+    /// it is held for, sorted by token (quiescence invariant: every one is
+    /// matched by an in-doubt intent at one of its nodes).
+    pub fn decisions(&self) -> Vec<(TxToken, Vec<NodeId>)> {
+        let mut v: Vec<(TxToken, Vec<NodeId>)> = self
+            .inner
+            .borrow()
+            .decisions
+            .iter()
+            .map(|(&token, nodes)| (token, nodes.clone()))
+            .collect();
+        v.sort_unstable_by_key(|&(token, _)| token);
+        v
+    }
+
+    /// Store recovery's acknowledgement that `node`'s intent log holds no
+    /// unresolved intent any more: commit records stop being kept on its
+    /// behalf, and a record nobody else needs is forgotten.
+    pub fn release_decisions(&self, node: NodeId) {
+        self.inner.borrow_mut().decisions.retain(|_, nodes| {
+            nodes.retain(|&n| n != node);
+            !nodes.is_empty()
+        });
     }
 
     /// Whether the lock table is completely empty (quiescence invariant).
@@ -967,7 +1001,10 @@ mod tests {
         tx.commit(a).unwrap();
         assert_eq!(stores.read_local(NodeId::new(1), uid).unwrap().data, b"v1");
         assert_eq!(stores.read_local(NodeId::new(2), uid).unwrap().data, b"v1");
-        assert_eq!(tx.decision(TxSystem::token(a)), Some(true));
+        assert!(
+            tx.decisions().is_empty(),
+            "every participant acknowledged: no record outlives the commit"
+        );
     }
 
     #[test]
@@ -1007,7 +1044,10 @@ mod tests {
             .with(NodeId::new(1), |s| s.indoubt())
             .unwrap()
             .is_empty());
-        assert_eq!(tx.decision(TxSystem::token(a)), Some(false));
+        assert!(
+            !tx.decision(TxSystem::token(a)) && tx.decisions().is_empty(),
+            "no abort record: presumed abort"
+        );
         assert_eq!(tx.stats().prepare_failures, 1);
     }
 
@@ -1041,8 +1081,19 @@ mod tests {
         sim.recover(victim);
         let indoubt = stores.with(victim, |s| s.indoubt()).unwrap();
         assert_eq!(indoubt, vec![TxSystem::token(a)]);
-        assert_eq!(tx.decision(TxSystem::token(a)), Some(true));
+        assert!(tx.decision(TxSystem::token(a)));
+        assert_eq!(
+            tx.decisions(),
+            vec![(TxSystem::token(a), vec![victim])],
+            "exactly one record, held for the in-doubt participant"
+        );
+        // What `core::recovery::recover_store` does with the answer:
+        // install the intent, then tell the coordinator the log is settled.
         stores.commit_local(victim, TxSystem::token(a)).unwrap();
+        tx.release_decisions(NodeId::new(2));
+        assert!(tx.decision(TxSystem::token(a)), "another node's release");
+        tx.release_decisions(victim);
+        assert!(tx.decisions().is_empty(), "resolved: record forgotten");
         assert_eq!(stores.read_local(victim, uid).unwrap().data, b"durable");
     }
 
@@ -1059,17 +1110,91 @@ mod tests {
 
     #[test]
     fn operations_on_terminated_actions_fail_cleanly() {
-        let (_, _, tx) = world();
+        let (sim, stores, tx) = world();
         let a = tx.begin_top(NodeId::new(0));
         tx.commit(a).unwrap();
-        assert_eq!(
-            tx.lock(a, key(1), LockMode::Read),
-            Err(TxError::NotActive(a))
-        );
-        assert_eq!(tx.push_undo(a, || {}), Err(TxError::NotActive(a)));
+        // A terminated id and one that was never issued answer alike.
+        for gone in [a, ActionId::from_raw(999)] {
+            assert_eq!(
+                tx.lock(gone, key(1), LockMode::Read),
+                Err(TxError::NotActive(gone))
+            );
+            assert_eq!(tx.push_undo(gone, || {}), Err(TxError::NotActive(gone)));
+            assert_eq!(
+                tx.log_undo_snapshot(gone, 1, 1, [(1, 1)], b"s"),
+                Err(TxError::NotActive(gone))
+            );
+            assert_eq!(tx.log_undo_op(gone, 1, 7), Err(TxError::NotActive(gone)));
+            let p = StoreWriteParticipant::new(
+                &sim,
+                &stores,
+                NodeId::new(0),
+                NodeId::new(1),
+                TxSystem::token(gone),
+                vec![],
+            );
+            assert_eq!(
+                tx.add_participant(gone, Box::new(p)),
+                Err(TxError::NotActive(gone))
+            );
+            assert_eq!(tx.commit(gone), Err(TxError::NotActive(gone)));
+        }
         // Abort of a committed action is a no-op.
         tx.abort(a);
         assert_eq!(tx.status(a), Some(ActionStatus::Committed));
+    }
+
+    /// History independence of the commit records: whatever ran before, a
+    /// quiescent service whose participants all acknowledged holds none.
+    #[test]
+    fn twenty_thousand_actions_leave_no_decision_record() {
+        let (sim, stores, tx) = world();
+        let uid = Uid::from_raw(30);
+        sim.crash(NodeId::new(3)); // a participant there fails its prepare
+        for i in 0..20_000u64 {
+            let a = tx.begin_top(NodeId::new(0));
+            let first = tx.begin_nested(a);
+            tx.lock(first, key(i % 7), LockMode::Write).unwrap();
+            let second = tx.begin_nested(a);
+            tx.log_undo_snapshot(second, i, 1, [(1, 1)], b"s").unwrap();
+            match i % 3 {
+                0 => {
+                    tx.commit(first).unwrap();
+                    tx.abort(second);
+                    tx.commit(a).unwrap(); // one child in, one out
+                }
+                1 => {
+                    tx.commit(first).unwrap();
+                    tx.abort(a); // `second` is still active: aborted with it
+                }
+                _ => {
+                    tx.commit(second).unwrap();
+                    let target = NodeId::new(1 + (i % 4) as u32 % 3); // n3 is down
+                    tx.add_participant(
+                        a,
+                        Box::new(StoreWriteParticipant::new(
+                            &sim,
+                            &stores,
+                            NodeId::new(0),
+                            target,
+                            TxSystem::token(a),
+                            vec![(uid, state(b"w"))],
+                        )),
+                    )
+                    .unwrap();
+                    // `first` is stray at commit; the 2PC succeeds or fails
+                    // in phase 1 depending on the target.
+                    let outcome = tx.commit(a);
+                    assert_eq!(outcome.is_err(), target == NodeId::new(3));
+                }
+            }
+            assert!(tx.decisions().is_empty(), "after action {i}");
+        }
+        assert!(tx.locks_empty());
+        let s = tx.stats();
+        assert_eq!(s.started, 60_000);
+        assert_eq!(s.committed + s.aborted, s.started, "every action ended");
+        assert!(s.prepare_failures > 0 && s.committed > 0 && s.aborted > 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! Additionally, two-phase commit leaves *in-doubt* prepared transactions in
 //! the store's intent log; recovery resolves them against the coordinator's
-//! decision record (presumed abort for undecided ones).
+//! commit record (no record: presumed abort) and then releases the record.
 
 use crate::error::DbError;
 use crate::naming::NamingService;
@@ -131,16 +131,25 @@ impl RecoveryManager {
         }
         // (1) in-doubt resolution.
         let indoubt = self.stores.with(node, |s| s.indoubt()).unwrap_or_default();
+        let mut settled = true;
         for token in indoubt {
-            if self.tx.decision(token) == Some(true) {
+            if self.tx.decision(token) {
                 if self.stores.commit_local(node, token).is_ok() {
                     report.resolved_commits.push(token);
+                } else {
+                    settled = false;
                 }
             } else {
-                // Decided-abort or undecided: presumed abort.
+                // No commit record: presumed abort.
                 let _ = self.stores.abort_local(node, token);
                 report.resolved_aborts.push(token);
             }
+        }
+        // The node's intent log is empty: the coordinator need not keep a
+        // commit record on its behalf any longer (this also covers a
+        // phase-2 commit that was applied but whose reply was lost).
+        if settled {
+            self.tx.release_decisions(node);
         }
         // (2) refresh + Include — unless the replica was retired (migrated
         // away) while the node was down, in which case the stale local copy
@@ -402,9 +411,18 @@ mod tests {
             .unwrap();
         sim.crash(n(1));
 
+        assert_eq!(
+            tx.decisions(),
+            vec![(committed_tok, vec![n(1)])],
+            "the record is kept for the in-doubt participant only"
+        );
         let report = rm.recover_node(n(1));
         assert_eq!(report.resolved_commits, vec![committed_tok]);
         assert_eq!(report.resolved_aborts, vec![orphan]);
+        assert!(
+            tx.decisions().is_empty(),
+            "last in-doubt intent resolved: the record is forgotten"
+        );
         assert_eq!(
             stores.read_local(n(1), uid()).unwrap().data,
             b"committed",

@@ -276,6 +276,18 @@ impl ObjectStateDb {
         self.inner.borrow().entries.keys().copied().collect()
     }
 
+    /// UIDs whose store set contains `host`, sorted — the state-side twin
+    /// of [`crate::ObjectServerDb::uids_hosting`], without cloning entries.
+    pub fn uids_hosting(&self, host: NodeId) -> Vec<Uid> {
+        self.inner
+            .borrow()
+            .entries
+            .iter()
+            .filter(|(_, e)| e.contains(host))
+            .map(|(&uid, _)| uid)
+            .collect()
+    }
+
     /// Operation counters.
     pub fn ops(&self) -> StateDbOps {
         self.inner.borrow().ops

@@ -172,13 +172,9 @@ impl Membership {
     pub fn hosted(&self, node: NodeId) -> Vec<Uid> {
         let naming = self.sys.naming();
         let mut uids = naming.server_db.uids_hosting(node);
-        for uid in naming.state_db.uids() {
-            if naming.state_db.entry(uid).is_some_and(|e| e.contains(node)) && !uids.contains(&uid)
-            {
-                uids.push(uid);
-            }
-        }
+        uids.extend(naming.state_db.uids_hosting(node));
         uids.sort_unstable();
+        uids.dedup();
         uids
     }
 
@@ -210,21 +206,35 @@ impl Membership {
     }
 
     /// One drain pass: migrates every replica on `node` to the
-    /// least-loaded eligible target. Objects in use come back as `busy`
-    /// (retry after their clients finish); objects with no reachable state
-    /// source as `failed` (retry after recovery). When the pass leaves the
-    /// node empty, a draining node is decommissioned.
+    /// least-loaded eligible target that does not already host the object
+    /// (an `Sv` or `St` member cannot take a second copy). Objects in use
+    /// come back as `busy` (retry after their clients finish); objects with
+    /// no reachable state source or no admissible target as `failed` (retry
+    /// after recovery). When the pass leaves the node empty, a draining
+    /// node is decommissioned.
     pub fn drain_step(&self, node: NodeId) -> DrainReport {
         let start = self.sys.sim().now().as_micros();
+        let naming = self.sys.naming();
         let mut report = DrainReport::default();
         for uid in self.hosted(node) {
-            let Some(&target) = self
+            let sv = naming.server_db.entry(uid);
+            let st = naming.state_db.entry(uid);
+            let hosts = |t: NodeId| {
+                sv.as_ref().is_some_and(|e| e.servers.contains(&t))
+                    || st.as_ref().is_some_and(|e| e.contains(t))
+            };
+            // A host sorts after every non-host, so the minimum is a host
+            // only when no admissible target is left.
+            let target = match self
                 .targets(node)
-                .iter()
-                .min_by_key(|&&t| (self.replica_count(t), t))
-            else {
-                report.failed.push(uid);
-                continue;
+                .into_iter()
+                .min_by_key(|&t| (hosts(t), self.replica_count(t), t))
+            {
+                Some(t) if !hosts(t) => t,
+                _ => {
+                    report.failed.push(uid);
+                    continue;
+                }
             };
             match self.migrate(uid, node, target) {
                 Ok(()) => report.moved.push(uid),
@@ -377,6 +387,36 @@ mod tests {
         assert!(retry.complete, "{retry}");
         assert_eq!(retry.moved, vec![uid.uid()]);
         assert_eq!(m.status(n[1]), NodeStatus::Removed);
+    }
+
+    /// The emptiest eligible node already hosts the object. Picking it
+    /// anyway refused with `AlreadyHosted` on every pass, forever.
+    #[test]
+    fn drain_skips_targets_that_already_host_the_object() {
+        let sys = System::builder(7).nodes(7).build();
+        let m = Membership::new(&sys);
+        let n = nodes(&sys);
+        let a = sys
+            .create_typed(Counter::new(1), &n[1..4], &n[1..4])
+            .unwrap();
+        let trio = [n[2], n[4], n[5]];
+        let others: Vec<_> = (0..2)
+            .map(|_| sys.create_typed(Counter::new(2), &trio, &trio).unwrap())
+            .collect();
+        // Loads: n1=1 n2=3 n3=1 n4=2 n5=2. Draining n1, the emptiest
+        // target is n3 — a member of A's Sv and St.
+        assert_eq!(m.replica_count(n[3]), 1);
+        let report = m.drain_node(n[1], 1);
+        assert!(report.complete, "{report}");
+        assert_eq!(report.moved, vec![a.uid()]);
+        let sv = sys.naming().server_db.entry(a.uid()).unwrap().servers;
+        let st = sys.naming().state_db.entry(a.uid()).unwrap().stores;
+        assert_eq!(sv, vec![n[2], n[3], n[4]], "least-loaded non-member");
+        assert_eq!(st, sv);
+        for other in &others {
+            let entry = sys.naming().state_db.entry(other.uid()).unwrap();
+            assert_eq!(entry.stores, trio.to_vec(), "bystanders untouched");
+        }
     }
 
     #[test]

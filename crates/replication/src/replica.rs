@@ -312,16 +312,24 @@ impl ServerReplica {
 /// Shared handle to a replica.
 pub type ReplicaHandle = Rc<RefCell<ServerReplica>>;
 
-/// Registry of all activated replicas, keyed by `(object, node)`.
+/// One object's activated replicas, sorted by node.
+type ReplicaSet = Vec<(NodeId, ReplicaHandle)>;
+
+/// Registry of all activated replicas, keyed per object: one lookup yields
+/// every replica of a UID, already in node order, so activation and
+/// passivation cost the replicas of *that* object, whatever the size of the
+/// world. A replica set is a handful of entries (`|Sv|`), so the point
+/// lookup [`ReplicaRegistry::get`] on the invoke path is one hash probe plus
+/// a scan of that handful.
 #[derive(Clone, Default)]
 pub struct ReplicaRegistry {
-    inner: Rc<RefCell<HashMap<(Uid, NodeId), ReplicaHandle>>>,
+    inner: Rc<RefCell<HashMap<Uid, ReplicaSet>>>,
 }
 
 impl fmt::Debug for ReplicaRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplicaRegistry")
-            .field("replicas", &self.inner.borrow().len())
+            .field("objects", &self.inner.borrow().len())
             .finish()
     }
 }
@@ -334,44 +342,57 @@ impl ReplicaRegistry {
 
     /// The replica of `uid` at `node`, creating an unloaded one if absent.
     pub fn get_or_create(&self, sim: &Sim, uid: Uid, node: NodeId) -> ReplicaHandle {
-        self.inner
-            .borrow_mut()
-            .entry((uid, node))
-            .or_insert_with(|| Rc::new(RefCell::new(ServerReplica::new(sim, uid, node))))
-            .clone()
+        let mut inner = self.inner.borrow_mut();
+        let replicas = inner.entry(uid).or_default();
+        match replicas.binary_search_by_key(&node, |(n, _)| *n) {
+            Ok(i) => replicas[i].1.clone(),
+            Err(i) => {
+                let handle = Rc::new(RefCell::new(ServerReplica::new(sim, uid, node)));
+                replicas.insert(i, (node, handle.clone()));
+                handle
+            }
+        }
     }
 
     /// The replica of `uid` at `node`, if one was ever activated.
     pub fn get(&self, uid: Uid, node: NodeId) -> Option<ReplicaHandle> {
-        self.inner.borrow().get(&(uid, node)).cloned()
+        self.inner
+            .borrow()
+            .get(&uid)?
+            .iter()
+            .find(|(n, _)| *n == node)
+            .map(|(_, h)| h.clone())
     }
 
     /// All replicas of `uid`, sorted by node.
     pub fn replicas_of(&self, uid: Uid) -> Vec<(NodeId, ReplicaHandle)> {
-        let mut v: Vec<(NodeId, ReplicaHandle)> = self
-            .inner
-            .borrow()
-            .iter()
-            .filter(|((u, _), _)| *u == uid)
-            .map(|(&(_, n), h)| (n, h.clone()))
-            .collect();
-        v.sort_by_key(|(n, _)| *n);
-        v
+        self.inner.borrow().get(&uid).cloned().unwrap_or_default()
     }
 
     /// Drops the single replica of `uid` at `node`, if present. Migration
     /// uses this after a move commits: the expelled incarnation must not
     /// linger as an activation target on the old host.
     pub fn remove_at(&self, uid: Uid, node: NodeId) -> bool {
-        self.inner.borrow_mut().remove(&(uid, node)).is_some()
+        let mut inner = self.inner.borrow_mut();
+        let Some(replicas) = inner.get_mut(&uid) else {
+            return false;
+        };
+        let Ok(i) = replicas.binary_search_by_key(&node, |(n, _)| *n) else {
+            return false;
+        };
+        replicas.remove(i);
+        if replicas.is_empty() {
+            inner.remove(&uid);
+        }
+        true
     }
 
     /// Drops every replica of `uid` (passivation).
     pub fn remove_object(&self, uid: Uid) -> usize {
-        let mut inner = self.inner.borrow_mut();
-        let before = inner.len();
-        inner.retain(|&(u, _), _| u != uid);
-        before - inner.len()
+        self.inner
+            .borrow_mut()
+            .remove(&uid)
+            .map_or(0, |replicas| replicas.len())
     }
 }
 

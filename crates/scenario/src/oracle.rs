@@ -377,11 +377,29 @@ pub fn check_counter_states(sys: &System, expected: &[(Uid, i64)]) -> Vec<String
 
 /// Checks the paper's invariants on a quiesced, fully recovered system:
 /// empty lock table (I5), quiescent use lists (I4), `St` back to full
-/// strength, and byte-identical states across each `St` (I1).
+/// strength, byte-identical states across each `St` (I1), and no stale
+/// coordinator record — a commit record is held only for an intent some
+/// store still has in doubt.
 pub fn check_quiescent_invariants(sys: &System, objects: &[ObjectModel]) -> Vec<String> {
     let mut violations = Vec::new();
     if !sys.tx().locks_empty() {
         violations.push("I5 violated: locks left behind after quiesce".to_string());
+    }
+    for (token, nodes) in sys.tx().decisions() {
+        // A down node's intent log is durable but unreadable: its claim
+        // stands until it recovers.
+        let matched = nodes.iter().any(|&node| {
+            !sys.sim().is_up(node)
+                || sys
+                    .stores()
+                    .with(node, |s| s.indoubt().contains(&token))
+                    .unwrap_or(false)
+        });
+        if !matched {
+            violations.push(format!(
+                "commit record for {token:?} kept with no in-doubt intent at {nodes:?}"
+            ));
+        }
     }
     for obj in objects {
         let uid = obj.uid;
