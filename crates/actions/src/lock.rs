@@ -16,8 +16,8 @@
 //! waiting there is no deadlock.
 
 use crate::action::ActionId;
+use groupview_sim::{IdMap, IdSet};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A lockable resource name.
@@ -121,7 +121,7 @@ pub trait Ancestry {
 
 /// A flat ancestry map, convenient for tests and simple callers.
 #[derive(Debug, Clone, Default)]
-pub struct MapAncestry(pub HashMap<ActionId, ActionId>);
+pub struct MapAncestry(pub IdMap<ActionId, ActionId>);
 
 impl Ancestry for MapAncestry {
     fn lock_parent(&self, a: ActionId) -> Option<ActionId> {
@@ -136,8 +136,8 @@ impl Ancestry for MapAncestry {
 /// action manager does this at abort / commit, implementing strictness.
 #[derive(Debug, Default)]
 pub struct LockManager {
-    table: HashMap<LockKey, Vec<(ActionId, LockMode)>>,
-    by_action: HashMap<ActionId, HashSet<LockKey>>,
+    table: IdMap<LockKey, Vec<(ActionId, LockMode)>>,
+    by_action: IdMap<ActionId, IdSet<LockKey>>,
     refusals: u64,
     grants: u64,
 }

@@ -6,10 +6,9 @@ use crate::error::TxError;
 use crate::lock::{Ancestry, LockKey, LockManager, LockMode};
 use crate::participant::Participant;
 use groupview_obs::{Counter as ObsCounter, Phase, Registry};
-use groupview_sim::{NodeId, Sim};
+use groupview_sim::{IdMap, NodeId, Sim};
 use groupview_store::{Stores, TxToken};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -28,7 +27,7 @@ struct Tx {
     /// The transaction's own view of its locks, maintained alongside the
     /// lock table: grants and upgrades land here, nested commit merges the
     /// child's map into the parent's (strongest mode wins).
-    lock_map: HashMap<LockKey, LockMode>,
+    lock_map: IdMap<LockKey, LockMode>,
     /// Object-state undo log: one first-write snapshot per touched object
     /// plus the applied op ids (see [`UndoArena`]).
     arena: UndoArena,
@@ -76,15 +75,15 @@ pub struct TxStats {
 struct TxInner {
     sim: Sim,
     next_id: u64,
-    actions: HashMap<ActionId, Tx>,
-    lock_parents: HashMap<ActionId, Option<ActionId>>,
+    actions: IdMap<ActionId, Tx>,
+    lock_parents: IdMap<ActionId, Option<ActionId>>,
     locks: LockManager,
     /// The coordinator's commit records, kept only while a participant is
     /// in doubt: `token →` the nodes whose phase-2 commit went
     /// unacknowledged. Store recovery consults this to resolve in-doubt
     /// intents and releases a node's claim once its intent log is settled;
     /// a token without a record is presumed aborted.
-    decisions: HashMap<TxToken, Vec<NodeId>>,
+    decisions: IdMap<TxToken, Vec<NodeId>>,
     stats: TxStats,
     /// Observability registry (disabled by default: every recording call is
     /// an inlined no-op, so unobserved runs pay nothing).
@@ -95,7 +94,7 @@ struct TxInner {
 }
 
 struct AncestryView<'a> {
-    map: &'a HashMap<ActionId, Option<ActionId>>,
+    map: &'a IdMap<ActionId, Option<ActionId>>,
 }
 
 impl Ancestry for AncestryView<'_> {
@@ -136,10 +135,10 @@ impl TxSystem {
             inner: Rc::new(RefCell::new(TxInner {
                 sim: sim.clone(),
                 next_id: 1,
-                actions: HashMap::new(),
-                lock_parents: HashMap::new(),
+                actions: IdMap::default(),
+                lock_parents: IdMap::default(),
                 locks: LockManager::new(),
-                decisions: HashMap::new(),
+                decisions: IdMap::default(),
                 stats: TxStats::default(),
                 obs: Registry::new(),
                 applier: None,
@@ -244,7 +243,7 @@ impl TxSystem {
                 status: ActionStatus::Active,
                 parent,
                 client_node: node,
-                lock_map: HashMap::new(),
+                lock_map: IdMap::default(),
                 arena: UndoArena::new(),
                 undos: Vec::new(),
                 participants: Vec::new(),

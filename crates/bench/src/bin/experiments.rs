@@ -79,26 +79,10 @@ fn main() {
             report.shard_series.len(),
             started.elapsed()
         );
-        let mut failed = false;
-        if let Err(msg) = report.check() {
-            eprintln!("trajectory gate failed: {msg}");
-            failed = true;
-        }
-        if let Err(msg) = report.check_scaling() {
-            eprintln!("trajectory scaling gate failed: {msg}");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "trajectory gates passed: batch=16 ≥2× batch=1 ops/sec with fewer allocs/op, \
-             batch=64 ≥ batch=16, sharded scaling floors met on {} core(s)",
-            report.cores
-        );
         // `--trace`: capture a traced canned scenario alongside the
         // trajectory, validate the Chrome trace in-binary, and write both
-        // artifacts next to the JSON.
+        // artifacts next to the JSON — before the perf gates are judged,
+        // so a run that fails a gate still leaves its trace behind.
         if args.iter().any(|a| a == "--trace") {
             let artifacts = tracefile::capture().unwrap_or_else(|e| {
                 eprintln!("trace capture failed: {e}");
@@ -121,6 +105,23 @@ fn main() {
                 tracefile::TRACE_SEED,
             );
         }
+        let mut failed = false;
+        if let Err(msg) = report.check() {
+            eprintln!("trajectory gate failed: {msg}");
+            failed = true;
+        }
+        if let Err(msg) = report.check_scaling() {
+            eprintln!("trajectory scaling gate failed: {msg}");
+            failed = true;
+        }
+        if failed {
+            std::process::exit(1);
+        }
+        println!(
+            "trajectory gates passed: batch=16 ≥2× batch=1 ops/sec with fewer allocs/op, \
+             batch=64 ≥ batch=16, sharded scaling floors met on {} core(s)",
+            report.cores
+        );
         return;
     }
     if args.first().map(String::as_str) == Some("trend") {

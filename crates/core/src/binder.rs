@@ -219,7 +219,8 @@ impl Binder {
     /// [`BindError::NoServers`] when no functioning server exists (per the
     /// paper the client action must then abort), [`BindError::Db`] for
     /// naming-service failures, [`BindError::Contention`] when the updating
-    /// schemes exhaust their lock retries.
+    /// schemes exhaust their lock retries, [`BindError::NoServerCache`] when
+    /// the cached scheme's binder was never given its cache.
     pub fn bind(&self, action: ActionId, req: &BindRequest) -> Result<Binding, BindError> {
         match self.scheme {
             BindingScheme::Standard => self.bind_standard(action, req),
@@ -291,19 +292,20 @@ impl Binder {
     /// never rolled back). Binding consistency is entirely the Object State
     /// database's job (activation still runs the transactional `GetView`).
     fn bind_cached(&self, req: &BindRequest) -> Result<Binding, BindError> {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("CachedNameServer scheme requires Binder::with_cache");
+        let cache = self.cache.as_ref().ok_or(BindError::NoServerCache)?;
+        let listed;
         let candidates = match &req.required {
-            Some(required) => required.clone(),
-            None => cache
-                .read_from(req.client_node, req.uid)
-                .ok_or(BindError::Db(crate::error::DbError::Net(
-                    groupview_sim::NetError::Timeout,
-                )))?,
+            Some(required) => required,
+            None => {
+                listed = cache
+                    .read_from(req.client_node, req.uid)
+                    .ok_or(BindError::Db(crate::error::DbError::Net(
+                        groupview_sim::NetError::Timeout,
+                    )))?;
+                &listed
+            }
         };
-        let (servers, dead) = self.probe_candidates(req, &candidates);
+        let (servers, dead) = self.probe_candidates(req, candidates);
         for &host in &dead {
             cache.report_failure_from(req.client_node, req.uid, host);
         }
@@ -342,17 +344,17 @@ impl Binder {
         // Otherwise: fixed selection algorithm; read-only clients start at a
         // client-dependent offset so concurrent readers spread across
         // (possibly disjoint) servers — the §4.1.2 optimisation.
+        let rotated;
         let candidates = if let Some(required) = &req.required {
-            required.clone()
+            required
         } else if req.read_only && !entry.servers.is_empty() {
             let start = req.client.raw() as usize % entry.servers.len();
-            let mut v = entry.servers[start..].to_vec();
-            v.extend_from_slice(&entry.servers[..start]);
-            v
+            rotated = [&entry.servers[start..], &entry.servers[..start]].concat();
+            &rotated
         } else {
-            entry.servers.clone()
+            &entry.servers
         };
-        let (servers, dead) = self.probe_candidates(req, &candidates);
+        let (servers, dead) = self.probe_candidates(req, candidates);
         if servers.is_empty() {
             return Err(BindError::NoServers {
                 probed: dead.len() as u32,
@@ -414,17 +416,18 @@ impl Binder {
         // An already-activated object pins the selection to SvA' (§3.2);
         // otherwise "if the use list returned is non-empty, then the client
         // tries to bind to only those servers with non-zero counters."
+        let active;
         let candidates = if let Some(required) = &req.required {
-            required.clone()
+            required
         } else {
-            let active = entry.active_servers();
+            active = entry.active_servers();
             if active.is_empty() {
-                entry.servers.clone()
+                &entry.servers
             } else {
-                active
+                &active
             }
         };
-        let (servers, dead) = self.probe_candidates(req, &candidates);
+        let (servers, dead) = self.probe_candidates(req, candidates);
         if servers.is_empty() {
             self.tx.abort(t1);
             return Err(BindError::NoServers {
@@ -741,6 +744,21 @@ mod tests {
         tx.commit(a).unwrap();
         // The transactional Object Server database was never touched.
         assert_eq!(ns.server_db.entry(uid()).unwrap().servers.len(), 3);
+    }
+
+    #[test]
+    fn cached_scheme_without_a_cache_is_a_typed_error() {
+        // `Binder::new` accepts any scheme; forgetting `with_cache` must
+        // fail the bind, not panic the caller.
+        let (_, tx, _, binder) = world(BindingScheme::CachedNameServer);
+        let a = tx.begin_top(n(4));
+        assert_eq!(binder.bind(a, &req()), Err(BindError::NoServerCache));
+        assert_eq!(
+            binder.bind(a, &req().with_required(vec![n(1)])),
+            Err(BindError::NoServerCache)
+        );
+        tx.abort(a);
+        assert!(tx.locks_empty());
     }
 
     #[test]

@@ -97,7 +97,6 @@ mod tests {
     use groupview_actions::LockMode;
     use groupview_sim::SimConfig;
     use groupview_store::Stores;
-    use std::collections::HashSet;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -138,7 +137,7 @@ mod tests {
         let (_, tx, ns, daemon) = world();
         use_object(&tx, &ns, c(1), &[n(1), n(2)]);
         use_object(&tx, &ns, c(2), &[n(1)]);
-        let alive: HashSet<ClientId> = [c(2)].into_iter().collect();
+        let alive: groupview_sim::IdSet<ClientId> = [c(2)].into_iter().collect();
         let report = daemon.sweep(|cl| alive.contains(&cl));
         assert_eq!(report.reclaimed(), 2, "c1's two entries reclaimed");
         assert!(report.deferred.is_empty());

@@ -79,6 +79,9 @@ pub enum BindError {
     Contention,
     /// A transaction-layer failure outside the database.
     Tx(TxError),
+    /// The binder was built for `BindingScheme::CachedNameServer` but was
+    /// never given the cache that scheme reads (`Binder::with_cache`).
+    NoServerCache,
 }
 
 impl fmt::Display for BindError {
@@ -93,6 +96,12 @@ impl fmt::Display for BindError {
             }
             BindError::Contention => write!(f, "binding gave up after repeated lock refusals"),
             BindError::Tx(e) => write!(f, "binding action failed: {e}"),
+            BindError::NoServerCache => {
+                write!(
+                    f,
+                    "the cached-name-server scheme has no server cache attached"
+                )
+            }
         }
     }
 }
@@ -141,6 +150,7 @@ mod tests {
         assert!(b.to_string().contains("naming service"));
         assert!(BindError::NoServers { probed: 2 }.to_string().contains("2"));
         assert!(BindError::Contention.to_string().contains("lock"));
+        assert!(BindError::NoServerCache.to_string().contains("cache"));
     }
 
     #[test]

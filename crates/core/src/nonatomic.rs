@@ -16,16 +16,15 @@
 //! decides which stores hold current state. Experiment E13 validates both
 //! halves of the conjecture.
 
-use groupview_sim::{NodeId, Sim};
+use groupview_sim::{IdMap, NodeId, Sim};
 use groupview_store::Uid;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
 #[derive(Default)]
 struct Inner {
-    entries: HashMap<Uid, Vec<NodeId>>,
+    entries: IdMap<Uid, Vec<NodeId>>,
     reads: u64,
     updates: u64,
 }

@@ -1,11 +1,10 @@
 //! Multicast machinery: the group table and the two delivery protocols.
 
 use crate::error::GroupError;
-use crate::member::GroupMember;
+use crate::member::{Enrolment, GroupMember};
 use crate::view::{GroupId, View};
-use groupview_sim::{Bytes, NodeId, Sim};
+use groupview_sim::{Bytes, IdMap, NodeId, Sim};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -58,16 +57,28 @@ impl MulticastOutcome {
 
 type MemberHandle = Rc<RefCell<dyn GroupMember>>;
 
+/// One enrolled member: the node it runs at, what it stands for (read
+/// from [`GroupMember::enrolment`] when it joined), and its handle.
+struct Member {
+    node: NodeId,
+    enrolment: Option<Enrolment>,
+    handle: MemberHandle,
+}
+
 struct GroupState {
-    view: View,
+    /// The view number; the view's members are `members`' nodes.
+    view_id: u64,
     mode: DeliveryMode,
-    members: HashMap<NodeId, MemberHandle>,
+    /// The enrolled members in joining order — the view, the delivery
+    /// order of the total-order multicast, and the only record of who
+    /// handles a node's deliveries.
+    members: Vec<Member>,
     next_seq: u64,
     stats: MulticastStats,
 }
 
 struct CommsInner {
-    groups: HashMap<GroupId, GroupState>,
+    groups: IdMap<GroupId, GroupState>,
     next_group: u64,
 }
 
@@ -96,7 +107,7 @@ impl GroupComms {
         GroupComms {
             sim: sim.clone(),
             inner: Rc::new(RefCell::new(CommsInner {
-                groups: HashMap::new(),
+                groups: IdMap::default(),
                 next_group: 1,
             })),
         }
@@ -110,9 +121,9 @@ impl GroupComms {
         inner.groups.insert(
             id,
             GroupState {
-                view: View::empty(),
+                view_id: 0,
                 mode,
-                members: HashMap::new(),
+                members: Vec::new(),
                 next_seq: 1,
                 stats: MulticastStats::default(),
             },
@@ -123,6 +134,20 @@ impl GroupComms {
     /// Destroys a group entirely (object passivation).
     pub fn destroy_group(&self, group: GroupId) {
         self.inner.borrow_mut().groups.remove(&group);
+    }
+
+    /// Runs `f` on the group's state.
+    fn with_group<R>(
+        &self,
+        group: GroupId,
+        f: impl FnOnce(&mut GroupState) -> R,
+    ) -> Result<R, GroupError> {
+        self.inner
+            .borrow_mut()
+            .groups
+            .get_mut(&group)
+            .map(f)
+            .ok_or(GroupError::UnknownGroup(group))
     }
 
     /// Adds `node` to the group, handling its deliveries with `member`.
@@ -136,19 +161,34 @@ impl GroupComms {
         group: GroupId,
         node: NodeId,
         member: MemberHandle,
-    ) -> Result<View, GroupError> {
-        let mut inner = self.inner.borrow_mut();
-        let g = inner
-            .groups
-            .get_mut(&group)
-            .ok_or(GroupError::UnknownGroup(group))?;
-        if !g.view.contains(node) {
-            g.view.members.push(node);
-            g.view.id += 1;
-            g.stats.view_changes += 1;
-        }
-        g.members.insert(node, member);
-        Ok(g.view.clone())
+    ) -> Result<(), GroupError> {
+        let enrolment = member.borrow().enrolment();
+        self.with_group(group, |g| {
+            let joining = Member {
+                node,
+                enrolment,
+                handle: member,
+            };
+            match g.members.iter_mut().find(|m| m.node == node) {
+                Some(held) => *held = joining,
+                None => {
+                    g.members.push(joining);
+                    g.view_id += 1;
+                    g.stats.view_changes += 1;
+                }
+            }
+        })
+    }
+
+    /// Whether the group's member at `node` joined standing for
+    /// `enrolment` — an equivalent member need not be built and joined
+    /// again. `false` for unknown groups and for nodes not in the view.
+    pub fn holds(&self, group: GroupId, node: NodeId, enrolment: Enrolment) -> bool {
+        self.inner.borrow().groups.get(&group).is_some_and(|g| {
+            g.members
+                .iter()
+                .any(|m| m.node == node && m.enrolment == Some(enrolment))
+        })
     }
 
     /// Removes `node` from the group.
@@ -156,33 +196,40 @@ impl GroupComms {
     /// # Errors
     ///
     /// [`GroupError::UnknownGroup`] if the group does not exist.
-    pub fn leave(&self, group: GroupId, node: NodeId) -> Result<View, GroupError> {
-        let mut inner = self.inner.borrow_mut();
-        let g = inner
-            .groups
-            .get_mut(&group)
-            .ok_or(GroupError::UnknownGroup(group))?;
-        if g.view.contains(node) {
-            g.view.members.retain(|&m| m != node);
-            g.view.id += 1;
-            g.stats.view_changes += 1;
-            g.members.remove(&node);
-        }
-        Ok(g.view.clone())
+    pub fn leave(&self, group: GroupId, node: NodeId) -> Result<(), GroupError> {
+        self.retain_members(group, |m| m != node)
     }
 
-    /// The group's current view.
+    /// Evicts every member `keep` rejects, one view change per eviction.
+    ///
+    /// # Errors
+    ///
+    /// [`GroupError::UnknownGroup`] if the group does not exist.
+    pub fn retain_members(
+        &self,
+        group: GroupId,
+        keep: impl Fn(NodeId) -> bool,
+    ) -> Result<(), GroupError> {
+        self.with_group(group, |g| {
+            let before = g.members.len();
+            g.members.retain(|m| keep(m.node));
+            let evicted = (before - g.members.len()) as u64;
+            g.view_id += evicted;
+            g.stats.view_changes += evicted;
+        })
+    }
+
+    /// The group's current view (tests and introspection; protocol paths
+    /// never need the copy).
     ///
     /// # Errors
     ///
     /// [`GroupError::UnknownGroup`] if the group does not exist.
     pub fn view(&self, group: GroupId) -> Result<View, GroupError> {
-        let inner = self.inner.borrow();
-        inner
-            .groups
-            .get(&group)
-            .map(|g| g.view.clone())
-            .ok_or(GroupError::UnknownGroup(group))
+        self.with_group(group, |g| View {
+            id: g.view_id,
+            members: g.members.iter().map(|m| m.node).collect(),
+        })
     }
 
     /// Evicts crashed members from the view (failure-detector sweep),
@@ -192,44 +239,26 @@ impl GroupComms {
     ///
     /// [`GroupError::UnknownGroup`] if the group does not exist.
     pub fn refresh_view(&self, group: GroupId) -> Result<View, GroupError> {
-        let mut inner = self.inner.borrow_mut();
-        let sim = self.sim.clone();
-        let g = inner
-            .groups
-            .get_mut(&group)
-            .ok_or(GroupError::UnknownGroup(group))?;
-        let before = g.view.members.len();
-        g.view.members.retain(|&m| sim.is_up(m));
-        if g.view.members.len() != before {
-            g.view.id += 1;
-            g.stats.view_changes += 1;
-            g.members.retain(|&m, _| sim.is_up(m));
-        }
-        Ok(g.view.clone())
+        self.prune_dead_members(group)?;
+        self.view(group)
     }
 
-    /// Like [`GroupComms::refresh_view`], but for callers that only need
-    /// the eviction side effect: no view clone is returned, so the
-    /// per-invocation fast path allocates nothing.
+    /// The eviction half of [`GroupComms::refresh_view`], for callers that
+    /// do not need the view: the per-invocation fast path allocates
+    /// nothing. However many members died, the sweep is one view change.
     ///
     /// # Errors
     ///
     /// [`GroupError::UnknownGroup`] if the group does not exist.
     pub fn prune_dead_members(&self, group: GroupId) -> Result<(), GroupError> {
-        let mut inner = self.inner.borrow_mut();
-        let sim = self.sim.clone();
-        let g = inner
-            .groups
-            .get_mut(&group)
-            .ok_or(GroupError::UnknownGroup(group))?;
-        let before = g.view.members.len();
-        g.view.members.retain(|&m| sim.is_up(m));
-        if g.view.members.len() != before {
-            g.view.id += 1;
-            g.stats.view_changes += 1;
-            g.members.retain(|&m, _| sim.is_up(m));
-        }
-        Ok(())
+        self.with_group(group, |g| {
+            let before = g.members.len();
+            g.members.retain(|m| self.sim.is_up(m.node));
+            if g.members.len() != before {
+                g.view_id += 1;
+                g.stats.view_changes += 1;
+            }
+        })
     }
 
     /// Statistics for a group (zeroes for unknown groups).
@@ -280,10 +309,9 @@ impl GroupComms {
             g.next_seq += 1;
             g.stats.multicasts += 1;
             let targets: Vec<(NodeId, MemberHandle)> = g
-                .view
                 .members
                 .iter()
-                .filter_map(|&n| g.members.get(&n).map(|h| (n, h.clone())))
+                .map(|m| (m.node, m.handle.clone()))
                 .collect();
             (g.mode, seq, targets)
         };
@@ -500,10 +528,106 @@ mod tests {
         let g = comms.create_group(DeliveryMode::ReliableOrdered);
         join_recording(&comms, g, NodeId::new(1));
         join_recording(&comms, g, NodeId::new(2));
-        let v = comms.leave(g, NodeId::new(1)).unwrap();
-        assert_eq!(v.members, vec![NodeId::new(2)]);
+        comms.leave(g, NodeId::new(1)).unwrap();
+        assert_eq!(comms.view(g).unwrap().members, vec![NodeId::new(2)]);
         comms.destroy_group(g);
         assert!(comms.view(g).is_err());
+    }
+
+    #[test]
+    fn membership_changes_on_an_unknown_group_are_typed_errors() {
+        let (_sim, comms) = world();
+        let ghost = GroupId::from_raw(99);
+        let member = Rc::new(RefCell::new(RecordingMember::default()));
+        assert_eq!(
+            comms.join(ghost, NodeId::new(1), member),
+            Err(GroupError::UnknownGroup(ghost))
+        );
+        assert_eq!(
+            comms.leave(ghost, NodeId::new(1)),
+            Err(GroupError::UnknownGroup(ghost))
+        );
+        assert_eq!(
+            comms.retain_members(ghost, |_| true),
+            Err(GroupError::UnknownGroup(ghost))
+        );
+        assert_eq!(
+            comms.prune_dead_members(ghost),
+            Err(GroupError::UnknownGroup(ghost))
+        );
+    }
+
+    /// A member that stands for something, so `holds` can find it.
+    struct Standing(Enrolment);
+
+    impl GroupMember for Standing {
+        fn deliver(&mut self, _seq: u64, _msg: &Bytes) -> Bytes {
+            Bytes::from_static(b"ok")
+        }
+
+        fn enrolment(&self) -> Option<Enrolment> {
+            Some(self.0)
+        }
+    }
+
+    #[test]
+    fn holds_answers_from_the_member_list_alone() {
+        let (sim, comms) = world();
+        let g = comms.create_group(DeliveryMode::ReliableOrdered);
+        let first = Enrolment {
+            target: 7,
+            incarnation: 1,
+        };
+        let reborn = Enrolment {
+            target: 7,
+            incarnation: 2,
+        };
+        let (n1, n2) = (NodeId::new(1), NodeId::new(2));
+        assert!(!comms.holds(g, n1, first), "empty group holds nothing");
+        comms
+            .join(g, n1, Rc::new(RefCell::new(Standing(first))))
+            .unwrap();
+        join_recording(&comms, g, n2);
+        assert!(comms.holds(g, n1, first));
+        assert!(!comms.holds(g, n1, reborn), "another incarnation");
+        assert!(!comms.holds(g, n2, first), "another node");
+        // Re-joining replaces the record along with the handle.
+        comms
+            .join(g, n1, Rc::new(RefCell::new(Standing(reborn))))
+            .unwrap();
+        assert!(comms.holds(g, n1, reborn) && !comms.holds(g, n1, first));
+        // Every way out of the group forgets the record with the member.
+        comms.leave(g, n1).unwrap();
+        assert!(!comms.holds(g, n1, reborn));
+        comms
+            .join(g, n1, Rc::new(RefCell::new(Standing(first))))
+            .unwrap();
+        sim.crash(n1);
+        comms.prune_dead_members(g).unwrap();
+        assert!(!comms.holds(g, n1, first), "pruned with the dead member");
+        comms
+            .join(g, n2, Rc::new(RefCell::new(Standing(first))))
+            .unwrap();
+        comms.retain_members(g, |n| n != n2).unwrap();
+        assert!(!comms.holds(g, n2, first));
+        comms.destroy_group(g);
+        assert!(!comms.holds(g, n2, first));
+    }
+
+    #[test]
+    fn retain_members_counts_one_view_change_per_eviction() {
+        let (_sim, comms) = world();
+        let g = comms.create_group(DeliveryMode::ReliableOrdered);
+        for i in 1..=4 {
+            join_recording(&comms, g, NodeId::new(i));
+        }
+        comms.retain_members(g, |n| n.raw() % 2 == 0).unwrap();
+        let v = comms.view(g).unwrap();
+        assert_eq!(v.members, vec![NodeId::new(2), NodeId::new(4)]);
+        assert_eq!(v.id, 6, "4 joins + 2 evictions, as two leaves would count");
+        assert_eq!(comms.stats(g).view_changes, 6);
+        comms.retain_members(g, |_| true).unwrap();
+        assert_eq!(comms.view(g).unwrap().id, 6, "nothing evicted, no change");
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub mod view;
 
 pub use crate::comms::{DeliveryMode, GroupComms, MulticastOutcome, MulticastStats};
 pub use crate::error::GroupError;
-pub use crate::member::GroupMember;
+pub use crate::member::{Enrolment, GroupMember};
 pub use crate::view::{GroupId, View};

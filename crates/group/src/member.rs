@@ -21,6 +21,28 @@ use groupview_sim::Bytes;
 pub trait GroupMember {
     /// Handles one delivered message, returning reply bytes.
     fn deliver(&mut self, seq: u64, msg: &Bytes) -> Bytes;
+
+    /// What this member stands for. [`crate::GroupComms::join`] records it
+    /// beside the handle, and [`crate::GroupComms::holds`] answers from
+    /// that record whether an equivalent member is already enrolled — so
+    /// the group's member list stays the only record of who is enrolled
+    /// as what. `None` (the default) matches nothing.
+    fn enrolment(&self) -> Option<Enrolment> {
+        None
+    }
+}
+
+/// What a [`GroupMember`] stands for: which target it applies deliveries
+/// to, and which incarnation of that target it was enrolled for. Two
+/// members with equal enrolments at one node are interchangeable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Enrolment {
+    /// Identity of the target. A member that names its target by address
+    /// must own it (hold the `Rc`), so the address cannot be reused while
+    /// the member is enrolled.
+    pub target: usize,
+    /// The target's incarnation the member was enrolled for.
+    pub incarnation: u64,
 }
 
 /// A trivial member that records what it saw; useful in tests and examples.

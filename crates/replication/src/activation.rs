@@ -17,16 +17,19 @@
 //! 4. For a fresh activation, load every bound replica from any reachable
 //!    store in `St` — stores hold only committed states, so a fresh
 //!    activation can never observe uncommitted or stale data.
-//! 5. For active replication, enrol all replicas in the object's reliable
-//!    ordered multicast group.
+//! 5. For active replication, make the object's reliable ordered multicast
+//!    group hold exactly the bound replicas: evict the rest, and enrol
+//!    those it does not already hold (a joined activation finds them all
+//!    enrolled by the activation it joins).
 
 use crate::error::ActivateError;
-use crate::invoke::{ObjectGroup, ReplicaMember};
+use crate::invoke::{Activation, ObjectGroup, ReplicaMember};
 use crate::policy::ReplicationPolicy;
+use crate::replica::ReplicaHandle;
 use crate::system::System;
 use groupview_actions::ActionId;
 use groupview_core::BindRequest;
-use groupview_group::DeliveryMode;
+use groupview_group::{DeliveryMode, GroupId};
 use groupview_obs::Phase;
 use groupview_sim::{ClientId, NodeId};
 use groupview_store::Uid;
@@ -34,21 +37,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 impl System {
-    /// The object's current activation set: nodes with live, loaded
-    /// replicas. Empty for passive objects.
-    pub(crate) fn activation_set(&self, uid: Uid) -> Vec<NodeId> {
-        let inner = &self.inner;
-        inner
-            .registry
-            .replicas_of(uid)
-            .into_iter()
-            .filter(|(node, handle)| {
-                inner.sim.is_up(*node) && handle.borrow_mut().is_loaded(&inner.sim)
-            })
-            .map(|(node, _)| node)
-            .collect()
-    }
-
     /// Activates `uid` for a client action; see the module docs. Trace
     /// events caused by activation messages are attributed to `action`.
     pub(crate) fn do_activate(
@@ -84,11 +72,19 @@ impl System {
         if read_only {
             req = req.read_only();
         }
+        // The one registry lookup of this activation: the object's current
+        // activation set — its live, loaded replicas, in node order. Empty
+        // for a passive object. Everything below reaches a replica through
+        // these handles (nothing else touches the registry while an
+        // activation runs).
+        let mut activated = inner.registry.replicas_of(uid);
+        activated.retain(|(node, replica)| {
+            inner.sim.is_up(*node) && replica.borrow_mut().is_loaded(&inner.sim)
+        });
         // Join the existing activation, if any (§3.2: bind to all of SvA').
-        let joined = self.activation_set(uid);
-        let fresh = joined.is_empty();
+        let fresh = activated.is_empty();
         if !fresh {
-            req = req.with_required(joined.clone());
+            req = req.with_required(activated.iter().map(|(node, _)| *node).collect());
         }
         let bind_start = inner.sim.now().as_micros();
         let binding = inner.binder.bind(action, &req)?;
@@ -104,13 +100,13 @@ impl System {
         // expel it — unload its replica so it can never re-enter the
         // activation set with stale state. Its next activation reloads the
         // committed state from the object stores.
-        for &node in &joined {
-            if !binding.servers.contains(&node) {
-                if let Some(handle) = inner.registry.get(uid, node) {
-                    handle.borrow_mut().unload(&inner.sim);
-                }
+        activated.retain(|(node, replica)| {
+            let bound = binding.servers.contains(node);
+            if !bound {
+                replica.borrow_mut().unload(&inner.sim);
             }
-        }
+            bound
+        });
 
         // GetView as a nested action of the client action: the read lock on
         // the St entry is inherited and held to the client's end.
@@ -135,89 +131,35 @@ impl System {
         };
 
         // Fresh activation: load every bound replica from the object stores.
-        // (A joined activation binds only loaded replicas by construction.)
+        // (A joined activation binds only loaded replicas by construction,
+        // so `activated` already is the bound set.)
         if fresh {
             for &server in &binding.servers {
                 let replica = inner.registry.get_or_create(&inner.sim, uid, server);
-                if replica.borrow_mut().is_loaded(&inner.sim) {
-                    continue;
+                if !replica.borrow_mut().is_loaded(&inner.sim) {
+                    self.load_from_stores(uid, server, &replica, &st_entry.stores)?;
                 }
-                let mut loaded = false;
-                for &src in &st_entry.stores {
-                    if let Ok(state) = inner.stores.read_remote(server, src, uid) {
-                        if !replica.borrow_mut().load(&inner.sim, &state, &inner.types) {
-                            return Err(ActivateError::UnknownType(uid));
-                        }
-                        loaded = true;
-                        break;
-                    }
-                }
-                if !loaded {
-                    return Err(ActivateError::NoState(uid));
-                }
+                activated.push((server, replica));
             }
         }
+        debug_assert!(
+            activated.iter().map(|(node, _)| node).eq(&binding.servers),
+            "a binding is a subsequence of its candidates"
+        );
 
         // Pin the state lineage of every bound replica: a later reload (a
         // reborn copy after a crash) bumps the incarnation, and this
         // action's invoke/commit paths refuse the mismatch instead of
         // silently losing the action's uncommitted updates.
-        let incarnations: Vec<(NodeId, u64)> = binding
-            .servers
+        let incarnations: Vec<(NodeId, u64)> = activated
             .iter()
-            .map(|&server| {
-                let inc = inner
-                    .registry
-                    .get(uid, server)
-                    .map_or(0, |r| r.borrow().incarnation());
-                (server, inc)
-            })
+            .map(|(server, replica)| (*server, replica.borrow().incarnation()))
             .collect();
 
-        // Active replication: enrol replicas in the object's group, and
-        // evict members that are no longer part of the activation (e.g. a
-        // node that crashed and recovered: it is up again, but its replica
-        // lost its volatile state and must not receive operations until a
-        // fresh activation reloads it).
-        let comms_group = if inner.policy == ReplicationPolicy::Active {
-            let mut groups = inner.active_groups.borrow_mut();
-            let gid = if fresh {
-                // A fresh activation starts a new lineage, so it also gets
-                // a fresh multicast group. Destroying the previous group
-                // makes any action still bound to the dead activation fail
-                // its next multicast outright — it must abort anyway, and
-                // this keeps its operations from ever executing on the
-                // reborn replicas.
-                if let Some(old) = groups.remove(&uid) {
-                    inner.comms.destroy_group(old);
-                }
-                let gid = inner.comms.create_group(DeliveryMode::ReliableOrdered);
-                groups.insert(uid, gid);
-                gid
-            } else {
-                *groups
-                    .entry(uid)
-                    .or_insert_with(|| inner.comms.create_group(DeliveryMode::ReliableOrdered))
-            };
-            drop(groups);
-            if let Ok(view) = inner.comms.view(gid) {
-                for member in view.members {
-                    if !binding.servers.contains(&member) {
-                        let _ = inner.comms.leave(gid, member);
-                    }
-                }
-            }
-            for (&server, &(_, incarnation)) in binding.servers.iter().zip(&incarnations) {
-                let replica = inner.registry.get_or_create(&inner.sim, uid, server);
-                let member = ReplicaMember::new(&inner.sim, &inner.wire, replica, incarnation);
-                let _ = inner.comms.join(gid, server, Rc::new(RefCell::new(member)));
-            }
-            Some(gid)
-        } else {
-            None
-        };
+        let comms_group =
+            (inner.policy == ReplicationPolicy::Active).then(|| self.enrol(uid, fresh, &activated));
 
-        Ok(ObjectGroup {
+        Ok(ObjectGroup(Rc::new(Activation {
             uid,
             policy: inner.policy,
             servers: binding.servers.clone(),
@@ -226,6 +168,75 @@ impl System {
             req,
             binding,
             incarnations,
-        })
+        })))
+    }
+
+    /// Loads `replica` (at `server`) from the first store in `stores` that
+    /// answers. Stores hold only committed states.
+    fn load_from_stores(
+        &self,
+        uid: Uid,
+        server: NodeId,
+        replica: &ReplicaHandle,
+        stores: &[NodeId],
+    ) -> Result<(), ActivateError> {
+        let inner = &self.inner;
+        for &src in stores {
+            if let Ok(state) = inner.stores.read_remote(server, src, uid) {
+                if !replica.borrow_mut().load(&inner.sim, &state, &inner.types) {
+                    return Err(ActivateError::UnknownType(uid));
+                }
+                return Ok(());
+            }
+        }
+        Err(ActivateError::NoState(uid))
+    }
+
+    /// Active replication: makes the object's multicast group hold exactly
+    /// the bound replicas, each enrolled for its current (just pinned)
+    /// incarnation, and returns the group.
+    ///
+    /// The group's member list is the only record of who is enrolled as
+    /// what ([`groupview_group::GroupComms::holds`]), so whatever removes a
+    /// member — a crash sweep, a missed delivery, passivation — also
+    /// forgets its enrolment. A joined activation therefore finds its
+    /// members already enrolled and builds nothing; only a member the
+    /// group lost (or never had) is built and joined.
+    fn enrol(&self, uid: Uid, fresh: bool, bound: &[(NodeId, ReplicaHandle)]) -> GroupId {
+        let inner = &self.inner;
+        let mut groups = inner.active_groups.borrow_mut();
+        if fresh {
+            // A fresh activation starts a new lineage, so it also gets a
+            // fresh multicast group. Destroying the previous group makes
+            // any action still bound to the dead activation fail its next
+            // multicast outright — it must abort anyway, and this keeps its
+            // operations from ever executing on the reborn replicas.
+            if let Some(old) = groups.remove(&uid) {
+                inner.comms.destroy_group(old);
+            }
+        }
+        let gid = *groups
+            .entry(uid)
+            .or_insert_with(|| inner.comms.create_group(DeliveryMode::ReliableOrdered));
+        drop(groups);
+        // Evict members that are no longer part of the activation (e.g. a
+        // node that crashed and recovered: it is up again, but its replica
+        // lost its volatile state and must not receive operations until a
+        // fresh activation reloads it).
+        let _ = inner
+            .comms
+            .retain_members(gid, |member| bound.iter().any(|(node, _)| *node == member));
+        for (server, replica) in bound {
+            let incarnation = replica.borrow().incarnation();
+            let enrolment = ReplicaMember::enrolment_for(replica, incarnation);
+            if !inner.comms.holds(gid, *server, enrolment) {
+                let member =
+                    ReplicaMember::new(&inner.sim, &inner.wire, replica.clone(), incarnation);
+                let _ = inner
+                    .comms
+                    .join(gid, *server, Rc::new(RefCell::new(member)));
+            }
+        }
+        gid
     }
 }

@@ -27,7 +27,7 @@ impl ActivateError {
     /// counterpart of [`InvokeError::is_failure_caused`]).
     pub fn is_failure_caused(&self) -> bool {
         match self {
-            ActivateError::Bind(BindError::Contention) => false,
+            ActivateError::Bind(BindError::Contention | BindError::NoServerCache) => false,
             ActivateError::Bind(BindError::Db(db)) | ActivateError::Db(db) => !db.is_lock_refused(),
             ActivateError::Bind(BindError::Tx(tx)) => !matches!(tx, TxError::LockRefused { .. }),
             ActivateError::Bind(BindError::NoServers { .. })

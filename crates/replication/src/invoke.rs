@@ -15,12 +15,14 @@ use crate::wire::{
 };
 use groupview_actions::{ActionId, LockKey, LockMode};
 use groupview_core::{BindRequest, Binding};
-use groupview_group::{GroupId, GroupMember};
+use groupview_group::{Enrolment, GroupId, GroupMember};
 use groupview_obs::{Counter as ObsCounter, Phase};
 use groupview_sim::wire::Codec;
 use groupview_sim::{Bytes, NodeId, Sim, WireEncoder};
 use groupview_store::{SnapshotCodec, Uid};
 use std::fmt;
+use std::ops::Deref;
+use std::rc::Rc;
 
 /// Lock namespace for object-level concurrency control (the databases use
 /// spaces 1 and 2; see [`groupview_core::keys`]).
@@ -33,8 +35,25 @@ pub fn object_key(uid: Uid) -> LockKey {
 
 /// A client's handle to an activated object: the bound servers plus the
 /// `St` view captured (and read-locked) at activation.
+///
+/// One refcounted, immutable [`Activation`]: the client's per-action list,
+/// a typed [`crate::Handle`] and the caller all share the allocation the
+/// activation built, so a clone is a pointer bump. Fields read through
+/// `Deref` (`group.servers`, `group.uid`, …).
 #[derive(Debug, Clone)]
-pub struct ObjectGroup {
+pub struct ObjectGroup(pub(crate) Rc<Activation>);
+
+impl Deref for ObjectGroup {
+    type Target = Activation;
+
+    fn deref(&self) -> &Activation {
+        &self.0
+    }
+}
+
+/// What one activation bound (the shared body of an [`ObjectGroup`]).
+#[derive(Debug)]
+pub struct Activation {
     /// The object.
     pub uid: Uid,
     /// The replication policy the object is activated under.
@@ -57,10 +76,17 @@ pub struct ObjectGroup {
     pub(crate) incarnations: Vec<(NodeId, u64)>,
 }
 
-impl ObjectGroup {
+impl Activation {
     /// The binding statistics recorded when this group was activated.
     pub fn binding(&self) -> &Binding {
         &self.binding
+    }
+
+    /// The multicast group the bound replicas are enrolled in (active
+    /// replication only), for introspection through
+    /// [`crate::System::comms`].
+    pub fn multicast_group(&self) -> Option<GroupId> {
+        self.comms_group
     }
 
     /// The incarnation pinned for `node` at activation.
@@ -110,6 +136,16 @@ impl ReplicaMember {
             expected_incarnation,
         }
     }
+
+    /// What a member enrolled for `replica` at `incarnation` stands for.
+    /// The target is the replica's address: a member owns its replica
+    /// handle, so the address stays taken for as long as it is enrolled.
+    pub(crate) fn enrolment_for(replica: &ReplicaHandle, incarnation: u64) -> Enrolment {
+        Enrolment {
+            target: Rc::as_ptr(replica) as *const () as usize,
+            incarnation,
+        }
+    }
 }
 
 impl fmt::Debug for ReplicaMember {
@@ -133,6 +169,13 @@ impl GroupMember for ReplicaMember {
             }
         };
         MemberReplyCodec::encode(&self.wire, &reply)
+    }
+
+    fn enrolment(&self) -> Option<Enrolment> {
+        Some(Self::enrolment_for(
+            &self.replica,
+            self.expected_incarnation,
+        ))
     }
 }
 

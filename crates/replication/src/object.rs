@@ -11,10 +11,10 @@
 //! little-endian byte encodings so that snapshots are deterministic and
 //! self-contained (no serialization framework needed on the wire).
 
-use groupview_sim::{Bytes, WireEncoder};
+use groupview_sim::{Bytes, IdMap, WireEncoder};
 use groupview_store::TypeTag;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -88,7 +88,7 @@ pub type DecodeFn = fn(&[u8]) -> Box<dyn ReplicaObject>;
 /// holding the class code.
 #[derive(Clone, Default)]
 pub struct TypeRegistry {
-    inner: Rc<RefCell<HashMap<TypeTag, DecodeFn>>>,
+    inner: Rc<RefCell<IdMap<TypeTag, DecodeFn>>>,
 }
 
 impl fmt::Debug for TypeRegistry {

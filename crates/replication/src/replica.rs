@@ -2,10 +2,10 @@
 
 use crate::object::{InvokeResult, ReplicaObject, TypeRegistry};
 use crate::wire;
-use groupview_sim::{Bytes, NodeId, Sim, WireEncoder};
+use groupview_sim::{Bytes, IdMap, NodeId, Sim, WireEncoder};
 use groupview_store::{ObjectState, TypeTag, Uid, Version, Volatile};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
@@ -323,7 +323,7 @@ type ReplicaSet = Vec<(NodeId, ReplicaHandle)>;
 /// a scan of that handful.
 #[derive(Clone, Default)]
 pub struct ReplicaRegistry {
-    inner: Rc<RefCell<HashMap<Uid, ReplicaSet>>>,
+    inner: Rc<RefCell<IdMap<Uid, ReplicaSet>>>,
 }
 
 impl fmt::Debug for ReplicaRegistry {

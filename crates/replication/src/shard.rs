@@ -676,7 +676,7 @@ mod tests {
     fn shard_uid_slices_are_disjoint() {
         let sys = small_system(4);
         let servers: Vec<NodeId> = (1..=3).map(n).collect();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = groupview_sim::IdSet::default();
         for i in 0..32i64 {
             let uid = sys
                 .create_typed(Counter::new(i), &servers, &servers)

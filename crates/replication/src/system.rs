@@ -15,10 +15,11 @@ use groupview_core::{
 use groupview_group::{GroupComms, GroupId};
 use groupview_obs::{MetricsSnapshot, NodeLoad, Phase, Registry as ObsRegistry};
 use groupview_sim::wire::{self, WireStats};
-use groupview_sim::{Bytes, ClientId, NetConfig, NodeId, Sim, SimConfig, WireEncoder};
+use groupview_sim::{
+    Bytes, ClientId, IdMap, IdSet, NetConfig, NodeId, Sim, SimConfig, WireEncoder,
+};
 use groupview_store::{ObjectState, Stores, Uid, UidGen, Version};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -38,7 +39,7 @@ pub(crate) struct SystemInner {
     pub(crate) policy: ReplicationPolicy,
     pub(crate) exclude_policy: ExcludePolicy,
     pub(crate) exclude_enabled: bool,
-    pub(crate) active_groups: RefCell<HashMap<Uid, GroupId>>,
+    pub(crate) active_groups: RefCell<IdMap<Uid, GroupId>>,
     /// Shared scratch-buffer pool for every wire encode in the system
     /// (operation frames, member replies, checkpoint snapshots).
     pub(crate) wire: WireEncoder,
@@ -54,7 +55,7 @@ pub(crate) struct SystemInner {
     uid_gen: RefCell<UidGen>,
     next_op: Cell<u64>,
     next_client: Cell<u32>,
-    dirty: RefCell<HashSet<(u64, u64)>>,
+    dirty: RefCell<IdSet<(u64, u64)>>,
 }
 
 /// A complete persistent-replicated-object system over a simulated world.
@@ -215,7 +216,7 @@ impl SystemBuilder {
                 policy: self.policy,
                 exclude_policy: self.exclude_policy,
                 exclude_enabled: self.exclude_enabled,
-                active_groups: RefCell::new(HashMap::new()),
+                active_groups: RefCell::default(),
                 wire: WireEncoder::new(),
                 obs,
                 wire_mark: Cell::new(wire::stats()),
@@ -223,7 +224,7 @@ impl SystemBuilder {
                 uid_gen: RefCell::new(UidGen::new(naming_node)),
                 next_op: Cell::new(1),
                 next_client: Cell::new(0),
-                dirty: RefCell::new(HashSet::new()),
+                dirty: RefCell::default(),
                 sim,
                 stores,
                 tx,
@@ -582,7 +583,7 @@ impl System {
             sys: self.clone(),
             id,
             node,
-            groups: Rc::new(RefCell::new(HashMap::new())),
+            groups: Rc::default(),
         }
     }
 
@@ -681,7 +682,7 @@ pub struct Client {
     id: ClientId,
     node: NodeId,
     /// Object groups activated per action, awaiting binding completion.
-    groups: Rc<RefCell<HashMap<u64, Vec<ObjectGroup>>>>,
+    groups: Rc<RefCell<IdMap<u64, Vec<ObjectGroup>>>>,
 }
 
 impl fmt::Debug for Client {

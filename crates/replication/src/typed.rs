@@ -26,12 +26,11 @@ use crate::invoke::ObjectGroup;
 use crate::object::{Account, AccountOp, Counter, CounterOp, KvMap, KvOp, ReplicaObject};
 use crate::system::Client;
 use groupview_actions::ActionId;
+use groupview_sim::IdMap;
 use groupview_store::{TypeTag, Uid};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
-use std::rc::Rc;
 
 /// A persistent object class: the replica behaviour of [`ReplicaObject`]
 /// plus the typed operation/reply codec contract client surfaces need.
@@ -428,10 +427,9 @@ impl<O: ObjectType> From<TypedUid<O>> for Uid {
 pub struct Handle<O: ObjectType> {
     client: Client,
     uid: Uid,
-    /// The activated group per in-flight action (keyed by raw action id);
-    /// refcounted so the per-invoke lookup is a pointer bump, not a clone
-    /// of the group's server/store/incarnation vectors.
-    groups: RefCell<HashMap<u64, Rc<ObjectGroup>>>,
+    /// The activated group per in-flight action (keyed by raw action id),
+    /// sharing the activation's one allocation with the client's list.
+    groups: RefCell<IdMap<u64, ObjectGroup>>,
     _class: PhantomData<O>,
 }
 
@@ -449,7 +447,7 @@ impl<O: ObjectType> Handle<O> {
         Handle {
             client,
             uid,
-            groups: RefCell::new(HashMap::new()),
+            groups: RefCell::default(),
             _class: PhantomData,
         }
     }
@@ -477,9 +475,7 @@ impl<O: ObjectType> Handle<O> {
         replicas: usize,
     ) -> Result<ObjectGroup, ActivateError> {
         let group = self.client.activate(action, self.uid, replicas)?;
-        self.groups
-            .borrow_mut()
-            .insert(action.raw(), Rc::new(group.clone()));
+        self.remember(action, group.clone());
         Ok(group)
     }
 
@@ -495,9 +491,7 @@ impl<O: ObjectType> Handle<O> {
         replicas: usize,
     ) -> Result<ObjectGroup, ActivateError> {
         let group = self.client.activate_read_only(action, self.uid, replicas)?;
-        self.groups
-            .borrow_mut()
-            .insert(action.raw(), Rc::new(group.clone()));
+        self.remember(action, group.clone());
         Ok(group)
     }
 
@@ -519,7 +513,7 @@ impl<O: ObjectType> Handle<O> {
     fn remember(&self, action: ActionId, group: ObjectGroup) {
         let mut groups = self.groups.borrow_mut();
         groups.retain(|&raw, _| self.client.action_is_live(raw));
-        groups.insert(action.raw(), Rc::new(group));
+        groups.insert(action.raw(), group);
     }
 
     /// Invokes a typed operation on behalf of `action`, choosing the
@@ -611,6 +605,40 @@ impl<O: ObjectType> Handle<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::System;
+
+    /// Every way of activating through a handle prunes the entries of
+    /// finished actions: a long-lived handle holds at most its client's
+    /// live actions, not one group per activation it ever made.
+    #[test]
+    fn a_long_lived_handle_keeps_only_live_actions_groups() {
+        let sys = System::builder(5).nodes(5).build();
+        let nodes = sys.sim().nodes();
+        let uid = sys
+            .create_typed(Counter::new(0), &nodes[1..4], &nodes[1..4])
+            .expect("create");
+        let client = sys.client(nodes[4]);
+        let counter = uid.open(&client);
+        // One action stays open throughout; its entry must survive.
+        let open = client.begin_action();
+        counter.activate_read_only(open, 2).expect("activate");
+        for i in 0..5_000 {
+            let action = client.begin_action();
+            if i % 2 == 0 {
+                counter.activate(action, 2).expect("activate");
+            } else {
+                counter.activate_read_only(action, 2).expect("activate");
+            }
+            client.commit(action).expect("commit");
+            assert!(
+                counter.groups.borrow().len() <= 2,
+                "cycle {i}: {} groups remembered for 1 live action",
+                counter.groups.borrow().len()
+            );
+        }
+        assert_eq!(counter.invoke(open, CounterOp::Get), Ok(0));
+        client.commit(open).expect("commit");
+    }
 
     #[test]
     fn op_codecs_roundtrip_through_the_trait() {

@@ -23,9 +23,8 @@
 
 use crate::history::{EventKind, History};
 use groupview_replication::{Account, Counter, KvMap, ObjectType, ReplicaObject, System};
-use groupview_sim::{Bytes, WireEncoder};
+use groupview_sim::{Bytes, IdMap, WireEncoder};
 use groupview_store::Uid;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Dispatches once from a runtime [`ModelKind`] to its compile-time class,
@@ -229,7 +228,7 @@ impl Oracle {
         // expected reply is compared and dropped, so replay allocates only
         // on its cold start.
         let enc = WireEncoder::new();
-        let mut model: HashMap<Uid, (ModelKind, Box<dyn ReplicaObject>)> = self
+        let mut model: IdMap<Uid, (ModelKind, Box<dyn ReplicaObject>)> = self
             .objects
             .iter()
             .map(|o| (o.uid, (o.kind, o.kind.fresh())))
@@ -237,7 +236,7 @@ impl Oracle {
         // Ops buffered per in-flight action, replayed at its commit event
         // (commit order == serialization order under strict 2PL).
         type PendingOp = (Uid, groupview_sim::Bytes, groupview_sim::Bytes);
-        let mut pending: HashMap<u64, Vec<PendingOp>> = HashMap::new();
+        let mut pending: IdMap<u64, Vec<PendingOp>> = IdMap::default();
         let initial_total: u64 = self
             .objects
             .iter()
@@ -320,7 +319,7 @@ impl Oracle {
 /// Sums the balances of every account model (an [`Account`] snapshot is its
 /// balance, little-endian).
 fn account_total(
-    model: &HashMap<Uid, (ModelKind, Box<dyn ReplicaObject>)>,
+    model: &IdMap<Uid, (ModelKind, Box<dyn ReplicaObject>)>,
     enc: &WireEncoder,
 ) -> u64 {
     model

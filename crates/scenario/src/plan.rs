@@ -15,9 +15,8 @@
 //! conversion preserves run-for-run behaviour (asserted by the
 //! `script_conversion_parity` test).
 
-use groupview_sim::{NodeId, SimDuration};
+use groupview_sim::{IdSet, NodeId, SimDuration};
 use groupview_workload::{FaultAction, FaultScript};
-use std::collections::HashSet;
 use std::fmt;
 
 /// One fault-injection primitive a plan can schedule.
@@ -302,13 +301,13 @@ impl FaultPlan {
     }
 
     fn validate_stream(&self, indices: impl Iterator<Item = usize>) -> Result<(), PlanError> {
-        let mut down: HashSet<NodeId> = HashSet::new();
+        let mut down: IdSet<NodeId> = IdSet::default();
         // Nodes with an armed crash-after-sends budget: whether and when
         // the crash fires depends on the run, so such a node may validly be
         // crashed again (the budget never fired) or recovered (it did — or
         // the recover just disarms it).
-        let mut armed: HashSet<NodeId> = HashSet::new();
-        let mut blocked: HashSet<(NodeId, NodeId)> = HashSet::new();
+        let mut armed: IdSet<NodeId> = IdSet::default();
+        let mut blocked: IdSet<(NodeId, NodeId)> = IdSet::default();
         for index in indices {
             match &self.events[index].action {
                 PlanAction::CrashNode(n) => {

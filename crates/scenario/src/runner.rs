@@ -26,10 +26,9 @@ use groupview_replication::{
     Account, AccountOp, Client, Counter, CounterOp, KvMap, KvOp, ObjectGroup, ObjectType,
     ReplicationPolicy, System, Tx, TxOpError, TypedUid,
 };
-use groupview_sim::{Bytes, ClientId, NodeId, ScheduledEvent, Sim, SimDuration};
+use groupview_sim::{Bytes, ClientId, IdSet, NodeId, ScheduledEvent, Sim, SimDuration};
 use groupview_store::Uid;
 use groupview_workload::{RunMetrics, WorkloadSpec};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Everything [`run_plan`] produced.
@@ -47,7 +46,7 @@ enum Phase {
     Idle,
     Running {
         action: groupview_actions::ActionId,
-        group: Box<ObjectGroup>,
+        group: ObjectGroup,
         /// Index of the acted-on object in `spec.objects` (also indexes
         /// the run's `ModelKind`s).
         object_index: usize,
@@ -486,7 +485,7 @@ fn apply_plan_action(
             }
         }
         PlanAction::CleanupSweep => {
-            let dead: HashSet<ClientId> = machines
+            let dead: IdSet<ClientId> = machines
                 .iter()
                 .filter(|m| m.dead)
                 .map(|m| m.client.id())
@@ -566,7 +565,7 @@ fn step_machine(
                     metrics.servers_removed += b.removed.len() as u64;
                     m.phase = Phase::Running {
                         action,
-                        group: Box::new(group),
+                        group,
                         object_index,
                         ops_left: spec.ops_per_action,
                         read_only,

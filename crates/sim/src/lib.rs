@@ -55,7 +55,7 @@ pub mod world;
 
 pub use crate::config::{NetConfig, SimConfig};
 pub use crate::error::NetError;
-pub use crate::ids::{ClientId, NodeId};
+pub use crate::ids::{ClientId, IdHasher, IdMap, IdSet, NodeId};
 pub use crate::metrics::{Cost, NetCounters};
 pub use crate::time::{SimDuration, SimTime};
 pub use crate::trace::TraceEvent;

@@ -2,7 +2,7 @@
 
 use crate::config::SimConfig;
 use crate::error::NetError;
-use crate::ids::NodeId;
+use crate::ids::{IdMap, IdSet, NodeId};
 use crate::metrics::{Cost, NetCounters};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -67,9 +67,9 @@ struct SimCore {
     rng_draws: u64,
     nodes: Vec<NodeState>,
     /// Symmetric blocked pairs, stored with the smaller id first.
-    blocked: HashSet<(NodeId, NodeId)>,
+    blocked: IdSet<(NodeId, NodeId)>,
     counters: NetCounters,
-    accounts: HashMap<u64, Cost>,
+    accounts: IdMap<u64, Cost>,
     active_account: Option<u64>,
     /// Raw id of the atomic action currently driving protocol work, stamped
     /// onto message trace events for causal attribution.
@@ -147,9 +147,9 @@ impl Sim {
                 rng_draws: 0,
                 clock: SimTime::ZERO,
                 nodes,
-                blocked: HashSet::new(),
+                blocked: IdSet::default(),
                 counters: NetCounters::default(),
-                accounts: HashMap::new(),
+                accounts: IdMap::default(),
                 active_account: None,
                 active_action: None,
                 schedule: BinaryHeap::new(),
@@ -1192,7 +1192,7 @@ mod tests {
             Err(NetError::Partitioned { from: c, to: b })
         );
         let trace = sim.take_trace().expect("tracing enabled");
-        let mut blocked: HashSet<(NodeId, NodeId)> = HashSet::new();
+        let mut blocked: IdSet<(NodeId, NodeId)> = IdSet::default();
         let mut partitioned_losses = 0;
         for ev in &trace {
             match *ev {

@@ -4,9 +4,8 @@ use crate::error::StoreError;
 use crate::stable::{StableStore, TxToken};
 use crate::state::ObjectState;
 use crate::uid::Uid;
-use groupview_sim::{NodeId, Sim};
+use groupview_sim::{IdMap, IdSet, NodeId, Sim};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -25,21 +24,21 @@ use std::rc::Rc;
 #[derive(Clone)]
 pub struct Stores {
     sim: Sim,
-    inner: Rc<RefCell<HashMap<NodeId, StableStore>>>,
+    inner: Rc<RefCell<IdMap<NodeId, StableStore>>>,
     /// Nodes armed to crash in the two-phase-commit window: the next
     /// successful prepare staged at such a node arms a one-send crash
     /// budget, so the node dies right after acknowledging the prepare —
     /// i.e. **between prepare and commit**, leaving the transaction
     /// in-doubt for recovery to resolve (the §4 window the scenario
     /// engine's store nemesis targets).
-    armed_prepare_crashes: Rc<RefCell<HashSet<NodeId>>>,
+    armed_prepare_crashes: Rc<RefCell<IdSet<NodeId>>>,
     /// Replica tombstones: `(node, uid)` pairs whose local state copy was
     /// migrated away. Control-plane metadata (held by the membership
     /// manager, writable even while the node is down): §4 recovery normally
     /// **re-includes** any state a recovering store still holds, which
     /// would resurrect a migrated-away replica — a retired pair is purged
     /// instead. Migrating a replica back clears the tombstone.
-    retired: Rc<RefCell<HashSet<(NodeId, Uid)>>>,
+    retired: Rc<RefCell<IdSet<(NodeId, Uid)>>>,
 }
 
 impl fmt::Debug for Stores {
@@ -56,9 +55,9 @@ impl Stores {
     pub fn new(sim: &Sim) -> Self {
         Stores {
             sim: sim.clone(),
-            inner: Rc::new(RefCell::new(HashMap::new())),
-            armed_prepare_crashes: Rc::new(RefCell::new(HashSet::new())),
-            retired: Rc::new(RefCell::new(HashSet::new())),
+            inner: Rc::default(),
+            armed_prepare_crashes: Rc::default(),
+            retired: Rc::default(),
         }
     }
 

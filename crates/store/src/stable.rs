@@ -3,9 +3,8 @@
 use crate::error::StoreError;
 use crate::state::ObjectState;
 use crate::uid::Uid;
-use groupview_sim::NodeId;
+use groupview_sim::{IdMap, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Token naming a prepared transaction in a store's intent log.
@@ -46,8 +45,8 @@ impl fmt::Display for TxToken {
 #[derive(Debug, Clone)]
 pub struct StableStore {
     node: NodeId,
-    objects: HashMap<Uid, ObjectState>,
-    intents: HashMap<TxToken, Vec<(Uid, ObjectState)>>,
+    objects: IdMap<Uid, ObjectState>,
+    intents: IdMap<TxToken, Vec<(Uid, ObjectState)>>,
 }
 
 impl StableStore {
@@ -55,8 +54,8 @@ impl StableStore {
     pub fn new(node: NodeId) -> Self {
         StableStore {
             node,
-            objects: HashMap::new(),
-            intents: HashMap::new(),
+            objects: IdMap::default(),
+            intents: IdMap::default(),
         }
     }
 

@@ -78,7 +78,6 @@ impl UidGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn uids_encode_creator_and_sequence() {
@@ -94,7 +93,7 @@ mod tests {
     fn uids_from_different_nodes_never_collide() {
         let mut a = UidGen::new(NodeId::new(0));
         let mut b = UidGen::new(NodeId::new(1));
-        let mut seen = HashSet::new();
+        let mut seen = groupview_sim::IdSet::default();
         for _ in 0..100 {
             assert!(seen.insert(a.next_uid()));
             assert!(seen.insert(b.next_uid()));
