@@ -1,4 +1,4 @@
-//! Action identities and lifecycle states.
+//! Action identities.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -25,49 +25,6 @@ impl fmt::Display for ActionId {
     }
 }
 
-/// How an action relates to its surroundings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ActionKind {
-    /// An outermost application action; commit runs two-phase commit.
-    TopLevel,
-    /// A child of another action (paper Figure 6): its locks and undo
-    /// records are *inherited by the parent* on commit, and its effects are
-    /// undone if it (or later its parent) aborts.
-    Nested,
-    /// An independent top-level action started from within another action
-    /// (paper Figure 8): commits durably on its own; the enclosing action's
-    /// outcome does not affect it.
-    NestedTopLevel,
-}
-
-impl ActionKind {
-    /// Whether this kind commits durably by itself (runs two-phase commit).
-    pub fn is_top_level(self) -> bool {
-        matches!(self, ActionKind::TopLevel | ActionKind::NestedTopLevel)
-    }
-}
-
-/// Lifecycle state of an action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ActionStatus {
-    /// The action may still acquire locks and perform operations.
-    Active,
-    /// The action committed.
-    Committed,
-    /// The action aborted; all its effects were undone.
-    Aborted,
-}
-
-impl fmt::Display for ActionStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ActionStatus::Active => write!(f, "active"),
-            ActionStatus::Committed => write!(f, "committed"),
-            ActionStatus::Aborted => write!(f, "aborted"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,19 +34,5 @@ mod tests {
         let a = ActionId::from_raw(9);
         assert_eq!(a.raw(), 9);
         assert_eq!(a.to_string(), "a9");
-    }
-
-    #[test]
-    fn kinds_know_their_commit_protocol() {
-        assert!(ActionKind::TopLevel.is_top_level());
-        assert!(ActionKind::NestedTopLevel.is_top_level());
-        assert!(!ActionKind::Nested.is_top_level());
-    }
-
-    #[test]
-    fn status_displays() {
-        assert_eq!(ActionStatus::Active.to_string(), "active");
-        assert_eq!(ActionStatus::Committed.to_string(), "committed");
-        assert_eq!(ActionStatus::Aborted.to_string(), "aborted");
     }
 }

@@ -24,7 +24,10 @@
 //!   ancestor inheritance for nested actions;
 //! * [`TxSystem`] — the action manager: begin/commit/abort for top-level,
 //!   nested, and nested-top-level actions, LIFO undo logs, and a two-phase
-//!   commit protocol over [`Participant`]s;
+//!   commit protocol over [`Participant`]s. It keeps one record per
+//!   *active* action and nothing about an action that has ended: a nested
+//!   commit merges the record into its parent's, a top-level commit or an
+//!   abort drops it, and the lock table alone says who holds what;
 //! * [`StoreWriteParticipant`] — the standard participant that installs new
 //!   object states into a node's stable store at commit (phase 1 writes the
 //!   store's intent log; in-doubt transactions are resolved from the
@@ -63,7 +66,7 @@ pub mod lock;
 pub mod manager;
 pub mod participant;
 
-pub use crate::action::{ActionId, ActionKind, ActionStatus};
+pub use crate::action::ActionId;
 pub use crate::arena::{UndoApplier, UndoArena};
 pub use crate::error::TxError;
 pub use crate::lock::{LockKey, LockManager, LockMode};

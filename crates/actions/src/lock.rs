@@ -102,8 +102,8 @@ impl fmt::Display for LockMode {
 /// runs, so no isolation is violated. Nested **top-level** actions have no
 /// lock ancestry — they are independent.
 pub trait Ancestry {
-    /// The lock-parent of `a`: its parent for [`crate::ActionKind::Nested`]
-    /// actions, `None` for top-level and nested-top-level actions.
+    /// The lock-parent of `a`: its parent for a nested action, `None` for
+    /// top-level and nested-top-level actions.
     fn lock_parent(&self, a: ActionId) -> Option<ActionId>;
 
     /// Whether `anc` is a (transitive) lock-ancestor of `a`.

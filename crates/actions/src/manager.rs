@@ -1,6 +1,6 @@
 //! The action manager: begin/commit/abort and two-phase commit.
 
-use crate::action::{ActionId, ActionKind, ActionStatus};
+use crate::action::ActionId;
 use crate::arena::{UndoApplier, UndoArena};
 use crate::error::TxError;
 use crate::lock::{Ancestry, LockKey, LockManager, LockMode};
@@ -14,20 +14,17 @@ use std::rc::Rc;
 
 type Undo = Box<dyn FnOnce()>;
 
-/// One transaction's explicit record (the hig-proto shape): its lifecycle
-/// state, the `LockKey → LockMode` map of everything it holds, and the
-/// undo-log arena that replaced the per-op boxed undo closures.
+/// One action's record (the hig-proto shape): everything the service knows
+/// about the action. It exists exactly while the action is active — a
+/// nested commit merges it into the parent's record, a top-level commit or
+/// an abort drops it. The locks it holds live in the lock table alone.
 struct Tx {
-    kind: ActionKind,
-    status: ActionStatus,
-    /// Structural parent (for nested *and* nested-top-level actions).
+    /// The action this one merges into when it commits: `Some` for a nested
+    /// action (also its lock-parent), `None` for top-level and
+    /// nested-top-level actions, which commit on their own.
     parent: Option<ActionId>,
     /// The node coordinating this action's commit.
     client_node: NodeId,
-    /// The transaction's own view of its locks, maintained alongside the
-    /// lock table: grants and upgrades land here, nested commit merges the
-    /// child's map into the parent's (strongest mode wins).
-    lock_map: IdMap<LockKey, LockMode>,
     /// Object-state undo log: one first-write snapshot per touched object
     /// plus the applied op ids (see [`UndoArena`]).
     arena: UndoArena,
@@ -35,16 +32,15 @@ struct Tx {
     /// these still run LIFO, before the arena replays.
     undos: Vec<Undo>,
     participants: Vec<Box<dyn Participant>>,
+    /// Nested actions begun within this one, oldest first (ids of children
+    /// that have since ended are simply absent from the table).
     children: Vec<ActionId>,
 }
 
 impl fmt::Debug for Tx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tx")
-            .field("kind", &self.kind)
-            .field("status", &self.status)
             .field("parent", &self.parent)
-            .field("locks", &self.lock_map.len())
             .field("undo_objects", &self.arena.object_count())
             .field("undos", &self.undos.len())
             .field("participants", &self.participants.len())
@@ -75,8 +71,8 @@ pub struct TxStats {
 struct TxInner {
     sim: Sim,
     next_id: u64,
+    /// The active actions, and nothing else: membership *is* "active".
     actions: IdMap<ActionId, Tx>,
-    lock_parents: IdMap<ActionId, Option<ActionId>>,
     locks: LockManager,
     /// The coordinator's commit records, kept only while a participant is
     /// in doubt: `token →` the nodes whose phase-2 commit went
@@ -93,13 +89,13 @@ struct TxInner {
     applier: Option<Rc<dyn UndoApplier>>,
 }
 
-struct AncestryView<'a> {
-    map: &'a IdMap<ActionId, Option<ActionId>>,
-}
+/// Lock ancestry read off the action records: every lock-ancestor of a
+/// running nested action is suspended, hence still in the table.
+struct AncestryView<'a>(&'a IdMap<ActionId, Tx>);
 
 impl Ancestry for AncestryView<'_> {
     fn lock_parent(&self, a: ActionId) -> Option<ActionId> {
-        self.map.get(&a).copied().flatten()
+        self.0.get(&a)?.parent
     }
 }
 
@@ -136,7 +132,6 @@ impl TxSystem {
                 sim: sim.clone(),
                 next_id: 1,
                 actions: IdMap::default(),
-                lock_parents: IdMap::default(),
                 locks: LockManager::new(),
                 decisions: IdMap::default(),
                 stats: TxStats::default(),
@@ -173,7 +168,7 @@ impl TxSystem {
 
     /// Begins a top-level action coordinated by `client_node`.
     pub fn begin_top(&self, client_node: NodeId) -> ActionId {
-        self.begin(ActionKind::TopLevel, None, client_node)
+        self.inner.borrow_mut().begin(None, client_node)
     }
 
     /// Begins an action nested in `parent`.
@@ -182,20 +177,7 @@ impl TxSystem {
     ///
     /// Panics if `parent` is not an active action.
     pub fn begin_nested(&self, parent: ActionId) -> ActionId {
-        let node = {
-            let inner = self.inner.borrow();
-            let rec = inner
-                .actions
-                .get(&parent)
-                .unwrap_or_else(|| panic!("begin_nested: unknown parent {parent}"));
-            assert_eq!(
-                rec.status,
-                ActionStatus::Active,
-                "begin_nested: parent {parent} is not active"
-            );
-            rec.client_node
-        };
-        self.begin(ActionKind::Nested, Some(parent), node)
+        self.begin_within(parent, true)
     }
 
     /// Begins a *nested top-level* action from within `enclosing`
@@ -205,53 +187,26 @@ impl TxSystem {
     ///
     /// Panics if `enclosing` is not an active action.
     pub fn begin_nested_top(&self, enclosing: ActionId) -> ActionId {
-        let node = {
-            let inner = self.inner.borrow();
-            let rec = inner
-                .actions
-                .get(&enclosing)
-                .unwrap_or_else(|| panic!("begin_nested_top: unknown action {enclosing}"));
-            assert_eq!(
-                rec.status,
-                ActionStatus::Active,
-                "begin_nested_top: enclosing {enclosing} is not active"
-            );
-            rec.client_node
-        };
-        self.begin(ActionKind::NestedTopLevel, Some(enclosing), node)
+        self.begin_within(enclosing, false)
     }
 
-    fn begin(&self, kind: ActionKind, parent: Option<ActionId>, node: NodeId) -> ActionId {
-        let mut inner = self.inner.borrow_mut();
-        let id = ActionId::from_raw(inner.next_id);
-        inner.next_id += 1;
-        // Lock ancestry flows only through Nested links.
-        let lock_parent = match kind {
-            ActionKind::Nested => parent,
-            ActionKind::TopLevel | ActionKind::NestedTopLevel => None,
+    /// Begins an action from within `outer`, coordinated by `outer`'s node:
+    /// nested in it, or independent of it (nested top-level).
+    fn begin_within(&self, outer: ActionId, nested: bool) -> ActionId {
+        let Some(node) = self.client_node(outer) else {
+            panic!("begin within {outer}: it is not an active action");
         };
-        inner.lock_parents.insert(id, lock_parent);
-        if let Some(p) = parent {
-            if let Some(prec) = inner.actions.get_mut(&p) {
-                prec.children.push(id);
-            }
-        }
-        inner.actions.insert(
-            id,
-            Tx {
-                kind,
-                status: ActionStatus::Active,
-                parent,
-                client_node: node,
-                lock_map: IdMap::default(),
-                arena: UndoArena::new(),
-                undos: Vec::new(),
-                participants: Vec::new(),
-                children: Vec::new(),
-            },
-        );
-        inner.stats.started += 1;
-        id
+        self.inner.borrow_mut().begin(nested.then_some(outer), node)
+    }
+
+    /// Runs `f` on `action`'s record, or refuses if the action is over.
+    fn with_active<R>(&self, action: ActionId, f: impl FnOnce(&mut Tx) -> R) -> Result<R, TxError> {
+        let mut inner = self.inner.borrow_mut();
+        inner
+            .actions
+            .get_mut(&action)
+            .map(f)
+            .ok_or(TxError::NotActive(action))
     }
 
     // ----- per-action operations ----------------------------------------
@@ -264,39 +219,28 @@ impl TxSystem {
     /// [`TxError::NotActive`] if the action cannot lock anymore.
     pub fn lock(&self, action: ActionId, key: LockKey, mode: LockMode) -> Result<(), TxError> {
         let mut inner = self.inner.borrow_mut();
-        if !inner.is_active(action) {
-            return Err(TxError::NotActive(action));
-        }
         let TxInner {
             locks,
-            lock_parents,
             actions,
-            stats,
             sim,
             obs,
             ..
         } = &mut *inner;
-        let view = AncestryView { map: lock_parents };
-        let now = sim.now().as_micros();
-        match locks.acquire(&view, action, key, mode) {
+        let node = actions
+            .get(&action)
+            .ok_or(TxError::NotActive(action))?
+            .client_node;
+        match locks.acquire(&AncestryView(actions), action, key, mode) {
             Ok(()) => {
-                // Mirror the grant (or upgrade) into the transaction's own
-                // lock map; the table stays the source of truth for
-                // conflicts, the map for per-tx introspection.
-                let rec = actions.get_mut(&action).expect("checked active");
-                rec.lock_map
-                    .entry(key)
-                    .and_modify(|m| *m = (*m).max(mode))
-                    .or_insert(mode);
                 // Lock acquisition is instantaneous in this model; the span
                 // still counts toward the phase breakdown.
+                let now = sim.now().as_micros();
                 obs.add(ObsCounter::LocksAcquired, 1);
-                obs.record_node_lock(rec.client_node.raw());
+                obs.record_node_lock(node.raw());
                 obs.span(action.raw(), Phase::LockAcquire, now, now);
                 Ok(())
             }
             Err(held) => {
-                stats.lock_refusals += 1;
                 obs.add(ObsCounter::LocksRefused, 1);
                 Err(TxError::LockRefused {
                     key,
@@ -318,17 +262,7 @@ impl TxSystem {
         action: ActionId,
         undo: impl FnOnce() + 'static,
     ) -> Result<(), TxError> {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.is_active(action) {
-            return Err(TxError::NotActive(action));
-        }
-        inner
-            .actions
-            .get_mut(&action)
-            .expect("checked active")
-            .undos
-            .push(Box::new(undo));
-        Ok(())
+        self.with_active(action, |rec| rec.undos.push(Box::new(undo)))
     }
 
     /// Whether `action`'s undo arena already holds a first-write snapshot
@@ -357,17 +291,9 @@ impl TxSystem {
         servers: impl IntoIterator<Item = (u32, u64)>,
         snapshot: &[u8],
     ) -> Result<(), TxError> {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.is_active(action) {
-            return Err(TxError::NotActive(action));
-        }
-        inner
-            .actions
-            .get_mut(&action)
-            .expect("checked active")
-            .arena
-            .push_entry(key, tag, servers, snapshot);
-        Ok(())
+        self.with_active(action, |rec| {
+            rec.arena.push_entry(key, tag, servers, snapshot)
+        })
     }
 
     /// Records an applied (possibly batch) operation id against object
@@ -378,17 +304,7 @@ impl TxSystem {
     ///
     /// [`TxError::NotActive`] if the action is not active.
     pub fn log_undo_op(&self, action: ActionId, key: u64, op_id: u64) -> Result<(), TxError> {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.is_active(action) {
-            return Err(TxError::NotActive(action));
-        }
-        inner
-            .actions
-            .get_mut(&action)
-            .expect("checked active")
-            .arena
-            .push_op(key, op_id);
-        Ok(())
+        self.with_active(action, |rec| rec.arena.push_op(key, op_id))
     }
 
     /// Registers a two-phase-commit participant for `action`'s (eventual)
@@ -402,17 +318,7 @@ impl TxSystem {
         action: ActionId,
         p: Box<dyn Participant>,
     ) -> Result<(), TxError> {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.is_active(action) {
-            return Err(TxError::NotActive(action));
-        }
-        inner
-            .actions
-            .get_mut(&action)
-            .expect("checked active")
-            .participants
-            .push(p);
-        Ok(())
+        self.with_active(action, |rec| rec.participants.push(p))
     }
 
     // ----- termination ---------------------------------------------------
@@ -433,89 +339,50 @@ impl TxSystem {
     /// [`TxError::NotActive`], [`TxError::CoordinatorDown`], or
     /// [`TxError::PrepareFailed`] (in which case the action has aborted).
     pub fn commit(&self, action: ActionId) -> Result<(), TxError> {
-        // Abort stray active nested children first.
-        let stray: Vec<ActionId> = {
-            let inner = self.inner.borrow();
-            match inner.actions.get(&action) {
-                Some(rec) if rec.status == ActionStatus::Active => rec
-                    .children
-                    .iter()
-                    .copied()
-                    .filter(|c| {
-                        inner.actions.get(c).is_some_and(|r| {
-                            r.status == ActionStatus::Active && r.kind == ActionKind::Nested
-                        })
-                    })
-                    .collect(),
-                _ => return Err(TxError::NotActive(action)),
-            }
-        };
-        for child in stray {
-            self.abort(child);
+        let (parent, children) = self.with_active(action, |rec| {
+            (rec.parent, std::mem::take(&mut rec.children))
+        })?;
+        for stray in children {
+            self.abort(stray);
         }
-
-        let kind = {
-            let inner = self.inner.borrow();
-            inner.actions.get(&action).expect("checked above").kind
-        };
-        match kind {
-            ActionKind::Nested => self.commit_nested(action),
-            ActionKind::TopLevel | ActionKind::NestedTopLevel => self.commit_top(action),
+        match parent {
+            Some(parent) => self.commit_nested(action, parent),
+            None => self.commit_top(action),
         }
     }
 
-    fn commit_nested(&self, action: ActionId) -> Result<(), TxError> {
+    fn commit_nested(&self, action: ActionId, parent: ActionId) -> Result<(), TxError> {
         let mut inner = self.inner.borrow_mut();
-        let parent = inner
+        let child = inner
             .actions
-            .get(&action)
-            .and_then(|r| r.parent)
-            .expect("nested action has a parent");
-        let rec = inner.actions.get_mut(&action).expect("exists");
-        let undos = std::mem::take(&mut rec.undos);
-        let participants = std::mem::take(&mut rec.participants);
-        let arena = std::mem::take(&mut rec.arena);
-        let lock_map = std::mem::take(&mut rec.lock_map);
-        rec.status = ActionStatus::Committed;
+            .remove(&action)
+            .ok_or(TxError::NotActive(action))?;
         inner.locks.transfer(action, parent);
         let prec = inner
             .actions
             .get_mut(&parent)
-            .expect("parent record exists");
-        prec.undos.extend(undos);
-        prec.participants.extend(participants);
-        prec.arena.absorb(arena);
-        for (key, mode) in lock_map {
-            prec.lock_map
-                .entry(key)
-                .and_modify(|m| *m = (*m).max(mode))
-                .or_insert(mode);
-        }
+            .expect("the parent of an active nested action is suspended, not over");
+        prec.undos.extend(child.undos);
+        prec.participants.extend(child.participants);
+        prec.arena.absorb(child.arena);
         inner.stats.committed += 1;
         Ok(())
     }
 
     fn commit_top(&self, action: ActionId) -> Result<(), TxError> {
-        let (sim, obs, node, mut participants) = {
-            let mut inner = self.inner.borrow_mut();
-            let rec = inner.actions.get_mut(&action).expect("checked active");
-            let node = rec.client_node;
-            let participants = std::mem::take(&mut rec.participants);
-            (inner.sim.clone(), inner.obs.clone(), node, participants)
+        let (sim, obs, node) = {
+            let inner = self.inner.borrow();
+            let rec = inner.actions.get(&action);
+            let node = rec.ok_or(TxError::NotActive(action))?.client_node;
+            (inner.sim.clone(), inner.obs.clone(), node)
         };
-
         if !sim.is_up(node) {
             // The coordinator itself is dead; nothing can be decided now.
-            // Put the participants back and abort the whole action.
-            {
-                let mut inner = self.inner.borrow_mut();
-                if let Some(rec) = inner.actions.get_mut(&action) {
-                    rec.participants = participants;
-                }
-            }
             self.abort(action);
             return Err(TxError::CoordinatorDown(node));
         }
+        let mut participants =
+            self.with_active(action, |rec| std::mem::take(&mut rec.participants))?;
 
         // Both commit phases run with trace attribution to this action, so
         // message loss during 2PC is causally tagged.
@@ -584,14 +451,10 @@ impl TxSystem {
         })?;
 
         let mut inner = self.inner.borrow_mut();
-        let rec = inner.actions.get_mut(&action).expect("exists");
-        rec.status = ActionStatus::Committed;
-        rec.undos.clear();
-        let multi = rec.arena.object_count() >= 2;
-        rec.arena.clear();
+        let rec = inner.actions.remove(&action);
         inner.locks.release_all(action);
         inner.stats.committed += 1;
-        if multi {
+        if rec.is_some_and(|rec| rec.arena.object_count() >= 2) {
             inner.stats.multi_committed += 1;
         }
         Ok(())
@@ -606,16 +469,12 @@ impl TxSystem {
         let mut undos: Vec<Undo> = Vec::new();
         let mut participants: Vec<Box<dyn Participant>> = Vec::new();
         let mut arenas: Vec<UndoArena> = Vec::new();
-        let (sim, obs, applier, was_active) = {
+        let (sim, obs, applier) = {
             let mut inner = self.inner.borrow_mut();
-            let was_active = inner.is_active(action);
-            inner.collect_abort(action, &mut undos, &mut participants, &mut arenas);
-            (
-                inner.sim.clone(),
-                inner.obs.clone(),
-                inner.applier.clone(),
-                was_active,
-            )
+            if !inner.collect_abort(action, &mut undos, &mut participants, &mut arenas) {
+                return;
+            }
+            (inner.sim.clone(), inner.obs.clone(), inner.applier.clone())
         };
         let undo_start = sim.now().as_micros();
         let undo_count =
@@ -640,42 +499,27 @@ impl TxSystem {
                 p.abort();
             }
         });
-        if was_active {
-            obs.add(ObsCounter::Aborts, 1);
-            obs.add(ObsCounter::UndoOps, undo_count);
-            if undo_count > 0 {
-                obs.span(action.raw(), Phase::Undo, undo_start, sim.now().as_micros());
-            }
+        obs.add(ObsCounter::Aborts, 1);
+        obs.add(ObsCounter::UndoOps, undo_count);
+        if undo_count > 0 {
+            obs.span(action.raw(), Phase::Undo, undo_start, sim.now().as_micros());
         }
     }
 
     // ----- introspection --------------------------------------------------
 
-    /// The status of `action`, if known.
-    pub fn status(&self, action: ActionId) -> Option<ActionStatus> {
-        self.inner.borrow().actions.get(&action).map(|r| r.status)
-    }
-
     /// Whether `action` is currently active.
     pub fn is_active(&self, action: ActionId) -> bool {
-        self.status(action) == Some(ActionStatus::Active)
+        self.inner.borrow().actions.contains_key(&action)
     }
 
-    /// The kind of `action`, if known.
-    pub fn kind(&self, action: ActionId) -> Option<ActionKind> {
-        self.inner.borrow().actions.get(&action).map(|r| r.kind)
+    /// How many actions are active right now — the size of the action
+    /// table, which holds nothing else (quiescence invariant: zero).
+    pub fn live_actions(&self) -> usize {
+        self.inner.borrow().actions.len()
     }
 
-    /// The structural parent of `action`, if any.
-    pub fn parent(&self, action: ActionId) -> Option<ActionId> {
-        self.inner
-            .borrow()
-            .actions
-            .get(&action)
-            .and_then(|r| r.parent)
-    }
-
-    /// The coordinator node of `action`.
+    /// The coordinator node of `action`, while it is active.
     pub fn client_node(&self, action: ActionId) -> Option<NodeId> {
         self.inner
             .borrow()
@@ -737,31 +581,6 @@ impl TxSystem {
         self.inner.borrow().locks.holders(key)
     }
 
-    /// The transaction's own `LockKey → LockMode` map, sorted by key (the
-    /// hig-proto-shaped per-tx view; the lock table remains the conflict
-    /// authority).
-    pub fn lock_map_of(&self, action: ActionId) -> Vec<(LockKey, LockMode)> {
-        let inner = self.inner.borrow();
-        let mut v: Vec<(LockKey, LockMode)> = inner
-            .actions
-            .get(&action)
-            .map(|r| r.lock_map.iter().map(|(&k, &m)| (k, m)).collect())
-            .unwrap_or_default();
-        v.sort_unstable_by_key(|&(k, _)| k);
-        v
-    }
-
-    /// Number of distinct objects with a first-write snapshot in `action`'s
-    /// undo arena (= objects this transaction has written).
-    pub fn undo_objects(&self, action: ActionId) -> usize {
-        self.inner
-            .borrow()
-            .actions
-            .get(&action)
-            .map(|r| r.arena.object_count())
-            .unwrap_or(0)
-    }
-
     /// Aggregate statistics (lock refusals come from the lock manager).
     pub fn stats(&self) -> TxStats {
         let inner = self.inner.borrow();
@@ -773,56 +592,57 @@ impl TxSystem {
 }
 
 impl TxInner {
-    fn is_active(&self, action: ActionId) -> bool {
-        self.actions
-            .get(&action)
-            .is_some_and(|r| r.status == ActionStatus::Active)
+    /// Issues the next id and opens its record; a nested action (`parent`
+    /// given) is also entered in its parent's child list.
+    fn begin(&mut self, parent: Option<ActionId>, client_node: NodeId) -> ActionId {
+        let id = ActionId::from_raw(self.next_id);
+        self.next_id += 1;
+        if let Some(prec) = parent.and_then(|p| self.actions.get_mut(&p)) {
+            prec.children.push(id);
+        }
+        self.actions.insert(
+            id,
+            Tx {
+                parent,
+                client_node,
+                arena: UndoArena::new(),
+                undos: Vec::new(),
+                participants: Vec::new(),
+                children: Vec::new(),
+            },
+        );
+        self.stats.started += 1;
+        id
     }
 
-    /// Depth-first collection of undo work for `action` and its active
-    /// nested children; marks everything aborted and releases locks.
+    /// Removes `action` and its active nested subtree from the table,
+    /// releasing their locks and handing their undo work to the caller,
+    /// newest first. `false` if `action` was not active.
     fn collect_abort(
         &mut self,
         action: ActionId,
         undos: &mut Vec<Undo>,
         participants: &mut Vec<Box<dyn Participant>>,
         arenas: &mut Vec<UndoArena>,
-    ) {
-        if !self.is_active(action) {
-            return;
+    ) -> bool {
+        let Some(rec) = self.actions.remove(&action) else {
+            return false;
+        };
+        // Children's effects are more recent: undo them first.
+        for &child in rec.children.iter().rev() {
+            self.collect_abort(child, undos, participants, arenas);
         }
-        let children = self
-            .actions
-            .get(&action)
-            .map(|r| r.children.clone())
-            .unwrap_or_default();
-        // Children's effects are more recent: undo them first (but only
-        // nested ones — nested-top-level children are independent).
-        for child in children.into_iter().rev() {
-            let is_nested = self
-                .actions
-                .get(&child)
-                .is_some_and(|r| r.kind == ActionKind::Nested);
-            if is_nested {
-                self.collect_abort(child, undos, participants, arenas);
-            }
-        }
-        let rec = self.actions.get_mut(&action).expect("checked active");
-        rec.status = ActionStatus::Aborted;
-        let mut own = std::mem::take(&mut rec.undos);
-        own.reverse(); // LIFO
-        undos.extend(own);
-        participants.extend(std::mem::take(&mut rec.participants));
-        let arena = std::mem::take(&mut rec.arena);
-        if arena.object_count() >= 2 {
+        undos.extend(rec.undos.into_iter().rev()); // LIFO
+        participants.extend(rec.participants);
+        if rec.arena.object_count() >= 2 {
             self.stats.multi_aborted += 1;
         }
-        if !arena.is_empty() {
-            arenas.push(arena);
+        if !rec.arena.is_empty() {
+            arenas.push(rec.arena);
         }
-        rec.lock_map.clear();
         self.locks.release_all(action);
         self.stats.aborted += 1;
+        true
     }
 }
 
@@ -858,10 +678,10 @@ mod tests {
         let (_, _, tx) = world();
         let a = tx.begin_top(NodeId::new(0));
         assert!(tx.is_active(a));
-        assert_eq!(tx.kind(a), Some(ActionKind::TopLevel));
         assert_eq!(tx.client_node(a), Some(NodeId::new(0)));
         tx.commit(a).unwrap();
-        assert_eq!(tx.status(a), Some(ActionStatus::Committed));
+        assert!(!tx.is_active(a));
+        assert_eq!(tx.live_actions(), 0);
         assert_eq!(tx.commit(a), Err(TxError::NotActive(a)));
         let s = tx.stats();
         assert_eq!((s.started, s.committed, s.aborted), (1, 1, 0));
@@ -898,7 +718,7 @@ mod tests {
         }
         tx.abort(n);
         assert_eq!(*log.borrow(), vec![2, 1, 0]);
-        assert_eq!(tx.status(n), Some(ActionStatus::Aborted));
+        assert!(!tx.is_active(n));
         // Parent unaffected.
         assert!(tx.is_active(a));
         tx.commit(a).unwrap();
@@ -928,8 +748,8 @@ mod tests {
         let hit2 = hit.clone();
         tx.push_undo(n, move || *hit2.borrow_mut() += 1).unwrap();
         tx.commit(a).unwrap();
-        assert_eq!(tx.status(n), Some(ActionStatus::Aborted));
-        assert_eq!(*hit.borrow(), 1);
+        assert!(!tx.is_active(n));
+        assert_eq!(*hit.borrow(), 1, "the stray child aborted, not merged");
     }
 
     #[test]
@@ -938,8 +758,6 @@ mod tests {
         let uid = Uid::from_raw(1);
         let a = tx.begin_top(NodeId::new(0));
         let ntl = tx.begin_nested_top(a);
-        assert_eq!(tx.kind(ntl), Some(ActionKind::NestedTopLevel));
-        assert_eq!(tx.parent(ntl), Some(a));
         // The NTL action writes durably through a store participant.
         tx.add_participant(
             ntl,
@@ -957,7 +775,8 @@ mod tests {
         // Enclosing aborts afterwards; the NTL effect survives.
         tx.abort(a);
         assert_eq!(stores.read_local(NodeId::new(1), uid).unwrap().data, b"ntl");
-        assert_eq!(tx.status(ntl), Some(ActionStatus::Committed));
+        let s = tx.stats();
+        assert_eq!((s.committed, s.aborted), (1, 1));
     }
 
     #[test]
@@ -976,6 +795,40 @@ mod tests {
         tx.lock(a, key(5), LockMode::Write).unwrap();
         tx.commit(a).unwrap();
         assert!(tx.locks_empty());
+    }
+
+    /// A nested-top-level action is no part of its enclosing action's
+    /// record: it outlives the enclosing commit or abort untouched.
+    #[test]
+    fn ntl_child_outlives_its_enclosing_action() {
+        let (_, _, tx) = world();
+        for enclosing_commits in [true, false] {
+            let a = tx.begin_top(NodeId::new(0));
+            let ntl = tx.begin_nested_top(a);
+            let hit = StdRc::new(StdRefCell::new(0));
+            let hit2 = hit.clone();
+            tx.push_undo(ntl, move || *hit2.borrow_mut() += 1).unwrap();
+            tx.lock(ntl, key(6), LockMode::Write).unwrap();
+            if enclosing_commits {
+                tx.commit(a).unwrap();
+            } else {
+                tx.abort(a);
+            }
+            assert!(!tx.is_active(a) && tx.is_active(ntl));
+            assert_eq!(tx.live_actions(), 1);
+            assert_eq!(tx.lock_mode_of(ntl, key(6)), Some(LockMode::Write));
+            // The survivor still locks, nests, commits and releases.
+            tx.lock(ntl, key(7), LockMode::Read).unwrap();
+            let n = tx.begin_nested(ntl);
+            tx.lock(n, key(6), LockMode::Write).unwrap();
+            tx.commit(n).unwrap();
+            tx.commit(ntl).unwrap();
+            assert_eq!(*hit.borrow(), 0, "the enclosing outcome undid nothing");
+            assert_eq!(tx.live_actions(), 0);
+            assert!(tx.locks_empty());
+        }
+        let s = tx.stats();
+        assert_eq!((s.started, s.committed, s.aborted), (6, 5, 1));
     }
 
     #[test]
@@ -1036,7 +889,7 @@ mod tests {
                 node: NodeId::new(2)
             }
         );
-        assert_eq!(tx.status(a), Some(ActionStatus::Aborted));
+        assert_eq!(tx.live_actions(), 0);
         // Nothing installed anywhere; node 1's intent log cleaned up.
         assert_eq!(stores.read_local(NodeId::new(1), uid).unwrap().data, b"old");
         assert!(stores
@@ -1103,7 +956,7 @@ mod tests {
         tx.lock(a, key(3), LockMode::Write).unwrap();
         sim.crash(NodeId::new(0));
         assert_eq!(tx.commit(a), Err(TxError::CoordinatorDown(NodeId::new(0))));
-        assert_eq!(tx.status(a), Some(ActionStatus::Aborted));
+        assert_eq!(tx.live_actions(), 0);
         assert!(tx.locks_empty());
     }
 
@@ -1140,11 +993,13 @@ mod tests {
         }
         // Abort of a committed action is a no-op.
         tx.abort(a);
-        assert_eq!(tx.status(a), Some(ActionStatus::Committed));
+        let s = tx.stats();
+        assert_eq!((s.committed, s.aborted), (1, 0));
     }
 
-    /// History independence of the commit records: whatever ran before, a
-    /// quiescent service whose participants all acknowledged holds none.
+    /// History independence: whatever ran before, a quiescent service holds
+    /// no action record, no lock, and (its participants having all
+    /// acknowledged) no commit record.
     #[test]
     fn twenty_thousand_actions_leave_no_decision_record() {
         let (sim, stores, tx) = world();
@@ -1188,8 +1043,9 @@ mod tests {
                 }
             }
             assert!(tx.decisions().is_empty(), "after action {i}");
+            assert_eq!(tx.live_actions(), 0, "after action {i}");
+            assert!(tx.locks_empty(), "after action {i}");
         }
-        assert!(tx.locks_empty());
         let s = tx.stats();
         assert_eq!(s.started, 60_000);
         assert_eq!(s.committed + s.aborted, s.started, "every action ended");
@@ -1266,39 +1122,6 @@ mod tests {
         assert_eq!(s.aborted, 3, "root + two nested children");
     }
 
-    #[test]
-    fn lock_map_mirrors_grants_upgrades_and_nested_merges() {
-        let (_, _, tx) = world();
-        let a = tx.begin_top(NodeId::new(0));
-        tx.lock(a, key(1), LockMode::Read).unwrap();
-        tx.lock(a, key(1), LockMode::Write).unwrap(); // upgrade
-        tx.lock(a, key(2), LockMode::Read).unwrap();
-        assert_eq!(
-            tx.lock_map_of(a),
-            vec![(key(1), LockMode::Write), (key(2), LockMode::Read)]
-        );
-        // A nested child's map merges into the parent on commit, strongest
-        // mode winning.
-        let n = tx.begin_nested(a);
-        tx.lock(n, key(2), LockMode::Write).unwrap();
-        tx.lock(n, key(3), LockMode::Read).unwrap();
-        tx.commit(n).unwrap();
-        assert_eq!(
-            tx.lock_map_of(a),
-            vec![
-                (key(1), LockMode::Write),
-                (key(2), LockMode::Write),
-                (key(3), LockMode::Read),
-            ]
-        );
-        // The map agrees with the lock table for every entry.
-        for (k, m) in tx.lock_map_of(a) {
-            assert_eq!(tx.lock_mode_of(a, k), Some(m));
-        }
-        tx.commit(a).unwrap();
-        assert!(tx.locks_empty());
-    }
-
     type UndoRecord = (u64, u32, Vec<(u32, u64)>, Vec<u64>, Vec<u8>);
 
     struct RecordingApplier {
@@ -1329,7 +1152,6 @@ mod tests {
         tx.log_undo_op(a, 10, 102).unwrap();
         assert!(tx.undo_logged(a, 10) && tx.undo_logged(a, 20));
         assert!(!tx.undo_logged(a, 30));
-        assert_eq!(tx.undo_objects(a), 2);
         tx.abort(a);
         let log = applier.log.borrow();
         assert_eq!(log.len(), 2, "one restore per touched object");
@@ -1377,7 +1199,6 @@ mod tests {
         tx.log_undo_snapshot(n, 1, 1, [(1, 1)], b"child-1").unwrap();
         tx.log_undo_snapshot(n, 2, 1, [(2, 1)], b"child-2").unwrap();
         tx.commit(n).unwrap();
-        assert_eq!(tx.undo_objects(a), 3, "child entries absorbed");
         tx.abort(a);
         let log = applier.log.borrow();
         // Reverse order: child entries first, parent's older snapshot of

@@ -20,9 +20,9 @@
 //! The multi-object transaction window measures a whole two-account
 //! transfer through the typed `Tx` surface — begin, two auto-activating
 //! invokes, and a commit driving one store 2PC over the union of both
-//! objects — with its own asserted budgets (measured: active 122.1,
-//! coordinator-cohort 100.1, single-copy 93.1 allocs per transaction;
-//! budgets 130/108/100) and the same exact-equality observer-off gate.
+//! objects — with its own asserted budgets (measured: active 78.0,
+//! coordinator-cohort 70.0, single-copy 63.0 allocs per transaction;
+//! budgets 82/74/67) and the same exact-equality observer-off gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use groupview_replication::{
@@ -247,9 +247,9 @@ fn report_tx_policy(policy: ReplicationPolicy, budget: f64) {
 /// The transaction scoreboard: one whole two-object transfer per unit —
 /// begin, two auto-activating invokes, commit (one 2PC over both objects).
 fn bench_tx_heap_allocs(_c: &mut Criterion) {
-    report_tx_policy(ReplicationPolicy::Active, 130.0);
-    report_tx_policy(ReplicationPolicy::CoordinatorCohort, 108.0);
-    report_tx_policy(ReplicationPolicy::SingleCopyPassive, 100.0);
+    report_tx_policy(ReplicationPolicy::Active, 82.0);
+    report_tx_policy(ReplicationPolicy::CoordinatorCohort, 74.0);
+    report_tx_policy(ReplicationPolicy::SingleCopyPassive, 67.0);
 }
 
 /// Read path for contrast (no undo snapshot, no dirty marking).

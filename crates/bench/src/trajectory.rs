@@ -10,7 +10,7 @@
 //!   thread).
 //! * **Shard axis** — the same workload split across N independent world
 //!   shards on N OS threads behind a `HashRouter`
-//!   ([`ShardedSystem`](groupview_replication::ShardedSystem)), at a
+//!   ([`groupview_replication::ShardedSystem`]), at a
 //!   production-scale object population (10⁶ in full mode — the ROADMAP
 //!   target a single world was never asked to reach). Fixed total work,
 //!   so aggregate throughput measures genuine scale-out.
@@ -878,8 +878,8 @@ pub fn today_utc() -> String {
 }
 
 /// The PR number recorded in history entries: `TRAJECTORY_PR` env var if
-/// set, else one past the lines already in `CHANGES.md` (the driver
-/// appends one line per landed PR), else 0.
+/// set, else one past the highest `PR N:` line of `CHANGES.md` (PRs that
+/// left no line leave gaps, so counting lines undercounts), else 0.
 pub fn current_pr() -> u64 {
     if let Ok(v) = std::env::var("TRAJECTORY_PR") {
         if let Ok(n) = v.parse() {
@@ -888,8 +888,23 @@ pub fn current_pr() -> u64 {
     }
     let changes = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../CHANGES.md");
     std::fs::read_to_string(changes)
-        .map(|text| text.lines().filter(|l| !l.trim().is_empty()).count() as u64 + 1)
+        .map(|text| next_pr(&text))
         .unwrap_or(0)
+}
+
+/// One past the highest `PR N:` prefix among `changes`' lines.
+fn next_pr(changes: &str) -> u64 {
+    changes
+        .lines()
+        .filter_map(|line| {
+            line.strip_prefix("PR ")?
+                .split_once(':')?
+                .0
+                .parse::<u64>()
+                .ok()
+        })
+        .max()
+        .map_or(1, |n| n + 1)
 }
 
 /// Where the artifact lives: the repository root.
@@ -900,6 +915,15 @@ pub fn artifact_path() -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn next_pr_follows_the_highest_entry_not_the_line_count() {
+        assert_eq!(next_pr(""), 1);
+        assert_eq!(next_pr("PR 1: a\nPR 2: b\n"), 3);
+        // PRs 13–14 left no line; a wrapped or unnumbered line is not one.
+        let gaps = "PR 11: x\nPR 12: y PR 99: not a prefix\n\nnotes\nPR 15: z\nPR x: bad\n";
+        assert_eq!(next_pr(gaps), 16);
+    }
 
     fn tiny_config() -> TrajectoryConfig {
         TrajectoryConfig {

@@ -29,7 +29,7 @@
 use crate::error::BindError;
 use crate::naming::NamingService;
 use crate::nonatomic::RemoteServerCache;
-use groupview_actions::{ActionId, LockMode, TxSystem};
+use groupview_actions::{ActionId, LockMode, TxError, TxSystem};
 use groupview_sim::{ClientId, NodeId, Sim};
 use groupview_store::Uid;
 use std::fmt;
@@ -220,8 +220,13 @@ impl Binder {
     /// paper the client action must then abort), [`BindError::Db`] for
     /// naming-service failures, [`BindError::Contention`] when the updating
     /// schemes exhaust their lock retries, [`BindError::NoServerCache`] when
-    /// the cached scheme's binder was never given its cache.
+    /// the cached scheme's binder was never given its cache,
+    /// [`BindError::Tx`] with [`TxError::NotActive`] when `action` has
+    /// already committed or aborted.
     pub fn bind(&self, action: ActionId, req: &BindRequest) -> Result<Binding, BindError> {
+        if !self.tx.is_active(action) {
+            return Err(BindError::Tx(TxError::NotActive(action)));
+        }
         match self.scheme {
             BindingScheme::Standard => self.bind_standard(action, req),
             BindingScheme::IndependentTopLevel => self.bind_updating(action, req, false),

@@ -10,7 +10,7 @@
 //! * **reliability** — all correctly functioning members of a group receive
 //!   messages intended for the group, and
 //! * **ordering** — messages are received in an identical order at each
-//!   functioning member (Schneider's state-machine requirements, ref [16]).
+//!   functioning member (Schneider's state-machine requirements, ref \[16\]).
 //!
 //! This crate provides both the guaranteed flavour and the broken one:
 //!

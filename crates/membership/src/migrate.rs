@@ -107,7 +107,7 @@ fn classify(uid: Uid, e: DbError) -> MigrateError {
 impl Membership {
     /// Moves the replica of `uid` from `from` to `to` in one atomic
     /// action, preserving the object's replication strength. See the
-    /// [module docs](crate::migrate) for the step-by-step protocol.
+    /// module comment at the top of `migrate.rs` for the step-by-step protocol.
     ///
     /// # Errors
     ///

@@ -108,8 +108,9 @@ impl System {
             bound
         });
 
-        // GetView as a nested action of the client action: the read lock on
-        // the St entry is inherited and held to the client's end.
+        // GetView as a nested action of the client action (which `bind` has
+        // just vouched is active): the read lock on the St entry is
+        // inherited and held to the client's end.
         let viewer = binding.servers.first().copied().unwrap_or(client_node);
         let probe_start = inner.sim.now().as_micros();
         let nested = inner.tx.begin_nested(action);

@@ -1,10 +1,10 @@
 //! Operation invocation under the three replication policies (§2.3(2)).
 //!
 //! Every policy shares one wire discipline: the operation is encoded into a
-//! single pooled [`GroupMsg`] frame per invocation, and that frame — not a
-//! fresh vector per RPC closure — travels to however many replicas the
-//! policy involves. Replies and checkpoints come back as shared buffers
-//! too; see `docs/WIRE.md` for the ownership rules.
+//! single pooled [`GroupMsg`](crate::wire::GroupMsg) frame per invocation,
+//! and that frame — not a fresh vector per RPC closure — travels to however
+//! many replicas the policy involves. Replies and checkpoints come back as
+//! shared buffers too; see `docs/WIRE.md` for the ownership rules.
 
 use crate::error::InvokeError;
 use crate::policy::ReplicationPolicy;
@@ -191,50 +191,83 @@ impl System {
         op: &[u8],
         write_intent: bool,
     ) -> Result<Bytes, InvokeError> {
-        self.inner.sim.with_active_action(action.raw(), || {
-            self.do_invoke_inner(action, group, op, write_intent)
+        self.invoke_frame(action, group, write_intent, 0, |wire, op_id| {
+            GroupMsgCodec::encode_parts(wire, op_id, op)
         })
     }
 
-    fn do_invoke_inner(
+    /// Invokes a batch of operations on the activated object behind
+    /// `group` as **one** replicated unit: one lock acquisition, one
+    /// (flagged) operation id, one undo snapshot (abort restores the
+    /// pre-batch state and forgets the single batch-granularity dedup
+    /// entry), one pooled wire frame, one policy round, and one
+    /// dirty-marking — `do_invoke`'s per-op overhead is paid once per
+    /// batch. The returned replies are index-aligned with `ops`. An empty
+    /// batch is a no-op that touches neither locks nor the wire.
+    pub(crate) fn do_invoke_batch(
         &self,
         action: ActionId,
         group: &ObjectGroup,
-        op: &[u8],
+        ops: &[&[u8]],
         write_intent: bool,
+    ) -> Result<Vec<Bytes>, InvokeError> {
+        if ops.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.inner.obs.add(ObsCounter::BatchOps, ops.len() as u64);
+        let reply = self.invoke_frame(action, group, write_intent, BATCH_FLAG, |wire, id| {
+            BatchMsgCodec::encode_parts(wire, id, ops)
+        })?;
+        read_frames(&reply)
+            .filter(|replies| replies.len() == ops.len())
+            .ok_or(InvokeError::MalformedReply(group.uid))
+    }
+
+    /// One invocation, single or batched: lock the object by intent, mint
+    /// the operation id (`flag` marks a batch), log the undo, encode once,
+    /// run the policy round, mark the object dirty.
+    fn invoke_frame(
+        &self,
+        action: ActionId,
+        group: &ObjectGroup,
+        write_intent: bool,
+        flag: u64,
+        encode: impl FnOnce(&WireEncoder, u64) -> Bytes,
     ) -> Result<Bytes, InvokeError> {
         let inner = &self.inner;
-        let invoke_start = inner.sim.now().as_micros();
-        inner.obs.add(ObsCounter::Invokes, 1);
-        for &server in &group.servers {
-            inner.obs.record_node_invoke(server.raw());
-        }
-        let mode = if write_intent {
-            LockMode::Write
-        } else {
-            LockMode::Read
-        };
-        inner.tx.lock(action, object_key(group.uid), mode)?;
-        let op_id = self.next_op_id();
-        if write_intent {
-            self.push_object_undo(action, group, op_id)?;
-        }
-        // The only encode of this operation: one pooled frame shared by
-        // every replica the policy touches (and by the retry loop of the
-        // coordinator-cohort policy). Its buffer returns to the pool when
-        // the last reference drops at the end of this call.
-        let msg = GroupMsgCodec::encode_parts(&inner.wire, op_id, op);
-        let (reply, mutated) = self.dispatch_policy(action, group, &msg)?;
-        if mutated {
-            self.mark_dirty(action, group.uid);
-        }
-        inner.obs.span(
-            action.raw(),
-            Phase::Invoke,
-            invoke_start,
-            inner.sim.now().as_micros(),
-        );
-        Ok(reply)
+        inner.sim.with_active_action(action.raw(), || {
+            let invoke_start = inner.sim.now().as_micros();
+            inner.obs.add(ObsCounter::Invokes, 1);
+            for &server in &group.servers {
+                inner.obs.record_node_invoke(server.raw());
+            }
+            let mode = if write_intent {
+                LockMode::Write
+            } else {
+                LockMode::Read
+            };
+            inner.tx.lock(action, object_key(group.uid), mode)?;
+            let op_id = self.next_op_id() | flag;
+            if write_intent {
+                self.push_object_undo(action, group, op_id)?;
+            }
+            // The only encode of this invocation: one pooled frame shared
+            // by every replica the policy touches (and by the retry loop of
+            // the coordinator-cohort policy). Its buffer returns to the
+            // pool when the last reference drops at the end of this call.
+            let msg = encode(&inner.wire, op_id);
+            let (reply, mutated) = self.dispatch_policy(action, group, &msg)?;
+            if mutated {
+                self.mark_dirty(action, group.uid);
+            }
+            inner.obs.span(
+                action.raw(),
+                Phase::Invoke,
+                invoke_start,
+                inner.sim.now().as_micros(),
+            );
+            Ok(reply)
+        })
     }
 
     /// The replicated leg of an invocation: route the encoded frame through
@@ -268,75 +301,6 @@ impl System {
             inner.sim.now().as_micros(),
         );
         Ok(result)
-    }
-
-    /// Invokes a batch of operations on the activated object behind
-    /// `group` as **one** replicated unit: one lock acquisition, one
-    /// (flagged) operation id, one undo snapshot, one pooled wire frame,
-    /// one policy round, and one dirty-marking — `do_invoke`'s per-op
-    /// overhead is paid once per batch. The returned replies are
-    /// index-aligned with `ops`. An empty batch is a no-op that touches
-    /// neither locks nor the wire.
-    pub(crate) fn do_invoke_batch(
-        &self,
-        action: ActionId,
-        group: &ObjectGroup,
-        ops: &[&[u8]],
-        write_intent: bool,
-    ) -> Result<Vec<Bytes>, InvokeError> {
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.inner.sim.with_active_action(action.raw(), || {
-            self.do_invoke_batch_inner(action, group, ops, write_intent)
-        })
-    }
-
-    fn do_invoke_batch_inner(
-        &self,
-        action: ActionId,
-        group: &ObjectGroup,
-        ops: &[&[u8]],
-        write_intent: bool,
-    ) -> Result<Vec<Bytes>, InvokeError> {
-        let inner = &self.inner;
-        let invoke_start = inner.sim.now().as_micros();
-        inner.obs.add(ObsCounter::Invokes, 1);
-        inner.obs.add(ObsCounter::BatchOps, ops.len() as u64);
-        for &server in &group.servers {
-            inner.obs.record_node_invoke(server.raw());
-        }
-        let mode = if write_intent {
-            LockMode::Write
-        } else {
-            LockMode::Read
-        };
-        inner.tx.lock(action, object_key(group.uid), mode)?;
-        let batch_id = self.next_op_id() | BATCH_FLAG;
-        if write_intent {
-            // One snapshot undoes the whole batch: abort restores the
-            // pre-batch state and forgets the single batch-granularity
-            // dedup entry.
-            self.push_object_undo(action, group, batch_id)?;
-        }
-        // The only encode of this batch: one pooled frame shared by every
-        // replica the policy touches.
-        let msg = BatchMsgCodec::encode_parts(&inner.wire, batch_id, ops);
-        let (reply, mutated) = self.dispatch_policy(action, group, &msg)?;
-        if mutated {
-            self.mark_dirty(action, group.uid);
-        }
-        let replies = read_frames(&reply).ok_or(InvokeError::MalformedReply(group.uid))?;
-        if replies.len() != ops.len() {
-            return Err(InvokeError::MalformedReply(group.uid));
-        }
-        inner.obs.span(
-            action.raw(),
-            Phase::Invoke,
-            invoke_start,
-            inner.sim.now().as_micros(),
-        );
-        Ok(replies)
     }
 
     /// Logs this write into the action's undo arena so an abort restores

@@ -7,7 +7,7 @@ use crate::policy::ReplicationPolicy;
 use crate::replica::ReplicaRegistry;
 use crate::tx::Tx;
 use crate::typed::{Handle, ObjectType, TypedUid};
-use groupview_actions::{ActionId, StoreWriteParticipant, TxSystem};
+use groupview_actions::{ActionId, StoreWriteParticipant, TxError, TxSystem};
 use groupview_core::{
     Binder, BindingScheme, CleanupDaemon, DbError, Directory, ExcludePolicy, NamingService,
     RecoveryManager, RemoteDirectory, RemoteServerCache, ServerCache,
@@ -790,6 +790,9 @@ impl Client {
         name: &str,
         replicas: usize,
     ) -> Result<ObjectGroup, ActivateError> {
+        if !self.sys.inner.tx.is_active(action) {
+            return Err(TxError::NotActive(action).into());
+        }
         let nested = self.sys.inner.tx.begin_nested(action);
         let uid = match self
             .sys

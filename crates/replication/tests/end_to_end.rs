@@ -586,3 +586,71 @@ fn unobserved_system_records_nothing() {
     // with span recording off.
     assert!(snap.wire_bytes_copied > 0);
 }
+
+/// An action id that has already committed or aborted is refused with a
+/// typed error at every raw entry point, under every policy and binding
+/// scheme, and leaves nothing behind.
+#[test]
+fn stale_action_ids_are_refused_not_panicked_on() {
+    use groupview_actions::TxError;
+    use groupview_core::{BindError, DbError};
+    use groupview_replication::ActivateError;
+    for policy in ReplicationPolicy::ALL {
+        for scheme in BindingScheme::ALL {
+            let sys = system(policy, scheme);
+            let servers = [n(1), n(2), n(3)];
+            let uid = sys
+                .create_named_object(
+                    "stale/counter",
+                    Box::new(Counter::new(1)),
+                    &servers,
+                    &servers,
+                )
+                .expect("create object");
+            let client = sys.client(n(4));
+            let handle = client.open::<Counter>(uid);
+            for commit in [true, false] {
+                let stale = client.begin_action();
+                let group = client.activate(stale, uid, 2).expect("activate");
+                if commit {
+                    client.commit(stale).expect("commit");
+                } else {
+                    client.abort(stale);
+                }
+                let not_active = |e: ActivateError| matches!(e, ActivateError::Bind(BindError::Tx(TxError::NotActive(a))) if a == stale);
+                let what = format!("{policy} / {scheme:?}");
+                assert!(
+                    not_active(client.activate(stale, uid, 2).unwrap_err()),
+                    "{what}"
+                );
+                assert!(
+                    not_active(client.activate_read_only(stale, uid, 1).unwrap_err()),
+                    "{what}"
+                );
+                assert!(not_active(handle.activate(stale, 2).unwrap_err()), "{what}");
+                assert!(
+                    matches!(
+                        client.activate_by_name(stale, "stale/counter", 2),
+                        Err(ActivateError::Db(DbError::Tx(TxError::NotActive(a)))) if a == stale
+                    ),
+                    "{what}"
+                );
+                for write in [true, false] {
+                    let op = CounterOp::Add(1).encode();
+                    let refused = if write {
+                        client.invoke(stale, &group, &op)
+                    } else {
+                        client.invoke_read(stale, &group, &op)
+                    };
+                    assert!(
+                        matches!(refused, Err(InvokeError::Tx(TxError::NotActive(a))) if a == stale),
+                        "{what}"
+                    );
+                }
+                assert!(sys.tx().locks_empty(), "{what}");
+                assert_eq!(sys.tx().live_actions(), 0, "{what}");
+            }
+            assert_eq!(counter_value(&sys, uid, n(5)), 1, "{policy} / {scheme:?}");
+        }
+    }
+}

@@ -375,14 +375,18 @@ pub fn check_counter_states(sys: &System, expected: &[(Uid, i64)]) -> Vec<String
 }
 
 /// Checks the paper's invariants on a quiesced, fully recovered system:
-/// empty lock table (I5), quiescent use lists (I4), `St` back to full
-/// strength, byte-identical states across each `St` (I1), and no stale
-/// coordinator record — a commit record is held only for an intent some
-/// store still has in doubt.
+/// empty lock table (I5) and action table, quiescent use lists (I4), `St`
+/// back to full strength, byte-identical states across each `St` (I1), and
+/// no stale coordinator record — a commit record is held only for an
+/// intent some store still has in doubt.
 pub fn check_quiescent_invariants(sys: &System, objects: &[ObjectModel]) -> Vec<String> {
     let mut violations = Vec::new();
     if !sys.tx().locks_empty() {
         violations.push("I5 violated: locks left behind after quiesce".to_string());
+    }
+    let live = sys.tx().live_actions();
+    if live > 0 {
+        violations.push(format!("{live} action record(s) left at quiescence"));
     }
     for (token, nodes) in sys.tx().decisions() {
         // A down node's intent log is durable but unreadable: its claim

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is a deterministic schedule of [`PlanAction`]s keyed by
 //! **simulation time** (as an offset from the start of the run, so plans
 //! compose with any amount of setup cost) — unlike the step-keyed
-//! [`FaultScript`](groupview_workload::FaultScript) it supersedes, a plan
+//! [`groupview_workload::FaultScript`] it supersedes, a plan
 //! can fire *inside* an action's message exchanges, not just between driver
 //! steps. The runner installs every timed entry as a
 //! [`groupview_sim::ScheduledEvent`] in the world's event queue before the

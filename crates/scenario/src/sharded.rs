@@ -11,9 +11,9 @@
 //! unrelated object populations.
 //!
 //! With `shards = 1` the single shard holds every object, skips no UIDs,
-//! and executes exactly [`run_scenario`]'s cycle on an identically built
-//! world — the run is **bit-for-bit** the single-world run
-//! (`tests/sharded_parity.rs` pins metrics and oracle verdicts across
+//! and executes exactly [`run_scenario`](crate::runner::run_scenario)'s
+//! cycle on an identically built world — the run is **bit-for-bit** the
+//! single-world run (`tests/sharded_parity.rs` pins metrics and oracle verdicts across
 //! seeds). See `docs/SHARDING.md`.
 
 use crate::oracle::ModelKind;
