@@ -21,6 +21,8 @@
 //!   entries of the *same* object (reverse order guarantees the oldest
 //!   snapshot is installed last).
 //! * On top-level commit the arena is simply cleared — nothing to undo.
+//!   Clearing keeps the buffers' capacity: the record, arena included, is
+//!   recycled for a later action.
 //!
 //! The arena stores no replica handles: the applier (the replication layer)
 //! re-resolves each `(node, pinned incarnation)` pair at abort time and
@@ -121,13 +123,13 @@ impl UndoArena {
     /// Merges `child` into `self` (nested commit): child entries append
     /// *after* the parent's, so reverse replay restores the parent's older
     /// snapshots last.
-    pub fn absorb(&mut self, child: UndoArena) {
+    pub fn absorb(&mut self, child: &UndoArena) {
         let sbase = self.servers.len() as u32;
         let bbase = self.buf.len() as u32;
         self.servers.extend_from_slice(&child.servers);
         self.buf.extend_from_slice(&child.buf);
         self.ops.extend_from_slice(&child.ops);
-        for e in child.entries {
+        for e in &child.entries {
             self.entries.push(UndoEntry {
                 key: e.key,
                 tag: e.tag,
@@ -228,7 +230,7 @@ mod tests {
         child.push_entry(1, 1, [(1, 1)], b"child");
         child.push_entry(2, 1, [(2, 7)], b"other");
         child.push_op(1, 2);
-        parent.absorb(child);
+        parent.absorb(&child);
         assert_eq!(parent.object_count(), 3);
 
         let applier = LogApplier::default();

@@ -16,7 +16,7 @@
 //! waiting there is no deadlock.
 
 use crate::action::ActionId;
-use groupview_sim::{IdMap, IdSet};
+use groupview_sim::IdMap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -134,10 +134,18 @@ impl Ancestry for MapAncestry {
 /// Locks are held until explicitly released ([`LockManager::release_all`])
 /// or transferred to a parent action ([`LockManager::transfer`]) — the
 /// action manager does this at abort / commit, implementing strictness.
+///
+/// In steady state the table allocates nothing: a holder list or key list
+/// that empties is kept on a spare stack, and the next key or action to
+/// need one takes it from there.
 #[derive(Debug, Default)]
 pub struct LockManager {
     table: IdMap<LockKey, Vec<(ActionId, LockMode)>>,
-    by_action: IdMap<ActionId, IdSet<LockKey>>,
+    /// The keys each action holds. A key is pushed only when the action
+    /// becomes a new holder of it, so the holder lists keep it duplicate-free.
+    by_action: IdMap<ActionId, Vec<LockKey>>,
+    spare_holders: Vec<Vec<(ActionId, LockMode)>>,
+    spare_keys: Vec<Vec<LockKey>>,
     refusals: u64,
     grants: u64,
 }
@@ -164,7 +172,10 @@ impl LockManager {
         key: LockKey,
         mode: LockMode,
     ) -> Result<(), LockMode> {
-        let holders = self.table.entry(key).or_default();
+        let holders = self
+            .table
+            .entry(key)
+            .or_insert_with(|| self.spare_holders.pop().unwrap_or_default());
         let mut own: Option<LockMode> = None;
         let mut conflict: Option<LockMode> = None;
         for &(hid, hmode) in holders.iter() {
@@ -195,25 +206,36 @@ impl LockManager {
             }
             None => {
                 holders.push((action, mode));
-                self.by_action.entry(action).or_default().insert(key);
+                self.keys_mut(action).push(key);
             }
         }
         self.grants += 1;
         Ok(())
     }
 
+    /// `action`'s key list, opened from the spare stack if it has none.
+    fn keys_mut(&mut self, action: ActionId) -> &mut Vec<LockKey> {
+        self.by_action
+            .entry(action)
+            .or_insert_with(|| self.spare_keys.pop().unwrap_or_default())
+    }
+
     /// Releases every lock held by `action`.
     pub fn release_all(&mut self, action: ActionId) {
-        if let Some(keys) = self.by_action.remove(&action) {
-            for key in keys {
-                if let Some(holders) = self.table.get_mut(&key) {
-                    holders.retain(|&(hid, _)| hid != action);
-                    if holders.is_empty() {
-                        self.table.remove(&key);
+        let Some(mut keys) = self.by_action.remove(&action) else {
+            return;
+        };
+        for key in keys.drain(..) {
+            if let Some(holders) = self.table.get_mut(&key) {
+                holders.retain(|&(hid, _)| hid != action);
+                if holders.is_empty() {
+                    if let Some(empty) = self.table.remove(&key) {
+                        self.spare_holders.push(empty);
                     }
                 }
             }
         }
+        self.spare_keys.push(keys);
     }
 
     /// Transfers all of `child`'s locks to `parent` (nested-action commit).
@@ -221,10 +243,10 @@ impl LockManager {
     /// If the parent already holds a lock on the same key, it keeps the
     /// stronger of the two modes.
     pub fn transfer(&mut self, child: ActionId, parent: ActionId) {
-        let Some(keys) = self.by_action.remove(&child) else {
+        let Some(mut keys) = self.by_action.remove(&child) else {
             return;
         };
-        for key in keys {
+        for key in keys.drain(..) {
             let Some(holders) = self.table.get_mut(&key) else {
                 continue;
             };
@@ -240,9 +262,10 @@ impl LockManager {
                 entry.1 = entry.1.max(child_mode);
             } else {
                 holders.push((parent, child_mode));
-                self.by_action.entry(parent).or_default().insert(key);
+                self.keys_mut(parent).push(key);
             }
         }
+        self.spare_keys.push(keys);
     }
 
     /// Current holders of `key`, in grant order.
@@ -261,11 +284,7 @@ impl LockManager {
 
     /// Keys currently locked by `action`.
     pub fn keys_of(&self, action: ActionId) -> Vec<LockKey> {
-        let mut v: Vec<LockKey> = self
-            .by_action
-            .get(&action)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
+        let mut v = self.by_action.get(&action).cloned().unwrap_or_default();
         v.sort_unstable();
         v
     }

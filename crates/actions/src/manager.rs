@@ -15,9 +15,11 @@ use std::rc::Rc;
 type Undo = Box<dyn FnOnce()>;
 
 /// One action's record (the hig-proto shape): everything the service knows
-/// about the action. It exists exactly while the action is active — a
-/// nested commit merges it into the parent's record, a top-level commit or
-/// an abort drops it. The locks it holds live in the lock table alone.
+/// about the action. It is in the action table exactly while the action is
+/// active — a nested commit merges it into the parent's record, a top-level
+/// commit or an abort takes it out — and is then emptied, keeping its
+/// buffers, for a later action to reuse. The locks it holds live in the
+/// lock table alone.
 struct Tx {
     /// The action this one merges into when it commits: `Some` for a nested
     /// action (also its lock-parent), `None` for top-level and
@@ -68,11 +70,22 @@ pub struct TxStats {
     pub multi_aborted: u64,
 }
 
+// Boxed records in plain `Vec`s on purpose: see `TxInner::actions`.
+#[allow(clippy::vec_box)]
 struct TxInner {
     sim: Sim,
     next_id: u64,
     /// The active actions, and nothing else: membership *is* "active".
-    actions: IdMap<ActionId, Tx>,
+    /// Records are boxed because they move between this table, the free
+    /// list and an abort's unwinding list: a box moves as one pointer, a
+    /// record is some two hundred bytes.
+    actions: IdMap<ActionId, Box<Tx>>,
+    /// Emptied records of ended actions, which `begin` reuses. Never longer
+    /// than the peak number of simultaneously active actions.
+    spare: Vec<Box<Tx>>,
+    /// The records an abort has taken out of the table, held while their
+    /// compensation runs (kept between aborts for its capacity).
+    unwinding: Vec<Box<Tx>>,
     locks: LockManager,
     /// The coordinator's commit records, kept only while a participant is
     /// in doubt: `token →` the nodes whose phase-2 commit went
@@ -91,7 +104,7 @@ struct TxInner {
 
 /// Lock ancestry read off the action records: every lock-ancestor of a
 /// running nested action is suspended, hence still in the table.
-struct AncestryView<'a>(&'a IdMap<ActionId, Tx>);
+struct AncestryView<'a>(&'a IdMap<ActionId, Box<Tx>>);
 
 impl Ancestry for AncestryView<'_> {
     fn lock_parent(&self, a: ActionId) -> Option<ActionId> {
@@ -132,6 +145,8 @@ impl TxSystem {
                 sim: sim.clone(),
                 next_id: 1,
                 actions: IdMap::default(),
+                spare: Vec::new(),
+                unwinding: Vec::new(),
                 locks: LockManager::new(),
                 decisions: IdMap::default(),
                 stats: TxStats::default(),
@@ -205,7 +220,7 @@ impl TxSystem {
         inner
             .actions
             .get_mut(&action)
-            .map(f)
+            .map(|rec| f(rec))
             .ok_or(TxError::NotActive(action))
     }
 
@@ -339,12 +354,14 @@ impl TxSystem {
     /// [`TxError::NotActive`], [`TxError::CoordinatorDown`], or
     /// [`TxError::PrepareFailed`] (in which case the action has aborted).
     pub fn commit(&self, action: ActionId) -> Result<(), TxError> {
-        let (parent, children) = self.with_active(action, |rec| {
+        let (parent, mut children) = self.with_active(action, |rec| {
             (rec.parent, std::mem::take(&mut rec.children))
         })?;
-        for stray in children {
+        for &stray in &children {
             self.abort(stray);
         }
+        children.clear();
+        self.with_active(action, |rec| rec.children = children)?;
         match parent {
             Some(parent) => self.commit_nested(action, parent),
             None => self.commit_top(action),
@@ -353,7 +370,7 @@ impl TxSystem {
 
     fn commit_nested(&self, action: ActionId, parent: ActionId) -> Result<(), TxError> {
         let mut inner = self.inner.borrow_mut();
-        let child = inner
+        let mut child = inner
             .actions
             .remove(&action)
             .ok_or(TxError::NotActive(action))?;
@@ -362,9 +379,10 @@ impl TxSystem {
             .actions
             .get_mut(&parent)
             .expect("the parent of an active nested action is suspended, not over");
-        prec.undos.extend(child.undos);
-        prec.participants.extend(child.participants);
-        prec.arena.absorb(child.arena);
+        prec.undos.append(&mut child.undos);
+        prec.participants.append(&mut child.participants);
+        prec.arena.absorb(&child.arena);
+        inner.retire(child);
         inner.stats.committed += 1;
         Ok(())
     }
@@ -451,11 +469,15 @@ impl TxSystem {
         })?;
 
         let mut inner = self.inner.borrow_mut();
-        let rec = inner.actions.remove(&action);
         inner.locks.release_all(action);
         inner.stats.committed += 1;
-        if rec.is_some_and(|rec| rec.arena.object_count() >= 2) {
-            inner.stats.multi_committed += 1;
+        if let Some(mut rec) = inner.actions.remove(&action) {
+            if rec.arena.object_count() >= 2 {
+                inner.stats.multi_committed += 1;
+            }
+            // Hand the participant vector back so the record keeps its buffer.
+            rec.participants = participants;
+            inner.retire(rec);
         }
         Ok(())
     }
@@ -466,39 +488,57 @@ impl TxSystem {
     ///
     /// Aborting a non-active action is a no-op (abort is idempotent).
     pub fn abort(&self, action: ActionId) {
-        let mut undos: Vec<Undo> = Vec::new();
-        let mut participants: Vec<Box<dyn Participant>> = Vec::new();
-        let mut arenas: Vec<UndoArena> = Vec::new();
-        let (sim, obs, applier) = {
+        let (mut recs, sim, obs, applier) = {
             let mut inner = self.inner.borrow_mut();
-            if !inner.collect_abort(action, &mut undos, &mut participants, &mut arenas) {
+            let mut recs = std::mem::take(&mut inner.unwinding);
+            if !inner.collect_abort(action, &mut recs) {
+                inner.unwinding = recs;
                 return;
             }
-            (inner.sim.clone(), inner.obs.clone(), inner.applier.clone())
+            (
+                recs,
+                inner.sim.clone(),
+                inner.obs.clone(),
+                inner.applier.clone(),
+            )
         };
         let undo_start = sim.now().as_micros();
-        let undo_count =
-            undos.len() as u64 + arenas.iter().map(|a| a.op_count() as u64).sum::<u64>();
+        let undo_count = recs
+            .iter()
+            .map(|r| (r.undos.len() + r.arena.op_count()) as u64)
+            .sum::<u64>();
         // Run compensation outside the borrow: undo closures and arena
         // replay touch database/replica state through their own handles.
         // Attribute any messages they cause (participant abort RPCs) to
-        // this action. Closures run first (LIFO), then each arena replays
-        // newest-entry-first — snapshot restoration is idempotent, so only
-        // the relative order of same-object entries matters.
+        // this action. The records are newest first: every closure runs
+        // first (LIFO), then each arena replays newest-entry-first —
+        // snapshot restoration is idempotent, so only the relative order of
+        // same-object entries matters — then every participant aborts.
         sim.with_active_action(action.raw(), || {
-            for u in undos {
-                u();
+            for rec in recs.iter_mut() {
+                for u in rec.undos.drain(..).rev() {
+                    u();
+                }
             }
             if let Some(applier) = applier {
                 let mut scratch = Vec::new();
-                for arena in &arenas {
-                    arena.replay(applier.as_ref(), &mut scratch);
+                for rec in &recs {
+                    rec.arena.replay(applier.as_ref(), &mut scratch);
                 }
             }
-            for mut p in participants {
-                p.abort();
+            for rec in recs.iter_mut() {
+                for p in rec.participants.iter_mut() {
+                    p.abort();
+                }
             }
         });
+        {
+            let mut inner = self.inner.borrow_mut();
+            for rec in recs.drain(..) {
+                inner.retire(rec);
+            }
+            inner.unwinding = recs;
+        }
         obs.add(ObsCounter::Aborts, 1);
         obs.add(ObsCounter::UndoOps, undo_count);
         if undo_count > 0 {
@@ -517,6 +557,12 @@ impl TxSystem {
     /// table, which holds nothing else (quiescence invariant: zero).
     pub fn live_actions(&self) -> usize {
         self.inner.borrow().actions.len()
+    }
+
+    /// How many emptied records wait for reuse.
+    #[cfg(test)]
+    fn spare_records(&self) -> usize {
+        self.inner.borrow().spare.len()
     }
 
     /// The coordinator node of `action`, while it is active.
@@ -592,54 +638,58 @@ impl TxSystem {
 }
 
 impl TxInner {
-    /// Issues the next id and opens its record; a nested action (`parent`
-    /// given) is also entered in its parent's child list.
+    /// Issues the next id and opens its record (a recycled one if any is
+    /// spare); a nested action (`parent` given) is also entered in its
+    /// parent's child list.
     fn begin(&mut self, parent: Option<ActionId>, client_node: NodeId) -> ActionId {
         let id = ActionId::from_raw(self.next_id);
         self.next_id += 1;
         if let Some(prec) = parent.and_then(|p| self.actions.get_mut(&p)) {
             prec.children.push(id);
         }
-        self.actions.insert(
-            id,
-            Tx {
-                parent,
+        let mut rec = self.spare.pop().unwrap_or_else(|| {
+            Box::new(Tx {
+                parent: None,
                 client_node,
                 arena: UndoArena::new(),
                 undos: Vec::new(),
                 participants: Vec::new(),
                 children: Vec::new(),
-            },
-        );
+            })
+        });
+        rec.parent = parent;
+        rec.client_node = client_node;
+        self.actions.insert(id, rec);
         self.stats.started += 1;
         id
     }
 
+    /// Empties the record of an ended action, keeping its buffers'
+    /// capacity, and shelves it for the next `begin`.
+    fn retire(&mut self, mut rec: Box<Tx>) {
+        rec.arena.clear();
+        rec.undos.clear();
+        rec.participants.clear();
+        rec.children.clear();
+        self.spare.push(rec);
+    }
+
     /// Removes `action` and its active nested subtree from the table,
-    /// releasing their locks and handing their undo work to the caller,
+    /// releasing their locks and handing their records to the caller,
     /// newest first. `false` if `action` was not active.
-    fn collect_abort(
-        &mut self,
-        action: ActionId,
-        undos: &mut Vec<Undo>,
-        participants: &mut Vec<Box<dyn Participant>>,
-        arenas: &mut Vec<UndoArena>,
-    ) -> bool {
+    #[allow(clippy::vec_box)]
+    fn collect_abort(&mut self, action: ActionId, recs: &mut Vec<Box<Tx>>) -> bool {
         let Some(rec) = self.actions.remove(&action) else {
             return false;
         };
         // Children's effects are more recent: undo them first.
         for &child in rec.children.iter().rev() {
-            self.collect_abort(child, undos, participants, arenas);
+            self.collect_abort(child, recs);
         }
-        undos.extend(rec.undos.into_iter().rev()); // LIFO
-        participants.extend(rec.participants);
         if rec.arena.object_count() >= 2 {
             self.stats.multi_aborted += 1;
         }
-        if !rec.arena.is_empty() {
-            arenas.push(rec.arena);
-        }
+        recs.push(rec);
         self.locks.release_all(action);
         self.stats.aborted += 1;
         true
@@ -1045,11 +1095,89 @@ mod tests {
             assert!(tx.decisions().is_empty(), "after action {i}");
             assert_eq!(tx.live_actions(), 0, "after action {i}");
             assert!(tx.locks_empty(), "after action {i}");
+            assert!(
+                tx.spare_records() <= 3,
+                "after action {i}: at most the peak"
+            );
         }
         let s = tx.stats();
         assert_eq!(s.started, 60_000);
         assert_eq!(s.committed + s.aborted, s.started, "every action ended");
         assert!(s.prepare_failures > 0 && s.committed > 0 && s.aborted > 0);
+    }
+
+    /// Records every call a two-phase-commit participant receives.
+    struct ProbeParticipant(StdRc<StdRefCell<Vec<&'static str>>>);
+
+    impl Participant for ProbeParticipant {
+        fn node(&self) -> NodeId {
+            NodeId::new(0)
+        }
+        fn prepare(&mut self) -> bool {
+            self.0.borrow_mut().push("prepare");
+            true
+        }
+        fn commit(&mut self) -> bool {
+            self.0.borrow_mut().push("commit");
+            true
+        }
+        fn abort(&mut self) {
+            self.0.borrow_mut().push("abort");
+        }
+    }
+
+    /// A record is recycled after a commit or an abort; whatever the first
+    /// action left in it — arena entries, undo closures, participants,
+    /// children — must not act on behalf of the action that reuses it.
+    #[test]
+    fn a_recycled_record_carries_nothing_into_the_next_action() {
+        for first_commits in [false, true] {
+            let (_, _, tx) = world();
+            let applier = StdRc::new(RecordingApplier {
+                log: StdRefCell::new(Vec::new()),
+            });
+            tx.set_undo_applier(applier.clone());
+            let undone = StdRc::new(StdRefCell::new(0));
+            let calls = StdRc::new(StdRefCell::new(Vec::new()));
+
+            let a = tx.begin_top(NodeId::new(0));
+            tx.log_undo_snapshot(a, 1, 1, [(1, 1)], b"snap").unwrap();
+            tx.log_undo_op(a, 1, 7).unwrap();
+            let undone2 = undone.clone();
+            tx.push_undo(a, move || *undone2.borrow_mut() += 1).unwrap();
+            tx.add_participant(a, Box::new(ProbeParticipant(calls.clone())))
+                .unwrap();
+            let _child = tx.begin_nested(a);
+            if first_commits {
+                tx.commit(a).unwrap();
+            } else {
+                tx.abort(a);
+            }
+            let seen = (
+                applier.log.borrow().len(),
+                *undone.borrow(),
+                calls.borrow().len(),
+            );
+            assert_eq!(tx.spare_records(), 2);
+
+            // LIFO: the next top-level action reuses `a`'s record, its
+            // child the child's.
+            let b = tx.begin_top(NodeId::new(0));
+            assert_eq!(tx.spare_records(), 1);
+            assert!(
+                tx.inner.borrow().actions[&b].children.is_empty(),
+                "no stale child ids"
+            );
+            let _ = tx.begin_nested(b);
+            tx.abort(b);
+            assert_eq!(
+                (applier.log.borrow().len(), *undone.borrow(), calls.borrow().len()),
+                seen,
+                "the reused record replayed, ran or called nothing (first commits: {first_commits})"
+            );
+            assert_eq!(tx.live_actions(), 0);
+            assert_eq!(tx.spare_records(), 2);
+        }
     }
 
     #[test]

@@ -65,6 +65,12 @@ pub trait Participant {
 /// layer creates one `StoreWriteParticipant` per store node. Prepare writes
 /// the store's intent log; commit installs; both go over the simulated
 /// network unless the store is on the coordinator's own node.
+///
+/// A participant prepares **at most once**: the first prepare moves the
+/// write-set into the store's intent log, and any later prepare repeats
+/// the first outcome without a message or a stable write. So a caller may
+/// stage the writes early (the replication layer's commit-time copy does)
+/// and still register the participant with the action's two-phase commit.
 #[derive(Debug)]
 pub struct StoreWriteParticipant {
     sim: Sim,
@@ -72,7 +78,10 @@ pub struct StoreWriteParticipant {
     coordinator: NodeId,
     target: NodeId,
     token: TxToken,
+    /// The write-set, until the prepare hands it to the store.
     writes: Vec<(Uid, ObjectState)>,
+    /// The outcome of the one prepare, once it has run.
+    prepared: Option<Result<(), PrepareFault>>,
 }
 
 impl StoreWriteParticipant {
@@ -93,6 +102,7 @@ impl StoreWriteParticipant {
             target,
             token,
             writes,
+            prepared: None,
         }
     }
 
@@ -111,13 +121,25 @@ impl StoreWriteParticipant {
     /// Phase 1 with an explained outcome: stages the writes like
     /// [`Participant::prepare`] but reports *why* a failure happened, so the
     /// caller can distinguish an unreachable store from a refused write.
+    /// Only the first call stages anything; later calls return its outcome.
     ///
     /// # Errors
     ///
     /// [`PrepareFault::Net`] when the store node could not be reached,
     /// [`PrepareFault::Refused`] when it rejected the staged write.
     pub fn try_prepare(&mut self) -> Result<(), PrepareFault> {
-        let writes = self.writes.clone();
+        if let Some(outcome) = self.prepared {
+            return outcome;
+        }
+        let outcome = self.stage();
+        self.prepared = Some(outcome);
+        outcome
+    }
+
+    /// Hands the write-set to the target store's intent log.
+    fn stage(&mut self) -> Result<(), PrepareFault> {
+        let bytes = self.wire_size();
+        let writes = std::mem::take(&mut self.writes);
         let target = self.target;
         if self.is_local() {
             return self
@@ -127,7 +149,6 @@ impl StoreWriteParticipant {
         }
         let stores = self.stores.clone();
         let token = self.token;
-        let bytes = self.wire_size();
         match self
             .sim
             .rpc(self.coordinator, self.target, bytes, 16, move || {
@@ -280,6 +301,32 @@ mod tests {
         assert_eq!(fault, PrepareFault::Refused(NodeId::new(2)));
         assert!(!fault.is_failure_caused(), "a refusal is not a crash");
         assert!(fault.to_string().contains("refused"));
+    }
+
+    #[test]
+    fn a_second_prepare_stages_nothing_and_keeps_the_first() {
+        let (sim, stores) = world();
+        let uid = Uid::from_raw(6);
+        let target = NodeId::new(1);
+        let token = TxToken::new(10);
+        let mut p = StoreWriteParticipant::new(
+            &sim,
+            &stores,
+            NodeId::new(0),
+            target,
+            token,
+            vec![(uid, state(b"once"))],
+        );
+        assert_eq!(p.try_prepare(), Ok(()));
+        let (delivered, now) = (sim.counters().delivered, sim.now());
+        assert_eq!(p.try_prepare(), Ok(()));
+        assert!(p.prepare());
+        assert_eq!(sim.counters().delivered, delivered, "no message sent");
+        assert_eq!(sim.now(), now, "no stable write charged");
+        // The staged write-set is still the first one, and commits whole.
+        assert_eq!(stores.with(target, |s| s.indoubt()).unwrap(), vec![token]);
+        assert!(p.commit());
+        assert_eq!(stores.read_local(target, uid).unwrap().data, b"once");
     }
 
     #[test]

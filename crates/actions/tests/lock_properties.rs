@@ -80,6 +80,16 @@ proptest! {
                     );
                 }
             }
+            // The per-action key lists agree with the holder lists exactly
+            // (recycled vectors carry no stale or duplicate key).
+            for a in 0u64..6 {
+                let action = ActionId::from_raw(a);
+                let held: Vec<LockKey> = (0u64..4)
+                    .map(|key| LockKey::new(1, key))
+                    .filter(|&k| lm.holders(k).iter().any(|&(hid, _)| hid == action))
+                    .collect();
+                prop_assert_eq!(lm.keys_of(action), held, "keys_of({}) after {:?}", action, op);
+            }
         }
         // Releasing everything empties the table completely.
         for a in 0u64..6 {

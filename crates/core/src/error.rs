@@ -1,7 +1,7 @@
 //! Errors of the naming-and-binding service.
 
 use groupview_actions::TxError;
-use groupview_sim::NetError;
+use groupview_sim::{NetError, NodeId};
 use groupview_store::Uid;
 use std::error::Error;
 use std::fmt;
@@ -17,6 +17,12 @@ pub enum DbError {
     /// client's use-list counter is non-zero (§4.1.2 — "will only succeed
     /// when there are no clients using A").
     NotQuiescent(Uid),
+    /// An object's server or store list is empty (`repeated: None`) or
+    /// names a node twice: a group view is a set of at least one node.
+    InvalidNodeList {
+        /// The node listed twice, if that was the fault.
+        repeated: Option<NodeId>,
+    },
     /// A transaction-layer failure (most commonly a refused lock).
     Tx(TxError),
     /// The database node could not be reached.
@@ -29,6 +35,10 @@ impl fmt::Display for DbError {
             DbError::NotFound(uid) => write!(f, "no database entry for {uid}"),
             DbError::AlreadyExists(uid) => write!(f, "database entry for {uid} already exists"),
             DbError::NotQuiescent(uid) => write!(f, "object {uid} is not quiescent"),
+            DbError::InvalidNodeList { repeated: None } => write!(f, "empty node list"),
+            DbError::InvalidNodeList {
+                repeated: Some(node),
+            } => write!(f, "node list names {node} twice"),
             DbError::Tx(e) => write!(f, "database action failed: {e}"),
             DbError::Net(e) => write!(f, "database unreachable: {e}"),
         }
@@ -138,6 +148,12 @@ mod tests {
         let uid = Uid::from_raw(3);
         assert!(DbError::NotFound(uid).to_string().contains("uid:0.3"));
         assert!(DbError::NotQuiescent(uid).to_string().contains("quiescent"));
+        let empty = DbError::InvalidNodeList { repeated: None };
+        assert!(empty.to_string().contains("empty"));
+        let twice = DbError::InvalidNodeList {
+            repeated: Some(NodeId::new(4)),
+        };
+        assert!(twice.to_string().contains("twice"));
         let tx = DbError::from(TxError::LockRefused {
             key: LockKey::new(1, 3),
             requested: LockMode::Write,

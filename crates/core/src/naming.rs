@@ -78,8 +78,10 @@ impl NamingService {
     ///
     /// # Errors
     ///
-    /// Propagates database errors; on error the caller should abort
-    /// `action`, which undoes any partial registration.
+    /// [`DbError::InvalidNodeList`] (before touching either database) if
+    /// `sv` or `st` is empty or names a node twice. Otherwise propagates
+    /// database errors; on error the caller should abort `action`, which
+    /// undoes any partial registration.
     pub fn register_object(
         &self,
         action: ActionId,
@@ -87,6 +89,8 @@ impl NamingService {
         sv: Vec<NodeId>,
         st: Vec<NodeId>,
     ) -> Result<(), DbError> {
+        check_node_list(&sv)?;
+        check_node_list(&st)?;
         self.server_db.create_entry(action, uid, sv)?;
         self.state_db.create_entry(action, uid, st)?;
         Ok(())
@@ -255,6 +259,19 @@ impl NamingService {
     }
 }
 
+/// Refuses an empty node list or one that names a node twice.
+fn check_node_list(nodes: &[NodeId]) -> Result<(), DbError> {
+    if nodes.is_empty() {
+        return Err(DbError::InvalidNodeList { repeated: None });
+    }
+    match (1..nodes.len()).find(|&i| nodes[..i].contains(&nodes[i])) {
+        Some(i) => Err(DbError::InvalidNodeList {
+            repeated: Some(nodes[i]),
+        }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +319,28 @@ mod tests {
         tx.abort(a);
         assert!(ns.server_db.entry(uid).is_none());
         assert!(ns.state_db.entry(uid).is_none());
+    }
+
+    #[test]
+    fn register_refuses_empty_or_repeated_node_lists() {
+        let (_, tx, ns) = world();
+        let uid = Uid::from_raw(1);
+        let a = tx.begin_top(n(0));
+        let cases = [
+            (vec![], vec![n(1)], None),
+            (vec![n(1)], vec![], None),
+            (vec![n(1), n(2), n(1)], vec![n(1)], Some(n(1))),
+            (vec![n(1), n(2)], vec![n(2), n(2)], Some(n(2))),
+        ];
+        for (sv, st, repeated) in cases {
+            assert_eq!(
+                ns.register_object(a, uid, sv, st),
+                Err(DbError::InvalidNodeList { repeated })
+            );
+        }
+        assert!(ns.server_db.entry(uid).is_none() && ns.state_db.entry(uid).is_none());
+        tx.commit(a).unwrap();
+        assert!(tx.locks_empty(), "refused before any entry was locked");
     }
 
     #[test]

@@ -386,10 +386,6 @@ impl System {
     ///
     /// See [`System::create_object`]; additionally
     /// [`DbError::AlreadyExists`] if the name is taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sv` or `st` is empty.
     pub fn create_named_object(
         &self,
         name: &str,
@@ -397,8 +393,7 @@ impl System {
         sv: &[NodeId],
         st: &[NodeId],
     ) -> Result<Uid, DbError> {
-        assert!(!sv.is_empty(), "an object needs at least one server node");
-        assert!(!st.is_empty(), "an object needs at least one store node");
+        check_node_lists(sv, st)?;
         let inner = &self.inner;
         let uid = inner.uid_gen.borrow_mut().next_uid();
         let initial = ObjectState::initial(object.type_tag(), object.snapshot(&inner.wire));
@@ -456,19 +451,16 @@ impl System {
     ///
     /// # Errors
     ///
+    /// [`DbError::InvalidNodeList`] if `sv` or `st` is empty or names a
+    /// node twice (refused before a uid is drawn or an action begun).
     /// Database or commit failures abort the creation atomically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sv` or `st` is empty.
     pub fn create_object(
         &self,
         object: Box<dyn ReplicaObject>,
         sv: &[NodeId],
         st: &[NodeId],
     ) -> Result<Uid, DbError> {
-        assert!(!sv.is_empty(), "an object needs at least one server node");
-        assert!(!st.is_empty(), "an object needs at least one store node");
+        check_node_lists(sv, st)?;
         let inner = &self.inner;
         let uid = inner.uid_gen.borrow_mut().next_uid();
         let initial = ObjectState::initial(object.type_tag(), object.snapshot(&inner.wire));
@@ -509,10 +501,6 @@ impl System {
     /// # Errors
     ///
     /// See [`System::create_object`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sv` or `st` is empty.
     pub fn create_typed<O: ObjectType>(
         &self,
         initial: O,
@@ -530,10 +518,6 @@ impl System {
     /// # Errors
     ///
     /// See [`System::create_named_object`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sv` or `st` is empty.
     pub fn create_typed_named<O: ObjectType>(
         &self,
         name: &str,
@@ -670,6 +654,23 @@ impl System {
             }
         }
     }
+}
+
+/// The node-list rule of `NamingService::register_object` — each list
+/// non-empty, no node twice — checked before a creation draws a uid or
+/// begins its action.
+fn check_node_lists(sv: &[NodeId], st: &[NodeId]) -> Result<(), DbError> {
+    for nodes in [sv, st] {
+        if nodes.is_empty() {
+            return Err(DbError::InvalidNodeList { repeated: None });
+        }
+        if let Some(i) = (1..nodes.len()).find(|&i| nodes[..i].contains(&nodes[i])) {
+            return Err(DbError::InvalidNodeList {
+                repeated: Some(nodes[i]),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// A client application: runs atomic actions against persistent objects.
@@ -959,17 +960,14 @@ impl Client {
             // one staging pass over the union of touched objects, so every
             // store receives a multi-object transaction's full write-set
             // under its single transaction token.
-            let mut committed_versions: Vec<(usize, Version)> = Vec::new();
-            let dirty_indices: Vec<usize> = (0..groups.len())
-                .filter(|&i| sys.is_dirty(action, groups[i].uid))
+            let dirty: Vec<&ObjectGroup> = groups
+                .iter()
+                .filter(|g| sys.is_dirty(action, g.uid))
                 .collect();
-            if !dirty_indices.is_empty() {
-                let dirty_groups: Vec<&ObjectGroup> =
-                    dirty_indices.iter().map(|&i| &groups[i]).collect();
-                match sys.do_writeback(action, &dirty_groups) {
-                    Ok(versions) => {
-                        committed_versions = dirty_indices.into_iter().zip(versions).collect();
-                    }
+            let mut staged = Vec::new();
+            if !dirty.is_empty() {
+                match sys.do_writeback(action, &dirty) {
+                    Ok(states) => staged = states,
                     Err(e) => {
                         sys.inner.tx.abort(action);
                         self.finish_bindings(&groups);
@@ -981,8 +979,8 @@ impl Client {
 
             match sys.inner.tx.commit(action) {
                 Ok(()) => {
-                    for (i, version) in committed_versions {
-                        sys.bump_replica_versions(&groups[i], version);
+                    for (group, state) in dirty.iter().zip(&staged) {
+                        sys.bump_replica_versions(group, state.version);
                     }
                     if sys.scheme() == BindingScheme::IndependentTopLevel {
                         self.finish_bindings(&groups);

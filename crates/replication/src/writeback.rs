@@ -9,8 +9,9 @@
 //! The copy is the *prepare* phase of the store write: each store in `St`
 //! durably stages the new state; stores that cannot be reached are
 //! `Exclude`d from `St` within the same client action (so the exclusion
-//! commits or aborts atomically with the state change). The staged writes
-//! then ride the action's two-phase commit via pre-prepared participants.
+//! commits or aborts atomically with the state change). The staged
+//! participants then ride the action's two-phase commit, where their
+//! prepare is a no-op: a store participant prepares at most once.
 //!
 //! Failure rules straight from the paper:
 //! * every store down → the action must abort ([`CommitError::AllStoresFailed`]);
@@ -23,38 +24,14 @@ use crate::invoke::ObjectGroup;
 use crate::system::System;
 use groupview_actions::{ActionId, Participant, StoreWriteParticipant, TxSystem};
 use groupview_sim::NodeId;
-use groupview_store::{ObjectState, Uid, Version};
-
-/// Wraps an already-prepared store write so the action's two-phase commit
-/// does not prepare it twice.
-struct PrePrepared {
-    inner: StoreWriteParticipant,
-}
-
-impl Participant for PrePrepared {
-    fn node(&self) -> NodeId {
-        self.inner.node()
-    }
-
-    fn prepare(&mut self) -> bool {
-        true // staged during write-back
-    }
-
-    fn commit(&mut self) -> bool {
-        self.inner.commit()
-    }
-
-    fn abort(&mut self) {
-        self.inner.abort();
-    }
-}
+use groupview_store::{ObjectState, Uid};
 
 impl System {
     /// Stages the modified state of every `groups` object on every
     /// functioning store in its `St`, excluding the unreachable ones, and
     /// registers the staged writes with `action`'s two-phase commit.
-    /// Returns the version each object will have once the action commits,
-    /// parallel to `groups`.
+    /// Returns the state (and so the version) each object will have once
+    /// the action commits, parallel to `groups`.
     ///
     /// The staging is **one participant per store node over the union of
     /// touched objects**: a store's intent log keeps one staged write-set
@@ -65,7 +42,7 @@ impl System {
         &self,
         action: ActionId,
         groups: &[&ObjectGroup],
-    ) -> Result<Vec<Version>, CommitError> {
+    ) -> Result<Vec<ObjectState>, CommitError> {
         let inner = &self.inner;
 
         // The final (uncommitted) state of each object, from a surviving
@@ -76,7 +53,6 @@ impl System {
         // action's operations — committing its snapshot would silently
         // discard them.
         let mut new_states: Vec<ObjectState> = Vec::with_capacity(groups.len());
-        let mut versions: Vec<Version> = Vec::with_capacity(groups.len());
         for group in groups {
             let uid = group.uid;
             let mut final_state: Option<ObjectState> = None;
@@ -99,14 +75,9 @@ impl System {
                     break;
                 }
             }
-            let base = final_state.ok_or(CommitError::NoFinalState(uid))?;
-            let new_version = base.version.next();
-            versions.push(new_version);
-            new_states.push(ObjectState {
-                type_tag: base.type_tag,
-                version: new_version,
-                data: base.data,
-            });
+            let mut state = final_state.ok_or(CommitError::NoFinalState(uid))?;
+            state.version = state.version.next();
+            new_states.push(state);
         }
 
         let token = TxSystem::token(action);
@@ -115,22 +86,24 @@ impl System {
             .client_node(action)
             .unwrap_or_else(|| groups[0].req.client_node);
 
-        // The union of store nodes across all touched objects, first-seen
-        // order (so the single-object message sequence is unchanged).
-        let mut store_nodes: Vec<NodeId> = Vec::new();
-        for group in groups {
-            for &st_node in &group.st_nodes {
-                if !store_nodes.contains(&st_node) {
-                    store_nodes.push(st_node);
-                }
-            }
-        }
-
-        // Stage one write-set per store; collect failures with sources.
+        // Stage one write-set per store of the union across all touched
+        // objects, in first-seen order (so the single-object message
+        // sequence is unchanged); collect failures with sources.
         let mut prepared: Vec<StoreWriteParticipant> = Vec::new();
         let mut failed: Vec<NodeId> = Vec::new();
         let mut last_fault = None;
-        for &st_node in &store_nodes {
+        let union = groups.iter().enumerate().flat_map(|(i, group)| {
+            group
+                .st_nodes
+                .iter()
+                .enumerate()
+                .filter(move |&(j, st_node)| {
+                    !group.st_nodes[..j].contains(st_node)
+                        && !groups[..i].iter().any(|g| g.st_nodes.contains(st_node))
+                })
+                .map(|(_, &st_node)| st_node)
+        });
+        for st_node in union {
             let writes: Vec<(Uid, ObjectState)> = groups
                 .iter()
                 .zip(&new_states)
@@ -206,9 +179,9 @@ impl System {
         for participant in prepared {
             inner
                 .tx
-                .add_participant(action, Box::new(PrePrepared { inner: participant }))
+                .add_participant(action, Box::new(participant))
                 .map_err(CommitError::Tx)?;
         }
-        Ok(versions)
+        Ok(new_states)
     }
 }

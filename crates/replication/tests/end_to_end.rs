@@ -1,6 +1,6 @@
 //! End-to-end scenarios across the whole replication stack.
 
-use groupview_core::{BindingScheme, ExcludePolicy};
+use groupview_core::{BindingScheme, DbError, ExcludePolicy};
 use groupview_replication::{
     Account, AccountOp, Counter, CounterOp, InvokeError, ReplicationPolicy, System,
 };
@@ -61,6 +61,40 @@ fn full_cycle_all_policies() {
         }
         assert_eq!(counter_value(&sys, uid, n(5)), 111);
     }
+}
+
+/// A group view is a set of at least one node. A repeated store used to
+/// get two commit participants for one token — the second found the intent
+/// already installed, so a commit record was kept forever for an in-doubt
+/// store that did not exist — and a repeated server was bound twice.
+/// Creation now refuses such lists before it draws a uid.
+#[test]
+fn creation_refuses_empty_or_repeated_node_lists() {
+    let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
+    let cases: [(&[NodeId], &[NodeId], Option<NodeId>); 4] = [
+        (&[n(1), n(2)], &[n(1), n(1)], Some(n(1))),
+        (&[n(2), n(1), n(2)], &[n(1), n(2)], Some(n(2))),
+        (&[], &[n(1)], None),
+        (&[n(1)], &[], None),
+    ];
+    for (sv, st, repeated) in cases {
+        let refused = DbError::InvalidNodeList { repeated };
+        assert_eq!(
+            sys.create_typed(Counter::new(0), sv, st).unwrap_err(),
+            refused
+        );
+        assert_eq!(
+            sys.create_typed_named("c", Counter::new(0), sv, st)
+                .unwrap_err(),
+            refused
+        );
+    }
+    assert!(sys.tx().decisions().is_empty(), "no commit record left");
+    assert_eq!(sys.tx().live_actions(), 0);
+    assert_eq!(sys.tx().stats().started, 0, "refused before any action");
+    // No uid was drawn: the next object gets a fresh world's first uid.
+    let fresh = system(ReplicationPolicy::Active, BindingScheme::Standard);
+    assert_eq!(create_counter(&sys, 1), create_counter(&fresh, 1));
 }
 
 #[test]
