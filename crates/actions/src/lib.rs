@@ -65,6 +65,8 @@
 //! # Ok::<(), groupview_actions::TxError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod action;
 pub mod arena;
 pub mod error;

@@ -1,6 +1,7 @@
-//! Object-boundary allocation cost: heap allocations per invocation, by
-//! replication policy, measured with a counting global allocator (every
-//! heap allocation is visible, not just wire buffers).
+//! Object-boundary allocation cost: heap allocations per invocation, per
+//! batch and per transaction, by replication policy, measured with a
+//! counting global allocator (every heap allocation is visible, not just
+//! wire buffers).
 //!
 //! This is the ROADMAP's "hot-path allocation" scoreboard for the
 //! `ReplicaObject` boundary. The encoder-aware object trait writes replica
@@ -10,22 +11,26 @@
 //! budgets below are **asserted**, not just printed. CI fails if the object
 //! boundary regresses into allocating again.
 //!
-//! Budgets (3 replicas, steady state). The undo-log arena (flat
-//! per-transaction buffers replacing one boxed undo closure per op)
-//! dropped the per-invoke numbers well below the typed-API-era budgets —
-//! measured: active 10.0 (was ≤ 16), coordinator-cohort 6.0 (was ≤ 13),
-//! single-copy 3.0 (was ≤ 13) — so the budgets are ratcheted down to
-//! 12/8/5.
+//! Budgets (3 replicas, steady state):
 //!
-//! The multi-object transaction window measures a whole two-account
-//! transfer through the typed `Tx` surface — begin, two auto-activating
-//! invokes, and a commit driving one store 2PC over the union of both
-//! objects — with its own asserted budgets and the same exact-equality
-//! observer-off gate. Recycled action records, reused lock-table vectors
-//! and a prepare that moves its write-set instead of cloning it took the
-//! measured counts from 78.0/70.0/63.0 to 51.0/43.0/37.0 allocs per
-//! transaction (active / coordinator-cohort / single-copy), so the
-//! budgets are ratcheted from 82/74/67 to 56/48/42.
+//! * **Per invoke: 1/1/1** (active / coordinator-cohort / single-copy).
+//!   Frames recycle whole — shared header and vector — through a
+//!   per-thread pool, a multicast reuses its member and reply lists, and
+//!   the cohort invoke reuses its cohort list, so a steady-state invoke
+//!   allocates nothing: measured 0.005 under every policy (the remainder
+//!   is the action's undo arena doubling inside the window).
+//! * **Per 16-op batch: 14/10/10**, measured + 1 (measured 13.005 / 9.005
+//!   / 9.005: the batched path's own vectors, ROADMAP item 5(a), including
+//!   the returned reply vector).
+//! * **Per two-object transaction: 30/30/30.** The window measures a
+//!   whole two-account transfer through the typed `Tx` surface — begin,
+//!   two auto-activating invokes, and a commit driving one store 2PC over
+//!   the union of both objects. Measured 27.0 under every policy
+//!   (activation and write-back scratch, ROADMAP item 11(b)/(c)).
+//!
+//! Every scoreboard carries the same exact-equality gate: a window run
+//! with observability switched off after warmup allocates exactly what a
+//! never-observed window does.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use groupview_replication::{
@@ -67,6 +72,15 @@ fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
 
+const POLICIES: [ReplicationPolicy; 3] = [
+    ReplicationPolicy::Active,
+    ReplicationPolicy::CoordinatorCohort,
+    ReplicationPolicy::SingleCopyPassive,
+];
+
+/// Allocations per 16-op batch, by policy: measured + 1.
+const BATCH_BUDGETS: [f64; 3] = [14.0, 10.0, 10.0];
+
 /// Builds a 3-replica world and an activated typed handle, mid-action.
 fn activated(policy: ReplicationPolicy) -> (System, Handle<Counter>, groupview_actions::ActionId) {
     let sys = System::builder(13).nodes(9).policy(policy).build();
@@ -81,49 +95,68 @@ fn activated(policy: ReplicationPolicy) -> (System, Handle<Counter>, groupview_a
     (sys, handle, action)
 }
 
-/// One measured window: total heap allocations across `ops` invokes.
-fn measure_window(handle: &Handle<Counter>, action: groupview_actions::ActionId, ops: u64) -> u64 {
+/// One unit of work on an activated counter: a single invoke, or a batch.
+type Unit = fn(&Handle<Counter>, groupview_actions::ActionId);
+
+/// Ops per unit of the batch scoreboard.
+const BATCH: usize = 16;
+
+fn one_invoke(handle: &Handle<Counter>, action: groupview_actions::ActionId) {
+    black_box(handle.invoke(action, CounterOp::Add(1)).expect("invoke"));
+}
+
+fn one_batch(handle: &Handle<Counter>, action: groupview_actions::ActionId) {
+    let ops = [CounterOp::Add(1); BATCH];
+    black_box(handle.invoke_batch(action, &ops).expect("batch"));
+}
+
+/// One measured window: total heap allocations across `units` units.
+fn measure_window(
+    handle: &Handle<Counter>,
+    action: groupview_actions::ActionId,
+    unit: Unit,
+    units: u64,
+) -> u64 {
     let before = allocs();
-    for _ in 0..ops {
-        black_box(handle.invoke(action, CounterOp::Add(1)).expect("invoke"));
+    for _ in 0..units {
+        unit(handle, action);
     }
     allocs() - before
 }
 
-/// Measures steady-state heap allocations per typed write invocation in
-/// three windows — observability disabled (A), enabled (B), enabled
-/// through warmup then disabled for the window (C) — asserting the
-/// policy's budget on A and **exact** equality of C and A: the disabled
-/// observer must add zero allocations per op, not just stay under budget.
+/// Measures steady-state heap allocations per unit (one typed write
+/// invocation, or one batch) in three windows — observability disabled
+/// (A), enabled (B), enabled through warmup then disabled for the window
+/// (C) — asserting the policy's budget on A and **exact** equality of C
+/// and A: the disabled observer must add zero allocations per unit, not
+/// just stay under budget.
 ///
 /// Each window runs in its own fresh world over the *same op range*:
 /// allocation counts are deterministic but op-offset-dependent (the
 /// action's undo stack doubles at power-of-2 op counts), so windows at
 /// different offsets in one world would differ for reasons that have
 /// nothing to do with observability.
-fn report_policy(policy: ReplicationPolicy, budget: f64) {
-    const OPS: u64 = 1_000;
+fn report_policy(scoreboard: &str, per: &str, unit: Unit, policy: ReplicationPolicy, budget: f64) {
+    const UNITS: u64 = 1_000;
     const WARM: u64 = 64;
-    // Warm up: fill the encoder pool, the dedup ring, and the undo stack's
+    // Warm up: fill the frame pool, the dedup ring, and the undo stack's
     // growth so the measured window is steady state.
     let warm = |handle: &Handle<Counter>, action| {
-        for _ in 0..WARM {
-            black_box(handle.invoke(action, CounterOp::Add(1)).expect("invoke"));
-        }
+        measure_window(handle, action, unit, WARM);
     };
 
     // Window A: observability off for the world's whole life.
     let (_sys, handle, action) = activated(policy);
     warm(&handle, action);
-    let window_a = measure_window(&handle, action, OPS);
-    let per_op = window_a as f64 / OPS as f64;
+    let window_a = measure_window(&handle, action, unit, UNITS);
+    let per_unit = window_a as f64 / UNITS as f64;
 
     // Window B: observability ON — reported for context, not gated (span
     // recording legitimately grows the span vec).
     let (sys, handle, action) = activated(policy);
     sys.obs().set_enabled(true);
     warm(&handle, action);
-    let window_b = measure_window(&handle, action, OPS);
+    let window_b = measure_window(&handle, action, unit, UNITS);
     let spans_recorded = sys.obs().span_count();
 
     // Window C: enabled through warmup (so the registry has live state),
@@ -133,28 +166,29 @@ fn report_policy(policy: ReplicationPolicy, budget: f64) {
     sys.obs().set_enabled(true);
     warm(&handle, action);
     sys.obs().set_enabled(false);
-    let window_c = measure_window(&handle, action, OPS);
+    let window_c = measure_window(&handle, action, unit, UNITS);
 
+    let name = format!("objects/{scoreboard}/{policy}");
     println!(
-        "objects/invoke_heap_allocs/{policy:<31} {per_op:>8.3} allocs/op (budget {budget}) \
+        "{name:<52} {per_unit:>8.3} allocs/{per} (budget {budget}) \
          | observed {:.3} | re-disabled {:.3}",
-        window_b as f64 / OPS as f64,
-        window_c as f64 / OPS as f64,
+        window_b as f64 / UNITS as f64,
+        window_c as f64 / UNITS as f64,
     );
     if std::env::var_os("OBJECTS_BENCH_NO_ASSERT").is_none() {
         assert!(
-            per_op <= budget,
-            "{policy}: object-boundary allocations regressed: \
-             {per_op:.3} allocs/op exceeds the budget of {budget}"
+            per_unit <= budget,
+            "{name}: object-boundary allocations regressed: \
+             {per_unit:.3} allocs/{per} exceeds the budget of {budget}"
         );
         assert!(
             spans_recorded > 0,
-            "{policy}: the observed window recorded no spans — window B measured nothing"
+            "{name}: the observed window recorded no spans — window B measured nothing"
         );
         assert_eq!(
             window_c, window_a,
-            "{policy}: disabled observability must add zero allocations \
-             (window A={window_a}, window C={window_c} over {OPS} ops)"
+            "{name}: disabled observability must add zero allocations \
+             (window A={window_a}, window C={window_c} over {UNITS} units)"
         );
     }
 }
@@ -162,9 +196,23 @@ fn report_policy(policy: ReplicationPolicy, budget: f64) {
 /// The asserted scoreboard: the encoder-aware object boundary must keep
 /// per-invoke heap allocations at or under the post-redesign budgets.
 fn bench_invoke_heap_allocs(_c: &mut Criterion) {
-    report_policy(ReplicationPolicy::Active, 12.0);
-    report_policy(ReplicationPolicy::CoordinatorCohort, 8.0);
-    report_policy(ReplicationPolicy::SingleCopyPassive, 5.0);
+    for policy in POLICIES {
+        report_policy("invoke_heap_allocs", "op", one_invoke, policy, 1.0);
+    }
+}
+
+/// The batch scoreboard: one `invoke_batch` of [`BATCH`] writes per unit,
+/// which also pays for the returned reply vector.
+fn bench_invoke_batch_heap_allocs(_c: &mut Criterion) {
+    for (policy, budget) in POLICIES.into_iter().zip(BATCH_BUDGETS) {
+        report_policy(
+            "invoke_batch_heap_allocs",
+            "batch",
+            one_batch,
+            policy,
+            budget,
+        );
+    }
 }
 
 /// Builds a 3-replica world with two accounts opened on one client,
@@ -250,9 +298,9 @@ fn report_tx_policy(policy: ReplicationPolicy, budget: f64) {
 /// The transaction scoreboard: one whole two-object transfer per unit —
 /// begin, two auto-activating invokes, commit (one 2PC over both objects).
 fn bench_tx_heap_allocs(_c: &mut Criterion) {
-    report_tx_policy(ReplicationPolicy::Active, 56.0);
-    report_tx_policy(ReplicationPolicy::CoordinatorCohort, 48.0);
-    report_tx_policy(ReplicationPolicy::SingleCopyPassive, 42.0);
+    for policy in POLICIES {
+        report_tx_policy(policy, 30.0);
+    }
 }
 
 /// Read path for contrast (no undo snapshot, no dirty marking).
@@ -273,6 +321,7 @@ fn bench_read_heap_allocs(_c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_invoke_heap_allocs,
+    bench_invoke_batch_heap_allocs,
     bench_tx_heap_allocs,
     bench_read_heap_allocs
 );

@@ -118,8 +118,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "trajectory gates passed: batch=16 ≥2× batch=1 ops/sec with fewer allocs/op, \
-             batch=64 ≥ batch=16, sharded scaling floors met on {} core(s)",
+            "trajectory gates passed: batch=16 ≥2× batch=1 ops/sec, \
+             batch=64 within 15% of batch=16, sharded scaling floors met on {} core(s)",
             report.cores
         );
         return;

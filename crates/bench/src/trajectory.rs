@@ -28,12 +28,13 @@
 //! trajectory is an actual trajectory across PRs rather than a snapshot.
 //!
 //! Gates (smoke-checked in CI, `check`/`check_scaling`): batch=16 must
-//! reach ≥2× batch=1 ops/sec with strictly fewer allocs/op; batch=64
-//! must not fall below batch=16 (the pooled-buffer working set of a
-//! 64-op round trip fits the pool since its cap moved to 192 — see
-//! `docs/WIRE.md`); and sharded aggregate throughput must reach the
-//! hardware-adjusted scaling floors (≥1.6× at 2 shards, ≥2.5× at 4 on a
-//! machine with that many cores; see [`TrajectoryReport::check_scaling`]).
+//! reach ≥2× batch=1 ops/sec; batch=64 must stay within 15% of batch=16
+//! (the pooled-buffer working set of a 64-op round trip fits the pool
+//! since its cap moved to 192 — see `docs/WIRE.md`); and sharded
+//! aggregate throughput must reach the hardware-adjusted scaling floors
+//! (≥1.6× at 2 shards, ≥2.5× at 4 on a machine with that many cores; see
+//! [`TrajectoryReport::check_scaling`]). Allocations per op are recorded,
+//! not gated here: the `objects` bench asserts the exact budgets.
 
 use criterion::Summary;
 use groupview_replication::{
@@ -541,12 +542,14 @@ pub fn run(cfg: &TrajectoryConfig) -> TrajectoryReport {
 
 impl TrajectoryReport {
     /// The batch-axis acceptance gates, checked by the CI smoke run:
-    /// batch=16 must deliver ≥2× the ops/sec of batch=1 with (when
-    /// allocation data is present) strictly fewer allocs/op, and
-    /// batch=64 must stay within 15% of batch=16. The curve has a real,
-    /// documented knee at 16: raising the wire pool cap from 32 to 192
-    /// recovered most of the old batch=64 cliff (~18% down) but a few
-    /// percent remains from per-frame working-set pressure — see
+    /// batch=16 must deliver ≥2× the ops/sec of batch=1, and batch=64
+    /// must stay within 15% of batch=16. Allocations are not compared
+    /// across batch sizes: framing no longer allocates, so batching has
+    /// no allocations left to amortise; the `objects` bench asserts
+    /// exact per-invoke and per-batch budgets instead. The curve
+    /// has a real, documented knee at 16: raising the wire pool cap from
+    /// 32 to 192 recovered most of the old batch=64 cliff (~18% down) but
+    /// a few percent remains from per-frame working-set pressure — see
     /// `docs/WIRE.md`. The gate bounds the knee so it cannot silently
     /// become a cliff again.
     pub fn check(&self) -> Result<(), String> {
@@ -563,12 +566,6 @@ impl TrajectoryReport {
             return Err(format!(
                 "batch=16 must reach ≥2× batch=1 throughput: {:.0} vs {:.0} ops/sec",
                 b16.ops_per_sec, b1.ops_per_sec
-            ));
-        }
-        if b1.allocs_per_op > 0.0 && b16.allocs_per_op >= b1.allocs_per_op {
-            return Err(format!(
-                "batch=16 must allocate strictly less per op than batch=1: {:.2} vs {:.2}",
-                b16.allocs_per_op, b1.allocs_per_op
             ));
         }
         if b64.ops_per_sec < 0.85 * b16.ops_per_sec {

@@ -32,6 +32,8 @@
 //! re-`Include`s recovered store nodes; [`CleanupDaemon`] reclaims use-list
 //! entries leaked by crashed clients.
 
+#![forbid(unsafe_code)]
+
 pub mod binder;
 pub mod cleanup;
 pub mod directory;

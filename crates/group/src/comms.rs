@@ -55,6 +55,35 @@ impl MulticastOutcome {
     }
 }
 
+/// Emptied reply lists kept per thread for the next multicast.
+const MAX_SPARE_REPLY_LISTS: usize = 8;
+
+thread_local! {
+    /// Reply lists handed back by dropped outcomes, empty but with their
+    /// capacity, so a steady multicast stream allocates no list. The same
+    /// pattern as the wire layer's frame pool.
+    static SPARE_REPLY_LISTS: RefCell<Vec<Vec<(NodeId, Bytes)>>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// Hands the reply list back to this thread's spares; the reply buffers
+/// themselves are released (and recycled by the wire layer).
+impl Drop for MulticastOutcome {
+    fn drop(&mut self) {
+        let mut replies = std::mem::take(&mut self.replies);
+        if replies.capacity() == 0 {
+            return;
+        }
+        replies.clear();
+        let _ = SPARE_REPLY_LISTS.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if spares.len() < MAX_SPARE_REPLY_LISTS {
+                spares.push(replies);
+            }
+        });
+    }
+}
+
 type MemberHandle = Rc<RefCell<dyn GroupMember>>;
 
 /// One enrolled member: the node it runs at, what it stands for (read
@@ -80,6 +109,10 @@ struct GroupState {
 struct CommsInner {
     groups: IdMap<GroupId, GroupState>,
     next_group: u64,
+    /// The member-handle snapshot a multicast delivers to, kept between
+    /// calls for its capacity. A multicast takes it and puts it back
+    /// empty; a nested multicast finds it taken and builds its own.
+    targets: Vec<(NodeId, MemberHandle)>,
 }
 
 /// The group-communication service.
@@ -109,6 +142,7 @@ impl GroupComms {
             inner: Rc::new(RefCell::new(CommsInner {
                 groups: IdMap::default(),
                 next_group: 1,
+                targets: Vec::new(),
             })),
         }
     }
@@ -299,8 +333,9 @@ impl GroupComms {
         }
         // Snapshot what we need, then release the borrow: member handlers
         // must be free to use the simulator.
-        let (mode, seq, targets) = {
+        let (mode, seq, mut targets) = {
             let mut inner = self.inner.borrow_mut();
+            let inner = &mut *inner;
             let g = inner
                 .groups
                 .get_mut(&group)
@@ -308,15 +343,14 @@ impl GroupComms {
             let seq = g.next_seq;
             g.next_seq += 1;
             g.stats.multicasts += 1;
-            let targets: Vec<(NodeId, MemberHandle)> = g
-                .members
-                .iter()
-                .map(|m| (m.node, m.handle.clone()))
-                .collect();
+            let mut targets = std::mem::take(&mut inner.targets);
+            targets.extend(g.members.iter().map(|m| (m.node, m.handle.clone())));
             (g.mode, seq, targets)
         };
 
-        let mut replies = Vec::new();
+        let mut replies = SPARE_REPLY_LISTS
+            .with(|spares| spares.borrow_mut().pop())
+            .unwrap_or_default();
         let mut missed = Vec::new();
         let mut relayed = false;
 
@@ -360,6 +394,8 @@ impl GroupComms {
 
         {
             let mut inner = self.inner.borrow_mut();
+            targets.clear();
+            inner.targets = targets;
             if let Some(g) = inner.groups.get_mut(&group) {
                 if !missed.is_empty() {
                     g.stats.partial_deliveries += 1;
@@ -370,15 +406,16 @@ impl GroupComms {
             }
         }
 
-        if replies.is_empty() {
-            return Err(GroupError::NoLiveMembers(group));
-        }
-        Ok(MulticastOutcome {
+        let outcome = MulticastOutcome {
             seq,
             replies,
             missed,
             relayed,
-        })
+        };
+        if outcome.replies.is_empty() {
+            return Err(GroupError::NoLiveMembers(group));
+        }
+        Ok(outcome)
     }
 }
 
@@ -651,6 +688,75 @@ mod tests {
             .multicast(g, NodeId::new(0), &Bytes::from_static(b"m"))
             .unwrap();
         assert_eq!(out.first_reply().expect("one reply"), b"ack1");
+    }
+
+    #[test]
+    fn a_dropped_outcome_hands_its_reply_list_to_the_next_multicast() {
+        let (_sim, comms) = world();
+        let g = comms.create_group(DeliveryMode::ReliableOrdered);
+        for i in 1..=3 {
+            join_recording(&comms, g, NodeId::new(i));
+        }
+        let msg = Bytes::from_static(b"m");
+        let first = comms.multicast(g, NodeId::new(0), &msg).unwrap();
+        let list = first.replies.as_ptr();
+        let capacity = first.replies.capacity();
+        drop(first);
+        // Had the list been freed, the allocator would hand its memory to
+        // the next request of the same size.
+        let decoy: Vec<(NodeId, Bytes)> = Vec::with_capacity(capacity);
+        let second = comms.multicast(g, NodeId::new(0), &msg).unwrap();
+        assert_ne!(decoy.as_ptr(), list, "the list was kept, not freed");
+        assert_eq!(second.replies.as_ptr(), list, "the same list, reused");
+        assert_eq!(second.replies.len(), 3);
+        assert_eq!(second.seq, 2);
+    }
+
+    /// Multicasts to another group from inside its own delivery.
+    struct Forwarder {
+        comms: GroupComms,
+        onward: GroupId,
+    }
+
+    impl GroupMember for Forwarder {
+        fn deliver(&mut self, _seq: u64, msg: &Bytes) -> Bytes {
+            let out = self
+                .comms
+                .multicast(self.onward, NodeId::new(1), msg)
+                .expect("nested multicast");
+            out.first_reply().expect("one reply").clone()
+        }
+    }
+
+    #[test]
+    fn a_nested_multicast_delivers_with_its_own_lists() {
+        let (_sim, comms) = world();
+        let outer = comms.create_group(DeliveryMode::ReliableOrdered);
+        let inner = comms.create_group(DeliveryMode::ReliableOrdered);
+        let far: Vec<_> = (2..=3)
+            .map(|i| join_recording(&comms, inner, NodeId::new(i)))
+            .collect();
+        let forwarder = Forwarder {
+            comms: comms.clone(),
+            onward: inner,
+        };
+        comms
+            .join(outer, NodeId::new(1), Rc::new(RefCell::new(forwarder)))
+            .unwrap();
+        let near = join_recording(&comms, outer, NodeId::new(4));
+        for round in 1..=2u64 {
+            let out = comms
+                .multicast(outer, NodeId::new(0), &Bytes::from_static(b"op"))
+                .unwrap();
+            let replies: Vec<NodeId> = out.replies.iter().map(|(n, _)| *n).collect();
+            assert_eq!(replies, vec![NodeId::new(1), NodeId::new(4)]);
+            let forwarded = format!("ack{round}").into_bytes();
+            assert_eq!(out.replies[0].1, forwarded, "the inner group's reply");
+            assert_eq!(near.borrow().log.len() as u64, round);
+            for m in &far {
+                assert_eq!(m.borrow().log.len() as u64, round, "inner group reached");
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! removes crashed members, and [`View::elect`] picks a coordinator (used by
 //! coordinator-cohort replication).
 
+#![forbid(unsafe_code)]
+
 pub mod comms;
 pub mod error;
 pub mod member;

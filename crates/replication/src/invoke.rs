@@ -449,19 +449,16 @@ impl System {
             // and a later activation could then elect it (stale) as
             // coordinator, silently losing committed updates. (Found by the
             // scenario oracle under `cohort/lossy_window`.)
-            let cohorts: Vec<NodeId> = group
-                .servers
-                .iter()
-                .copied()
-                .filter(|&s| {
-                    s != coord
-                        && group.same_lineage(self, s)
-                        && inner
-                            .registry
-                            .get(uid, s)
-                            .is_some_and(|r| r.borrow_mut().is_loaded(&inner.sim))
-                })
-                .collect();
+            let mut cohorts = inner.cohort_scratch.take();
+            cohorts.extend(group.servers.iter().copied().filter(|&s| {
+                s != coord
+                    && group.same_lineage(self, s)
+                    && inner
+                        .registry
+                        .get(uid, s)
+                        .is_some_and(|r| r.borrow_mut().is_loaded(&inner.sim))
+            }));
+            let cohorts_in_handler = &cohorts;
             let replica = inner.registry.get(uid, coord).expect("checked loaded");
             let sim = inner.sim.clone();
             let registry = inner.registry.clone();
@@ -487,7 +484,7 @@ impl System {
                                 let snapshot = replica.borrow_mut().snapshot_state(&sim, &wire);
                                 if let Some(state) = snapshot {
                                     let frame = SnapshotCodec::encode(&wire, &state);
-                                    for &cohort in &cohorts {
+                                    for &cohort in cohorts_in_handler {
                                         // Pre-filtered loaded above; a missing
                                         // handle means the cohort was expelled
                                         // concurrently and must stay out.
@@ -525,6 +522,8 @@ impl System {
                     handle.borrow_mut().unload(&inner.sim);
                 }
             }
+            cohorts.clear();
+            inner.cohort_scratch.replace(cohorts);
             match result {
                 Ok(Some(res)) => return Ok((res.reply, res.mutated)),
                 Ok(None) => return Err(InvokeError::NotLoaded(uid)),

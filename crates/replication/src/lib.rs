@@ -44,6 +44,8 @@
 //! client.commit(action).expect("commit");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod activation;
 pub mod error;
 pub mod invoke;

@@ -40,8 +40,8 @@ pub(crate) struct SystemInner {
     pub(crate) exclude_policy: ExcludePolicy,
     pub(crate) exclude_enabled: bool,
     pub(crate) active_groups: RefCell<IdMap<Uid, GroupId>>,
-    /// Shared scratch-buffer pool for every wire encode in the system
-    /// (operation frames, member replies, checkpoint snapshots).
+    /// Handle to this thread's frame pool, used by every wire encode in
+    /// the system (operation frames, member replies, checkpoint snapshots).
     pub(crate) wire: WireEncoder,
     /// Observability registry shared with the action service; disabled by
     /// default (see [`SystemBuilder::observe`]).
@@ -56,6 +56,9 @@ pub(crate) struct SystemInner {
     next_op: Cell<u64>,
     next_client: Cell<u32>,
     dirty: RefCell<IdSet<(u64, u64)>>,
+    /// The coordinator-cohort invoke's cohort list, kept between calls for
+    /// its capacity (a nested invoke finds it taken and builds its own).
+    pub(crate) cohort_scratch: RefCell<Vec<NodeId>>,
 }
 
 /// A complete persistent-replicated-object system over a simulated world.
@@ -225,6 +228,7 @@ impl SystemBuilder {
                 next_op: Cell::new(1),
                 next_client: Cell::new(0),
                 dirty: RefCell::default(),
+                cohort_scratch: RefCell::default(),
                 sim,
                 stores,
                 tx,

@@ -110,17 +110,24 @@ impl Codec for MemberReplyCodec {
         }
     }
 
+    /// Strict: a status other than 0 or 1, a mutated flag other than 0 or
+    /// 1, or a `NotLoaded` frame with trailing bytes is malformed. (The
+    /// flag decides the commit-time write-back, so a corrupt one must not
+    /// read as "not mutated".)
     fn decode(bytes: &Bytes) -> Option<MemberReply> {
-        let loaded = *bytes.first()? == 0;
-        let mutated = *bytes.get(1)? == 1;
-        Some(if loaded {
-            MemberReply::Loaded(InvokeResult {
+        let mutated = match *bytes.get(1)? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        match bytes[0] {
+            0 => Some(MemberReply::Loaded(InvokeResult {
                 reply: bytes.slice(2..),
                 mutated,
-            })
-        } else {
-            MemberReply::NotLoaded
-        })
+            })),
+            1 if bytes.len() == 2 => Some(MemberReply::NotLoaded),
+            _ => None,
+        }
     }
 }
 
@@ -309,6 +316,11 @@ mod tests {
         }
         assert!(MemberReplyCodec::decode(&Bytes::from_static(b"")).is_none());
         assert!(MemberReplyCodec::decode(&Bytes::from_static(b"\x00")).is_none());
+        // Malformed headers: an unknown status, a corrupt mutated flag, and
+        // a `NotLoaded` frame with trailing bytes.
+        for bad in [&b"\x07\x00"[..], b"\x00\x05ok", b"\x01\x00x"] {
+            assert_eq!(MemberReplyCodec::decode(&Bytes::from_static(bad)), None);
+        }
     }
 
     #[test]

@@ -70,6 +70,35 @@ proptest! {
     }
 
     #[test]
+    fn member_reply_headers_outside_the_valid_set_decode_to_none(
+        status in prop_oneof![1 => 0u8..=1, 1 => any::<u8>()],
+        flag in prop_oneof![1 => 0u8..=1, 1 => any::<u8>()],
+        tail in prop_oneof![Just(Vec::new()), prop::collection::vec(any::<u8>(), 1..16)],
+    ) {
+        // Every 2-byte header: valid iff status ∈ {0 Loaded, 1 NotLoaded}
+        // and the mutated flag ∈ {0, 1}. A `NotLoaded` frame is exactly
+        // the header; a `Loaded` one carries its reply after it.
+        let valid = status <= 1 && flag <= 1;
+        let header = Bytes::from(vec![status, flag]);
+        let decoded = MemberReplyCodec::decode(&header);
+        prop_assert_eq!(decoded.is_some(), valid, "header {:?}", header);
+        if let Some(reply) = decoded {
+            let enc = WireEncoder::new();
+            let frame = MemberReplyCodec::encode(&enc, &reply);
+            prop_assert_eq!(MemberReplyCodec::decode(&frame), Some(reply));
+        }
+        let mut long = vec![status, flag];
+        long.extend_from_slice(&tail);
+        let decoded = MemberReplyCodec::decode(&Bytes::from(long));
+        let loaded_with_reply = status == 0 && flag <= 1;
+        prop_assert_eq!(decoded.is_some(), valid && (tail.is_empty() || loaded_with_reply));
+        if let Some(MemberReply::Loaded(r)) = decoded {
+            prop_assert_eq!(r.mutated, flag == 1);
+            prop_assert_eq!(&r.reply, &tail);
+        }
+    }
+
+    #[test]
     fn snapshot_roundtrips_arbitrary_payloads(
         tag in any::<u32>(),
         version in any::<u64>(),

@@ -44,6 +44,8 @@
 //! assert!(reports[0].passed(), "{}", reports[0]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod history;
 pub mod nemesis;

@@ -43,6 +43,8 @@
 //! assert!(sim.rpc(a, b, 64, 16, || "pong").is_err());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod error;
 pub mod ids;

@@ -12,10 +12,11 @@
 //!   an immutable byte buffer. Cloning bumps a refcount; [`Bytes::slice`]
 //!   narrows the view without copying. A multicast can hand the *same*
 //!   buffer to every member.
-//! * [`WireEncoder`] — a scratch-buffer pool. Encoding borrows a retired
-//!   buffer, writes the frame, and freezes it into a [`Bytes`]; when the
-//!   last clone of that `Bytes` is dropped, the buffer's storage returns to
-//!   the pool. Steady-state encoding allocates nothing.
+//! * [`WireEncoder`] — a handle to the calling thread's frame pool.
+//!   Encoding takes a retired frame (the shared header *and* its vector),
+//!   writes into it, and freezes it into a [`Bytes`]; when the last clone
+//!   of that `Bytes` is dropped, the whole frame returns to the pool of the
+//!   thread that dropped it. Steady-state encoding allocates nothing.
 //! * [`Codec`] — explicit encode/decode pairs for each frame type (group
 //!   messages and member replies in `groupview-replication`, snapshot
 //!   frames in `groupview-store`). Decoders receive a [`Bytes`] so they can
@@ -28,28 +29,27 @@
 //! allocations, and property tests assert that `clone`/`slice` never
 //! allocate or copy.
 //!
-//! `Bytes` and `WireEncoder` are `Send + Sync` (atomic refcounts,
-//! spin-locked pool): they are the payload types that cross shard
-//! boundaries in the sharded runtime (`docs/SHARDING.md`). A frame encoded
-//! on one shard thread and dropped on another still returns its storage to
-//! the originating pool. Per-shard world state stays single-threaded — the
-//! only synchronisation on the hot path is the uncontended pool spinlock
-//! and the refcount.
+//! `Bytes` and `WireEncoder` are `Send + Sync` (atomic refcounts; the
+//! encoder is a zero-sized handle): they are the payload types that cross
+//! shard boundaries in the sharded runtime (`docs/SHARDING.md`). The pool
+//! itself is per thread, so the hot path takes no lock: the only
+//! synchronisation is the refcount. A frame whose last clone drops on
+//! another thread lands in *that* thread's pool; a frame still shared
+//! when a handle drops is simply released by that handle.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::ops::{Bound, Deref, RangeBounds};
+use std::sync::Arc;
 
 /// Fixed per-message framing overhead charged by transport layers, in
 /// bytes (addressing, sequence numbers, checksums). Cost accounting only —
 /// no header bytes are actually materialised.
 pub const FRAME_OVERHEAD_BYTES: usize = 16;
 
-/// Retired scratch buffers kept per [`WireEncoder`]; excess storage is
-/// dropped rather than hoarded. Sized for the largest transient working
-/// set a batched invocation pins at once: at batch size 64 a client holds
+/// Retired frames kept per thread; excess storage is dropped rather than
+/// hoarded. Sized for the largest transient working set a batched
+/// invocation pins at once: at batch size 64 a client holds
 /// 64 op frames plus the batch frame while the coordinator holds 64 reply
 /// frames plus the aggregate reply (~130 live buffers). A cap below that
 /// made every batch=64 round-trip fall off the pool and re-allocate, which
@@ -122,101 +122,41 @@ fn bump(f: impl FnOnce(&mut WireStats)) {
 // Bytes
 // ---------------------------------------------------------------------------
 
-/// Backing storage of a [`Bytes`]: a pooled vector or borrowed static data.
+/// Backing storage of a [`Bytes`]: a shared frame or borrowed static data.
 #[derive(Clone)]
 enum Backing {
     /// Borrowed `'static` data (literals, empty buffers): free to create.
     Static(&'static [u8]),
-    /// Shared ownership of a heap buffer, possibly pool-managed. The
-    /// refcount is atomic so frames can cross shard threads.
-    Shared(Arc<PooledBuf>),
+    /// Shared ownership of a heap frame. The refcount is atomic so frames
+    /// can cross shard threads.
+    Shared(Arc<Vec<u8>>),
 }
 
-/// The shared scratch-buffer free list behind a [`WireEncoder`]. The lock
-/// is only ever contended when a frame encoded on one shard thread is
-/// dropped on another; shard-local traffic (the hot path — every encode
-/// and every frame drop) takes it uncontended, which is why it is a
-/// spinlock rather than a `std::sync::Mutex`: the critical section is a
-/// `Vec` push/pop (single-digit nanoseconds), so an uncontended CAS beats
-/// a futex round trip, and the hot path pays for the lock hundreds of
-/// times per batched invocation.
-type Pool = SpinLock<Vec<Vec<u8>>>;
-
-fn lock_pool(pool: &Pool) -> SpinGuard<'_, Vec<Vec<u8>>> {
-    pool.lock()
+thread_local! {
+    /// This thread's retired frames: each is an empty vector that kept its
+    /// capacity, inside the `Arc` header it was shared through, so reusing
+    /// one allocates neither.
+    static FREE_FRAMES: RefCell<Vec<Arc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A minimal test-and-set spinlock. No poisoning: the free list holds only
-/// empty retired buffers, so a panic mid-push cannot leave it inconsistent,
-/// and buffer reclamation must keep working while a shard thread unwinds.
-#[derive(Default)]
-struct SpinLock<T> {
-    locked: AtomicBool,
-    value: UnsafeCell<T>,
-}
-
-// Safety: the lock hands out exactly one guard at a time (the CAS below),
-// so `&SpinLock<T>` grants the same access a `Mutex<T>` would.
-unsafe impl<T: Send> Send for SpinLock<T> {}
-unsafe impl<T: Send> Sync for SpinLock<T> {}
-
-impl<T> SpinLock<T> {
-    fn lock(&self) -> SpinGuard<'_, T> {
-        while self
-            .locked
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
+/// Hands a frame nobody else holds to this thread's pool. Past the cap, or
+/// while the thread is tearing down its locals, the frame is just freed.
+fn retire(mut frame: Arc<Vec<u8>>) {
+    // A plain load turns most shared drops away before `get_mut`'s
+    // read-modify-write; `get_mut` remains the proof of sole ownership.
+    if Arc::strong_count(&frame) != 1 {
+        return;
+    }
+    let Some(data) = Arc::get_mut(&mut frame) else {
+        return;
+    };
+    data.clear();
+    let _ = FREE_FRAMES.try_with(|free| {
+        let mut free = free.borrow_mut();
+        if free.len() < MAX_POOLED_BUFFERS {
+            free.push(frame);
         }
-        SpinGuard { lock: self }
-    }
-}
-
-struct SpinGuard<'a, T> {
-    lock: &'a SpinLock<T>,
-}
-
-impl<T> Deref for SpinGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // Safety: the guard holds the lock.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T> DerefMut for SpinGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // Safety: the guard holds the lock.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T> Drop for SpinGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
-
-/// A heap buffer that returns its storage to the owning pool (if any) when
-/// the last [`Bytes`] referencing it is dropped — regardless of which
-/// thread drops it.
-struct PooledBuf {
-    data: Vec<u8>,
-    pool: Weak<Pool>,
-}
-
-impl Drop for PooledBuf {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.upgrade() {
-            let mut pool = lock_pool(&pool);
-            if pool.len() < MAX_POOLED_BUFFERS {
-                let mut data = std::mem::take(&mut self.data);
-                data.clear();
-                pool.push(data);
-            }
-        }
-    }
+    });
 }
 
 /// A cheaply-cloneable, reference-counted, sliceable byte buffer.
@@ -265,16 +205,13 @@ impl Bytes {
             s.buffer_allocs += 1;
             s.bytes_copied += data.len() as u64;
         });
-        Bytes::from_unpooled(data.to_vec())
+        Bytes::from_frame(Arc::new(data.to_vec()))
     }
 
-    fn from_unpooled(data: Vec<u8>) -> Bytes {
-        let end = data.len();
+    fn from_frame(frame: Arc<Vec<u8>>) -> Bytes {
+        let end = frame.len();
         Bytes {
-            backing: Backing::Shared(Arc::new(PooledBuf {
-                data,
-                pool: Weak::new(),
-            })),
+            backing: Backing::Shared(frame),
             start: 0,
             end,
         }
@@ -284,7 +221,7 @@ impl Bytes {
     pub fn as_slice(&self) -> &[u8] {
         let all: &[u8] = match &self.backing {
             Backing::Static(s) => s,
-            Backing::Shared(arc) => &arc.data,
+            Backing::Shared(frame) => frame,
         };
         &all[self.start..self.end]
     }
@@ -336,12 +273,22 @@ impl Default for Bytes {
     }
 }
 
+/// The last handle to a shared frame retires it into the dropping thread's
+/// pool; any other handle just releases its reference.
+impl Drop for Bytes {
+    fn drop(&mut self) {
+        if let Backing::Shared(frame) = std::mem::replace(&mut self.backing, Backing::Static(&[])) {
+            retire(frame);
+        }
+    }
+}
+
 /// Takes ownership of a `Vec<u8>` (no copy; counted as one buffer
 /// allocation entering the wire layer).
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Bytes {
         bump(|s| s.buffer_allocs += 1);
-        Bytes::from_unpooled(data)
+        Bytes::from_frame(Arc::new(data))
     }
 }
 
@@ -424,22 +371,22 @@ impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
 // WireEncoder
 // ---------------------------------------------------------------------------
 
-/// A scratch-buffer pool for building [`Bytes`] frames without steady-state
-/// allocation.
+/// A handle to the calling thread's frame pool, for building [`Bytes`]
+/// frames without steady-state allocation.
 ///
-/// [`WireEncoder::encode_with`] pops a retired buffer (or allocates on a
-/// cold start), hands it to the closure to fill, and freezes the result
-/// into a [`Bytes`]. When the last clone of that `Bytes` drops, the
-/// buffer's storage returns to this pool. A hot loop that encodes, fans
-/// out, and releases each frame therefore reuses the same few buffers
-/// forever.
+/// [`WireEncoder::encode_with`] pops a retired frame (or allocates one on a
+/// cold start), hands its vector to the closure to fill, and freezes the
+/// result into a [`Bytes`]. When the last clone of that `Bytes` drops, the
+/// whole frame — shared header and vector — returns to the pool of the
+/// thread that dropped it. A hot loop that encodes, fans out, and releases
+/// each frame therefore reuses the same few frames forever, and takes no
+/// lock doing so.
 ///
-/// The handle is cheap to clone; clones share one pool. The encoder is
-/// `Send + Sync`: pool access is spin-locked, so frames released on
-/// another shard thread reclaim into the same pool.
+/// The handle is zero-sized: every encoder on a thread draws from that
+/// thread's one pool, so clones, and encoders built separately, share it.
 #[derive(Clone, Default)]
 pub struct WireEncoder {
-    pool: Arc<Pool>,
+    _thread_pool: (),
 }
 
 impl fmt::Debug for WireEncoder {
@@ -451,44 +398,36 @@ impl fmt::Debug for WireEncoder {
 }
 
 impl WireEncoder {
-    /// Creates an encoder with an empty pool.
+    /// A handle to this thread's pool.
     pub fn new() -> WireEncoder {
         WireEncoder::default()
     }
 
-    /// Retired buffers currently available for reuse.
+    /// Retired frames currently available for reuse on this thread.
     pub fn pooled(&self) -> usize {
-        lock_pool(&self.pool).len()
+        FREE_FRAMES.with(|free| free.borrow().len())
     }
 
     /// Builds one frame: `fill` writes the encoding into a scratch buffer,
-    /// which is then frozen into an immutable [`Bytes`]. The buffer's
-    /// storage returns to the pool once every clone of the returned
-    /// `Bytes` is gone.
+    /// which is then frozen into an immutable [`Bytes`]. The frame returns
+    /// to a pool once every clone of the returned `Bytes` is gone.
     pub fn encode_with(&self, fill: impl FnOnce(&mut Vec<u8>)) -> Bytes {
-        let popped = lock_pool(&self.pool).pop();
-        let mut data = match popped {
-            Some(buf) => {
+        let mut frame = match FREE_FRAMES.with(|free| free.borrow_mut().pop()) {
+            Some(frame) => {
                 bump(|s| s.pool_reuses += 1);
-                buf
+                frame
             }
             None => {
                 bump(|s| s.buffer_allocs += 1);
-                Vec::new()
+                Arc::new(Vec::new())
             }
         };
+        // `retire` pools a frame only once it has proved sole ownership.
+        let data = Arc::get_mut(&mut frame).expect("a pooled frame has no other owner");
         debug_assert!(data.is_empty(), "pooled scratch must be cleared");
-        fill(&mut data);
+        fill(data);
         bump(|s| s.bytes_copied += data.len() as u64);
-        let end = data.len();
-        Bytes {
-            backing: Backing::Shared(Arc::new(PooledBuf {
-                data,
-                pool: Arc::downgrade(&self.pool),
-            })),
-            start: 0,
-            end,
-        }
+        Bytes::from_frame(frame)
     }
 
     /// Encodes `item` with the given [`Codec`] into a pooled frame.
@@ -625,12 +564,23 @@ mod tests {
     fn pooled_storage_waits_for_the_last_clone() {
         let enc = WireEncoder::new();
         let frame = enc.encode_with(|buf| buf.extend_from_slice(b"shared"));
+        let pooled = enc.pooled();
         let view = frame.slice(1..4);
         drop(frame);
-        assert_eq!(enc.pooled(), 0, "slice still alive");
+        assert_eq!(enc.pooled(), pooled, "slice still alive");
         assert_eq!(view, b"har");
         drop(view);
-        assert_eq!(enc.pooled(), 1, "last reference returned the buffer");
+        assert_eq!(enc.pooled(), pooled + 1, "last reference retired the frame");
+    }
+
+    #[test]
+    fn frames_from_owned_vectors_recycle_too() {
+        let enc = WireEncoder::new();
+        let pooled = enc.pooled();
+        drop(Bytes::from(vec![1u8, 2, 3]));
+        drop(Bytes::copy_from_slice(b"abc"));
+        drop(Bytes::from_static(b"static data is never pooled"));
+        assert_eq!(enc.pooled(), pooled + 2);
     }
 
     #[test]
@@ -658,49 +608,81 @@ mod tests {
         assert_send_sync::<Bytes>();
         assert_send_sync::<WireEncoder>();
         assert_send_sync::<WireStats>();
+        assert_eq!(std::mem::size_of::<WireEncoder>(), 0);
     }
 
-    #[test]
-    fn frames_reclaim_across_threads() {
-        // Encode on this thread, drop the last clone on another: the
-        // storage must return to the originating pool (this is the path a
-        // cross-shard reply takes in the sharded runtime).
-        let enc = WireEncoder::new();
-        let frame = enc.encode_with(|buf| buf.extend_from_slice(b"cross-shard"));
-        assert_eq!(enc.pooled(), 0);
+    /// Runs `f` on a fresh thread and returns how many frames it added to
+    /// that thread's pool.
+    fn pooled_on_another_thread(f: impl FnOnce() + Send + 'static) -> usize {
         std::thread::spawn(move || {
-            assert_eq!(frame, b"cross-shard");
-            drop(frame);
+            let before = WireEncoder::new().pooled();
+            f();
+            WireEncoder::new().pooled() - before
         })
         .join()
-        .expect("receiver thread");
-        assert_eq!(enc.pooled(), 1, "remote drop returned the buffer");
-
-        // And the reverse: a worker thread reuses the reclaimed buffer
-        // (pool 1 → 0) and the frame dropped here returns it again.
-        let enc2 = enc.clone();
-        let before = stats();
-        let frame = std::thread::spawn(move || enc2.encode_with(|buf| buf.push(7)))
-            .join()
-            .expect("encoder thread");
-        assert_eq!(frame, [7u8]);
-        assert_eq!(
-            stats().since(before).buffer_allocs,
-            0,
-            "this thread allocated nothing (the worker reused the pool)"
-        );
-        drop(frame);
-        assert_eq!(enc.pooled(), 1);
+        .expect("other thread")
     }
 
     #[test]
-    fn encoder_clones_share_one_pool() {
+    fn a_frame_dropped_last_on_another_thread_lands_in_that_threads_pool() {
+        // The path a cross-shard reply takes in the sharded runtime: encoded
+        // on thread A, last dropped on thread B.
         let enc = WireEncoder::new();
-        let enc2 = enc.clone();
+        let frame = enc.encode_with(|buf| buf.extend_from_slice(b"cross-shard"));
+        let home = enc.pooled();
+        let remote = pooled_on_another_thread(move || {
+            assert_eq!(frame, b"cross-shard");
+            drop(frame);
+        });
+        assert_eq!(remote, 1, "the dropping thread's pool took the frame");
+        assert_eq!(
+            enc.pooled(),
+            home,
+            "the encoding thread's pool is untouched"
+        );
+    }
+
+    #[test]
+    fn a_frame_shared_between_threads_is_pooled_once_by_its_last_holder() {
+        let enc = WireEncoder::new();
+        let frame = enc.encode_with(|buf| buf.extend_from_slice(b"shared"));
+        let copy = frame.clone();
+        let home = enc.pooled();
+        let remote = pooled_on_another_thread(move || drop(copy));
+        assert_eq!(remote, 0, "a still-shared frame is released, not pooled");
+        assert_eq!(frame, b"shared");
+        drop(frame);
+        assert_eq!(enc.pooled(), home + 1, "the last holder pools it");
+
+        // Two threads racing to drop the last two handles: at most one of
+        // them may pool the frame (both may simply free it).
+        for _ in 0..100 {
+            let frame = enc.encode_with(|buf| buf.push(9));
+            let copy = frame.clone();
+            let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+            let remote_start = start.clone();
+            let home = enc.pooled();
+            let remote = std::thread::spawn(move || {
+                let before = WireEncoder::new().pooled();
+                remote_start.wait();
+                drop(copy);
+                WireEncoder::new().pooled() - before
+            });
+            start.wait();
+            drop(frame);
+            let remote = remote.join().expect("racing thread");
+            assert!(enc.pooled() - home + remote <= 1, "pooled twice");
+        }
+    }
+
+    #[test]
+    fn encoders_on_one_thread_share_its_pool() {
+        let enc = WireEncoder::new();
+        let other = WireEncoder::new();
         drop(enc.encode_with(|buf| buf.push(7)));
-        assert_eq!(enc2.pooled(), 1);
+        assert!(other.pooled() >= 1);
         let before = stats();
-        drop(enc2.encode_with(|buf| buf.push(8)));
+        drop(other.clone().encode_with(|buf| buf.push(8)));
         assert_eq!(stats().since(before).buffer_allocs, 0);
     }
 

@@ -40,6 +40,8 @@
 //! # Ok::<(), groupview_store::StoreError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod registry;
 pub mod stable;

@@ -25,6 +25,8 @@
 //! the runner reproduced its runs bit for bit (the scenario crate's
 //! `tests/parity.rs` pins the recorded legacy metrics).
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod spec;
 pub mod table;

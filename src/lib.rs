@@ -79,6 +79,8 @@
 //!
 //! The most common types are re-exported at the crate root.
 
+#![forbid(unsafe_code)]
+
 pub use groupview_actions as actions;
 pub use groupview_core as core;
 pub use groupview_group as group;
