@@ -22,11 +22,12 @@
 //! * **Per 16-op batch: 14/10/10**, measured + 1 (measured 13.005 / 9.005
 //!   / 9.005: the batched path's own vectors, ROADMAP item 5(a), including
 //!   the returned reply vector).
-//! * **Per two-object transaction: 30/30/30.** The window measures a
+//! * **Per two-object transaction: 26/26/26.** The window measures a
 //!   whole two-account transfer through the typed `Tx` surface — begin,
 //!   two auto-activating invokes, and a commit driving one store 2PC over
-//!   the union of both objects. Measured 27.0 under every policy
-//!   (activation and write-back scratch, ROADMAP item 11(b)/(c)).
+//!   the union of both objects. Measured 26.0 under every policy
+//!   (activation and write-back scratch, ROADMAP item 11(b)/(c)); the
+//!   budget is exact, so one more allocation per transaction fails.
 //!
 //! Every scoreboard carries the same exact-equality gate: a window run
 //! with observability switched off after warmup allocates exactly what a
@@ -299,7 +300,7 @@ fn report_tx_policy(policy: ReplicationPolicy, budget: f64) {
 /// begin, two auto-activating invokes, commit (one 2PC over both objects).
 fn bench_tx_heap_allocs(_c: &mut Criterion) {
     for policy in POLICIES {
-        report_tx_policy(policy, 30.0);
+        report_tx_policy(policy, 26.0);
     }
 }
 

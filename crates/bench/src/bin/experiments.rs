@@ -11,7 +11,7 @@
 //! cargo run -p groupview-bench --bin experiments --release trajectory
 //! cargo run -p groupview-bench --bin experiments --release trajectory --smoke
 //! cargo run -p groupview-bench --bin experiments --release trajectory --shards 1,2,4
-//! cargo run -p groupview-bench --bin experiments --release trajectory --smoke --trace
+//! cargo run -p groupview-bench --bin experiments --release trace
 //! cargo run -p groupview-bench --bin experiments --release trend
 //! ```
 
@@ -79,32 +79,6 @@ fn main() {
             report.shard_series.len(),
             started.elapsed()
         );
-        // `--trace`: capture a traced canned scenario alongside the
-        // trajectory, validate the Chrome trace in-binary, and write both
-        // artifacts next to the JSON — before the perf gates are judged,
-        // so a run that fails a gate still leaves its trace behind.
-        if args.iter().any(|a| a == "--trace") {
-            let artifacts = tracefile::capture().unwrap_or_else(|e| {
-                eprintln!("trace capture failed: {e}");
-                std::process::exit(1);
-            });
-            std::fs::write(tracefile::chrome_path(), &artifacts.chrome_json)
-                .expect("write BENCH_trace.json");
-            std::fs::write(tracefile::jsonl_path(), &artifacts.jsonl)
-                .expect("write BENCH_trace.jsonl");
-            println!(
-                "wrote {} + {} — validated: {} events ({} spans, {} instants) on {} tracks \
-                 from {} seed {}",
-                tracefile::chrome_path().display(),
-                tracefile::jsonl_path().display(),
-                artifacts.summary.events,
-                artifacts.summary.spans,
-                artifacts.summary.instants,
-                artifacts.summary.tracks,
-                tracefile::TRACE_SCENARIO,
-                tracefile::TRACE_SEED,
-            );
-        }
         let mut failed = false;
         if let Err(msg) = report.check() {
             eprintln!("trajectory gate failed: {msg}");
@@ -121,6 +95,32 @@ fn main() {
             "trajectory gates passed: batch=16 ≥2× batch=1 ops/sec, \
              batch=64 within 15% of batch=16, sharded scaling floors met on {} core(s)",
             report.cores
+        );
+        return;
+    }
+    if args.first().map(String::as_str) == Some("trace") {
+        // Capture the traced canned scenario, validate the Chrome trace
+        // in-binary and write both artifacts. No timing is judged: the
+        // files are a function of (code, seed), so two processes must
+        // write identical bytes.
+        let artifacts = tracefile::capture().unwrap_or_else(|e| {
+            eprintln!("trace capture failed: {e}");
+            std::process::exit(1);
+        });
+        std::fs::write(tracefile::chrome_path(), &artifacts.chrome_json)
+            .expect("write BENCH_trace.json");
+        std::fs::write(tracefile::jsonl_path(), &artifacts.jsonl).expect("write BENCH_trace.jsonl");
+        println!(
+            "wrote {} + {} — validated: {} events ({} spans, {} instants) on {} tracks \
+             from {} seed {}",
+            tracefile::chrome_path().display(),
+            tracefile::jsonl_path().display(),
+            artifacts.summary.events,
+            artifacts.summary.spans,
+            artifacts.summary.instants,
+            artifacts.summary.tracks,
+            tracefile::TRACE_SCENARIO,
+            tracefile::TRACE_SEED,
         );
         return;
     }

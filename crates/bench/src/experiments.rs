@@ -9,11 +9,11 @@ use groupview_group::comms::DeliveryMode;
 use groupview_group::member::RecordingMember;
 use groupview_group::GroupComms;
 use groupview_replication::{Counter, CounterOp, ReplicationPolicy, System};
-use groupview_scenario::run_plan;
+use groupview_scenario::{run_plan, FaultPlan, PlanAction};
 use groupview_sim::{Bytes, NetConfig, NodeId, Sim, SimConfig};
 use groupview_store::Uid;
 use groupview_workload::table::{fmt_f64, fmt_pct};
-use groupview_workload::{FaultAction, FaultScript, RunMetrics, TextTable, WorkloadSpec};
+use groupview_workload::{RunMetrics, TextTable, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -169,19 +169,19 @@ fn build_world(
     (sys, uids)
 }
 
-/// Drives `spec` with a step-keyed fault script through the scenario
+/// Drives `spec` with a step-keyed fault plan through the scenario
 /// runner — the single execution engine that replaced the legacy
 /// `workload::Driver` (bit-for-bit identical runs; see the scenario
 /// crate's parity suite).
-fn run_script(sys: &System, spec: &WorkloadSpec, script: FaultScript) -> RunMetrics {
-    run_plan(sys, spec, &script.into()).metrics
+fn run_script(sys: &System, spec: &WorkloadSpec, script: FaultPlan) -> RunMetrics {
+    run_plan(sys, spec, &script).metrics
 }
 
-/// Generates a crash/recover script: each step, while the node is up, it
-/// crashes with probability `p` and recovers `down_for` steps later.
-fn random_crash_script(seed: u64, node: NodeId, steps: u64, p: f64, down_for: u64) -> FaultScript {
+/// Generates a step-keyed crash/recover plan: each step, while the node is
+/// up, it crashes with probability `p` and recovers `down_for` steps later.
+fn random_crash_script(seed: u64, node: NodeId, steps: u64, p: f64, down_for: u64) -> FaultPlan {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut script = FaultScript::new();
+    let mut script = FaultPlan::new();
     let mut down_until = 0u64;
     for step in 1..=steps {
         if step < down_until {
@@ -189,8 +189,8 @@ fn random_crash_script(seed: u64, node: NodeId, steps: u64, p: f64, down_for: u6
         }
         if rng.random::<f64>() < p {
             script = script
-                .at(step, FaultAction::CrashNode(node))
-                .at(step + down_for, FaultAction::RecoverNode(node));
+                .at_step(step, PlanAction::CrashNode(node))
+                .at_step(step + down_for, PlanAction::RecoverNode(node));
             down_until = step + down_for + 1;
         }
     }
@@ -352,9 +352,9 @@ fn e3() -> Vec<TextTable> {
         );
         // The last store in St crashes at step 10 and recovers at step 60.
         let victim = stores[k - 1];
-        let script = FaultScript::new()
-            .at(10, FaultAction::CrashNode(victim))
-            .at(60, FaultAction::RecoverNode(victim));
+        let script = FaultPlan::new()
+            .at_step(10, PlanAction::CrashNode(victim))
+            .at_step(60, PlanAction::RecoverNode(victim));
         let spec = WorkloadSpec::new(uids.clone(), vec![n(7)])
             .clients(1)
             .actions_per_client(50)
@@ -401,9 +401,9 @@ fn e4() -> Vec<TextTable> {
             &[n(6)],
             1,
         );
-        let script = FaultScript::new()
-            .at(10, FaultAction::CrashNode(servers[k - 1]))
-            .at(80, FaultAction::RecoverNode(servers[k - 1]));
+        let script = FaultPlan::new()
+            .at_step(10, PlanAction::CrashNode(servers[k - 1]))
+            .at_step(80, PlanAction::RecoverNode(servers[k - 1]));
         let spec = WorkloadSpec::new(uids, vec![n(7)])
             .clients(1)
             .actions_per_client(50)
@@ -435,9 +435,9 @@ fn e4() -> Vec<TextTable> {
             &[n(6)],
             1,
         );
-        let mut script = FaultScript::new();
+        let mut script = FaultPlan::new();
         for (i, &victim) in servers.iter().take(crashed).enumerate() {
-            script = script.at(10 + 6 * i as u64, FaultAction::CrashNode(victim));
+            script = script.at_step(10 + 6 * i as u64, PlanAction::CrashNode(victim));
         }
         let spec = WorkloadSpec::new(uids, vec![n(7)])
             .clients(1)
@@ -479,11 +479,11 @@ fn e5() -> Vec<TextTable> {
                 1,
             );
             // Crash the last server and the last store; recover both later.
-            let script = FaultScript::new()
-                .at(8, FaultAction::CrashNode(servers[sv_k - 1]))
-                .at(12, FaultAction::CrashNode(stores[st_k - 1]))
-                .at(50, FaultAction::RecoverNode(servers[sv_k - 1]))
-                .at(52, FaultAction::RecoverNode(stores[st_k - 1]));
+            let script = FaultPlan::new()
+                .at_step(8, PlanAction::CrashNode(servers[sv_k - 1]))
+                .at_step(12, PlanAction::CrashNode(stores[st_k - 1]))
+                .at_step(50, PlanAction::RecoverNode(servers[sv_k - 1]))
+                .at_step(52, PlanAction::RecoverNode(stores[st_k - 1]));
             let spec = WorkloadSpec::new(uids, vec![n(9)])
                 .clients(1)
                 .actions_per_client(40)
@@ -516,9 +516,9 @@ fn scheme_sweep_row(scheme: BindingScheme, crashed: usize, seed: u64) -> Vec<Str
         8, // one object per client on average: binding costs dominate, not
            // object-lock contention
     );
-    let mut script = FaultScript::new();
+    let mut script = FaultPlan::new();
     for &victim in servers.iter().take(crashed) {
-        script = script.at(1, FaultAction::CrashNode(victim));
+        script = script.at_step(1, PlanAction::CrashNode(victim));
     }
     let spec = WorkloadSpec::new(uids.clone(), vec![n(7), n(8), n(9)])
         .clients(8)
@@ -605,9 +605,9 @@ fn e7() -> Vec<TextTable> {
         &[n(5), n(6)],
         1,
     );
-    let script = FaultScript::new()
-        .at(2, FaultAction::CrashClient(0))
-        .at(4, FaultAction::CrashClient(1));
+    let script = FaultPlan::new()
+        .at_step(2, PlanAction::CrashClient(0))
+        .at_step(4, PlanAction::CrashClient(1));
     let spec = WorkloadSpec::new(uids.clone(), vec![n(7), n(8), n(9)])
         .clients(6)
         .actions_per_client(8)
@@ -957,9 +957,9 @@ fn e12() -> Vec<TextTable> {
             &[n(1), n(2), n(3)],
             8,
         );
-        let script = FaultScript::new()
-            .at(12, FaultAction::CrashNode(n(1)))
-            .at(60, FaultAction::RecoverNode(n(1)));
+        let script = FaultPlan::new()
+            .at_step(12, PlanAction::CrashNode(n(1)))
+            .at_step(60, PlanAction::RecoverNode(n(1)));
         let spec = WorkloadSpec::new(uids, vec![n(4), n(5), n(6)])
             .clients(4)
             .actions_per_client(30)

@@ -1,4 +1,4 @@
-//! The `experiments trajectory --trace` artifacts: runs a canned scenario
+//! The `experiments trace` artifacts: runs a canned scenario
 //! traced, validates the Chrome trace in-binary, and reports where to
 //! write `BENCH_trace.json` (Perfetto / `chrome://tracing`) and
 //! `BENCH_trace.jsonl` (one span or sim event per line).

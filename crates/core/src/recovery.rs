@@ -153,12 +153,16 @@ impl RecoveryManager {
         }
         // (2) refresh + Include — unless the replica was retired (migrated
         // away) while the node was down, in which case the stale local copy
-        // is purged instead of resurrected.
+        // is purged instead of resurrected. With the intent log settled,
+        // nothing can write the copy back, so its tombstone goes too.
         let mut uids = self.stores.with(node, |s| s.uids()).unwrap_or_default();
         uids.sort_unstable();
         for uid in uids {
             if self.stores.is_retired(node, uid) {
                 let _ = self.stores.with(node, |s| s.remove(uid));
+                if settled {
+                    self.stores.unretire(node, uid);
+                }
                 report.purged.push(uid);
                 continue;
             }
@@ -456,6 +460,7 @@ mod tests {
             stores.read_local(n(2), uid()).is_err(),
             "local copy physically removed"
         );
+        assert!(!stores.is_retired(n(2), uid()), "tombstone cleared");
         assert_eq!(
             ns.state_db.entry(uid()).unwrap().stores,
             vec![n(1)],

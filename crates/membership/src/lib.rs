@@ -27,7 +27,9 @@
 //! Migration leaves a *tombstone* (`Stores::retire`) on the old host:
 //! §4.2 store recovery consults it and purges the stale copy instead of
 //! re-`Include`-ing it — without this, a node that crashed mid-drain
-//! would resurrect every replica that was deliberately moved off it.
+//! would resurrect every replica that was deliberately moved off it. The
+//! purge clears the tombstone; a live source whose copy is deleted at
+//! once needs none.
 //!
 //! Everything here is driven from the naming node and is fully
 //! deterministic: the rebalancer reads only replay-stable inputs (the

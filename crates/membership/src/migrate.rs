@@ -25,14 +25,16 @@
 //! leaves the [`ReplicaRegistry`](groupview_replication::ReplicaRegistry),
 //! the store copy is deleted, and a tombstone (`Stores::retire`) is left
 //! so §4.2 recovery purges instead of resurrects if the old host was down
-//! during the move.
+//! during the move (or its intent log holds an in-doubt write). Recovery
+//! clears the tombstone once it has purged the copy; a live, settled
+//! source gets none.
 
 use crate::lifecycle::Membership;
 use groupview_actions::{StoreWriteParticipant, TxError, TxSystem};
 use groupview_core::{DbError, ExcludePolicy};
 use groupview_obs::Phase;
 use groupview_sim::NodeId;
-use groupview_store::Uid;
+use groupview_store::{StoreError, Uid};
 use std::fmt;
 
 /// Why a migration did not happen.
@@ -217,11 +219,18 @@ impl Membership {
 
         // Post-commit cleanup of the old host. Not part of the action:
         // the committed group-view entries no longer reference `from`, so
-        // these are pure garbage collection — and the tombstone makes the
-        // collection crash-proof (recovery purges instead of resurrects).
+        // these are pure garbage collection. A tombstone makes it
+        // crash-proof (recovery purges instead of resurrects), and is left
+        // only while a copy could still come back: the source is down with
+        // its copy, or its intent log holds an in-doubt write.
         sys.registry().remove_at(uid, from);
-        sys.stores().retire(from, uid);
-        let _ = sys.stores().with(from, |s| s.remove(uid));
+        let settled = sys.stores().with(from, |s| {
+            s.remove(uid);
+            s.indoubt().is_empty()
+        });
+        if matches!(settled, Ok(false) | Err(StoreError::NodeDown(_))) {
+            sys.stores().retire(from, uid);
+        }
         sys.obs().span(
             action.raw(),
             Phase::Migrate,
@@ -274,7 +283,10 @@ mod tests {
             sys.stores().read_local(n[1], uid.uid()).is_err(),
             "old copy deleted"
         );
-        assert!(sys.stores().is_retired(n[1], uid.uid()), "tombstoned");
+        assert!(
+            !sys.stores().is_retired(n[1], uid.uid()),
+            "no tombstone on a live source"
+        );
     }
 
     #[test]
@@ -351,6 +363,10 @@ mod tests {
         let st = sys.naming().state_db.entry(uid.uid()).unwrap();
         assert!(!st.contains(n[1]), "no resurrection");
         assert_eq!(st.len(), 2);
+        assert!(
+            !sys.stores().is_retired(n[1], uid.uid()),
+            "the purge clears the tombstone"
+        );
 
         // And the object still answers with the committed value.
         let client = sys.client(n[4]);

@@ -33,7 +33,7 @@ use groupview_group::{DeliveryMode, GroupId};
 use groupview_obs::Phase;
 use groupview_sim::{ClientId, NodeId};
 use groupview_store::Uid;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 impl System {
@@ -169,6 +169,7 @@ impl System {
             req,
             binding,
             incarnations,
+            dirty: Cell::new(false),
         })))
     }
 

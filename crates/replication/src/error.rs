@@ -99,8 +99,10 @@ pub enum InvokeError {
     /// A replica exists but holds no loaded state (activation raced a
     /// crash); the action should abort and retry.
     NotLoaded(Uid),
-    /// A typed `Handle` invoked without activating the object for this
-    /// action first (client programming error, not a system failure).
+    /// An invoke through no activation the client made for this action: a
+    /// typed `Handle` before activating, or a raw invoke through another
+    /// action's or client's group (client programming error, not a system
+    /// failure).
     NotActivated(Uid),
     /// A typed `Handle` received reply bytes that do not decode as the
     /// class's reply type — a violation of the `ObjectType` codec contract.

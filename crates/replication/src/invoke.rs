@@ -20,6 +20,7 @@ use groupview_obs::{Counter as ObsCounter, Phase};
 use groupview_sim::wire::Codec;
 use groupview_sim::{Bytes, NodeId, Sim, WireEncoder};
 use groupview_store::{SnapshotCodec, Uid};
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
@@ -36,10 +37,10 @@ pub fn object_key(uid: Uid) -> LockKey {
 /// A client's handle to an activated object: the bound servers plus the
 /// `St` view captured (and read-locked) at activation.
 ///
-/// One refcounted, immutable [`Activation`]: the client's per-action list,
-/// a typed [`crate::Handle`] and the caller all share the allocation the
-/// activation built, so a clone is a pointer bump. Fields read through
-/// `Deref` (`group.servers`, `group.uid`, …).
+/// One refcounted [`Activation`]: the client's action table owns it and
+/// the caller shares the allocation the activation built, so a clone is a
+/// pointer bump. Fields read through `Deref` (`group.servers`,
+/// `group.uid`, …).
 #[derive(Debug, Clone)]
 pub struct ObjectGroup(pub(crate) Rc<Activation>);
 
@@ -74,6 +75,9 @@ pub struct Activation {
     /// refuse replicas that were reborn (crashed and reloaded by a later
     /// activation) underneath this action.
     pub(crate) incarnations: Vec<(NodeId, u64)>,
+    /// Whether an operation through this activation mutated the object:
+    /// commit writes back exactly the dirty activations of its action.
+    pub(crate) dirty: Cell<bool>,
 }
 
 impl Activation {
@@ -225,7 +229,7 @@ impl System {
 
     /// One invocation, single or batched: lock the object by intent, mint
     /// the operation id (`flag` marks a batch), log the undo, encode once,
-    /// run the policy round, mark the object dirty.
+    /// run the policy round, mark the activation dirty.
     fn invoke_frame(
         &self,
         action: ActionId,
@@ -258,7 +262,7 @@ impl System {
             let msg = encode(&inner.wire, op_id);
             let (reply, mutated) = self.dispatch_policy(action, group, &msg)?;
             if mutated {
-                self.mark_dirty(action, group.uid);
+                group.dirty.set(true);
             }
             inner.obs.span(
                 action.raw(),

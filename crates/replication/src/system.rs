@@ -15,9 +15,7 @@ use groupview_core::{
 use groupview_group::{GroupComms, GroupId};
 use groupview_obs::{MetricsSnapshot, NodeLoad, Phase, Registry as ObsRegistry};
 use groupview_sim::wire::{self, WireStats};
-use groupview_sim::{
-    Bytes, ClientId, IdMap, IdSet, NetConfig, NodeId, Sim, SimConfig, WireEncoder,
-};
+use groupview_sim::{Bytes, ClientId, IdMap, NetConfig, NodeId, Sim, SimConfig, WireEncoder};
 use groupview_store::{ObjectState, Stores, Uid, UidGen, Version};
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -55,7 +53,6 @@ pub(crate) struct SystemInner {
     uid_gen: RefCell<UidGen>,
     next_op: Cell<u64>,
     next_client: Cell<u32>,
-    dirty: RefCell<IdSet<(u64, u64)>>,
     /// The coordinator-cohort invoke's cohort list, kept between calls for
     /// its capacity (a nested invoke finds it taken and builds its own).
     pub(crate) cohort_scratch: RefCell<Vec<NodeId>>,
@@ -227,7 +224,6 @@ impl SystemBuilder {
                 uid_gen: RefCell::new(UidGen::new(naming_node)),
                 next_op: Cell::new(1),
                 next_client: Cell::new(0),
-                dirty: RefCell::default(),
                 cohort_scratch: RefCell::default(),
                 sim,
                 stores,
@@ -622,27 +618,6 @@ impl System {
         id
     }
 
-    pub(crate) fn mark_dirty(&self, action: ActionId, uid: Uid) {
-        self.inner
-            .dirty
-            .borrow_mut()
-            .insert((action.raw(), uid.raw()));
-    }
-
-    pub(crate) fn is_dirty(&self, action: ActionId, uid: Uid) -> bool {
-        self.inner
-            .dirty
-            .borrow()
-            .contains(&(action.raw(), uid.raw()))
-    }
-
-    pub(crate) fn clear_dirty(&self, action: ActionId) {
-        self.inner
-            .dirty
-            .borrow_mut()
-            .retain(|&(a, _)| a != action.raw());
-    }
-
     pub(crate) fn bump_replica_versions(&self, group: &ObjectGroup, version: Version) {
         for &(node, pinned) in &group.incarnations {
             if !self.inner.sim.is_up(node) {
@@ -686,8 +661,11 @@ pub struct Client {
     sys: System,
     id: ClientId,
     node: NodeId,
-    /// Object groups activated per action, awaiting binding completion.
-    groups: Rc<RefCell<IdMap<u64, Vec<ObjectGroup>>>>,
+    /// The action table: every live activation this client made, with the
+    /// action that made it, in activation order — the only record of what
+    /// an action has bound (write-back, binding completion and every
+    /// typed lookup read it). Shared by clones of this client.
+    groups: Rc<RefCell<Vec<(ActionId, ObjectGroup)>>>,
 }
 
 impl fmt::Debug for Client {
@@ -737,22 +715,74 @@ impl Client {
         &self.sys
     }
 
-    /// Whether `other` shares this client's activation bookkeeping (clones
-    /// of one client do; independently created clients do not).
-    pub(crate) fn shares_groups(&self, other: &Client) -> bool {
-        Rc::ptr_eq(&self.groups, &other.groups)
+    /// The latest activation of `uid` this client made for `action`.
+    pub(crate) fn group_of(&self, action: ActionId, uid: Uid) -> Option<ObjectGroup> {
+        self.groups
+            .borrow()
+            .iter()
+            .rev()
+            .find(|(a, g)| *a == action && g.uid == uid)
+            .map(|(_, g)| g.clone())
+    }
+
+    /// How many activations this client holds for `action`.
+    pub(crate) fn activation_count(&self, action: ActionId) -> usize {
+        self.groups
+            .borrow()
+            .iter()
+            .filter(|(a, _)| *a == action)
+            .count()
+    }
+
+    /// Activates `uid` for `action` and records the activation in the
+    /// action table.
+    fn bind(
+        &self,
+        action: ActionId,
+        uid: Uid,
+        replicas: usize,
+        read_only: bool,
+    ) -> Result<ObjectGroup, ActivateError> {
+        let group = self
+            .sys
+            .do_activate(action, self.id, self.node, uid, replicas, read_only)?;
+        self.groups.borrow_mut().push((action, group.clone()));
+        Ok(group)
+    }
+
+    /// Takes `action`'s activations out of the action table, in activation
+    /// order (binding completion and write-back send in this order).
+    fn take_groups(&self, action: ActionId) -> Vec<ObjectGroup> {
+        self.groups
+            .borrow_mut()
+            .extract_if(.., |(a, _)| *a == action)
+            .map(|(_, g)| g)
+            .collect()
+    }
+
+    /// Refuses a raw invoke through `group` unless this client activated
+    /// it for `action`: the dirty bit it sets must belong to the action
+    /// that commits it. A finished action reports
+    /// [`TxError::NotActive`] first.
+    fn check_bound(&self, action: ActionId, group: &ObjectGroup) -> Result<(), InvokeError> {
+        let bound = self
+            .groups
+            .borrow()
+            .iter()
+            .any(|(a, g)| *a == action && Rc::ptr_eq(&g.0, &group.0));
+        if bound {
+            Ok(())
+        } else if !self.sys.inner.tx.is_active(action) {
+            Err(TxError::NotActive(action).into())
+        } else {
+            Err(InvokeError::NotActivated(group.uid))
+        }
     }
 
     /// The system-wide pooled wire encoder (typed handles encode operations
     /// through it).
     pub(crate) fn wire(&self) -> &WireEncoder {
         &self.sys.inner.wire
-    }
-
-    /// Whether the action with this raw id is still active (typed handles
-    /// use it to prune activations of finished actions).
-    pub(crate) fn action_is_live(&self, raw: u64) -> bool {
-        self.sys.inner.tx.is_active(ActionId::from_raw(raw))
     }
 
     /// Opens a typed [`Handle`] for `uid`, asserting it belongs to class
@@ -764,8 +794,8 @@ impl Client {
     }
 
     /// Resolves `name` through the directory, activates the object for
-    /// `action`, and returns a typed [`Handle`] with the activation already
-    /// adopted — the typed counterpart of [`Client::activate_by_name`].
+    /// `action`, and opens a typed [`Handle`] on it — the typed
+    /// counterpart of [`Client::activate_by_name`].
     ///
     /// # Errors
     ///
@@ -777,9 +807,7 @@ impl Client {
         replicas: usize,
     ) -> Result<Handle<O>, ActivateError> {
         let group = self.activate_by_name(action, name, replicas)?;
-        let handle = self.open::<O>(group.uid);
-        handle.adopt(action, group);
-        Ok(handle)
+        Ok(self.open(group.uid))
     }
 
     /// Resolves a name through the directory (a nested action of `action`,
@@ -831,15 +859,7 @@ impl Client {
         uid: Uid,
         replicas: usize,
     ) -> Result<ObjectGroup, ActivateError> {
-        let group = self
-            .sys
-            .do_activate(action, self.id, self.node, uid, replicas, false)?;
-        self.groups
-            .borrow_mut()
-            .entry(action.raw())
-            .or_default()
-            .push(group.clone());
-        Ok(group)
+        self.bind(action, uid, replicas, false)
     }
 
     /// Activates `uid` for read-only use (enables the standard scheme's
@@ -855,15 +875,7 @@ impl Client {
         uid: Uid,
         replicas: usize,
     ) -> Result<ObjectGroup, ActivateError> {
-        let group = self
-            .sys
-            .do_activate(action, self.id, self.node, uid, replicas, true)?;
-        self.groups
-            .borrow_mut()
-            .entry(action.raw())
-            .or_default()
-            .push(group.clone());
-        Ok(group)
+        self.bind(action, uid, replicas, true)
     }
 
     /// Invokes a state-changing operation (object write lock).
@@ -873,13 +885,17 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// See [`InvokeError`]; on error the action should be aborted.
+    /// See [`InvokeError`]; on error the action should be aborted. A
+    /// `group` this client did not activate for `action` is refused with
+    /// [`InvokeError::NotActivated`] (a finished action reports
+    /// [`TxError::NotActive`] instead), as by every raw invoke.
     pub fn invoke(
         &self,
         action: ActionId,
         group: &ObjectGroup,
         op: &[u8],
     ) -> Result<Bytes, InvokeError> {
+        self.check_bound(action, group)?;
         self.sys.do_invoke(action, group, op, true)
     }
 
@@ -895,6 +911,7 @@ impl Client {
         group: &ObjectGroup,
         op: &[u8],
     ) -> Result<Bytes, InvokeError> {
+        self.check_bound(action, group)?;
         self.sys.do_invoke(action, group, op, false)
     }
 
@@ -915,6 +932,7 @@ impl Client {
         group: &ObjectGroup,
         ops: &[&[u8]],
     ) -> Result<Vec<Bytes>, InvokeError> {
+        self.check_bound(action, group)?;
         self.sys.do_invoke_batch(action, group, ops, true)
     }
 
@@ -930,6 +948,7 @@ impl Client {
         group: &ObjectGroup,
         ops: &[&[u8]],
     ) -> Result<Vec<Bytes>, InvokeError> {
+        self.check_bound(action, group)?;
         self.sys.do_invoke_batch(action, group, ops, false)
     }
 
@@ -942,11 +961,7 @@ impl Client {
     /// On any error the action has been aborted and all its effects undone.
     pub fn commit(&self, action: ActionId) -> Result<(), CommitError> {
         let sys = &self.sys;
-        let groups = self
-            .groups
-            .borrow_mut()
-            .remove(&action.raw())
-            .unwrap_or_default();
+        let groups = self.take_groups(action);
 
         // Binding completion and commit-time write-back all send messages
         // on behalf of this action; attribute their trace events to it.
@@ -964,10 +979,7 @@ impl Client {
             // one staging pass over the union of touched objects, so every
             // store receives a multi-object transaction's full write-set
             // under its single transaction token.
-            let dirty: Vec<&ObjectGroup> = groups
-                .iter()
-                .filter(|g| sys.is_dirty(action, g.uid))
-                .collect();
+            let dirty: Vec<&ObjectGroup> = groups.iter().filter(|g| g.dirty.get()).collect();
             let mut staged = Vec::new();
             if !dirty.is_empty() {
                 match sys.do_writeback(action, &dirty) {
@@ -975,7 +987,6 @@ impl Client {
                     Err(e) => {
                         sys.inner.tx.abort(action);
                         self.finish_bindings(&groups);
-                        sys.clear_dirty(action);
                         return Err(e);
                     }
                 }
@@ -989,12 +1000,10 @@ impl Client {
                     if sys.scheme() == BindingScheme::IndependentTopLevel {
                         self.finish_bindings(&groups);
                     }
-                    sys.clear_dirty(action);
                     Ok(())
                 }
                 Err(e) => {
                     self.finish_bindings(&groups);
-                    sys.clear_dirty(action);
                     Err(CommitError::Tx(e))
                 }
             }
@@ -1004,14 +1013,9 @@ impl Client {
     /// Aborts the action, undoing all its effects, and completes any
     /// registered bindings (the Decrement of Figures 7/8).
     pub fn abort(&self, action: ActionId) {
-        let groups = self
-            .groups
-            .borrow_mut()
-            .remove(&action.raw())
-            .unwrap_or_default();
+        let groups = self.take_groups(action);
         self.sys.inner.tx.abort(action);
         self.finish_bindings(&groups);
-        self.sys.clear_dirty(action);
     }
 
     /// Simulates this client crashing mid-action: the action is aborted by
@@ -1019,13 +1023,8 @@ impl Client {
     /// completion runs** — use lists stay incremented until the cleanup
     /// daemon reclaims them. Returns the leaked group count.
     pub fn crash_without_cleanup(&self, action: ActionId) -> usize {
-        let groups = self
-            .groups
-            .borrow_mut()
-            .remove(&action.raw())
-            .unwrap_or_default();
+        let groups = self.take_groups(action);
         self.sys.inner.tx.abort(action);
-        self.sys.clear_dirty(action);
         groups.iter().filter(|g| g.binding.registered).count()
     }
 

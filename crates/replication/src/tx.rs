@@ -29,11 +29,11 @@
 //! builder) replays the action's undo-log arena in reverse, restoring every
 //! touched object to its pre-transaction state. A one-object `Tx` is
 //! bit-for-bit identical to the manual `begin_action`/`activate`/`invoke`
-//! path — pinned by `tests/typed_properties.rs`.
+//! path — pinned by `tests/tx_surface.rs`.
 
 use crate::error::{ActivateError, CommitError, InvokeError};
 use crate::system::Client;
-use crate::typed::{Handle, ObjectType};
+use crate::typed::{invoke_typed, Handle, ObjectType};
 use groupview_actions::ActionId;
 use groupview_obs::Phase;
 use std::error::Error;
@@ -103,9 +103,6 @@ pub struct Tx {
     action: ActionId,
     /// Server cap for auto-activations (default: all functioning servers).
     replicas: usize,
-    /// Objects auto-activated so far (raw uids; transactions touch a
-    /// handful of objects, so a scan beats a map).
-    activated: Vec<u64>,
     done: bool,
 }
 
@@ -113,7 +110,7 @@ impl fmt::Debug for Tx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tx")
             .field("action", &self.action)
-            .field("objects", &self.activated.len())
+            .field("objects", &self.object_count())
             .finish()
     }
 }
@@ -124,7 +121,6 @@ impl Tx {
             client,
             action,
             replicas: usize::MAX,
-            activated: Vec::new(),
             done: false,
         }
     }
@@ -147,15 +143,18 @@ impl Tx {
         &self.client
     }
 
-    /// Number of objects this transaction has activated so far.
+    /// Number of activations this transaction's action holds on its
+    /// client so far.
     pub fn object_count(&self) -> usize {
-        self.activated.len()
+        self.client.activation_count(self.action)
     }
 
     /// Invokes a typed operation under this transaction, activating the
-    /// object first if this is its first touch. The read/write lock intent
-    /// is inferred from the operation; every object is activated
-    /// read-write, since a later op in the same transaction may write it.
+    /// object through this transaction's client first if the action holds
+    /// no activation of it yet. The read/write lock intent is inferred from
+    /// the operation; every object is activated read-write, since a later
+    /// op in the same transaction may write it. `handle` supplies only the
+    /// uid and the class, so it may be opened on any client of the system.
     ///
     /// # Errors
     ///
@@ -163,29 +162,19 @@ impl Tx {
     /// aborted; committing after a failed invoke is allowed only if the
     /// caller knows the failure left no partial effect (e.g. a refused
     /// lock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle` was opened on a different client — transactions
-    /// and their handles must share one client's activation bookkeeping, or
-    /// commit-time write-back would miss the object.
     pub fn invoke<O: ObjectType>(
         &mut self,
         handle: &Handle<O>,
         op: O::Op,
     ) -> Result<O::Reply, TxOpError> {
-        assert!(
-            self.client.shares_groups(handle.client()),
-            "handle for {} belongs to a different client than this transaction",
-            handle.uid()
-        );
         let sys = self.client.sys();
         let start = sys.sim().now().as_micros();
-        if !self.activated.contains(&handle.uid().raw()) {
-            handle.activate(self.action, self.replicas)?;
-            self.activated.push(handle.uid().raw());
-        }
-        let reply = handle.invoke(self.action, op)?;
+        let uid = handle.uid();
+        let group = match self.client.group_of(self.action, uid) {
+            Some(group) => group,
+            None => self.client.activate(self.action, uid, self.replicas)?,
+        };
+        let reply = invoke_typed::<O>(&self.client, self.action, &group, op)?;
         sys.obs().span(
             self.action.raw(),
             Phase::TxInvoke,

@@ -26,9 +26,7 @@ use crate::invoke::ObjectGroup;
 use crate::object::{Account, AccountOp, Counter, CounterOp, KvMap, KvOp, ReplicaObject};
 use crate::system::Client;
 use groupview_actions::ActionId;
-use groupview_sim::IdMap;
 use groupview_store::{TypeTag, Uid};
-use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -424,12 +422,13 @@ impl<O: ObjectType> From<TypedUid<O>> for Uid {
 /// The lock intent (read vs write) is inferred from the operation, and the
 /// operation is encoded straight into a pooled wire frame — typed calls
 /// allocate *less* than the raw byte surface, not more.
+///
+/// A handle is a typed view over its client's action table: it holds no
+/// per-action state, so any number of handles on one client and uid invoke
+/// on the same activation, and dropping a handle loses nothing.
 pub struct Handle<O: ObjectType> {
     client: Client,
     uid: Uid,
-    /// The activated group per in-flight action (keyed by raw action id),
-    /// sharing the activation's one allocation with the client's list.
-    groups: RefCell<IdMap<u64, ObjectGroup>>,
     _class: PhantomData<O>,
 }
 
@@ -447,7 +446,6 @@ impl<O: ObjectType> Handle<O> {
         Handle {
             client,
             uid,
-            groups: RefCell::default(),
             _class: PhantomData,
         }
     }
@@ -463,8 +461,8 @@ impl<O: ObjectType> Handle<O> {
     }
 
     /// Activates the object for `action` with up to `replicas` servers
-    /// (read-write). Returns the bound group for inspection; the handle
-    /// also remembers it for [`Handle::invoke`].
+    /// (read-write). Returns the bound group for inspection; the client's
+    /// action table keeps it for [`Handle::invoke`].
     ///
     /// # Errors
     ///
@@ -474,9 +472,7 @@ impl<O: ObjectType> Handle<O> {
         action: ActionId,
         replicas: usize,
     ) -> Result<ObjectGroup, ActivateError> {
-        let group = self.client.activate(action, self.uid, replicas)?;
-        self.remember(action, group.clone());
-        Ok(group)
+        self.client.activate(action, self.uid, replicas)
     }
 
     /// Activates the object for `action` read-only (enables the
@@ -490,59 +486,27 @@ impl<O: ObjectType> Handle<O> {
         action: ActionId,
         replicas: usize,
     ) -> Result<ObjectGroup, ActivateError> {
-        let group = self.client.activate_read_only(action, self.uid, replicas)?;
-        self.remember(action, group.clone());
-        Ok(group)
-    }
-
-    /// Adopts an already-activated `group` (e.g. from
-    /// [`Client::activate_by_name`]) so typed invokes can run against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group belongs to a different object.
-    pub fn adopt(&self, action: ActionId, group: ObjectGroup) {
-        assert_eq!(group.uid, self.uid, "group belongs to a different object");
-        self.remember(action, group);
-    }
-
-    /// Records an activation, first dropping entries whose actions have
-    /// finished — committed or aborted actions can never be invoked again
-    /// (ids are monotone, never reused), so this keeps the handle's map
-    /// bounded by the client's live actions.
-    fn remember(&self, action: ActionId, group: ObjectGroup) {
-        let mut groups = self.groups.borrow_mut();
-        groups.retain(|&raw, _| self.client.action_is_live(raw));
-        groups.insert(action.raw(), group);
+        self.client.activate_read_only(action, self.uid, replicas)
     }
 
     /// Invokes a typed operation on behalf of `action`, choosing the
     /// read/write lock intent from the operation itself, and decodes the
-    /// typed reply.
+    /// typed reply. The operation runs on the latest activation of this
+    /// object that the handle's client made for `action`.
     ///
     /// # Errors
     ///
     /// See [`InvokeError`]; additionally
     /// [`InvokeError::MalformedReply`] when the reply bytes do not decode
-    /// as an `O::Reply` (a class contract violation). Invoking without a
-    /// prior [`Handle::activate`] for this action reports
+    /// as an `O::Reply` (a class contract violation). Invoking before the
+    /// client activated the object for this action reports
     /// [`InvokeError::NotActivated`].
     pub fn invoke(&self, action: ActionId, op: O::Op) -> Result<O::Reply, InvokeError> {
         let group = self
-            .groups
-            .borrow()
-            .get(&action.raw())
-            .cloned()
+            .client
+            .group_of(action, self.uid)
             .ok_or(InvokeError::NotActivated(self.uid))?;
-        // One pooled frame for the encoded op; released back to the pool
-        // when the invocation finishes.
-        let op_frame = self.client.wire().encode_with(|buf| O::encode_op(&op, buf));
-        let reply = if O::op_is_read_only(&op) {
-            self.client.invoke_read(action, &group, &op_frame)?
-        } else {
-            self.client.invoke(action, &group, &op_frame)?
-        };
-        O::decode_reply(&op, &reply).ok_or(InvokeError::MalformedReply(self.uid))
+        invoke_typed::<O>(&self.client, action, &group, op)
     }
 
     /// Invokes a batch of typed operations as **one** replicated unit on
@@ -569,10 +533,8 @@ impl<O: ObjectType> Handle<O> {
             return Ok(Vec::new());
         }
         let group = self
-            .groups
-            .borrow()
-            .get(&action.raw())
-            .cloned()
+            .client
+            .group_of(action, self.uid)
             .ok_or(InvokeError::NotActivated(self.uid))?;
         let write = !ops.iter().all(O::op_is_read_only);
         // One pooled frame per op; all released when the batch finishes.
@@ -581,11 +543,10 @@ impl<O: ObjectType> Handle<O> {
             .map(|op| self.client.wire().encode_with(|buf| O::encode_op(op, buf)))
             .collect();
         let frame_refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        let replies = if write {
-            self.client.invoke_batch(action, &group, &frame_refs)?
-        } else {
-            self.client.invoke_batch_read(action, &group, &frame_refs)?
-        };
+        let replies = self
+            .client
+            .sys()
+            .do_invoke_batch(action, &group, &frame_refs, write)?;
         ops.iter()
             .zip(&replies)
             .map(|(op, reply)| {
@@ -594,51 +555,33 @@ impl<O: ObjectType> Handle<O> {
             .collect()
     }
 
-    /// Drops the remembered group for an action immediately (optional:
-    /// finished actions' entries are pruned automatically at the next
-    /// activation; this frees the group's refcount right away).
-    pub fn forget(&self, action: ActionId) {
-        self.groups.borrow_mut().remove(&action.raw());
-    }
+    /// Does nothing: a handle keeps no per-action state to drop. The
+    /// client's action table lets go of an action's activations when the
+    /// action commits or aborts.
+    pub fn forget(&self, _action: ActionId) {}
+}
+
+/// One typed invocation through `group`, an activation `client` made for
+/// `action` (the shared body of [`Handle::invoke`] and
+/// [`crate::Tx::invoke`]): encode the op into one pooled frame, invoke with
+/// the lock intent the op implies, decode the reply.
+pub(crate) fn invoke_typed<O: ObjectType>(
+    client: &Client,
+    action: ActionId,
+    group: &ObjectGroup,
+    op: O::Op,
+) -> Result<O::Reply, InvokeError> {
+    // Released back to the pool when the invocation finishes.
+    let op_frame = client.wire().encode_with(|buf| O::encode_op(&op, buf));
+    let reply = client
+        .sys()
+        .do_invoke(action, group, &op_frame, !O::op_is_read_only(&op))?;
+    O::decode_reply(&op, &reply).ok_or(InvokeError::MalformedReply(group.uid))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::System;
-
-    /// Every way of activating through a handle prunes the entries of
-    /// finished actions: a long-lived handle holds at most its client's
-    /// live actions, not one group per activation it ever made.
-    #[test]
-    fn a_long_lived_handle_keeps_only_live_actions_groups() {
-        let sys = System::builder(5).nodes(5).build();
-        let nodes = sys.sim().nodes();
-        let uid = sys
-            .create_typed(Counter::new(0), &nodes[1..4], &nodes[1..4])
-            .expect("create");
-        let client = sys.client(nodes[4]);
-        let counter = uid.open(&client);
-        // One action stays open throughout; its entry must survive.
-        let open = client.begin_action();
-        counter.activate_read_only(open, 2).expect("activate");
-        for i in 0..5_000 {
-            let action = client.begin_action();
-            if i % 2 == 0 {
-                counter.activate(action, 2).expect("activate");
-            } else {
-                counter.activate_read_only(action, 2).expect("activate");
-            }
-            client.commit(action).expect("commit");
-            assert!(
-                counter.groups.borrow().len() <= 2,
-                "cycle {i}: {} groups remembered for 1 live action",
-                counter.groups.borrow().len()
-            );
-        }
-        assert_eq!(counter.invoke(open, CounterOp::Get), Ok(0));
-        client.commit(open).expect("commit");
-    }
 
     #[test]
     fn op_codecs_roundtrip_through_the_trait() {

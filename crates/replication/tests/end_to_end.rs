@@ -688,3 +688,126 @@ fn stale_action_ids_are_refused_not_panicked_on() {
         }
     }
 }
+
+/// A raw invoke through an activation that another action (or another
+/// client) made is refused: its dirty bit belongs to the action that bound
+/// it, so an update accepted here would commit without a write-back and be
+/// lost at the next passivation.
+#[test]
+fn raw_invoke_through_a_foreign_activation_is_refused() {
+    use groupview_replication::invoke::object_key;
+    let sys = system(
+        ReplicationPolicy::Active,
+        BindingScheme::IndependentTopLevel,
+    );
+    let uid = create_counter(&sys, 0);
+    let client = sys.client(n(4));
+    let binder = client.begin_action();
+    let group = client.activate(binder, uid, 2).expect("activate");
+    let add = CounterOp::Add(5).encode();
+
+    let other_action = client.begin_action();
+    assert_eq!(
+        client.invoke(other_action, &group, &add),
+        Err(InvokeError::NotActivated(uid))
+    );
+    let other_client = sys.client(n(5));
+    let foreign = other_client.begin_action();
+    assert_eq!(
+        other_client.invoke_batch(foreign, &group, &[&add]),
+        Err(InvokeError::NotActivated(uid))
+    );
+    assert!(
+        sys.tx().lock_holders(object_key(uid)).is_empty(),
+        "a refused invoke takes no lock"
+    );
+    let get = CounterOp::Get.encode();
+    let value = client.invoke_read(binder, &group, &get).expect("read");
+    assert_eq!(CounterOp::decode_reply(&value), Some(0), "object unchanged");
+
+    for (c, a) in [(&client, other_action), (&other_client, foreign)] {
+        c.commit(a).expect("commit the refused action");
+    }
+    client.commit(binder).expect("commit the binder");
+    assert!(sys.tx().locks_empty());
+    for store in [n(1), n(2), n(3)] {
+        let state = sys.stores().read_local(store, uid).expect("stored");
+        assert_eq!(state.version, Version::INITIAL);
+    }
+    assert!(sys.try_passivate(uid), "quiescent: passivated");
+    assert_eq!(counter_value(&sys, uid, n(5)), 0);
+}
+
+/// Handles keep no per-action state: a second handle on the same client
+/// and object invokes on the activation the first one made.
+#[test]
+fn a_second_handle_invokes_on_the_first_handles_activation() {
+    let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
+    let uid = create_counter(&sys, 10);
+    let client = sys.client(n(4));
+    let first = client.open::<Counter>(uid);
+    let second = client.open::<Counter>(uid);
+    let a = client.begin_action();
+    first.activate(a, 2).expect("activate");
+    assert_eq!(second.invoke(a, CounterOp::Add(1)), Ok(11));
+    assert_eq!(second.invoke_batch(a, &[CounterOp::Add(1)]), Ok(vec![12]));
+    assert_eq!(first.invoke(a, CounterOp::Get), Ok(12));
+    client.commit(a).expect("commit");
+    assert_eq!(counter_value(&sys, uid, n(5)), 12);
+}
+
+/// A `Tx` takes only the uid and the class from a handle: one opened on
+/// another client of the same system activates and commits through the
+/// transaction's own client.
+#[test]
+fn a_tx_accepts_a_handle_opened_on_another_client() {
+    let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
+    let uid = create_counter(&sys, 0);
+    let elsewhere = sys.client(n(5)).open::<Counter>(uid);
+    let client = sys.client(n(4));
+    let mut tx = client.begin();
+    assert_eq!(tx.invoke(&elsewhere, CounterOp::Add(3)), Ok(3));
+    assert_eq!(tx.invoke(&elsewhere, CounterOp::Add(4)), Ok(7));
+    assert_eq!(tx.object_count(), 1, "activated once, on the tx's client");
+    tx.commit().expect("commit");
+    assert!(sys.tx().locks_empty());
+    assert_eq!(counter_value(&sys, uid, n(5)), 7);
+}
+
+/// However an action ends — commit, a failed commit, abort, or a client
+/// crash — its client lets go of every activation it made.
+#[test]
+fn a_finished_action_leaves_no_activation_behind() {
+    let sys = system(
+        ReplicationPolicy::Active,
+        BindingScheme::IndependentTopLevel,
+    );
+    // Servers n1, n2; the only store n3, so crashing it fails the commit.
+    let uid = sys
+        .create_object(Box::new(Counter::new(0)), &[n(1), n(2)], &[n(3)])
+        .expect("create object");
+    let client = sys.client(n(4));
+    let counter = client.open::<Counter>(uid);
+    for ending in ["commit", "failed commit", "abort", "crash"] {
+        let a = client.begin_action();
+        counter.activate(a, 2).expect("activate");
+        counter.invoke(a, CounterOp::Add(1)).expect("invoke");
+        match ending {
+            "commit" => client.commit(a).expect("commit"),
+            "failed commit" => {
+                sys.sim().crash(n(3));
+                client.commit(a).expect_err("the only store is down");
+                sys.recovery().recover_node(n(3));
+            }
+            "abort" => client.abort(a),
+            _ => assert_eq!(client.crash_without_cleanup(a), 1),
+        }
+        assert_eq!(
+            counter.invoke(a, CounterOp::Get),
+            Err(InvokeError::NotActivated(uid)),
+            "after {ending}"
+        );
+        assert!(sys.tx().locks_empty(), "after {ending}");
+    }
+    assert_eq!(counter_value(&sys, uid, n(5)), 1);
+}

@@ -8,9 +8,8 @@
 //! * [`FaultPlan`] (`plan`) — a deterministic fault schedule keyed by **sim
 //!   time**, executed through the simulator's event queue, so faults land
 //!   inside an action's message exchanges rather than only between driver
-//!   steps. Legacy step-keyed
-//!   [`FaultScript`](groupview_workload::FaultScript)s convert losslessly
-//!   via `From`.
+//!   steps (driver-step entries, [`FaultPlan::at_step`], are kept for the
+//!   parity fingerprints).
 //! * nemeses (`nemesis`) — seeded generators ([`rolling_crashes`],
 //!   [`send_window_crashes`] for the paper's Figure 1 window,
 //!   [`flapping_partition`], [`lossy_window`], [`client_churn`],

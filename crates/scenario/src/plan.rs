@@ -2,21 +2,17 @@
 //!
 //! A [`FaultPlan`] is a deterministic schedule of [`PlanAction`]s keyed by
 //! **simulation time** (as an offset from the start of the run, so plans
-//! compose with any amount of setup cost) — unlike the step-keyed
-//! [`groupview_workload::FaultScript`] it supersedes, a plan
-//! can fire *inside* an action's message exchanges, not just between driver
-//! steps. The runner installs every timed entry as a
-//! [`groupview_sim::ScheduledEvent`] in the world's event queue before the
-//! workload starts.
+//! compose with any amount of setup cost), so a plan can fire *inside* an
+//! action's message exchanges, not just between driver steps. The runner
+//! installs every timed entry as a [`groupview_sim::ScheduledEvent`] in the
+//! world's event queue before the workload starts.
 //!
-//! Legacy step-keyed scripts convert losslessly via `From<FaultScript>`:
-//! their entries become [`Trigger::Step`] events, which the runner applies
-//! at exactly the same point of the drive loop the old driver did, so the
-//! conversion preserves run-for-run behaviour (asserted by the
-//! `script_conversion_parity` test).
+//! A plan may also key entries by driver step ([`FaultPlan::at_step`],
+//! [`Trigger::Step`]): the runner applies them at the top of the matching
+//! step, the point of the drive loop the retired `workload::Driver` used,
+//! which the recorded fingerprints of `tests/parity.rs` pin.
 
 use groupview_sim::{IdSet, NodeId, SimDuration};
-use groupview_workload::{FaultAction, FaultScript};
 use std::fmt;
 
 /// One fault-injection primitive a plan can schedule.
@@ -114,8 +110,8 @@ pub enum Trigger {
     /// At a virtual-time offset from the start of the run (scheduled into
     /// the simulator's event queue when the run begins).
     At(SimDuration),
-    /// At the start of a driver step (legacy `FaultScript` semantics; only
-    /// produced by the `From<FaultScript>` shim).
+    /// Driver-step trigger: at the start of the given step of the drive
+    /// loop (steps start at 1).
     Step(u64),
 }
 
@@ -207,8 +203,7 @@ impl FaultPlan {
         self.at(SimDuration::from_micros(micros), action)
     }
 
-    /// Adds an action at the start of a driver step (legacy `FaultScript`
-    /// semantics; steps start at 1).
+    /// Adds an action at the start of a driver step (steps start at 1).
     #[must_use]
     pub fn at_step(mut self, step: u64, action: PlanAction) -> Self {
         self.events.push(PlanEvent {
@@ -252,8 +247,7 @@ impl FaultPlan {
             })
     }
 
-    /// Actions due at the start of driver step `step`, in insertion order
-    /// (legacy script semantics).
+    /// Actions due at the start of driver step `step`, in insertion order.
     pub fn due_at_step(&self, step: u64) -> impl Iterator<Item = &PlanAction> + '_ {
         self.events.iter().filter_map(move |e| match e.trigger {
             Trigger::Step(s) if s == step => Some(&e.action),
@@ -385,30 +379,6 @@ fn norm(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     }
 }
 
-impl From<FaultAction> for PlanAction {
-    fn from(a: FaultAction) -> Self {
-        match a {
-            FaultAction::CrashNode(n) => PlanAction::CrashNode(n),
-            FaultAction::RecoverNode(n) => PlanAction::RecoverNode(n),
-            FaultAction::CrashClient(i) => PlanAction::CrashClient(i),
-            FaultAction::CleanupSweep => PlanAction::CleanupSweep,
-        }
-    }
-}
-
-impl From<FaultScript> for FaultPlan {
-    /// Lossless shim for legacy step-keyed scripts: every entry becomes a
-    /// [`Trigger::Step`] event applied at the same point of the drive loop
-    /// the old driver used, so converted scripts behave identically.
-    fn from(script: FaultScript) -> Self {
-        let mut plan = FaultPlan::new();
-        for (step, action) in script.events() {
-            plan = plan.at_step(*step, action.clone().into());
-        }
-        plan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,24 +483,6 @@ mod tests {
     fn validate_rejects_bad_probability() {
         let plan = FaultPlan::new().at_micros(10, PlanAction::SetDropProbability(1.5));
         assert_eq!(plan.validate(), Err(PlanError::BadProbability { index: 0 }));
-    }
-
-    #[test]
-    fn script_conversion_is_lossless() {
-        let script = FaultScript::new()
-            .at(3, FaultAction::CrashNode(n(1)))
-            .at(3, FaultAction::CrashClient(0))
-            .at(7, FaultAction::RecoverNode(n(1)))
-            .at(9, FaultAction::CleanupSweep);
-        let plan = FaultPlan::from(script.clone());
-        assert_eq!(plan.len(), script.len());
-        assert_eq!(plan.timed_events().count(), 0, "all entries step-keyed");
-        let due: Vec<_> = plan.due_at_step(3).cloned().collect();
-        assert_eq!(
-            due,
-            vec![PlanAction::CrashNode(n(1)), PlanAction::CrashClient(0)]
-        );
-        assert!(plan.validate().is_ok());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! (bind, invoke, or commit per step, in a seeded-random order), executes a
 //! time-keyed [`FaultPlan`] through the simulator's event queue, and
 //! records a [`History`] for the oracle. It subsumed the legacy
-//! `workload::Driver` — step-keyed `FaultScript`s convert losslessly via
-//! `FaultPlan::from(script)` and reproduce the old driver's runs bit for
-//! bit (`tests/parity.rs` pins the recorded legacy metrics).
+//! `workload::Driver` — step-keyed plan entries ([`FaultPlan::at_step`])
+//! reproduce the old driver's runs bit for bit (`tests/parity.rs` pins the
+//! recorded legacy metrics).
 //!
 //! [`run_scenario`] adds the full verification cycle: build the world, run
 //! the plan, quiesce (heal + recover + sweep), and hand the history to the
@@ -249,8 +249,8 @@ pub fn run_plan(sys: &System, spec: &WorkloadSpec, plan: &FaultPlan) -> RunOutco
 ///
 /// Timed plan entries are installed into the simulator's event queue as
 /// [`ScheduledEvent::Custom`] markers before the first step; step-keyed
-/// entries (the legacy-script shim) fire at the top of the matching step,
-/// exactly where the retired driver applied its `FaultScript`.
+/// entries fire at the top of the matching step, exactly where the retired
+/// driver applied its step-keyed faults.
 ///
 /// # Panics
 ///

@@ -199,6 +199,12 @@ fn reborn_node_purges_stale_replicas_then_rejoins() {
     assert_eq!(purged, expected, "stale replicas purged, not resurrected");
     assert!(sys.stores().read_local(n(2), a.uid()).is_err());
     assert!(sys.stores().read_local(n(2), b.uid()).is_err());
+    for uid in [a.uid(), b.uid()] {
+        assert!(
+            !sys.stores().is_retired(n(2), uid),
+            "the purge clears the tombstone"
+        );
+    }
 
     let objects = [
         ObjectModel {

@@ -5,8 +5,8 @@
 //! **bit-for-bit** equality of every externally observable metric — the
 //! proof that the unified run loop reproduced the old one exactly. The
 //! legacy driver's measured fingerprints from that final green run are
-//! recorded below; the runner (driving the converted `FaultScript`s
-//! through `FaultPlan::from`) must keep reproducing them. Any drift means
+//! recorded below; the runner (driving the same step-keyed faults as
+//! `FaultPlan::at_step` events) must keep reproducing them. Any drift means
 //! the unified loop no longer matches what the retired driver did — the
 //! same signal the live comparison gave, without keeping dead code around.
 //!
@@ -16,10 +16,10 @@
 
 use groupview_core::BindingScheme;
 use groupview_replication::{Counter, ReplicationPolicy, System};
-use groupview_scenario::{run_plan, FaultPlan};
+use groupview_scenario::{run_plan, FaultPlan, PlanAction};
 use groupview_sim::NodeId;
 use groupview_store::Uid;
-use groupview_workload::{FaultAction, FaultScript, RunMetrics, WorkloadSpec};
+use groupview_workload::{RunMetrics, WorkloadSpec};
 
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
@@ -87,11 +87,11 @@ fn assert_reproduces(
     policy: ReplicationPolicy,
     scheme: BindingScheme,
     seed: u64,
-    script: FaultScript,
+    plan: FaultPlan,
     recorded: &Recorded,
 ) {
     let (sys, uids) = world(policy, scheme, seed);
-    let outcome = run_plan(&sys, &spec(uids), &FaultPlan::from(script));
+    let outcome = run_plan(&sys, &spec(uids), &plan);
     let m = &outcome.metrics;
     assert_eq!(
         fingerprint(m),
@@ -116,7 +116,7 @@ fn crash_masking_run_matches_recorded_driver_metrics() {
         ReplicationPolicy::Active,
         BindingScheme::Standard,
         13,
-        FaultScript::new().at(5, FaultAction::CrashNode(n(2))),
+        FaultPlan::new().at_step(5, PlanAction::CrashNode(n(2))),
         &Recorded {
             fingerprint: [12, 8, 4, 0, 0, 0, 4, 4, 0, 0, 0, 0, 0, 0, 15],
             delivered: 252,
@@ -133,7 +133,7 @@ fn single_copy_crash_run_matches_recorded_driver_metrics() {
         ReplicationPolicy::SingleCopyPassive,
         BindingScheme::Standard,
         11,
-        FaultScript::new().at(3, FaultAction::CrashNode(n(1))),
+        FaultPlan::new().at_step(3, PlanAction::CrashNode(n(1))),
         &Recorded {
             fingerprint: [12, 8, 4, 0, 0, 0, 4, 2, 2, 0, 0, 0, 0, 0, 16],
             delivered: 216,
@@ -150,9 +150,9 @@ fn client_crash_and_sweep_run_matches_recorded_driver_metrics() {
         ReplicationPolicy::Active,
         BindingScheme::IndependentTopLevel,
         12,
-        FaultScript::new()
-            .at(2, FaultAction::CrashClient(0))
-            .at(8, FaultAction::CleanupSweep),
+        FaultPlan::new()
+            .at_step(2, PlanAction::CrashClient(0))
+            .at_step(8, PlanAction::CleanupSweep),
         &Recorded {
             fingerprint: [9, 7, 2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 2, 17],
             delivered: 288,
@@ -169,9 +169,9 @@ fn recovery_run_matches_recorded_driver_metrics() {
         ReplicationPolicy::Active,
         BindingScheme::Standard,
         13,
-        FaultScript::new()
-            .at(2, FaultAction::CrashNode(n(3)))
-            .at(10, FaultAction::RecoverNode(n(3))),
+        FaultPlan::new()
+            .at_step(2, PlanAction::CrashNode(n(3)))
+            .at_step(10, PlanAction::RecoverNode(n(3))),
         &Recorded {
             fingerprint: [12, 7, 5, 0, 0, 0, 5, 5, 0, 0, 0, 0, 0, 0, 15],
             delivered: 382,
@@ -220,7 +220,7 @@ fn fault_free_runs_match_recorded_driver_metrics() {
             ReplicationPolicy::CoordinatorCohort,
             BindingScheme::Standard,
             seed,
-            FaultScript::new(),
+            FaultPlan::new(),
             &recorded,
         );
     }

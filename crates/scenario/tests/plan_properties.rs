@@ -1,16 +1,14 @@
 //! Property tests for the scenario engine's plan layer:
 //!
-//! * every nemesis-generated `FaultPlan` is well-formed — recover only
-//!   after crash, heal only after partition, times monotone — across the
-//!   whole parameter space;
-//! * the `FaultScript` → `FaultPlan` conversion shim is lossless.
+//! every nemesis-generated `FaultPlan` is well-formed — recover only after
+//! crash, heal only after partition, times monotone — across the whole
+//! parameter space.
 
 use groupview_scenario::{
     client_churn, flapping_partition, lossy_window, recovery_storm, rolling_crashes,
-    send_window_crashes, FaultPlan, PlanAction, Trigger,
+    send_window_crashes, PlanAction,
 };
 use groupview_sim::{NodeId, SimDuration};
-use groupview_workload::{FaultAction, FaultScript};
 use proptest::prelude::*;
 
 fn nodes(k: usize) -> Vec<NodeId> {
@@ -195,36 +193,6 @@ proptest! {
             .count();
         prop_assert_eq!(crashes, k);
         prop_assert_eq!(recovers, k);
-    }
-
-    #[test]
-    fn script_conversion_is_lossless(
-        entries in prop::collection::vec((1u64..40, 0u8..4, 0u32..6), 0..20),
-    ) {
-        let mut script = FaultScript::new();
-        for &(step, kind, x) in &entries {
-            let action = match kind {
-                0 => FaultAction::CrashNode(NodeId::new(x)),
-                1 => FaultAction::RecoverNode(NodeId::new(x)),
-                2 => FaultAction::CrashClient(x as usize),
-                _ => FaultAction::CleanupSweep,
-            };
-            script = script.at(step, action);
-        }
-        let plan = FaultPlan::from(script.clone());
-        prop_assert_eq!(plan.len(), script.len());
-        // Entirely step-keyed, and per-step actions match the script's in
-        // order — the driver applies both at the same loop position.
-        prop_assert!(plan
-            .events()
-            .iter()
-            .all(|e| matches!(e.trigger, Trigger::Step(_))));
-        for step in 1..41u64 {
-            let from_script: Vec<PlanAction> =
-                script.due(step).into_iter().map(PlanAction::from).collect();
-            let from_plan: Vec<PlanAction> = plan.due_at_step(step).cloned().collect();
-            prop_assert_eq!(from_script, from_plan);
-        }
     }
 
     /// Composing nemeses over disjoint resources is always executable:

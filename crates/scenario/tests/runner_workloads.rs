@@ -1,15 +1,15 @@
 //! The retired `workload::Driver`'s test suite, ported verbatim onto the
-//! unified scenario runner (`run_plan` + converted `FaultScript`s): the
+//! unified scenario runner (`run_plan` + step-keyed `FaultPlan`s): the
 //! behavioral contracts the old driver's unit tests pinned — abort
 //! accounting, crash masking, leak-and-sweep, recovery to full strength,
 //! determinism, the read path — now hold of the single engine.
 
 use groupview_core::BindingScheme;
 use groupview_replication::{Counter, ReplicationPolicy, System};
-use groupview_scenario::{run_plan, FaultPlan};
+use groupview_scenario::{run_plan, FaultPlan, PlanAction};
 use groupview_sim::NodeId;
 use groupview_store::Uid;
-use groupview_workload::{FaultAction, FaultScript, RunMetrics, WorkloadSpec};
+use groupview_workload::{RunMetrics, WorkloadSpec};
 
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
@@ -41,14 +41,14 @@ fn spec(objects: Vec<Uid>) -> WorkloadSpec {
         .ops_per_action(2)
 }
 
-fn run(sys: &System, spec: &WorkloadSpec, script: FaultScript) -> RunMetrics {
-    run_plan(sys, spec, &FaultPlan::from(script)).metrics
+fn run(sys: &System, spec: &WorkloadSpec, plan: FaultPlan) -> RunMetrics {
+    run_plan(sys, spec, &plan).metrics
 }
 
 #[test]
 fn fault_free_run_accounts_for_every_action() {
     let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, 9);
-    let metrics = run(&sys, &spec(uids), FaultScript::new());
+    let metrics = run(&sys, &spec(uids), FaultPlan::new());
     assert_eq!(metrics.attempts, 12);
     assert_eq!(metrics.commits + metrics.aborts, 12);
     // No faults: the only possible aborts are object-lock contention
@@ -72,7 +72,7 @@ fn single_client_run_commits_everything() {
         .clients(1)
         .actions_per_client(6)
         .ops_per_action(2);
-    let metrics = run(&sys, &spec, FaultScript::new());
+    let metrics = run(&sys, &spec, FaultPlan::new());
     assert_eq!(metrics.commits, 6);
     assert_eq!(metrics.aborts, 0);
     assert_eq!(metrics.availability(), 1.0);
@@ -86,7 +86,7 @@ fn active_policy_survives_server_crash() {
     // contention the schedule produces, a masked crash must cause no
     // failure-attributed abort anywhere.
     let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, 13);
-    let script = FaultScript::new().at(5, FaultAction::CrashNode(n(2)));
+    let script = FaultPlan::new().at_step(5, PlanAction::CrashNode(n(2)));
     let metrics = run(&sys, &spec(uids), script);
     assert_eq!(metrics.attempts, 12);
     assert!(metrics.commits > 0, "{metrics}");
@@ -108,7 +108,7 @@ fn single_copy_crash_causes_aborts() {
         BindingScheme::Standard,
         11,
     );
-    let script = FaultScript::new().at(3, FaultAction::CrashNode(n(1)));
+    let script = FaultPlan::new().at_step(3, PlanAction::CrashNode(n(1)));
     let metrics = run(&sys, &spec(uids), script);
     assert!(metrics.aborts > 0, "in-flight singletons abort: {metrics}");
     assert!(
@@ -127,9 +127,9 @@ fn client_crash_leaks_then_sweep_reclaims() {
         BindingScheme::IndependentTopLevel,
         12,
     );
-    let script = FaultScript::new()
-        .at(2, FaultAction::CrashClient(0))
-        .at(8, FaultAction::CleanupSweep);
+    let script = FaultPlan::new()
+        .at_step(2, PlanAction::CrashClient(0))
+        .at_step(8, PlanAction::CleanupSweep);
     let metrics = run(&sys, &spec(uids), script);
     assert!(metrics.leaked_bindings >= 1, "{metrics:?}");
     assert!(metrics.cleanup_reclaimed >= 1);
@@ -144,9 +144,9 @@ fn client_crash_leaks_then_sweep_reclaims() {
 #[test]
 fn recovery_action_restores_full_strength() {
     let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, 13);
-    let script = FaultScript::new()
-        .at(2, FaultAction::CrashNode(n(3)))
-        .at(10, FaultAction::RecoverNode(n(3)));
+    let script = FaultPlan::new()
+        .at_step(2, PlanAction::CrashNode(n(3)))
+        .at_step(10, PlanAction::RecoverNode(n(3)));
     let metrics = run(&sys, &spec(uids), script);
     assert!(metrics.commits > 0);
     // After recovery every object's St is back to full strength.
@@ -163,7 +163,7 @@ fn recovery_action_restores_full_strength() {
 fn runs_are_deterministic() {
     let once = |seed| {
         let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, seed);
-        let script = FaultScript::new().at(4, FaultAction::CrashNode(n(1)));
+        let script = FaultPlan::new().at_step(4, PlanAction::CrashNode(n(1)));
         let m = run(&sys, &spec(uids), script);
         (m.commits, m.aborts, m.net.delivered, m.steps)
     };
@@ -174,7 +174,7 @@ fn runs_are_deterministic() {
 fn read_only_workload_uses_read_path() {
     let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, 14);
     let spec = spec(uids).read_fraction(1.0);
-    let metrics = run(&sys, &spec, FaultScript::new());
+    let metrics = run(&sys, &spec, FaultPlan::new());
     assert_eq!(metrics.commits, 12);
     // Read-only actions never copy state: every store still holds v0.
     for uid in sys.naming().state_db.uids() {

@@ -37,7 +37,9 @@ pub struct Stores {
     /// manager, writable even while the node is down): §4 recovery normally
     /// **re-includes** any state a recovering store still holds, which
     /// would resurrect a migrated-away replica — a retired pair is purged
-    /// instead. Migrating a replica back clears the tombstone.
+    /// instead. A tombstone lives only as long as the copy it guards: the
+    /// recovery that purges the copy clears it, as does migrating the
+    /// replica back.
     retired: Rc<RefCell<IdSet<(NodeId, Uid)>>>,
 }
 

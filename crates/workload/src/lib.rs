@@ -8,11 +8,6 @@
 //! * [`WorkloadSpec`] describes a population of client applications (how
 //!   many, where they run, which objects they touch, read/write mix,
 //!   operations per action);
-//! * [`FaultScript`] schedules deterministic fault injections (node
-//!   crashes/recoveries, client crashes, cleanup sweeps) at specific
-//!   driver steps — the legacy step-keyed format, kept because it
-//!   converts losslessly into the scenario engine's time-keyed
-//!   `FaultPlan` (`FaultPlan::from(script)`);
 //! * [`RunMetrics`] is the record of everything a run measured — commits,
 //!   the contention-vs-failure abort taxonomy for bind/invoke/commit,
 //!   binding costs, [`Histogram`]s of per-action latency and messages;
@@ -32,7 +27,7 @@ pub mod spec;
 pub mod table;
 
 pub use crate::metrics::{Histogram, RunMetrics};
-pub use crate::spec::{FaultAction, FaultScript, WorkloadSpec};
+pub use crate::spec::WorkloadSpec;
 pub use crate::table::TextTable;
 
 /// Compile-time proof that workload results crossing a shard-thread
@@ -47,8 +42,6 @@ mod send_boundary {
         assert_send::<crate::RunMetrics>();
         assert_send::<crate::Histogram>();
         assert_send::<crate::WorkloadSpec>();
-        assert_send::<crate::FaultScript>();
-        assert_send::<crate::FaultAction>();
         assert_send::<crate::TextTable>();
     }
 }

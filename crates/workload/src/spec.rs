@@ -1,4 +1,4 @@
-//! Workload descriptions and deterministic fault scripts.
+//! Workload descriptions.
 
 use groupview_sim::NodeId;
 use groupview_store::Uid;
@@ -124,65 +124,6 @@ impl WorkloadSpec {
     }
 }
 
-/// One scripted fault, applied when the driver reaches a given step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Crash a node (fail-silent).
-    CrashNode(NodeId),
-    /// Recover a node and run the full §4 recovery protocol.
-    RecoverNode(NodeId),
-    /// Crash a client (by index): its in-flight action is abandoned and —
-    /// under the updating schemes — its use-list entries leak until a
-    /// cleanup sweep.
-    CrashClient(usize),
-    /// Run one cleanup-daemon sweep (crashed clients are considered dead).
-    CleanupSweep,
-}
-
-/// A deterministic schedule of [`FaultAction`]s keyed by driver step.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultScript {
-    events: Vec<(u64, FaultAction)>,
-}
-
-impl FaultScript {
-    /// An empty script.
-    pub fn new() -> Self {
-        FaultScript::default()
-    }
-
-    /// Adds an action at the given step (steps start at 1).
-    pub fn at(mut self, step: u64, action: FaultAction) -> Self {
-        self.events.push((step, action));
-        self
-    }
-
-    /// All scheduled `(step, action)` pairs, in insertion order. Used by the
-    /// scenario engine's `FaultPlan` conversion shim.
-    pub fn events(&self) -> &[(u64, FaultAction)] {
-        &self.events
-    }
-
-    /// All actions scheduled for `step`, in insertion order.
-    pub fn due(&self, step: u64) -> Vec<FaultAction> {
-        self.events
-            .iter()
-            .filter(|(s, _)| *s == step)
-            .map(|(_, a)| a.clone())
-            .collect()
-    }
-
-    /// Whether the script is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scheduled actions.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,24 +154,5 @@ mod tests {
     #[should_panic(expected = "read fraction")]
     fn read_fraction_validated() {
         let _ = WorkloadSpec::new(vec![], vec![]).read_fraction(2.0);
-    }
-
-    #[test]
-    fn script_schedule() {
-        let script = FaultScript::new()
-            .at(3, FaultAction::CrashNode(NodeId::new(1)))
-            .at(3, FaultAction::CrashClient(0))
-            .at(5, FaultAction::CleanupSweep);
-        assert_eq!(script.len(), 3);
-        assert!(!script.is_empty());
-        assert_eq!(
-            script.due(3),
-            vec![
-                FaultAction::CrashNode(NodeId::new(1)),
-                FaultAction::CrashClient(0)
-            ]
-        );
-        assert!(script.due(4).is_empty());
-        assert_eq!(script.due(5), vec![FaultAction::CleanupSweep]);
     }
 }

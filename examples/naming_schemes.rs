@@ -11,7 +11,7 @@
 
 use groupview::workload::table::fmt_pct;
 use groupview::{
-    run_plan, BindingScheme, Counter, FaultAction, FaultScript, NodeId, ReplicationPolicy, System,
+    run_plan, BindingScheme, Counter, FaultPlan, NodeId, PlanAction, ReplicationPolicy, System,
     WorkloadSpec,
 };
 
@@ -43,13 +43,13 @@ fn main() {
             .collect();
 
         // n1 crashes just after the workload starts and stays down.
-        let script = FaultScript::new().at(2, FaultAction::CrashNode(n(1)));
+        let plan = FaultPlan::new().at_step(2, PlanAction::CrashNode(n(1)));
         let spec = WorkloadSpec::new(uids.clone(), vec![n(7), n(8), n(9)])
             .clients(6)
             .actions_per_client(10)
             .ops_per_action(2)
             .replicas(2);
-        let metrics = run_plan(&sys, &spec, &script.into()).metrics;
+        let metrics = run_plan(&sys, &spec, &plan).metrics;
 
         let entry = sys.naming().server_db.entry(uids[0]).expect("entry");
         println!(

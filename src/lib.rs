@@ -119,4 +119,4 @@ pub use groupview_scenario::{
 };
 pub use groupview_sim::{Bytes, ClientId, Codec, NetConfig, NodeId, Sim, SimConfig, WireEncoder};
 pub use groupview_store::{ObjectState, SnapshotCodec, Stores, TypeTag, Uid, Version};
-pub use groupview_workload::{FaultAction, FaultScript, RunMetrics, WorkloadSpec};
+pub use groupview_workload::{RunMetrics, WorkloadSpec};
