@@ -2,8 +2,8 @@
 //! (§4.1/§4.2): the metadata hot path every binding and commit touches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use groupview_actions::{LockMode, TxSystem};
-use groupview_core::{ExcludePolicy, NamingService};
+use groupview_actions::TxSystem;
+use groupview_core::{Cost, ExcludePolicy, NamingService};
 use groupview_sim::{ClientId, NodeId, Sim, SimConfig};
 use groupview_store::{Stores, Uid};
 use std::hint::black_box;
@@ -151,7 +151,9 @@ fn bench_remote_get_server(c: &mut Criterion) {
             i += 1;
             let a = tx.begin_top(NodeId::new(1));
             let entry = ns
-                .get_server_from(NodeId::new(1), a, uid, LockMode::Read)
+                .remote(NodeId::new(1), Cost::READ, |ns| {
+                    ns.server_db.get_server(a, uid)
+                })
                 .expect("rpc");
             tx.commit(a).expect("commit");
             black_box(entry)

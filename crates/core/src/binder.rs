@@ -27,7 +27,7 @@
 //! number of times before reporting [`BindError::Contention`].
 
 use crate::error::BindError;
-use crate::naming::NamingService;
+use crate::naming::{Cost, NamingService};
 use crate::nonatomic::RemoteServerCache;
 use groupview_actions::{ActionId, LockMode, TxError, TxSystem};
 use groupview_sim::{ClientId, NodeId, Sim};
@@ -265,13 +265,10 @@ impl Binder {
                 // already terminated).
                 _ => self.tx.begin_top(req.client_node),
             };
-            match self.naming.decrement_from(
-                req.client_node,
-                t2,
-                req.client,
-                req.uid,
-                &binding.servers,
-            ) {
+            match self.naming.remote(req.client_node, Cost::UPDATE, |ns| {
+                ns.server_db
+                    .decrement(t2, req.client, req.uid, &binding.servers)
+            }) {
                 Ok(()) => {
                     self.tx.commit(t2).map_err(BindError::Tx)?;
                     return Ok(());
@@ -332,17 +329,15 @@ impl Binder {
     fn bind_standard(&self, action: ActionId, req: &BindRequest) -> Result<Binding, BindError> {
         // GetServer as a nested action of the client action (Figure 6).
         let nested = self.tx.begin_nested(action);
-        let entry =
-            match self
-                .naming
-                .get_server_from(req.client_node, nested, req.uid, LockMode::Read)
-            {
-                Ok(e) => e,
-                Err(e) => {
-                    self.tx.abort(nested);
-                    return Err(e.into());
-                }
-            };
+        let entry = match self.naming.remote(req.client_node, Cost::READ, |ns| {
+            ns.server_db.get_server(nested, req.uid)
+        }) {
+            Ok(e) => e,
+            Err(e) => {
+                self.tx.abort(nested);
+                return Err(e.into());
+            }
+        };
         self.tx.commit(nested).map_err(BindError::Tx)?;
 
         // An already-activated object pins the selection to SvA' (§3.2).
@@ -408,10 +403,9 @@ impl Binder {
 
     /// One attempt of the Figure 7/8 binding action; aborts `t1` on failure.
     fn try_bind_update(&self, t1: ActionId, req: &BindRequest) -> Result<Binding, BindError> {
-        let entry = match self
-            .naming
-            .get_server_from(req.client_node, t1, req.uid, LockMode::Write)
-        {
+        let entry = match self.naming.remote(req.client_node, Cost::READ, |ns| {
+            ns.server_db.get_server_locked(t1, req.uid, LockMode::Write)
+        }) {
             Ok(e) => e,
             Err(e) => {
                 self.tx.abort(t1);
@@ -446,7 +440,9 @@ impl Binder {
         let mut removed = Vec::new();
         let probe_failures = dead.len() as u32;
         for host in dead {
-            match self.naming.remove_from(req.client_node, t1, req.uid, host) {
+            match self.naming.remote(req.client_node, Cost::UPDATE, |ns| {
+                ns.server_db.remove(t1, req.uid, host)
+            }) {
                 Ok(true) => removed.push(host),
                 Ok(false) => {}
                 Err(e) => {
@@ -455,10 +451,9 @@ impl Binder {
                 }
             }
         }
-        if let Err(e) =
-            self.naming
-                .increment_from(req.client_node, t1, req.client, req.uid, &servers)
-        {
+        if let Err(e) = self.naming.remote(req.client_node, Cost::UPDATE, |ns| {
+            ns.server_db.increment(t1, req.client, req.uid, &servers)
+        }) {
             self.tx.abort(t1);
             return Err(e.into());
         }

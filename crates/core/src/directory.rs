@@ -4,51 +4,44 @@
 //! of objects to UIDs, and from UIDs to location information." The location
 //! half lives in [`crate::ObjectServerDb`] / [`crate::ObjectStateDb`]; this
 //! module supplies the first half: a hierarchical-free, flat directory of
-//! string names, itself a persistent object manipulated under atomic
-//! actions (per-name locks, undo records), exactly like the two databases.
+//! string names, held by [`crate::NamingService`] beside the two databases
+//! and built the same way (per-name locks, entries restored on abort).
 
 use crate::error::DbError;
+use crate::keys::name_key;
+use crate::table::{Entry, Table};
 use groupview_actions::{ActionId, LockKey, LockMode, TxSystem};
-use groupview_sim::{NodeId, Sim};
 use groupview_store::Uid;
-use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::rc::Rc;
 
-/// Lock namespace for directory entries (databases use 1 and 2, objects 3).
-pub const DIRECTORY_SPACE: u16 = 4;
+/// A directory entry is the UID a name is bound to; the table side counts
+/// lookups served.
+impl Entry for Uid {
+    type Key = String;
+    type Query = str;
+    type Side = u64;
 
-/// The lock key protecting one directory name.
-pub fn name_key(name: &str) -> LockKey {
-    let mut h = DefaultHasher::new();
-    name.hash(&mut h);
-    LockKey::new(DIRECTORY_SPACE, h.finish())
-}
-
-struct Inner {
-    entries: BTreeMap<String, Uid>,
-    lookups: u64,
+    fn lock_key(name: &str) -> LockKey {
+        name_key(name)
+    }
 }
 
 /// A flat directory mapping application-level names to [`Uid`]s.
 ///
 /// Operations run at the directory's node under the caller's atomic action:
 /// `lookup` takes a read lock on the name, `bind_name`/`unbind_name` take a
-/// write lock and register undo records, so directory updates commit or
-/// abort together with the rest of the action (e.g. object creation).
+/// write lock, so directory updates commit or abort together with the rest
+/// of the action (e.g. object creation). Remote callers reach it through
+/// [`crate::NamingService::remote`].
 #[derive(Clone)]
 pub struct Directory {
-    tx: TxSystem,
-    inner: Rc<RefCell<Inner>>,
+    table: Table<Uid>,
 }
 
 impl fmt::Debug for Directory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Directory")
-            .field("entries", &self.inner.borrow().entries.len())
+            .field("entries", &self.table.len())
             .finish()
     }
 }
@@ -57,11 +50,7 @@ impl Directory {
     /// Creates an empty directory managed by the given action service.
     pub fn new(tx: &TxSystem) -> Self {
         Directory {
-            tx: tx.clone(),
-            inner: Rc::new(RefCell::new(Inner {
-                entries: BTreeMap::new(),
-                lookups: 0,
-            })),
+            table: Table::new(tx),
         }
     }
 
@@ -72,23 +61,16 @@ impl Directory {
     /// [`DbError::AlreadyExists`] if the name is taken (by a different UID),
     /// or a lock refusal.
     pub fn bind_name(&self, action: ActionId, name: &str, uid: Uid) -> Result<(), DbError> {
-        self.tx.lock(action, name_key(name), LockMode::Write)?;
-        {
-            let mut inner = self.inner.borrow_mut();
-            match inner.entries.get(name) {
-                Some(&existing) if existing == uid => return Ok(()), // idempotent
-                Some(_) => return Err(DbError::AlreadyExists(uid)),
+        self.table.write(action, name, LockMode::Write, |slot, _| {
+            match slot.get().copied() {
+                Some(existing) if existing == uid => Ok(()), // idempotent
+                Some(_) => Err(DbError::AlreadyExists(uid)),
                 None => {
-                    inner.entries.insert(name.to_string(), uid);
+                    slot.set(Some(uid));
+                    Ok(())
                 }
             }
-        }
-        let handle = self.inner.clone();
-        let name = name.to_string();
-        self.tx.push_undo(action, move || {
-            handle.borrow_mut().entries.remove(&name);
-        })?;
-        Ok(())
+        })
     }
 
     /// Looks `name` up within `action` (read lock on the name).
@@ -98,14 +80,11 @@ impl Directory {
     /// [`DbError::NotFound`] (with a nil UID) for unknown names, or a lock
     /// refusal.
     pub fn lookup(&self, action: ActionId, name: &str) -> Result<Uid, DbError> {
-        self.tx.lock(action, name_key(name), LockMode::Read)?;
-        let mut inner = self.inner.borrow_mut();
-        inner.lookups += 1;
-        inner
-            .entries
-            .get(name)
-            .copied()
-            .ok_or(DbError::NotFound(Uid::from_raw(0)))
+        self.table
+            .read(action, name, LockMode::Read, |entry, lookups| {
+                *lookups += 1;
+                entry.copied().ok_or(DbError::NotFound(Uid::from_raw(0)))
+            })
     }
 
     /// Removes `name` within `action`. Returns whether it existed.
@@ -114,122 +93,30 @@ impl Directory {
     ///
     /// A lock refusal.
     pub fn unbind_name(&self, action: ActionId, name: &str) -> Result<bool, DbError> {
-        self.tx.lock(action, name_key(name), LockMode::Write)?;
-        let removed = self.inner.borrow_mut().entries.remove(name);
-        if let Some(uid) = removed {
-            let handle = self.inner.clone();
-            let name = name.to_string();
-            self.tx.push_undo(action, move || {
-                handle.borrow_mut().entries.insert(name.clone(), uid);
-            })?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        self.table.write(action, name, LockMode::Write, |slot, _| {
+            let bound = slot.get().is_some();
+            if bound {
+                slot.set(None);
+            }
+            Ok(bound)
+        })
     }
 
     /// All bound names, sorted (diagnostics; no locks).
     pub fn names(&self) -> Vec<String> {
-        self.inner.borrow().entries.keys().cloned().collect()
+        self.table.keys()
     }
 
     /// Total lookups served.
     pub fn lookups(&self) -> u64 {
-        self.inner.borrow().lookups
-    }
-}
-
-/// RPC access to a [`Directory`] hosted at a node.
-#[derive(Clone, Debug)]
-pub struct RemoteDirectory {
-    sim: Sim,
-    node: NodeId,
-    directory: Directory,
-}
-
-impl RemoteDirectory {
-    /// Wraps a directory hosted at `node`.
-    pub fn new(sim: &Sim, node: NodeId, directory: Directory) -> Self {
-        RemoteDirectory {
-            sim: sim.clone(),
-            node,
-            directory,
-        }
-    }
-
-    /// The hosting node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The local handle (for co-located callers and tests).
-    pub fn local(&self) -> &Directory {
-        &self.directory
-    }
-
-    /// Remote `lookup` from `caller`.
-    ///
-    /// # Errors
-    ///
-    /// Directory errors or [`DbError::Net`].
-    pub fn lookup_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        name: &str,
-    ) -> Result<Uid, DbError> {
-        let dir = self.directory.clone();
-        let name = name.to_string();
-        self.sim
-            .rpc_flat(caller, self.node, 48 + name.len(), 24, move || {
-                dir.lookup(action, &name)
-            })
-    }
-
-    /// Remote `bind_name` from `caller`.
-    ///
-    /// # Errors
-    ///
-    /// Directory errors or [`DbError::Net`].
-    pub fn bind_name_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        name: &str,
-        uid: Uid,
-    ) -> Result<(), DbError> {
-        let dir = self.directory.clone();
-        let name = name.to_string();
-        self.sim
-            .rpc_flat(caller, self.node, 56 + name.len(), 16, move || {
-                dir.bind_name(action, &name, uid)
-            })
-    }
-
-    /// Remote `unbind_name` from `caller`.
-    ///
-    /// # Errors
-    ///
-    /// Directory errors or [`DbError::Net`].
-    pub fn unbind_name_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        name: &str,
-    ) -> Result<bool, DbError> {
-        let dir = self.directory.clone();
-        let name = name.to_string();
-        self.sim
-            .rpc_flat(caller, self.node, 48 + name.len(), 16, move || {
-                dir.unbind_name(action, &name)
-            })
+        self.table.with_side(|lookups| *lookups)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use groupview_sim::SimConfig;
+    use groupview_sim::{NodeId, Sim, SimConfig};
     use groupview_store::Stores;
 
     fn world() -> (Sim, TxSystem, Directory) {
@@ -328,31 +215,5 @@ mod tests {
         assert!(dir.lookup(b, "shared").is_ok());
         tx.commit(a).unwrap();
         tx.commit(b).unwrap();
-    }
-
-    #[test]
-    fn remote_directory_roundtrip_and_failure() {
-        let (sim, tx, dir) = world();
-        let remote = RemoteDirectory::new(&sim, n(0), dir);
-        assert_eq!(remote.node(), n(0));
-        let a = tx.begin_top(n(1));
-        remote
-            .bind_name_from(n(1), a, "remote", Uid::from_raw(5))
-            .unwrap();
-        assert_eq!(remote.lookup_from(n(1), a, "remote"), Ok(Uid::from_raw(5)));
-        tx.commit(a).unwrap();
-        assert_eq!(remote.local().names().len(), 1);
-
-        sim.crash(n(0));
-        let b = tx.begin_top(n(1));
-        assert!(matches!(
-            remote.lookup_from(n(1), b, "remote"),
-            Err(DbError::Net(_))
-        ));
-        tx.abort(b);
-        sim.recover(n(0));
-        let c = tx.begin_top(n(1));
-        assert!(remote.unbind_name_from(n(1), c, "remote").unwrap());
-        tx.commit(c).unwrap();
     }
 }

@@ -10,11 +10,15 @@
 //!
 //! Clients consult the Object Server database to bind to servers; servers
 //! consult the Object State database to load and store object states. Both
-//! databases are ordinary persistent objects manipulated under atomic
-//! actions (the paper's Arjuna implementation calls the pair the *group view
-//! database*); every entry is concurrency-controlled independently with the
+//! databases, and the name directory ([`Directory`], §2.2), are ordinary
+//! persistent objects manipulated under atomic actions, held together by
+//! one [`NamingService`] (the paper's Arjuna implementation calls it the
+//! *group view database*). All three are instances of one crate-private
+//! table type: every entry is concurrency-controlled independently with the
 //! lock modes of [`groupview_actions`], including the §4.2.1 exclude-write
-//! mode.
+//! mode, and a write logs the entry's before-image as its one undo record.
+//! Other nodes reach the service through [`NamingService::remote`], which
+//! runs an operation there as one RPC priced by a [`Cost`].
 //!
 //! The three client access schemes of §4.1 are implemented by [`Binder`]:
 //!
@@ -44,12 +48,13 @@ pub mod nonatomic;
 pub mod recovery;
 pub mod server_db;
 pub mod state_db;
+mod table;
 
 pub use crate::binder::{BindRequest, Binder, Binding, BindingScheme};
 pub use crate::cleanup::{CleanupDaemon, CleanupReport};
-pub use crate::directory::{Directory, RemoteDirectory};
+pub use crate::directory::Directory;
 pub use crate::error::{BindError, DbError};
-pub use crate::naming::NamingService;
+pub use crate::naming::{check_node_lists, Cost, NamingService};
 pub use crate::nonatomic::{RemoteServerCache, ServerCache};
 pub use crate::recovery::{RecoveryManager, RecoveryReport};
 pub use crate::server_db::{ObjectServerDb, ServerDbOps, ServerEntry};

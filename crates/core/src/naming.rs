@@ -3,28 +3,36 @@
 //! The paper's Arjuna implementation realises the Object Server and Object
 //! State databases "as a single Arjuna object, referred to as the group view
 //! database" (§5). [`NamingService`] is that object: it hosts both databases
-//! at a designated node and exposes the remote operations clients and
-//! servers invoke over RPC.
+//! and the name directory (§2.2) at a designated node. All three are
+//! instances of one lock-controlled table whose writes log a before-image
+//! (`table.rs`), so every operation — `GetServer`, `Insert`, `Remove`,
+//! `Increment`, `Decrement`, `GetView`, `Include`, `Exclude`, bind, lookup
+//! and unbind — is a few lines over one read or write primitive.
+//!
+//! Callers on other nodes reach the service through one entry point,
+//! [`NamingService::remote`]: it runs any operation at the service node as
+//! one RPC whose request and reply sizes a [`Cost`] names.
 //!
 //! The paper assumes the service itself is always available (§3.1 — it
 //! could be replicated with the very mechanisms it manages). Experiments may
 //! still crash its node to observe behaviour; every remote operation then
 //! fails with a network error.
 
+use crate::directory::Directory;
 use crate::error::DbError;
-use crate::server_db::{ObjectServerDb, ServerEntry};
-use crate::state_db::{ExcludePolicy, ObjectStateDb, StateEntry};
-use groupview_actions::{ActionId, LockMode, TxSystem};
-use groupview_sim::{ClientId, NodeId, Sim};
+use crate::server_db::ObjectServerDb;
+use crate::state_db::ObjectStateDb;
+use groupview_actions::{ActionId, TxSystem};
+use groupview_sim::{NodeId, Sim};
 use groupview_store::Uid;
 use std::fmt;
 
 /// The naming-and-binding service of the world.
 ///
-/// Cloneable handle. The local databases are public for in-process use by
-/// tests and daemons; protocol code running on other nodes must use the
-/// `*_from` RPC wrappers, which charge message costs and honour crashes and
-/// partitions.
+/// Cloneable handle. The local tables are public for in-process use by
+/// tests and daemons; protocol code running on other nodes goes through
+/// [`NamingService::remote`], which charges message costs and honours
+/// crashes and partitions.
 #[derive(Clone)]
 pub struct NamingService {
     sim: Sim,
@@ -34,6 +42,8 @@ pub struct NamingService {
     pub server_db: ObjectServerDb,
     /// The Object State database (local handle).
     pub state_db: ObjectStateDb,
+    /// The name directory: user-given names → UIDs (local handle).
+    pub directory: Directory,
 }
 
 impl fmt::Debug for NamingService {
@@ -42,14 +52,46 @@ impl fmt::Debug for NamingService {
             .field("node", &self.node)
             .field("server_db", &self.server_db)
             .field("state_db", &self.state_db)
+            .field("directory", &self.directory)
             .finish()
     }
 }
 
-/// Approximate wire sizes for cost accounting.
-const REQ: usize = 48;
-const RESP_SMALL: usize = 24;
-const RESP_ENTRY: usize = 160;
+/// Approximate wire sizes of one remote call, for cost accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cost {
+    /// Request bytes.
+    pub request: usize,
+    /// Reply bytes.
+    pub reply: usize,
+}
+
+impl Cost {
+    /// A query answered with a whole entry (`GetServer`, `GetView`).
+    pub const READ: Cost = Cost {
+        request: 48,
+        reply: 160,
+    };
+    /// An update answered with a small result (`Insert`, `Remove`,
+    /// `Increment`, `Decrement`, `Include`).
+    pub const UPDATE: Cost = Cost {
+        request: 48,
+        reply: 24,
+    };
+    /// A commit-time `Exclude` batch.
+    pub const EXCLUDE: Cost = Cost {
+        request: 80,
+        reply: 24,
+    };
+
+    /// A directory lookup of `name`: the request carries the name.
+    pub fn lookup(name: &str) -> Cost {
+        Cost {
+            request: 48 + name.len(),
+            reply: 24,
+        }
+    }
+}
 
 impl NamingService {
     /// Creates the service hosted at `node`.
@@ -60,6 +102,7 @@ impl NamingService {
             node,
             server_db: ObjectServerDb::new(tx),
             state_db: ObjectStateDb::new(tx),
+            directory: Directory::new(tx),
         }
     }
 
@@ -71,6 +114,23 @@ impl NamingService {
     /// The action service backing the databases.
     pub fn tx(&self) -> &TxSystem {
         &self.tx
+    }
+
+    /// Runs `op` at the service node on behalf of `caller`, as one RPC of
+    /// the given `cost` (free when `caller` is the service node).
+    ///
+    /// # Errors
+    ///
+    /// `op`'s own errors, or [`DbError::Net`] if the service is
+    /// unreachable.
+    pub fn remote<T>(
+        &self,
+        caller: NodeId,
+        cost: Cost,
+        op: impl FnOnce(&NamingService) -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
+        self.sim
+            .rpc_flat(caller, self.node, cost.request, cost.reply, || op(self))
     }
 
     /// Registers a new object in both databases (within `action`): server
@@ -89,193 +149,39 @@ impl NamingService {
         sv: Vec<NodeId>,
         st: Vec<NodeId>,
     ) -> Result<(), DbError> {
-        check_node_list(&sv)?;
-        check_node_list(&st)?;
+        check_node_lists(&sv, &st)?;
         self.server_db.create_entry(action, uid, sv)?;
         self.state_db.create_entry(action, uid, st)?;
         Ok(())
     }
-
-    // ----- remote Object Server database operations ----------------------
-
-    /// Remote `GetServer` from `caller` under the given lock mode.
-    ///
-    /// # Errors
-    ///
-    /// Database errors, or [`DbError::Net`] if the service is unreachable.
-    pub fn get_server_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        uid: Uid,
-        mode: LockMode,
-    ) -> Result<ServerEntry, DbError> {
-        let db = self.server_db.clone();
-        self.sim
-            .rpc_flat(caller, self.node, REQ, RESP_ENTRY, move || {
-                db.get_server_locked(action, uid, mode)
-            })
-    }
-
-    /// Remote `Insert` from `caller`.
-    ///
-    /// # Errors
-    ///
-    /// Database errors (including [`DbError::NotQuiescent`]) or
-    /// [`DbError::Net`].
-    pub fn insert_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        uid: Uid,
-        host: NodeId,
-    ) -> Result<bool, DbError> {
-        let db = self.server_db.clone();
-        self.sim
-            .rpc_flat(caller, self.node, REQ, RESP_SMALL, move || {
-                db.insert(action, uid, host)
-            })
-    }
-
-    /// Remote `Remove` from `caller`.
-    ///
-    /// # Errors
-    ///
-    /// Database errors or [`DbError::Net`].
-    pub fn remove_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        uid: Uid,
-        host: NodeId,
-    ) -> Result<bool, DbError> {
-        let db = self.server_db.clone();
-        self.sim
-            .rpc_flat(caller, self.node, REQ, RESP_SMALL, move || {
-                db.remove(action, uid, host)
-            })
-    }
-
-    /// Remote `Increment` from `caller`.
-    ///
-    /// # Errors
-    ///
-    /// Database errors or [`DbError::Net`].
-    pub fn increment_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        client: ClientId,
-        uid: Uid,
-        hosts: &[NodeId],
-    ) -> Result<(), DbError> {
-        let db = self.server_db.clone();
-        let hosts = hosts.to_vec();
-        self.sim
-            .rpc_flat(caller, self.node, REQ, RESP_SMALL, move || {
-                db.increment(action, client, uid, &hosts)
-            })
-    }
-
-    /// Remote `Decrement` from `caller`.
-    ///
-    /// # Errors
-    ///
-    /// Database errors or [`DbError::Net`].
-    pub fn decrement_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        client: ClientId,
-        uid: Uid,
-        hosts: &[NodeId],
-    ) -> Result<(), DbError> {
-        let db = self.server_db.clone();
-        let hosts = hosts.to_vec();
-        self.sim
-            .rpc_flat(caller, self.node, REQ, RESP_SMALL, move || {
-                db.decrement(action, client, uid, &hosts)
-            })
-    }
-
-    // ----- remote Object State database operations ------------------------
-
-    /// Remote `GetView` from `caller`.
-    ///
-    /// # Errors
-    ///
-    /// Database errors or [`DbError::Net`].
-    pub fn get_view_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        uid: Uid,
-    ) -> Result<StateEntry, DbError> {
-        let db = self.state_db.clone();
-        self.sim
-            .rpc_flat(caller, self.node, REQ, RESP_ENTRY, move || {
-                db.get_view(action, uid)
-            })
-    }
-
-    /// Remote `Include` from `caller`.
-    ///
-    /// # Errors
-    ///
-    /// Database errors or [`DbError::Net`].
-    pub fn include_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        uid: Uid,
-        host: NodeId,
-    ) -> Result<bool, DbError> {
-        let db = self.state_db.clone();
-        self.sim
-            .rpc_flat(caller, self.node, REQ, RESP_SMALL, move || {
-                db.include(action, uid, host)
-            })
-    }
-
-    /// Remote `Exclude` from `caller`.
-    ///
-    /// # Errors
-    ///
-    /// Database errors (notably lock refusal under
-    /// [`ExcludePolicy::PromoteToWrite`]) or [`DbError::Net`].
-    pub fn exclude_from(
-        &self,
-        caller: NodeId,
-        action: ActionId,
-        batch: &[(Uid, Vec<NodeId>)],
-        policy: ExcludePolicy,
-    ) -> Result<usize, DbError> {
-        let db = self.state_db.clone();
-        let batch = batch.to_vec();
-        self.sim
-            .rpc_flat(caller, self.node, REQ + 32, RESP_SMALL, move || {
-                db.exclude(action, &batch, policy)
-            })
-    }
 }
 
-/// Refuses an empty node list or one that names a node twice.
-fn check_node_list(nodes: &[NodeId]) -> Result<(), DbError> {
-    if nodes.is_empty() {
-        return Err(DbError::InvalidNodeList { repeated: None });
+/// The node-list rule of [`NamingService::register_object`]: the server
+/// set `sv` and the store set `st` are each non-empty and name no node
+/// twice.
+///
+/// # Errors
+///
+/// [`DbError::InvalidNodeList`] for the first list that breaks the rule.
+pub fn check_node_lists(sv: &[NodeId], st: &[NodeId]) -> Result<(), DbError> {
+    for nodes in [sv, st] {
+        if nodes.is_empty() {
+            return Err(DbError::InvalidNodeList { repeated: None });
+        }
+        if let Some(i) = (1..nodes.len()).find(|&i| nodes[..i].contains(&nodes[i])) {
+            return Err(DbError::InvalidNodeList {
+                repeated: Some(nodes[i]),
+            });
+        }
     }
-    match (1..nodes.len()).find(|&i| nodes[..i].contains(&nodes[i])) {
-        Some(i) => Err(DbError::InvalidNodeList {
-            repeated: Some(nodes[i]),
-        }),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use groupview_sim::SimConfig;
+    use crate::state_db::ExcludePolicy;
+    use groupview_sim::{ClientId, SimConfig};
     use groupview_store::Stores;
 
     fn world() -> (Sim, TxSystem, NamingService) {
@@ -301,8 +207,12 @@ mod tests {
 
         let before = sim.counters().delivered;
         let b = tx.begin_top(n(1));
-        let sv = ns.get_server_from(n(1), b, uid, LockMode::Read).unwrap();
-        let st = ns.get_view_from(n(1), b, uid).unwrap();
+        let sv = ns
+            .remote(n(1), Cost::READ, |ns| ns.server_db.get_server(b, uid))
+            .unwrap();
+        let st = ns
+            .remote(n(1), Cost::READ, |ns| ns.state_db.get_view(b, uid))
+            .unwrap();
         tx.commit(b).unwrap();
         assert_eq!(sv.servers, vec![n(1), n(2)]);
         assert_eq!(st.stores, vec![n(2), n(3)]);
@@ -352,7 +262,8 @@ mod tests {
         tx.commit(a).unwrap();
         let before = sim.counters().delivered;
         let b = tx.begin_top(n(0));
-        ns.get_server_from(n(0), b, uid, LockMode::Read).unwrap();
+        ns.remote(n(0), Cost::READ, |ns| ns.server_db.get_server(b, uid))
+            .unwrap();
         tx.commit(b).unwrap();
         assert_eq!(sim.counters().delivered, before);
     }
@@ -363,7 +274,9 @@ mod tests {
         sim.crash(n(0));
         let b = tx.begin_top(n(1));
         let err = ns
-            .get_server_from(n(1), b, Uid::from_raw(1), LockMode::Read)
+            .remote(n(1), Cost::READ, |ns| {
+                ns.server_db.get_server(b, Uid::from_raw(1))
+            })
             .unwrap_err();
         assert!(matches!(err, DbError::Net(_)));
         tx.abort(b);
@@ -373,34 +286,73 @@ mod tests {
     fn remote_updates_roundtrip() {
         let (_, tx, ns) = world();
         let uid = Uid::from_raw(1);
+        let client = ClientId::new(5);
         let a = tx.begin_top(n(0));
         ns.register_object(a, uid, vec![n(1)], vec![n(1), n(2)])
             .unwrap();
         tx.commit(a).unwrap();
 
         let b = tx.begin_top(n(1));
-        ns.insert_from(n(1), b, uid, n(3)).unwrap();
-        ns.increment_from(n(1), b, ClientId::new(5), uid, &[n(1)])
+        ns.remote(n(1), Cost::UPDATE, |ns| ns.server_db.insert(b, uid, n(3)))
             .unwrap();
+        ns.remote(n(1), Cost::UPDATE, |ns| {
+            ns.server_db.increment(b, client, uid, &[n(1)])
+        })
+        .unwrap();
         tx.commit(b).unwrap();
         let e = ns.server_db.entry(uid).unwrap();
         assert_eq!(e.servers, vec![n(1), n(3)]);
         assert_eq!(e.total_uses(), 1);
 
         let c = tx.begin_top(n(1));
-        ns.decrement_from(n(1), c, ClientId::new(5), uid, &[n(1)])
-            .unwrap();
-        ns.remove_from(n(1), c, uid, n(3)).unwrap();
-        ns.exclude_from(
-            n(1),
-            c,
-            &[(uid, vec![n(2)])],
-            ExcludePolicy::ExcludeWriteLock,
-        )
+        ns.remote(n(1), Cost::UPDATE, |ns| {
+            ns.server_db.decrement(c, client, uid, &[n(1)])
+        })
         .unwrap();
-        ns.include_from(n(1), c, uid, n(2)).unwrap();
+        ns.remote(n(1), Cost::UPDATE, |ns| ns.server_db.remove(c, uid, n(3)))
+            .unwrap();
+        let batch = [(uid, vec![n(2)])];
+        ns.remote(n(1), Cost::EXCLUDE, |ns| {
+            ns.state_db
+                .exclude(c, &batch, ExcludePolicy::ExcludeWriteLock)
+        })
+        .unwrap();
+        ns.remote(n(1), Cost::UPDATE, |ns| ns.state_db.include(c, uid, n(2)))
+            .unwrap();
         tx.commit(c).unwrap();
         assert_eq!(ns.server_db.entry(uid).unwrap().servers, vec![n(1)]);
         assert_eq!(ns.state_db.entry(uid).unwrap().stores, vec![n(1), n(2)]);
+    }
+
+    #[test]
+    fn remote_lookup_charges_its_name_and_fails_while_the_service_is_down() {
+        let (sim, tx, ns) = world();
+        let a = tx.begin_top(n(0));
+        ns.directory
+            .bind_name(a, "remote", Uid::from_raw(5))
+            .unwrap();
+        tx.commit(a).unwrap();
+
+        let (in_before, out_before) = sim.node_traffic(n(0));
+        let b = tx.begin_top(n(1));
+        let lookup = |action| {
+            ns.remote(n(1), Cost::lookup("remote"), |ns| {
+                ns.directory.lookup(action, "remote")
+            })
+        };
+        assert_eq!(lookup(b), Ok(Uid::from_raw(5)));
+        tx.commit(b).unwrap();
+        let (bytes_in, bytes_out) = sim.node_traffic(n(0));
+        assert_eq!(
+            (bytes_in - in_before, bytes_out - out_before),
+            (48 + "remote".len() as u64, 24)
+        );
+
+        sim.crash(n(0));
+        let c = tx.begin_top(n(1));
+        assert!(matches!(lookup(c), Err(DbError::Net(_))));
+        tx.abort(c);
+        sim.recover(n(0));
+        assert_eq!(ns.directory.lookups(), 1, "the lost request never ran");
     }
 }

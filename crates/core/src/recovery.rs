@@ -16,7 +16,7 @@
 //! commit record (no record: presumed abort) and then releases the record.
 
 use crate::error::DbError;
-use crate::naming::NamingService;
+use crate::naming::{Cost, NamingService};
 use crate::nonatomic::RemoteServerCache;
 use groupview_actions::TxSystem;
 use groupview_sim::{NodeId, Sim};
@@ -188,7 +188,10 @@ impl RecoveryManager {
         }
         for uid in self.naming.server_db.uids_hosting(node) {
             let action = self.tx.begin_top(node);
-            match self.naming.insert_from(node, action, uid, node) {
+            let inserted = self.naming.remote(node, Cost::UPDATE, |ns| {
+                ns.server_db.insert(action, uid, node)
+            });
+            match inserted {
                 Ok(_) => match self.tx.commit(action) {
                     Ok(()) => {
                         if let Some(cache) = &self.cache {
@@ -198,13 +201,10 @@ impl RecoveryManager {
                     }
                     Err(_) => report.insert_deferred.push(uid),
                 },
-                Err(e) => {
+                // Not quiescent, contended or unreachable: retry later.
+                Err(_) => {
                     self.tx.abort(action);
-                    match e {
-                        DbError::NotQuiescent(_) => report.insert_deferred.push(uid),
-                        e if e.is_lock_refused() => report.insert_deferred.push(uid),
-                        _ => report.insert_deferred.push(uid),
-                    }
+                    report.insert_deferred.push(uid);
                 }
             }
         }
@@ -214,7 +214,9 @@ impl RecoveryManager {
     fn refresh_one(&self, node: NodeId, uid: Uid) -> Result<RefreshOutcome, DbError> {
         let action = self.tx.begin_top(node);
         let outcome = (|| {
-            let view = self.naming.get_view_from(node, action, uid)?;
+            let view = self
+                .naming
+                .remote(node, Cost::READ, |ns| ns.state_db.get_view(action, uid))?;
             if view.contains(node) {
                 // Still in St: by the system invariant the local state is the
                 // latest committed one (it would have been excluded
@@ -234,24 +236,24 @@ impl RecoveryManager {
                     self.stores
                         .write_local(node, uid, state)
                         .map_err(|_| DbError::NotFound(uid))?;
-                    self.naming.include_from(node, action, uid, node)?;
+                    self.naming.remote(node, Cost::UPDATE, |ns| {
+                        ns.state_db.include(action, uid, node)
+                    })?;
                     Ok(RefreshOutcome::Refreshed)
                 }
                 None if view.is_empty() => {
                     // Nobody else holds a state: this node's copy is the best
                     // available — include it as-is.
-                    self.naming.include_from(node, action, uid, node)?;
+                    self.naming.remote(node, Cost::UPDATE, |ns| {
+                        ns.state_db.include(action, uid, node)
+                    })?;
                     Ok(RefreshOutcome::IncludedAsIs)
                 }
                 None => Err(DbError::Net(groupview_sim::NetError::Timeout)),
             }
         })();
         match &outcome {
-            Ok(_) => {
-                if self.tx.commit(action).is_err() {
-                    return Err(DbError::Tx(groupview_actions::TxError::NotActive(action)));
-                }
-            }
+            Ok(_) => self.tx.commit(action)?,
             Err(_) => self.tx.abort(action),
         }
         outcome
@@ -270,6 +272,7 @@ enum RefreshOutcome {
 mod tests {
     use super::*;
     use crate::state_db::ExcludePolicy;
+    use groupview_actions::ActionId;
     use groupview_sim::{ClientId, SimConfig};
     use groupview_store::{ObjectState, TypeTag};
 
@@ -279,6 +282,16 @@ mod tests {
 
     fn uid() -> Uid {
         Uid::from_raw(1)
+    }
+
+    /// Excludes n2 from `uid()`'s store set, from n3.
+    fn exclude_n2(ns: &NamingService, action: ActionId) {
+        let batch = [(uid(), vec![n(2)])];
+        ns.remote(n(3), Cost::EXCLUDE, |ns| {
+            ns.state_db
+                .exclude(action, &batch, ExcludePolicy::ExcludeWriteLock)
+        })
+        .unwrap();
     }
 
     fn state(b: &[u8]) -> ObjectState {
@@ -310,13 +323,7 @@ mod tests {
         sim.crash(n(2));
         let a = tx.begin_top(n(3));
         stores.write_local(n(1), uid(), state(b"v1")).unwrap();
-        ns.exclude_from(
-            n(3),
-            a,
-            &[(uid(), vec![n(2)])],
-            ExcludePolicy::ExcludeWriteLock,
-        )
-        .unwrap();
+        exclude_n2(&ns, a);
         tx.commit(a).unwrap();
         assert_eq!(ns.state_db.entry(uid()).unwrap().stores, vec![n(1)]);
 
@@ -441,13 +448,7 @@ mod tests {
         // exclude n2 from St and drop the tombstone.
         sim.crash(n(2));
         let a = tx.begin_top(n(3));
-        ns.exclude_from(
-            n(3),
-            a,
-            &[(uid(), vec![n(2)])],
-            ExcludePolicy::ExcludeWriteLock,
-        )
-        .unwrap();
+        exclude_n2(&ns, a);
         tx.commit(a).unwrap();
         stores.retire(n(2), uid());
 
@@ -484,13 +485,7 @@ mod tests {
         // Exclude n2, then also take n1 (the only current store) down.
         sim.crash(n(2));
         let a = tx.begin_top(n(3));
-        ns.exclude_from(
-            n(3),
-            a,
-            &[(uid(), vec![n(2)])],
-            ExcludePolicy::ExcludeWriteLock,
-        )
-        .unwrap();
+        exclude_n2(&ns, a);
         tx.commit(a).unwrap();
         sim.crash(n(1));
         let report = rm.recover_node(n(2));

@@ -2,14 +2,13 @@
 
 use crate::error::DbError;
 use crate::keys::server_entry_key;
-use groupview_actions::{ActionId, LockMode, TxSystem};
+use crate::table::{Entry, Table};
+use groupview_actions::{ActionId, LockKey, LockMode, TxSystem};
 use groupview_sim::{ClientId, NodeId};
 use groupview_store::Uid;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::rc::Rc;
 
 /// One object's entry: the set `SvA` and the per-server *use lists*.
 ///
@@ -64,6 +63,11 @@ impl ServerEntry {
             .map(|ul| ul.keys().copied().collect())
             .unwrap_or_default()
     }
+
+    /// Whether some host's use list counts `client`.
+    fn counts(&self, client: ClientId) -> bool {
+        self.use_lists.values().any(|ul| ul.contains_key(&client))
+    }
 }
 
 impl fmt::Display for ServerEntry {
@@ -94,21 +98,16 @@ pub struct ServerDbOps {
     pub decrement: u64,
 }
 
-/// Reverse index: per client, the objects with at least one use-list
-/// entry for it, with the number of hosts carrying that entry. Maintained
-/// alongside `entries` by every mutation path (including undo closures),
-/// it turns the cleanup daemon's two scans — "which clients appear in any
-/// use list" and "which entries mention this client" — from full-database
-/// walks into O(log n) lookups.
-type UseIndex = BTreeMap<ClientId, BTreeMap<Uid, u32>>;
-
-struct Inner {
-    /// Keyed by UID in a `BTreeMap`: point lookups stay O(log n) at 10⁵+
-    /// entries and [`ObjectServerDb::uids`] iterates in sorted order
-    /// without a clone-and-sort.
-    entries: BTreeMap<Uid, ServerEntry>,
-    use_index: UseIndex,
+/// Table-side state of the Object Server database.
+#[derive(Default)]
+pub(crate) struct ServerSide {
     ops: ServerDbOps,
+    /// `(client, uid)` for every object with a use-list entry of `client`,
+    /// derived from the entries by [`Entry::reindex`]. It turns the cleanup
+    /// daemon's two scans — "which clients appear in any use list" and
+    /// "which entries mention this client" — from full-database walks into
+    /// O(log n) lookups.
+    use_index: BTreeSet<(ClientId, Uid)>,
     /// Cumulative `GetServer` + `Increment` traffic per object, never
     /// decremented and never undone on abort: a monotone popularity
     /// signal. Every binding scheme calls `GetServer` per bind, so this
@@ -119,50 +118,47 @@ struct Inner {
     lifetime_uses: BTreeMap<Uid, u64>,
 }
 
-/// Records that one host's use list for `uid` gained a `client` entry.
-fn index_add(index: &mut UseIndex, client: ClientId, uid: Uid) {
-    *index.entry(client).or_default().entry(uid).or_insert(0) += 1;
-}
+impl Entry for ServerEntry {
+    type Key = Uid;
+    type Query = Uid;
+    type Side = ServerSide;
 
-/// Records that one host's use list for `uid` dropped its `client` entry.
-fn index_sub(index: &mut UseIndex, client: ClientId, uid: Uid) {
-    let Some(per_uid) = index.get_mut(&client) else {
-        debug_assert!(false, "use index out of sync: no client entry");
-        return;
-    };
-    let Some(hosts) = per_uid.get_mut(&uid) else {
-        debug_assert!(false, "use index out of sync: no uid entry");
-        return;
-    };
-    *hosts -= 1;
-    if *hosts == 0 {
-        per_uid.remove(&uid);
-        if per_uid.is_empty() {
-            index.remove(&client);
+    fn lock_key(uid: &Uid) -> LockKey {
+        server_entry_key(*uid)
+    }
+
+    fn reindex(side: &mut ServerSide, uid: &Uid, before: Option<&Self>, after: Option<&Self>) {
+        for entry in before.into_iter().chain(after) {
+            for &client in entry.use_lists.values().flat_map(BTreeMap::keys) {
+                if after.is_some_and(|a| a.counts(client)) {
+                    side.use_index.insert((client, *uid));
+                } else {
+                    side.use_index.remove(&(client, *uid));
+                }
+            }
         }
     }
 }
 
 /// The Object Server database (`UID → SvA` mappings).
 ///
-/// All operations execute on behalf of an atomic action: they acquire the
-/// entry's lock in the appropriate mode (`GetServer` reads; everything else
-/// writes), mutate in place, and register undo records so an abort of the
-/// surrounding action restores the entry exactly. Locks follow strict 2PL,
-/// so uncommitted changes are never visible to other actions.
+/// All operations execute on behalf of an atomic action: they lock the
+/// entry in the appropriate mode (`GetServer` reads; everything else
+/// writes) and mutate it in place; the entry's before-image is restored if
+/// the surrounding action aborts. Locks follow strict 2PL, so uncommitted
+/// changes are never visible to other actions.
 ///
-/// Methods here run *at the database's node*; remote access goes through
-/// [`crate::NamingService`], which wraps them in RPC.
+/// Methods here run *at the database's node*; remote callers reach them
+/// through [`crate::NamingService::remote`].
 #[derive(Clone)]
 pub struct ObjectServerDb {
-    tx: TxSystem,
-    inner: Rc<RefCell<Inner>>,
+    table: Table<ServerEntry>,
 }
 
 impl fmt::Debug for ObjectServerDb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ObjectServerDb")
-            .field("entries", &self.inner.borrow().entries.len())
+            .field("entries", &self.table.len())
             .finish()
     }
 }
@@ -171,13 +167,7 @@ impl ObjectServerDb {
     /// Creates an empty database managed by the given action service.
     pub fn new(tx: &TxSystem) -> Self {
         ObjectServerDb {
-            tx: tx.clone(),
-            inner: Rc::new(RefCell::new(Inner {
-                entries: BTreeMap::new(),
-                use_index: UseIndex::new(),
-                ops: ServerDbOps::default(),
-                lifetime_uses: BTreeMap::new(),
-            })),
+            table: Table::new(tx),
         }
     }
 
@@ -192,33 +182,13 @@ impl ObjectServerDb {
         uid: Uid,
         servers: Vec<NodeId>,
     ) -> Result<(), DbError> {
-        self.tx
-            .lock(action, server_entry_key(uid), LockMode::Write)?;
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.entries.contains_key(&uid) {
+        self.table.write(action, &uid, LockMode::Write, |slot, _| {
+            if slot.get().is_some() {
                 return Err(DbError::AlreadyExists(uid));
             }
-            inner.entries.insert(uid, ServerEntry::new(servers));
-        }
-        let handle = self.inner.clone();
-        self.tx.push_undo(action, move || {
-            let mut inner = handle.borrow_mut();
-            let Inner {
-                entries, use_index, ..
-            } = &mut *inner;
-            if let Some(e) = entries.remove(&uid) {
-                // Defensive: undos run in reverse order, so the entry's
-                // use lists are empty again by now — but if not, keep the
-                // index consistent with what is being dropped.
-                for ul in e.use_lists.values() {
-                    for &client in ul.keys() {
-                        index_sub(use_index, client, uid);
-                    }
-                }
-            }
-        })?;
-        Ok(())
+            slot.set(Some(ServerEntry::new(servers)));
+            Ok(())
+        })
     }
 
     /// `GetServer(objectname)`: returns the entry (server list and use
@@ -235,16 +205,12 @@ impl ObjectServerDb {
         uid: Uid,
         mode: LockMode,
     ) -> Result<ServerEntry, DbError> {
-        self.tx.lock(action, server_entry_key(uid), mode)?;
-        let mut inner = self.inner.borrow_mut();
-        inner.ops.get_server += 1;
-        let entry = inner
-            .entries
-            .get(&uid)
-            .cloned()
-            .ok_or(DbError::NotFound(uid))?;
-        *inner.lifetime_uses.entry(uid).or_insert(0) += 1;
-        Ok(entry)
+        self.table.read(action, &uid, mode, |entry, side| {
+            side.ops.get_server += 1;
+            let entry = entry.cloned().ok_or(DbError::NotFound(uid))?;
+            *side.lifetime_uses.entry(uid).or_insert(0) += 1;
+            Ok(entry)
+        })
     }
 
     /// `GetServer` under a read lock (the common case).
@@ -268,31 +234,21 @@ impl ObjectServerDb {
     ///
     /// [`DbError::NotFound`], [`DbError::NotQuiescent`], or a lock refusal.
     pub fn insert(&self, action: ActionId, uid: Uid, host: NodeId) -> Result<bool, DbError> {
-        self.tx
-            .lock(action, server_entry_key(uid), LockMode::Write)?;
-        let added = {
-            let mut inner = self.inner.borrow_mut();
-            inner.ops.insert += 1;
-            let entry = inner.entries.get_mut(&uid).ok_or(DbError::NotFound(uid))?;
-            if !entry.is_quiescent() {
-                return Err(DbError::NotQuiescent(uid));
-            }
-            if entry.servers.contains(&host) {
-                false
-            } else {
-                entry.servers.push(host);
-                true
-            }
-        };
-        if added {
-            let handle = self.inner.clone();
-            self.tx.push_undo(action, move || {
-                if let Some(e) = handle.borrow_mut().entries.get_mut(&uid) {
-                    e.servers.retain(|&s| s != host);
+        self.table
+            .write(action, &uid, LockMode::Write, |slot, side| {
+                side.ops.insert += 1;
+                let entry = slot.get().ok_or(DbError::NotFound(uid))?;
+                if !entry.is_quiescent() {
+                    return Err(DbError::NotQuiescent(uid));
                 }
-            })?;
-        }
-        Ok(added)
+                if entry.servers.contains(&host) {
+                    return Ok(false);
+                }
+                if let Some(e) = slot.get_mut() {
+                    e.servers.push(host);
+                }
+                Ok(true)
+            })
     }
 
     /// `Remove(objectname, hostname)`: removes a server node and its use
@@ -302,53 +258,19 @@ impl ObjectServerDb {
     ///
     /// [`DbError::NotFound`] or a lock refusal.
     pub fn remove(&self, action: ActionId, uid: Uid, host: NodeId) -> Result<bool, DbError> {
-        self.tx
-            .lock(action, server_entry_key(uid), LockMode::Write)?;
-        let removed = {
-            let mut inner = self.inner.borrow_mut();
-            let Inner {
-                entries,
-                use_index,
-                ops,
-                ..
-            } = &mut *inner;
-            ops.remove += 1;
-            let entry = entries.get_mut(&uid).ok_or(DbError::NotFound(uid))?;
-            if let Some(pos) = entry.servers.iter().position(|&s| s == host) {
-                entry.servers.remove(pos);
-                let use_list = entry.use_lists.remove(&host);
-                if let Some(ul) = &use_list {
-                    for &client in ul.keys() {
-                        index_sub(use_index, client, uid);
-                    }
+        self.table
+            .write(action, &uid, LockMode::Write, |slot, side| {
+                side.ops.remove += 1;
+                let entry = slot.get().ok_or(DbError::NotFound(uid))?;
+                let Some(pos) = entry.servers.iter().position(|&s| s == host) else {
+                    return Ok(false);
+                };
+                if let Some(e) = slot.get_mut() {
+                    e.servers.remove(pos);
+                    e.use_lists.remove(&host);
                 }
-                Some((pos, use_list))
-            } else {
-                None
-            }
-        };
-        if let Some((pos, use_list)) = removed {
-            let handle = self.inner.clone();
-            self.tx.push_undo(action, move || {
-                let mut inner = handle.borrow_mut();
-                let Inner {
-                    entries, use_index, ..
-                } = &mut *inner;
-                if let Some(e) = entries.get_mut(&uid) {
-                    let pos = pos.min(e.servers.len());
-                    e.servers.insert(pos, host);
-                    if let Some(ul) = use_list {
-                        for &client in ul.keys() {
-                            index_add(use_index, client, uid);
-                        }
-                        e.use_lists.insert(host, ul);
-                    }
-                }
-            })?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+                Ok(true)
+            })
     }
 
     /// `Increment(client, hostnames...)`: bumps `client`'s counter in the
@@ -364,48 +286,21 @@ impl ObjectServerDb {
         uid: Uid,
         hosts: &[NodeId],
     ) -> Result<(), DbError> {
-        self.tx
-            .lock(action, server_entry_key(uid), LockMode::Write)?;
-        {
-            let mut inner = self.inner.borrow_mut();
-            let Inner {
-                entries,
-                use_index,
-                ops,
-                lifetime_uses,
-            } = &mut *inner;
-            ops.increment += 1;
-            let entry = entries.get_mut(&uid).ok_or(DbError::NotFound(uid))?;
-            *lifetime_uses.entry(uid).or_insert(0) += 1;
-            for &host in hosts {
-                let counter = entry
-                    .use_lists
-                    .entry(host)
-                    .or_default()
-                    .entry(client)
-                    .or_insert(0);
-                if *counter == 0 {
-                    index_add(use_index, client, uid);
+        self.table
+            .write(action, &uid, LockMode::Write, |slot, side| {
+                side.ops.increment += 1;
+                let entry = slot.get_mut().ok_or(DbError::NotFound(uid))?;
+                *side.lifetime_uses.entry(uid).or_insert(0) += 1;
+                for &host in hosts {
+                    *entry
+                        .use_lists
+                        .entry(host)
+                        .or_default()
+                        .entry(client)
+                        .or_insert(0) += 1;
                 }
-                *counter += 1;
-            }
-        }
-        let handle = self.inner.clone();
-        let hosts: Vec<NodeId> = hosts.to_vec();
-        self.tx.push_undo(action, move || {
-            let mut inner = handle.borrow_mut();
-            let Inner {
-                entries, use_index, ..
-            } = &mut *inner;
-            if let Some(e) = entries.get_mut(&uid) {
-                for &host in &hosts {
-                    if decrement_counter(e, host, client).removed {
-                        index_sub(use_index, client, uid);
-                    }
-                }
-            }
-        })?;
-        Ok(())
+                Ok(())
+            })
     }
 
     /// `Decrement(client, hostnames...)`: the complement of `Increment`.
@@ -421,57 +316,44 @@ impl ObjectServerDb {
         uid: Uid,
         hosts: &[NodeId],
     ) -> Result<(), DbError> {
-        self.tx
-            .lock(action, server_entry_key(uid), LockMode::Write)?;
-        let touched: Vec<NodeId> = {
-            let mut inner = self.inner.borrow_mut();
-            let Inner {
-                entries,
-                use_index,
-                ops,
-                ..
-            } = &mut *inner;
-            ops.decrement += 1;
-            let entry = entries.get_mut(&uid).ok_or(DbError::NotFound(uid))?;
-            hosts
-                .iter()
-                .copied()
-                .filter(|&host| {
-                    let effect = decrement_counter(entry, host, client);
-                    if effect.removed {
-                        index_sub(use_index, client, uid);
-                    }
-                    effect.changed
-                })
-                .collect()
-        };
-        let handle = self.inner.clone();
-        self.tx.push_undo(action, move || {
-            let mut inner = handle.borrow_mut();
-            let Inner {
-                entries, use_index, ..
-            } = &mut *inner;
-            if let Some(e) = entries.get_mut(&uid) {
-                for &host in &touched {
-                    let counter = e
+        self.table
+            .write(action, &uid, LockMode::Write, |slot, side| {
+                side.ops.decrement += 1;
+                let entry = slot.get().ok_or(DbError::NotFound(uid))?;
+                let counted = |h: &NodeId| {
+                    entry
                         .use_lists
-                        .entry(host)
-                        .or_default()
-                        .entry(client)
-                        .or_insert(0);
-                    if *counter == 0 {
-                        index_add(use_index, client, uid);
-                    }
-                    *counter += 1;
+                        .get(h)
+                        .is_some_and(|ul| ul.contains_key(&client))
+                };
+                if !hosts.iter().any(counted) {
+                    return Ok(());
                 }
-            }
-        })?;
-        Ok(())
+                let Some(entry) = slot.get_mut() else {
+                    return Ok(());
+                };
+                for host in hosts {
+                    let Some(ul) = entry.use_lists.get_mut(host) else {
+                        continue;
+                    };
+                    let Some(c) = ul.get_mut(&client) else {
+                        continue;
+                    };
+                    *c = c.saturating_sub(1);
+                    if *c == 0 {
+                        ul.remove(&client);
+                        if ul.is_empty() {
+                            entry.use_lists.remove(host);
+                        }
+                    }
+                }
+                Ok(())
+            })
     }
 
     /// Removes every use-list entry of `client` across all objects and
-    /// hosts (cleanup after a client crash). Returns `(uid, host)` pairs
-    /// cleaned.
+    /// hosts (cleanup after a client crash), pruning the use lists it
+    /// empties. Returns `(uid, host)` pairs cleaned.
     ///
     /// # Errors
     ///
@@ -481,58 +363,31 @@ impl ObjectServerDb {
         action: ActionId,
         client: ClientId,
     ) -> Result<Vec<(Uid, NodeId)>, DbError> {
-        // Find affected entries from the reverse index — one O(log n)
-        // lookup instead of a full-database scan (no locks needed: the
-        // sweep re-checks under the entry lock before mutating).
-        let affected: Vec<Uid> = {
-            let inner = self.inner.borrow();
-            inner
-                .use_index
-                .get(&client)
-                .map(|per_uid| per_uid.keys().copied().collect())
-                .unwrap_or_default()
-        };
+        // Find affected entries from the use index — one O(log n) range
+        // instead of a full-database scan (no locks needed: the sweep
+        // re-checks under the entry lock before mutating).
+        let affected: Vec<Uid> = self.table.with_side(|side| {
+            side.use_index
+                .range((client, Uid::from_raw(0))..=(client, Uid::from_raw(u64::MAX)))
+                .map(|&(_, uid)| uid)
+                .collect()
+        });
         let mut cleaned = Vec::new();
         for uid in affected {
-            self.tx
-                .lock(action, server_entry_key(uid), LockMode::Write)?;
-            let removed: Vec<(NodeId, u32)> = {
-                let mut inner = self.inner.borrow_mut();
-                let Inner {
-                    entries, use_index, ..
-                } = &mut *inner;
-                let Some(entry) = entries.get_mut(&uid) else {
-                    continue;
-                };
-                let mut removed = Vec::new();
-                for (&host, ul) in entry.use_lists.iter_mut() {
-                    if let Some(count) = ul.remove(&client) {
-                        removed.push((host, count));
-                        index_sub(use_index, client, uid);
-                    }
+            self.table.write(action, &uid, LockMode::Write, |slot, _| {
+                if !slot.get().is_some_and(|e| e.counts(client)) {
+                    return Ok(());
                 }
-                removed
-            };
-            for &(host, count) in &removed {
-                cleaned.push((uid, host));
-                let handle = self.inner.clone();
-                self.tx.push_undo(action, move || {
-                    let mut inner = handle.borrow_mut();
-                    let Inner {
-                        entries, use_index, ..
-                    } = &mut *inner;
-                    if let Some(e) = entries.get_mut(&uid) {
-                        if e.use_lists
-                            .entry(host)
-                            .or_default()
-                            .insert(client, count)
-                            .is_none()
-                        {
-                            index_add(use_index, client, uid);
+                if let Some(entry) = slot.get_mut() {
+                    entry.use_lists.retain(|&host, ul| {
+                        if ul.remove(&client).is_some() {
+                            cleaned.push((uid, host));
                         }
-                    }
-                })?;
-            }
+                        !ul.is_empty()
+                    });
+                }
+                Ok(())
+            })?;
         }
         Ok(cleaned)
     }
@@ -541,96 +396,54 @@ impl ObjectServerDb {
 
     /// Snapshot of an entry without locking (diagnostics only).
     pub fn entry(&self, uid: Uid) -> Option<ServerEntry> {
-        self.inner.borrow().entries.get(&uid).cloned()
+        self.table.get(&uid)
     }
 
     /// All object UIDs with entries, sorted (the map iterates in key
     /// order, so this is a plain collect — no sort pass).
     pub fn uids(&self) -> Vec<Uid> {
-        self.inner.borrow().entries.keys().copied().collect()
+        self.table.keys()
     }
 
     /// Number of entries (cheaper than `uids().len()`).
     pub fn len(&self) -> usize {
-        self.inner.borrow().entries.len()
+        self.table.len()
     }
 
     /// Whether the database holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.inner.borrow().entries.is_empty()
+        self.len() == 0
     }
 
     /// UIDs whose server set contains `host`, sorted. Recovery uses this
     /// to find the objects a restarted node should re-register for,
     /// without cloning whole entries.
     pub fn uids_hosting(&self, host: NodeId) -> Vec<Uid> {
-        self.inner
-            .borrow()
-            .entries
-            .iter()
-            .filter(|(_, e)| e.servers.contains(&host))
-            .map(|(&uid, _)| uid)
-            .collect()
+        self.table.keys_where(|e| e.servers.contains(&host))
     }
 
     /// Cumulative `GetServer` + `Increment` count for `uid` over the
     /// database's whole lifetime (monotone; aborts do not subtract). Zero
     /// for unknown or never-used objects.
     pub fn lifetime_uses(&self, uid: Uid) -> u64 {
-        self.inner
-            .borrow()
-            .lifetime_uses
-            .get(&uid)
-            .copied()
-            .unwrap_or(0)
+        self.table
+            .with_side(|side| side.lifetime_uses.get(&uid).copied().unwrap_or(0))
     }
 
     /// Every client appearing in some use list (sorted, deduplicated).
     /// The cleanup daemon checks these against liveness. Served straight
-    /// from the reverse index: its keys are exactly this set.
+    /// from the use index.
     pub fn clients_in_use(&self) -> Vec<ClientId> {
-        self.inner.borrow().use_index.keys().copied().collect()
+        let mut clients: Vec<ClientId> = self
+            .table
+            .with_side(|side| side.use_index.iter().map(|&(client, _)| client).collect());
+        clients.dedup();
+        clients
     }
 
     /// Operation counters.
     pub fn ops(&self) -> ServerDbOps {
-        self.inner.borrow().ops
-    }
-}
-
-/// What [`decrement_counter`] did to the `(host, client)` counter.
-#[derive(Clone, Copy)]
-struct DecrementEffect {
-    /// A counter existed and was decremented.
-    changed: bool,
-    /// The decrement dropped the client's entry from the host's use list
-    /// (counter reached zero) — the caller must update the use index.
-    removed: bool,
-}
-
-/// Removes one use of `host` by `client`, pruning empty entries.
-fn decrement_counter(entry: &mut ServerEntry, host: NodeId, client: ClientId) -> DecrementEffect {
-    const NONE: DecrementEffect = DecrementEffect {
-        changed: false,
-        removed: false,
-    };
-    let Some(ul) = entry.use_lists.get_mut(&host) else {
-        return NONE;
-    };
-    let Some(c) = ul.get_mut(&client) else {
-        return NONE;
-    };
-    *c = c.saturating_sub(1);
-    let removed = *c == 0;
-    if removed {
-        ul.remove(&client);
-        if ul.is_empty() {
-            entry.use_lists.remove(&host);
-        }
-    }
-    DecrementEffect {
-        changed: true,
-        removed,
+        self.table.with_side(|side| side.ops)
     }
 }
 
@@ -866,6 +679,23 @@ mod tests {
         db.purge_client(b, c(1)).unwrap();
         tx.abort(b);
         assert_eq!(db.entry(uid()).unwrap().total_uses(), 1);
+    }
+
+    #[test]
+    fn purging_the_only_client_leaves_a_fresh_entry() {
+        let (_, tx, db) = world();
+        setup_entry(&tx, &db);
+        let a = tx.begin_top(n(0));
+        db.increment(a, c(1), uid(), &[n(1), n(2)]).unwrap();
+        tx.commit(a).unwrap();
+        let b = tx.begin_top(n(0));
+        db.purge_client(b, c(1)).unwrap();
+        tx.commit(b).unwrap();
+        assert_eq!(
+            db.entry(uid()),
+            Some(ServerEntry::new(vec![n(1), n(2)])),
+            "no emptied use list is left behind"
+        );
     }
 
     #[test]

@@ -2,14 +2,12 @@
 
 use crate::error::DbError;
 use crate::keys::state_entry_key;
-use groupview_actions::{ActionId, LockMode, TxSystem};
+use crate::table::{Entry, Table};
+use groupview_actions::{ActionId, LockKey, LockMode, TxSystem};
 use groupview_sim::NodeId;
 use groupview_store::Uid;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
 
 /// One object's entry: the set `StA` of nodes whose object stores hold a
 /// (current) state of the object.
@@ -89,11 +87,14 @@ pub struct StateDbOps {
     pub excluded_nodes: u64,
 }
 
-struct Inner {
-    /// Keyed by UID in a `BTreeMap`: O(log n) point lookups at scale and
-    /// [`ObjectStateDb::uids`] iterates in sorted order for free.
-    entries: BTreeMap<Uid, StateEntry>,
-    ops: StateDbOps,
+impl Entry for StateEntry {
+    type Key = Uid;
+    type Query = Uid;
+    type Side = StateDbOps;
+
+    fn lock_key(uid: &Uid) -> LockKey {
+        state_entry_key(*uid)
+    }
 }
 
 /// The Object State database (`UID → StA` mappings).
@@ -102,18 +103,16 @@ struct Inner {
 /// [`ObjectStateDb::exclude`] at commit time to prune stores that missed the
 /// state write; a recovered store node calls [`ObjectStateDb::include`]
 /// after refreshing its states (§4.2). As with the server database, each
-/// entry is independently lock-controlled and all mutations carry undo
-/// records.
+/// entry is independently lock-controlled and restored on abort.
 #[derive(Clone)]
 pub struct ObjectStateDb {
-    tx: TxSystem,
-    inner: Rc<RefCell<Inner>>,
+    table: Table<StateEntry>,
 }
 
 impl fmt::Debug for ObjectStateDb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ObjectStateDb")
-            .field("entries", &self.inner.borrow().entries.len())
+            .field("entries", &self.table.len())
             .finish()
     }
 }
@@ -122,11 +121,7 @@ impl ObjectStateDb {
     /// Creates an empty database managed by the given action service.
     pub fn new(tx: &TxSystem) -> Self {
         ObjectStateDb {
-            tx: tx.clone(),
-            inner: Rc::new(RefCell::new(Inner {
-                entries: BTreeMap::new(),
-                ops: StateDbOps::default(),
-            })),
+            table: Table::new(tx),
         }
     }
 
@@ -141,20 +136,13 @@ impl ObjectStateDb {
         uid: Uid,
         stores: Vec<NodeId>,
     ) -> Result<(), DbError> {
-        self.tx
-            .lock(action, state_entry_key(uid), LockMode::Write)?;
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.entries.contains_key(&uid) {
+        self.table.write(action, &uid, LockMode::Write, |slot, _| {
+            if slot.get().is_some() {
                 return Err(DbError::AlreadyExists(uid));
             }
-            inner.entries.insert(uid, StateEntry::new(stores));
-        }
-        let handle = self.inner.clone();
-        self.tx.push_undo(action, move || {
-            handle.borrow_mut().entries.remove(&uid);
-        })?;
-        Ok(())
+            slot.set(Some(StateEntry::new(stores)));
+            Ok(())
+        })
     }
 
     /// `GetView(objectname)`: the list of store nodes, under a read lock.
@@ -163,14 +151,10 @@ impl ObjectStateDb {
     ///
     /// [`DbError::NotFound`] or a lock refusal.
     pub fn get_view(&self, action: ActionId, uid: Uid) -> Result<StateEntry, DbError> {
-        self.tx.lock(action, state_entry_key(uid), LockMode::Read)?;
-        let mut inner = self.inner.borrow_mut();
-        inner.ops.get_view += 1;
-        inner
-            .entries
-            .get(&uid)
-            .cloned()
-            .ok_or(DbError::NotFound(uid))
+        self.table.read(action, &uid, LockMode::Read, |entry, ops| {
+            ops.get_view += 1;
+            entry.cloned().ok_or(DbError::NotFound(uid))
+        })
     }
 
     /// `Include(objectname, hostname)`: re-adds a store node whose object
@@ -181,28 +165,17 @@ impl ObjectStateDb {
     ///
     /// [`DbError::NotFound`] or a lock refusal.
     pub fn include(&self, action: ActionId, uid: Uid, host: NodeId) -> Result<bool, DbError> {
-        self.tx
-            .lock(action, state_entry_key(uid), LockMode::Write)?;
-        let added = {
-            let mut inner = self.inner.borrow_mut();
-            inner.ops.include += 1;
-            let entry = inner.entries.get_mut(&uid).ok_or(DbError::NotFound(uid))?;
-            if entry.contains(host) {
-                false
-            } else {
-                entry.stores.push(host);
-                true
-            }
-        };
-        if added {
-            let handle = self.inner.clone();
-            self.tx.push_undo(action, move || {
-                if let Some(e) = handle.borrow_mut().entries.get_mut(&uid) {
-                    e.stores.retain(|&s| s != host);
+        self.table
+            .write(action, &uid, LockMode::Write, |slot, ops| {
+                ops.include += 1;
+                if slot.get().ok_or(DbError::NotFound(uid))?.contains(host) {
+                    return Ok(false);
                 }
-            })?;
-        }
-        Ok(added)
+                if let Some(e) = slot.get_mut() {
+                    e.stores.push(host);
+                }
+                Ok(true)
+            })
     }
 
     /// `Exclude(<objectname, nodelist>, ...)`: removes, for each object in
@@ -227,40 +200,27 @@ impl ObjectStateDb {
     ) -> Result<usize, DbError> {
         // Lock everything first so the batch is all-or-nothing.
         for (uid, _) in batch {
-            self.tx.lock(action, state_entry_key(*uid), policy.mode())?;
+            self.table.lock(action, uid, policy.mode())?;
         }
         let mut total = 0;
         for (uid, nodes) in batch {
-            let uid = *uid;
-            let removed: Vec<(usize, NodeId)> = {
-                let mut inner = self.inner.borrow_mut();
-                let entry = inner.entries.get_mut(&uid).ok_or(DbError::NotFound(uid))?;
-                let mut removed = Vec::new();
-                for &node in nodes {
-                    if let Some(pos) = entry.stores.iter().position(|&s| s == node) {
-                        entry.stores.remove(pos);
-                        removed.push((pos, node));
-                    }
+            total += self.table.update(action, uid, |slot, _| {
+                let entry = slot.get().ok_or(DbError::NotFound(*uid))?;
+                if !nodes.iter().any(|&n| entry.contains(n)) {
+                    return Ok(0);
                 }
-                removed
-            };
-            total += removed.len();
-            if !removed.is_empty() {
-                let handle = self.inner.clone();
-                self.tx.push_undo(action, move || {
-                    if let Some(e) = handle.borrow_mut().entries.get_mut(&uid) {
-                        // Reinsert in reverse so positions stay valid.
-                        for &(pos, node) in removed.iter().rev() {
-                            let pos = pos.min(e.stores.len());
-                            e.stores.insert(pos, node);
-                        }
-                    }
-                })?;
-            }
+                let Some(e) = slot.get_mut() else {
+                    return Ok(0);
+                };
+                let listed = e.stores.len();
+                e.stores.retain(|s| !nodes.contains(s));
+                Ok(listed - e.stores.len())
+            })?;
         }
-        let mut inner = self.inner.borrow_mut();
-        inner.ops.exclude += 1;
-        inner.ops.excluded_nodes += total as u64;
+        self.table.with_side(|ops| {
+            ops.exclude += 1;
+            ops.excluded_nodes += total as u64;
+        });
         Ok(total)
     }
 
@@ -268,29 +228,23 @@ impl ObjectStateDb {
 
     /// Snapshot of an entry without locking (diagnostics only).
     pub fn entry(&self, uid: Uid) -> Option<StateEntry> {
-        self.inner.borrow().entries.get(&uid).cloned()
+        self.table.get(&uid)
     }
 
     /// All object UIDs with entries, sorted (map key order — no sort pass).
     pub fn uids(&self) -> Vec<Uid> {
-        self.inner.borrow().entries.keys().copied().collect()
+        self.table.keys()
     }
 
     /// UIDs whose store set contains `host`, sorted — the state-side twin
     /// of [`crate::ObjectServerDb::uids_hosting`], without cloning entries.
     pub fn uids_hosting(&self, host: NodeId) -> Vec<Uid> {
-        self.inner
-            .borrow()
-            .entries
-            .iter()
-            .filter(|(_, e)| e.contains(host))
-            .map(|(&uid, _)| uid)
-            .collect()
+        self.table.keys_where(|e| e.contains(host))
     }
 
     /// Operation counters.
     pub fn ops(&self) -> StateDbOps {
-        self.inner.borrow().ops
+        self.table.with_side(|ops| *ops)
     }
 }
 

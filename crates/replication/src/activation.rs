@@ -28,7 +28,7 @@ use crate::policy::ReplicationPolicy;
 use crate::replica::ReplicaHandle;
 use crate::system::System;
 use groupview_actions::ActionId;
-use groupview_core::BindRequest;
+use groupview_core::{BindRequest, Cost};
 use groupview_group::{DeliveryMode, GroupId};
 use groupview_obs::Phase;
 use groupview_sim::{ClientId, NodeId};
@@ -114,7 +114,10 @@ impl System {
         let viewer = binding.servers.first().copied().unwrap_or(client_node);
         let probe_start = inner.sim.now().as_micros();
         let nested = inner.tx.begin_nested(action);
-        let st_entry = match inner.naming.get_view_from(viewer, nested, uid) {
+        let st_entry = match inner
+            .naming
+            .remote(viewer, Cost::READ, |ns| ns.state_db.get_view(nested, uid))
+        {
             Ok(e) => {
                 inner.tx.commit(nested)?;
                 inner.obs.span(

@@ -13,7 +13,8 @@ use crate::system::System;
 use crate::wire::{
     read_frames, BatchMsgCodec, GroupMsgCodec, MemberReply, MemberReplyCodec, BATCH_FLAG,
 };
-use groupview_actions::{ActionId, LockKey, LockMode};
+use groupview_actions::{ActionId, LockMode};
+use groupview_core::keys::object_key;
 use groupview_core::{BindRequest, Binding};
 use groupview_group::{Enrolment, GroupId, GroupMember};
 use groupview_obs::{Counter as ObsCounter, Phase};
@@ -24,15 +25,6 @@ use std::cell::Cell;
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
-
-/// Lock namespace for object-level concurrency control (the databases use
-/// spaces 1 and 2; see [`groupview_core::keys`]).
-pub const OBJECT_SPACE: u16 = 3;
-
-/// The lock key serialising operations on `uid` itself.
-pub fn object_key(uid: Uid) -> LockKey {
-    LockKey::new(OBJECT_SPACE, uid.raw())
-}
 
 /// A client's handle to an activated object: the bound servers plus the
 /// `St` view captured (and read-locked) at activation.

@@ -8,9 +8,10 @@ use crate::replica::ReplicaRegistry;
 use crate::tx::Tx;
 use crate::typed::{Handle, ObjectType, TypedUid};
 use groupview_actions::{ActionId, StoreWriteParticipant, TxError, TxSystem};
+use groupview_core::keys::{object_key, server_entry_key, state_entry_key};
 use groupview_core::{
-    Binder, BindingScheme, CleanupDaemon, DbError, Directory, ExcludePolicy, NamingService,
-    RecoveryManager, RemoteDirectory, RemoteServerCache, ServerCache,
+    check_node_lists, Binder, BindingScheme, CleanupDaemon, Cost, DbError, ExcludePolicy,
+    NamingService, RecoveryManager, RemoteServerCache, ServerCache,
 };
 use groupview_group::{GroupComms, GroupId};
 use groupview_obs::{MetricsSnapshot, NodeLoad, Phase, Registry as ObsRegistry};
@@ -32,7 +33,6 @@ pub(crate) struct SystemInner {
     pub(crate) types: TypeRegistry,
     pub(crate) recovery: RecoveryManager,
     pub(crate) cleanup: CleanupDaemon,
-    pub(crate) directory: RemoteDirectory,
     pub(crate) server_cache: Option<RemoteServerCache>,
     pub(crate) policy: ReplicationPolicy,
     pub(crate) exclude_policy: ExcludePolicy,
@@ -191,7 +191,6 @@ impl SystemBuilder {
         let binder = Binder::new(&sim, &naming, self.scheme);
         let recovery = RecoveryManager::new(&sim, &naming, &stores);
         let cleanup = CleanupDaemon::new(&sim, &naming);
-        let directory = RemoteDirectory::new(&sim, naming_node, Directory::new(&tx));
         let server_cache = if self.scheme.uses_server_cache() {
             Some(RemoteServerCache::new(
                 &sim,
@@ -233,7 +232,6 @@ impl SystemBuilder {
                 binder,
                 recovery,
                 cleanup,
-                directory,
                 server_cache,
             }),
         };
@@ -367,12 +365,6 @@ impl System {
         &self.inner.cleanup
     }
 
-    /// The name directory (user-given names → UIDs, §2.2), hosted at the
-    /// naming node.
-    pub fn directory(&self) -> &RemoteDirectory {
-        &self.inner.directory
-    }
-
     /// The non-atomic server cache, present only under
     /// [`BindingScheme::CachedNameServer`] (the paper's §5 extension).
     pub fn server_cache(&self) -> Option<&RemoteServerCache> {
@@ -393,43 +385,7 @@ impl System {
         sv: &[NodeId],
         st: &[NodeId],
     ) -> Result<Uid, DbError> {
-        check_node_lists(sv, st)?;
-        let inner = &self.inner;
-        let uid = inner.uid_gen.borrow_mut().next_uid();
-        let initial = ObjectState::initial(object.type_tag(), object.snapshot(&inner.wire));
-        let action = inner.tx.begin_top(inner.naming.node());
-        let result = (|| {
-            inner.directory.local().bind_name(action, name, uid)?;
-            inner
-                .naming
-                .register_object(action, uid, sv.to_vec(), st.to_vec())?;
-            for &node in st {
-                inner.stores.add_store(node);
-                let participant = StoreWriteParticipant::new(
-                    &inner.sim,
-                    &inner.stores,
-                    inner.naming.node(),
-                    node,
-                    TxSystem::token(action),
-                    vec![(uid, initial.clone())],
-                );
-                inner.tx.add_participant(action, Box::new(participant))?;
-            }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                inner.tx.commit(action)?;
-                if let Some(cache) = &inner.server_cache {
-                    cache.local().seed(uid, sv.to_vec());
-                }
-                Ok(uid)
-            }
-            Err(e) => {
-                inner.tx.abort(action);
-                Err(e)
-            }
-        }
+        self.create(Some(name), object, sv, st)
     }
 
     /// The replication policy in force.
@@ -460,32 +416,47 @@ impl System {
         sv: &[NodeId],
         st: &[NodeId],
     ) -> Result<Uid, DbError> {
+        self.create(None, object, sv, st)
+    }
+
+    /// Registers the object (and binds `name` to it, if given), writing its
+    /// initial state to every store in `st`, all in one atomic action. The
+    /// node lists are checked before a uid is drawn.
+    fn create(
+        &self,
+        name: Option<&str>,
+        object: Box<dyn ReplicaObject>,
+        sv: &[NodeId],
+        st: &[NodeId],
+    ) -> Result<Uid, DbError> {
         check_node_lists(sv, st)?;
         let inner = &self.inner;
+        let naming = &inner.naming;
         let uid = inner.uid_gen.borrow_mut().next_uid();
         let initial = ObjectState::initial(object.type_tag(), object.snapshot(&inner.wire));
-        let action = inner.tx.begin_top(inner.naming.node());
-        if let Err(e) = inner
-            .naming
-            .register_object(action, uid, sv.to_vec(), st.to_vec())
-        {
+        let action = inner.tx.begin_top(naming.node());
+        let staged = (|| {
+            if let Some(name) = name {
+                naming.directory.bind_name(action, name, uid)?;
+            }
+            naming.register_object(action, uid, sv.to_vec(), st.to_vec())?;
+            for &node in st {
+                inner.stores.add_store(node);
+                let participant = StoreWriteParticipant::new(
+                    &inner.sim,
+                    &inner.stores,
+                    naming.node(),
+                    node,
+                    TxSystem::token(action),
+                    vec![(uid, initial.clone())],
+                );
+                inner.tx.add_participant(action, Box::new(participant))?;
+            }
+            Ok(())
+        })();
+        if let Err(e) = staged {
             inner.tx.abort(action);
             return Err(e);
-        }
-        for &node in st {
-            inner.stores.add_store(node);
-            let participant = StoreWriteParticipant::new(
-                &inner.sim,
-                &inner.stores,
-                inner.naming.node(),
-                node,
-                TxSystem::token(action),
-                vec![(uid, initial.clone())],
-            );
-            if let Err(e) = inner.tx.add_participant(action, Box::new(participant)) {
-                inner.tx.abort(action);
-                return Err(DbError::Tx(e));
-            }
         }
         inner.tx.commit(action)?;
         if let Some(cache) = &inner.server_cache {
@@ -588,18 +559,9 @@ impl System {
         if !quiescent {
             return false;
         }
-        let in_use = !inner
-            .tx
-            .lock_holders(crate::invoke::object_key(uid))
-            .is_empty()
-            || !inner
-                .tx
-                .lock_holders(groupview_core::keys::state_entry_key(uid))
-                .is_empty()
-            || !inner
-                .tx
-                .lock_holders(groupview_core::keys::server_entry_key(uid))
-                .is_empty();
+        let in_use = [object_key(uid), state_entry_key(uid), server_entry_key(uid)]
+            .into_iter()
+            .any(|key| !inner.tx.lock_holders(key).is_empty());
         if in_use {
             return false;
         }
@@ -633,23 +595,6 @@ impl System {
             }
         }
     }
-}
-
-/// The node-list rule of `NamingService::register_object` — each list
-/// non-empty, no node twice — checked before a creation draws a uid or
-/// begins its action.
-fn check_node_lists(sv: &[NodeId], st: &[NodeId]) -> Result<(), DbError> {
-    for nodes in [sv, st] {
-        if nodes.is_empty() {
-            return Err(DbError::InvalidNodeList { repeated: None });
-        }
-        if let Some(i) = (1..nodes.len()).find(|&i| nodes[..i].contains(&nodes[i])) {
-            return Err(DbError::InvalidNodeList {
-                repeated: Some(nodes[i]),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// A client application: runs atomic actions against persistent objects.
@@ -829,10 +774,10 @@ impl Client {
         let nested = self.sys.inner.tx.begin_nested(action);
         let uid = match self
             .sys
-            .inner
-            .directory
-            .lookup_from(self.node, nested, name)
-        {
+            .naming()
+            .remote(self.node, Cost::lookup(name), |ns| {
+                ns.directory.lookup(nested, name)
+            }) {
             Ok(uid) => {
                 self.sys.inner.tx.commit(nested)?;
                 uid

@@ -23,6 +23,7 @@ use crate::error::CommitError;
 use crate::invoke::ObjectGroup;
 use crate::system::System;
 use groupview_actions::{ActionId, Participant, StoreWriteParticipant, TxSystem};
+use groupview_core::Cost;
 use groupview_sim::NodeId;
 use groupview_store::{ObjectState, Uid};
 
@@ -164,11 +165,10 @@ impl System {
             // already holds a read lock on the entries (taken at
             // activation); the policy decides whether this is a write
             // promotion or the paper's exclude-write lock.
-            if let Err(e) =
-                inner
-                    .naming
-                    .exclude_from(coordinator, action, &exclusions, inner.exclude_policy)
-            {
+            if let Err(e) = inner.naming.remote(coordinator, Cost::EXCLUDE, |ns| {
+                ns.state_db
+                    .exclude(action, &exclusions, inner.exclude_policy)
+            }) {
                 for mut p in prepared {
                     p.abort();
                 }

@@ -695,7 +695,7 @@ fn stale_action_ids_are_refused_not_panicked_on() {
 /// lost at the next passivation.
 #[test]
 fn raw_invoke_through_a_foreign_activation_is_refused() {
-    use groupview_replication::invoke::object_key;
+    use groupview_core::keys::object_key;
     let sys = system(
         ReplicationPolicy::Active,
         BindingScheme::IndependentTopLevel,

@@ -68,19 +68,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Renames are transactional too: abort undoes them.
     let tx = sys.tx();
     let rename = tx.begin_top(n(0));
-    let dir = sys.directory().local();
+    let dir = &sys.naming().directory;
     let uid = dir.lookup(rename, "shelves/paint")?;
     dir.unbind_name(rename, "shelves/paint")?;
     dir.bind_name(rename, "shelves/decorating", uid)?;
     tx.abort(rename);
-    println!(
-        "rename aborted; directory still has: {:?}",
-        sys.directory().local().names()
-    );
-    assert!(sys
-        .directory()
-        .local()
-        .names()
-        .contains(&"shelves/paint".to_string()));
+    println!("rename aborted; directory still has: {:?}", dir.names());
+    assert!(dir.names().contains(&"shelves/paint".to_string()));
     Ok(())
 }

@@ -69,7 +69,7 @@ fn name_collisions_abort_creation_atomically() {
     // The failed creation left nothing behind: no object entries, no name.
     assert_eq!(sys.naming().server_db.uids().len(), objects_before);
     assert_eq!(
-        sys.directory().local().names(),
+        sys.naming().directory.names(),
         vec!["kv/config".to_string()]
     );
 }
@@ -120,7 +120,7 @@ fn directory_updates_are_transactional_with_the_client_action() {
     // Rename within an action, then abort: the rename is undone.
     let tx = sys.tx();
     let action = tx.begin_top(n(0));
-    let dir = sys.directory().local();
+    let dir = &sys.naming().directory;
     assert!(dir.unbind_name(action, "tmp/a").unwrap());
     dir.bind_name(action, "tmp/b", uid).unwrap();
     tx.abort(action);
