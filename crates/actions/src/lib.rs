@@ -24,20 +24,21 @@
 //!   ancestor inheritance for nested actions;
 //! * [`TxSystem`] — the action manager: begin/commit/abort for top-level,
 //!   nested, and nested-top-level actions, LIFO undo logs, and a two-phase
-//!   commit protocol over [`Participant`]s. It keeps one record per
-//!   *active* action and nothing about an action that has ended: a nested
-//!   commit merges the record into its parent's, a top-level commit or an
-//!   abort takes it out of the table, and the lock table alone says who
-//!   holds what. An ended action's record is emptied and recycled for a
-//!   later action, buffers and all, and the lock table reuses its emptied
-//!   holder and key lists, so an action's bookkeeping allocates nothing in
-//!   steady state;
-//! * [`StoreWriteParticipant`] — the standard participant that installs new
-//!   object states into a node's stable store at commit (phase 1 writes the
-//!   store's intent log; in-doubt transactions are resolved from the
-//!   coordinator's decision record after a crash). It prepares at most
-//!   once, so a write staged before the two-phase commit rides it without
-//!   being staged again.
+//!   commit protocol over [`StoreWriteParticipant`]s. It keeps one record
+//!   per *active* action and nothing about an action that has ended: a
+//!   nested commit merges the record into its parent's, a top-level commit
+//!   or an abort takes it out of the table, and the lock table alone says
+//!   who holds what. An ended action's record is emptied and recycled for
+//!   a later action, buffers and all — its participants are held by value
+//!   in a vector it keeps — and the lock table reuses its emptied holder
+//!   and key lists, so an action's bookkeeping allocates nothing in steady
+//!   state;
+//! * [`StoreWriteParticipant`] — the two-phase-commit participant: it
+//!   installs new object states into a node's stable store at commit
+//!   (phase 1 writes the store's intent log; in-doubt transactions are
+//!   resolved from the coordinator's decision record after a crash). It
+//!   prepares at most once, so a write staged before the two-phase commit
+//!   rides it without being staged again.
 //!
 //! # Example
 //!
@@ -79,4 +80,4 @@ pub use crate::arena::{UndoApplier, UndoArena};
 pub use crate::error::TxError;
 pub use crate::lock::{LockKey, LockManager, LockMode};
 pub use crate::manager::{TxStats, TxSystem};
-pub use crate::participant::{Participant, PrepareFault, StoreWriteParticipant};
+pub use crate::participant::{PrepareFault, StoreWriteParticipant};

@@ -33,32 +33,16 @@ impl fmt::Display for PrepareFault {
     }
 }
 
-/// A resource taking part in an action's two-phase commit.
+/// A two-phase-commit participant: installs new object states into one
+/// node's stable store.
 ///
-/// The action manager drives participants through `prepare` (phase 1,
-/// durable) and then `commit` or `abort` (phase 2). A participant whose node
-/// crashes between the phases is left *in doubt*; its recovery consults the
-/// coordinator's decision record ([`crate::TxSystem::decision`]).
-pub trait Participant {
-    /// The node this participant's durable state lives on.
-    fn node(&self) -> NodeId;
-
-    /// Phase 1: durably stage the participant's effects. Returns whether
-    /// the participant is prepared; `false` vetoes the commit.
-    fn prepare(&mut self) -> bool;
-
-    /// Phase 2: make the staged effects permanent. Returns `false` when the
-    /// participant was unreachable — the decision stands and recovery will
-    /// finish the job.
-    fn commit(&mut self) -> bool;
-
-    /// Phase 2 alternative: discard staged effects (best effort; presumed
-    /// abort makes lost messages harmless).
-    fn abort(&mut self);
-}
-
-/// The standard participant: installs new object states into one node's
-/// stable store.
+/// The action manager drives participants through
+/// [`StoreWriteParticipant::try_prepare`] (phase 1, durable) and then
+/// [`StoreWriteParticipant::commit`] or [`StoreWriteParticipant::abort`]
+/// (phase 2), holding them by value in the action's record. A participant
+/// whose node crashes between the phases is left *in doubt*; its recovery
+/// consults the coordinator's decision record
+/// ([`crate::TxSystem::decision`]).
 ///
 /// Commit processing in the paper copies the state of a modified object "to
 /// the object stores of all the nodes ∈ StA" (§3.2 case 2); the replication
@@ -118,10 +102,10 @@ impl StoreWriteParticipant {
         self.coordinator == self.target
     }
 
-    /// Phase 1 with an explained outcome: stages the writes like
-    /// [`Participant::prepare`] but reports *why* a failure happened, so the
-    /// caller can distinguish an unreachable store from a refused write.
-    /// Only the first call stages anything; later calls return its outcome.
+    /// Phase 1: durably stages the writes, reporting *why* a failure
+    /// happened, so the caller can distinguish an unreachable store from a
+    /// refused write (any failure vetoes the commit). Only the first call
+    /// stages anything; later calls return its outcome.
     ///
     /// # Errors
     ///
@@ -159,18 +143,16 @@ impl StoreWriteParticipant {
             Err(e) => Err(PrepareFault::Net(e)),
         }
     }
-}
 
-impl Participant for StoreWriteParticipant {
-    fn node(&self) -> NodeId {
+    /// The node this participant's durable state lives on.
+    pub fn node(&self) -> NodeId {
         self.target
     }
 
-    fn prepare(&mut self) -> bool {
-        self.try_prepare().is_ok()
-    }
-
-    fn commit(&mut self) -> bool {
+    /// Phase 2: makes the staged writes permanent. Returns `false` when the
+    /// store was unreachable — the decision stands and recovery will finish
+    /// the job.
+    pub fn commit(&mut self) -> bool {
         if self.is_local() {
             return self.stores.commit_local(self.target, self.token).is_ok();
         }
@@ -184,7 +166,9 @@ impl Participant for StoreWriteParticipant {
             .unwrap_or(false)
     }
 
-    fn abort(&mut self) {
+    /// Phase 2 alternative: discards the staged writes (best effort;
+    /// presumed abort makes lost messages harmless).
+    pub fn abort(&mut self) {
         if self.is_local() {
             let _ = self.stores.abort_local(self.target, self.token);
             return;
@@ -197,6 +181,16 @@ impl Participant for StoreWriteParticipant {
             .rpc(self.coordinator, self.target, 24, 16, move || {
                 let _ = stores.abort_local(target, token);
             });
+    }
+}
+
+/// Unboxes a participant. The action record holds participants by value;
+/// this conversion exists only so that callers which enlist
+/// `Box::new(participant)` — the benchmark harness's 2PC probe in
+/// `benchmark/src/probes.rs` does — keep compiling.
+impl From<Box<StoreWriteParticipant>> for StoreWriteParticipant {
+    fn from(boxed: Box<StoreWriteParticipant>) -> Self {
+        *boxed
     }
 }
 
@@ -230,7 +224,7 @@ mod tests {
             TxToken::new(5),
             vec![(uid, state(b"x"))],
         );
-        assert!(p.prepare());
+        assert_eq!(p.try_prepare(), Ok(()));
         assert_eq!(
             stores.read_local(NodeId::new(1), uid),
             Err(StoreError::NotFound(uid)),
@@ -254,7 +248,7 @@ mod tests {
             TxToken::new(6),
             vec![(uid, state(b"y"))],
         );
-        assert!(p.prepare());
+        assert_eq!(p.try_prepare(), Ok(()));
         assert!(p.commit());
         assert_eq!(
             sim.counters().delivered,
@@ -276,7 +270,6 @@ mod tests {
             TxToken::new(7),
             vec![(Uid::from_raw(3), state(b"z"))],
         );
-        assert!(!p.prepare());
         let fault = p.try_prepare().expect_err("target is down");
         assert!(
             fault.is_failure_caused(),
@@ -320,7 +313,7 @@ mod tests {
         assert_eq!(p.try_prepare(), Ok(()));
         let (delivered, now) = (sim.counters().delivered, sim.now());
         assert_eq!(p.try_prepare(), Ok(()));
-        assert!(p.prepare());
+        assert_eq!(p.try_prepare(), Ok(()));
         assert_eq!(sim.counters().delivered, delivered, "no message sent");
         assert_eq!(sim.now(), now, "no stable write charged");
         // The staged write-set is still the first one, and commits whole.
@@ -344,7 +337,7 @@ mod tests {
             TxToken::new(8),
             vec![(uid, state(b"new"))],
         );
-        assert!(p.prepare());
+        assert_eq!(p.try_prepare(), Ok(()));
         p.abort();
         assert_eq!(stores.read_local(NodeId::new(1), uid).unwrap().data, b"old");
         assert!(stores
@@ -365,7 +358,7 @@ mod tests {
             TxToken::new(9),
             vec![(uid, state(b"w"))],
         );
-        assert!(p.prepare());
+        assert_eq!(p.try_prepare(), Ok(()));
         sim.crash(NodeId::new(1));
         assert!(!p.commit(), "commit attempt fails, decision stands");
         sim.recover(NodeId::new(1));

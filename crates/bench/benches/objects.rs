@@ -22,12 +22,19 @@
 //! * **Per 16-op batch: 14/10/10**, measured + 1 (measured 13.005 / 9.005
 //!   / 9.005: the batched path's own vectors, ROADMAP item 5(a), including
 //!   the returned reply vector).
-//! * **Per two-object transaction: 26/26/26.** The window measures a
-//!   whole two-account transfer through the typed `Tx` surface — begin,
-//!   two auto-activating invokes, and a commit driving one store 2PC over
-//!   the union of both objects. Measured 26.0 under every policy
-//!   (activation and write-back scratch, ROADMAP item 11(b)/(c)); the
-//!   budget is exact, so one more allocation per transaction fails.
+//! * **Per two-object transaction: 7/7/7**, measured + 1. The window
+//!   measures a whole two-account transfer through the typed `Tx` surface
+//!   — begin, two auto-activating invokes, and a commit driving one store
+//!   2PC over the union of both objects. Measured 6.0 under every policy:
+//!   two `Rc<Activation>`s and the commit's four bookkeeping vectors
+//!   (its activations, the dirty ones, their new states, the staged
+//!   participants). Node lists are inline, participants live by value in
+//!   the recycled action record, and each store reuses the write-set of
+//!   its last committed intent.
+//! * **Per single-object action: 6/6/6**, measured + 1. One warm action
+//!   — begin, activate (joining the live activation), one `Add`, commit —
+//!   the shape of a `short_warm` commit. Measured 5.0 under every policy:
+//!   one `Rc<Activation>` and the same four commit vectors.
 //!
 //! Every scoreboard carries the same exact-equality gate: a window run
 //! with observability switched off after warmup allocates exactly what a
@@ -81,6 +88,9 @@ const POLICIES: [ReplicationPolicy; 3] = [
 
 /// Allocations per 16-op batch, by policy: measured + 1.
 const BATCH_BUDGETS: [f64; 3] = [14.0, 10.0, 10.0];
+
+/// Allocations per whole single-object action, every policy: measured + 1.
+const ACTION_BUDGET: f64 = 6.0;
 
 /// Builds a 3-replica world and an activated typed handle, mid-action.
 fn activated(policy: ReplicationPolicy) -> (System, Handle<Counter>, groupview_actions::ActionId) {
@@ -218,7 +228,7 @@ fn bench_invoke_batch_heap_allocs(_c: &mut Criterion) {
 
 /// Builds a 3-replica world with two accounts opened on one client,
 /// ready for typed transactions.
-fn tx_world(policy: ReplicationPolicy) -> (System, Handle<Account>, Handle<Account>) {
+fn tx_world(policy: ReplicationPolicy) -> (System, (Handle<Account>, Handle<Account>)) {
     let sys = System::builder(13).nodes(9).policy(policy).build();
     let servers: Vec<NodeId> = (1..=3).map(n).collect();
     let a = sys
@@ -228,12 +238,13 @@ fn tx_world(policy: ReplicationPolicy) -> (System, Handle<Account>, Handle<Accou
         .create_typed(Account::new(0), &servers, &servers)
         .expect("create");
     let client = sys.client(n(7));
-    (sys, a.open(&client), b.open(&client))
+    let accounts = (a.open(&client), b.open(&client));
+    (sys, accounts)
 }
 
 /// One measured window: total heap allocations across `txs` complete
 /// two-object transactions (begin → two invokes → commit).
-fn measure_tx_window(ha: &Handle<Account>, hb: &Handle<Account>, txs: u64) -> u64 {
+fn measure_tx_window((ha, hb): &(Handle<Account>, Handle<Account>), txs: u64) -> u64 {
     let before = allocs();
     for _ in 0..txs {
         let mut tx = ha.client().begin().with_replicas(3);
@@ -244,54 +255,88 @@ fn measure_tx_window(ha: &Handle<Account>, hb: &Handle<Account>, txs: u64) -> u6
     allocs() - before
 }
 
-/// Steady-state heap allocations per whole multi-object transaction, with
-/// the same A/B/C window structure as the per-invoke scoreboard: budget
-/// asserted on the observer-off window A, window B (observer on) reported
-/// for context, window C (re-disabled) gated to **exact** equality with A.
-fn report_tx_policy(policy: ReplicationPolicy, budget: f64) {
-    const TXS: u64 = 200;
+/// Builds a 3-replica world with one counter opened on one client, ready
+/// for whole actions.
+fn action_world(policy: ReplicationPolicy) -> (System, Handle<Counter>) {
+    let sys = System::builder(13).nodes(9).policy(policy).build();
+    let servers: Vec<NodeId> = (1..=3).map(n).collect();
+    let uid = sys
+        .create_typed(Counter::new(0), &servers, &servers)
+        .expect("create");
+    let client = sys.client(n(7));
+    let handle = uid.open(&client);
+    (sys, handle)
+}
+
+/// One measured window: total heap allocations across `actions` complete
+/// single-object actions (begin → activate → `Add` → commit), the shape of
+/// one `short_warm` commit.
+fn measure_action_window(handle: &Handle<Counter>, actions: u64) -> u64 {
+    let before = allocs();
+    for _ in 0..actions {
+        let client = handle.client();
+        let action = client.begin_action();
+        handle.activate(action, 3).expect("activate");
+        black_box(handle.invoke(action, CounterOp::Add(1)).expect("add"));
+        client.commit(action).expect("commit");
+    }
+    allocs() - before
+}
+
+/// Steady-state heap allocations per whole action, with the same A/B/C
+/// window structure as the per-invoke scoreboard: budget asserted on the
+/// observer-off window A, window B (observer on) reported for context,
+/// window C (re-disabled) gated to **exact** equality with A. Each window
+/// runs `UNITS` whole actions in a fresh world built by `world`.
+fn report_action_policy<W>(
+    scoreboard: &str,
+    per: &str,
+    policy: ReplicationPolicy,
+    budget: f64,
+    world: fn(ReplicationPolicy) -> (System, W),
+    window: fn(&W, u64) -> u64,
+) {
+    const UNITS: u64 = 200;
     const WARM: u64 = 32;
-    let warm = |ha: &Handle<Account>, hb: &Handle<Account>| {
-        measure_tx_window(ha, hb, WARM);
-    };
 
-    let (_sys, ha, hb) = tx_world(policy);
-    warm(&ha, &hb);
-    let window_a = measure_tx_window(&ha, &hb, TXS);
-    let per_tx = window_a as f64 / TXS as f64;
+    let (_sys, w) = world(policy);
+    window(&w, WARM);
+    let window_a = window(&w, UNITS);
+    let per_unit = window_a as f64 / UNITS as f64;
 
-    let (sys, ha, hb) = tx_world(policy);
+    let (sys, w) = world(policy);
     sys.obs().set_enabled(true);
-    warm(&ha, &hb);
-    let window_b = measure_tx_window(&ha, &hb, TXS);
+    window(&w, WARM);
+    let window_b = window(&w, UNITS);
     let spans_recorded = sys.obs().span_count();
 
-    let (sys, ha, hb) = tx_world(policy);
+    let (sys, w) = world(policy);
     sys.obs().set_enabled(true);
-    warm(&ha, &hb);
+    window(&w, WARM);
     sys.obs().set_enabled(false);
-    let window_c = measure_tx_window(&ha, &hb, TXS);
+    let window_c = window(&w, UNITS);
 
+    let name = format!("objects/{scoreboard}/{policy}");
     println!(
-        "objects/tx_heap_allocs/{policy:<35} {per_tx:>8.3} allocs/tx (budget {budget}) \
+        "{name:<52} {per_unit:>8.3} allocs/{per} (budget {budget}) \
          | observed {:.3} | re-disabled {:.3}",
-        window_b as f64 / TXS as f64,
-        window_c as f64 / TXS as f64,
+        window_b as f64 / UNITS as f64,
+        window_c as f64 / UNITS as f64,
     );
     if std::env::var_os("OBJECTS_BENCH_NO_ASSERT").is_none() {
         assert!(
-            per_tx <= budget,
-            "{policy}: multi-object transaction allocations regressed: \
-             {per_tx:.3} allocs/tx exceeds the budget of {budget}"
+            per_unit <= budget,
+            "{name}: whole-action allocations regressed: \
+             {per_unit:.3} allocs/{per} exceeds the budget of {budget}"
         );
         assert!(
             spans_recorded > 0,
-            "{policy}: the observed tx window recorded no spans"
+            "{name}: the observed window recorded no spans"
         );
         assert_eq!(
             window_c, window_a,
-            "{policy}: disabled observability must add zero allocations \
-             (window A={window_a}, window C={window_c} over {TXS} transactions)"
+            "{name}: disabled observability must add zero allocations \
+             (window A={window_a}, window C={window_c} over {UNITS} {per}s)"
         );
     }
 }
@@ -300,7 +345,29 @@ fn report_tx_policy(policy: ReplicationPolicy, budget: f64) {
 /// begin, two auto-activating invokes, commit (one 2PC over both objects).
 fn bench_tx_heap_allocs(_c: &mut Criterion) {
     for policy in POLICIES {
-        report_tx_policy(policy, 26.0);
+        report_action_policy(
+            "tx_heap_allocs",
+            "tx",
+            policy,
+            7.0,
+            tx_world,
+            measure_tx_window,
+        );
+    }
+}
+
+/// The action scoreboard: one whole single-object action per unit —
+/// begin, activate (joining the warm activation), one `Add`, commit.
+fn bench_action_heap_allocs(_c: &mut Criterion) {
+    for policy in POLICIES {
+        report_action_policy(
+            "action_heap_allocs",
+            "action",
+            policy,
+            ACTION_BUDGET,
+            action_world,
+            measure_action_window,
+        );
     }
 }
 
@@ -324,6 +391,7 @@ criterion_group!(
     bench_invoke_heap_allocs,
     bench_invoke_batch_heap_allocs,
     bench_tx_heap_allocs,
+    bench_action_heap_allocs,
     bench_read_heap_allocs
 );
 criterion_main!(benches);

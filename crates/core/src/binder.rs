@@ -26,11 +26,11 @@
 //! refuse each other forever. Write-lock refusals are retried a bounded
 //! number of times before reporting [`BindError::Contention`].
 
-use crate::error::BindError;
+use crate::error::{BindError, DbError};
 use crate::naming::{Cost, NamingService};
 use crate::nonatomic::RemoteServerCache;
 use groupview_actions::{ActionId, LockMode, TxError, TxSystem};
-use groupview_sim::{ClientId, NodeId, Sim};
+use groupview_sim::{ClientId, NodeId, NodeList, Sim};
 use groupview_store::Uid;
 use std::fmt;
 
@@ -103,7 +103,7 @@ pub struct BindRequest {
     /// bind to (§3.2: "the client must be bound to all of the functioning
     /// servers ∈ SvA'"). Overrides free selection and the read-only
     /// optimisation.
-    pub required: Option<Vec<NodeId>>,
+    pub required: Option<NodeList>,
 }
 
 impl BindRequest {
@@ -132,7 +132,8 @@ impl BindRequest {
     }
 
     /// Requires binding to exactly this activated server set.
-    pub fn with_required(mut self, servers: Vec<NodeId>) -> Self {
+    pub fn with_required(mut self, servers: impl Into<NodeList>) -> Self {
+        let servers = servers.into();
         self.replicas = servers.len();
         self.required = Some(servers);
         self
@@ -145,14 +146,14 @@ pub struct Binding {
     /// The bound object.
     pub uid: Uid,
     /// Functioning servers the client bound to (`Sv'`).
-    pub servers: Vec<NodeId>,
+    pub servers: NodeList,
     /// Whether use lists were incremented (schemes 2 and 3) — if so, the
     /// caller must call [`Binder::complete`] when the client action ends.
     pub registered: bool,
     /// Servers probed and found dead ("the hard way" discoveries).
     pub probe_failures: u32,
     /// Servers this binding removed from `Sv` (schemes 2 and 3).
-    pub removed: Vec<NodeId>,
+    pub removed: NodeList,
     /// Binding attempts that were retried due to lock contention.
     pub retries: u32,
 }
@@ -301,9 +302,7 @@ impl Binder {
             None => {
                 listed = cache
                     .read_from(req.client_node, req.uid)
-                    .ok_or(BindError::Db(crate::error::DbError::Net(
-                        groupview_sim::NetError::Timeout,
-                    )))?;
+                    .map_err(|e| BindError::Db(DbError::Net(e)))?;
                 &listed
             }
         };
@@ -349,7 +348,11 @@ impl Binder {
             required
         } else if req.read_only && !entry.servers.is_empty() {
             let start = req.client.raw() as usize % entry.servers.len();
-            rotated = [&entry.servers[start..], &entry.servers[..start]].concat();
+            rotated = entry.servers[start..]
+                .iter()
+                .chain(&entry.servers[..start])
+                .copied()
+                .collect::<NodeList>();
             &rotated
         } else {
             &entry.servers
@@ -365,7 +368,7 @@ impl Binder {
             servers,
             registered: false,
             probe_failures: dead.len() as u32,
-            removed: Vec::new(),
+            removed: NodeList::new(),
             retries: 0,
         })
     }
@@ -437,9 +440,9 @@ impl Binder {
         // candidates that were never probed (the desired replica count was
         // already reached) must stay listed. The write lock is already
         // held, so only genuine database errors can surface here.
-        let mut removed = Vec::new();
+        let mut removed = NodeList::new();
         let probe_failures = dead.len() as u32;
-        for host in dead {
+        for &host in &dead {
             match self.naming.remote(req.client_node, Cost::UPDATE, |ns| {
                 ns.server_db.remove(t1, req.uid, host)
             }) {
@@ -473,13 +476,9 @@ impl Binder {
     /// Probes candidates in order until `replicas` servers answered;
     /// returns `(bound, probed_and_dead)`. Candidates beyond the desired
     /// replica count are never probed and appear in neither list.
-    fn probe_candidates(
-        &self,
-        req: &BindRequest,
-        candidates: &[NodeId],
-    ) -> (Vec<NodeId>, Vec<NodeId>) {
-        let mut bound = Vec::new();
-        let mut dead = Vec::new();
+    fn probe_candidates(&self, req: &BindRequest, candidates: &[NodeId]) -> (NodeList, NodeList) {
+        let mut bound = NodeList::new();
+        let mut dead = NodeList::new();
         for &host in candidates {
             if bound.len() >= req.replicas.max(1) {
                 break;

@@ -23,7 +23,7 @@ use crate::error::DbError;
 use crate::server_db::ObjectServerDb;
 use crate::state_db::ObjectStateDb;
 use groupview_actions::{ActionId, TxSystem};
-use groupview_sim::{NodeId, Sim};
+use groupview_sim::{NodeId, NodeList, Sim};
 use groupview_store::Uid;
 use std::fmt;
 
@@ -146,9 +146,10 @@ impl NamingService {
         &self,
         action: ActionId,
         uid: Uid,
-        sv: Vec<NodeId>,
-        st: Vec<NodeId>,
+        sv: impl Into<NodeList>,
+        st: impl Into<NodeList>,
     ) -> Result<(), DbError> {
+        let (sv, st) = (sv.into(), st.into());
         check_node_lists(&sv, &st)?;
         self.server_db.create_entry(action, uid, sv)?;
         self.state_db.create_entry(action, uid, st)?;

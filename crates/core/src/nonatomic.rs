@@ -16,7 +16,7 @@
 //! decides which stores hold current state. Experiment E13 validates both
 //! halves of the conjecture.
 
-use groupview_sim::{IdMap, NodeId, Sim};
+use groupview_sim::{IdMap, NetError, NodeId, NodeList, Sim};
 use groupview_store::Uid;
 use std::cell::RefCell;
 use std::fmt;
@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 #[derive(Default)]
 struct Inner {
-    entries: IdMap<Uid, Vec<NodeId>>,
+    entries: IdMap<Uid, NodeList>,
     reads: u64,
     updates: u64,
 }
@@ -54,17 +54,17 @@ impl ServerCache {
     }
 
     /// Reads the candidate servers for `uid` (empty if unknown).
-    pub fn read(&self, uid: Uid) -> Vec<NodeId> {
+    pub fn read(&self, uid: Uid) -> NodeList {
         let mut inner = self.inner.borrow_mut();
         inner.reads += 1;
         inner.entries.get(&uid).cloned().unwrap_or_default()
     }
 
     /// Replaces the entry for `uid` (seeding at object creation).
-    pub fn seed(&self, uid: Uid, servers: Vec<NodeId>) {
+    pub fn seed(&self, uid: Uid, servers: impl Into<NodeList>) {
         let mut inner = self.inner.borrow_mut();
         inner.updates += 1;
-        inner.entries.insert(uid, servers);
+        inner.entries.insert(uid, servers.into());
     }
 
     /// Records that `node` failed to answer for `uid`: removed immediately,
@@ -135,13 +135,16 @@ impl RemoteServerCache {
         &self.cache
     }
 
-    /// Remote lookup from `caller`. Returns `None` when the cache node is
-    /// unreachable (the caller may fall back or abort).
-    pub fn read_from(&self, caller: NodeId, uid: Uid) -> Option<Vec<NodeId>> {
+    /// Remote lookup from `caller`.
+    ///
+    /// # Errors
+    ///
+    /// The [`NetError`] that kept the request or its reply from arriving
+    /// (the caller may fall back or abort).
+    pub fn read_from(&self, caller: NodeId, uid: Uid) -> Result<NodeList, NetError> {
         let cache = self.cache.clone();
         self.sim
             .rpc(caller, self.node, 32, 96, move || cache.read(uid))
-            .ok()
     }
 
     /// One-way failure report from `caller` (best effort).
@@ -210,7 +213,7 @@ mod tests {
         cache.seed(uid(), vec![n(1), n(2)]);
         let remote = RemoteServerCache::new(&sim, n(0), cache);
         assert_eq!(remote.node(), n(0));
-        assert_eq!(remote.read_from(n(1), uid()), Some(vec![n(1), n(2)]));
+        assert_eq!(remote.read_from(n(1), uid()), Ok(vec![n(1), n(2)].into()));
         remote.report_failure_from(n(1), uid(), n(1));
         assert_eq!(remote.local().read(uid()), vec![n(2)]);
         remote.report_server_from(n(1), uid(), n(1));
@@ -218,15 +221,18 @@ mod tests {
     }
 
     #[test]
-    fn unreachable_cache_returns_none_and_drops_reports() {
+    fn unreachable_cache_reports_the_net_error_and_drops_reports() {
         let sim = Sim::new(SimConfig::new(8).with_nodes(3));
         let cache = ServerCache::new();
         cache.seed(uid(), vec![n(1)]);
         let remote = RemoteServerCache::new(&sim, n(0), cache);
         sim.crash(n(0));
-        assert_eq!(remote.read_from(n(1), uid()), None);
+        assert_eq!(remote.read_from(n(1), uid()), Err(NetError::Timeout));
         remote.report_failure_from(n(1), uid(), n(1)); // silently lost
         sim.recover(n(0));
         assert_eq!(remote.local().read(uid()), vec![n(1)], "report was lost");
+        // A dead caller learns why: its own node is down.
+        sim.crash(n(2));
+        assert_eq!(remote.read_from(n(2), uid()), Err(NetError::NodeDown(n(2))));
     }
 }

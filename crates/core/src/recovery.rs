@@ -172,7 +172,6 @@ impl RecoveryManager {
                     report.refreshed.push(uid);
                     report.included.push(uid);
                 }
-                Ok(RefreshOutcome::IncludedAsIs) => report.included.push(uid),
                 Err(_) => report.refresh_deferred.push(uid),
             }
         }
@@ -241,14 +240,8 @@ impl RecoveryManager {
                     })?;
                     Ok(RefreshOutcome::Refreshed)
                 }
-                None if view.is_empty() => {
-                    // Nobody else holds a state: this node's copy is the best
-                    // available — include it as-is.
-                    self.naming.remote(node, Cost::UPDATE, |ns| {
-                        ns.state_db.include(action, uid, node)
-                    })?;
-                    Ok(RefreshOutcome::IncludedAsIs)
-                }
+                // `St` is never empty (an exclusion refuses to empty it):
+                // its stores are all unreachable, retry later.
                 None => Err(DbError::Net(groupview_sim::NetError::Timeout)),
             }
         })();
@@ -265,7 +258,6 @@ impl RecoveryManager {
 enum RefreshOutcome {
     AlreadyCurrent,
     Refreshed,
-    IncludedAsIs,
 }
 
 #[cfg(test)]
@@ -398,14 +390,14 @@ mod tests {
             let a = tx.begin_top(n(3));
             tx.add_participant(
                 a,
-                Box::new(groupview_actions::StoreWriteParticipant::new(
+                groupview_actions::StoreWriteParticipant::new(
                     &sim,
                     &stores,
                     n(3),
                     n(1),
                     TxSystem::token(a),
                     vec![(uid(), state(b"committed"))],
-                )),
+                ),
             )
             .unwrap();
             sim.crash_after_sends(n(1), 1); // dies after prepare ack

@@ -4,7 +4,7 @@ use crate::error::DbError;
 use crate::keys::server_entry_key;
 use crate::table::{Entry, Table};
 use groupview_actions::{ActionId, LockKey, LockMode, TxSystem};
-use groupview_sim::{ClientId, NodeId};
+use groupview_sim::{ClientId, NodeId, NodeList};
 use groupview_store::Uid;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -19,22 +19,22 @@ use std::fmt;
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServerEntry {
     /// `SvA`: nodes capable of running a server, in insertion order.
-    pub servers: Vec<NodeId>,
+    pub servers: NodeList,
     /// Per server node, the reference counts of clients bound to it.
     pub use_lists: BTreeMap<NodeId, BTreeMap<ClientId, u32>>,
 }
 
 impl ServerEntry {
     /// Creates an entry with the given server set and empty use lists.
-    pub fn new(servers: Vec<NodeId>) -> Self {
+    pub fn new(servers: impl Into<NodeList>) -> Self {
         ServerEntry {
-            servers,
+            servers: servers.into(),
             use_lists: BTreeMap::new(),
         }
     }
 
     /// Servers whose use list is non-empty (the object is activated there).
-    pub fn active_servers(&self) -> Vec<NodeId> {
+    pub fn active_servers(&self) -> NodeList {
         self.servers
             .iter()
             .copied()
@@ -180,7 +180,7 @@ impl ObjectServerDb {
         &self,
         action: ActionId,
         uid: Uid,
-        servers: Vec<NodeId>,
+        servers: impl Into<NodeList>,
     ) -> Result<(), DbError> {
         self.table.write(action, &uid, LockMode::Write, |slot, _| {
             if slot.get().is_some() {

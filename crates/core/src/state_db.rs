@@ -4,7 +4,7 @@ use crate::error::DbError;
 use crate::keys::state_entry_key;
 use crate::table::{Entry, Table};
 use groupview_actions::{ActionId, LockKey, LockMode, TxSystem};
-use groupview_sim::NodeId;
+use groupview_sim::{NodeId, NodeList};
 use groupview_store::Uid;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -14,13 +14,15 @@ use std::fmt;
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StateEntry {
     /// `StA`, in insertion order.
-    pub stores: Vec<NodeId>,
+    pub stores: NodeList,
 }
 
 impl StateEntry {
     /// Creates an entry with the given store set.
-    pub fn new(stores: Vec<NodeId>) -> Self {
-        StateEntry { stores }
+    pub fn new(stores: impl Into<NodeList>) -> Self {
+        StateEntry {
+            stores: stores.into(),
+        }
     }
 
     /// Whether `node` is listed.
@@ -134,7 +136,7 @@ impl ObjectStateDb {
         &self,
         action: ActionId,
         uid: Uid,
-        stores: Vec<NodeId>,
+        stores: impl Into<NodeList>,
     ) -> Result<(), DbError> {
         self.table.write(action, &uid, LockMode::Write, |slot, _| {
             if slot.get().is_some() {
@@ -188,25 +190,44 @@ impl ObjectStateDb {
     /// exclude-write lock (compatible with readers). Returns the number of
     /// store-node entries removed.
     ///
+    /// An exclusion never empties `StA`: a committer whose view went stale
+    /// (the exclude-write lock lets a concurrent commit shrink the entry
+    /// under its read lock) could otherwise exclude the last listed store,
+    /// leaving the object with no store at all. Such a batch is refused
+    /// whole, and per §2.3(3) — every store of `StA` missed the copy — the
+    /// caller's action must abort.
+    ///
     /// # Errors
     ///
-    /// [`DbError::NotFound`] for an unknown object, or a lock refusal — in
-    /// which case, per the paper, the caller's action must abort.
+    /// [`DbError::NotFound`] for an unknown object,
+    /// [`DbError::InvalidNodeList`] for an exclusion that would leave an
+    /// entry empty, or a lock refusal — in which case, per the paper, the
+    /// caller's action must abort. A refused batch changes nothing.
     pub fn exclude(
         &self,
         action: ActionId,
         batch: &[(Uid, Vec<NodeId>)],
         policy: ExcludePolicy,
     ) -> Result<usize, DbError> {
-        // Lock everything first so the batch is all-or-nothing.
+        // Lock and check everything first so the batch is all-or-nothing.
         for (uid, _) in batch {
-            self.table.lock(action, uid, policy.mode())?;
+            let excluded =
+                |s: &NodeId| batch.iter().any(|(u, nodes)| u == uid && nodes.contains(s));
+            self.table.read(action, uid, policy.mode(), |entry, _| {
+                let entry = entry.ok_or(DbError::NotFound(*uid))?;
+                if entry.stores.iter().all(excluded) {
+                    return Err(DbError::InvalidNodeList { repeated: None });
+                }
+                Ok(())
+            })?;
         }
         let mut total = 0;
         for (uid, nodes) in batch {
             total += self.table.update(action, uid, |slot, _| {
-                let entry = slot.get().ok_or(DbError::NotFound(*uid))?;
-                if !nodes.iter().any(|&n| entry.contains(n)) {
+                if !slot
+                    .get()
+                    .is_some_and(|e| nodes.iter().any(|&n| e.contains(n)))
+                {
                     return Ok(0);
                 }
                 let Some(e) = slot.get_mut() else {
@@ -388,6 +409,39 @@ mod tests {
         assert!(err.is_lock_refused());
         tx.commit(a).unwrap();
         tx.abort(b);
+    }
+
+    #[test]
+    fn an_exclusion_never_empties_st() {
+        let (_, tx, db) = world();
+        setup(&tx, &db, vec![n(1), n(2)]);
+        let uid2 = Uid::from_raw(2);
+        let a = tx.begin_top(n(0));
+        db.create_entry(a, uid2, vec![n(3), n(4)]).unwrap();
+        tx.commit(a).unwrap();
+        let empty = Err(DbError::InvalidNodeList { repeated: None });
+        for policy in [
+            ExcludePolicy::PromoteToWrite,
+            ExcludePolicy::ExcludeWriteLock,
+        ] {
+            let b = tx.begin_top(n(0));
+            // Every listed store at once, or in two parts of one batch; a
+            // valid exclusion earlier in the batch is refused with it.
+            let batches = [
+                vec![(uid(), vec![n(1), n(2), n(3)])],
+                vec![(uid2, vec![n(3)]), (uid(), vec![n(1)]), (uid(), vec![n(2)])],
+            ];
+            for batch in &batches {
+                assert_eq!(db.exclude(b, batch, policy), empty, "{policy:?}");
+            }
+            assert_eq!(db.entry(uid()).unwrap().stores, vec![n(1), n(2)]);
+            assert_eq!(db.entry(uid2).unwrap().stores, vec![n(3), n(4)]);
+            assert_eq!(db.exclude(b, &[(uid(), vec![n(1)])], policy), Ok(1));
+            assert_eq!(db.exclude(b, &[(uid(), vec![n(2)])], policy), empty);
+            tx.abort(b);
+        }
+        assert_eq!(db.ops().exclude, 2, "refused batches are not counted");
+        assert!(tx.locks_empty());
     }
 
     #[test]

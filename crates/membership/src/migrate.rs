@@ -193,14 +193,14 @@ impl Membership {
             sys.stores().unretire(to, uid);
             tx.add_participant(
                 action,
-                Box::new(StoreWriteParticipant::new(
+                StoreWriteParticipant::new(
                     sys.sim(),
                     sys.stores(),
                     coord,
                     to,
                     TxSystem::token(action),
                     vec![(uid, state)],
-                )),
+                ),
             )
             .map_err(MigrateError::Commit)?;
             sys.obs().span(

@@ -164,7 +164,7 @@ impl Rebalancer {
             let Some(entry) = naming.state_db.entry(uid) else {
                 continue;
             };
-            let mut hosts = entry.stores.clone();
+            let mut hosts = entry.stores.to_vec();
             hosts.sort_unstable();
             let bytes = hosts
                 .iter()

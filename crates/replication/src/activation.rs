@@ -31,7 +31,7 @@ use groupview_actions::ActionId;
 use groupview_core::{BindRequest, Cost};
 use groupview_group::{DeliveryMode, GroupId};
 use groupview_obs::Phase;
-use groupview_sim::{ClientId, NodeId};
+use groupview_sim::{ClientId, NodeId, NodeList};
 use groupview_store::Uid;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -48,23 +48,8 @@ impl System {
         replicas: usize,
         read_only: bool,
     ) -> Result<ObjectGroup, ActivateError> {
-        self.inner.sim.with_active_action(action.raw(), || {
-            self.do_activate_inner(action, client, client_node, uid, replicas, read_only)
-        })
-    }
-
-    fn do_activate_inner(
-        &self,
-        action: ActionId,
-        client: ClientId,
-        client_node: NodeId,
-        uid: Uid,
-        replicas: usize,
-        read_only: bool,
-    ) -> Result<ObjectGroup, ActivateError> {
-        let inner = &self.inner;
         // Single-copy passive activates exactly one copy (§2.3(2)(iii)).
-        let k = match inner.policy {
+        let k = match self.inner.policy {
             ReplicationPolicy::SingleCopyPassive => 1,
             _ => replicas.max(1),
         };
@@ -72,19 +57,43 @@ impl System {
         if read_only {
             req = req.read_only();
         }
+        self.inner.sim.with_active_action(action.raw(), || {
+            let mut activated = self.inner.activation_scratch.take();
+            let group = self.do_activate_inner(action, req, &mut activated);
+            activated.clear();
+            self.inner.activation_scratch.replace(activated);
+            group
+        })
+    }
+
+    /// The activation proper, with `activated` an empty buffer for the
+    /// object's activation set.
+    fn do_activate_inner(
+        &self,
+        action: ActionId,
+        mut req: BindRequest,
+        activated: &mut Vec<(NodeId, ReplicaHandle)>,
+    ) -> Result<ObjectGroup, ActivateError> {
+        let inner = &self.inner;
+        let (uid, client_node) = (req.uid, req.client_node);
         // The one registry lookup of this activation: the object's current
         // activation set — its live, loaded replicas, in node order. Empty
         // for a passive object. Everything below reaches a replica through
         // these handles (nothing else touches the registry while an
         // activation runs).
-        let mut activated = inner.registry.replicas_of(uid);
+        inner.registry.replicas_of(uid, activated);
         activated.retain(|(node, replica)| {
             inner.sim.is_up(*node) && replica.borrow_mut().is_loaded(&inner.sim)
         });
         // Join the existing activation, if any (§3.2: bind to all of SvA').
         let fresh = activated.is_empty();
         if !fresh {
-            req = req.with_required(activated.iter().map(|(node, _)| *node).collect());
+            req = req.with_required(
+                activated
+                    .iter()
+                    .map(|(node, _)| *node)
+                    .collect::<NodeList>(),
+            );
         }
         let bind_start = inner.sim.now().as_micros();
         let binding = inner.binder.bind(action, &req)?;
@@ -155,13 +164,13 @@ impl System {
         // reborn copy after a crash) bumps the incarnation, and this
         // action's invoke/commit paths refuse the mismatch instead of
         // silently losing the action's uncommitted updates.
-        let incarnations: Vec<(NodeId, u64)> = activated
+        let incarnations = activated
             .iter()
             .map(|(server, replica)| (*server, replica.borrow().incarnation()))
             .collect();
 
         let comms_group =
-            (inner.policy == ReplicationPolicy::Active).then(|| self.enrol(uid, fresh, &activated));
+            (inner.policy == ReplicationPolicy::Active).then(|| self.enrol(uid, fresh, activated));
 
         Ok(ObjectGroup(Rc::new(Activation {
             uid,

@@ -19,7 +19,7 @@ use groupview_core::{BindRequest, Binding};
 use groupview_group::{Enrolment, GroupId, GroupMember};
 use groupview_obs::{Counter as ObsCounter, Phase};
 use groupview_sim::wire::Codec;
-use groupview_sim::{Bytes, NodeId, Sim, WireEncoder};
+use groupview_sim::{Bytes, InlineVec, NodeId, NodeList, Sim, WireEncoder};
 use groupview_store::{SnapshotCodec, Uid};
 use std::cell::Cell;
 use std::fmt;
@@ -52,10 +52,11 @@ pub struct Activation {
     /// The replication policy the object is activated under.
     pub policy: ReplicationPolicy,
     /// The bound servers (`Sv'`).
-    pub servers: Vec<NodeId>,
-    /// `St(A)` as read at activation (its entry stays read-locked by the
-    /// client action, so it cannot change underneath).
-    pub st_nodes: Vec<NodeId>,
+    pub servers: NodeList,
+    /// `St(A)` as read at activation. Its entry stays read-locked by the
+    /// client action, but the §4.2.1 exclude-write lock lets a concurrent
+    /// commit shrink it, so this view may have gone stale by commit time.
+    pub st_nodes: NodeList,
     /// The multicast group (active replication only).
     pub(crate) comms_group: Option<GroupId>,
     /// The original bind request (needed for binding completion).
@@ -66,7 +67,7 @@ pub struct Activation {
     /// (see [`crate::ServerReplica::incarnation`]): invoke and commit
     /// refuse replicas that were reborn (crashed and reloaded by a later
     /// activation) underneath this action.
-    pub(crate) incarnations: Vec<(NodeId, u64)>,
+    pub(crate) incarnations: InlineVec<(NodeId, u64), { NodeList::CAPACITY }>,
     /// Whether an operation through this activation mutated the object:
     /// commit writes back exactly the dirty activations of its action.
     pub(crate) dirty: Cell<bool>,

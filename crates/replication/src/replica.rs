@@ -364,9 +364,12 @@ impl ReplicaRegistry {
             .map(|(_, h)| h.clone())
     }
 
-    /// All replicas of `uid`, sorted by node.
-    pub fn replicas_of(&self, uid: Uid) -> Vec<(NodeId, ReplicaHandle)> {
-        self.inner.borrow().get(&uid).cloned().unwrap_or_default()
+    /// Appends every replica of `uid`, sorted by node, to `out` — the
+    /// caller's buffer, so a caller that keeps one allocates nothing.
+    pub fn replicas_of(&self, uid: Uid, out: &mut Vec<(NodeId, ReplicaHandle)>) {
+        if let Some(replicas) = self.inner.borrow().get(&uid) {
+            out.extend(replicas.iter().cloned());
+        }
     }
 
     /// Drops the single replica of `uid` at `node`, if present. Migration
@@ -605,9 +608,13 @@ mod tests {
         assert!(Rc::ptr_eq(&h1, &h2), "same replica handle");
         reg.get_or_create(&sim, uid, NodeId::new(1));
         reg.get_or_create(&sim, Uid::from_raw(2), NodeId::new(1));
-        assert_eq!(reg.replicas_of(uid).len(), 2);
+        let mut found = Vec::new();
+        reg.replicas_of(uid, &mut found);
+        assert_eq!(found.len(), 2);
         assert_eq!(reg.remove_object(uid), 2);
-        assert!(reg.replicas_of(uid).is_empty());
+        found.clear();
+        reg.replicas_of(uid, &mut found);
+        assert!(found.is_empty());
         assert!(reg.get(Uid::from_raw(2), NodeId::new(1)).is_some());
     }
 

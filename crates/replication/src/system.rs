@@ -4,7 +4,7 @@ use crate::error::{ActivateError, CommitError, InvokeError};
 use crate::invoke::ObjectGroup;
 use crate::object::{ReplicaObject, TypeRegistry};
 use crate::policy::ReplicationPolicy;
-use crate::replica::ReplicaRegistry;
+use crate::replica::{ReplicaHandle, ReplicaRegistry};
 use crate::tx::Tx;
 use crate::typed::{Handle, ObjectType, TypedUid};
 use groupview_actions::{ActionId, StoreWriteParticipant, TxError, TxSystem};
@@ -56,6 +56,10 @@ pub(crate) struct SystemInner {
     /// The coordinator-cohort invoke's cohort list, kept between calls for
     /// its capacity (a nested invoke finds it taken and builds its own).
     pub(crate) cohort_scratch: RefCell<Vec<NodeId>>,
+    /// An activation's replica list (the object's activation set), kept
+    /// between activations for its capacity; emptied after each, so it
+    /// pins no replica.
+    pub(crate) activation_scratch: RefCell<Vec<(NodeId, ReplicaHandle)>>,
 }
 
 /// A complete persistent-replicated-object system over a simulated world.
@@ -224,6 +228,7 @@ impl SystemBuilder {
                 next_op: Cell::new(1),
                 next_client: Cell::new(0),
                 cohort_scratch: RefCell::default(),
+                activation_scratch: RefCell::default(),
                 sim,
                 stores,
                 tx,
@@ -439,7 +444,7 @@ impl System {
             if let Some(name) = name {
                 naming.directory.bind_name(action, name, uid)?;
             }
-            naming.register_object(action, uid, sv.to_vec(), st.to_vec())?;
+            naming.register_object(action, uid, sv, st)?;
             for &node in st {
                 inner.stores.add_store(node);
                 let participant = StoreWriteParticipant::new(
@@ -450,7 +455,7 @@ impl System {
                     TxSystem::token(action),
                     vec![(uid, initial.clone())],
                 );
-                inner.tx.add_participant(action, Box::new(participant))?;
+                inner.tx.add_participant(action, participant)?;
             }
             Ok(())
         })();
@@ -460,7 +465,7 @@ impl System {
         }
         inner.tx.commit(action)?;
         if let Some(cache) = &inner.server_cache {
-            cache.local().seed(uid, sv.to_vec());
+            cache.local().seed(uid, sv);
         }
         Ok(uid)
     }

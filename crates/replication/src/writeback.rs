@@ -22,8 +22,8 @@
 use crate::error::CommitError;
 use crate::invoke::ObjectGroup;
 use crate::system::System;
-use groupview_actions::{ActionId, Participant, StoreWriteParticipant, TxSystem};
-use groupview_core::Cost;
+use groupview_actions::{ActionId, StoreWriteParticipant, TxSystem};
+use groupview_core::{Cost, DbError};
 use groupview_sim::NodeId;
 use groupview_store::{ObjectState, Uid};
 
@@ -105,12 +105,15 @@ impl System {
                 .map(|(_, &st_node)| st_node)
         });
         for st_node in union {
-            let writes: Vec<(Uid, ObjectState)> = groups
-                .iter()
-                .zip(&new_states)
-                .filter(|(g, _)| g.st_nodes.contains(&st_node))
-                .map(|(g, state)| (g.uid, state.clone()))
-                .collect();
+            // The write-set this store's last committed intent left behind.
+            let mut writes = inner.stores.write_set(st_node);
+            writes.extend(
+                groups
+                    .iter()
+                    .zip(&new_states)
+                    .filter(|(g, _)| g.st_nodes.contains(&st_node))
+                    .map(|(g, state)| (g.uid, state.clone())),
+            );
             let mut participant = StoreWriteParticipant::new(
                 &inner.sim,
                 &inner.stores,
@@ -132,7 +135,9 @@ impl System {
         // copy dooms the action ("all the nodes ∈ StA are down" — the
         // action must abort; the carried fault lets metrics attribute the
         // abort to the crash). Partially missed objects exclude the missed
-        // stores instead.
+        // stores instead; if the view went stale and the entry now lists
+        // only missed stores, the `Exclude` refuses to empty it and the
+        // action aborts all the same.
         let mut exclusions: Vec<(Uid, Vec<NodeId>)> = Vec::new();
         let mut doomed: Option<CommitError> = None;
         for group in groups {
@@ -143,9 +148,14 @@ impl System {
                 .filter(|node| failed.contains(node))
                 .collect();
             if missed.len() == group.st_nodes.len() {
-                doomed = Some(CommitError::AllStoresFailed {
-                    uid: group.uid,
-                    last: last_fault.expect("st_nodes is never empty"),
+                doomed = Some(match last_fault {
+                    Some(last) => CommitError::AllStoresFailed {
+                        uid: group.uid,
+                        last,
+                    },
+                    // No store was tried: the view is empty, and a group
+                    // view is a set of at least one node.
+                    None => CommitError::Exclude(DbError::InvalidNodeList { repeated: None }),
                 });
                 break;
             }
@@ -179,7 +189,7 @@ impl System {
         for participant in prepared {
             inner
                 .tx
-                .add_participant(action, Box::new(participant))
+                .add_participant(action, participant)
                 .map_err(CommitError::Tx)?;
         }
         Ok(new_states)

@@ -2,7 +2,7 @@
 
 use groupview_core::{BindingScheme, DbError, ExcludePolicy};
 use groupview_replication::{
-    Account, AccountOp, Counter, CounterOp, InvokeError, ReplicationPolicy, System,
+    Account, AccountOp, CommitError, Counter, CounterOp, InvokeError, ReplicationPolicy, System,
 };
 use groupview_sim::NodeId;
 use groupview_store::Version;
@@ -219,6 +219,76 @@ fn commit_excludes_crashed_store_and_later_recovery_reincludes() {
     assert_eq!(Counter::decode(&fresh.data).value(), 42);
 }
 
+/// A stale `St` view must not empty `St`. B activates first, so it holds
+/// a read lock on the St entry and its view is {n1, n2}. A joins, writes
+/// and commits while n1 is down: its `Exclude(n1)` takes the §4.2.1
+/// exclude-write lock, which B's read lock admits, so St becomes {n2}. n1
+/// comes back; B writes and commits while n2 is down. B's copy reaches n1,
+/// no longer in St, and its `Exclude(n2)` would leave St empty: it is
+/// refused, and B aborts, failure-caused — every store of St missed the
+/// copy (§2.3(3)). St keeps naming n2, which holds A's committed value, and
+/// a third client's commit with n2 down aborts cleanly. (Excluding n2 used
+/// to empty St, and that third commit then panicked on the empty view.)
+#[test]
+fn a_stale_st_view_never_empties_st() {
+    for policy in ReplicationPolicy::ALL {
+        let sys = system(policy, BindingScheme::Standard);
+        let uid = sys
+            .create_object(Box::new(Counter::new(0)), &[n(3)], &[n(1), n(2)])
+            .expect("create");
+        let add = |v| CounterOp::Add(v).encode();
+        let st = || sys.naming().state_db.entry(uid).expect("entry").stores;
+
+        let b = sys.client(n(4));
+        let action_b = b.begin_action();
+        let group_b = b.activate(action_b, uid, 1).expect("B activates");
+        assert_eq!(group_b.st_nodes, vec![n(1), n(2)]);
+
+        let a = sys.client(n(5));
+        let action_a = a.begin_action();
+        let group_a = a.activate(action_a, uid, 1).expect("A joins");
+        a.invoke(action_a, &group_a, &add(10)).expect("A writes");
+        sys.sim().crash(n(1));
+        a.commit(action_a).expect("A commits, excluding n1");
+        assert_eq!(st(), vec![n(2)], "{policy}");
+
+        sys.sim().recover(n(1));
+        b.invoke(action_b, &group_b, &add(1)).expect("B writes");
+        sys.sim().crash(n(2));
+        let err = b
+            .commit(action_b)
+            .expect_err("B's exclusion would empty St");
+        assert_eq!(
+            err,
+            CommitError::Exclude(DbError::InvalidNodeList { repeated: None }),
+            "{policy}"
+        );
+        assert!(err.is_failure_caused(), "{policy}: {err}");
+        assert_eq!(st(), vec![n(2)], "{policy}: B's abort changed nothing");
+        let n1 = sys.stores().read_local(n(1), uid).expect("n1's copy");
+        assert_eq!(n1.version, Version::INITIAL, "{policy}: B's write aborted");
+
+        let c = sys.client(n(4));
+        let action_c = c.begin_action();
+        let group_c = c.activate(action_c, uid, 1).expect("C joins");
+        assert_eq!(group_c.st_nodes, vec![n(2)]);
+        c.invoke(action_c, &group_c, &add(100)).expect("C writes");
+        let err = c
+            .commit(action_c)
+            .expect_err("the only store of St is down");
+        assert!(
+            matches!(err, CommitError::AllStoresFailed { .. }) && err.is_failure_caused(),
+            "{policy}: {err}"
+        );
+
+        sys.sim().recover(n(2));
+        let n2 = sys.stores().read_local(n(2), uid).expect("n2's copy");
+        assert_eq!(Counter::decode(&n2.data).value(), 10, "{policy}");
+        assert_eq!(counter_value(&sys, uid, n(5)), 10, "{policy}");
+        assert!(sys.tx().locks_empty(), "{policy}");
+    }
+}
+
 #[test]
 fn read_only_action_skips_state_copy() {
     let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
@@ -348,7 +418,9 @@ fn passivation_after_quiescence() {
     assert!(!sys.try_passivate(uid), "in use: cannot passivate");
     client.commit(a).expect("commit");
     assert!(sys.try_passivate(uid), "quiescent: passivated");
-    assert!(sys.registry().replicas_of(uid).is_empty());
+    let mut replicas = Vec::new();
+    sys.registry().replicas_of(uid, &mut replicas);
+    assert!(replicas.is_empty());
     // Re-activation reloads from stores and sees the committed value.
     assert_eq!(counter_value(&sys, uid, n(5)), 2);
 }

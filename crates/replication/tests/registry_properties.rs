@@ -1,8 +1,9 @@
 //! Pins the per-object replica registry to the brute-force definition it
 //! replaced: over any sequence of `get_or_create` / `remove_at` /
-//! `remove_object`, `replicas_of(uid)` equals "filter every `(uid, node)`
-//! entry by uid, sort by node", and `get` equals a point lookup in that
-//! flat model — same nodes, same handles.
+//! `remove_object`, what `replicas_of(uid, ..)` appends to a (reused)
+//! buffer equals "filter every `(uid, node)` entry by uid, sort by node",
+//! and `get` equals a point lookup in that flat model — same nodes, same
+//! handles.
 
 use groupview_replication::{ReplicaRegistry, ServerReplica};
 use groupview_sim::{NodeId, Sim, SimConfig};
@@ -33,6 +34,7 @@ proptest! {
         let registry = ReplicaRegistry::new();
         // The flat model: every `(uid, node)` entry in insertion order.
         let mut model: Vec<((Uid, NodeId), ReplicaHandle)> = Vec::new();
+        let mut found = Vec::new();
         for &(kind, u, n) in &ops {
             let (uid, node) = (Uid::from_raw(u), NodeId::new(n));
             match kind {
@@ -62,7 +64,9 @@ proptest! {
                     .map(|((_, n), h)| (*n, h.clone()))
                     .collect();
                 expected.sort_by_key(|(n, _)| *n);
-                prop_assert!(same(&registry.replicas_of(uid), &expected));
+                found.clear();
+                registry.replicas_of(uid, &mut found);
+                prop_assert!(same(&found, &expected));
                 for n in 0..NODES {
                     let node = NodeId::new(n);
                     let want = expected.iter().find(|(en, _)| *en == node);

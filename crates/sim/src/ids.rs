@@ -91,7 +91,8 @@ pub type IdSet<K> = hash_set::HashSet<K, BuildHasherDefault<IdHasher>>;
 /// Identity of a simulated node (a "workstation" in the paper's model).
 ///
 /// Node ids are dense indices assigned by [`crate::Sim`] in creation order,
-/// so they can be used to index per-node tables.
+/// so they can be used to index per-node tables. The default, `n0`, only
+/// fills the unused slots of a [`crate::NodeList`].
 ///
 /// ```rust
 /// use groupview_sim::NodeId;
@@ -99,7 +100,9 @@ pub type IdSet<K> = hash_set::HashSet<K, BuildHasherDefault<IdHasher>>;
 /// assert_eq!(n.index(), 3);
 /// assert_eq!(n.to_string(), "n3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct NodeId(u32);
 
 impl NodeId {

@@ -28,6 +28,8 @@
 //! * **Wire layer** ([`wire`]): reference-counted [`Bytes`] buffers, the
 //!   pooled [`WireEncoder`], and the [`Codec`] trait — the zero-copy
 //!   payload substrate every protocol layer shares.
+//! * **Node lists** ([`NodeList`]): the group views and bindings every
+//!   layer passes around, held inline so copying one allocates nothing.
 //!
 //! # Example
 //!
@@ -48,6 +50,7 @@
 pub mod config;
 pub mod error;
 pub mod ids;
+pub mod inline;
 pub mod metrics;
 pub mod rpc;
 pub mod time;
@@ -58,6 +61,7 @@ pub mod world;
 pub use crate::config::{NetConfig, SimConfig};
 pub use crate::error::NetError;
 pub use crate::ids::{ClientId, IdHasher, IdMap, IdSet, NodeId};
+pub use crate::inline::{InlineVec, NodeList};
 pub use crate::metrics::{Cost, NetCounters};
 pub use crate::time::{SimDuration, SimTime};
 pub use crate::trace::TraceEvent;
@@ -88,6 +92,7 @@ mod send_boundary {
         assert_send::<SimConfig>();
         assert_send::<ClientId>();
         assert_send::<NodeId>();
+        assert_send::<NodeList>();
         assert_send::<SimTime>();
         assert_send::<SimDuration>();
         assert_send::<TraceEvent>();

@@ -203,6 +203,20 @@ impl Stores {
 
     // ----- two-phase-commit participant operations (local) -------------
 
+    /// An empty write-set to fill for the next prepare at `node`: the
+    /// emptied vector of the last intent committed there
+    /// ([`StableStore::write_set`]), so commits reuse one vector per store.
+    /// Only memory moves — no message, no stable write, no virtual time —
+    /// so the node need not be up; a node without a store yields a new
+    /// vector.
+    pub fn write_set(&self, node: NodeId) -> Vec<(Uid, ObjectState)> {
+        self.inner
+            .borrow_mut()
+            .get_mut(&node)
+            .map(StableStore::write_set)
+            .unwrap_or_default()
+    }
+
     /// Durably prepares writes for `tx` on `node`.
     ///
     /// # Errors
@@ -407,6 +421,94 @@ mod tests {
         stores.commit_local(n1, tx).unwrap();
         assert!(sim.is_up(n1), "no further crash");
         assert_eq!(stores.read_local(n1, uid).unwrap().data, b"new");
+    }
+
+    /// Prepares `writes` for `tx` on `node` from the node's recycled
+    /// write-set and commits it; returns the write-set's buffer address.
+    fn commit_through_write_set(
+        stores: &Stores,
+        node: NodeId,
+        tx: u64,
+        writes: &[(Uid, ObjectState)],
+    ) -> *const (Uid, ObjectState) {
+        let mut set = stores.write_set(node);
+        assert!(set.is_empty(), "a recycled write-set comes back empty");
+        set.extend_from_slice(writes);
+        let buffer = set.as_ptr();
+        stores.prepare_local(node, TxToken::new(tx), set).unwrap();
+        stores.commit_local(node, TxToken::new(tx)).unwrap();
+        buffer
+    }
+
+    #[test]
+    fn each_store_keeps_exactly_one_spare_write_set() {
+        let (_sim, stores) = world();
+        let uid = Uid::from_raw(20);
+        for node in [NodeId::new(1), NodeId::new(2)] {
+            let first = commit_through_write_set(&stores, node, 1, &[(uid, st(b"1"))]);
+            for k in 2..=10 {
+                let reused = commit_through_write_set(&stores, node, k, &[(uid, st(b"k"))]);
+                assert_eq!(reused, first, "commit {k} reused the one buffer");
+            }
+            let spare = stores.write_set(node);
+            assert!(spare.capacity() > 0, "the last commit left its spare");
+            assert_eq!(
+                stores.write_set(node).capacity(),
+                0,
+                "and only one: the next write-set is new"
+            );
+        }
+        assert_eq!(stores.write_set(NodeId::new(0)).capacity(), 0, "no store");
+    }
+
+    #[test]
+    fn a_reused_write_set_carries_no_stale_entry() {
+        let (_sim, stores) = world();
+        let n = NodeId::new(1);
+        let (a, b) = (Uid::from_raw(21), Uid::from_raw(22));
+        commit_through_write_set(&stores, n, 1, &[(a, st(b"A"))]);
+        stores.write_local(n, a, st(b"later")).unwrap();
+        commit_through_write_set(&stores, n, 2, &[(b, st(b"B"))]);
+        assert_eq!(
+            stores.read_local(n, a).unwrap().data,
+            b"later",
+            "A's write did not ride along with B's intent"
+        );
+        assert_eq!(stores.read_local(n, b).unwrap().data, b"B");
+    }
+
+    #[test]
+    fn in_doubt_and_aborted_intents_are_never_reused() {
+        let (sim, stores) = world();
+        let n = NodeId::new(1);
+        let uid = Uid::from_raw(23);
+        let (in_doubt, aborted) = (TxToken::new(31), TxToken::new(32));
+        stores
+            .prepare_local(n, in_doubt, vec![(uid, st(b"pending"))])
+            .unwrap();
+        stores
+            .prepare_local(n, aborted, vec![(uid, st(b"dropped"))])
+            .unwrap();
+        stores.abort_local(n, aborted).unwrap();
+        assert_eq!(
+            stores.write_set(n).capacity(),
+            0,
+            "neither intent handed its write-set on"
+        );
+        sim.crash(n);
+        sim.recover(n);
+        assert_eq!(stores.with(n, |s| s.indoubt()).unwrap(), vec![in_doubt]);
+        assert_eq!(stores.write_set(n).capacity(), 0);
+        stores.commit_local(n, in_doubt).unwrap();
+        assert_eq!(
+            stores.read_local(n, uid).unwrap().data,
+            b"pending",
+            "the in-doubt intent survived the crash whole"
+        );
+        assert!(
+            stores.write_set(n).capacity() > 0,
+            "once committed, its write-set is the spare"
+        );
     }
 
     #[test]

@@ -42,11 +42,18 @@ impl fmt::Display for TxToken {
 /// Besides committed object states the store keeps an **intent log** of
 /// writes prepared by two-phase commit but not yet resolved. After a crash,
 /// recovery inspects [`StableStore::indoubt`] and resolves each entry.
+///
+/// A committed intent leaves its emptied write-set behind as the store's
+/// one spare, which [`StableStore::write_set`] hands to the next prepare
+/// here: a steady stream of commits reuses one vector per store. In-doubt
+/// and aborted intents are never reused.
 #[derive(Debug, Clone)]
 pub struct StableStore {
     node: NodeId,
     objects: IdMap<Uid, ObjectState>,
     intents: IdMap<TxToken, Vec<(Uid, ObjectState)>>,
+    /// The write-set of the last committed intent, emptied.
+    spare: Vec<(Uid, ObjectState)>,
 }
 
 impl StableStore {
@@ -56,6 +63,7 @@ impl StableStore {
             node,
             objects: IdMap::default(),
             intents: IdMap::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -121,10 +129,11 @@ impl StableStore {
     /// [`StoreError::TxUnknown`] if `tx` was never prepared here (or was
     /// already resolved).
     pub fn commit(&mut self, tx: TxToken) -> Result<(), StoreError> {
-        let writes = self.intents.remove(&tx).ok_or(StoreError::TxUnknown(tx))?;
-        for (uid, state) in writes {
+        let mut writes = self.intents.remove(&tx).ok_or(StoreError::TxUnknown(tx))?;
+        for (uid, state) in writes.drain(..) {
             self.objects.insert(uid, state);
         }
+        self.spare = writes;
         Ok(())
     }
 
@@ -132,6 +141,12 @@ impl StableStore {
     /// aborting an unknown transaction is a no-op (presumed abort).
     pub fn abort(&mut self, tx: TxToken) {
         self.intents.remove(&tx);
+    }
+
+    /// An empty write-set for the next prepare here: the spare left by the
+    /// last committed intent (its capacity kept), or a new vector.
+    pub fn write_set(&mut self) -> Vec<(Uid, ObjectState)> {
+        std::mem::take(&mut self.spare)
     }
 
     /// Transactions prepared here but not yet resolved; recovery must decide

@@ -11,14 +11,15 @@
 //! ```
 
 use groupview::{
-    Counter, CounterOp, Membership, NodeId, Phase, Rebalancer, ReplicationPolicy, System, Uid,
+    Counter, CounterOp, Membership, NodeId, NodeList, Phase, Rebalancer, ReplicationPolicy, System,
+    Uid,
 };
 
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
 
-fn st_of(sys: &System, uid: Uid) -> Vec<NodeId> {
+fn st_of(sys: &System, uid: Uid) -> NodeList {
     sys.naming()
         .state_db
         .entry(uid)

@@ -6,13 +6,13 @@
 //! cargo run --example failover
 //! ```
 
-use groupview::{Counter, CounterOp, NodeId, ReplicationPolicy, System};
+use groupview::{Counter, CounterOp, NodeId, NodeList, ReplicationPolicy, System};
 
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
 
-fn st_of(sys: &System, uid: groupview::Uid) -> Vec<NodeId> {
+fn st_of(sys: &System, uid: groupview::Uid) -> NodeList {
     sys.naming()
         .state_db
         .entry(uid)

@@ -117,6 +117,8 @@ pub use groupview_scenario::{
     History, ModelKind, Oracle, OracleReport, PlanAction, Scenario, ScenarioReport,
     ShardedScenarioReport, SoakConfig, SoakReport, TraceBundle, TracedRun,
 };
-pub use groupview_sim::{Bytes, ClientId, Codec, NetConfig, NodeId, Sim, SimConfig, WireEncoder};
+pub use groupview_sim::{
+    Bytes, ClientId, Codec, NetConfig, NodeId, NodeList, Sim, SimConfig, WireEncoder,
+};
 pub use groupview_store::{ObjectState, SnapshotCodec, Stores, TypeTag, Uid, Version};
 pub use groupview_workload::{RunMetrics, WorkloadSpec};
