@@ -1,5 +1,5 @@
-//! Regenerates the paper's figures as measured tables, and runs the
-//! scenario-driven soak.
+//! Regenerates the paper's figures as measured tables, runs the
+//! scenario-driven soak, and captures the canned trace.
 //!
 //! ```text
 //! cargo run -p groupview-bench --bin experiments --release          # all
@@ -8,186 +8,169 @@
 //! cargo run -p groupview-bench --bin experiments --release soak 5 100
 //! #                                        rounds ───┘     │
 //! #                                        base seed ──────┘
-//! cargo run -p groupview-bench --bin experiments --release trajectory
-//! cargo run -p groupview-bench --bin experiments --release trajectory --smoke
-//! cargo run -p groupview-bench --bin experiments --release trajectory --shards 1,2,4
 //! cargo run -p groupview-bench --bin experiments --release trace
-//! cargo run -p groupview-bench --bin experiments --release trend
 //! ```
+//!
+//! Anything else exits 2 with a usage line.
 
-use groupview_bench::{all_experiments, tracefile, trajectory, trend, TrajectoryConfig};
+use groupview_bench::{all_experiments, tracefile};
 use groupview_scenario::{run_soak, SoakConfig};
 use std::time::Instant;
 
-// The trajectory recorder measures allocs/op through this counting
-// allocator; installing it in the binary (not the library) keeps the
-// bench targets free to install their own (`benches/objects.rs`).
-#[global_allocator]
-static GLOBAL: trajectory::CountingAlloc = trajectory::CountingAlloc;
+/// What one invocation runs.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// These experiment ids, run in index order.
+    Experiments(Vec<String>),
+    /// The chained-nemesis soak.
+    Soak { rounds: u64, base_seed: u64 },
+    /// The traced canned scenario, written to the repository root.
+    Trace,
+}
+
+/// Parses the arguments against the experiment `ids`; the error is the
+/// message to print above the usage line.
+fn parse(args: &[String], ids: &[&str]) -> Result<Command, String> {
+    let number = |i: usize, default: u64| match args.get(i) {
+        None => Ok(default),
+        Some(a) => a
+            .parse()
+            .map_err(|_| format!("soak takes numbers, got {a:?}")),
+    };
+    match args.first().map(String::as_str) {
+        Some("soak") if args.len() <= 3 => Ok(Command::Soak {
+            rounds: number(1, 3)?,
+            base_seed: number(2, 1)?,
+        }),
+        Some("soak") => Err("soak takes at most two numbers".to_string()),
+        Some("trace") if args.len() == 1 => Ok(Command::Trace),
+        Some("trace") => Err("trace takes no arguments".to_string()),
+        _ => match args
+            .iter()
+            .find(|a| *a != "all" && !ids.contains(&a.as_str()))
+        {
+            Some(unknown) => Err(format!("unknown experiment {unknown:?}")),
+            None if args.is_empty() || args.iter().any(|a| a == "all") => Ok(Command::Experiments(
+                ids.iter().map(|id| id.to_string()).collect(),
+            )),
+            None => Ok(Command::Experiments(args.to_vec())),
+        },
+    }
+}
+
+fn usage(ids: &[&str]) -> String {
+    format!(
+        "usage: experiments [all | {}]... | soak [rounds [base-seed]] | trace",
+        ids.join(" | ")
+    )
+}
 
 fn main() {
+    let experiments = all_experiments();
+    let ids: Vec<&str> = experiments.iter().map(|e| e.id).collect();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("trajectory") {
-        let mut cfg = if args.iter().any(|a| a == "--smoke") {
-            TrajectoryConfig::smoke()
-        } else {
-            TrajectoryConfig::full()
-        };
-        // `--shards 1,2,4,8` overrides the mode's default shard axis
-        // (`--shards 0` or an empty list skips it entirely).
-        if let Some(pos) = args.iter().position(|a| a == "--shards") {
-            let spec = args
-                .get(pos + 1)
-                .unwrap_or_else(|| panic!("--shards needs a comma-separated list, e.g. 1,2,4"));
-            cfg.shard_counts = spec
-                .split(',')
-                .filter(|s| !s.trim().is_empty())
-                .map(|s| {
-                    s.trim()
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| panic!("bad shard count {s:?} in --shards {spec}"))
-                })
-                .filter(|&s| s > 0)
-                .collect();
-        }
-        println!(
-            "# trajectory — batched-invocation throughput + sharded scale-out, {} mode\n\
-             #   batch axis: {} objects, {}-server group, {} ops/series\n\
-             #   shard axis: {} objects across shards {:?}, {} cores available\n",
-            cfg.mode,
-            cfg.objects,
-            cfg.servers,
-            cfg.ops_per_series,
-            cfg.sharded_objects,
-            cfg.shard_counts,
-            trajectory::available_cores()
-        );
-        let started = Instant::now();
-        let report = trajectory::run(&cfg);
-        let path = trajectory::artifact_path();
-        let previous = std::fs::read_to_string(&path).ok();
-        let json = report.to_json_with_history(
-            previous.as_deref(),
-            trajectory::current_pr(),
-            &trajectory::today_utc(),
-        );
-        std::fs::write(&path, json).expect("write BENCH_trajectory.json");
-        println!(
-            "\nwrote {} ({} batch series, {} shard series) in {:.2?}",
-            path.display(),
-            report.series.len(),
-            report.shard_series.len(),
-            started.elapsed()
-        );
-        let mut failed = false;
-        if let Err(msg) = report.check() {
-            eprintln!("trajectory gate failed: {msg}");
-            failed = true;
-        }
-        if let Err(msg) = report.check_scaling() {
-            eprintln!("trajectory scaling gate failed: {msg}");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "trajectory gates passed: batch=16 ≥2× batch=1 ops/sec, \
-             batch=64 within 15% of batch=16, sharded scaling floors met on {} core(s)",
-            report.cores
-        );
-        return;
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        // Capture the traced canned scenario, validate the Chrome trace
-        // in-binary and write both artifacts. No timing is judged: the
-        // files are a function of (code, seed), so two processes must
-        // write identical bytes.
-        let artifacts = tracefile::capture().unwrap_or_else(|e| {
-            eprintln!("trace capture failed: {e}");
-            std::process::exit(1);
-        });
-        std::fs::write(tracefile::chrome_path(), &artifacts.chrome_json)
-            .expect("write BENCH_trace.json");
-        std::fs::write(tracefile::jsonl_path(), &artifacts.jsonl).expect("write BENCH_trace.jsonl");
-        println!(
-            "wrote {} + {} — validated: {} events ({} spans, {} instants) on {} tracks \
-             from {} seed {}",
-            tracefile::chrome_path().display(),
-            tracefile::jsonl_path().display(),
-            artifacts.summary.events,
-            artifacts.summary.spans,
-            artifacts.summary.instants,
-            artifacts.summary.tracks,
-            tracefile::TRACE_SCENARIO,
-            tracefile::TRACE_SEED,
-        );
-        return;
-    }
-    if args.first().map(String::as_str) == Some("trend") {
-        let artifact = trajectory::artifact_path();
-        let json = std::fs::read_to_string(&artifact).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot read {} ({e}) — run `experiments trajectory` first",
-                artifact.display()
+    let command = parse(&args, &ids).unwrap_or_else(|msg| {
+        eprintln!("experiments: {msg}\n{}", usage(&ids));
+        std::process::exit(2);
+    });
+    match command {
+        Command::Trace => {
+            // Capture the traced canned scenario, validate the Chrome
+            // trace in-binary and write both artifacts. No timing is
+            // judged: the files are a function of (code, seed), so two
+            // processes must write identical bytes.
+            let artifacts = tracefile::capture().unwrap_or_else(|e| {
+                eprintln!("trace capture failed: {e}");
+                std::process::exit(1);
+            });
+            std::fs::write(tracefile::chrome_path(), &artifacts.chrome_json)
+                .expect("write BENCH_trace.json");
+            std::fs::write(tracefile::jsonl_path(), &artifacts.jsonl)
+                .expect("write BENCH_trace.jsonl");
+            println!(
+                "wrote {} + {} — validated: {} events ({} spans, {} instants) on {} tracks \
+                 from {} seed {}",
+                tracefile::chrome_path().display(),
+                tracefile::jsonl_path().display(),
+                artifacts.summary.events,
+                artifacts.summary.spans,
+                artifacts.summary.instants,
+                artifacts.summary.tracks,
+                tracefile::TRACE_SCENARIO,
+                tracefile::TRACE_SEED,
             );
-            std::process::exit(1);
-        });
-        let svg = trend::render_trend_svg(&json).unwrap_or_else(|e| {
-            eprintln!("trend render failed: {e}");
-            std::process::exit(1);
-        });
-        std::fs::write(trend::trend_path(), &svg).expect("write BENCH_trend.svg");
-        println!(
-            "wrote {} ({} bytes) from {} history entries",
-            trend::trend_path().display(),
-            svg.len(),
-            trend::parse_history(&json).map(|h| h.len()).unwrap_or(0),
-        );
-        return;
+        }
+        Command::Soak { rounds, base_seed } => {
+            let cfg = SoakConfig { base_seed, rounds };
+            println!(
+                "# soak — {} rounds × 3 policies from seed {} (chained nemeses, \
+                 counter+kv+account oracles)\n",
+                cfg.rounds, cfg.base_seed
+            );
+            let started = Instant::now();
+            let report = run_soak(&cfg);
+            println!("{report}");
+            println!("(soak finished in {:.2?})", started.elapsed());
+            if !report.passed() {
+                std::process::exit(1);
+            }
+        }
+        Command::Experiments(wanted) => {
+            println!("# groupview experiments\n");
+            println!(
+                "Reproduction of Little, McCue, Shrivastava — \"Maintaining Information \
+                 about Persistent Replicated Objects in a Distributed System\" (ICDCS 1993).\n"
+            );
+            for experiment in experiments {
+                if !wanted.iter().any(|w| w == experiment.id) {
+                    continue;
+                }
+                let started = Instant::now();
+                let tables = (experiment.run)();
+                let elapsed = started.elapsed();
+                println!("# {} — {}", experiment.id.to_uppercase(), experiment.figure);
+                println!("Paper claim: {}\n", experiment.claim);
+                for table in tables {
+                    println!("{table}");
+                }
+                println!("({} finished in {:.2?})\n", experiment.id, elapsed);
+            }
+        }
     }
-    if args.first().map(String::as_str) == Some("soak") {
-        let rounds = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(3);
-        let base_seed = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(1);
-        let cfg = SoakConfig { base_seed, rounds };
-        println!(
-            "# soak — {} rounds × 3 policies from seed {} (chained nemeses, \
-             counter+kv+account oracles)\n",
-            cfg.rounds, cfg.base_seed
-        );
-        let started = Instant::now();
-        let report = run_soak(&cfg);
-        println!("{report}");
-        println!("(soak finished in {:.2?})", started.elapsed());
-        if !report.passed() {
-            std::process::exit(1);
-        }
-        return;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const IDS: [&str; 3] = ["e1", "e2", "e3"];
+
+    fn parse_strs(args: &[&str]) -> Result<Command, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&args, &IDS)
     }
-    let wanted: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        all_experiments().iter().map(|e| e.id.to_string()).collect()
-    } else {
-        args
-    };
 
-    println!("# groupview experiments\n");
-    println!(
-        "Reproduction of Little, McCue, Shrivastava — \"Maintaining Information \
-         about Persistent Replicated Objects in a Distributed System\" (ICDCS 1993).\n"
-    );
+    fn ids(ids: &[&str]) -> Command {
+        Command::Experiments(ids.iter().map(|id| id.to_string()).collect())
+    }
 
-    for experiment in all_experiments() {
-        if !wanted.iter().any(|w| w == experiment.id) {
-            continue;
-        }
-        let started = Instant::now();
-        let tables = (experiment.run)();
-        let elapsed = started.elapsed();
-        println!("# {} — {}", experiment.id.to_uppercase(), experiment.figure);
-        println!("Paper claim: {}\n", experiment.claim);
-        for table in tables {
-            println!("{table}");
-        }
-        println!("({} finished in {:.2?})\n", experiment.id, elapsed);
+    #[test]
+    fn parse_accepts_what_it_can_run_and_refuses_the_rest() {
+        assert_eq!(parse_strs(&["e3", "e1"]), Ok(ids(&["e3", "e1"])));
+        assert_eq!(parse_strs(&["all"]), Ok(ids(&IDS)));
+        assert_eq!(parse_strs(&[]), Ok(ids(&IDS)));
+        assert_eq!(parse_strs(&["trace"]), Ok(Command::Trace));
+        let soak = |rounds, base_seed| Ok(Command::Soak { rounds, base_seed });
+        assert_eq!(parse_strs(&["soak"]), soak(3, 1));
+        assert_eq!(parse_strs(&["soak", "5", "100"]), soak(5, 100));
+
+        let err = parse_strs(&["e1", "bogus"]).unwrap_err();
+        assert!(err.contains("\"bogus\""), "{err}");
+        assert!(parse_strs(&["all", "e9"]).is_err());
+        assert!(parse_strs(&["soak", "abc"]).is_err());
+        assert!(parse_strs(&["soak", "5", "x"]).is_err());
+        assert!(parse_strs(&["soak", "1", "2", "3"]).is_err());
+        assert!(parse_strs(&["trace", "e1"]).is_err());
+        assert!(usage(&IDS).contains("e1 | e2 | e3"));
     }
 }

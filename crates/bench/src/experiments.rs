@@ -1,8 +1,9 @@
-//! The twelve experiments (E1–E12), one per paper figure/section.
+//! The thirteen experiments (E1–E13), one per paper figure/section.
 //!
 //! Each experiment is a deterministic function returning one or more
-//! [`TextTable`]s. `DESIGN.md` maps experiments to paper figures;
-//! `EXPERIMENTS.md` records the measured output next to the paper's claim.
+//! [`TextTable`]s. Its [`Experiment`] entry names the figure or section it
+//! quantifies and the paper's claim, which the harness prints beside the
+//! measured tables.
 
 use groupview_core::{BindingScheme, ExcludePolicy};
 use groupview_group::comms::DeliveryMode;
@@ -21,7 +22,7 @@ use std::rc::Rc;
 
 /// A named experiment.
 pub struct Experiment {
-    /// Identifier (`e1`..`e12`).
+    /// Identifier (`e1`..`e13`).
     pub id: &'static str,
     /// The paper figure or section it quantifies.
     pub figure: &'static str,
@@ -130,14 +131,6 @@ pub fn all_experiments() -> Vec<Experiment> {
             run: e13,
         },
     ]
-}
-
-/// Runs one experiment by id (`"e1"`..`"e12"`).
-pub fn run_experiment(id: &str) -> Option<Vec<TextTable>> {
-    all_experiments()
-        .into_iter()
-        .find(|e| e.id == id)
-        .map(|e| (e.run)())
 }
 
 fn n(i: u32) -> NodeId {
@@ -1177,7 +1170,6 @@ mod tests {
             assert!(!e.figure.is_empty());
             assert!(!e.claim.is_empty());
         }
-        assert!(run_experiment("nope").is_none());
     }
 
     #[test]

@@ -1,22 +1,19 @@
 //! Experiment harness regenerating every figure of the paper.
 //!
 //! The paper's figures are schematic protocol diagrams, not measured plots;
-//! each experiment here quantifies the claim behind one figure (or section)
-//! — see `DESIGN.md` for the full index and `EXPERIMENTS.md` for recorded
-//! paper-vs-measured results. Run them with:
+//! each experiment here quantifies the claim behind one figure (or section),
+//! and prints that claim beside its tables. Run them with:
 //!
 //! ```text
-//! cargo run -p groupview-bench --bin experiments --release [e1..e12|all]
+//! cargo run -p groupview-bench --bin experiments --release [e1..e13|all]
 //! ```
 //!
 //! Every experiment is a pure function of its seeds: re-running reproduces
-//! the tables bit-for-bit.
+//! the tables bit-for-bit. Timing lives in `benchmark/`; the exact
+//! allocation counts of the hot paths are pinned by this crate's
+//! `alloc_budgets` test.
 
 pub mod experiments;
 pub mod tracefile;
-pub mod trajectory;
-pub mod trend;
 
-pub use crate::experiments::{all_experiments, run_experiment, Experiment};
-pub use crate::trajectory::{TrajectoryConfig, TrajectoryReport};
-pub use crate::trend::{parse_history, render_trend_svg, TrendPoint, TrendSample};
+pub use crate::experiments::{all_experiments, Experiment};

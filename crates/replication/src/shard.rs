@@ -283,7 +283,7 @@ impl ShardedSystem {
     /// Runs `f` concurrently on **every** shard and collects the results
     /// in shard order. All shards start before any is awaited, so N
     /// shard-local drive loops overlap on N threads — this is the
-    /// scaling primitive the trajectory bench measures.
+    /// scaling primitive the sharded scenario runner drives.
     ///
     /// # Panics
     ///

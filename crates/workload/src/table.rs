@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// A simple column-aligned table, rendered in the style the experiment
-/// harness prints (and `EXPERIMENTS.md` records).
+/// harness prints.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TextTable {
     title: String,

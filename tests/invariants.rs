@@ -1,4 +1,4 @@
-//! Property tests for the paper's core invariants (DESIGN.md §6):
+//! Property tests for the paper's core invariants:
 //!
 //! * **I1** — every store listed in `St(A)` holds a byte-identical copy of
 //!   `A`'s latest committed state;
