@@ -63,7 +63,8 @@ pub mod writeback;
 pub use crate::error::{ActivateError, CommitError, InvokeError};
 pub use crate::invoke::ObjectGroup;
 pub use crate::object::{
-    Account, AccountOp, Counter, CounterOp, InvokeResult, KvMap, KvOp, ReplicaObject, TypeRegistry,
+    Account, AccountOp, Counter, CounterOp, InvokeResult, KvMap, KvOp, KvReply, ObjectType,
+    ReplicaObject, TypeRegistry,
 };
 pub use crate::policy::ReplicationPolicy;
 pub use crate::replica::{ReplicaRegistry, ServerReplica};
@@ -72,15 +73,12 @@ pub use crate::shard::{
 };
 pub use crate::system::{Client, System, SystemBuilder};
 pub use crate::tx::{Tx, TxOpError};
-pub use crate::typed::{Handle, KvReply, ObjectType, TypedUid};
+pub use crate::typed::{Handle, TypedUid};
 
 pub use crate::wire::{
     BatchMsg, BatchMsgCodec, BatchReply, BatchReplyCodec, GroupMsg, GroupMsgCodec, MemberReply,
     MemberReplyCodec, BATCH_FLAG,
 };
-/// Support for the [`object_class!`] macro's expansion; not public API.
-#[doc(hidden)]
-pub use groupview_store::TypeTag as __TypeTag;
 
 /// Compile-time proof that replication values crossing a shard-thread
 /// boundary are `Send`. [`System`]/[`Client`]/[`Handle`] are shard-local

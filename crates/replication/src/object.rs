@@ -4,7 +4,13 @@
 //! the instance variables and can thus modify the internal state" (§2.2).
 //! Server nodes need "access to the executable binary of the code for the
 //! object's methods" (§3.1) — in this reproduction, a [`TypeRegistry`] entry
-//! mapping the stored [`TypeTag`] to a decode function.
+//! mapping the stored [`TypeTag`] to the class's state decoder.
+//!
+//! A class is written once, as an [`ObjectType`]: its state, its typed
+//! operations and replies, what each operation does ([`ObjectType::apply`]),
+//! and the byte codecs for operations, replies and state. Servers drive
+//! every class through [`ReplicaObject`], which one blanket impl derives
+//! from the class definition.
 //!
 //! Three ready-made classes exercise the system in examples, tests, and
 //! benchmarks: [`Counter`], [`KvMap`], and [`Account`]. All use explicit
@@ -49,22 +55,24 @@ impl InvokeResult {
     }
 }
 
-/// A persistent replicated object's in-memory behaviour.
+/// A persistent replicated object's in-memory behaviour, as servers see it:
+/// encoded operations in, encoded replies and snapshots out.
 ///
-/// Implementations must be deterministic: active replication executes every
-/// operation at every replica and relies on identical results.
+/// Every [`ObjectType`] is a `ReplicaObject` through one blanket impl; the
+/// trait exists so servers can hold objects of any class behind
+/// `Box<dyn ReplicaObject>`.
 ///
 /// The trait is **encoder-aware**: replies and snapshots are written through
 /// the caller's pooled [`WireEncoder`] and returned as frozen [`Bytes`], so
 /// the object boundary allocates nothing in steady state (see
-/// `docs/OBJECTS.md` for the encoder-ownership rules). Implementations must
-/// not hold on to the encoder beyond the call.
+/// `docs/OBJECTS.md` for the encoder-ownership rules).
 pub trait ReplicaObject {
     /// The stable tag identifying this class in object stores.
     fn type_tag(&self) -> TypeTag;
 
     /// Executes one encoded operation, writing the reply into a frame
-    /// borrowed from `enc`. Malformed operations must be harmless reads.
+    /// borrowed from `enc`. A malformed operation is a harmless read with
+    /// an empty reply.
     fn invoke(&mut self, op: &[u8], enc: &WireEncoder) -> InvokeResult;
 
     /// Encodes the full state for checkpointing / commit processing into a
@@ -73,16 +81,110 @@ pub trait ReplicaObject {
 
     /// Replaces this object's state with a decoded snapshot, **in place**
     /// (undo restores and checkpoint installs reuse the live instance
-    /// instead of decoding into a fresh box). Decoding is lenient, like the
-    /// class decoders: malformed bytes restore a well-defined default.
+    /// instead of decoding into a fresh box). Decoding is lenient: malformed
+    /// bytes restore a well-defined default.
     fn restore(&mut self, data: &[u8]);
+}
 
-    /// Clones the object behind the trait.
-    fn boxed_clone(&self) -> Box<dyn ReplicaObject>;
+/// A persistent object class: its state (`Self`), its typed operations and
+/// replies, what each operation does, and the byte codecs for all three.
+///
+/// Implementations must be deterministic — active replication executes
+/// every operation at every replica and relies on identical results — and
+/// must keep `encode_op`/`decode_op` and `encode_reply`/`decode_reply`
+/// exact inverses (property-tested for the built-in classes in
+/// `tests/typed_properties.rs`). Decoders are lenient: hostile bytes yield
+/// `None` (or, for state, a well-defined default), never a panic.
+pub trait ObjectType: Sized + 'static {
+    /// The class's operation type (e.g. [`CounterOp`]).
+    type Op: fmt::Debug + Clone + PartialEq;
+    /// The class's decoded reply type (e.g. `i64` for counters).
+    type Reply: fmt::Debug + Clone + PartialEq;
+
+    /// The stable class tag ([`ReplicaObject::type_tag`] of every instance).
+    const TAG: TypeTag;
+
+    /// Runs `op` against this object, returning its reply and whether it
+    /// modified the state (drives the commit-time no-copy optimisation).
+    fn apply(&mut self, op: Self::Op) -> (Self::Reply, bool);
+
+    /// Appends the encoding of the full state to `buf`.
+    fn encode_state(&self, buf: &mut Vec<u8>);
+
+    /// Decodes a state written by [`ObjectType::encode_state`]. Lenient:
+    /// malformed bytes decode to a well-defined default, never a panic.
+    fn decode_state(bytes: &[u8]) -> Self;
+
+    /// Appends the wire encoding of `op` to `buf` (composes with the
+    /// pooled `WireEncoder`).
+    fn encode_op(op: &Self::Op, buf: &mut Vec<u8>);
+
+    /// Decodes an operation; `None` for malformed input.
+    fn decode_op(bytes: &[u8]) -> Option<Self::Op>;
+
+    /// Whether `op` is read-only (drives the object lock mode and the
+    /// commit-time no-copy optimisation).
+    fn op_is_read_only(op: &Self::Op) -> bool;
+
+    /// Appends the wire encoding of `reply` to `buf`.
+    fn encode_reply(reply: &Self::Reply, buf: &mut Vec<u8>);
+
+    /// Decodes the reply to `op`; `None` for malformed bytes. The reply
+    /// format may depend on the operation (a [`KvOp::Len`] reply is a
+    /// count, a [`KvOp::Get`] reply a value), so decoding is op-contextual.
+    fn decode_reply(op: &Self::Op, reply: &[u8]) -> Option<Self::Reply>;
+
+    /// Convenience: the wire encoding of `op` as a fresh vector (cold
+    /// paths; hot paths encode through a pooled frame).
+    fn op_vec(op: &Self::Op) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Self::encode_op(op, &mut buf);
+        buf
+    }
+
+    /// Convenience: the wire encoding of `reply` as a fresh vector.
+    fn reply_vec(reply: &Self::Reply) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Self::encode_reply(reply, &mut buf);
+        buf
+    }
+
+    /// Human-readable decode of encoded op bytes (oracle diagnostics).
+    fn describe_op(bytes: &[u8]) -> String {
+        format!("{:?}", Self::decode_op(bytes))
+    }
+}
+
+/// The server-side behaviour of every class, derived from its definition:
+/// decode the op, [`apply`](ObjectType::apply) it, encode the reply into a
+/// pooled frame.
+impl<O: ObjectType> ReplicaObject for O {
+    fn type_tag(&self) -> TypeTag {
+        O::TAG
+    }
+
+    fn invoke(&mut self, op: &[u8], enc: &WireEncoder) -> InvokeResult {
+        let Some(op) = O::decode_op(op) else {
+            return InvokeResult::read(Bytes::new());
+        };
+        let (reply, mutated) = self.apply(op);
+        InvokeResult {
+            reply: enc.encode_with(|buf| O::encode_reply(&reply, buf)),
+            mutated,
+        }
+    }
+
+    fn snapshot(&self, enc: &WireEncoder) -> Bytes {
+        enc.encode_with(|buf| self.encode_state(buf))
+    }
+
+    fn restore(&mut self, data: &[u8]) {
+        *self = O::decode_state(data);
+    }
 }
 
 /// Decodes stored bytes back into a live object.
-pub type DecodeFn = fn(&[u8]) -> Box<dyn ReplicaObject>;
+type DecodeFn = fn(&[u8]) -> Box<dyn ReplicaObject>;
 
 /// Registry mapping [`TypeTag`]s to decoders — the analogue of server nodes
 /// holding the class code.
@@ -104,15 +206,16 @@ impl TypeRegistry {
     /// ([`Counter`], [`KvMap`], [`Account`]).
     pub fn with_builtins() -> Self {
         let reg = TypeRegistry::default();
-        reg.register(Counter::TYPE_TAG, Counter::decode_boxed);
-        reg.register(KvMap::TYPE_TAG, KvMap::decode_boxed);
-        reg.register(Account::TYPE_TAG, Account::decode_boxed);
+        reg.register::<Counter>();
+        reg.register::<KvMap>();
+        reg.register::<Account>();
         reg
     }
 
-    /// Registers (or replaces) a decoder for `tag`.
-    pub fn register(&self, tag: TypeTag, decode: DecodeFn) {
-        self.inner.borrow_mut().insert(tag, decode);
+    /// Registers (or replaces) the class `O` under its tag.
+    pub fn register<O: ObjectType>(&self) {
+        let decode: DecodeFn = |data| Box::new(O::decode_state(data));
+        self.inner.borrow_mut().insert(O::TAG, decode);
     }
 
     /// Decodes `data` as an instance of `tag`, if the class is known.
@@ -124,6 +227,12 @@ impl TypeRegistry {
     pub fn knows(&self, tag: TypeTag) -> bool {
         self.inner.borrow().contains_key(&tag)
     }
+}
+
+/// The eight bytes at `at..at + 8`, if present — the payload of every
+/// fixed-width field in the built-in classes' encodings.
+fn word(bytes: &[u8], at: usize) -> Option<[u8; 8]> {
+    bytes.get(at..at + 8)?.try_into().ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -141,38 +250,9 @@ pub struct Counter {
 pub enum CounterOp {
     /// Read the current value (read-only).
     Get,
-    /// Add a delta (mutating); replies with the new value.
+    /// Add a delta (mutating); replies with the new value. The sum wraps
+    /// at the `i64` bounds, identically in debug and release builds.
     Add(i64),
-}
-
-impl CounterOp {
-    /// Encodes the operation.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            CounterOp::Get => vec![0],
-            CounterOp::Add(d) => {
-                let mut v = vec![1];
-                v.extend_from_slice(&d.to_le_bytes());
-                v
-            }
-        }
-    }
-
-    /// Decodes an operation; `None` for malformed input.
-    pub fn decode(bytes: &[u8]) -> Option<CounterOp> {
-        match bytes.first()? {
-            0 => Some(CounterOp::Get),
-            1 => Some(CounterOp::Add(i64::from_le_bytes(
-                bytes.get(1..9)?.try_into().ok()?,
-            ))),
-            _ => None,
-        }
-    }
-
-    /// Decodes a counter reply.
-    pub fn decode_reply(reply: &[u8]) -> Option<i64> {
-        Some(i64::from_le_bytes(reply.get(..8)?.try_into().ok()?))
-    }
 }
 
 impl Counter {
@@ -188,52 +268,60 @@ impl Counter {
     pub fn value(&self) -> i64 {
         self.value
     }
-
-    /// Decodes a snapshot.
-    pub fn decode(data: &[u8]) -> Counter {
-        let value = data
-            .get(..8)
-            .and_then(|b| b.try_into().ok())
-            .map(i64::from_le_bytes)
-            .unwrap_or(0);
-        Counter { value }
-    }
-
-    fn decode_boxed(data: &[u8]) -> Box<dyn ReplicaObject> {
-        Box::new(Counter::decode(data))
-    }
 }
 
-impl ReplicaObject for Counter {
-    fn type_tag(&self) -> TypeTag {
-        Self::TYPE_TAG
-    }
+impl ObjectType for Counter {
+    type Op = CounterOp;
+    type Reply = i64;
 
-    fn invoke(&mut self, op: &[u8], enc: &WireEncoder) -> InvokeResult {
-        match CounterOp::decode(op) {
-            Some(CounterOp::Get) => InvokeResult::read(
-                enc.encode_with(|b| b.extend_from_slice(&self.value.to_le_bytes())),
-            ),
-            Some(CounterOp::Add(d)) => {
-                self.value += d;
-                InvokeResult::wrote(
-                    enc.encode_with(|b| b.extend_from_slice(&self.value.to_le_bytes())),
-                )
+    const TAG: TypeTag = Counter::TYPE_TAG;
+
+    fn apply(&mut self, op: CounterOp) -> (i64, bool) {
+        match op {
+            CounterOp::Get => (self.value, false),
+            CounterOp::Add(d) => {
+                self.value = self.value.wrapping_add(d);
+                (self.value, true)
             }
-            None => InvokeResult::read(Bytes::new()),
         }
     }
 
-    fn snapshot(&self, enc: &WireEncoder) -> Bytes {
-        enc.encode_with(|b| b.extend_from_slice(&self.value.to_le_bytes()))
+    fn encode_state(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.value.to_le_bytes());
     }
 
-    fn restore(&mut self, data: &[u8]) {
-        *self = Counter::decode(data);
+    fn decode_state(bytes: &[u8]) -> Counter {
+        Counter::new(word(bytes, 0).map_or(0, i64::from_le_bytes))
     }
 
-    fn boxed_clone(&self) -> Box<dyn ReplicaObject> {
-        Box::new(self.clone())
+    fn encode_op(op: &CounterOp, buf: &mut Vec<u8>) {
+        match op {
+            CounterOp::Get => buf.push(0),
+            CounterOp::Add(d) => {
+                buf.push(1);
+                buf.extend_from_slice(&d.to_le_bytes());
+            }
+        }
+    }
+
+    fn decode_op(bytes: &[u8]) -> Option<CounterOp> {
+        match bytes.first()? {
+            0 => Some(CounterOp::Get),
+            1 => Some(CounterOp::Add(i64::from_le_bytes(word(bytes, 1)?))),
+            _ => None,
+        }
+    }
+
+    fn op_is_read_only(op: &CounterOp) -> bool {
+        matches!(op, CounterOp::Get)
+    }
+
+    fn encode_reply(reply: &i64, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&reply.to_le_bytes());
+    }
+
+    fn decode_reply(_op: &CounterOp, reply: &[u8]) -> Option<i64> {
+        Some(i64::from_le_bytes(word(reply, 0)?))
     }
 }
 
@@ -260,6 +348,35 @@ pub enum KvOp {
     Len,
 }
 
+/// A typed [`KvMap`] reply: values for `Get`/`Put`/`Delete` (empty when the
+/// key was absent), a count for `Len`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KvReply {
+    /// The value read, or the previous value of a `Put`/`Delete` (empty
+    /// string when there was none).
+    Value(String),
+    /// The entry count of a `Len`.
+    Len(u64),
+}
+
+impl KvReply {
+    /// The carried value, if this is a [`KvReply::Value`].
+    pub fn value(&self) -> Option<&str> {
+        match self {
+            KvReply::Value(v) => Some(v),
+            KvReply::Len(_) => None,
+        }
+    }
+
+    /// The carried count, if this is a [`KvReply::Len`].
+    pub fn count(&self) -> Option<u64> {
+        match self {
+            KvReply::Value(_) => None,
+            KvReply::Len(n) => Some(*n),
+        }
+    }
+}
+
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
@@ -271,45 +388,6 @@ fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
     let s = std::str::from_utf8(bytes.get(*pos..*pos + len)?).ok()?;
     *pos += len;
     Some(s.to_string())
-}
-
-impl KvOp {
-    /// Encodes the operation.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::new();
-        match self {
-            KvOp::Get(k) => {
-                v.push(0);
-                put_str(&mut v, k);
-            }
-            KvOp::Put(k, val) => {
-                v.push(1);
-                put_str(&mut v, k);
-                put_str(&mut v, val);
-            }
-            KvOp::Delete(k) => {
-                v.push(2);
-                put_str(&mut v, k);
-            }
-            KvOp::Len => v.push(3),
-        }
-        v
-    }
-
-    /// Decodes an operation; `None` for malformed input.
-    pub fn decode(bytes: &[u8]) -> Option<KvOp> {
-        let mut pos = 1;
-        match bytes.first()? {
-            0 => Some(KvOp::Get(get_str(bytes, &mut pos)?)),
-            1 => Some(KvOp::Put(
-                get_str(bytes, &mut pos)?,
-                get_str(bytes, &mut pos)?,
-            )),
-            2 => Some(KvOp::Delete(get_str(bytes, &mut pos)?)),
-            3 => Some(KvOp::Len),
-            _ => None,
-        }
-    }
 }
 
 impl KvMap {
@@ -335,24 +413,38 @@ impl KvMap {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
 
-    /// Decodes a snapshot.
-    pub fn decode(data: &[u8]) -> KvMap {
+impl ObjectType for KvMap {
+    type Op = KvOp;
+    type Reply = KvReply;
+
+    const TAG: TypeTag = KvMap::TYPE_TAG;
+
+    fn apply(&mut self, op: KvOp) -> (KvReply, bool) {
+        let value = |v: Option<String>| KvReply::Value(v.unwrap_or_default());
+        match op {
+            KvOp::Get(k) => (value(self.entries.get(&k).cloned()), false),
+            KvOp::Put(k, v) => (value(self.entries.insert(k, v)), true),
+            KvOp::Delete(k) => (value(self.entries.remove(&k)), true),
+            KvOp::Len => (KvReply::Len(self.entries.len() as u64), false),
+        }
+    }
+
+    fn encode_state(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
+        for (k, v) in &self.entries {
+            put_str(buf, k);
+            put_str(buf, v);
+        }
+    }
+
+    fn decode_state(bytes: &[u8]) -> KvMap {
         let mut entries = BTreeMap::new();
-        let mut pos = 0;
-        let Some(count) = data
-            .get(..8)
-            .and_then(|b| b.try_into().ok())
-            .map(u64::from_le_bytes)
-        else {
-            return KvMap::default();
-        };
-        pos += 8;
+        let count = word(bytes, 0).map_or(0, u64::from_le_bytes);
+        let mut pos = 8;
         for _ in 0..count {
-            let Some(k) = get_str(data, &mut pos) else {
-                break;
-            };
-            let Some(v) = get_str(data, &mut pos) else {
+            let (Some(k), Some(v)) = (get_str(bytes, &mut pos), get_str(bytes, &mut pos)) else {
                 break;
             };
             entries.insert(k, v);
@@ -360,54 +452,57 @@ impl KvMap {
         KvMap { entries }
     }
 
-    fn decode_boxed(data: &[u8]) -> Box<dyn ReplicaObject> {
-        Box::new(KvMap::decode(data))
-    }
-}
-
-impl ReplicaObject for KvMap {
-    fn type_tag(&self) -> TypeTag {
-        Self::TYPE_TAG
-    }
-
-    fn invoke(&mut self, op: &[u8], enc: &WireEncoder) -> InvokeResult {
-        match KvOp::decode(op) {
-            Some(KvOp::Get(k)) => InvokeResult::read(enc.encode_with(|b| {
-                b.extend_from_slice(self.entries.get(&k).map_or("", String::as_str).as_bytes())
-            })),
-            Some(KvOp::Put(k, v)) => {
-                let prev = self.entries.insert(k, v).unwrap_or_default();
-                InvokeResult::wrote(enc.encode_with(|b| b.extend_from_slice(prev.as_bytes())))
+    fn encode_op(op: &KvOp, buf: &mut Vec<u8>) {
+        match op {
+            KvOp::Get(k) => {
+                buf.push(0);
+                put_str(buf, k);
             }
-            Some(KvOp::Delete(k)) => {
-                let prev = self.entries.remove(&k).unwrap_or_default();
-                InvokeResult::wrote(enc.encode_with(|b| b.extend_from_slice(prev.as_bytes())))
+            KvOp::Put(k, v) => {
+                buf.push(1);
+                put_str(buf, k);
+                put_str(buf, v);
             }
-            Some(KvOp::Len) => {
-                InvokeResult::read(enc.encode_with(|b| {
-                    b.extend_from_slice(&(self.entries.len() as u64).to_le_bytes())
-                }))
+            KvOp::Delete(k) => {
+                buf.push(2);
+                put_str(buf, k);
             }
-            None => InvokeResult::read(Bytes::new()),
+            KvOp::Len => buf.push(3),
         }
     }
 
-    fn snapshot(&self, enc: &WireEncoder) -> Bytes {
-        enc.encode_with(|v| {
-            v.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-            for (k, val) in &self.entries {
-                put_str(v, k);
-                put_str(v, val);
+    fn decode_op(bytes: &[u8]) -> Option<KvOp> {
+        let mut pos = 1;
+        match bytes.first()? {
+            0 => Some(KvOp::Get(get_str(bytes, &mut pos)?)),
+            1 => Some(KvOp::Put(
+                get_str(bytes, &mut pos)?,
+                get_str(bytes, &mut pos)?,
+            )),
+            2 => Some(KvOp::Delete(get_str(bytes, &mut pos)?)),
+            3 => Some(KvOp::Len),
+            _ => None,
+        }
+    }
+
+    fn op_is_read_only(op: &KvOp) -> bool {
+        matches!(op, KvOp::Get(_) | KvOp::Len)
+    }
+
+    fn encode_reply(reply: &KvReply, buf: &mut Vec<u8>) {
+        match reply {
+            KvReply::Value(v) => buf.extend_from_slice(v.as_bytes()),
+            KvReply::Len(n) => buf.extend_from_slice(&n.to_le_bytes()),
+        }
+    }
+
+    fn decode_reply(op: &KvOp, reply: &[u8]) -> Option<KvReply> {
+        match op {
+            KvOp::Len => Some(KvReply::Len(u64::from_le_bytes(word(reply, 0)?))),
+            KvOp::Get(_) | KvOp::Put(..) | KvOp::Delete(_) => {
+                Some(KvReply::Value(std::str::from_utf8(reply).ok()?.to_string()))
             }
-        })
-    }
-
-    fn restore(&mut self, data: &[u8]) {
-        *self = KvMap::decode(data);
-    }
-
-    fn boxed_clone(&self) -> Box<dyn ReplicaObject> {
-        Box::new(self.clone())
+        }
     }
 }
 
@@ -427,50 +522,19 @@ pub struct Account {
 pub enum AccountOp {
     /// Read the balance (read-only).
     Balance,
-    /// Add funds (mutating); replies with the new balance.
+    /// Add funds (mutating). Replies with the new balance, or with
+    /// [`AccountOp::REFUSED`] if the balance would overflow (no state
+    /// change).
     Deposit(u64),
     /// Remove funds (mutating). Replies with the new balance, or with
-    /// `u64::MAX` if the balance was insufficient (no state change).
+    /// [`AccountOp::REFUSED`] if the balance was insufficient (no state
+    /// change).
     Withdraw(u64),
 }
 
 impl AccountOp {
-    /// Reply marker for a refused withdrawal.
+    /// Reply marker for a refused deposit or withdrawal.
     pub const REFUSED: u64 = u64::MAX;
-
-    /// Encodes the operation.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            AccountOp::Balance => vec![0],
-            AccountOp::Deposit(a) => {
-                let mut v = vec![1];
-                v.extend_from_slice(&a.to_le_bytes());
-                v
-            }
-            AccountOp::Withdraw(a) => {
-                let mut v = vec![2];
-                v.extend_from_slice(&a.to_le_bytes());
-                v
-            }
-        }
-    }
-
-    /// Decodes an operation; `None` for malformed input.
-    pub fn decode(bytes: &[u8]) -> Option<AccountOp> {
-        let amount =
-            |b: &[u8]| -> Option<u64> { Some(u64::from_le_bytes(b.get(1..9)?.try_into().ok()?)) };
-        match bytes.first()? {
-            0 => Some(AccountOp::Balance),
-            1 => Some(AccountOp::Deposit(amount(bytes)?)),
-            2 => Some(AccountOp::Withdraw(amount(bytes)?)),
-            _ => None,
-        }
-    }
-
-    /// Decodes an account reply.
-    pub fn decode_reply(reply: &[u8]) -> Option<u64> {
-        Some(u64::from_le_bytes(reply.get(..8)?.try_into().ok()?))
-    }
 }
 
 impl Account {
@@ -486,57 +550,71 @@ impl Account {
     pub fn balance(&self) -> u64 {
         self.balance
     }
-
-    /// Decodes a snapshot.
-    pub fn decode(data: &[u8]) -> Account {
-        let balance = data
-            .get(..8)
-            .and_then(|b| b.try_into().ok())
-            .map(u64::from_le_bytes)
-            .unwrap_or(0);
-        Account { balance }
-    }
-
-    fn decode_boxed(data: &[u8]) -> Box<dyn ReplicaObject> {
-        Box::new(Account::decode(data))
-    }
 }
 
-impl ReplicaObject for Account {
-    fn type_tag(&self) -> TypeTag {
-        Self::TYPE_TAG
-    }
+impl ObjectType for Account {
+    type Op = AccountOp;
+    type Reply = u64;
 
-    fn invoke(&mut self, op: &[u8], enc: &WireEncoder) -> InvokeResult {
-        let reply = |v: u64| enc.encode_with(|b| b.extend_from_slice(&v.to_le_bytes()));
-        match AccountOp::decode(op) {
-            Some(AccountOp::Balance) => InvokeResult::read(reply(self.balance)),
-            Some(AccountOp::Deposit(a)) => {
-                self.balance += a;
-                InvokeResult::wrote(reply(self.balance))
+    const TAG: TypeTag = Account::TYPE_TAG;
+
+    fn apply(&mut self, op: AccountOp) -> (u64, bool) {
+        let updated = match op {
+            AccountOp::Balance => return (self.balance, false),
+            AccountOp::Deposit(a) => self.balance.checked_add(a),
+            AccountOp::Withdraw(a) => self.balance.checked_sub(a),
+        };
+        match updated {
+            Some(balance) => {
+                self.balance = balance;
+                (balance, true)
             }
-            Some(AccountOp::Withdraw(a)) => {
-                if a > self.balance {
-                    InvokeResult::read(reply(AccountOp::REFUSED))
-                } else {
-                    self.balance -= a;
-                    InvokeResult::wrote(reply(self.balance))
-                }
-            }
-            None => InvokeResult::read(Bytes::new()),
+            None => (AccountOp::REFUSED, false),
         }
     }
 
-    fn snapshot(&self, enc: &WireEncoder) -> Bytes {
-        enc.encode_with(|b| b.extend_from_slice(&self.balance.to_le_bytes()))
+    fn encode_state(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.balance.to_le_bytes());
     }
 
-    fn restore(&mut self, data: &[u8]) {
-        *self = Account::decode(data);
+    fn decode_state(bytes: &[u8]) -> Account {
+        Account::new(word(bytes, 0).map_or(0, u64::from_le_bytes))
     }
 
-    fn boxed_clone(&self) -> Box<dyn ReplicaObject> {
-        Box::new(self.clone())
+    fn encode_op(op: &AccountOp, buf: &mut Vec<u8>) {
+        match op {
+            AccountOp::Balance => buf.push(0),
+            AccountOp::Deposit(a) => {
+                buf.push(1);
+                buf.extend_from_slice(&a.to_le_bytes());
+            }
+            AccountOp::Withdraw(a) => {
+                buf.push(2);
+                buf.extend_from_slice(&a.to_le_bytes());
+            }
+        }
+    }
+
+    fn decode_op(bytes: &[u8]) -> Option<AccountOp> {
+        let amount = || word(bytes, 1).map(u64::from_le_bytes);
+        match bytes.first()? {
+            0 => Some(AccountOp::Balance),
+            1 => Some(AccountOp::Deposit(amount()?)),
+            2 => Some(AccountOp::Withdraw(amount()?)),
+            _ => None,
+        }
+    }
+
+    fn op_is_read_only(op: &AccountOp) -> bool {
+        matches!(op, AccountOp::Balance)
+    }
+
+    fn encode_reply(reply: &u64, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&reply.to_le_bytes());
+    }
+
+    fn decode_reply(_op: &AccountOp, reply: &[u8]) -> Option<u64> {
+        Some(u64::from_le_bytes(word(reply, 0)?))
     }
 }
 
@@ -552,26 +630,36 @@ mod tests {
     fn counter_ops_roundtrip_and_apply() {
         let enc = enc();
         let mut c = Counter::new(10);
-        let r = c.invoke(&CounterOp::Add(5).encode(), &enc);
+        let r = c.invoke(&Counter::op_vec(&CounterOp::Add(5)), &enc);
         assert!(r.mutated);
-        assert_eq!(CounterOp::decode_reply(&r.reply), Some(15));
-        let r = c.invoke(&CounterOp::Get.encode(), &enc);
+        assert_eq!(Counter::decode_reply(&CounterOp::Get, &r.reply), Some(15));
+        let r = c.invoke(&Counter::op_vec(&CounterOp::Get), &enc);
         assert!(!r.mutated);
-        assert_eq!(CounterOp::decode_reply(&r.reply), Some(15));
+        assert_eq!(Counter::decode_reply(&CounterOp::Get, &r.reply), Some(15));
         assert_eq!(c.value(), 15);
         assert_eq!(
-            CounterOp::decode(&CounterOp::Add(-3).encode()),
+            Counter::decode_op(&Counter::op_vec(&CounterOp::Add(-3))),
             Some(CounterOp::Add(-3))
         );
-        assert_eq!(CounterOp::decode(&[9]), None);
+        assert_eq!(Counter::decode_op(&[9]), None);
     }
 
     #[test]
     fn counter_snapshot_roundtrip() {
         let c = Counter::new(-42);
-        let restored = Counter::decode(&c.snapshot(&enc()));
+        let restored = Counter::decode_state(&c.snapshot(&enc()));
         assert_eq!(restored, c);
         assert_eq!(c.type_tag(), Counter::TYPE_TAG);
+    }
+
+    /// Regression: `Add` past `i64::MAX` used to panic under the debug
+    /// profile and wrap silently in release.
+    #[test]
+    fn counter_add_wraps_at_the_bounds() {
+        let mut c = Counter::new(1);
+        assert_eq!(c.apply(CounterOp::Add(i64::MAX)), (i64::MIN, true));
+        assert_eq!(c.apply(CounterOp::Add(-1)), (i64::MAX, true));
+        assert_eq!(c.value(), i64::MAX);
     }
 
     #[test]
@@ -579,20 +667,20 @@ mod tests {
         let enc = enc();
         let mut m = KvMap::new();
         assert!(m.is_empty());
-        let r = m.invoke(&KvOp::Put("k1".into(), "v1".into()).encode(), &enc);
+        let r = m.invoke(&KvMap::op_vec(&KvOp::Put("k1".into(), "v1".into())), &enc);
         assert!(r.mutated);
         assert!(r.reply.is_empty(), "no previous value");
-        let r = m.invoke(&KvOp::Get("k1".into()).encode(), &enc);
+        let r = m.invoke(&KvMap::op_vec(&KvOp::Get("k1".into())), &enc);
         assert!(!r.mutated);
         assert_eq!(r.reply, b"v1");
-        let r = m.invoke(&KvOp::Put("k1".into(), "v2".into()).encode(), &enc);
+        let r = m.invoke(&KvMap::op_vec(&KvOp::Put("k1".into(), "v2".into())), &enc);
         assert_eq!(r.reply, b"v1", "previous value returned");
-        let r = m.invoke(&KvOp::Len.encode(), &enc);
+        let r = m.invoke(&KvMap::op_vec(&KvOp::Len), &enc);
         assert_eq!(
             u64::from_le_bytes(r.reply.as_slice().try_into().unwrap()),
             1
         );
-        let r = m.invoke(&KvOp::Delete("k1".into()).encode(), &enc);
+        let r = m.invoke(&KvMap::op_vec(&KvOp::Delete("k1".into())), &enc);
         assert!(r.mutated);
         assert_eq!(r.reply, b"v2");
         assert_eq!(m.len(), 0);
@@ -606,18 +694,17 @@ mod tests {
             KvOp::Delete("x".into()),
             KvOp::Len,
         ] {
-            assert_eq!(KvOp::decode(&op.encode()), Some(op));
+            assert_eq!(KvMap::decode_op(&KvMap::op_vec(&op)), Some(op));
         }
-        assert_eq!(KvOp::decode(&[77]), None);
+        assert_eq!(KvMap::decode_op(&[77]), None);
     }
 
     #[test]
     fn kv_snapshot_roundtrip() {
-        let enc = enc();
         let mut m = KvMap::new();
-        m.invoke(&KvOp::Put("a".into(), "1".into()).encode(), &enc);
-        m.invoke(&KvOp::Put("b".into(), "2".into()).encode(), &enc);
-        let restored = KvMap::decode(&m.snapshot(&enc));
+        m.apply(KvOp::Put("a".into(), "1".into()));
+        m.apply(KvOp::Put("b".into(), "2".into()));
+        let restored = KvMap::decode_state(&m.snapshot(&enc()));
         assert_eq!(restored, m);
         assert_eq!(restored.get("b"), Some("2"));
     }
@@ -626,27 +713,43 @@ mod tests {
     fn account_ops_apply_with_overdraft_protection() {
         let enc = enc();
         let mut a = Account::new(100);
-        let r = a.invoke(&AccountOp::Withdraw(30).encode(), &enc);
+        let reply = |r: &InvokeResult| Account::decode_reply(&AccountOp::Balance, &r.reply);
+        let r = a.invoke(&Account::op_vec(&AccountOp::Withdraw(30)), &enc);
         assert!(r.mutated);
-        assert_eq!(AccountOp::decode_reply(&r.reply), Some(70));
-        let r = a.invoke(&AccountOp::Withdraw(1000).encode(), &enc);
+        assert_eq!(reply(&r), Some(70));
+        let r = a.invoke(&Account::op_vec(&AccountOp::Withdraw(1000)), &enc);
         assert!(!r.mutated, "refused withdrawal must not mutate");
-        assert_eq!(AccountOp::decode_reply(&r.reply), Some(AccountOp::REFUSED));
-        let r = a.invoke(&AccountOp::Deposit(10).encode(), &enc);
-        assert_eq!(AccountOp::decode_reply(&r.reply), Some(80));
-        let r = a.invoke(&AccountOp::Balance.encode(), &enc);
+        assert_eq!(reply(&r), Some(AccountOp::REFUSED));
+        let r = a.invoke(&Account::op_vec(&AccountOp::Deposit(10)), &enc);
+        assert_eq!(reply(&r), Some(80));
+        let r = a.invoke(&Account::op_vec(&AccountOp::Balance), &enc);
         assert!(!r.mutated);
         assert_eq!(a.balance(), 80);
         assert_eq!(
-            AccountOp::decode(&AccountOp::Withdraw(5).encode()),
+            Account::decode_op(&Account::op_vec(&AccountOp::Withdraw(5))),
             Some(AccountOp::Withdraw(5))
         );
+    }
+
+    /// Regression: a `Deposit` past `u64::MAX` used to panic under the
+    /// debug profile and, in release, wrap the balance to a small number.
+    #[test]
+    fn account_refuses_an_overflowing_deposit() {
+        let mut a = Account::new(1);
+        let r = a.invoke(&Account::op_vec(&AccountOp::Deposit(u64::MAX)), &enc());
+        assert!(!r.mutated, "refused deposit must not mutate");
+        assert_eq!(
+            Account::decode_reply(&AccountOp::Balance, &r.reply),
+            Some(AccountOp::REFUSED)
+        );
+        assert_eq!(a.balance(), 1);
+        assert_eq!(a.apply(AccountOp::Deposit(u64::MAX - 1)), (u64::MAX, true));
     }
 
     #[test]
     fn account_snapshot_roundtrip() {
         let a = Account::new(12345);
-        assert_eq!(Account::decode(&a.snapshot(&enc())), a);
+        assert_eq!(Account::decode_state(&a.snapshot(&enc())), a);
     }
 
     #[test]
@@ -659,19 +762,10 @@ mod tests {
         assert!(!reg.knows(TypeTag::new(99)));
         let c = Counter::new(7);
         let mut decoded = reg.decode(Counter::TYPE_TAG, &c.snapshot(&enc)).unwrap();
-        let r = decoded.invoke(&CounterOp::Get.encode(), &enc);
-        assert_eq!(CounterOp::decode_reply(&r.reply), Some(7));
+        assert_eq!(decoded.type_tag(), Counter::TYPE_TAG);
+        let r = decoded.invoke(&Counter::op_vec(&CounterOp::Get), &enc);
+        assert_eq!(Counter::decode_reply(&CounterOp::Get, &r.reply), Some(7));
         assert!(reg.decode(TypeTag::new(99), b"").is_none());
-    }
-
-    #[test]
-    fn boxed_clone_is_independent() {
-        let enc = enc();
-        let mut a = Counter::new(1);
-        let b = a.boxed_clone();
-        a.invoke(&CounterOp::Add(1).encode(), &enc);
-        assert_eq!(a.value(), 2);
-        assert_eq!(Counter::decode(&b.snapshot(&enc)).value(), 1);
     }
 
     #[test]
@@ -683,9 +777,9 @@ mod tests {
         c.restore(b"garbage");
         assert_eq!(c.value(), 0, "lenient decode restores the default");
         let mut m = KvMap::new();
-        m.invoke(&KvOp::Put("k".into(), "v".into()).encode(), &enc);
+        m.apply(KvOp::Put("k".into(), "v".into()));
         let snap = m.snapshot(&enc);
-        m.invoke(&KvOp::Delete("k".into()).encode(), &enc);
+        m.apply(KvOp::Delete("k".into()));
         m.restore(&snap);
         assert_eq!(m.get("k"), Some("v"));
         let mut a = Account::new(3);
@@ -697,11 +791,12 @@ mod tests {
     fn replies_come_from_the_encoder_pool() {
         let enc = enc();
         let mut c = Counter::new(0);
-        drop(c.invoke(&CounterOp::Add(1).encode(), &enc));
+        let add = Counter::op_vec(&CounterOp::Add(1));
+        drop(c.invoke(&add, &enc));
         assert!(enc.pooled() >= 1, "dropped reply returned to the pool");
         let before = groupview_sim::wire::stats();
         for _ in 0..50 {
-            drop(c.invoke(&CounterOp::Add(1).encode(), &enc));
+            drop(c.invoke(&add, &enc));
         }
         assert_eq!(
             groupview_sim::wire::stats().since(before).buffer_allocs,

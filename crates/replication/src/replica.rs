@@ -402,7 +402,7 @@ impl ReplicaRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::{Counter, CounterOp};
+    use crate::object::{Counter, CounterOp, ObjectType};
     use groupview_sim::SimConfig;
 
     fn world() -> (Sim, TypeRegistry) {
@@ -410,6 +410,16 @@ mod tests {
             Sim::new(SimConfig::new(3).with_nodes(3)),
             TypeRegistry::with_builtins(),
         )
+    }
+
+    /// The wire encoding of a counter operation.
+    fn counter_op(op: CounterOp) -> Vec<u8> {
+        Counter::op_vec(&op)
+    }
+
+    /// Decodes a counter reply.
+    fn counter_reply(reply: &[u8]) -> Option<i64> {
+        Counter::decode_reply(&CounterOp::Get, reply)
     }
 
     fn enc() -> WireEncoder {
@@ -426,17 +436,19 @@ mod tests {
         let enc = enc();
         let mut r = ServerReplica::new(&sim, Uid::from_raw(1), NodeId::new(0));
         assert!(!r.is_loaded(&sim));
-        assert!(r.invoke(&sim, &enc, 1, &CounterOp::Get.encode()).is_none());
+        assert!(r
+            .invoke(&sim, &enc, 1, &counter_op(CounterOp::Get))
+            .is_none());
         assert!(r.load(&sim, &counter_state(10), &types));
         assert!(r.is_loaded(&sim));
         let res = r
-            .invoke(&sim, &enc, 1, &CounterOp::Add(5).encode())
+            .invoke(&sim, &enc, 1, &counter_op(CounterOp::Add(5)))
             .unwrap();
         assert!(res.mutated);
-        assert_eq!(CounterOp::decode_reply(&res.reply), Some(15));
+        assert_eq!(counter_reply(&res.reply), Some(15));
         let snap = r.snapshot_state(&sim, &enc).unwrap();
         assert_eq!(snap.version, Version::INITIAL, "base version until commit");
-        assert_eq!(Counter::decode(&snap.data).value(), 15);
+        assert_eq!(Counter::decode_state(&snap.data).value(), 15);
         assert_eq!(r.uid(), Uid::from_raw(1));
         assert_eq!(r.node(), NodeId::new(0));
     }
@@ -460,14 +472,16 @@ mod tests {
         let mut r = ServerReplica::new(&sim, Uid::from_raw(1), NodeId::new(0));
         let enc = enc();
         r.load(&sim, &counter_state(0), &types);
-        let op = CounterOp::Add(1).encode();
+        let op = counter_op(CounterOp::Add(1));
         let first = r.invoke(&sim, &enc, 42, &op).unwrap();
         assert!(first.mutated);
         let dup = r.invoke(&sim, &enc, 42, &op).unwrap();
         assert!(!dup.mutated, "duplicate must not report a new mutation");
         assert_eq!(dup.reply, first.reply, "cached reply returned");
-        let check = r.invoke(&sim, &enc, 43, &CounterOp::Get.encode()).unwrap();
-        assert_eq!(CounterOp::decode_reply(&check.reply), Some(1));
+        let check = r
+            .invoke(&sim, &enc, 43, &counter_op(CounterOp::Get))
+            .unwrap();
+        assert_eq!(counter_reply(&check.reply), Some(1));
     }
 
     #[test]
@@ -477,9 +491,9 @@ mod tests {
         let enc = enc();
         r.load(&sim, &counter_state(0), &types);
         let ops = [
-            CounterOp::Add(1).encode(),
-            CounterOp::Get.encode(),
-            CounterOp::Add(10).encode(),
+            counter_op(CounterOp::Add(1)),
+            counter_op(CounterOp::Get),
+            counter_op(CounterOp::Add(10)),
         ];
         let op_refs: Vec<&[u8]> = ops.iter().map(|o| o.as_slice()).collect();
         let frame = wire::BatchMsgCodec::encode_parts(&enc, 5 | wire::BATCH_FLAG, &op_refs);
@@ -489,16 +503,18 @@ mod tests {
         assert!(first.mutated, "batch contains writes");
         let replies = wire::read_frames(&first.reply).expect("framed reply");
         assert_eq!(replies.len(), 3, "one reply per op, in op order");
-        assert_eq!(CounterOp::decode_reply(&replies[0]), Some(1));
-        assert_eq!(CounterOp::decode_reply(&replies[1]), Some(1));
-        assert_eq!(CounterOp::decode_reply(&replies[2]), Some(11));
+        assert_eq!(counter_reply(&replies[0]), Some(1));
+        assert_eq!(counter_reply(&replies[1]), Some(1));
+        assert_eq!(counter_reply(&replies[2]), Some(11));
 
         // Redelivery of the same batch id executes nothing.
         let dup = r.invoke(&sim, &enc, 5 | wire::BATCH_FLAG, body).unwrap();
         assert!(!dup.mutated, "duplicate batch must not re-execute");
         assert_eq!(dup.reply, first.reply, "cached aggregate reply");
-        let check = r.invoke(&sim, &enc, 6, &CounterOp::Get.encode()).unwrap();
-        assert_eq!(CounterOp::decode_reply(&check.reply), Some(11));
+        let check = r
+            .invoke(&sim, &enc, 6, &counter_op(CounterOp::Get))
+            .unwrap();
+        assert_eq!(counter_reply(&check.reply), Some(11));
     }
 
     #[test]
@@ -510,12 +526,10 @@ mod tests {
         // Count promises two ops but the body holds none.
         let body = 2u32.to_le_bytes();
         assert!(r.invoke(&sim, &enc, 9 | wire::BATCH_FLAG, &body).is_none());
-        let check = r.invoke(&sim, &enc, 10, &CounterOp::Get.encode()).unwrap();
-        assert_eq!(
-            CounterOp::decode_reply(&check.reply),
-            Some(7),
-            "state untouched"
-        );
+        let check = r
+            .invoke(&sim, &enc, 10, &counter_op(CounterOp::Get))
+            .unwrap();
+        assert_eq!(counter_reply(&check.reply), Some(7), "state untouched");
     }
 
     #[test]
@@ -551,14 +565,14 @@ mod tests {
         ));
         // A retried op 7 at the (now promoted) cohort is deduped.
         let res = cohort
-            .invoke(&sim, &enc, 7, &CounterOp::Add(9).encode())
+            .invoke(&sim, &enc, 7, &counter_op(CounterOp::Add(9)))
             .unwrap();
         assert!(!res.mutated);
-        assert_eq!(CounterOp::decode_reply(&res.reply), Some(9));
+        assert_eq!(counter_reply(&res.reply), Some(9));
         let get = cohort
-            .invoke(&sim, &enc, 8, &CounterOp::Get.encode())
+            .invoke(&sim, &enc, 8, &counter_op(CounterOp::Get))
             .unwrap();
-        assert_eq!(CounterOp::decode_reply(&get.reply), Some(9));
+        assert_eq!(counter_reply(&get.reply), Some(9));
     }
 
     #[test]
@@ -576,14 +590,16 @@ mod tests {
         let enc = enc();
         r.load(&sim, &counter_state(10), &types);
         let before = r.snapshot_state(&sim, &enc).unwrap();
-        r.invoke(&sim, &enc, 5, &CounterOp::Add(100).encode())
+        r.invoke(&sim, &enc, 5, &counter_op(CounterOp::Add(100)))
             .unwrap();
         assert!(r.restore_data(&sim, before.type_tag, &before.data, &[5], &types));
-        let v = r.invoke(&sim, &enc, 6, &CounterOp::Get.encode()).unwrap();
-        assert_eq!(CounterOp::decode_reply(&v.reply), Some(10));
+        let v = r
+            .invoke(&sim, &enc, 6, &counter_op(CounterOp::Get))
+            .unwrap();
+        assert_eq!(counter_reply(&v.reply), Some(10));
         // Op 5 can run again after the undo.
         let again = r
-            .invoke(&sim, &enc, 5, &CounterOp::Add(1).encode())
+            .invoke(&sim, &enc, 5, &counter_op(CounterOp::Add(1)))
             .unwrap();
         assert!(again.mutated);
     }

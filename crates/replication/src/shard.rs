@@ -47,9 +47,10 @@
 //! See `docs/SHARDING.md` for the full design discussion.
 
 use crate::error::{ActivateError, CommitError, InvokeError};
+use crate::object::ObjectType;
 use crate::system::{Client, System, SystemBuilder};
 use crate::tx::{Tx, TxOpError};
-use crate::typed::{ObjectType, TypedUid};
+use crate::typed::TypedUid;
 use groupview_core::DbError;
 use groupview_sim::NodeId;
 use groupview_store::Uid;

@@ -2,11 +2,11 @@
 
 use crate::error::{ActivateError, CommitError, InvokeError};
 use crate::invoke::ObjectGroup;
-use crate::object::{ReplicaObject, TypeRegistry};
+use crate::object::{ObjectType, ReplicaObject, TypeRegistry};
 use crate::policy::ReplicationPolicy;
 use crate::replica::{ReplicaHandle, ReplicaRegistry};
 use crate::tx::Tx;
-use crate::typed::{Handle, ObjectType, TypedUid};
+use crate::typed::{Handle, TypedUid};
 use groupview_actions::{ActionId, StoreWriteParticipant, TxError, TxSystem};
 use groupview_core::keys::{object_key, server_entry_key, state_entry_key};
 use groupview_core::{
@@ -376,23 +376,6 @@ impl System {
         self.inner.server_cache.as_ref()
     }
 
-    /// Creates a persistent object *and binds a name to it* in one atomic
-    /// action: if any part fails, neither the object nor the name exists.
-    ///
-    /// # Errors
-    ///
-    /// See [`System::create_object`]; additionally
-    /// [`DbError::AlreadyExists`] if the name is taken.
-    pub fn create_named_object(
-        &self,
-        name: &str,
-        object: Box<dyn ReplicaObject>,
-        sv: &[NodeId],
-        st: &[NodeId],
-    ) -> Result<Uid, DbError> {
-        self.create(Some(name), object, sv, st)
-    }
-
     /// The replication policy in force.
     pub fn policy(&self) -> ReplicationPolicy {
         self.inner.policy
@@ -488,12 +471,13 @@ impl System {
     }
 
     /// Creates a typed persistent object *and binds a name to it* in one
-    /// atomic action. The typed counterpart of
-    /// [`System::create_named_object`].
+    /// atomic action: if any part fails, neither the object nor the name
+    /// exists.
     ///
     /// # Errors
     ///
-    /// See [`System::create_named_object`].
+    /// See [`System::create_object`]; additionally
+    /// [`DbError::AlreadyExists`] if the name is taken.
     pub fn create_typed_named<O: ObjectType>(
         &self,
         name: &str,
@@ -501,7 +485,7 @@ impl System {
         sv: &[NodeId],
         st: &[NodeId],
     ) -> Result<TypedUid<O>, DbError> {
-        self.create_named_object(name, Box::new(initial), sv, st)
+        self.create(Some(name), Box::new(initial), sv, st)
             .map(TypedUid::assume)
     }
 

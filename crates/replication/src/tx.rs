@@ -32,8 +32,9 @@
 //! path — pinned by `tests/tx_surface.rs`.
 
 use crate::error::{ActivateError, CommitError, InvokeError};
+use crate::object::ObjectType;
 use crate::system::Client;
-use crate::typed::{invoke_typed, Handle, ObjectType};
+use crate::typed::{invoke_typed, Handle};
 use groupview_actions::ActionId;
 use groupview_obs::Phase;
 use std::error::Error;

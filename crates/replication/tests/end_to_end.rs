@@ -2,10 +2,21 @@
 
 use groupview_core::{BindingScheme, DbError, ExcludePolicy};
 use groupview_replication::{
-    Account, AccountOp, CommitError, Counter, CounterOp, InvokeError, ReplicationPolicy, System,
+    Account, AccountOp, CommitError, Counter, CounterOp, InvokeError, ObjectType,
+    ReplicationPolicy, System,
 };
 use groupview_sim::NodeId;
 use groupview_store::Version;
+
+/// The wire encoding of a counter operation.
+fn counter_op(op: CounterOp) -> Vec<u8> {
+    Counter::op_vec(&op)
+}
+
+/// Decodes a counter reply.
+fn counter_reply(reply: &[u8]) -> Option<i64> {
+    Counter::decode_reply(&CounterOp::Get, reply)
+}
 
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
@@ -34,10 +45,10 @@ fn counter_value(sys: &System, uid: groupview_store::Uid, client_node: NodeId) -
     let a = client.begin_action();
     let g = client.activate_read_only(a, uid, 1).expect("activate ro");
     let reply = client
-        .invoke_read(a, &g, &CounterOp::Get.encode())
+        .invoke_read(a, &g, &counter_op(CounterOp::Get))
         .expect("read");
     client.commit(a).expect("commit read");
-    CounterOp::decode_reply(&reply).expect("reply")
+    counter_reply(&reply).expect("reply")
 }
 
 #[test]
@@ -49,15 +60,15 @@ fn full_cycle_all_policies() {
         let a = client.begin_action();
         let g = client.activate(a, uid, 2).expect("activate");
         let r = client
-            .invoke(a, &g, &CounterOp::Add(11).encode())
+            .invoke(a, &g, &counter_op(CounterOp::Add(11)))
             .expect("invoke");
-        assert_eq!(CounterOp::decode_reply(&r), Some(111), "policy {policy}");
+        assert_eq!(counter_reply(&r), Some(111), "policy {policy}");
         client.commit(a).expect("commit");
         // All three stores hold the committed v1 state.
         for store in [n(1), n(2), n(3)] {
             let state = sys.stores().read_local(store, uid).expect("stored");
             assert_eq!(state.version, Version::new(1), "policy {policy}");
-            assert_eq!(Counter::decode(&state.data).value(), 111);
+            assert_eq!(Counter::decode_state(&state.data).value(), 111);
         }
         assert_eq!(counter_value(&sys, uid, n(5)), 111);
     }
@@ -105,7 +116,7 @@ fn abort_undoes_replica_state_and_stores() {
     let a = client.begin_action();
     let g = client.activate(a, uid, 2).expect("activate");
     client
-        .invoke(a, &g, &CounterOp::Add(999).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(999)))
         .expect("invoke");
     client.abort(a);
     // Replica in-memory state restored; stores untouched.
@@ -123,12 +134,12 @@ fn active_replication_masks_server_crash_mid_action() {
     let a = client.begin_action();
     let g = client.activate(a, uid, 3).expect("activate");
     client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(1)))
         .expect("op1");
     // One replica dies; the group masks it.
     sys.sim().crash(n(2));
     client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(1)))
         .expect("op2");
     client.commit(a).expect("commit despite replica crash");
     assert_eq!(counter_value(&sys, uid, n(5)), 2);
@@ -145,15 +156,15 @@ fn coordinator_cohort_failover_mid_action() {
     let a = client.begin_action();
     let g = client.activate(a, uid, 3).expect("activate");
     client
-        .invoke(a, &g, &CounterOp::Add(5).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(5)))
         .expect("op1");
     // The coordinator (lowest-id live loaded = n1) fails; a cohort that
     // received the checkpoint takes over transparently.
     sys.sim().crash(n(1));
     let r = client
-        .invoke(a, &g, &CounterOp::Add(5).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(5)))
         .expect("op2 after failover");
-    assert_eq!(CounterOp::decode_reply(&r), Some(10));
+    assert_eq!(counter_reply(&r), Some(10));
     client.commit(a).expect("commit");
     assert_eq!(counter_value(&sys, uid, n(5)), 10);
 }
@@ -174,11 +185,11 @@ fn single_copy_passive_crash_aborts_action() {
         "single copy policy activates one server"
     );
     client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(1)))
         .expect("op1");
     sys.sim().crash(g.servers[0]);
     let err = client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(1)))
         .expect_err("server crashed");
     assert_eq!(err, InvokeError::ServerFailed(uid));
     client.abort(a);
@@ -197,7 +208,7 @@ fn commit_excludes_crashed_store_and_later_recovery_reincludes() {
     let g = client.activate(a, uid, 2).expect("activate"); // binds n1, n2
     assert_eq!(g.servers, vec![n(1), n(2)]);
     client
-        .invoke(a, &g, &CounterOp::Add(42).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(42)))
         .expect("op");
     sys.sim().crash(n(3));
     client.commit(a).expect("commit succeeds without n3");
@@ -216,7 +227,7 @@ fn commit_excludes_crashed_store_and_later_recovery_reincludes() {
     assert_eq!(st.stores, vec![n(1), n(2), n(3)]);
     let fresh = sys.stores().read_local(n(3), uid).expect("fresh state");
     assert_eq!(fresh.version, Version::new(1));
-    assert_eq!(Counter::decode(&fresh.data).value(), 42);
+    assert_eq!(Counter::decode_state(&fresh.data).value(), 42);
 }
 
 /// A stale `St` view must not empty `St`. B activates first, so it holds
@@ -236,7 +247,7 @@ fn a_stale_st_view_never_empties_st() {
         let uid = sys
             .create_object(Box::new(Counter::new(0)), &[n(3)], &[n(1), n(2)])
             .expect("create");
-        let add = |v| CounterOp::Add(v).encode();
+        let add = |v| counter_op(CounterOp::Add(v));
         let st = || sys.naming().state_db.entry(uid).expect("entry").stores;
 
         let b = sys.client(n(4));
@@ -283,7 +294,7 @@ fn a_stale_st_view_never_empties_st() {
 
         sys.sim().recover(n(2));
         let n2 = sys.stores().read_local(n(2), uid).expect("n2's copy");
-        assert_eq!(Counter::decode(&n2.data).value(), 10, "{policy}");
+        assert_eq!(Counter::decode_state(&n2.data).value(), 10, "{policy}");
         assert_eq!(counter_value(&sys, uid, n(5)), 10, "{policy}");
         assert!(sys.tx().locks_empty(), "{policy}");
     }
@@ -299,7 +310,7 @@ fn read_only_action_skips_state_copy() {
     let a = client.begin_action();
     let g = client.activate_read_only(a, uid, 1).expect("activate");
     client
-        .invoke_read(a, &g, &CounterOp::Get.encode())
+        .invoke_read(a, &g, &counter_op(CounterOp::Get))
         .expect("read");
     client.commit(a).expect("commit");
     assert_eq!(
@@ -317,7 +328,7 @@ fn all_stores_down_aborts_commit() {
     let a = client.begin_action();
     let g = client.activate(a, uid, 2).expect("activate");
     client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(1)))
         .expect("op");
     // Every store node dies before commit. (The bound servers ARE the
     // store nodes here, so the final state still lives in... nowhere —
@@ -354,7 +365,7 @@ fn independent_scheme_full_client_lifecycle() {
     let entry = sys.naming().server_db.entry(uid).expect("entry");
     assert_eq!(entry.total_uses(), 2);
     client
-        .invoke(a, &g, &CounterOp::Add(3).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(3)))
         .expect("op");
     client.commit(a).expect("commit");
     // Decrement ran after the action: quiescent again.
@@ -371,7 +382,7 @@ fn nested_top_level_scheme_full_client_lifecycle() {
     let a = client.begin_action();
     let g = client.activate(a, uid, 2).expect("activate");
     client
-        .invoke(a, &g, &CounterOp::Add(3).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(3)))
         .expect("op");
     client.commit(a).expect("commit");
     assert!(sys.naming().server_db.entry(uid).unwrap().is_quiescent());
@@ -413,7 +424,7 @@ fn passivation_after_quiescence() {
     let a = client.begin_action();
     let g = client.activate(a, uid, 2).expect("activate");
     client
-        .invoke(a, &g, &CounterOp::Add(1).encode())
+        .invoke(a, &g, &counter_op(CounterOp::Add(1)))
         .expect("op");
     assert!(!sys.try_passivate(uid), "in use: cannot passivate");
     client.commit(a).expect("commit");
@@ -433,13 +444,13 @@ fn object_write_lock_serialises_writers() {
     let c2 = sys.client(n(5));
     let a1 = c1.begin_action();
     let g1 = c1.activate(a1, uid, 2).expect("activate 1");
-    c1.invoke(a1, &g1, &CounterOp::Add(1).encode())
+    c1.invoke(a1, &g1, &counter_op(CounterOp::Add(1)))
         .expect("op 1");
     // Second writer is refused at the object lock.
     let a2 = c2.begin_action();
     let g2 = c2.activate(a2, uid, 2).expect("activate 2");
     let err = c2
-        .invoke(a2, &g2, &CounterOp::Add(1).encode())
+        .invoke(a2, &g2, &counter_op(CounterOp::Add(1)))
         .expect_err("write-write conflict");
     assert!(matches!(err, InvokeError::Tx(_)));
     c2.abort(a2);
@@ -447,7 +458,7 @@ fn object_write_lock_serialises_writers() {
     // Now the second client can proceed.
     let a3 = c2.begin_action();
     let g3 = c2.activate(a3, uid, 2).expect("activate 3");
-    c2.invoke(a3, &g3, &CounterOp::Add(1).encode())
+    c2.invoke(a3, &g3, &counter_op(CounterOp::Add(1)))
         .expect("op 3");
     c2.commit(a3).expect("commit 3");
     assert_eq!(counter_value(&sys, uid, n(4)), 2);
@@ -464,13 +475,13 @@ fn concurrent_readers_share_the_object() {
     let g1 = c1.activate_read_only(a1, uid, 1).expect("activate 1");
     let g2 = c2.activate_read_only(a2, uid, 1).expect("activate 2");
     let r1 = c1
-        .invoke_read(a1, &g1, &CounterOp::Get.encode())
+        .invoke_read(a1, &g1, &counter_op(CounterOp::Get))
         .expect("r1");
     let r2 = c2
-        .invoke_read(a2, &g2, &CounterOp::Get.encode())
+        .invoke_read(a2, &g2, &counter_op(CounterOp::Get))
         .expect("r2");
-    assert_eq!(CounterOp::decode_reply(&r1), Some(9));
-    assert_eq!(CounterOp::decode_reply(&r2), Some(9));
+    assert_eq!(counter_reply(&r1), Some(9));
+    assert_eq!(counter_reply(&r2), Some(9));
     c1.commit(a1).expect("commit 1");
     c2.commit(a2).expect("commit 2");
 }
@@ -491,11 +502,11 @@ fn bank_transfer_is_atomic_across_two_objects() {
     let ga = client.activate(a, alice, 2).expect("activate alice");
     let gb = client.activate(a, bob, 2).expect("activate bob");
     let w = client
-        .invoke(a, &ga, &AccountOp::Withdraw(40).encode())
+        .invoke(a, &ga, &Account::op_vec(&AccountOp::Withdraw(40)))
         .expect("withdraw");
-    assert_eq!(AccountOp::decode_reply(&w), Some(60));
+    assert_eq!(Account::decode_reply(&AccountOp::Balance, &w), Some(60));
     client
-        .invoke(a, &gb, &AccountOp::Deposit(40).encode())
+        .invoke(a, &gb, &Account::op_vec(&AccountOp::Deposit(40)))
         .expect("deposit");
     client.commit(a).expect("commit transfer");
 
@@ -504,10 +515,10 @@ fn bank_transfer_is_atomic_across_two_objects() {
     let ga = client.activate(b, alice, 2).expect("activate alice");
     let gb = client.activate(b, bob, 2).expect("activate bob");
     client
-        .invoke(b, &ga, &AccountOp::Withdraw(10).encode())
+        .invoke(b, &ga, &Account::op_vec(&AccountOp::Withdraw(10)))
         .expect("withdraw");
     client
-        .invoke(b, &gb, &AccountOp::Deposit(10).encode())
+        .invoke(b, &gb, &Account::op_vec(&AccountOp::Deposit(10)))
         .expect("deposit");
     client.abort(b); // application decides to roll back
 
@@ -517,14 +528,14 @@ fn bank_transfer_is_atomic_across_two_objects() {
     let ga = check.activate_read_only(c, alice, 1).expect("alice ro");
     let gb = check.activate_read_only(c, bob, 1).expect("bob ro");
     let ra = check
-        .invoke_read(c, &ga, &AccountOp::Balance.encode())
+        .invoke_read(c, &ga, &Account::op_vec(&AccountOp::Balance))
         .expect("balance a");
     let rb = check
-        .invoke_read(c, &gb, &AccountOp::Balance.encode())
+        .invoke_read(c, &gb, &Account::op_vec(&AccountOp::Balance))
         .expect("balance b");
     check.commit(c).expect("commit check");
-    assert_eq!(AccountOp::decode_reply(&ra), Some(60));
-    assert_eq!(AccountOp::decode_reply(&rb), Some(50));
+    assert_eq!(Account::decode_reply(&AccountOp::Balance, &ra), Some(60));
+    assert_eq!(Account::decode_reply(&AccountOp::Balance, &rb), Some(50));
 }
 
 #[test]
@@ -550,7 +561,7 @@ fn exclude_policy_promote_aborts_under_concurrent_reader() {
         let wa = writer.begin_action();
         let wg = writer.activate(wa, uid, 1).expect("writer");
         writer
-            .invoke(wa, &wg, &CounterOp::Add(1).encode())
+            .invoke(wa, &wg, &counter_op(CounterOp::Add(1)))
             .expect("op");
         sys.sim().crash(n(3));
         let result = writer.commit(wa);
@@ -572,7 +583,7 @@ fn deterministic_same_seed_same_outcome() {
             let a = client.begin_action();
             let g = client.activate(a, uid, 2).expect("activate");
             client
-                .invoke(a, &g, &CounterOp::Add(i).encode())
+                .invoke(a, &g, &counter_op(CounterOp::Add(i)))
                 .expect("op");
             client.commit(a).expect("commit");
         }
@@ -605,9 +616,9 @@ fn reborn_replica_fails_the_in_flight_action() {
         let action = a_client.begin_action();
         let group = a_client.activate(action, uid, 3).expect("activate A");
         let r = a_client
-            .invoke(action, &group, &CounterOp::Add(1).encode())
+            .invoke(action, &group, &counter_op(CounterOp::Add(1)))
             .expect("first op");
-        assert_eq!(CounterOp::decode_reply(&r), Some(1), "policy {policy}");
+        assert_eq!(counter_reply(&r), Some(1), "policy {policy}");
 
         // Every bound server dies mid-action (uncommitted state lost) and
         // recovers; then another client's activation reloads the replicas
@@ -626,7 +637,7 @@ fn reborn_replica_fails_the_in_flight_action() {
 
         // A's next invoke must fail — the reborn replicas never see the op.
         let err = a_client
-            .invoke(action, &group, &CounterOp::Add(1).encode())
+            .invoke(action, &group, &counter_op(CounterOp::Add(1)))
             .expect_err("the in-flight action must not continue on reborn replicas");
         assert!(err.is_failure_caused(), "policy {policy}: {err}");
         a_client.abort(action);
@@ -652,7 +663,7 @@ fn observed_system_reports_spans_counters_and_wire_stats() {
         let a = client.begin_action();
         let g = client.activate(a, uid, 2).expect("activate");
         client
-            .invoke(a, &g, &CounterOp::Add(i).encode())
+            .invoke(a, &g, &counter_op(CounterOp::Add(i)))
             .expect("invoke");
         client.commit(a).expect("commit");
     }
@@ -706,13 +717,9 @@ fn stale_action_ids_are_refused_not_panicked_on() {
             let sys = system(policy, scheme);
             let servers = [n(1), n(2), n(3)];
             let uid = sys
-                .create_named_object(
-                    "stale/counter",
-                    Box::new(Counter::new(1)),
-                    &servers,
-                    &servers,
-                )
-                .expect("create object");
+                .create_typed_named("stale/counter", Counter::new(1), &servers, &servers)
+                .expect("create object")
+                .uid();
             let client = sys.client(n(4));
             let handle = client.open::<Counter>(uid);
             for commit in [true, false] {
@@ -742,7 +749,7 @@ fn stale_action_ids_are_refused_not_panicked_on() {
                     "{what}"
                 );
                 for write in [true, false] {
-                    let op = CounterOp::Add(1).encode();
+                    let op = counter_op(CounterOp::Add(1));
                     let refused = if write {
                         client.invoke(stale, &group, &op)
                     } else {
@@ -776,7 +783,7 @@ fn raw_invoke_through_a_foreign_activation_is_refused() {
     let client = sys.client(n(4));
     let binder = client.begin_action();
     let group = client.activate(binder, uid, 2).expect("activate");
-    let add = CounterOp::Add(5).encode();
+    let add = counter_op(CounterOp::Add(5));
 
     let other_action = client.begin_action();
     assert_eq!(
@@ -793,9 +800,9 @@ fn raw_invoke_through_a_foreign_activation_is_refused() {
         sys.tx().lock_holders(object_key(uid)).is_empty(),
         "a refused invoke takes no lock"
     );
-    let get = CounterOp::Get.encode();
+    let get = counter_op(CounterOp::Get);
     let value = client.invoke_read(binder, &group, &get).expect("read");
-    assert_eq!(CounterOp::decode_reply(&value), Some(0), "object unchanged");
+    assert_eq!(counter_reply(&value), Some(0), "object unchanged");
 
     for (c, a) in [(&client, other_action), (&other_client, foreign)] {
         c.commit(a).expect("commit the refused action");

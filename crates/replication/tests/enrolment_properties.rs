@@ -11,7 +11,7 @@
 use groupview_group::{DeliveryMode, Enrolment, GroupComms, GroupId, GroupMember};
 use groupview_membership::Membership;
 use groupview_replication::{
-    Client, Counter, CounterOp, ObjectGroup, ReplicationPolicy, ServerReplica, System,
+    Client, Counter, CounterOp, ObjectGroup, ObjectType, ReplicationPolicy, ServerReplica, System,
 };
 use groupview_sim::{Bytes, NodeId};
 use groupview_store::Uid;
@@ -171,7 +171,7 @@ impl World {
         // old code did too): mirror the sweep.
         let invoked = self
             .client
-            .invoke(action, &bound, &CounterOp::Add(1).encode());
+            .invoke(action, &bound, &Counter::op_vec(&CounterOp::Add(1)));
         let _ = self.shadow.prune_dead_members(group);
         if invoked.is_ok() && commit {
             let _ = self.client.commit(action);

@@ -1,50 +1,67 @@
-//! Property tests for the object classes: operation and snapshot codecs
-//! round-trip for arbitrary inputs, and replica application matches a
-//! direct model.
+//! Property tests for the object classes: replica application matches a
+//! direct model, and hostile bytes — arbitrary, or a truncated snapshot or
+//! operation — never panic a class. The op and reply codec round-trips
+//! live in `typed_properties.rs`.
 
-use groupview_replication::{Account, AccountOp, Counter, CounterOp, KvMap, KvOp, ReplicaObject};
+use groupview_replication::{
+    Account, AccountOp, Counter, CounterOp, KvMap, KvOp, ObjectType, ReplicaObject, TypeRegistry,
+};
 use groupview_sim::WireEncoder;
+use groupview_store::TypeTag;
 use proptest::prelude::*;
 
 fn enc() -> WireEncoder {
     WireEncoder::new()
 }
 
+/// Feeds `bytes` to every byte-level entry point of class `O`: the
+/// registry decoder, an in-place restore, and an invoke. None may panic;
+/// whatever the registry decodes must report the class's tag.
+fn feed<O: ObjectType + Default>(bytes: &[u8]) {
+    let decoded = TypeRegistry::with_builtins()
+        .decode(O::TAG, bytes)
+        .expect("built-in class");
+    assert_eq!(decoded.type_tag(), O::TAG);
+    let mut object = O::default();
+    object.restore(bytes);
+    object.invoke(bytes, &enc());
+}
+
+/// Every strict prefix of `snapshot` and `op` is fed to class `O`; a
+/// truncated op must come back as a harmless read with an empty reply.
+fn feed_truncations<O: ObjectType + Default>(snapshot: &[u8], op: &[u8]) {
+    for cut in 0..snapshot.len() {
+        feed::<O>(&snapshot[..cut]);
+    }
+    for cut in 0..op.len() {
+        feed::<O>(&op[..cut]);
+        let result = O::decode_state(snapshot).invoke(&op[..cut], &enc());
+        assert!(!result.mutated, "truncated op mutated: {:?}", &op[..cut]);
+        assert!(result.reply.is_empty(), "truncated op replied");
+    }
+}
+
+fn kv_ops() -> impl Strategy<Value = Vec<(String, String)>> {
+    prop::collection::vec(("[a-d]{0,3}", "\\PC{0,16}"), 0..6)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
+    /// Adds wrap at the `i64` bounds, in debug and release alike.
     #[test]
-    fn counter_op_roundtrip(delta in any::<i64>()) {
-        for op in [CounterOp::Get, CounterOp::Add(delta)] {
-            prop_assert_eq!(CounterOp::decode(&op.encode()), Some(op));
-        }
-    }
-
-    #[test]
-    fn counter_model_equivalence(start in any::<i64>(), deltas in prop::collection::vec(-1_000i64..1_000, 0..20)) {
+    fn counter_model_equivalence(start in any::<i64>(), deltas in prop::collection::vec(any::<i64>(), 0..20)) {
         let mut object = Counter::new(start);
         let mut model = start;
         for d in &deltas {
-            let result = object.invoke(&CounterOp::Add(*d).encode(), &enc());
-            model += d;
-            prop_assert_eq!(CounterOp::decode_reply(&result.reply), Some(model));
+            let result = object.invoke(&Counter::op_vec(&CounterOp::Add(*d)), &enc());
+            model = model.wrapping_add(*d);
+            prop_assert_eq!(Counter::decode_reply(&CounterOp::Get, &result.reply), Some(model));
             prop_assert!(result.mutated);
         }
         // Snapshot/decode preserves the final state exactly.
-        let restored = Counter::decode(&object.snapshot(&enc()));
+        let restored = Counter::decode_state(&object.snapshot(&enc()));
         prop_assert_eq!(restored.value(), model);
-    }
-
-    #[test]
-    fn kv_op_roundtrip(key in "[a-zA-Z0-9/_.-]{0,24}", value in "\\PC{0,32}") {
-        for op in [
-            KvOp::Get(key.clone()),
-            KvOp::Put(key.clone(), value.clone()),
-            KvOp::Delete(key.clone()),
-            KvOp::Len,
-        ] {
-            prop_assert_eq!(KvOp::decode(&op.encode()), Some(op.clone()));
-        }
     }
 
     #[test]
@@ -59,89 +76,121 @@ proptest! {
         for (key, value, kind) in &ops {
             match kind {
                 0 => {
-                    let result = object.invoke(&KvOp::Put(key.clone(), value.clone()).encode(), &enc());
+                    let result = object.invoke(&KvMap::op_vec(&KvOp::Put(key.clone(), value.clone())), &enc());
                     let prev = model.insert(key.clone(), value.clone()).unwrap_or_default();
                     prop_assert_eq!(result.reply, prev.into_bytes());
                     prop_assert!(result.mutated);
                 }
                 1 => {
-                    let result = object.invoke(&KvOp::Get(key.clone()).encode(), &enc());
+                    let result = object.invoke(&KvMap::op_vec(&KvOp::Get(key.clone())), &enc());
                     let expect = model.get(key).cloned().unwrap_or_default();
                     prop_assert_eq!(result.reply, expect.into_bytes());
                     prop_assert!(!result.mutated);
                 }
                 _ => {
-                    let result = object.invoke(&KvOp::Delete(key.clone()).encode(), &enc());
+                    let result = object.invoke(&KvMap::op_vec(&KvOp::Delete(key.clone())), &enc());
                     let prev = model.remove(key).unwrap_or_default();
                     prop_assert_eq!(result.reply, prev.into_bytes());
                 }
             }
         }
         // Snapshot round-trip equals the model.
-        let restored = KvMap::decode(&object.snapshot(&enc()));
+        let restored = KvMap::decode_state(&object.snapshot(&enc()));
         prop_assert_eq!(restored.len(), model.len());
         for (k, v) in &model {
             prop_assert_eq!(restored.get(k), Some(v.as_str()));
         }
     }
 
-    #[test]
-    fn account_op_roundtrip(amount in any::<u64>()) {
-        for op in [
-            AccountOp::Balance,
-            AccountOp::Deposit(amount),
-            AccountOp::Withdraw(amount),
-        ] {
-            prop_assert_eq!(AccountOp::decode(&op.encode()), Some(op));
-        }
-    }
-
+    /// Overdrafts and overflowing deposits are refused without mutating;
+    /// everything else moves the balance exactly.
     #[test]
     fn account_never_overdraws(
         start in 0u64..1_000_000,
-        ops in prop::collection::vec((0u8..2, 0u64..10_000), 0..30),
+        ops in prop::collection::vec(
+            (0u8..2, prop_oneof![3 => 0u64..10_000, 1 => any::<u64>()]),
+            0..30,
+        ),
     ) {
         let mut object = Account::new(start);
         let mut model = start;
         for (kind, amount) in &ops {
-            if *kind == 0 {
-                let result = object.invoke(&AccountOp::Deposit(*amount).encode(), &enc());
-                model += amount;
-                prop_assert_eq!(AccountOp::decode_reply(&result.reply), Some(model));
+            let (op, next) = if *kind == 0 {
+                (AccountOp::Deposit(*amount), model.checked_add(*amount))
             } else {
-                let result = object.invoke(&AccountOp::Withdraw(*amount).encode(), &enc());
-                if *amount > model {
-                    prop_assert_eq!(
-                        AccountOp::decode_reply(&result.reply),
-                        Some(AccountOp::REFUSED)
-                    );
-                    prop_assert!(!result.mutated, "refused withdrawal must not mutate");
-                } else {
-                    model -= amount;
-                    prop_assert_eq!(AccountOp::decode_reply(&result.reply), Some(model));
+                (AccountOp::Withdraw(*amount), model.checked_sub(*amount))
+            };
+            let result = object.invoke(&Account::op_vec(&op), &enc());
+            let reply = Account::decode_reply(&op, &result.reply);
+            match next {
+                Some(balance) => {
+                    model = balance;
+                    prop_assert_eq!(reply, Some(model));
+                    prop_assert!(result.mutated);
+                }
+                None => {
+                    prop_assert_eq!(reply, Some(AccountOp::REFUSED));
+                    prop_assert!(!result.mutated, "refused {:?} must not mutate", op);
                 }
             }
             prop_assert_eq!(object.balance(), model);
         }
-        prop_assert_eq!(Account::decode(&object.snapshot(&enc())).balance(), model);
+        prop_assert_eq!(Account::decode_state(&object.snapshot(&enc())).balance(), model);
     }
 
-    /// Garbage bytes never mutate any object and never panic.
+    /// Garbage bytes never mutate any object and never panic any class's
+    /// registry decoder, restore or invoke — including length prefixes and
+    /// entry counts that promise far more than follows. An unknown tag
+    /// decodes to nothing.
     #[test]
-    fn garbage_ops_are_harmless(bytes in prop::collection::vec(any::<u8>(), 0..40)) {
+    fn garbage_ops_are_harmless(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+        feed::<Counter>(&bytes);
+        feed::<KvMap>(&bytes);
+        feed::<Account>(&bytes);
+        prop_assert!(TypeRegistry::with_builtins().decode(TypeTag::new(99), &bytes).is_none());
         // Skip inputs that happen to decode as valid mutating ops.
         let mut counter = Counter::new(5);
-        if CounterOp::decode(&bytes).is_none() {
+        if Counter::decode_op(&bytes).is_none() {
             prop_assert!(!counter.invoke(&bytes, &enc()).mutated);
             prop_assert_eq!(counter.value(), 5);
         }
         let mut kv = KvMap::new();
-        if KvOp::decode(&bytes).is_none() {
+        if KvMap::decode_op(&bytes).is_none() {
             prop_assert!(!kv.invoke(&bytes, &enc()).mutated);
         }
         let mut account = Account::new(5);
-        if AccountOp::decode(&bytes).is_none() {
+        if Account::decode_op(&bytes).is_none() {
             prop_assert!(!account.invoke(&bytes, &enc()).mutated);
+        }
+    }
+
+    /// Every truncation of a valid snapshot or op is harmless: decoders
+    /// fall back to defaults, and a truncated op is an empty-reply read.
+    #[test]
+    fn truncated_snapshots_and_ops_never_panic_a_class(
+        value in any::<i64>(),
+        delta in any::<i64>(),
+        entries in kv_ops(),
+        key in "[a-d]{0,3}",
+        val in "\\PC{0,16}",
+        amount in any::<u64>(),
+    ) {
+        let enc = enc();
+        let snapshot = Counter::new(value).snapshot(&enc);
+        for op in [CounterOp::Get, CounterOp::Add(delta)] {
+            feed_truncations::<Counter>(&snapshot, &Counter::op_vec(&op));
+        }
+        let mut map = KvMap::new();
+        for (k, v) in entries {
+            map.apply(KvOp::Put(k, v));
+        }
+        let snapshot = map.snapshot(&enc);
+        for op in [KvOp::Get(key.clone()), KvOp::Put(key.clone(), val), KvOp::Delete(key), KvOp::Len] {
+            feed_truncations::<KvMap>(&snapshot, &KvMap::op_vec(&op));
+        }
+        let snapshot = Account::new(amount).snapshot(&enc);
+        for op in [AccountOp::Balance, AccountOp::Deposit(amount), AccountOp::Withdraw(amount)] {
+            feed_truncations::<Account>(&snapshot, &Account::op_vec(&op));
         }
     }
 }

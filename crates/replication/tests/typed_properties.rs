@@ -1,7 +1,8 @@
 //! Property tests for the `ObjectType` codec contract — op and reply
-//! round-trips for all three built-in classes, including empty, boundary,
-//! and >64KiB values — plus a regression test that a typed `Handle` reply
-//! survives a crash-masked re-activation.
+//! round-trips for all three built-in classes (the one home of those
+//! properties), including empty, boundary, and >64KiB values — plus typed
+//! `Handle` regressions: batch alignment, a reply that survives a
+//! crash-masked re-activation, and overflowing operations.
 
 use groupview_replication::{
     Account, AccountOp, Counter, CounterOp, KvMap, KvOp, KvReply, ObjectType, ReplicaObject,
@@ -78,15 +79,40 @@ proptest! {
     }
 
     /// The reply bytes the live object writes through the encoder are
-    /// exactly what `encode_reply` produces — the codec contract the typed
-    /// handle relies on.
+    /// exactly what `encode_reply` produces for the reply `apply` returns,
+    /// and decode back to it — the codec contract the typed handle relies
+    /// on, pinned for every class.
     #[test]
-    fn object_replies_match_the_reply_codec(start in any::<i64>(), delta in -1_000i64..1_000) {
-        let enc = WireEncoder::new();
-        let mut c = Counter::new(start);
-        let r = c.invoke(&Counter::op_vec(&CounterOp::Add(delta)), &enc);
-        prop_assert_eq!(r.reply.as_slice(), Counter::reply_vec(&(start.wrapping_add(delta))).as_slice());
+    fn object_replies_match_the_reply_codec(
+        start in any::<i64>(),
+        delta in any::<i64>(),
+        amount in any::<u64>(),
+        key in "[a-c]",
+        value in "\\PC{0,16}",
+    ) {
+        check_reply_codec(Counter::new(start), CounterOp::Add(delta));
+        check_reply_codec(Counter::new(start), CounterOp::Get);
+        let mut map = KvMap::new();
+        map.apply(KvOp::Put("a".into(), value.clone()));
+        for op in [KvOp::Get(key.clone()), KvOp::Put(key.clone(), value), KvOp::Delete(key), KvOp::Len] {
+            check_reply_codec(map.clone(), op);
+        }
+        for op in [AccountOp::Balance, AccountOp::Deposit(amount), AccountOp::Withdraw(amount)] {
+            check_reply_codec(Account::new(amount / 2), op);
+        }
     }
+}
+
+/// Invokes `op` on `object` through the byte-level replica surface and
+/// checks the reply and the mutation flag against [`ObjectType::apply`]
+/// run on a copy.
+fn check_reply_codec<O: ObjectType + Clone>(object: O, op: O::Op) {
+    let (reply, mutated) = object.clone().apply(op.clone());
+    let mut live = object;
+    let result = live.invoke(&O::op_vec(&op), &WireEncoder::new());
+    assert_eq!(result.reply.as_slice(), O::reply_vec(&reply).as_slice());
+    assert_eq!(result.mutated, mutated);
+    assert_eq!(O::decode_reply(&op, &result.reply), Some(reply));
 }
 
 proptest! {
@@ -244,4 +270,58 @@ fn typed_reply_survives_crash_masked_reactivation() {
     observer.activate_read_only(action, 1).expect("activate");
     assert_eq!(observer.invoke(action, CounterOp::Get).expect("get"), 10);
     reader.commit(action).expect("commit");
+}
+
+/// Regression: overflowing operations through a typed handle, under every
+/// policy. An `Add` past `i64::MAX` used to panic a replica in debug builds;
+/// a `Deposit` past `u64::MAX` also wrapped the balance in release. Now the
+/// counter wraps explicitly and the deposit is refused like an overdraft.
+#[test]
+fn overflowing_operations_wrap_or_are_refused_through_a_handle() {
+    for policy in ReplicationPolicy::ALL {
+        let sys = System::builder(37).nodes(6).policy(policy).build();
+        let trio = [NodeId::new(1), NodeId::new(2), NodeId::new(3)];
+        let counter = sys
+            .create_typed(Counter::new(1), &trio, &trio)
+            .expect("create counter");
+        let account = sys
+            .create_typed(Account::new(1), &trio, &trio)
+            .expect("create account");
+        let client = sys.client(NodeId::new(4));
+        let (counter, account) = (counter.open(&client), account.open(&client));
+
+        let action = client.begin_action();
+        counter.activate(action, 2).expect("activate counter");
+        account.activate(action, 2).expect("activate account");
+        assert_eq!(
+            counter.invoke(action, CounterOp::Add(i64::MAX)),
+            Ok(i64::MIN),
+            "{policy}"
+        );
+        assert_eq!(
+            account.invoke(action, AccountOp::Deposit(u64::MAX)),
+            Ok(AccountOp::REFUSED),
+            "{policy}"
+        );
+        client.commit(action).expect("commit");
+
+        let action = client.begin_action();
+        counter
+            .activate_read_only(action, 1)
+            .expect("activate counter");
+        account
+            .activate_read_only(action, 1)
+            .expect("activate account");
+        assert_eq!(
+            counter.invoke(action, CounterOp::Get),
+            Ok(i64::MIN),
+            "{policy}"
+        );
+        assert_eq!(
+            account.invoke(action, AccountOp::Balance),
+            Ok(1),
+            "{policy}"
+        );
+        client.commit(action).expect("commit");
+    }
 }

@@ -10,7 +10,7 @@
 //! rejoin and take replicas back.
 
 use groupview_membership::{Membership, MigrateError, Rebalancer};
-use groupview_replication::{Counter, CounterOp, ReplicationPolicy, System};
+use groupview_replication::{Counter, CounterOp, ObjectType, ReplicationPolicy, System};
 use groupview_scenario::{
     check_counter_states, check_quiescent_invariants, ModelKind, ObjectModel,
 };
@@ -69,7 +69,7 @@ fn target_store_crash_in_migration_commit_resolves_by_decision_record() {
             .read_local(fresh, uid.uid())
             .unwrap_or_else(|e| panic!("{policy}: in-doubt replica unresolved: {e}"));
         assert_eq!(
-            Counter::decode(&state.data).value(),
+            Counter::decode_state(&state.data).value(),
             5,
             "{policy}: migrated replica does not hold the committed state"
         );

@@ -5,7 +5,7 @@
 //! under every replication policy, with the abort taxonomy asserted
 //! causally (the committing action itself must NOT abort).
 
-use groupview_replication::{Counter, CounterOp, ReplicationPolicy, System};
+use groupview_replication::{Counter, CounterOp, ObjectType, ReplicationPolicy, System};
 use groupview_scenario::{
     check_counter_states, check_quiescent_invariants, ModelKind, ObjectModel,
 };
@@ -52,13 +52,13 @@ fn store_crash_between_prepare_and_commit_resolves_by_decision_record() {
         assert!(
             report.refreshed.contains(&uid.uid()) || {
                 let state = sys.stores().read_local(n(2), uid.uid()).expect("readable");
-                Counter::decode(&state.data).value() == 5
+                Counter::decode_state(&state.data).value() == 5
             },
             "{policy}: recovery left n2 stale"
         );
         let state = sys.stores().read_local(n(2), uid.uid()).expect("readable");
         assert_eq!(
-            Counter::decode(&state.data).value(),
+            Counter::decode_state(&state.data).value(),
             5,
             "{policy}: in-doubt write not resolved to the committed state"
         );

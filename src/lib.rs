@@ -53,8 +53,9 @@
 //! ```
 //!
 //! The raw byte-level surface ([`Client::invoke`] with encoded ops) remains
-//! available as an escape hatch; see `docs/OBJECTS.md` for the
-//! [`ObjectType`]/[`ReplicaObject`] split and the encoder-ownership rules.
+//! available as an escape hatch; see `docs/OBJECTS.md` for how a class is
+//! written once as an [`ObjectType`], the [`ReplicaObject`] view servers
+//! derive from it, and the encoder-ownership rules.
 //!
 //! Worlds are **elastic**: [`Membership`] adds fresh nodes and drains old
 //! ones at runtime — each replica moved by a transactional migration that

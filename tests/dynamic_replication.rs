@@ -4,7 +4,7 @@
 //! without causing inconsistencies to current users of the object."
 
 use groupview::{
-    BindingScheme, Counter, CounterOp, DbError, NodeId, ReplicationPolicy, System, Uid,
+    BindingScheme, Counter, CounterOp, DbError, NodeId, ObjectType, ReplicationPolicy, System, Uid,
 };
 
 fn n(i: u32) -> NodeId {
@@ -108,7 +108,7 @@ fn growing_st_adds_a_durable_copy() {
     add_store(&sys, uid, n(4)).expect("include n4");
     assert_eq!(sys.naming().state_db.entry(uid).unwrap().len(), 3);
     let copy = sys.stores().read_local(n(4), uid).expect("copied state");
-    assert_eq!(Counter::decode(&copy.data).value(), 42);
+    assert_eq!(Counter::decode_state(&copy.data).value(), 42);
 
     // Grow Sv too, then lose both original nodes: the new server (n3) must
     // revive the object from the new store's (n4's) copy alone.

@@ -15,7 +15,7 @@
 use groupview::scenario::{
     check_counter_states, check_quiescent_invariants, ModelKind, ObjectModel,
 };
-use groupview::{Counter, CounterOp, NodeId, ReplicationPolicy, System, Uid};
+use groupview::{Counter, CounterOp, NodeId, ObjectType, ReplicationPolicy, System, Uid};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -163,7 +163,7 @@ impl World {
             // The committed value in the stores matches the model.
             if let Some((_, state)) = states.first() {
                 assert_eq!(
-                    Counter::decode(&state.data).value(),
+                    Counter::decode_state(&state.data).value(),
                     self.model[o],
                     "I2 violated for object {o}: committed value lost"
                 );

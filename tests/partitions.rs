@@ -3,7 +3,7 @@
 //! preventing communication". These tests pin down what partitions do to
 //! the binding machinery — and that consistency survives them.
 
-use groupview::{Counter, CounterOp, NodeId, ReplicationPolicy, System};
+use groupview::{Counter, CounterOp, NodeId, ObjectType, ReplicationPolicy, System};
 
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
@@ -89,7 +89,7 @@ fn store_partitioned_at_commit_gets_excluded_then_reincluded() {
     assert_eq!(st.stores.len(), 3);
     let state = sys.stores().read_local(n(3), uid).expect("state");
     assert_eq!(
-        Counter::decode(&state.data).value(),
+        Counter::decode_state(&state.data).value(),
         9,
         "refreshed to latest"
     );
@@ -153,7 +153,7 @@ fn no_stale_reads_across_partition_heal_cycles() {
         for &node in &st.stores {
             let state = sys.stores().read_local(node, uid).expect("state");
             assert_eq!(
-                Counter::decode(&state.data).value(),
+                Counter::decode_state(&state.data).value(),
                 expected,
                 "round {round}: stale store {node} listed in St"
             );

@@ -5,7 +5,9 @@
 //! store, §4.2 recovery with its `Include`, and a drain whose migration
 //! runs `Insert`, `Remove`, `Include` and `Exclude` on spilled entries.
 
-use groupview::{Counter, CounterOp, Membership, NodeId, NodeList, ReplicationPolicy, System};
+use groupview::{
+    Counter, CounterOp, Membership, NodeId, NodeList, ObjectType, ReplicationPolicy, System,
+};
 
 const WIDE: u32 = 8;
 
@@ -49,7 +51,7 @@ fn eight_wide_groups_work_on_spilled_lists_under_every_policy() {
         other.commit(joined).expect("nothing to write");
 
         client
-            .invoke(action, &group, &CounterOp::Add(5).encode())
+            .invoke(action, &group, &Counter::op_vec(&CounterOp::Add(5)))
             .expect("invoke");
         // A store dies before commit: the commit excludes it from the
         // spilled St.
@@ -73,16 +75,20 @@ fn eight_wide_groups_work_on_spilled_lists_under_every_policy() {
         assert_eq!(sv(), moved, "{policy}");
         assert_eq!(st(), moved, "{policy}");
         let copy = sys.stores().read_local(fresh, uid).expect("moved copy");
-        assert_eq!(Counter::decode(&copy.data).value(), 5, "{policy}");
+        assert_eq!(Counter::decode_state(&copy.data).value(), 5, "{policy}");
 
         let reader = sys.client(n(9));
         let read = reader.begin_action();
         let group = reader.activate_read_only(read, uid, 1).expect("activate");
         let reply = reader
-            .invoke_read(read, &group, &CounterOp::Get.encode())
+            .invoke_read(read, &group, &Counter::op_vec(&CounterOp::Get))
             .expect("read");
         reader.commit(read).expect("commit read");
-        assert_eq!(CounterOp::decode_reply(&reply), Some(5), "{policy}");
+        assert_eq!(
+            Counter::decode_reply(&CounterOp::Get, &reply),
+            Some(5),
+            "{policy}"
+        );
         assert!(sys.tx().locks_empty(), "{policy}");
     }
 }
