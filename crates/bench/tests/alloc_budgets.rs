@@ -81,8 +81,8 @@ const POLICIES: [ReplicationPolicy; 3] = [
 /// single-copy). A steady-state invoke allocates nothing; the 5 are the
 /// undo arena doubling inside the window.
 const ADD_INVOKES: [u64; 3] = [5, 5, 5];
-/// The batched path's own vectors, including the returned reply vector.
-const BATCHES: [u64; 3] = [13_005, 9_005, 9_005];
+/// One per batch: the returned reply vector (plus the arena's 5).
+const BATCHES: [u64; 3] = [1_005; 3];
 /// 6 per transfer: two `Rc<Activation>`s and the commit's four
 /// bookkeeping vectors (its activations, the dirty ones, their new
 /// states, the staged participants).
@@ -91,6 +91,16 @@ const TRANSFERS: [u64; 3] = [1_200; 3];
 const ACTIONS: [u64; 3] = [1_000; 3];
 /// The read path: no undo snapshot, no dirty marking.
 const GET_INVOKES: [u64; 3] = [0; 3];
+
+/// 1,000 transfers over `LEDGER` cold-started single-copy accounts. A
+/// commit retires 8-byte account states into the frame pool, and the next
+/// invocation frame (17 bytes) reuses one: without the frame floor each
+/// such reuse reallocates (11,660 here).
+const LEDGER_TRANSFERS: u64 = 10_630;
+
+/// Accounts in the ledger window: the benchmark's `transfers` shape (five
+/// servers, three-replica placement staggered over them, single-copy).
+const LEDGER: usize = 2_000;
 
 /// Warm-up then measured units of the invoke and batch windows.
 const OPS: (u64, u64) = (64, 1_000);
@@ -198,6 +208,41 @@ fn transfers([a, b]: &[Handle<Account>; 2], n: u64) {
     }
 }
 
+/// `LEDGER` accounts of 1,000,000 on servers 1..=5, opened by client 6.
+fn ledger() -> (System, Vec<Handle<Account>>) {
+    let sys = System::builder(1993)
+        .nodes(7)
+        .policy(ReplicationPolicy::SingleCopyPassive)
+        .build();
+    let client = sys.client(NodeId::new(6));
+    let handles = (0..LEDGER)
+        .map(|i| {
+            let at: Vec<NodeId> = (0..3)
+                .map(|j| NodeId::new(1 + ((i + j) % 5) as u32))
+                .collect();
+            let uid = sys.create_typed(Account::new(1_000_000), &at, &at);
+            uid.expect("create").open(&client)
+        })
+        .collect();
+    (sys, handles)
+}
+
+/// Transfers between accounts spread over the whole ledger, the `n`
+/// after the `done` already made (a Weyl sequence picks the pairs).
+fn ledger_transfers(accounts: &[Handle<Account>], done: u64, n: u64) {
+    let len = accounts.len() as u64;
+    for i in done..done + n {
+        let from = (i * 7_919) % len;
+        let to = (from + 1 + (i * 104_729) % (len - 1)) % len;
+        let mut tx = accounts[0].client().begin();
+        let amount = 1 + i % 5;
+        let (a, b) = (&accounts[from as usize], &accounts[to as usize]);
+        black_box(tx.invoke(a, AccountOp::Withdraw(amount)).expect("withdraw"));
+        black_box(tx.invoke(b, AccountOp::Deposit(amount)).expect("deposit"));
+        tx.commit().expect("commit");
+    }
+}
+
 /// Whole warm single-object actions (begin, activate joining the live
 /// activation, one `Add`, commit): the shape of a `short_warm` commit.
 fn actions([handle]: &[Handle<Counter>; 1], n: u64) {
@@ -277,6 +322,11 @@ fn main() {
         let get = invokes(CounterOp::Get);
         pins.observed(n("invoke Get ×1000"), GET_INVOKES[i], OPS, counter, get);
     }
+    let (_sys, accounts) = ledger();
+    ledger_transfers(&accounts, 0, LEDGER as u64);
+    let count = allocs_in(|| ledger_transfers(&accounts, LEDGER as u64, 1_000));
+    let name = format!("Tx ×1000/{LEDGER} single-copy accounts");
+    pins.check(name, count, LEDGER_TRANSFERS);
     for members in [1, 3, 5, 9] {
         let name = format!("multicast ×1000/{members} members");
         pins.check(name, multicasts(members), 0);

@@ -1,18 +1,17 @@
 //! Operation invocation under the three replication policies (§2.3(2)).
 //!
-//! Every policy shares one wire discipline: the operation is encoded into a
-//! single pooled [`GroupMsg`](crate::wire::GroupMsg) frame per invocation,
-//! and that frame — not a fresh vector per RPC closure — travels to however
-//! many replicas the policy involves. Replies and checkpoints come back as
+//! Every policy shares one wire discipline: the operations of an invocation,
+//! one or many, are encoded into a single pooled
+//! [`GroupMsg`](crate::wire::GroupMsg) frame, and that frame — not a fresh
+//! vector per RPC closure — travels to however many replicas the policy
+//! involves. Replies and checkpoints come back as
 //! shared buffers too; see `docs/WIRE.md` for the ownership rules.
 
 use crate::error::InvokeError;
 use crate::policy::ReplicationPolicy;
 use crate::replica::ReplicaHandle;
 use crate::system::System;
-use crate::wire::{
-    read_frames, BatchMsgCodec, GroupMsgCodec, MemberReply, MemberReplyCodec, BATCH_FLAG,
-};
+use crate::wire::{self, GroupMsgCodec, MemberReply, MemberReplyCodec, Replies};
 use groupview_actions::{ActionId, LockMode};
 use groupview_core::keys::object_key;
 use groupview_core::{BindRequest, Binding};
@@ -157,11 +156,9 @@ impl GroupMember for ReplicaMember {
             MemberReply::NotLoaded
         } else {
             match GroupMsgCodec::decode(msg) {
-                Some(m) => MemberReply::from(
-                    self.replica
-                        .borrow_mut()
-                        .invoke(&self.sim, &self.wire, m.op_id, &m.op),
-                ),
+                Some(m) => {
+                    MemberReply::from(self.replica.borrow_mut().invoke(&self.sim, &self.wire, &m))
+                }
                 None => MemberReply::NotLoaded,
             }
         };
@@ -177,61 +174,31 @@ impl GroupMember for ReplicaMember {
 }
 
 impl System {
-    /// Invokes `op` on the activated object behind `group`, on behalf of
-    /// `action`, declaring write (`true`) or read-only (`false`) intent for
-    /// object-level concurrency control. Trace events caused by invocation
-    /// messages are attributed to `action`.
+    /// Invokes `n` operations on the activated object behind `group`, on
+    /// behalf of `action`, as **one** replicated unit, declaring write
+    /// (`true`) or read-only (`false`) intent for object-level concurrency
+    /// control: one lock acquisition, one operation id, one undo snapshot
+    /// (abort restores the pre-invocation state and forgets the one dedup
+    /// entry), one pooled wire frame, one policy round, one dirty-marking.
+    /// `write_op(i, buf)` encodes the `i`-th op straight into that frame.
+    /// The replies come back index-aligned with the ops; `n == 0` is a
+    /// no-op that touches neither locks nor the wire. Trace events caused
+    /// by invocation messages are attributed to `action`.
     pub(crate) fn do_invoke(
         &self,
         action: ActionId,
         group: &ObjectGroup,
-        op: &[u8],
+        n: usize,
         write_intent: bool,
-    ) -> Result<Bytes, InvokeError> {
-        self.invoke_frame(action, group, write_intent, 0, |wire, op_id| {
-            GroupMsgCodec::encode_parts(wire, op_id, op)
-        })
-    }
-
-    /// Invokes a batch of operations on the activated object behind
-    /// `group` as **one** replicated unit: one lock acquisition, one
-    /// (flagged) operation id, one undo snapshot (abort restores the
-    /// pre-batch state and forgets the single batch-granularity dedup
-    /// entry), one pooled wire frame, one policy round, and one
-    /// dirty-marking — `do_invoke`'s per-op overhead is paid once per
-    /// batch. The returned replies are index-aligned with `ops`. An empty
-    /// batch is a no-op that touches neither locks nor the wire.
-    pub(crate) fn do_invoke_batch(
-        &self,
-        action: ActionId,
-        group: &ObjectGroup,
-        ops: &[&[u8]],
-        write_intent: bool,
-    ) -> Result<Vec<Bytes>, InvokeError> {
-        if ops.is_empty() {
-            return Ok(Vec::new());
+        write_op: &mut dyn FnMut(usize, &mut Vec<u8>),
+    ) -> Result<Replies, InvokeError> {
+        if n == 0 {
+            return Ok(Replies::default());
         }
-        self.inner.obs.add(ObsCounter::BatchOps, ops.len() as u64);
-        let reply = self.invoke_frame(action, group, write_intent, BATCH_FLAG, |wire, id| {
-            BatchMsgCodec::encode_parts(wire, id, ops)
-        })?;
-        read_frames(&reply)
-            .filter(|replies| replies.len() == ops.len())
-            .ok_or(InvokeError::MalformedReply(group.uid))
-    }
-
-    /// One invocation, single or batched: lock the object by intent, mint
-    /// the operation id (`flag` marks a batch), log the undo, encode once,
-    /// run the policy round, mark the activation dirty.
-    fn invoke_frame(
-        &self,
-        action: ActionId,
-        group: &ObjectGroup,
-        write_intent: bool,
-        flag: u64,
-        encode: impl FnOnce(&WireEncoder, u64) -> Bytes,
-    ) -> Result<Bytes, InvokeError> {
         let inner = &self.inner;
+        if n > 1 {
+            inner.obs.add(ObsCounter::BatchOps, n as u64);
+        }
         inner.sim.with_active_action(action.raw(), || {
             let invoke_start = inner.sim.now().as_micros();
             inner.obs.add(ObsCounter::Invokes, 1);
@@ -244,7 +211,7 @@ impl System {
                 LockMode::Read
             };
             inner.tx.lock(action, object_key(group.uid), mode)?;
-            let op_id = self.next_op_id() | flag;
+            let op_id = self.next_op_id();
             if write_intent {
                 self.push_object_undo(action, group, op_id)?;
             }
@@ -252,7 +219,9 @@ impl System {
             // by every replica the policy touches (and by the retry loop of
             // the coordinator-cohort policy). Its buffer returns to the
             // pool when the last reference drops at the end of this call.
-            let msg = encode(&inner.wire, op_id);
+            let msg = inner
+                .wire
+                .encode_with(|buf| wire::write_invocation(buf, op_id, n, write_op));
             let (reply, mutated) = self.dispatch_policy(action, group, &msg)?;
             if mutated {
                 group.dirty.set(true);
@@ -263,7 +232,7 @@ impl System {
                 invoke_start,
                 inner.sim.now().as_micros(),
             );
-            Ok(reply)
+            Replies::decode(reply, n).ok_or(InvokeError::MalformedReply(group.uid))
         })
     }
 
@@ -471,7 +440,7 @@ impl System {
                     .sim
                     .rpc_payload(group.req.client_node, coord, msg, 64, move |frame| {
                         let m = GroupMsgCodec::decode(frame)?;
-                        let result = replica.borrow_mut().invoke(&sim, &wire, m.op_id, &m.op);
+                        let result = replica.borrow_mut().invoke(&sim, &wire, &m);
                         if let Some(res) = &result {
                             if res.mutated {
                                 // Checkpoint the new state to every cohort:
@@ -564,7 +533,7 @@ impl System {
                     return None;
                 }
                 GroupMsgCodec::decode(frame)
-                    .and_then(|m| replica.borrow_mut().invoke(&sim, &wire, m.op_id, &m.op))
+                    .and_then(|m| replica.borrow_mut().invoke(&sim, &wire, &m))
             });
         match result {
             Ok(Some(res)) => Ok((res.reply, res.mutated)),

@@ -75,16 +75,12 @@ pub use crate::system::{Client, System, SystemBuilder};
 pub use crate::tx::{Tx, TxOpError};
 pub use crate::typed::{Handle, TypedUid};
 
-pub use crate::wire::{
-    BatchMsg, BatchMsgCodec, BatchReply, BatchReplyCodec, GroupMsg, GroupMsgCodec, MemberReply,
-    MemberReplyCodec, BATCH_FLAG,
-};
+pub use crate::wire::{Frames, GroupMsg, GroupMsgCodec, MemberReply, MemberReplyCodec, Replies};
 
 /// Compile-time proof that replication values crossing a shard-thread
 /// boundary are `Send`. [`System`]/[`Client`]/[`Handle`] are shard-local
 /// by design (`Rc<RefCell<…>>` worlds, no locks on the hot path); what
-/// crosses threads is the message layer — frames, batch envelopes,
-/// replies, and errors. The sharded façade itself lives in
+/// crosses threads is the message layer — frames, replies, and errors. The sharded façade itself lives in
 /// [`shard`](crate::shard). See `docs/SHARDING.md`.
 #[cfg(test)]
 mod send_boundary {
@@ -99,8 +95,7 @@ mod send_boundary {
         assert_send::<CommitError>();
         assert_send::<GroupMsg>();
         assert_send::<MemberReply>();
-        assert_send::<BatchMsg>();
-        assert_send::<BatchReply>();
+        assert_send::<Replies>();
         assert_send::<InvokeResult>();
         assert_send::<CounterOp>();
         assert_send::<KvOp>();

@@ -62,18 +62,19 @@ impl InvokeResult {
 /// trait exists so servers can hold objects of any class behind
 /// `Box<dyn ReplicaObject>`.
 ///
-/// The trait is **encoder-aware**: replies and snapshots are written through
-/// the caller's pooled [`WireEncoder`] and returned as frozen [`Bytes`], so
+/// The trait is **encoder-aware**: replies are appended to the caller's
+/// frame (every op of an invocation answers into one pooled frame) and
+/// snapshots are written through the caller's pooled [`WireEncoder`], so
 /// the object boundary allocates nothing in steady state (see
 /// `docs/OBJECTS.md` for the encoder-ownership rules).
 pub trait ReplicaObject {
     /// The stable tag identifying this class in object stores.
     fn type_tag(&self) -> TypeTag;
 
-    /// Executes one encoded operation, writing the reply into a frame
-    /// borrowed from `enc`. A malformed operation is a harmless read with
-    /// an empty reply.
-    fn invoke(&mut self, op: &[u8], enc: &WireEncoder) -> InvokeResult;
+    /// Executes one encoded operation, appending its reply to `reply`;
+    /// returns whether it modified the state. A malformed operation is a
+    /// harmless read with an empty reply.
+    fn invoke(&mut self, op: &[u8], reply: &mut Vec<u8>) -> bool;
 
     /// Encodes the full state for checkpointing / commit processing into a
     /// frame borrowed from `enc`.
@@ -156,22 +157,20 @@ pub trait ObjectType: Sized + 'static {
 }
 
 /// The server-side behaviour of every class, derived from its definition:
-/// decode the op, [`apply`](ObjectType::apply) it, encode the reply into a
-/// pooled frame.
+/// decode the op, [`apply`](ObjectType::apply) it, append the encoded
+/// reply to the caller's frame.
 impl<O: ObjectType> ReplicaObject for O {
     fn type_tag(&self) -> TypeTag {
         O::TAG
     }
 
-    fn invoke(&mut self, op: &[u8], enc: &WireEncoder) -> InvokeResult {
+    fn invoke(&mut self, op: &[u8], reply: &mut Vec<u8>) -> bool {
         let Some(op) = O::decode_op(op) else {
-            return InvokeResult::read(Bytes::new());
+            return false;
         };
-        let (reply, mutated) = self.apply(op);
-        InvokeResult {
-            reply: enc.encode_with(|buf| O::encode_reply(&reply, buf)),
-            mutated,
-        }
+        let (value, mutated) = self.apply(op);
+        O::encode_reply(&value, reply);
+        mutated
     }
 
     fn snapshot(&self, enc: &WireEncoder) -> Bytes {
@@ -626,14 +625,23 @@ mod tests {
         WireEncoder::new()
     }
 
+    /// Invokes `op` the way the replica loop does, into a reply buffer.
+    fn run(obj: &mut dyn ReplicaObject, op: &[u8]) -> InvokeResult {
+        let mut reply = Vec::new();
+        let mutated = obj.invoke(op, &mut reply);
+        InvokeResult {
+            reply: reply.into(),
+            mutated,
+        }
+    }
+
     #[test]
     fn counter_ops_roundtrip_and_apply() {
-        let enc = enc();
         let mut c = Counter::new(10);
-        let r = c.invoke(&Counter::op_vec(&CounterOp::Add(5)), &enc);
+        let r = run(&mut c, &Counter::op_vec(&CounterOp::Add(5)));
         assert!(r.mutated);
         assert_eq!(Counter::decode_reply(&CounterOp::Get, &r.reply), Some(15));
-        let r = c.invoke(&Counter::op_vec(&CounterOp::Get), &enc);
+        let r = run(&mut c, &Counter::op_vec(&CounterOp::Get));
         assert!(!r.mutated);
         assert_eq!(Counter::decode_reply(&CounterOp::Get, &r.reply), Some(15));
         assert_eq!(c.value(), 15);
@@ -664,23 +672,22 @@ mod tests {
 
     #[test]
     fn kv_ops_roundtrip_and_apply() {
-        let enc = enc();
         let mut m = KvMap::new();
         assert!(m.is_empty());
-        let r = m.invoke(&KvMap::op_vec(&KvOp::Put("k1".into(), "v1".into())), &enc);
+        let r = run(&mut m, &KvMap::op_vec(&KvOp::Put("k1".into(), "v1".into())));
         assert!(r.mutated);
         assert!(r.reply.is_empty(), "no previous value");
-        let r = m.invoke(&KvMap::op_vec(&KvOp::Get("k1".into())), &enc);
+        let r = run(&mut m, &KvMap::op_vec(&KvOp::Get("k1".into())));
         assert!(!r.mutated);
         assert_eq!(r.reply, b"v1");
-        let r = m.invoke(&KvMap::op_vec(&KvOp::Put("k1".into(), "v2".into())), &enc);
+        let r = run(&mut m, &KvMap::op_vec(&KvOp::Put("k1".into(), "v2".into())));
         assert_eq!(r.reply, b"v1", "previous value returned");
-        let r = m.invoke(&KvMap::op_vec(&KvOp::Len), &enc);
+        let r = run(&mut m, &KvMap::op_vec(&KvOp::Len));
         assert_eq!(
             u64::from_le_bytes(r.reply.as_slice().try_into().unwrap()),
             1
         );
-        let r = m.invoke(&KvMap::op_vec(&KvOp::Delete("k1".into())), &enc);
+        let r = run(&mut m, &KvMap::op_vec(&KvOp::Delete("k1".into())));
         assert!(r.mutated);
         assert_eq!(r.reply, b"v2");
         assert_eq!(m.len(), 0);
@@ -711,18 +718,17 @@ mod tests {
 
     #[test]
     fn account_ops_apply_with_overdraft_protection() {
-        let enc = enc();
         let mut a = Account::new(100);
         let reply = |r: &InvokeResult| Account::decode_reply(&AccountOp::Balance, &r.reply);
-        let r = a.invoke(&Account::op_vec(&AccountOp::Withdraw(30)), &enc);
+        let r = run(&mut a, &Account::op_vec(&AccountOp::Withdraw(30)));
         assert!(r.mutated);
         assert_eq!(reply(&r), Some(70));
-        let r = a.invoke(&Account::op_vec(&AccountOp::Withdraw(1000)), &enc);
+        let r = run(&mut a, &Account::op_vec(&AccountOp::Withdraw(1000)));
         assert!(!r.mutated, "refused withdrawal must not mutate");
         assert_eq!(reply(&r), Some(AccountOp::REFUSED));
-        let r = a.invoke(&Account::op_vec(&AccountOp::Deposit(10)), &enc);
+        let r = run(&mut a, &Account::op_vec(&AccountOp::Deposit(10)));
         assert_eq!(reply(&r), Some(80));
-        let r = a.invoke(&Account::op_vec(&AccountOp::Balance), &enc);
+        let r = run(&mut a, &Account::op_vec(&AccountOp::Balance));
         assert!(!r.mutated);
         assert_eq!(a.balance(), 80);
         assert_eq!(
@@ -736,7 +742,7 @@ mod tests {
     #[test]
     fn account_refuses_an_overflowing_deposit() {
         let mut a = Account::new(1);
-        let r = a.invoke(&Account::op_vec(&AccountOp::Deposit(u64::MAX)), &enc());
+        let r = run(&mut a, &Account::op_vec(&AccountOp::Deposit(u64::MAX)));
         assert!(!r.mutated, "refused deposit must not mutate");
         assert_eq!(
             Account::decode_reply(&AccountOp::Balance, &r.reply),
@@ -763,7 +769,7 @@ mod tests {
         let c = Counter::new(7);
         let mut decoded = reg.decode(Counter::TYPE_TAG, &c.snapshot(&enc)).unwrap();
         assert_eq!(decoded.type_tag(), Counter::TYPE_TAG);
-        let r = decoded.invoke(&Counter::op_vec(&CounterOp::Get), &enc);
+        let r = run(&mut *decoded, &Counter::op_vec(&CounterOp::Get));
         assert_eq!(Counter::decode_reply(&CounterOp::Get, &r.reply), Some(7));
         assert!(reg.decode(TypeTag::new(99), b"").is_none());
     }
@@ -789,14 +795,21 @@ mod tests {
 
     #[test]
     fn replies_come_from_the_encoder_pool() {
+        // The replica loop appends every reply of an invocation to one
+        // pooled frame.
         let enc = enc();
         let mut c = Counter::new(0);
         let add = Counter::op_vec(&CounterOp::Add(1));
-        drop(c.invoke(&add, &enc));
+        let mut invoke = || {
+            drop(enc.encode_with(|buf| {
+                c.invoke(&add, buf);
+            }))
+        };
+        invoke();
         assert!(enc.pooled() >= 1, "dropped reply returned to the pool");
         let before = groupview_sim::wire::stats();
         for _ in 0..50 {
-            drop(c.invoke(&add, &enc));
+            invoke();
         }
         assert_eq!(
             groupview_sim::wire::stats().since(before).buffer_allocs,
@@ -807,12 +820,11 @@ mod tests {
 
     #[test]
     fn malformed_ops_are_harmless_reads() {
-        let enc = enc();
         let mut c = Counter::new(5);
-        assert!(!c.invoke(&[], &enc).mutated);
+        assert!(!run(&mut c, &[]).mutated);
         let mut m = KvMap::new();
-        assert!(!m.invoke(&[255, 0, 0], &enc).mutated);
+        assert!(!run(&mut m, &[255, 0, 0]).mutated);
         let mut a = Account::new(5);
-        assert!(!a.invoke(&[9], &enc).mutated);
+        assert!(!run(&mut a, &[9]).mutated);
     }
 }

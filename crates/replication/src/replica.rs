@@ -1,7 +1,7 @@
 //! Server replicas: activated copies of persistent objects.
 
 use crate::object::{InvokeResult, ReplicaObject, TypeRegistry};
-use crate::wire;
+use crate::wire::{self, GroupMsg};
 use groupview_sim::{Bytes, IdMap, NodeId, Sim, WireEncoder};
 use groupview_store::{ObjectState, TypeTag, Uid, Version, Volatile};
 use std::cell::RefCell;
@@ -158,57 +158,33 @@ impl ServerReplica {
         self.state.set(sim, None);
     }
 
-    /// Executes an operation with at-most-once semantics per `op_id`,
-    /// writing the reply through the pooled `enc`. Returns `None` when no
-    /// state is loaded.
+    /// Executes the ops of `msg` with at-most-once semantics per
+    /// `msg.op_id`, appending every reply to one frame from the pooled
+    /// `enc`. Returns `None` when no state is loaded or the body is
+    /// malformed.
     ///
-    /// An id carrying [`wire::BATCH_FLAG`] marks `op` as a batch body
-    /// (`[count][len, op]*`): the whole batch applies as one at-most-once
-    /// unit — one dedup entry, one aggregate [`wire::BatchReply`]-framed
-    /// reply — so a client retry after coordinator failover can never
-    /// re-execute a prefix of an already-applied batch.
-    pub fn invoke(
-        &mut self,
-        sim: &Sim,
-        enc: &WireEncoder,
-        op_id: u64,
-        op: &[u8],
-    ) -> Option<InvokeResult> {
+    /// The ops apply as one unit: the body is validated whole before the
+    /// first op runs (a malformed batch mutates nothing and leaves no dedup
+    /// entry), and the unit takes one dedup entry, so a client retry after
+    /// coordinator failover can never re-execute a prefix of an applied
+    /// batch. `mutated` is the OR across the ops, so an all-reads batch
+    /// still takes the paper's read optimisation at commit.
+    pub fn invoke(&mut self, sim: &Sim, enc: &WireEncoder, msg: &GroupMsg) -> Option<InvokeResult> {
         let loaded = self.state.get_mut(sim).as_mut()?;
-        if let Some((reply, _mutated)) = loaded.applied.get(op_id) {
+        if let Some((reply, _mutated)) = loaded.applied.get(msg.op_id) {
             // Duplicate delivery: return the cached reply without mutating
             // (and without reporting a fresh mutation).
             return Some(InvokeResult::read(reply.clone()));
         }
-        let result = if op_id & wire::BATCH_FLAG != 0 {
-            Self::apply_batch(loaded, enc, op)?
-        } else {
-            loaded.obj.invoke(op, enc)
-        };
-        loaded
-            .applied
-            .insert(op_id, result.reply.clone(), result.mutated);
-        Some(result)
-    }
-
-    /// Applies a batch body: validates the whole frame first (a malformed
-    /// batch rejects without mutating anything, like a malformed single
-    /// frame), then applies each op in order and aggregates the replies
-    /// into one pooled [`wire::BatchReply`] frame. `mutated` is the OR
-    /// across the batch, so an all-reads batch still takes the paper's
-    /// read optimisation at commit.
-    fn apply_batch(loaded: &mut Loaded, enc: &WireEncoder, body: &[u8]) -> Option<InvokeResult> {
-        let ranges = wire::split_frames(body)?;
-        let mut replies = Vec::with_capacity(ranges.len());
+        let mut ops = msg.ops()?;
         let mut mutated = false;
-        for range in ranges {
-            let res = loaded.obj.invoke(&body[range], enc);
-            mutated |= res.mutated;
-            replies.push(res.reply);
-        }
         let reply = enc.encode_with(|buf| {
-            wire::write_frames(replies.iter().map(|b| b.as_slice()), buf);
+            wire::write_body(buf, ops.len(), |_, buf| {
+                let op = ops.next().expect("validated count");
+                mutated |= loaded.obj.invoke(&msg.body[op], buf);
+            });
         });
+        loaded.applied.insert(msg.op_id, reply.clone(), mutated);
         Some(InvokeResult { reply, mutated })
     }
 
@@ -403,6 +379,8 @@ impl ReplicaRegistry {
 mod tests {
     use super::*;
     use crate::object::{Counter, CounterOp, ObjectType};
+    use crate::wire::{GroupMsgCodec, Replies};
+    use groupview_sim::wire::Codec;
     use groupview_sim::SimConfig;
 
     fn world() -> (Sim, TypeRegistry) {
@@ -412,9 +390,14 @@ mod tests {
         )
     }
 
-    /// The wire encoding of a counter operation.
-    fn counter_op(op: CounterOp) -> Vec<u8> {
-        Counter::op_vec(&op)
+    /// Invocation `op_id` of the counter ops `ops`, as a replica receives it.
+    fn msg(op_id: u64, ops: &[CounterOp]) -> GroupMsg {
+        let frame = enc().encode_with(|buf| {
+            wire::write_invocation(buf, op_id, ops.len(), |i, buf| {
+                Counter::encode_op(&ops[i], buf)
+            })
+        });
+        GroupMsgCodec::decode(&frame).expect("well-formed")
     }
 
     /// Decodes a counter reply.
@@ -436,14 +419,10 @@ mod tests {
         let enc = enc();
         let mut r = ServerReplica::new(&sim, Uid::from_raw(1), NodeId::new(0));
         assert!(!r.is_loaded(&sim));
-        assert!(r
-            .invoke(&sim, &enc, 1, &counter_op(CounterOp::Get))
-            .is_none());
+        assert!(r.invoke(&sim, &enc, &msg(1, &[CounterOp::Get])).is_none());
         assert!(r.load(&sim, &counter_state(10), &types));
         assert!(r.is_loaded(&sim));
-        let res = r
-            .invoke(&sim, &enc, 1, &counter_op(CounterOp::Add(5)))
-            .unwrap();
+        let res = r.invoke(&sim, &enc, &msg(1, &[CounterOp::Add(5)])).unwrap();
         assert!(res.mutated);
         assert_eq!(counter_reply(&res.reply), Some(15));
         let snap = r.snapshot_state(&sim, &enc).unwrap();
@@ -472,15 +451,13 @@ mod tests {
         let mut r = ServerReplica::new(&sim, Uid::from_raw(1), NodeId::new(0));
         let enc = enc();
         r.load(&sim, &counter_state(0), &types);
-        let op = counter_op(CounterOp::Add(1));
-        let first = r.invoke(&sim, &enc, 42, &op).unwrap();
+        let op = msg(42, &[CounterOp::Add(1)]);
+        let first = r.invoke(&sim, &enc, &op).unwrap();
         assert!(first.mutated);
-        let dup = r.invoke(&sim, &enc, 42, &op).unwrap();
+        let dup = r.invoke(&sim, &enc, &op).unwrap();
         assert!(!dup.mutated, "duplicate must not report a new mutation");
         assert_eq!(dup.reply, first.reply, "cached reply returned");
-        let check = r
-            .invoke(&sim, &enc, 43, &counter_op(CounterOp::Get))
-            .unwrap();
+        let check = r.invoke(&sim, &enc, &msg(43, &[CounterOp::Get])).unwrap();
         assert_eq!(counter_reply(&check.reply), Some(1));
     }
 
@@ -490,30 +467,22 @@ mod tests {
         let mut r = ServerReplica::new(&sim, Uid::from_raw(1), NodeId::new(0));
         let enc = enc();
         r.load(&sim, &counter_state(0), &types);
-        let ops = [
-            counter_op(CounterOp::Add(1)),
-            counter_op(CounterOp::Get),
-            counter_op(CounterOp::Add(10)),
-        ];
-        let op_refs: Vec<&[u8]> = ops.iter().map(|o| o.as_slice()).collect();
-        let frame = wire::BatchMsgCodec::encode_parts(&enc, 5 | wire::BATCH_FLAG, &op_refs);
-        let body = &frame.as_slice()[crate::wire::GROUP_MSG_HEADER_BYTES..];
+        let batch = msg(5, &[CounterOp::Add(1), CounterOp::Get, CounterOp::Add(10)]);
+        assert!(batch.batched);
 
-        let first = r.invoke(&sim, &enc, 5 | wire::BATCH_FLAG, body).unwrap();
+        let first = r.invoke(&sim, &enc, &batch).unwrap();
         assert!(first.mutated, "batch contains writes");
-        let replies = wire::read_frames(&first.reply).expect("framed reply");
-        assert_eq!(replies.len(), 3, "one reply per op, in op order");
-        assert_eq!(counter_reply(&replies[0]), Some(1));
-        assert_eq!(counter_reply(&replies[1]), Some(1));
-        assert_eq!(counter_reply(&replies[2]), Some(11));
+        let replies = Replies::decode(first.reply.clone(), 3).expect("one reply per op");
+        let replies: Vec<&[u8]> = replies.iter().collect();
+        assert_eq!(counter_reply(replies[0]), Some(1));
+        assert_eq!(counter_reply(replies[1]), Some(1));
+        assert_eq!(counter_reply(replies[2]), Some(11));
 
         // Redelivery of the same batch id executes nothing.
-        let dup = r.invoke(&sim, &enc, 5 | wire::BATCH_FLAG, body).unwrap();
+        let dup = r.invoke(&sim, &enc, &batch).unwrap();
         assert!(!dup.mutated, "duplicate batch must not re-execute");
         assert_eq!(dup.reply, first.reply, "cached aggregate reply");
-        let check = r
-            .invoke(&sim, &enc, 6, &counter_op(CounterOp::Get))
-            .unwrap();
+        let check = r.invoke(&sim, &enc, &msg(6, &[CounterOp::Get])).unwrap();
         assert_eq!(counter_reply(&check.reply), Some(11));
     }
 
@@ -524,11 +493,13 @@ mod tests {
         let enc = enc();
         r.load(&sim, &counter_state(7), &types);
         // Count promises two ops but the body holds none.
-        let body = 2u32.to_le_bytes();
-        assert!(r.invoke(&sim, &enc, 9 | wire::BATCH_FLAG, &body).is_none());
-        let check = r
-            .invoke(&sim, &enc, 10, &counter_op(CounterOp::Get))
-            .unwrap();
+        let malformed = GroupMsg {
+            op_id: 9,
+            batched: true,
+            body: Bytes::from_static(&[2, 0, 0, 0]),
+        };
+        assert!(r.invoke(&sim, &enc, &malformed).is_none());
+        let check = r.invoke(&sim, &enc, &msg(10, &[CounterOp::Get])).unwrap();
         assert_eq!(counter_reply(&check.reply), Some(7), "state untouched");
     }
 
@@ -565,12 +536,12 @@ mod tests {
         ));
         // A retried op 7 at the (now promoted) cohort is deduped.
         let res = cohort
-            .invoke(&sim, &enc, 7, &counter_op(CounterOp::Add(9)))
+            .invoke(&sim, &enc, &msg(7, &[CounterOp::Add(9)]))
             .unwrap();
         assert!(!res.mutated);
         assert_eq!(counter_reply(&res.reply), Some(9));
         let get = cohort
-            .invoke(&sim, &enc, 8, &counter_op(CounterOp::Get))
+            .invoke(&sim, &enc, &msg(8, &[CounterOp::Get]))
             .unwrap();
         assert_eq!(counter_reply(&get.reply), Some(9));
     }
@@ -590,17 +561,13 @@ mod tests {
         let enc = enc();
         r.load(&sim, &counter_state(10), &types);
         let before = r.snapshot_state(&sim, &enc).unwrap();
-        r.invoke(&sim, &enc, 5, &counter_op(CounterOp::Add(100)))
+        r.invoke(&sim, &enc, &msg(5, &[CounterOp::Add(100)]))
             .unwrap();
         assert!(r.restore_data(&sim, before.type_tag, &before.data, &[5], &types));
-        let v = r
-            .invoke(&sim, &enc, 6, &counter_op(CounterOp::Get))
-            .unwrap();
+        let v = r.invoke(&sim, &enc, &msg(6, &[CounterOp::Get])).unwrap();
         assert_eq!(counter_reply(&v.reply), Some(10));
         // Op 5 can run again after the undo.
-        let again = r
-            .invoke(&sim, &enc, 5, &counter_op(CounterOp::Add(1)))
-            .unwrap();
+        let again = r.invoke(&sim, &enc, &msg(5, &[CounterOp::Add(1)])).unwrap();
         assert!(again.mutated);
     }
 

@@ -7,6 +7,7 @@ use crate::policy::ReplicationPolicy;
 use crate::replica::{ReplicaHandle, ReplicaRegistry};
 use crate::tx::Tx;
 use crate::typed::{Handle, TypedUid};
+use crate::wire::Replies;
 use groupview_actions::{ActionId, StoreWriteParticipant, TxError, TxSystem};
 use groupview_core::keys::{object_key, server_entry_key, state_entry_key};
 use groupview_core::{
@@ -16,7 +17,7 @@ use groupview_core::{
 use groupview_group::{GroupComms, GroupId};
 use groupview_obs::{MetricsSnapshot, NodeLoad, Phase, Registry as ObsRegistry};
 use groupview_sim::wire::{self, WireStats};
-use groupview_sim::{Bytes, ClientId, IdMap, NetConfig, NodeId, Sim, SimConfig, WireEncoder};
+use groupview_sim::{ClientId, IdMap, NetConfig, NodeId, Sim, SimConfig, WireEncoder};
 use groupview_store::{ObjectState, Stores, Uid, UidGen, Version};
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -713,12 +714,6 @@ impl Client {
         }
     }
 
-    /// The system-wide pooled wire encoder (typed handles encode operations
-    /// through it).
-    pub(crate) fn wire(&self) -> &WireEncoder {
-        &self.sys.inner.wire
-    }
-
     /// Opens a typed [`Handle`] for `uid`, asserting it belongs to class
     /// `O` (see [`TypedUid::assume`] for the trust model; uids from
     /// [`System::create_typed`] carry their class and can use
@@ -812,10 +807,15 @@ impl Client {
         self.bind(action, uid, replicas, true)
     }
 
-    /// Invokes a state-changing operation (object write lock).
+    /// Invokes `ops`, pre-encoded, as one state-changing unit (object
+    /// write lock, one wire frame, one undo snapshot, one write-back at
+    /// commit). This is the raw escape hatch under [`Handle::invoke`] and
+    /// [`Handle::invoke_batch`], which encode typed ops and pick the lock
+    /// intent from them.
     ///
-    /// The reply is a shared [`Bytes`] buffer (usually a zero-copy slice of
-    /// the replica's reply frame); it dereferences to `&[u8]` for decoding.
+    /// The replies are index-aligned with `ops`, borrowed from the
+    /// replica's reply frame; empty `ops` return no replies without
+    /// touching the object.
     ///
     /// # Errors
     ///
@@ -827,63 +827,38 @@ impl Client {
         &self,
         action: ActionId,
         group: &ObjectGroup,
-        op: &[u8],
-    ) -> Result<Bytes, InvokeError> {
-        self.check_bound(action, group)?;
-        self.sys.do_invoke(action, group, op, true)
+        ops: &[impl AsRef<[u8]>],
+    ) -> Result<Replies, InvokeError> {
+        self.invoke_raw(action, group, ops, true)
     }
 
-    /// Invokes a read-only operation (object read lock; concurrent readers
-    /// allowed).
+    /// Invokes `ops` as one read-only unit (object read lock; concurrent
+    /// readers allowed).
     ///
     /// # Errors
     ///
-    /// See [`InvokeError`].
+    /// See [`Client::invoke`].
     pub fn invoke_read(
         &self,
         action: ActionId,
         group: &ObjectGroup,
-        op: &[u8],
-    ) -> Result<Bytes, InvokeError> {
-        self.check_bound(action, group)?;
-        self.sys.do_invoke(action, group, op, false)
+        ops: &[impl AsRef<[u8]>],
+    ) -> Result<Replies, InvokeError> {
+        self.invoke_raw(action, group, ops, false)
     }
 
-    /// Invokes a batch of state-changing operations as one replicated
-    /// unit (object write lock, one wire frame, one undo snapshot, one
-    /// write-back at commit). Replies are index-aligned with `ops`; an
-    /// empty batch returns an empty vector without touching the object.
-    ///
-    /// This is the raw escape hatch under [`crate::Handle::invoke_batch`],
-    /// which additionally picks the lock intent from the ops themselves.
-    ///
-    /// # Errors
-    ///
-    /// See [`InvokeError`]; on error the action should be aborted.
-    pub fn invoke_batch(
+    fn invoke_raw(
         &self,
         action: ActionId,
         group: &ObjectGroup,
-        ops: &[&[u8]],
-    ) -> Result<Vec<Bytes>, InvokeError> {
+        ops: &[impl AsRef<[u8]>],
+        write: bool,
+    ) -> Result<Replies, InvokeError> {
         self.check_bound(action, group)?;
-        self.sys.do_invoke_batch(action, group, ops, true)
-    }
-
-    /// Invokes a batch of read-only operations as one replicated unit
-    /// (object read lock; concurrent readers allowed).
-    ///
-    /// # Errors
-    ///
-    /// See [`InvokeError`].
-    pub fn invoke_batch_read(
-        &self,
-        action: ActionId,
-        group: &ObjectGroup,
-        ops: &[&[u8]],
-    ) -> Result<Vec<Bytes>, InvokeError> {
-        self.check_bound(action, group)?;
-        self.sys.do_invoke_batch(action, group, ops, false)
+        self.sys
+            .do_invoke(action, group, ops.len(), write, &mut |i, buf| {
+                buf.extend_from_slice(ops[i].as_ref())
+            })
     }
 
     /// Commits the action: copies every modified object's new state to all

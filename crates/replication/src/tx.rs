@@ -175,14 +175,16 @@ impl Tx {
             Some(group) => group,
             None => self.client.activate(self.action, uid, self.replicas)?,
         };
-        let reply = invoke_typed::<O>(&self.client, self.action, &group, op)?;
+        let mut reply = None;
+        let ops = std::slice::from_ref(&op);
+        invoke_typed::<O>(&self.client, self.action, &group, ops, |r| reply = Some(r))?;
         sys.obs().span(
             self.action.raw(),
             Phase::TxInvoke,
             start,
             sys.sim().now().as_micros(),
         );
-        Ok(reply)
+        Ok(reply.expect("one reply per op"))
     }
 
     /// Commits the transaction: one store two-phase commit over the union

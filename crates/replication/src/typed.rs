@@ -194,11 +194,9 @@ impl<O: ObjectType> Handle<O> {
     /// client activated the object for this action reports
     /// [`InvokeError::NotActivated`].
     pub fn invoke(&self, action: ActionId, op: O::Op) -> Result<O::Reply, InvokeError> {
-        let group = self
-            .client
-            .group_of(action, self.uid)
-            .ok_or(InvokeError::NotActivated(self.uid))?;
-        invoke_typed::<O>(&self.client, action, &group, op)
+        let mut reply = None;
+        self.invoke_each(action, std::slice::from_ref(&op), |r| reply = Some(r))?;
+        Ok(reply.expect("one reply per op"))
     }
 
     /// Invokes a batch of typed operations as **one** replicated unit on
@@ -221,30 +219,26 @@ impl<O: ObjectType> Handle<O> {
         action: ActionId,
         ops: &[O::Op],
     ) -> Result<Vec<O::Reply>, InvokeError> {
-        if ops.is_empty() {
-            return Ok(Vec::new());
+        let mut replies = Vec::with_capacity(ops.len());
+        if !ops.is_empty() {
+            self.invoke_each(action, ops, |r| replies.push(r))?;
         }
+        Ok(replies)
+    }
+
+    /// Runs `ops` on the latest activation this handle's client made for
+    /// `action`, handing each decoded reply to `reply` in op order.
+    fn invoke_each(
+        &self,
+        action: ActionId,
+        ops: &[O::Op],
+        reply: impl FnMut(O::Reply),
+    ) -> Result<(), InvokeError> {
         let group = self
             .client
             .group_of(action, self.uid)
             .ok_or(InvokeError::NotActivated(self.uid))?;
-        let write = !ops.iter().all(O::op_is_read_only);
-        // One pooled frame per op; all released when the batch finishes.
-        let frames: Vec<_> = ops
-            .iter()
-            .map(|op| self.client.wire().encode_with(|buf| O::encode_op(op, buf)))
-            .collect();
-        let frame_refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        let replies = self
-            .client
-            .sys()
-            .do_invoke_batch(action, &group, &frame_refs, write)?;
-        ops.iter()
-            .zip(&replies)
-            .map(|(op, reply)| {
-                O::decode_reply(op, reply).ok_or(InvokeError::MalformedReply(self.uid))
-            })
-            .collect()
+        invoke_typed::<O>(&self.client, action, &group, ops, reply)
     }
 
     /// Does nothing: a handle keeps no per-action state to drop. The
@@ -253,22 +247,28 @@ impl<O: ObjectType> Handle<O> {
     pub fn forget(&self, _action: ActionId) {}
 }
 
-/// One typed invocation through `group`, an activation `client` made for
-/// `action` (the shared body of [`Handle::invoke`] and
-/// [`crate::Tx::invoke`]): encode the op into one pooled frame, invoke with
-/// the lock intent the op implies, decode the reply.
+/// One typed invocation of `ops` through `group`, an activation `client`
+/// made for `action` (the shared body of [`Handle::invoke`],
+/// [`Handle::invoke_batch`] and [`crate::Tx::invoke`]): encode the ops
+/// straight into the one invocation frame, invoke with the strongest lock
+/// intent they imply, and hand each decoded reply to `reply` in op order.
 pub(crate) fn invoke_typed<O: ObjectType>(
     client: &Client,
     action: ActionId,
     group: &ObjectGroup,
-    op: O::Op,
-) -> Result<O::Reply, InvokeError> {
-    // Released back to the pool when the invocation finishes.
-    let op_frame = client.wire().encode_with(|buf| O::encode_op(&op, buf));
-    let reply = client
+    ops: &[O::Op],
+    mut reply: impl FnMut(O::Reply),
+) -> Result<(), InvokeError> {
+    let write = !ops.iter().all(O::op_is_read_only);
+    let replies = client
         .sys()
-        .do_invoke(action, group, &op_frame, !O::op_is_read_only(&op))?;
-    O::decode_reply(&op, &reply).ok_or(InvokeError::MalformedReply(group.uid))
+        .do_invoke(action, group, ops.len(), write, &mut |i, buf| {
+            O::encode_op(&ops[i], buf)
+        })?;
+    for (op, bytes) in ops.iter().zip(replies.iter()) {
+        reply(O::decode_reply(op, bytes).ok_or(InvokeError::MalformedReply(group.uid))?);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

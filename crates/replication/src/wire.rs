@@ -3,73 +3,227 @@
 //! Operations travel to replicas as [`GroupMsg`] frames (multicast to the
 //! whole group for active replication, RPC'd to the coordinator for
 //! coordinator-cohort, RPC'd to the single copy for single-copy passive) —
-//! one frame is encoded per invocation and shared by every receiver.
-//! Replicas answer with [`MemberReply`] frames. Batched invocations travel
-//! as [`BatchMsg`] frames — layout-compatible with `GroupMsg` (the high bit
-//! of the id marks the frame as a batch), so every transport path carries
-//! them unchanged — and are answered with [`BatchReply`] frames inside the
-//! `MemberReply` envelope. All codecs decode payloads as zero-copy slices
-//! of the incoming frame.
+//! one frame is encoded per invocation, whatever its number of ops, and
+//! shared by every receiver. Replicas answer with [`MemberReply`] frames.
+//!
+//! One layout carries the ops of an invocation and, inside the reply
+//! envelope, their replies ([`write_body`]): a single item is written raw;
+//! two or more are `[count: u32 LE][(len: u32 LE, item)*]`, and the
+//! frame's id carries a batch bit that only this module knows. [`Frames`]
+//! reads that layout back, validating the whole body first; [`Replies`] is
+//! the client's zero-copy view of the answers. All codecs decode payloads
+//! as zero-copy slices of the incoming frame.
 //!
 //! Checkpoint snapshots use [`groupview_store::SnapshotCodec`].
 
 use crate::object::InvokeResult;
 use groupview_sim::wire::{Bytes, Codec};
+use std::ops::Range;
 
 /// Header size of a [`GroupMsg`] frame (the operation id).
 pub const GROUP_MSG_HEADER_BYTES: usize = 8;
 
-/// High bit of the operation id, set when the frame body is a batch
-/// (`[count u32][len u32, op]*`) rather than a single op. Operation ids
-/// start at 1 and are allocated sequentially, so real ids never carry
-/// this bit on their own.
-pub const BATCH_FLAG: u64 = 1 << 63;
+/// High bit of the id in a frame whose body holds two or more ops.
+/// Operation ids start at 1 and are allocated sequentially, so real ids
+/// never carry this bit: dedup entries, undo logs and checkpoints key on
+/// the plain id, and only the frame header carries the bit.
+const BATCH_FLAG: u64 = 1 << 63;
 
-/// An operation frame: `[op_id: u64 LE][op bytes]`.
+/// An operation frame: `[op_id: u64 LE, batch bit][body]`.
 ///
 /// The `op_id` drives per-replica at-most-once deduplication (a client
 /// retry after coordinator failover must not re-execute an operation the
-/// checkpoint already applied).
+/// checkpoint already applied). A body of several ops shares one id, so
+/// a batch dedups, undoes and checkpoints as one unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupMsg {
-    /// System-wide unique operation id.
+    /// System-wide unique operation id (never has the top bit set).
     pub op_id: u64,
-    /// The encoded operation, as the object class understands it.
-    pub op: Bytes,
+    /// Whether the body holds two or more ops (the counted layout of
+    /// [`write_body`]) rather than one raw op.
+    pub batched: bool,
+    /// The encoded operations, as the object class understands them.
+    pub body: Bytes,
+}
+
+impl GroupMsg {
+    /// The body's ops as byte ranges of [`GroupMsg::body`]; `None` when the
+    /// body is malformed (checked whole before the first op is read).
+    pub fn ops(&self) -> Option<Frames<'_>> {
+        Frames::new(&self.body, self.batched)
+    }
 }
 
 /// Codec for [`GroupMsg`] frames.
 pub struct GroupMsgCodec;
 
-/// The one place that knows the frame layout; both encode entry points
-/// delegate here so they cannot drift apart.
-fn write_group_msg(op_id: u64, op: &[u8], buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&op_id.to_le_bytes());
-    buf.extend_from_slice(op);
-}
-
-impl GroupMsgCodec {
-    /// Encodes a frame directly from an operation id and a borrowed op
-    /// slice, without first wrapping the op in a [`Bytes`]. This is the
-    /// hot-path entry: one pooled frame per invocation.
-    pub fn encode_parts(encoder: &groupview_sim::WireEncoder, op_id: u64, op: &[u8]) -> Bytes {
-        encoder.encode_with(|buf| write_group_msg(op_id, op, buf))
-    }
+fn header(op_id: u64, batched: bool) -> [u8; GROUP_MSG_HEADER_BYTES] {
+    debug_assert!(op_id & BATCH_FLAG == 0, "op ids never reach the batch bit");
+    (op_id | if batched { BATCH_FLAG } else { 0 }).to_le_bytes()
 }
 
 impl Codec for GroupMsgCodec {
     type Item = GroupMsg;
 
     fn encode_into(item: &GroupMsg, buf: &mut Vec<u8>) {
-        write_group_msg(item.op_id, &item.op, buf);
+        buf.extend_from_slice(&header(item.op_id, item.batched));
+        buf.extend_from_slice(&item.body);
     }
 
     fn decode(bytes: &Bytes) -> Option<GroupMsg> {
-        let op_id = u64::from_le_bytes(bytes.get(..GROUP_MSG_HEADER_BYTES)?.try_into().ok()?);
+        let id = u64::from_le_bytes(bytes.get(..GROUP_MSG_HEADER_BYTES)?.try_into().ok()?);
         Some(GroupMsg {
-            op_id,
-            op: bytes.slice(GROUP_MSG_HEADER_BYTES..),
+            op_id: id & !BATCH_FLAG,
+            batched: id & BATCH_FLAG != 0,
+            body: bytes.slice(GROUP_MSG_HEADER_BYTES..),
         })
+    }
+}
+
+/// Appends the frame of invocation `op_id` carrying `n ≥ 1` ops to `buf`:
+/// the header, then the body [`write_body`] lays out. This is the one
+/// encode of an invocation; ops are written straight into the frame.
+pub fn write_invocation(
+    buf: &mut Vec<u8>,
+    op_id: u64,
+    n: usize,
+    write_op: impl FnMut(usize, &mut Vec<u8>),
+) {
+    buf.extend_from_slice(&header(op_id, n > 1));
+    write_body(buf, n, write_op);
+}
+
+fn put_len(buf: &mut Vec<u8>, len: usize) {
+    buf.extend_from_slice(&u32::try_from(len).expect("length fits u32").to_le_bytes());
+}
+
+/// Appends a body of `n` items to `buf`, `write_item(i, buf)` writing the
+/// `i`-th in place. One item is written raw; two or more as
+/// `[count: u32 LE][(len: u32 LE, item)*]`, each length patched in after
+/// its item. Operation bodies and reply bodies share this layout.
+pub fn write_body(buf: &mut Vec<u8>, n: usize, mut write_item: impl FnMut(usize, &mut Vec<u8>)) {
+    if n == 1 {
+        return write_item(0, buf);
+    }
+    put_len(buf, n);
+    for i in 0..n {
+        let at = buf.len();
+        put_len(buf, 0);
+        write_item(i, buf);
+        let len = u32::try_from(buf.len() - at - 4).expect("length fits u32");
+        buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+fn read_len(body: &[u8], at: usize) -> Option<usize> {
+    Some(u32::from_le_bytes(body.get(at..at.checked_add(4)?)?.try_into().ok()?) as usize)
+}
+
+/// The items of a body written by [`write_body`], as byte ranges of that
+/// body, in order.
+///
+/// Validate-first: [`Frames::new`] walks the whole body before yielding
+/// anything and refuses a count below two, a length that overruns the
+/// body, and trailing bytes — so a replica that applies the ops as it
+/// iterates never applies a prefix of a malformed batch.
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    body: &'a [u8],
+    /// Offset of the next item's length prefix (counted layout).
+    at: usize,
+    left: usize,
+    raw: bool,
+}
+
+impl<'a> Frames<'a> {
+    /// Reads `body` as one raw item, or (`batched`) as the counted layout;
+    /// `None` when a counted body is malformed.
+    pub fn new(body: &'a [u8], batched: bool) -> Option<Frames<'a>> {
+        if !batched {
+            return Some(Frames {
+                body,
+                at: 0,
+                left: 1,
+                raw: true,
+            });
+        }
+        let count = read_len(body, 0)?;
+        let mut at = 4usize;
+        for _ in 0..count {
+            at = at.checked_add(4 + read_len(body, at)?)?;
+        }
+        (count >= 2 && at == body.len()).then_some(Frames {
+            body,
+            at: 4,
+            left: count,
+            raw: false,
+        })
+    }
+}
+
+impl Iterator for Frames<'_> {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        self.left = self.left.checked_sub(1)?;
+        if self.raw {
+            return Some(0..self.body.len());
+        }
+        let start = self.at + 4;
+        self.at = start + read_len(self.body, self.at).expect("validated by Frames::new");
+        Some(start..self.at)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Frames<'_> {}
+
+/// The replies of one invocation, index-aligned with its ops: a zero-copy
+/// view of the reply frame, whose reply count was checked once, when the
+/// view was made.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Replies {
+    frame: Bytes,
+    n: usize,
+}
+
+impl Replies {
+    /// Views `frame` as the replies to `n` ops (the layout of
+    /// [`write_body`]); `None` unless it holds exactly `n` replies.
+    pub fn decode(frame: Bytes, n: usize) -> Option<Replies> {
+        let frames = Frames::new(&frame, n > 1)?;
+        (frames.len() == n).then_some(Replies { frame, n })
+    }
+
+    /// The number of replies.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Whether there are none (the answer to an empty invocation).
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// The replies in op order, borrowed from the frame.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.ranges().map(|range| &self.frame[range])
+    }
+
+    /// The replies in op order, each a shared slice of the frame (for a
+    /// caller that keeps them).
+    pub fn slices(&self) -> impl Iterator<Item = Bytes> + '_ {
+        self.ranges().map(|range| self.frame.slice(range))
+    }
+
+    fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        Frames::new(&self.frame, self.n > 1)
+            .into_iter()
+            .flatten()
+            .take(self.n)
     }
 }
 
@@ -131,175 +285,47 @@ impl Codec for MemberReplyCodec {
     }
 }
 
-/// Writes a length-prefixed frame list: `[count: u32 LE][(len: u32 LE,
-/// item bytes) * count]`. Shared by the [`BatchMsg`] body and
-/// [`BatchReply`], so the two layouts cannot drift apart.
-pub fn write_frames<I, T>(items: I, buf: &mut Vec<u8>)
-where
-    I: ExactSizeIterator<Item = T>,
-    T: AsRef<[u8]>,
-{
-    buf.extend_from_slice(
-        &u32::try_from(items.len())
-            .expect("frame count fits u32")
-            .to_le_bytes(),
-    );
-    for item in items {
-        let item = item.as_ref();
-        buf.extend_from_slice(
-            &u32::try_from(item.len())
-                .expect("frame length fits u32")
-                .to_le_bytes(),
-        );
-        buf.extend_from_slice(item);
-    }
-}
-
-/// Parses a frame list written by [`write_frames`], returning the byte
-/// range of each frame within `body`. Returns `None` on any truncation — a
-/// count that promises more frames than the body holds, a length that
-/// overruns the buffer, or trailing garbage after the last frame. This is
-/// the validate-before-apply entry: a replica splits the batch body with
-/// this before executing anything, so a malformed batch rejects without
-/// mutating state.
-pub fn split_frames(body: &[u8]) -> Option<Vec<std::ops::Range<usize>>> {
-    let count = u32::from_le_bytes(body.get(..4)?.try_into().ok()?) as usize;
-    let mut frames = Vec::with_capacity(count.min(body.len() / 4 + 1));
-    let mut at = 4usize;
-    for _ in 0..count {
-        let len = u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?) as usize;
-        at += 4;
-        body.get(at..at + len)?;
-        frames.push(at..at + len);
-        at += len;
-    }
-    if at != body.len() {
-        return None; // trailing bytes: reject rather than silently ignore
-    }
-    Some(frames)
-}
-
-/// Decodes a frame list written by [`write_frames`] into zero-copy
-/// sub-slices of `bytes`.
-///
-/// Every returned [`Bytes`] shares the frame's refcounted storage: the
-/// sub-slices stay valid for as long as any clone of them lives, but the
-/// pooled buffer behind the frame is only recycled once **all** of them
-/// drop (see `docs/WIRE.md`, "Encoder ownership").
-pub fn read_frames(bytes: &Bytes) -> Option<Vec<Bytes>> {
-    Some(
-        split_frames(bytes)?
-            .into_iter()
-            .map(|range| bytes.slice(range))
-            .collect(),
-    )
-}
-
-/// A batched operation frame:
-/// `[batch_id: u64 LE, high bit set][count: u32 LE][(len: u32 LE, op)*]`.
-///
-/// Layout-compatible with [`GroupMsg`]: the first 8 bytes decode as the
-/// operation id, so multicast, RPC, and dedup paths treat a batch exactly
-/// like a single op until the replica inspects [`BATCH_FLAG`]. The whole
-/// batch shares one id — retry deduplication and cohort checkpoints work
-/// at batch granularity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchMsg {
-    /// Batch id; [`BATCH_FLAG`] is always set.
-    pub batch_id: u64,
-    /// The encoded operations, in invocation order.
-    pub ops: Vec<Bytes>,
-}
-
-/// Codec for [`BatchMsg`] frames.
-pub struct BatchMsgCodec;
-
-impl BatchMsgCodec {
-    /// Encodes a batch frame from an already-flagged batch id and borrowed
-    /// op slices — one pooled frame per batch, the hot-path entry.
-    pub fn encode_parts(
-        encoder: &groupview_sim::WireEncoder,
-        batch_id: u64,
-        ops: &[&[u8]],
-    ) -> Bytes {
-        debug_assert!(batch_id & BATCH_FLAG != 0, "batch id must carry BATCH_FLAG");
-        encoder.encode_with(|buf| {
-            buf.extend_from_slice(&batch_id.to_le_bytes());
-            write_frames(ops.iter().copied(), buf);
-        })
-    }
-}
-
-impl Codec for BatchMsgCodec {
-    type Item = BatchMsg;
-
-    fn encode_into(item: &BatchMsg, buf: &mut Vec<u8>) {
-        debug_assert!(
-            item.batch_id & BATCH_FLAG != 0,
-            "batch id must carry BATCH_FLAG"
-        );
-        buf.extend_from_slice(&item.batch_id.to_le_bytes());
-        write_frames(item.ops.iter().map(|b| b.as_slice()), buf);
-    }
-
-    fn decode(bytes: &Bytes) -> Option<BatchMsg> {
-        let batch_id = u64::from_le_bytes(bytes.get(..GROUP_MSG_HEADER_BYTES)?.try_into().ok()?);
-        if batch_id & BATCH_FLAG == 0 {
-            return None; // a single-op GroupMsg, not a batch
-        }
-        let ops = read_frames(&bytes.slice(GROUP_MSG_HEADER_BYTES..))?;
-        Some(BatchMsg { batch_id, ops })
-    }
-}
-
-/// A replica's aggregate answer to a [`BatchMsg`]: the per-op replies in
-/// op order, framed with [`write_frames`]. Travels as the payload of a
-/// [`MemberReply::Loaded`] envelope, so the policy-level reply handling
-/// (first-loaded-wins, NotLoaded expulsion) is unchanged for batches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchReply {
-    /// Per-operation replies, index-aligned with the batch's ops.
-    pub replies: Vec<Bytes>,
-}
-
-/// Codec for [`BatchReply`] frames.
-pub struct BatchReplyCodec;
-
-impl Codec for BatchReplyCodec {
-    type Item = BatchReply;
-
-    fn encode_into(item: &BatchReply, buf: &mut Vec<u8>) {
-        write_frames(item.replies.iter().map(|b| b.as_slice()), buf);
-    }
-
-    fn decode(bytes: &Bytes) -> Option<BatchReply> {
-        Some(BatchReply {
-            replies: read_frames(bytes)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use groupview_sim::wire::{self, WireEncoder};
+
+    /// The frame of invocation `op_id` carrying `ops`.
+    fn invocation(enc: &WireEncoder, op_id: u64, ops: &[&[u8]]) -> Bytes {
+        enc.encode_with(|buf| {
+            write_invocation(buf, op_id, ops.len(), |i, buf| {
+                buf.extend_from_slice(ops[i])
+            })
+        })
+    }
+
+    fn items<'a>(body: &'a [u8], frames: Frames<'_>) -> Vec<&'a [u8]> {
+        frames.map(|range| &body[range]).collect()
+    }
 
     #[test]
     fn group_msg_roundtrip_slices_the_frame() {
         let enc = WireEncoder::new();
         let msg = GroupMsg {
             op_id: 0xDEAD_BEEF,
-            op: Bytes::from_static(b"add(1)"),
+            batched: false,
+            body: Bytes::from_static(b"add(1)"),
         };
         let frame = GroupMsgCodec::encode(&enc, &msg);
+        assert_eq!(
+            frame,
+            invocation(&enc, 0xDEAD_BEEF, &[b"add(1)"]),
+            "one op is raw"
+        );
         let before = wire::stats();
         let decoded = GroupMsgCodec::decode(&frame).expect("well-formed");
         assert_eq!(wire::stats(), before, "zero-copy decode");
         assert_eq!(decoded, msg);
         assert_eq!(
-            decoded.op.as_slice().as_ptr(),
+            decoded.body.as_slice().as_ptr(),
             frame.as_slice()[GROUP_MSG_HEADER_BYTES..].as_ptr()
         );
+        assert_eq!(items(&decoded.body, decoded.ops().unwrap()), [b"add(1)"]);
         assert!(GroupMsgCodec::decode(&frame.slice(..7)).is_none());
     }
 
@@ -334,63 +360,67 @@ mod tests {
     fn batch_msg_roundtrip_slices_the_frame() {
         let enc = WireEncoder::new();
         let ops: [&[u8]; 3] = [b"add(1)", b"", b"get"];
-        let frame = BatchMsgCodec::encode_parts(&enc, 7 | BATCH_FLAG, &ops);
+        let frame = invocation(&enc, 7, &ops);
         let before = wire::stats();
-        let decoded = BatchMsgCodec::decode(&frame).expect("well-formed");
+        let msg = GroupMsgCodec::decode(&frame).expect("well-formed");
+        assert_eq!(wire::stats(), before, "zero-copy decode");
+        assert_eq!((msg.op_id, msg.batched), (7, true), "the id is plain");
+        assert_eq!(frame[7] & 0x80, 0x80, "the frame carries the batch bit");
+        let body = frame.slice(GROUP_MSG_HEADER_BYTES..);
         assert_eq!(
-            wire::stats().buffer_allocs,
-            before.buffer_allocs,
-            "zero-copy decode"
+            body,
+            [
+                &3u32.to_le_bytes()[..],
+                &6u32.to_le_bytes(),
+                b"add(1)",
+                &[0; 4],
+                &3u32.to_le_bytes(),
+                b"get"
+            ]
+            .concat()
         );
-        assert_eq!(decoded.batch_id, 7 | BATCH_FLAG);
-        assert_eq!(decoded.ops.len(), 3);
-        for (got, want) in decoded.ops.iter().zip(ops) {
-            assert_eq!(got.as_slice(), want);
-        }
-        // Every decoded op is a sub-slice of the frame's storage.
-        assert_eq!(
-            decoded.ops[0].as_slice().as_ptr(),
-            frame.as_slice()[GROUP_MSG_HEADER_BYTES + 4 + 4..].as_ptr()
-        );
-        // A batch frame still decodes as a GroupMsg (flag in op_id).
-        let as_single = GroupMsgCodec::decode(&frame).expect("layout-compatible");
-        assert_eq!(as_single.op_id, 7 | BATCH_FLAG);
-        // A single-op frame is not a batch.
-        let single = GroupMsgCodec::encode_parts(&enc, 7, b"add(1)");
-        assert!(BatchMsgCodec::decode(&single).is_none());
+        let ranges: Vec<_> = msg.ops().expect("valid body").collect();
+        assert_eq!(ranges, [8..14, 18..18, 22..25], "ranges of the body");
+        assert_eq!(items(&msg.body, msg.ops().unwrap()), ops);
+        assert_eq!(GroupMsgCodec::encode(&enc, &msg), frame);
     }
 
     #[test]
     fn batch_msg_rejects_truncation_and_trailing_bytes() {
         let enc = WireEncoder::new();
-        let ops: [&[u8]; 2] = [b"abcd", b"efgh"];
-        let frame = BatchMsgCodec::encode_parts(&enc, 1 | BATCH_FLAG, &ops);
-        for cut in 0..frame.len() {
+        let frame = invocation(&enc, 1, &[b"abcd", b"efgh"]);
+        let body = &frame[GROUP_MSG_HEADER_BYTES..];
+        for cut in 0..body.len() {
             assert!(
-                BatchMsgCodec::decode(&frame.slice(..cut)).is_none(),
+                Frames::new(&body[..cut], true).is_none(),
                 "truncated at {cut} must be rejected"
             );
         }
-        let mut padded = frame.as_slice().to_vec();
+        let mut padded = body.to_vec();
         padded.push(0);
-        assert!(
-            BatchMsgCodec::decode(&Bytes::from(padded)).is_none(),
-            "trailing bytes must be rejected"
-        );
+        assert!(Frames::new(&padded, true).is_none(), "trailing bytes");
+        // A counted body of fewer than two items is never written.
+        for count in [0u32, 1] {
+            let mut short = count.to_le_bytes().to_vec();
+            short.extend(std::iter::repeat_n([0, 0, 0, 0], count as usize).flatten());
+            assert!(Frames::new(&short, true).is_none(), "count {count}");
+        }
     }
 
     #[test]
     fn batch_reply_roundtrips_empty_and_many() {
         let enc = WireEncoder::new();
-        for replies in [
-            Vec::new(),
-            vec![Bytes::from_static(b"")],
-            vec![Bytes::from_static(b"a"), Bytes::from_static(b"bc")],
-        ] {
-            let reply = BatchReply { replies };
-            let frame = BatchReplyCodec::encode(&enc, &reply);
-            assert_eq!(BatchReplyCodec::decode(&frame), Some(reply));
+        assert_eq!(Replies::default().iter().count(), 0);
+        for replies in [&[&b""[..]][..], &[b"a", b"bc"], &[b"x", b"", b"yz", b"w"]] {
+            let n = replies.len();
+            let frame = enc
+                .encode_with(|buf| write_body(buf, n, |i, buf| buf.extend_from_slice(replies[i])));
+            let view = Replies::decode(frame.clone(), n).expect("well-formed");
+            assert_eq!(view.len(), n);
+            let got: Vec<&[u8]> = view.iter().collect();
+            assert_eq!(got, replies);
+            assert!(Replies::decode(frame, n + 1).is_none(), "count checked");
         }
-        assert!(BatchReplyCodec::decode(&Bytes::from_static(b"\x01")).is_none());
+        assert!(Replies::decode(Bytes::from_static(b"\x01"), 2).is_none());
     }
 }

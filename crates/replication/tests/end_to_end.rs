@@ -3,19 +3,24 @@
 use groupview_core::{BindingScheme, DbError, ExcludePolicy};
 use groupview_replication::{
     Account, AccountOp, CommitError, Counter, CounterOp, InvokeError, ObjectType,
-    ReplicationPolicy, System,
+    ReplicationPolicy, Replies, System,
 };
 use groupview_sim::NodeId;
 use groupview_store::Version;
 
-/// The wire encoding of a counter operation.
-fn counter_op(op: CounterOp) -> Vec<u8> {
-    Counter::op_vec(&op)
+/// The wire encoding of one counter operation, as a one-op invocation.
+fn counter_op(op: CounterOp) -> [Vec<u8>; 1] {
+    [Counter::op_vec(&op)]
 }
 
-/// Decodes a counter reply.
-fn counter_reply(reply: &[u8]) -> Option<i64> {
-    Counter::decode_reply(&CounterOp::Get, reply)
+/// Decodes the reply of a one-op counter invocation.
+fn counter_reply(replies: &Replies) -> Option<i64> {
+    Counter::decode_reply(&CounterOp::Get, replies.iter().next()?)
+}
+
+/// Decodes the reply of a one-op account invocation.
+fn balance_reply(replies: &Replies) -> Option<u64> {
+    Account::decode_reply(&AccountOp::Balance, replies.iter().next()?)
 }
 
 fn n(i: u32) -> NodeId {
@@ -502,11 +507,11 @@ fn bank_transfer_is_atomic_across_two_objects() {
     let ga = client.activate(a, alice, 2).expect("activate alice");
     let gb = client.activate(a, bob, 2).expect("activate bob");
     let w = client
-        .invoke(a, &ga, &Account::op_vec(&AccountOp::Withdraw(40)))
+        .invoke(a, &ga, &[Account::op_vec(&AccountOp::Withdraw(40))])
         .expect("withdraw");
-    assert_eq!(Account::decode_reply(&AccountOp::Balance, &w), Some(60));
+    assert_eq!(balance_reply(&w), Some(60));
     client
-        .invoke(a, &gb, &Account::op_vec(&AccountOp::Deposit(40)))
+        .invoke(a, &gb, &[Account::op_vec(&AccountOp::Deposit(40))])
         .expect("deposit");
     client.commit(a).expect("commit transfer");
 
@@ -515,10 +520,10 @@ fn bank_transfer_is_atomic_across_two_objects() {
     let ga = client.activate(b, alice, 2).expect("activate alice");
     let gb = client.activate(b, bob, 2).expect("activate bob");
     client
-        .invoke(b, &ga, &Account::op_vec(&AccountOp::Withdraw(10)))
+        .invoke(b, &ga, &[Account::op_vec(&AccountOp::Withdraw(10))])
         .expect("withdraw");
     client
-        .invoke(b, &gb, &Account::op_vec(&AccountOp::Deposit(10)))
+        .invoke(b, &gb, &[Account::op_vec(&AccountOp::Deposit(10))])
         .expect("deposit");
     client.abort(b); // application decides to roll back
 
@@ -528,14 +533,14 @@ fn bank_transfer_is_atomic_across_two_objects() {
     let ga = check.activate_read_only(c, alice, 1).expect("alice ro");
     let gb = check.activate_read_only(c, bob, 1).expect("bob ro");
     let ra = check
-        .invoke_read(c, &ga, &Account::op_vec(&AccountOp::Balance))
+        .invoke_read(c, &ga, &[Account::op_vec(&AccountOp::Balance)])
         .expect("balance a");
     let rb = check
-        .invoke_read(c, &gb, &Account::op_vec(&AccountOp::Balance))
+        .invoke_read(c, &gb, &[Account::op_vec(&AccountOp::Balance)])
         .expect("balance b");
     check.commit(c).expect("commit check");
-    assert_eq!(Account::decode_reply(&AccountOp::Balance, &ra), Some(60));
-    assert_eq!(Account::decode_reply(&AccountOp::Balance, &rb), Some(50));
+    assert_eq!(balance_reply(&ra), Some(60));
+    assert_eq!(balance_reply(&rb), Some(50));
 }
 
 #[test]
@@ -793,7 +798,7 @@ fn raw_invoke_through_a_foreign_activation_is_refused() {
     let other_client = sys.client(n(5));
     let foreign = other_client.begin_action();
     assert_eq!(
-        other_client.invoke_batch(foreign, &group, &[&add]),
+        other_client.invoke(foreign, &group, &add),
         Err(InvokeError::NotActivated(uid))
     );
     assert!(
@@ -889,4 +894,32 @@ fn a_finished_action_leaves_no_activation_behind() {
         assert!(sys.tx().locks_empty(), "after {ending}");
     }
     assert_eq!(counter_value(&sys, uid, n(5)), 1);
+}
+
+/// A wide batch runs from the frame pool: once warm, a 64-op
+/// `invoke_batch` creates no fresh frame under any policy (its working set
+/// of live frames stays under the pool's cap).
+#[test]
+fn a_64_op_batch_creates_no_fresh_frame() {
+    for policy in ReplicationPolicy::ALL {
+        let sys = system(policy, BindingScheme::Standard);
+        let client = sys.client(n(4));
+        let counter = client.open::<Counter>(create_counter(&sys, 0));
+        let action = client.begin_action();
+        counter.activate(action, 3).expect("activate");
+        let ops = [CounterOp::Add(1); 64];
+        // Warm past the replicas' dedup rings, which pin their last 8
+        // replies.
+        for _ in 0..16 {
+            counter.invoke_batch(action, &ops).expect("warm-up batch");
+        }
+        let before = groupview_sim::wire::stats();
+        for _ in 0..16 {
+            counter.invoke_batch(action, &ops).expect("batch");
+        }
+        let frames = groupview_sim::wire::stats().since(before);
+        assert_eq!(frames.buffer_allocs, 0, "{policy}: {frames}");
+        assert!(frames.pool_reuses >= 16, "{policy}: {frames}");
+        client.commit(action).expect("commit");
+    }
 }

@@ -171,7 +171,7 @@ impl World {
         // old code did too): mirror the sweep.
         let invoked = self
             .client
-            .invoke(action, &bound, &Counter::op_vec(&CounterOp::Add(1)));
+            .invoke(action, &bound, &[Counter::op_vec(&CounterOp::Add(1))]);
         let _ = self.shadow.prune_dead_members(group);
         if invoked.is_ok() && commit {
             let _ = self.client.commit(action);

@@ -1,17 +1,30 @@
 //! Property tests for the object classes: replica application matches a
-//! direct model, and hostile bytes — arbitrary, or a truncated snapshot or
-//! operation — never panic a class. The op and reply codec round-trips
-//! live in `typed_properties.rs`.
+//! direct model, and hostile bytes — arbitrary, or a truncated snapshot,
+//! operation or op body — never panic a class or mutate a replica. The op
+//! and reply codec round-trips live in `typed_properties.rs`.
 
+use groupview_replication::wire::write_invocation;
 use groupview_replication::{
-    Account, AccountOp, Counter, CounterOp, KvMap, KvOp, ObjectType, ReplicaObject, TypeRegistry,
+    Account, AccountOp, Counter, CounterOp, GroupMsg, GroupMsgCodec, InvokeResult, KvMap, KvOp,
+    ObjectType, ReplicaObject, ServerReplica, TypeRegistry,
 };
-use groupview_sim::WireEncoder;
-use groupview_store::TypeTag;
+use groupview_sim::wire::Codec;
+use groupview_sim::{Bytes, NodeId, Sim, SimConfig, WireEncoder};
+use groupview_store::{ObjectState, TypeTag, Uid};
 use proptest::prelude::*;
 
 fn enc() -> WireEncoder {
     WireEncoder::new()
+}
+
+/// Invokes `op` the way the replica loop does, into a reply buffer.
+fn run(object: &mut dyn ReplicaObject, op: &[u8]) -> InvokeResult {
+    let mut reply = Vec::new();
+    let mutated = object.invoke(op, &mut reply);
+    InvokeResult {
+        reply: reply.into(),
+        mutated,
+    }
 }
 
 /// Feeds `bytes` to every byte-level entry point of class `O`: the
@@ -24,7 +37,7 @@ fn feed<O: ObjectType + Default>(bytes: &[u8]) {
     assert_eq!(decoded.type_tag(), O::TAG);
     let mut object = O::default();
     object.restore(bytes);
-    object.invoke(bytes, &enc());
+    run(&mut object, bytes);
 }
 
 /// Every strict prefix of `snapshot` and `op` is fed to class `O`; a
@@ -35,7 +48,7 @@ fn feed_truncations<O: ObjectType + Default>(snapshot: &[u8], op: &[u8]) {
     }
     for cut in 0..op.len() {
         feed::<O>(&op[..cut]);
-        let result = O::decode_state(snapshot).invoke(&op[..cut], &enc());
+        let result = run(&mut O::decode_state(snapshot), &op[..cut]);
         assert!(!result.mutated, "truncated op mutated: {:?}", &op[..cut]);
         assert!(result.reply.is_empty(), "truncated op replied");
     }
@@ -54,7 +67,7 @@ proptest! {
         let mut object = Counter::new(start);
         let mut model = start;
         for d in &deltas {
-            let result = object.invoke(&Counter::op_vec(&CounterOp::Add(*d)), &enc());
+            let result = run(&mut object, &Counter::op_vec(&CounterOp::Add(*d)));
             model = model.wrapping_add(*d);
             prop_assert_eq!(Counter::decode_reply(&CounterOp::Get, &result.reply), Some(model));
             prop_assert!(result.mutated);
@@ -76,19 +89,19 @@ proptest! {
         for (key, value, kind) in &ops {
             match kind {
                 0 => {
-                    let result = object.invoke(&KvMap::op_vec(&KvOp::Put(key.clone(), value.clone())), &enc());
+                    let result = run(&mut object, &KvMap::op_vec(&KvOp::Put(key.clone(), value.clone())));
                     let prev = model.insert(key.clone(), value.clone()).unwrap_or_default();
                     prop_assert_eq!(result.reply, prev.into_bytes());
                     prop_assert!(result.mutated);
                 }
                 1 => {
-                    let result = object.invoke(&KvMap::op_vec(&KvOp::Get(key.clone())), &enc());
+                    let result = run(&mut object, &KvMap::op_vec(&KvOp::Get(key.clone())));
                     let expect = model.get(key).cloned().unwrap_or_default();
                     prop_assert_eq!(result.reply, expect.into_bytes());
                     prop_assert!(!result.mutated);
                 }
                 _ => {
-                    let result = object.invoke(&KvMap::op_vec(&KvOp::Delete(key.clone())), &enc());
+                    let result = run(&mut object, &KvMap::op_vec(&KvOp::Delete(key.clone())));
                     let prev = model.remove(key).unwrap_or_default();
                     prop_assert_eq!(result.reply, prev.into_bytes());
                 }
@@ -120,7 +133,7 @@ proptest! {
             } else {
                 (AccountOp::Withdraw(*amount), model.checked_sub(*amount))
             };
-            let result = object.invoke(&Account::op_vec(&op), &enc());
+            let result = run(&mut object, &Account::op_vec(&op));
             let reply = Account::decode_reply(&op, &result.reply);
             match next {
                 Some(balance) => {
@@ -151,16 +164,16 @@ proptest! {
         // Skip inputs that happen to decode as valid mutating ops.
         let mut counter = Counter::new(5);
         if Counter::decode_op(&bytes).is_none() {
-            prop_assert!(!counter.invoke(&bytes, &enc()).mutated);
+            prop_assert!(!run(&mut counter, &bytes).mutated);
             prop_assert_eq!(counter.value(), 5);
         }
         let mut kv = KvMap::new();
         if KvMap::decode_op(&bytes).is_none() {
-            prop_assert!(!kv.invoke(&bytes, &enc()).mutated);
+            prop_assert!(!run(&mut kv, &bytes).mutated);
         }
         let mut account = Account::new(5);
         if Account::decode_op(&bytes).is_none() {
-            prop_assert!(!account.invoke(&bytes, &enc()).mutated);
+            prop_assert!(!run(&mut account, &bytes).mutated);
         }
     }
 
@@ -191,6 +204,62 @@ proptest! {
         let snapshot = Account::new(amount).snapshot(&enc);
         for op in [AccountOp::Balance, AccountOp::Deposit(amount), AccountOp::Withdraw(amount)] {
             feed_truncations::<Account>(&snapshot, &Account::op_vec(&op));
+        }
+    }
+
+    /// Hostile op bodies through `ServerReplica::invoke`: arbitrary bytes
+    /// with the batch bit on and off, every truncation of a valid 2–16-op
+    /// body, and that body plus one trailing byte. None panics; a body the
+    /// replica refuses (`None`) leaves the state unchanged and no dedup
+    /// entry, so the valid body under the same id then applies exactly
+    /// once.
+    #[test]
+    fn hostile_op_bodies_never_panic_or_mutate_a_replica(
+        garbage in prop::collection::vec(any::<u8>(), 0..64),
+        deltas in prop::collection::vec(-1_000i64..1_000, 2..=16),
+    ) {
+        let enc = enc();
+        let ops: Vec<Vec<u8>> = deltas.iter().map(|&d| Counter::op_vec(&CounterOp::Add(d))).collect();
+        let frame = enc.encode_with(|buf| {
+            write_invocation(buf, 1, ops.len(), |i, buf| buf.extend_from_slice(&ops[i]))
+        });
+        let valid = GroupMsgCodec::decode(&frame).expect("well-formed frame");
+        prop_assert!(valid.batched);
+        let sum: i64 = deltas.iter().sum();
+
+        let body = |body: Bytes, batched| GroupMsg { op_id: valid.op_id, batched, body };
+        let mut hostile: Vec<(GroupMsg, bool)> = [false, true]
+            .map(|batched| (body(Bytes::from(garbage.clone()), batched), false))
+            .into();
+        for cut in 0..valid.body.len() {
+            hostile.push((body(valid.body.slice(..cut), true), true));
+        }
+        let mut padded = valid.body.to_vec();
+        padded.push(0);
+        hostile.push((body(Bytes::from(padded), true), true));
+
+        let sim = Sim::new(SimConfig::new(7).with_nodes(1));
+        let types = TypeRegistry::with_builtins();
+        let initial = ObjectState::initial(Counter::TYPE_TAG, Counter::new(0).snapshot(&enc));
+        let value = |replica: &mut ServerReplica| {
+            let state = replica.snapshot_state(&sim, &enc).expect("loaded");
+            Counter::decode_state(&state.data).value()
+        };
+        for (msg, malformed) in hostile {
+            let mut replica = ServerReplica::new(&sim, Uid::from_raw(1), NodeId::new(0));
+            prop_assert!(replica.load(&sim, &initial, &types));
+            let result = replica.invoke(&sim, &enc, &msg);
+            prop_assert!(!malformed || result.is_none(), "a malformed body was applied");
+            if result.is_some() {
+                continue;
+            }
+            prop_assert_eq!(value(&mut replica), 0, "a refused body mutated the state");
+            let first = replica.invoke(&sim, &enc, &valid).expect("valid body");
+            prop_assert!(first.mutated, "the refusal left a dedup entry");
+            let again = replica.invoke(&sim, &enc, &valid).expect("valid body");
+            prop_assert!(!again.mutated);
+            prop_assert_eq!(again.reply, first.reply);
+            prop_assert_eq!(value(&mut replica), sum, "applied exactly once");
         }
     }
 }

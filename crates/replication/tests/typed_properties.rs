@@ -8,7 +8,7 @@ use groupview_replication::{
     Account, AccountOp, Counter, CounterOp, KvMap, KvOp, KvReply, ObjectType, ReplicaObject,
     ReplicationPolicy, System,
 };
-use groupview_sim::{NodeId, WireEncoder};
+use groupview_sim::NodeId;
 use proptest::prelude::*;
 
 proptest! {
@@ -109,10 +109,10 @@ proptest! {
 fn check_reply_codec<O: ObjectType + Clone>(object: O, op: O::Op) {
     let (reply, mutated) = object.clone().apply(op.clone());
     let mut live = object;
-    let result = live.invoke(&O::op_vec(&op), &WireEncoder::new());
-    assert_eq!(result.reply.as_slice(), O::reply_vec(&reply).as_slice());
-    assert_eq!(result.mutated, mutated);
-    assert_eq!(O::decode_reply(&op, &result.reply), Some(reply));
+    let mut bytes = Vec::new();
+    assert_eq!(live.invoke(&O::op_vec(&op), &mut bytes), mutated);
+    assert_eq!(bytes, O::reply_vec(&reply));
+    assert_eq!(O::decode_reply(&op, &bytes), Some(reply));
 }
 
 proptest! {

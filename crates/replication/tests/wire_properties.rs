@@ -3,11 +3,11 @@
 //! primitives (`clone`, `slice`, zero-copy decode) never allocate or copy —
 //! asserted through the sim's wire allocation counter.
 
+use groupview_replication::wire::write_invocation;
 use groupview_replication::{
-    BatchMsg, BatchMsgCodec, BatchReply, BatchReplyCodec, GroupMsg, GroupMsgCodec, InvokeResult,
-    MemberReply, MemberReplyCodec, BATCH_FLAG,
+    wire, Frames, GroupMsg, GroupMsgCodec, InvokeResult, MemberReply, MemberReplyCodec, Replies,
 };
-use groupview_sim::wire::{self, Bytes, Codec, WireEncoder};
+use groupview_sim::wire::{self as sim_wire, Bytes, Codec, WireEncoder};
 use groupview_store::{ObjectState, SnapshotCodec, TypeTag, Version};
 use proptest::prelude::*;
 
@@ -25,25 +25,41 @@ fn payload_strategy() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
+/// The frame of invocation `op_id` carrying `ops`, as a client encodes it.
+fn invocation(enc: &WireEncoder, op_id: u64, ops: &[Vec<u8>]) -> Bytes {
+    enc.encode_with(|buf| {
+        write_invocation(buf, op_id, ops.len(), |i, buf| {
+            buf.extend_from_slice(&ops[i])
+        })
+    })
+}
+
+/// Operation ids are sequential from 1: they never reach the top bit,
+/// which the frame header reserves.
+fn op_id_strategy() -> impl Strategy<Value = u64> {
+    any::<u64>().prop_map(|id| id >> 1)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
     fn group_msg_roundtrips_arbitrary_payloads(
-        op_id in any::<u64>(),
+        op_id in op_id_strategy(),
+        batched in any::<bool>(),
         payload in payload_strategy(),
     ) {
         let enc = WireEncoder::new();
-        let msg = GroupMsg { op_id, op: Bytes::from(payload.clone()) };
+        let msg = GroupMsg { op_id, batched, body: Bytes::from(payload.clone()) };
         let frame = GroupMsgCodec::encode(&enc, &msg);
         prop_assert_eq!(frame.len(), payload.len() + 8);
         let decoded = GroupMsgCodec::decode(&frame).expect("well-formed frame");
-        prop_assert_eq!(decoded.op_id, op_id);
-        prop_assert_eq!(&decoded.op, &payload);
-        // Decoding is zero-copy: the op aliases the frame's storage.
+        prop_assert_eq!((decoded.op_id, decoded.batched), (op_id, batched));
+        prop_assert_eq!(&decoded.body, &payload);
+        // Decoding is zero-copy: the body aliases the frame's storage.
         if !payload.is_empty() {
             prop_assert_eq!(
-                decoded.op.as_slice().as_ptr(),
+                decoded.body.as_slice().as_ptr(),
                 frame.as_slice()[8..].as_ptr()
             );
         }
@@ -123,7 +139,7 @@ proptest! {
         cuts in prop::collection::vec((0usize..10_000, 0usize..10_000), 1..8),
     ) {
         let buf = Bytes::from(payload);
-        let before = wire::stats();
+        let before = sim_wire::stats();
         let mut views = Vec::new();
         for (a, b) in cuts {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
@@ -134,63 +150,55 @@ proptest! {
         }
         // However many views were taken, the allocation counter must not
         // have moved: slicing and cloning share storage.
-        prop_assert_eq!(wire::stats(), before, "slice/clone must never copy");
+        prop_assert_eq!(sim_wire::stats(), before, "slice/clone must never copy");
         for v in &views {
             prop_assert!(v.len() <= buf.len());
         }
     }
 
+    /// Operation bodies and reply bodies share one layout: one item raw,
+    /// two or more counted, each read back as itself.
     #[test]
     fn batch_msg_roundtrips_op_lists(
-        raw_id in any::<u64>(),
-        ops in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..256), 0..12),
+        op_id in op_id_strategy(),
+        ops in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..256), 1..12),
     ) {
         let enc = WireEncoder::new();
-        let batch_id = raw_id | BATCH_FLAG;
-        let op_slices: Vec<&[u8]> = ops.iter().map(Vec::as_slice).collect();
-        let frame = BatchMsgCodec::encode_parts(&enc, batch_id, &op_slices);
-        let decoded = BatchMsgCodec::decode(&frame).expect("well-formed batch");
-        prop_assert_eq!(decoded.batch_id, batch_id);
-        prop_assert_eq!(decoded.ops.len(), ops.len());
-        for (got, want) in decoded.ops.iter().zip(&ops) {
-            prop_assert_eq!(got, want);
-        }
+        let frame = invocation(&enc, op_id, &ops);
+        let msg = GroupMsgCodec::decode(&frame).expect("well-formed frame");
+        prop_assert_eq!((msg.op_id, msg.batched), (op_id, ops.len() > 1));
+        let got: Vec<&[u8]> = msg.ops().expect("valid body").map(|r| &msg.body[r]).collect();
+        prop_assert_eq!(&got, &ops);
         // The struct-level codec produces the identical frame.
-        let msg = BatchMsg {
-            batch_id,
-            ops: ops.iter().map(|o| Bytes::from(o.clone())).collect(),
-        };
-        prop_assert_eq!(BatchMsgCodec::encode(&enc, &msg), frame);
+        prop_assert_eq!(GroupMsgCodec::encode(&enc, &msg), frame);
+
+        // The same items as the replies of an invocation.
+        let n = ops.len();
+        let reply = enc.encode_with(|buf| wire::write_body(buf, n, |i, buf| buf.extend_from_slice(&ops[i])));
+        prop_assert_eq!(&reply, &msg.body);
+        let replies = Replies::decode(reply.clone(), n).expect("n replies");
+        prop_assert_eq!(replies.iter().collect::<Vec<_>>(), ops);
+        prop_assert!(Replies::decode(reply, n + 1).is_none(), "the count is checked");
     }
 
     #[test]
     fn batch_frames_reject_truncation_and_padding(
-        raw_id in any::<u64>(),
-        ops in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..32), 1..6),
+        op_id in op_id_strategy(),
+        ops in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..32), 2..6),
         cut in 0usize..10_000,
     ) {
         let enc = WireEncoder::new();
-        let op_slices: Vec<&[u8]> = ops.iter().map(Vec::as_slice).collect();
-        let frame = BatchMsgCodec::encode_parts(&enc, raw_id | BATCH_FLAG, &op_slices);
+        let frame = invocation(&enc, op_id, &ops);
+        let body = &frame[8..];
         // Any strict prefix is malformed (never a panic, never a value).
-        let cut = cut % frame.len();
-        prop_assert!(BatchMsgCodec::decode(&frame.slice(..cut)).is_none());
-        // So is a frame with trailing garbage.
-        let mut padded = frame.as_slice().to_vec();
+        let cut = cut % body.len();
+        prop_assert!(Frames::new(&body[..cut], true).is_none());
+        // So is a body with trailing garbage.
+        let mut padded = body.to_vec();
         padded.push(0);
-        prop_assert!(BatchMsgCodec::decode(&Bytes::from(padded)).is_none());
-    }
-
-    #[test]
-    fn batch_reply_roundtrips_reply_lists(
-        replies in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..128), 0..12),
-    ) {
-        let enc = WireEncoder::new();
-        let reply = BatchReply {
-            replies: replies.iter().map(|r| Bytes::from(r.clone())).collect(),
-        };
-        let frame = BatchReplyCodec::encode(&enc, &reply);
-        prop_assert_eq!(BatchReplyCodec::decode(&frame).expect("well-formed"), reply);
+        prop_assert!(Frames::new(&padded, true).is_none());
+        let padded = Bytes::from(padded);
+        prop_assert!(Replies::decode(padded, ops.len()).is_none());
     }
 
     #[test]
@@ -202,11 +210,14 @@ proptest! {
         let cut = cut.min(frame.len());
         let truncated = frame.slice(..cut);
         // Malformed input must yield None, never a panic.
-        let _ = GroupMsgCodec::decode(&truncated);
+        if let Some(msg) = GroupMsgCodec::decode(&truncated) {
+            let _ = msg.ops().map(Iterator::count);
+        }
         let _ = MemberReplyCodec::decode(&truncated);
         let _ = SnapshotCodec::decode(&truncated);
-        let _ = BatchMsgCodec::decode(&truncated);
-        let _ = BatchReplyCodec::decode(&truncated);
+        for n in 0..4 {
+            let _ = Replies::decode(truncated.clone(), n).map(|r| r.iter().count());
+        }
     }
 }
 
@@ -217,15 +228,17 @@ fn oversize_batch_roundtrips_zero_copy() {
     let enc = WireEncoder::new();
     let ops: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 2048]).collect();
     assert!(ops.iter().map(Vec::len).sum::<usize>() > 65_536);
-    let op_slices: Vec<&[u8]> = ops.iter().map(Vec::as_slice).collect();
-    let frame = BatchMsgCodec::encode_parts(&enc, 7 | BATCH_FLAG, &op_slices);
-    let before = wire::stats();
-    let decoded = BatchMsgCodec::decode(&frame).expect("well-formed");
-    assert_eq!(wire::stats(), before, "batch decode copies nothing");
-    assert_eq!(decoded.ops.len(), 40);
-    for (got, want) in decoded.ops.iter().zip(&ops) {
-        assert_eq!(got, want);
-    }
+    let frame = invocation(&enc, 7, &ops);
+    let before = sim_wire::stats();
+    let msg = GroupMsgCodec::decode(&frame).expect("well-formed");
+    let got: Vec<&[u8]> = msg
+        .ops()
+        .expect("valid body")
+        .map(|r| &msg.body[r])
+        .collect();
+    assert_eq!(sim_wire::stats(), before, "batch decode copies nothing");
+    assert_eq!(got, ops);
+    assert_eq!(got[0].as_ptr(), frame[8 + 4 + 4..].as_ptr());
 }
 
 #[test]
@@ -235,25 +248,30 @@ fn oversize_frame_decodes_zero_copy_through_the_pool() {
     let enc = WireEncoder::new();
     let big: Vec<u8> = (0..70_000u32).map(|i| i as u8).collect();
     let msg = GroupMsg {
-        op_id: u64::MAX,
-        op: Bytes::from(big.clone()),
+        op_id: u64::MAX >> 1,
+        batched: false,
+        body: Bytes::from(big.clone()),
     };
     let frame = GroupMsgCodec::encode(&enc, &msg);
     assert_eq!(frame.len(), 70_008);
-    let before = wire::stats();
+    let before = sim_wire::stats();
     let decoded = GroupMsgCodec::decode(&frame).expect("well-formed");
     assert_eq!(
-        wire::stats(),
+        sim_wire::stats(),
         before,
         "decode of a 68 KiB frame copies nothing"
     );
-    assert_eq!(decoded.op, big);
+    assert_eq!(decoded.body, big);
     // Release the frame: the 70 KB scratch returns to the pool, and the
     // next encode of the same size allocates nothing.
     drop(frame);
     drop(decoded);
-    let before = wire::stats();
+    let before = sim_wire::stats();
     let frame = GroupMsgCodec::encode(&enc, &msg);
-    assert_eq!(wire::stats().since(before).buffer_allocs, 0, "pool reuse");
+    assert_eq!(
+        sim_wire::stats().since(before).buffer_allocs,
+        0,
+        "pool reuse"
+    );
     assert_eq!(frame.len(), 70_008);
 }

@@ -224,10 +224,11 @@ impl Oracle {
     /// sequential models and checks every recorded reply.
     pub fn replay(&self, history: &History) -> OracleReport {
         let mut report = OracleReport::default();
-        // The models write replies through their own pooled encoder; each
-        // expected reply is compared and dropped, so replay allocates only
-        // on its cold start.
+        // Models snapshot through a pooled encoder and reply into one
+        // scratch buffer, cleared per op, so replay allocates only on its
+        // cold start.
         let enc = WireEncoder::new();
+        let mut expected = Vec::new();
         let mut model: IdMap<Uid, (ModelKind, Box<dyn ReplicaObject>)> = self
             .objects
             .iter()
@@ -274,7 +275,8 @@ impl Oracle {
                             continue;
                         };
                         report.replayed_ops += 1;
-                        let expected = object.invoke(&op, &enc).reply;
+                        expected.clear();
+                        object.invoke(&op, &mut expected);
                         if observed.as_slice() != expected.as_slice() {
                             report.violations.push(format!(
                                 "action {} on {uid} ({kind}): {} replied {}, \
@@ -601,7 +603,7 @@ mod tests {
         // The final snapshot is the real KvMap encoding.
         let enc = WireEncoder::new();
         let mut model = KvMap::new();
-        model.invoke(&KvMap::op_vec(&KvOp::Put("k".into(), "v2".into())), &enc);
+        model.apply(KvOp::Put("k".into(), "v2".into()));
         assert_eq!(report.final_states[0].1, model.snapshot(&enc));
 
         // A lost first Put shows up in the second Put's reply.
@@ -725,7 +727,8 @@ mod tests {
         assert_eq!(ModelKind::KvMap.to_string(), "kv-map");
         assert_eq!(ModelKind::Account { initial: 5 }.to_string(), "account");
         let mut c = ModelKind::Counter { initial: 3 }.fresh();
-        let reply = c.invoke(&Counter::op_vec(&CounterOp::Get), &enc).reply;
+        let mut reply = Vec::new();
+        assert!(!c.invoke(&Counter::op_vec(&CounterOp::Get), &mut reply));
         assert_eq!(Counter::decode_reply(&CounterOp::Get, &reply), Some(3));
         let a = ModelKind::Account { initial: 9 }.fresh();
         assert_eq!(a.snapshot(&enc), Account::reply_vec(&9));

@@ -593,17 +593,9 @@ fn step_machine(
         } => {
             if ops_left > 0 {
                 let kind = ops.kind_of(object_index);
-                // Batched stepping: `ops_per_batch > 1` sends up to that
-                // many ops as one replicated unit per step; `1` (the
-                // default) keeps the plain per-op invoke path, so existing
-                // scenarios are bit-for-bit unchanged. Op generation draws
-                // the same RNG sequence either way.
-                let batched = spec.ops_per_batch > 1;
-                let k = if batched {
-                    spec.ops_per_batch.min(ops_left)
-                } else {
-                    1
-                };
+                // Each step sends up to `ops_per_batch` ops as one
+                // replicated unit (one op, the default, is a batch of one).
+                let k = spec.ops_per_batch.min(ops_left);
                 let batch: Vec<Bytes> = (0..k)
                     .map(|_| {
                         if read_only {
@@ -613,19 +605,10 @@ fn step_machine(
                         }
                     })
                     .collect();
-                let result = if batched {
-                    let refs: Vec<&[u8]> = batch.iter().map(|b| b.as_slice()).collect();
-                    if read_only {
-                        m.client.invoke_batch_read(action, &group, &refs)
-                    } else {
-                        m.client.invoke_batch(action, &group, &refs)
-                    }
-                } else if read_only {
-                    m.client
-                        .invoke_read(action, &group, &batch[0])
-                        .map(|r| vec![r])
+                let result = if read_only {
+                    m.client.invoke_read(action, &group, &batch)
                 } else {
-                    m.client.invoke(action, &group, &batch[0]).map(|r| vec![r])
+                    m.client.invoke(action, &group, &batch)
                 };
                 match result {
                     Ok(replies) => {
@@ -633,7 +616,7 @@ fn step_machine(
                         // replays each (op, reply) pair individually, so
                         // I1–I5 and the per-class models verify batched
                         // histories unchanged.
-                        for (op, reply) in batch.into_iter().zip(replies) {
+                        for (op, reply) in batch.into_iter().zip(replies.slices()) {
                             history.invoked(
                                 sim.now(),
                                 m.idx,

@@ -48,13 +48,19 @@ use std::sync::Arc;
 pub const FRAME_OVERHEAD_BYTES: usize = 16;
 
 /// Retired frames kept per thread; excess storage is dropped rather than
-/// hoarded. Sized for the largest transient working set a batched
-/// invocation pins at once: at batch size 64 a client holds
-/// 64 op frames plus the batch frame while the coordinator holds 64 reply
-/// frames plus the aggregate reply (~130 live buffers). A cap below that
-/// made every batch=64 round-trip fall off the pool and re-allocate: at a
-/// cap of 32, batch=64 measured 18% below batch=16 in throughput.
+/// hoarded. An invocation of any width encodes one op frame and, per
+/// receiving replica, a reply frame and an envelope or checkpoint, so a
+/// warm 64-op batch runs from a pool of 4 frames; the headroom covers
+/// the bursts of commit and recovery. That behaviour, not this value, is
+/// what a replication test pins (`a_64_op_batch_creates_no_fresh_frame`).
 const MAX_POOLED_BUFFERS: usize = 192;
+
+/// Capacity of every fresh pooled frame. Frames are reused for whatever
+/// encode comes next, so one born for an 8-byte state would reallocate
+/// when it is next filled with a 17-byte operation frame. On 64-bit glibc
+/// the smallest heap chunk already holds 24 usable bytes, so this floor
+/// costs no memory; a larger one raised peak RSS.
+const MIN_FRAME_CAPACITY: usize = 24;
 
 // ---------------------------------------------------------------------------
 // Allocation accounting
@@ -419,7 +425,7 @@ impl WireEncoder {
             }
             None => {
                 bump(|s| s.buffer_allocs += 1);
-                Arc::new(Vec::new())
+                Arc::new(Vec::with_capacity(MIN_FRAME_CAPACITY))
             }
         };
         // `retire` pools a frame only once it has proved sole ownership.
@@ -591,15 +597,6 @@ mod tests {
             .collect();
         drop(frames);
         assert_eq!(enc.pooled(), MAX_POOLED_BUFFERS);
-    }
-
-    #[test]
-    fn pool_covers_a_batch64_round_trip_working_set() {
-        // A batch of 64 ops pins ~2×64+2 live frames at once (op frames on
-        // the client, reply frames on the coordinator). The cap must cover
-        // that, or every batch=64 round-trip falls off the pool and
-        // re-allocates — the knee measured at the old cap of 32.
-        const { assert!(MAX_POOLED_BUFFERS >= 2 * 64 + 2) }
     }
 
     #[test]

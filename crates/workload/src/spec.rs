@@ -19,10 +19,10 @@ pub struct WorkloadSpec {
     pub actions_per_client: usize,
     /// Operations invoked inside each action.
     pub ops_per_action: usize,
-    /// Operations grouped into one batched invocation (`invoke_batch`).
-    /// `1` (the default) uses the plain per-op invoke path; larger values
-    /// send up to this many ops per wire frame. The last batch of an
-    /// action may be short when `ops_per_action` is not a multiple.
+    /// Operations grouped into one invocation: up to this many ops share
+    /// one wire frame (`1`, the default, invokes each op on its own). The
+    /// last batch of an action may be short when `ops_per_action` is not a
+    /// multiple.
     pub ops_per_batch: usize,
     /// Fraction of actions that are read-only (uses the read-optimised
     /// binding and skips commit-time state copies).

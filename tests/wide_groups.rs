@@ -51,7 +51,7 @@ fn eight_wide_groups_work_on_spilled_lists_under_every_policy() {
         other.commit(joined).expect("nothing to write");
 
         client
-            .invoke(action, &group, &Counter::op_vec(&CounterOp::Add(5)))
+            .invoke(action, &group, &[Counter::op_vec(&CounterOp::Add(5))])
             .expect("invoke");
         // A store dies before commit: the commit excludes it from the
         // spilled St.
@@ -80,12 +80,13 @@ fn eight_wide_groups_work_on_spilled_lists_under_every_policy() {
         let reader = sys.client(n(9));
         let read = reader.begin_action();
         let group = reader.activate_read_only(read, uid, 1).expect("activate");
-        let reply = reader
-            .invoke_read(read, &group, &Counter::op_vec(&CounterOp::Get))
+        let replies = reader
+            .invoke_read(read, &group, &[Counter::op_vec(&CounterOp::Get)])
             .expect("read");
+        let reply = replies.iter().next().expect("one reply");
         reader.commit(read).expect("commit read");
         assert_eq!(
-            Counter::decode_reply(&CounterOp::Get, &reply),
+            Counter::decode_reply(&CounterOp::Get, reply),
             Some(5),
             "{policy}"
         );
