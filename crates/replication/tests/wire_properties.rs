@@ -156,8 +156,8 @@ proptest! {
         }
     }
 
-    /// Operation bodies and reply bodies share one layout: one item raw,
-    /// two or more counted, each read back as itself.
+    /// Operation bodies are written raw for one op, counted for two or
+    /// more, and each op reads back as itself.
     #[test]
     fn batch_msg_roundtrips_op_lists(
         op_id in op_id_strategy(),
@@ -172,13 +172,43 @@ proptest! {
         // The struct-level codec produces the identical frame.
         prop_assert_eq!(GroupMsgCodec::encode(&enc, &msg), frame);
 
-        // The same items as the replies of an invocation.
+        // Reply bodies share the layout: the same items as replies are
+        // the same bytes as the op body.
         let n = ops.len();
         let reply = enc.encode_with(|buf| wire::write_body(buf, n, |i, buf| buf.extend_from_slice(&ops[i])));
         prop_assert_eq!(&reply, &msg.body);
-        let replies = Replies::decode(reply.clone(), n).expect("n replies");
-        prop_assert_eq!(replies.iter().collect::<Vec<_>>(), ops);
-        prop_assert!(Replies::decode(reply, n + 1).is_none(), "the count is checked");
+    }
+
+    /// A reply list written by a replica reads back as itself through the
+    /// client's zero-copy view, and only under its own reply count.
+    #[test]
+    fn batch_reply_roundtrips_reply_lists(
+        replies in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..128), 1..12),
+    ) {
+        let enc = WireEncoder::new();
+        let n = replies.len();
+        let frame = enc.encode_with(|buf| {
+            wire::write_body(buf, n, |i, buf| buf.extend_from_slice(&replies[i]))
+        });
+        let before = sim_wire::stats();
+        let decoded = Replies::decode(frame.clone(), n).expect("n replies");
+        prop_assert_eq!(decoded.len(), n);
+        prop_assert_eq!(decoded.iter().collect::<Vec<_>>(), replies.clone());
+        let kept: Vec<Bytes> = decoded.slices().collect();
+        prop_assert_eq!(sim_wire::stats(), before, "reply decode copies nothing");
+        prop_assert_eq!(&kept, &replies);
+        // Every reply aliases the frame's storage.
+        let span = frame.as_slice().as_ptr_range();
+        for r in kept.iter().filter(|r| !r.is_empty()) {
+            prop_assert!(span.contains(&r.as_slice().as_ptr()));
+        }
+        // The count is checked: a larger one is refused, and so is any
+        // smaller count of two or more (a single reply is raw, so any
+        // bytes read as one).
+        prop_assert!(Replies::decode(frame.clone(), n + 1).is_none());
+        if n > 2 {
+            prop_assert!(Replies::decode(frame, n - 1).is_none());
+        }
     }
 
     #[test]
