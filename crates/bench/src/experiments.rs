@@ -10,8 +10,8 @@ use groupview_group::comms::DeliveryMode;
 use groupview_group::member::RecordingMember;
 use groupview_group::GroupComms;
 use groupview_replication::{Counter, CounterOp, ReplicationPolicy, System};
-use groupview_scenario::{run_plan, FaultPlan, PlanAction};
-use groupview_sim::{Bytes, NetConfig, NodeId, Sim, SimConfig};
+use groupview_scenario::{run_plan_typed, FaultPlan, ModelKind, PlanAction};
+use groupview_sim::{Bytes, NetConfig, NodeId, Sim, SimConfig, SimDuration};
 use groupview_store::Uid;
 use groupview_workload::table::{fmt_f64, fmt_pct};
 use groupview_workload::{RunMetrics, TextTable, WorkloadSpec};
@@ -137,6 +137,10 @@ fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
 
+fn ms(millis: u64) -> SimDuration {
+    SimDuration::from_millis(millis)
+}
+
 /// Builds a world: node 0 naming, `servers`+`stores` as given, and returns
 /// `objects` counters registered on them.
 fn build_world(
@@ -162,32 +166,36 @@ fn build_world(
     (sys, uids)
 }
 
-/// Drives `spec` with a step-keyed fault plan through the scenario
-/// runner — the single execution engine that replaced the legacy
-/// `workload::Driver` (bit-for-bit identical runs; see the scenario
-/// crate's parity suite).
-fn run_script(sys: &System, spec: &WorkloadSpec, script: FaultPlan) -> RunMetrics {
-    run_plan(sys, spec, &script).metrics
+/// Drives `spec`, a workload over counters, under `plan` through the
+/// scenario runner.
+fn run_counters(sys: &System, spec: &WorkloadSpec, plan: FaultPlan) -> RunMetrics {
+    let kinds = vec![ModelKind::COUNTER; spec.objects.len()];
+    run_plan_typed(sys, spec, &plan, &kinds).metrics
 }
 
-/// Generates a step-keyed crash/recover plan: each step, while the node is
-/// up, it crashes with probability `p` and recovers `down_for` steps later.
-fn random_crash_script(seed: u64, node: NodeId, steps: u64, p: f64, down_for: u64) -> FaultPlan {
+/// The width of one [`random_crash_plan`] slot.
+const CRASH_SLOT: SimDuration = SimDuration::from_millis(3);
+
+/// Generates a random crash/recover plan over `slots` slots of
+/// [`CRASH_SLOT`]: in each slot, while the node is up, it crashes with
+/// probability `p` and recovers `down_for` slots later.
+fn random_crash_plan(seed: u64, node: NodeId, slots: u64, p: f64, down_for: u64) -> FaultPlan {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut script = FaultPlan::new();
+    let mut plan = FaultPlan::new();
     let mut down_until = 0u64;
-    for step in 1..=steps {
-        if step < down_until {
+    for slot in 0..slots {
+        if slot < down_until {
             continue;
         }
         if rng.random::<f64>() < p {
-            script = script
-                .at_step(step, PlanAction::CrashNode(node))
-                .at_step(step + down_for, PlanAction::RecoverNode(node));
-            down_until = step + down_for + 1;
+            let up_at = slot + down_for;
+            plan = plan
+                .at(CRASH_SLOT * slot, PlanAction::CrashNode(node))
+                .at(CRASH_SLOT * up_at, PlanAction::RecoverNode(node));
+            down_until = up_at + 1;
         }
     }
-    script
+    plan
 }
 
 // ---------------------------------------------------------------------------
@@ -277,7 +285,7 @@ fn e2() -> Vec<TextTable> {
     let mut table = TextTable::new(
         "E2: |Sv|=|St|=1 baseline — availability vs crash probability of the object's node",
         &[
-            "crash p/step",
+            "crash p/3ms slot",
             "attempts",
             "commits",
             "availability",
@@ -296,13 +304,13 @@ fn e2() -> Vec<TextTable> {
             &[n(1)],
             1,
         );
-        let script = random_crash_script(3_000 + i as u64, n(1), 400, p, 4);
+        let plan = random_crash_plan(3_000 + i as u64, n(1), 400, p, 4);
         let spec = WorkloadSpec::new(uids, vec![n(2)])
             .clients(1)
             .actions_per_client(60)
             .ops_per_action(2)
             .replicas(1);
-        let m = run_script(&sys, &spec, script);
+        let m = run_counters(&sys, &spec, plan);
         table.row(vec![
             format!("{p:.2}"),
             m.attempts.to_string(),
@@ -343,17 +351,17 @@ fn e3() -> Vec<TextTable> {
             &stores,
             1,
         );
-        // The last store in St crashes at step 10 and recovers at step 60.
+        // The last store in St crashes at 30 ms and recovers at 250 ms.
         let victim = stores[k - 1];
-        let script = FaultPlan::new()
-            .at_step(10, PlanAction::CrashNode(victim))
-            .at_step(60, PlanAction::RecoverNode(victim));
+        let plan = FaultPlan::new()
+            .at(ms(30), PlanAction::CrashNode(victim))
+            .at(ms(250), PlanAction::RecoverNode(victim));
         let spec = WorkloadSpec::new(uids.clone(), vec![n(7)])
             .clients(1)
             .actions_per_client(50)
             .ops_per_action(2)
             .replicas(1);
-        let m = run_script(&sys, &spec, script);
+        let m = run_counters(&sys, &spec, plan);
         let st_len = sys.naming().state_db.entry(uids[0]).map_or(0, |e| e.len());
         table.row(vec![
             k.to_string(),
@@ -394,15 +402,15 @@ fn e4() -> Vec<TextTable> {
             &[n(6)],
             1,
         );
-        let script = FaultPlan::new()
-            .at_step(10, PlanAction::CrashNode(servers[k - 1]))
-            .at_step(80, PlanAction::RecoverNode(servers[k - 1]));
+        let plan = FaultPlan::new()
+            .at(ms(40), PlanAction::CrashNode(servers[k - 1]))
+            .at(ms(300), PlanAction::RecoverNode(servers[k - 1]));
         let spec = WorkloadSpec::new(uids, vec![n(7)])
             .clients(1)
             .actions_per_client(50)
             .ops_per_action(2)
             .replicas(k);
-        let m = run_script(&sys, &spec, script);
+        let m = run_counters(&sys, &spec, plan);
         masking.row(vec![
             k.to_string(),
             fmt_pct(m.availability()),
@@ -428,16 +436,16 @@ fn e4() -> Vec<TextTable> {
             &[n(6)],
             1,
         );
-        let mut script = FaultPlan::new();
+        let mut plan = FaultPlan::new();
         for (i, &victim) in servers.iter().take(crashed).enumerate() {
-            script = script.at_step(10 + 6 * i as u64, PlanAction::CrashNode(victim));
+            plan = plan.at(ms(50 + 25 * i as u64), PlanAction::CrashNode(victim));
         }
         let spec = WorkloadSpec::new(uids, vec![n(7)])
             .clients(1)
             .actions_per_client(40)
             .ops_per_action(2)
             .replicas(4);
-        let m = run_script(&sys, &spec, script);
+        let m = run_counters(&sys, &spec, plan);
         threshold.row(vec![
             crashed.to_string(),
             fmt_pct(m.availability()),
@@ -472,17 +480,17 @@ fn e5() -> Vec<TextTable> {
                 1,
             );
             // Crash the last server and the last store; recover both later.
-            let script = FaultPlan::new()
-                .at_step(8, PlanAction::CrashNode(servers[sv_k - 1]))
-                .at_step(12, PlanAction::CrashNode(stores[st_k - 1]))
-                .at_step(50, PlanAction::RecoverNode(servers[sv_k - 1]))
-                .at_step(52, PlanAction::RecoverNode(stores[st_k - 1]));
+            let plan = FaultPlan::new()
+                .at(ms(20), PlanAction::CrashNode(servers[sv_k - 1]))
+                .at(ms(40), PlanAction::CrashNode(stores[st_k - 1]))
+                .at(ms(200), PlanAction::RecoverNode(servers[sv_k - 1]))
+                .at(ms(210), PlanAction::RecoverNode(stores[st_k - 1]));
             let spec = WorkloadSpec::new(uids, vec![n(9)])
                 .clients(1)
                 .actions_per_client(40)
                 .ops_per_action(2)
                 .replicas(sv_k);
-            let m = run_script(&sys, &spec, script);
+            let m = run_counters(&sys, &spec, plan);
             cells.push(fmt_pct(m.availability()));
         }
         table.row(cells);
@@ -509,9 +517,9 @@ fn scheme_sweep_row(scheme: BindingScheme, crashed: usize, seed: u64) -> Vec<Str
         8, // one object per client on average: binding costs dominate, not
            // object-lock contention
     );
-    let mut script = FaultPlan::new();
+    let mut plan = FaultPlan::new();
     for &victim in servers.iter().take(crashed) {
-        script = script.at_step(1, PlanAction::CrashNode(victim));
+        plan = plan.at(SimDuration::ZERO, PlanAction::CrashNode(victim));
     }
     let spec = WorkloadSpec::new(uids.clone(), vec![n(7), n(8), n(9)])
         .clients(8)
@@ -519,7 +527,7 @@ fn scheme_sweep_row(scheme: BindingScheme, crashed: usize, seed: u64) -> Vec<Str
         .ops_per_action(1)
         .replicas(2)
         .passivate_between_actions();
-    let m = run_script(&sys, &spec, script);
+    let m = run_counters(&sys, &spec, plan);
     let sv_len = sys
         .naming()
         .server_db
@@ -598,15 +606,15 @@ fn e7() -> Vec<TextTable> {
         &[n(5), n(6)],
         1,
     );
-    let script = FaultPlan::new()
-        .at_step(2, PlanAction::CrashClient(0))
-        .at_step(4, PlanAction::CrashClient(1));
+    let plan = FaultPlan::new()
+        .at(ms(20), PlanAction::CrashClient(0))
+        .at(ms(60), PlanAction::CrashClient(1));
     let spec = WorkloadSpec::new(uids.clone(), vec![n(7), n(8), n(9)])
         .clients(6)
         .actions_per_client(8)
         .ops_per_action(2)
         .replicas(2);
-    let m = run_script(&sys, &spec, script);
+    let m = run_counters(&sys, &spec, plan);
     // The daemon sweeps after the run; clients 0 and 1 are dead.
     let report = sys.cleanup().sweep(|c| c.raw() > 1);
     let quiescent = uids.iter().all(|&uid| {
@@ -749,45 +757,47 @@ fn e10() -> Vec<TextTable> {
         ],
     );
     for ablate in [false, true] {
-        let trials = 150;
-        let mut fresh = 0;
-        let mut stale = 0;
-        let mut unavailable = 0;
-        for t in 0..trials {
-            match e10_trial(5_000 + t, ablate) {
-                E10Outcome::Fresh => fresh += 1,
-                E10Outcome::Stale => stale += 1,
-                E10Outcome::Unavailable => unavailable += 1,
-            }
-        }
-        table.row(vec![
-            if ablate {
-                "exclude DISABLED (ablation)"
-            } else {
-                "exclude enabled (paper)"
-            }
-            .into(),
-            fresh.to_string(),
-            stale.to_string(),
-            unavailable.to_string(),
-        ]);
+        let variant = if ablate {
+            "exclude DISABLED (ablation)"
+        } else {
+            "exclude enabled (paper)"
+        };
+        let mut row = vec![variant.to_string()];
+        row.extend(stale_read_cells(5_000, BindingScheme::Standard, ablate));
+        table.row(row);
     }
     vec![table]
 }
 
-enum E10Outcome {
+/// Seeded trials per stale-read table row (E10, E13b).
+const STALE_READ_TRIALS: u64 = 150;
+
+/// How the reader of one [`stale_read_trial`] fared.
+enum ReadOutcome {
     Fresh,
     Stale,
     Unavailable,
 }
 
-/// One E10 trial: a commit happens while store n2 is down; n2 later comes
-/// back *without* running the Include protocol while n1 is down. A reader
-/// then tries to use the object.
-fn e10_trial(seed: u64, ablate: bool) -> E10Outcome {
+/// The fresh, stale and correctly-unavailable counts of
+/// [`STALE_READ_TRIALS`] stale-read trials seeded from `first_seed`.
+fn stale_read_cells(first_seed: u64, scheme: BindingScheme, ablate: bool) -> [String; 3] {
+    let mut counts = [0u64; 3];
+    for seed in first_seed..first_seed + STALE_READ_TRIALS {
+        counts[stale_read_trial(seed, scheme, ablate) as usize] += 1;
+    }
+    counts.map(|c| c.to_string())
+}
+
+/// One stale-read trial: a commit happens while store n2 is down; n2 later
+/// comes back *without* running the Include protocol while n1 is down. A
+/// reader then tries to use the object. `ablate` disables the commit-time
+/// Exclude.
+fn stale_read_trial(seed: u64, scheme: BindingScheme, ablate: bool) -> ReadOutcome {
     let mut builder = System::builder(seed)
         .nodes(5)
-        .policy(ReplicationPolicy::Active);
+        .policy(ReplicationPolicy::Active)
+        .scheme(scheme);
     if ablate {
         builder = builder.ablate_disable_exclude();
     }
@@ -800,10 +810,12 @@ fn e10_trial(seed: u64, ablate: bool) -> E10Outcome {
     let writer = sys.client(n(3));
     let counter = writer.open::<Counter>(uid);
     let action = writer.begin_action();
-    counter.activate(action, 1).expect("activate");
-    counter.invoke(action, CounterOp::Add(7)).expect("write");
+    if counter.activate(action, 1).is_err() || counter.invoke(action, CounterOp::Add(7)).is_err() {
+        writer.abort(action);
+        return ReadOutcome::Unavailable;
+    }
     if writer.commit(action).is_err() {
-        return E10Outcome::Unavailable;
+        return ReadOutcome::Unavailable;
     }
     // Passivate so the reader must reload from a store.
     assert!(sys.try_passivate(uid));
@@ -814,24 +826,22 @@ fn e10_trial(seed: u64, ablate: bool) -> E10Outcome {
     let reader = sys.client(n(4));
     let observer = reader.open::<Counter>(uid);
     let action = reader.begin_action();
-    match observer.activate_read_only(action, 1) {
-        Ok(_) => match observer.invoke(action, CounterOp::Get) {
-            Ok(value) => {
-                let _ = reader.commit(action);
-                if value == 7 {
-                    E10Outcome::Fresh
-                } else {
-                    E10Outcome::Stale
-                }
+    let read = observer
+        .activate_read_only(action, 1)
+        .ok()
+        .and_then(|_| observer.invoke(action, CounterOp::Get).ok());
+    match read {
+        Some(value) => {
+            let _ = reader.commit(action);
+            if value == 7 {
+                ReadOutcome::Fresh
+            } else {
+                ReadOutcome::Stale
             }
-            Err(_) => {
-                reader.abort(action);
-                E10Outcome::Unavailable
-            }
-        },
-        Err(_) => {
+        }
+        None => {
             reader.abort(action);
-            E10Outcome::Unavailable
+            ReadOutcome::Unavailable
         }
     }
 }
@@ -935,6 +945,7 @@ fn e12() -> Vec<TextTable> {
             "attempts",
             "availability",
             "invoke aborts",
+            "failure-caused aborts",
             "mean msgs/action",
             "mean latency us",
             "p95 latency us",
@@ -950,20 +961,22 @@ fn e12() -> Vec<TextTable> {
             &[n(1), n(2), n(3)],
             8,
         );
-        let script = FaultPlan::new()
-            .at_step(12, PlanAction::CrashNode(n(1)))
-            .at_step(60, PlanAction::RecoverNode(n(1)));
+        // n1 crashes at 150 ms, mid-run, and recovers at 1.3 s.
+        let plan = FaultPlan::new()
+            .at(ms(150), PlanAction::CrashNode(n(1)))
+            .at(ms(1_300), PlanAction::RecoverNode(n(1)));
         let spec = WorkloadSpec::new(uids, vec![n(4), n(5), n(6)])
             .clients(4)
             .actions_per_client(30)
             .ops_per_action(2)
             .replicas(3);
-        let m = run_script(&sys, &spec, script);
+        let m = run_counters(&sys, &spec, plan);
         table.row(vec![
             policy.to_string(),
             m.attempts.to_string(),
             fmt_pct(m.availability()),
             m.abort_invoke.to_string(),
+            (m.abort_bind_failure + m.abort_failure + m.abort_commit_failure).to_string(),
             fmt_f64(m.action_messages.mean()),
             fmt_f64(m.action_latency_us.mean()),
             m.action_latency_us.p95().to_string(),
@@ -1013,21 +1026,9 @@ fn e13() -> Vec<TextTable> {
         ],
     );
     for scheme in [BindingScheme::Standard, BindingScheme::CachedNameServer] {
-        let trials = 150;
-        let (mut fresh, mut stale, mut unavailable) = (0, 0, 0);
-        for t in 0..trials {
-            match e13_safety_trial(8_500 + t, scheme) {
-                E10Outcome::Fresh => fresh += 1,
-                E10Outcome::Stale => stale += 1,
-                E10Outcome::Unavailable => unavailable += 1,
-            }
-        }
-        safety.row(vec![
-            scheme.to_string(),
-            fresh.to_string(),
-            stale.to_string(),
-            unavailable.to_string(),
-        ]);
+        let mut row = vec![scheme.to_string()];
+        row.extend(stale_read_cells(8_500, scheme, false));
+        safety.row(row);
     }
     vec![admin, safety]
 }
@@ -1108,55 +1109,6 @@ fn e13_admin_trial(seed: u64, scheme: BindingScheme) -> (u64, u64) {
     (attempts, successes)
 }
 
-/// The E10 scenario parameterised by scheme (exclude enabled).
-fn e13_safety_trial(seed: u64, scheme: BindingScheme) -> E10Outcome {
-    let sys = System::builder(seed)
-        .nodes(5)
-        .policy(ReplicationPolicy::Active)
-        .scheme(scheme)
-        .build();
-    let uid = sys
-        .create_object(Box::new(Counter::new(0)), &[n(3), n(4)], &[n(1), n(2)])
-        .expect("create");
-    sys.sim().crash(n(2));
-    let writer = sys.client(n(3));
-    let counter = writer.open::<Counter>(uid);
-    let action = writer.begin_action();
-    if counter.activate(action, 1).is_err() {
-        writer.abort(action);
-        return E10Outcome::Unavailable;
-    }
-    if counter.invoke(action, CounterOp::Add(7)).is_err() || writer.commit(action).is_err() {
-        return E10Outcome::Unavailable;
-    }
-    assert!(sys.try_passivate(uid));
-    sys.sim().recover(n(2));
-    sys.sim().crash(n(1));
-    let reader = sys.client(n(4));
-    let observer = reader.open::<Counter>(uid);
-    let action = reader.begin_action();
-    match observer.activate_read_only(action, 1) {
-        Ok(_) => match observer.invoke(action, CounterOp::Get) {
-            Ok(value) => {
-                let _ = reader.commit(action);
-                if value == 7 {
-                    E10Outcome::Fresh
-                } else {
-                    E10Outcome::Stale
-                }
-            }
-            Err(_) => {
-                reader.abort(action);
-                E10Outcome::Unavailable
-            }
-        },
-        Err(_) => {
-            reader.abort(action);
-            E10Outcome::Unavailable
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1185,6 +1137,122 @@ mod tests {
             text.contains("reliable-ordered") && text.contains("0.0%"),
             "{text}"
         );
+    }
+
+    /// The data rows of `table`, each split into trimmed cells.
+    fn rows(table: &TextTable) -> Vec<Vec<String>> {
+        table
+            .to_string()
+            .lines()
+            .filter(|l| l.starts_with('|'))
+            .skip(2) // the header and its rule
+            .map(|l| {
+                l.trim_matches('|')
+                    .split('|')
+                    .map(|c| c.trim().to_string())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A `fmt_pct` cell as a number of percent.
+    fn pct(cell: &str) -> f64 {
+        cell.trim_end_matches('%')
+            .parse()
+            .expect("a percentage cell")
+    }
+
+    #[test]
+    fn e2_availability_falls_as_crashes_grow() {
+        let table = &e2()[0];
+        let avail: Vec<f64> = rows(table).iter().map(|r| pct(&r[3])).collect();
+        assert_eq!(avail[0], 100.0, "no crashes, nothing unavailable: {table}");
+        assert!(avail.windows(2).all(|w| w[1] <= w[0]), "{table}");
+        assert!(avail[avail.len() - 1] < avail[0], "{table}");
+    }
+
+    /// `k = 1` has no spare replica, so a crash costs availability; every
+    /// `k >= 2` masks it.
+    fn assert_only_unreplicated_row_loses(table: &TextTable) {
+        let avail: Vec<f64> = rows(table).iter().map(|r| pct(&r[1])).collect();
+        assert!(avail[0] < 100.0, "{table}");
+        assert!(avail[1..].iter().all(|&a| a == 100.0), "{table}");
+    }
+
+    #[test]
+    fn e3_replicated_state_masks_a_store_crash() {
+        assert_only_unreplicated_row_loses(&e3()[0]);
+    }
+
+    #[test]
+    fn e4_replicated_servers_mask_up_to_k_minus_one_crashes() {
+        let tables = e4();
+        assert_only_unreplicated_row_loses(&tables[0]);
+        let threshold = &tables[1];
+        let avail: Vec<f64> = rows(threshold).iter().map(|r| pct(&r[1])).collect();
+        assert!(avail[..4].iter().all(|&a| a == 100.0), "{threshold}");
+        assert!(avail[4] < 100.0, "{threshold}");
+    }
+
+    #[test]
+    fn e5_two_servers_and_two_stores_mask_both_crashes() {
+        let table = &e5()[0];
+        for row in &rows(table)[1..] {
+            for cell in &row[2..] {
+                assert_eq!(pct(cell), 100.0, "|Sv| = {}: {table}", row[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn e7_sweep_reclaims_every_leaked_binding() {
+        let table = &e7()[1];
+        let row = &rows(table)[0];
+        let leaked: u64 = row[1].parse().unwrap();
+        let reclaimed: u64 = row[2].parse().unwrap();
+        assert!(leaked > 0, "crashed clients leak: {table}");
+        assert!(reclaimed >= leaked, "{table}");
+        assert_eq!(row[3], "true", "quiescent after the sweep: {table}");
+    }
+
+    #[test]
+    fn e8_standard_scheme_probes_dead_servers_most() {
+        let table = &e8()[1];
+        let rows = rows(table);
+        let probes = |row: &[String]| -> f64 { row[3].parse().unwrap() };
+        assert_eq!(rows[0][0], "standard");
+        for updating in &rows[1..] {
+            assert!(probes(&rows[0]) > probes(updating), "{table}");
+        }
+    }
+
+    #[test]
+    fn e12_only_single_copy_passive_aborts_on_the_crash() {
+        let table = &e12()[0];
+        for row in rows(table) {
+            let failures: u64 = row[4].parse().unwrap();
+            if row[0] == "single-copy-passive" {
+                assert!(failures > 0, "{table}");
+            } else {
+                assert_eq!(failures, 0, "{} masks the crash: {table}", row[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn e13_cached_scheme_admits_admins_and_stays_fresh() {
+        let tables = e13();
+        let admin = rows(&tables[0]);
+        assert_eq!(admin[0][..3], ["standard", "60", "0"], "{}", tables[0]);
+        assert_eq!(
+            admin[1][..3],
+            ["cached-name-server", "60", "60"],
+            "{}",
+            tables[0]
+        );
+        for row in rows(&tables[1]) {
+            assert_eq!(row[2], "0", "no stale reads: {}", tables[1]);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * **Stats-driven rebalancing** ([`Rebalancer`], [`MigrationPlan`]):
 //!   per-node load (cumulative use counts × state bytes) feeds a greedy
 //!   two-dimensional bin-packer that emits a bounded batch of moves,
-//!   executed with bounded concurrency and busy-retry.
+//!   executed in order with busy-retry.
 //!
 //! Migration leaves a *tombstone* (`Stores::retire`) on the old host:
 //! §4.2 store recovery consults it and purges the stale copy instead of

@@ -126,31 +126,18 @@ impl fmt::Display for RebalanceReport {
     }
 }
 
-/// The stats-driven rebalancer. Construct with [`Rebalancer::default`]
-/// and adjust the knobs, then call [`Rebalancer::rebalance`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Rebalancer {
-    /// Maximum moves per plan (bounds disruption per round).
-    pub max_moves: usize,
-    /// Migrations in flight at once during execution.
-    pub max_in_flight: usize,
-    /// Busy-retry sweeps over the remaining moves during execution.
-    pub retry_rounds: usize,
-    /// Stop planning once the most- and least-loaded nodes' scalar loads
-    /// are within this fraction of each other.
-    pub tolerance: f64,
-}
+/// Maximum moves per plan (bounds disruption per round).
+const MAX_MOVES: usize = 8;
+/// Busy-retry sweeps over the remaining moves during execution.
+const RETRY_ROUNDS: usize = 3;
+/// Planning stops once the most- and least-loaded nodes' scalar loads are
+/// within this fraction of each other.
+const TOLERANCE: f64 = 0.10;
 
-impl Default for Rebalancer {
-    fn default() -> Self {
-        Rebalancer {
-            max_moves: 8,
-            max_in_flight: 2,
-            retry_rounds: 3,
-            tolerance: 0.10,
-        }
-    }
-}
+/// The stats-driven rebalancer: [`Rebalancer::rebalance`] plans and
+/// executes one bounded batch of moves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Rebalancer;
 
 impl Rebalancer {
     /// Collects per-object load statistics, sorted by UID. Only objects
@@ -244,7 +231,7 @@ impl Rebalancer {
         };
 
         let mut plan = MigrationPlan::default();
-        for _ in 0..self.max_moves {
+        for _ in 0..MAX_MOVES {
             // Most- and least-loaded nodes; node-id tie-breaks keep the
             // scan deterministic under equal loads.
             let scalar: BTreeMap<NodeId, f64> = loads
@@ -259,7 +246,7 @@ impl Rebalancer {
                 .iter()
                 .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(b.0)))
                 .unwrap();
-            if hi - lo <= self.tolerance {
+            if hi - lo <= TOLERANCE {
                 break;
             }
             // Heaviest replica on `most` that `least` does not already
@@ -312,34 +299,29 @@ impl Rebalancer {
         plan
     }
 
-    /// Executes a plan with bounded concurrency: at most
-    /// [`Rebalancer::max_in_flight`] migrations are outstanding at a time
-    /// (in the deterministic single-threaded world, a window completes
-    /// before the next begins), and busy moves are retried for
-    /// [`Rebalancer::retry_rounds`] sweeps.
+    /// Executes a plan's moves in order, retrying busy moves for a bounded
+    /// number of sweeps.
     pub fn execute(&self, m: &Membership, plan: &MigrationPlan) -> RebalanceReport {
         let mut report = RebalanceReport {
             planned: plan.moves.len(),
             ..RebalanceReport::default()
         };
         let mut pending: Vec<Move> = plan.moves.clone();
-        for _ in 0..self.retry_rounds.max(1) {
+        for _ in 0..RETRY_ROUNDS {
             if pending.is_empty() {
                 break;
             }
             let mut still_busy = Vec::new();
-            for window in pending.chunks(self.max_in_flight.max(1)) {
-                for &mv in window {
-                    match m.migrate(mv.uid, mv.from, mv.to) {
-                        Ok(()) => report.moved.push(mv),
-                        Err(e) if e.is_busy() => still_busy.push(mv),
-                        Err(MigrateError::AlreadyHosted { .. }) => {
-                            // A concurrent drain round already moved it —
-                            // the goal state holds, count it as done.
-                            report.moved.push(mv);
-                        }
-                        Err(_) => report.failed.push(mv),
+            for mv in pending {
+                match m.migrate(mv.uid, mv.from, mv.to) {
+                    Ok(()) => report.moved.push(mv),
+                    Err(e) if e.is_busy() => still_busy.push(mv),
+                    Err(MigrateError::AlreadyHosted { .. }) => {
+                        // A concurrent drain round already moved it — the
+                        // goal state holds, count it as done.
+                        report.moved.push(mv);
                     }
+                    Err(_) => report.failed.push(mv),
                 }
             }
             pending = still_busy;
@@ -371,7 +353,7 @@ mod tests {
     #[test]
     fn empty_world_plans_nothing() {
         let (_sys, m, _n) = world(21);
-        let plan = Rebalancer::default().plan(&m);
+        let plan = Rebalancer.plan(&m);
         assert!(plan.is_empty());
         assert_eq!(plan.to_string(), "migration plan: balanced, no moves");
     }
@@ -386,7 +368,7 @@ mod tests {
             uids.push(uid);
         }
         let fresh = m.add_node();
-        let reb = Rebalancer::default();
+        let reb = Rebalancer;
         let plan = reb.plan(&m);
         assert!(!plan.is_empty(), "skew must produce moves");
         assert!(plan.moves.iter().all(|mv| mv.from == n[1]));
@@ -429,7 +411,7 @@ mod tests {
             counter.invoke(action, CounterOp::Add(1)).unwrap();
             client.commit(action).unwrap();
         }
-        let reb = Rebalancer::default();
+        let reb = Rebalancer;
         let stats = reb.object_stats(&m);
         let hot_stat = stats.iter().find(|s| s.uid == hot.uid()).unwrap();
         let cold_stat = stats.iter().find(|s| s.uid == cold.uid()).unwrap();
@@ -450,7 +432,7 @@ mod tests {
                 sys.create_typed(Counter::new(i), &[n[1]], &[n[1]]).unwrap();
             }
             m.add_node();
-            Rebalancer::default().plan(&m)
+            Rebalancer.plan(&m)
         };
         assert_eq!(build(), build(), "same world, same plan");
     }
@@ -462,7 +444,7 @@ mod tests {
             sys.create_typed(Counter::new(i as i64), &[host], &[host])
                 .unwrap();
         }
-        let plan = Rebalancer::default().plan(&m);
+        let plan = Rebalancer.plan(&m);
         assert!(plan.is_empty(), "{plan}");
     }
 }

@@ -17,7 +17,7 @@ use groupview_core::{
 use groupview_group::{GroupComms, GroupId};
 use groupview_obs::{MetricsSnapshot, NodeLoad, Phase, Registry as ObsRegistry};
 use groupview_sim::wire::{self, WireStats};
-use groupview_sim::{ClientId, IdMap, NetConfig, NodeId, Sim, SimConfig, WireEncoder};
+use groupview_sim::{ClientId, IdMap, NodeId, Sim, SimConfig, WireEncoder};
 use groupview_store::{ObjectState, Stores, Uid, UidGen, Version};
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -91,8 +91,6 @@ pub struct SystemBuilder {
     scheme: BindingScheme,
     policy: ReplicationPolicy,
     exclude_policy: ExcludePolicy,
-    net: NetConfig,
-    naming_node: u32,
     trace: bool,
     exclude_enabled: bool,
     observe: bool,
@@ -100,7 +98,7 @@ pub struct SystemBuilder {
 
 impl SystemBuilder {
     /// Number of nodes in the world (default 4). Node 0 hosts the naming
-    /// service unless overridden.
+    /// service.
     pub fn nodes(mut self, n: usize) -> Self {
         self.nodes = n;
         self
@@ -123,18 +121,6 @@ impl SystemBuilder {
     /// [`ExcludePolicy::ExcludeWriteLock`], the paper's recommendation).
     pub fn exclude_policy(mut self, p: ExcludePolicy) -> Self {
         self.exclude_policy = p;
-        self
-    }
-
-    /// Network model overrides.
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// Which node hosts the naming service (default node 0).
-    pub fn naming_node(mut self, node: NodeId) -> Self {
-        self.naming_node = node.raw();
         self
     }
 
@@ -168,17 +154,10 @@ impl SystemBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than 2 nodes are requested or the naming node is out
-    /// of range.
+    /// Panics if fewer than 2 nodes are requested.
     pub fn build(self) -> System {
         assert!(self.nodes >= 2, "a groupview system needs at least 2 nodes");
-        assert!(
-            (self.naming_node as usize) < self.nodes,
-            "naming node out of range"
-        );
-        let mut cfg = SimConfig::new(self.seed)
-            .with_nodes(self.nodes)
-            .with_net(self.net);
+        let mut cfg = SimConfig::new(self.seed).with_nodes(self.nodes);
         if self.trace {
             cfg = cfg.with_trace();
         }
@@ -191,7 +170,8 @@ impl SystemBuilder {
         }
         tx.set_observer(&obs);
         let comms = GroupComms::new(&sim);
-        let naming_node = NodeId::new(self.naming_node);
+        // Node 0 hosts the naming service (and the cached name server).
+        let naming_node = NodeId::new(0);
         let naming = NamingService::new(&sim, &tx, naming_node);
         let binder = Binder::new(&sim, &naming, self.scheme);
         let recovery = RecoveryManager::new(&sim, &naming, &stores);
@@ -264,8 +244,6 @@ impl System {
             scheme: BindingScheme::Standard,
             policy: ReplicationPolicy::Active,
             exclude_policy: ExcludePolicy::ExcludeWriteLock,
-            net: NetConfig::default(),
-            naming_node: 0,
             trace: false,
             exclude_enabled: true,
             observe: false,

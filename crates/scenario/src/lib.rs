@@ -5,11 +5,12 @@
 //! correct *through* failures — crashes mid-update, §4 recovery, cleanup of
 //! dead clients. This crate turns that claim into a scenario factory:
 //!
-//! * [`FaultPlan`] (`plan`) — a deterministic fault schedule keyed by **sim
-//!   time**, executed through the simulator's event queue, so faults land
-//!   inside an action's message exchanges rather than only between driver
-//!   steps (driver-step entries, [`FaultPlan::at_step`], are kept for the
-//!   parity fingerprints).
+//! * [`FaultPlan`] (`plan`) — a deterministic list of timed actions, each
+//!   keyed by a **virtual-time offset** and read through the simulator's
+//!   event queue. An entry fires at the top of the first driver step whose
+//!   clock has reached it, between whole bind, invoke and commit calls;
+//!   only the armed fault points (`CrashAfterSends`, `CrashStoreInCommit`)
+//!   land inside a message exchange.
 //! * nemeses (`nemesis`) — seeded generators ([`rolling_crashes`],
 //!   [`send_window_crashes`] for the paper's Figure 1 window,
 //!   [`flapping_partition`], [`lossy_window`], [`client_churn`],
@@ -25,11 +26,11 @@
 //!   quiescent use lists, `St` restored to full strength, byte-identical
 //!   stores, no leaked locks.
 //! * the runner (`runner`) — the workspace's **single workload execution
-//!   engine** ([`run_plan`]/[`run_plan_typed`]; it retired
-//!   `workload::Driver`, reproducing its runs bit for bit —
-//!   `tests/parity.rs`). [`Scenario`] = workload × plan × checks, run as a
-//!   multi-seed matrix producing [`ScenarioReport`]s; plus
-//!   [`canned_scenarios`], the 22-scenario suite CI drives across seeds.
+//!   engine** ([`run_plan_typed`]; it retired `workload::Driver`, whose
+//!   recorded runs `tests/parity.rs` pins). [`Scenario`] = workload × plan
+//!   × checks, run as a multi-seed matrix producing [`ScenarioReport`]s;
+//!   plus [`canned_scenarios`], the 26-scenario suite CI drives across
+//!   seeds.
 //! * soak mode (`soak`) — [`run_soak`] chains composed nemesis schedules
 //!   across a seed range for the experiment harness, reporting an
 //!   aggregate oracle verdict summary.
@@ -65,9 +66,9 @@ pub use crate::oracle::{
     check_counter_states, check_final_states, check_quiescent_invariants, ModelKind, ObjectModel,
     Oracle, OracleReport,
 };
-pub use crate::plan::{FaultPlan, PlanAction, PlanError, PlanEvent, Trigger};
+pub use crate::plan::{FaultPlan, PlanAction, PlanError, PlanEvent};
 pub use crate::runner::{
-    run_matrix, run_plan, run_plan_typed, run_scenario, run_scenario_in, run_scenario_observed,
+    run_matrix, run_plan_typed, run_scenario, run_scenario_in, run_scenario_observed,
     run_scenario_traced, Checks, PlanGenerator, RunOutcome, Scenario, ScenarioReport,
 };
 pub use crate::scenarios::canned_scenarios;

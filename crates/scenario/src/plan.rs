@@ -1,16 +1,13 @@
 //! Time-driven fault plans.
 //!
-//! A [`FaultPlan`] is a deterministic schedule of [`PlanAction`]s keyed by
-//! **simulation time** (as an offset from the start of the run, so plans
-//! compose with any amount of setup cost), so a plan can fire *inside* an
-//! action's message exchanges, not just between driver steps. The runner
-//! installs every timed entry as a [`groupview_sim::ScheduledEvent`] in the
-//! world's event queue before the workload starts.
-//!
-//! A plan may also key entries by driver step ([`FaultPlan::at_step`],
-//! [`Trigger::Step`]): the runner applies them at the top of the matching
-//! step, the point of the drive loop the retired `workload::Driver` used,
-//! which the recorded fingerprints of `tests/parity.rs` pin.
+//! A [`FaultPlan`] is a deterministic list of [`PlanAction`]s, each keyed by
+//! a **virtual-time offset** from the start of the run (so plans compose
+//! with any amount of setup cost). The runner installs every entry as a
+//! [`groupview_sim::ScheduledEvent`] in the world's event queue before the
+//! workload starts, and applies it at the top of the first driver step
+//! whose clock has reached its offset — between whole bind, invoke and
+//! commit calls. Only the armed fault points ([`PlanAction::CrashAfterSends`]
+//! and [`PlanAction::CrashStoreInCommit`]) land inside a message exchange.
 
 use groupview_sim::{IdSet, NodeId, SimDuration};
 use std::fmt;
@@ -104,22 +101,12 @@ impl fmt::Display for PlanAction {
     }
 }
 
-/// When a plan entry fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Trigger {
-    /// At a virtual-time offset from the start of the run (scheduled into
-    /// the simulator's event queue when the run begins).
-    At(SimDuration),
-    /// Driver-step trigger: at the start of the given step of the drive
-    /// loop (steps start at 1).
-    Step(u64),
-}
-
 /// One scheduled entry of a [`FaultPlan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanEvent {
-    /// When the action fires.
-    pub trigger: Trigger,
+    /// When the action fires: a virtual-time offset from the start of the
+    /// run.
+    pub at: SimDuration,
     /// What happens.
     pub action: PlanAction,
 }
@@ -190,10 +177,7 @@ impl FaultPlan {
     /// Adds an action at a virtual-time offset from the start of the run.
     #[must_use]
     pub fn at(mut self, offset: SimDuration, action: PlanAction) -> Self {
-        self.events.push(PlanEvent {
-            trigger: Trigger::At(offset),
-            action,
-        });
+        self.events.push(PlanEvent { at: offset, action });
         self
     }
 
@@ -201,16 +185,6 @@ impl FaultPlan {
     #[must_use]
     pub fn at_micros(self, micros: u64, action: PlanAction) -> Self {
         self.at(SimDuration::from_micros(micros), action)
-    }
-
-    /// Adds an action at the start of a driver step (steps start at 1).
-    #[must_use]
-    pub fn at_step(mut self, step: u64, action: PlanAction) -> Self {
-        self.events.push(PlanEvent {
-            trigger: Trigger::Step(step),
-            action,
-        });
-        self
     }
 
     /// Appends all of `other`'s events (compose nemeses).
@@ -235,66 +209,33 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// `(index, offset)` of every timed event — what the runner schedules
-    /// into the simulator as `ScheduledEvent::Custom(index)`.
+    /// `(index, offset)` of every event — what the runner schedules into
+    /// the simulator as `ScheduledEvent::Custom(index)`.
     pub fn timed_events(&self) -> impl Iterator<Item = (usize, SimDuration)> + '_ {
-        self.events
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e.trigger {
-                Trigger::At(t) => Some((i, t)),
-                Trigger::Step(_) => None,
-            })
+        self.events.iter().enumerate().map(|(i, e)| (i, e.at))
     }
 
-    /// Actions due at the start of driver step `step`, in insertion order.
-    pub fn due_at_step(&self, step: u64) -> impl Iterator<Item = &PlanAction> + '_ {
-        self.events.iter().filter_map(move |e| match e.trigger {
-            Trigger::Step(s) if s == step => Some(&e.action),
-            _ => None,
-        })
-    }
-
-    /// Whether the timed events appear in non-decreasing offset order (a
+    /// Whether the events appear in non-decreasing offset order (a
     /// property every single nemesis guarantees; a [`FaultPlan::merge`] of
     /// two nemeses usually does not, which is fine — scheduling is
     /// independent of vector order).
     pub fn is_time_sorted(&self) -> bool {
-        self.timed_events()
-            .map(|(_, t)| t)
-            .collect::<Vec<_>>()
-            .windows(2)
-            .all(|w| w[0] <= w[1])
+        self.events.windows(2).all(|w| w[0].at <= w[1].at)
     }
 
     /// Checks the plan's well-formedness **in firing order**: node
     /// crash/recover balanced, links healed only after being partitioned,
-    /// probabilities in range. Timed events are evaluated sorted by offset
+    /// probabilities in range. Events are evaluated sorted by offset
     /// (stable, so equal offsets keep insertion order — `merge`d nemeses
-    /// validate like the schedule that actually runs) and step-keyed events
-    /// sorted by step; the two streams interleave at runtime in a way that
-    /// cannot be known statically, so each is checked on its own.
+    /// validate like the schedule that actually runs).
     ///
     /// # Errors
     ///
     /// The first [`PlanError`] found (indices refer to [`FaultPlan::events`]
     /// order).
     pub fn validate(&self) -> Result<(), PlanError> {
-        let mut timed: Vec<(SimDuration, usize)> = Vec::new();
-        let mut stepped: Vec<(u64, usize)> = Vec::new();
-        for (index, ev) in self.events.iter().enumerate() {
-            match ev.trigger {
-                Trigger::At(t) => timed.push((t, index)),
-                Trigger::Step(st) => stepped.push((st, index)),
-            }
-        }
-        timed.sort_by_key(|&(t, _)| t);
-        stepped.sort_by_key(|&(st, _)| st);
-        self.validate_stream(timed.iter().map(|&(_, i)| i))?;
-        self.validate_stream(stepped.iter().map(|&(_, i)| i))
-    }
-
-    fn validate_stream(&self, indices: impl Iterator<Item = usize>) -> Result<(), PlanError> {
+        let mut order: Vec<usize> = (0..self.events.len()).collect();
+        order.sort_by_key(|&i| self.events[i].at);
         let mut down: IdSet<NodeId> = IdSet::default();
         // Nodes with an armed crash-after-sends budget: whether and when
         // the crash fires depends on the run, so such a node may validly be
@@ -302,7 +243,7 @@ impl FaultPlan {
         // the recover just disarms it).
         let mut armed: IdSet<NodeId> = IdSet::default();
         let mut blocked: IdSet<(NodeId, NodeId)> = IdSet::default();
-        for index in indices {
+        for index in order {
             match &self.events[index].action {
                 PlanAction::CrashNode(n) => {
                     armed.remove(n);
@@ -392,12 +333,17 @@ mod tests {
         let plan = FaultPlan::new()
             .at_micros(100, PlanAction::CrashNode(n(1)))
             .at_micros(300, PlanAction::RecoverNode(n(1)))
-            .at_step(4, PlanAction::CleanupSweep);
+            .at(SimDuration::from_millis(4), PlanAction::CleanupSweep);
         assert_eq!(plan.len(), 3);
         assert!(!plan.is_empty());
-        assert_eq!(plan.timed_events().count(), 2);
-        assert_eq!(plan.due_at_step(4).count(), 1);
-        assert_eq!(plan.due_at_step(5).count(), 0);
+        assert_eq!(
+            plan.timed_events().collect::<Vec<_>>(),
+            vec![
+                (0, SimDuration::from_micros(100)),
+                (1, SimDuration::from_micros(300)),
+                (2, SimDuration::from_millis(4)),
+            ]
+        );
         assert!(plan.validate().is_ok());
     }
 

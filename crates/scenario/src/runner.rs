@@ -1,13 +1,11 @@
 //! The scenario runner: `Scenario = WorkloadSpec × FaultPlan × checks`.
 //!
-//! [`run_plan`] is the **single workload execution engine** of the
+//! [`run_plan_typed`] is the **single workload execution engine** of the
 //! workspace: it interleaves client state machines one step at a time
 //! (bind, invoke, or commit per step, in a seeded-random order), executes a
 //! time-keyed [`FaultPlan`] through the simulator's event queue, and
 //! records a [`History`] for the oracle. It subsumed the legacy
-//! `workload::Driver` — step-keyed plan entries ([`FaultPlan::at_step`])
-//! reproduce the old driver's runs bit for bit (`tests/parity.rs` pins the
-//! recorded legacy metrics).
+//! `workload::Driver`, whose recorded runs `tests/parity.rs` still pins.
 //!
 //! [`run_scenario`] adds the full verification cycle: build the world, run
 //! the plan, quiesce (heal + recover + sweep), and hand the history to the
@@ -31,7 +29,7 @@ use groupview_store::Uid;
 use groupview_workload::{RunMetrics, WorkloadSpec};
 use std::fmt;
 
-/// Everything [`run_plan`] produced.
+/// Everything [`run_plan_typed`] produced.
 #[derive(Debug)]
 pub struct RunOutcome {
     /// The workload metrics (same accounting as the legacy driver).
@@ -224,22 +222,6 @@ impl OpGen {
     }
 }
 
-/// Runs `spec` against `sys` under `plan`, treating every object as a
-/// zero-initialised counter (the historical workload; see
-/// [`run_plan_typed`] for mixed object classes).
-///
-/// # Panics
-///
-/// Panics if the spec has no objects or no client nodes.
-pub fn run_plan(sys: &System, spec: &WorkloadSpec, plan: &FaultPlan) -> RunOutcome {
-    run_plan_typed(
-        sys,
-        spec,
-        plan,
-        &vec![ModelKind::COUNTER; spec.objects.len()],
-    )
-}
-
 /// Runs `spec` against `sys` under `plan`, recording history.
 ///
 /// `kinds[i]` names the class of `spec.objects[i]` and selects the
@@ -247,10 +229,9 @@ pub fn run_plan(sys: &System, spec: &WorkloadSpec, plan: &FaultPlan) -> RunOutco
 /// maps `Put`/`Delete`/`Get`/`Len` over a small contended key set, and
 /// accounts `Deposit`/`Withdraw` (sometimes overdrawing)/`Balance`.
 ///
-/// Timed plan entries are installed into the simulator's event queue as
-/// [`ScheduledEvent::Custom`] markers before the first step; step-keyed
-/// entries fire at the top of the matching step, exactly where the retired
-/// driver applied its step-keyed faults.
+/// Plan entries are installed into the simulator's event queue as
+/// [`ScheduledEvent::Custom`] markers before the first step, and each fires
+/// at the top of the first step whose clock has reached its offset.
 ///
 /// # Panics
 ///
@@ -286,8 +267,8 @@ pub fn run_plan_typed(
         })
         .collect();
 
-    // Timed plan entries are offsets from *now* (the start of the run), so
-    // plans are independent of how much virtual time setup consumed.
+    // Plan entries are offsets from *now* (the start of the run), so plans
+    // are independent of how much virtual time setup consumed.
     for (idx, offset) in plan.timed_events() {
         sys.sim()
             .schedule_in(offset, ScheduledEvent::Custom(idx as u64));
@@ -306,43 +287,20 @@ pub fn run_plan_typed(
     let mut step = 0u64;
     while step < max_steps {
         step += 1;
-        // Step-keyed plan entries (legacy-script semantics).
-        let due: Vec<PlanAction> = plan.due_at_step(step).cloned().collect();
-        for action in due {
+        // The plan entries installed above that are now due.
+        for ScheduledEvent::Custom(idx) in sys.sim().run_due_events() {
+            let Some(entry) = plan.events().get(idx as usize) else {
+                continue;
+            };
             apply_plan_action(
                 sys,
-                &action,
+                &entry.action,
                 &mut machines,
                 &mut metrics,
                 &mut recovering,
                 &mut elastic,
                 &mut history,
             );
-        }
-        // Simulator-scheduled events: native crash/recover plus the timed
-        // plan entries installed above.
-        for ev in sys.sim().run_due_events() {
-            match ev {
-                ScheduledEvent::Recover(node) => {
-                    recovering.push(node);
-                    sys.recovery().recover_node(node);
-                }
-                ScheduledEvent::Custom(idx) => {
-                    if let Some(entry) = plan.events().get(idx as usize) {
-                        let action = entry.action.clone();
-                        apply_plan_action(
-                            sys,
-                            &action,
-                            &mut machines,
-                            &mut metrics,
-                            &mut recovering,
-                            &mut elastic,
-                            &mut history,
-                        );
-                    }
-                }
-                ScheduledEvent::Crash(_) => {}
-            }
         }
         // Retry deferred recovery work.
         recovering.retain(|&node| {
@@ -514,7 +472,7 @@ fn apply_plan_action(
         }
         PlanAction::Rebalance => {
             let el = elastic.get_or_insert_with(|| Elastic::new(sys));
-            let report = Rebalancer::default().rebalance(&el.membership);
+            let report = Rebalancer.rebalance(&el.membership);
             metrics.migrations += report.moved.len() as u64;
             metrics.migrations_deferred += (report.busy.len() + report.failed.len()) as u64;
         }

@@ -226,7 +226,7 @@ fn reborn_node_purges_stale_replicas_then_rejoins() {
     // Rejoin: re-activated, the reborn node is a rebalance target again
     // and takes replicas back.
     membership.activate_node(n(2));
-    let report = Rebalancer::default().rebalance(&membership);
+    let report = Rebalancer.rebalance(&membership);
     assert!(
         report.busy.is_empty() && report.failed.is_empty(),
         "{report}"

@@ -1,14 +1,13 @@
 //! Runner-vs-recorded-metrics regression.
 //!
-//! Before `workload::Driver` was deleted, this suite ran the legacy driver
-//! and the scenario runner side by side on identical worlds and asserted
-//! **bit-for-bit** equality of every externally observable metric — the
-//! proof that the unified run loop reproduced the old one exactly. The
-//! legacy driver's measured fingerprints from that final green run are
-//! recorded below; the runner (driving the same step-keyed faults as
-//! `FaultPlan::at_step` events) must keep reproducing them. Any drift means
-//! the unified loop no longer matches what the retired driver did — the
-//! same signal the live comparison gave, without keeping dead code around.
+//! Each case runs the scenario runner on a fixed world under a time-keyed
+//! fault plan and pins every externally observable metric — the abort
+//! taxonomy, message and timeout totals, step count and virtual end time —
+//! to a recorded value. The values were first measured on the retired
+//! `workload::Driver`, which applied its faults at the top of a driver step;
+//! a plan entry fires at the top of the first step whose clock has reached
+//! its offset, so each offset below lies inside the window of the step the
+//! original fault used, and the recorded runs reproduce exactly.
 //!
 //! (If a deliberate engine or RNG change invalidates these numbers,
 //! re-record them from a run you have verified by other means, and say so
@@ -16,8 +15,8 @@
 
 use groupview_core::BindingScheme;
 use groupview_replication::{Counter, ReplicationPolicy, System};
-use groupview_scenario::{run_plan, FaultPlan, PlanAction};
-use groupview_sim::NodeId;
+use groupview_scenario::{run_plan_typed, FaultPlan, ModelKind, PlanAction};
+use groupview_sim::{NodeId, SimDuration};
 use groupview_store::Uid;
 use groupview_workload::{RunMetrics, WorkloadSpec};
 
@@ -42,6 +41,10 @@ fn world(policy: ReplicationPolicy, scheme: BindingScheme, seed: u64) -> (System
         })
         .collect();
     (sys, uids)
+}
+
+fn ms(millis: u64) -> SimDuration {
+    SimDuration::from_millis(millis)
 }
 
 fn spec(objects: Vec<Uid>) -> WorkloadSpec {
@@ -91,7 +94,13 @@ fn assert_reproduces(
     recorded: &Recorded,
 ) {
     let (sys, uids) = world(policy, scheme, seed);
-    let outcome = run_plan(&sys, &spec(uids), &plan);
+    let spec = spec(uids);
+    let outcome = run_plan_typed(
+        &sys,
+        &spec,
+        &plan,
+        &vec![ModelKind::COUNTER; spec.objects.len()],
+    );
     let m = &outcome.metrics;
     assert_eq!(
         fingerprint(m),
@@ -109,14 +118,14 @@ fn assert_reproduces(
 }
 
 /// The crash-masking test's exact configuration (seed 13, crash node 2 at
-/// step 5): the converted plan must mask the crash identically.
+/// 40 ms, inside step 5): the plan must mask the crash identically.
 #[test]
 fn crash_masking_run_matches_recorded_driver_metrics() {
     assert_reproduces(
         ReplicationPolicy::Active,
         BindingScheme::Standard,
         13,
-        FaultPlan::new().at_step(5, PlanAction::CrashNode(n(2))),
+        FaultPlan::new().at(ms(40), PlanAction::CrashNode(n(2))),
         &Recorded {
             fingerprint: [12, 8, 4, 0, 0, 0, 4, 4, 0, 0, 0, 0, 0, 0, 15],
             delivered: 252,
@@ -133,7 +142,7 @@ fn single_copy_crash_run_matches_recorded_driver_metrics() {
         ReplicationPolicy::SingleCopyPassive,
         BindingScheme::Standard,
         11,
-        FaultPlan::new().at_step(3, PlanAction::CrashNode(n(1))),
+        FaultPlan::new().at(ms(12), PlanAction::CrashNode(n(1))),
         &Recorded {
             fingerprint: [12, 8, 4, 0, 0, 0, 4, 2, 2, 0, 0, 0, 0, 0, 16],
             delivered: 216,
@@ -151,8 +160,8 @@ fn client_crash_and_sweep_run_matches_recorded_driver_metrics() {
         BindingScheme::IndependentTopLevel,
         12,
         FaultPlan::new()
-            .at_step(2, PlanAction::CrashClient(0))
-            .at_step(8, PlanAction::CleanupSweep),
+            .at(ms(20), PlanAction::CrashClient(0))
+            .at(ms(80), PlanAction::CleanupSweep),
         &Recorded {
             fingerprint: [9, 7, 2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 2, 17],
             delivered: 288,
@@ -170,8 +179,8 @@ fn recovery_run_matches_recorded_driver_metrics() {
         BindingScheme::Standard,
         13,
         FaultPlan::new()
-            .at_step(2, PlanAction::CrashNode(n(3)))
-            .at_step(10, PlanAction::RecoverNode(n(3))),
+            .at(ms(15), PlanAction::CrashNode(n(3)))
+            .at(ms(190), PlanAction::RecoverNode(n(3))),
         &Recorded {
             fingerprint: [12, 7, 5, 0, 0, 0, 5, 5, 0, 0, 0, 0, 0, 0, 15],
             delivered: 382,

@@ -1,13 +1,14 @@
-//! The retired `workload::Driver`'s test suite, ported verbatim onto the
-//! unified scenario runner (`run_plan` + step-keyed `FaultPlan`s): the
+//! The retired `workload::Driver`'s test suite, ported onto the unified
+//! scenario runner (`run_plan_typed` + time-keyed `FaultPlan`s): the
 //! behavioral contracts the old driver's unit tests pinned — abort
 //! accounting, crash masking, leak-and-sweep, recovery to full strength,
-//! determinism, the read path — now hold of the single engine.
+//! determinism, the read path — now hold of the single engine. The worlds
+//! match `tests/parity.rs`, and so do the fault offsets.
 
 use groupview_core::BindingScheme;
 use groupview_replication::{Counter, ReplicationPolicy, System};
-use groupview_scenario::{run_plan, FaultPlan, PlanAction};
-use groupview_sim::NodeId;
+use groupview_scenario::{run_plan_typed, FaultPlan, ModelKind, PlanAction};
+use groupview_sim::{NodeId, SimDuration};
 use groupview_store::Uid;
 use groupview_workload::{RunMetrics, WorkloadSpec};
 
@@ -34,6 +35,10 @@ fn world(policy: ReplicationPolicy, scheme: BindingScheme, seed: u64) -> (System
     (sys, uids)
 }
 
+fn ms(millis: u64) -> SimDuration {
+    SimDuration::from_millis(millis)
+}
+
 fn spec(objects: Vec<Uid>) -> WorkloadSpec {
     WorkloadSpec::new(objects, vec![n(4), n(5), n(6)])
         .clients(3)
@@ -42,7 +47,13 @@ fn spec(objects: Vec<Uid>) -> WorkloadSpec {
 }
 
 fn run(sys: &System, spec: &WorkloadSpec, plan: FaultPlan) -> RunMetrics {
-    run_plan(sys, spec, &plan).metrics
+    run_plan_typed(
+        sys,
+        spec,
+        &plan,
+        &vec![ModelKind::COUNTER; spec.objects.len()],
+    )
+    .metrics
 }
 
 #[test]
@@ -86,7 +97,7 @@ fn active_policy_survives_server_crash() {
     // contention the schedule produces, a masked crash must cause no
     // failure-attributed abort anywhere.
     let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, 13);
-    let script = FaultPlan::new().at_step(5, PlanAction::CrashNode(n(2)));
+    let script = FaultPlan::new().at(ms(40), PlanAction::CrashNode(n(2)));
     let metrics = run(&sys, &spec(uids), script);
     assert_eq!(metrics.attempts, 12);
     assert!(metrics.commits > 0, "{metrics}");
@@ -108,7 +119,7 @@ fn single_copy_crash_causes_aborts() {
         BindingScheme::Standard,
         11,
     );
-    let script = FaultPlan::new().at_step(3, PlanAction::CrashNode(n(1)));
+    let script = FaultPlan::new().at(ms(12), PlanAction::CrashNode(n(1)));
     let metrics = run(&sys, &spec(uids), script);
     assert!(metrics.aborts > 0, "in-flight singletons abort: {metrics}");
     assert!(
@@ -128,8 +139,8 @@ fn client_crash_leaks_then_sweep_reclaims() {
         12,
     );
     let script = FaultPlan::new()
-        .at_step(2, PlanAction::CrashClient(0))
-        .at_step(8, PlanAction::CleanupSweep);
+        .at(ms(20), PlanAction::CrashClient(0))
+        .at(ms(80), PlanAction::CleanupSweep);
     let metrics = run(&sys, &spec(uids), script);
     assert!(metrics.leaked_bindings >= 1, "{metrics:?}");
     assert!(metrics.cleanup_reclaimed >= 1);
@@ -145,8 +156,8 @@ fn client_crash_leaks_then_sweep_reclaims() {
 fn recovery_action_restores_full_strength() {
     let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, 13);
     let script = FaultPlan::new()
-        .at_step(2, PlanAction::CrashNode(n(3)))
-        .at_step(10, PlanAction::RecoverNode(n(3)));
+        .at(ms(15), PlanAction::CrashNode(n(3)))
+        .at(ms(190), PlanAction::RecoverNode(n(3)));
     let metrics = run(&sys, &spec(uids), script);
     assert!(metrics.commits > 0);
     // After recovery every object's St is back to full strength.
@@ -163,7 +174,7 @@ fn recovery_action_restores_full_strength() {
 fn runs_are_deterministic() {
     let once = |seed| {
         let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, seed);
-        let script = FaultPlan::new().at_step(4, PlanAction::CrashNode(n(1)));
+        let script = FaultPlan::new().at(ms(30), PlanAction::CrashNode(n(1)));
         let m = run(&sys, &spec(uids), script);
         (m.commits, m.aborts, m.net.delivered, m.steps)
     };

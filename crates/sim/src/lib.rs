@@ -24,7 +24,8 @@
 //!   execute an invocation and crash *before* the reply is delivered.
 //! * **Cost accounts**: per-client latency/message accounting that stays
 //!   correct when a driver interleaves many logical clients.
-//! * **Event schedule**: timed crash/recovery/custom events for workloads.
+//! * **Event schedule**: timed opaque markers a driver acts on (the scenario
+//!   runner's fault-plan entries).
 //! * **Wire layer** ([`wire`]): reference-counted [`Bytes`] buffers, the
 //!   pooled [`WireEncoder`], and the [`Codec`] trait — the zero-copy
 //!   payload substrate every protocol layer shares.

@@ -14,16 +14,12 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::rc::Rc;
 
-/// An event scheduled at a virtual time, executed by [`Sim::run_due_events`].
+/// An event scheduled at a virtual time, returned by
+/// [`Sim::run_due_events`] once it is due.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ScheduledEvent {
-    /// Crash the node at the scheduled time.
-    Crash(NodeId),
-    /// Recover the node at the scheduled time. The driver is expected to run
-    /// the appropriate recovery protocol afterwards (the simulator only flips
-    /// liveness).
-    Recover(NodeId),
-    /// An opaque marker returned to the driver (e.g. "run cleanup daemon").
+    /// An opaque marker returned to the driver (the scenario runner's
+    /// plan-entry index).
     Custom(u64),
 }
 
@@ -528,36 +524,18 @@ impl Sim {
         self.schedule(at, ev);
     }
 
-    /// Executes all events due at or before the current time.
-    ///
-    /// `Crash`/`Recover` are applied to the world; every fired event
-    /// (including `Custom`) is returned so drivers can react (e.g. run a
-    /// recovery protocol after a `Recover`).
+    /// Removes and returns every event due at or before the current time,
+    /// in time order (ties in scheduling order), for the driver to act on.
     pub fn run_due_events(&self) -> Vec<ScheduledEvent> {
+        let core = &mut *self.inner.borrow_mut();
         let mut fired = Vec::new();
-        loop {
-            let ev = {
-                let mut core = self.inner.borrow_mut();
-                match core.schedule.peek() {
-                    Some(Reverse((at, _, _))) if *at <= core.clock => {
-                        let Reverse((_, _, ev)) = core.schedule.pop().expect("peeked");
-                        Some(ev)
-                    }
-                    _ => None,
-                }
-            };
-            match ev {
-                Some(ScheduledEvent::Crash(n)) => {
-                    self.crash(n);
-                    fired.push(ScheduledEvent::Crash(n));
-                }
-                Some(ScheduledEvent::Recover(n)) => {
-                    self.recover(n);
-                    fired.push(ScheduledEvent::Recover(n));
-                }
-                Some(custom) => fired.push(custom),
-                None => break,
-            }
+        while core
+            .schedule
+            .peek()
+            .is_some_and(|Reverse((at, _, _))| *at <= core.clock)
+        {
+            let Reverse((_, _, ev)) = core.schedule.pop().expect("peeked");
+            fired.push(ev);
         }
         fired
     }
@@ -1036,21 +1014,18 @@ mod tests {
     #[test]
     fn schedule_fires_in_time_order() {
         let sim = sim3();
-        sim.schedule(
-            SimTime::from_micros(100),
-            ScheduledEvent::Crash(NodeId::new(2)),
-        );
+        sim.schedule(SimTime::from_micros(100), ScheduledEvent::Custom(8));
         sim.schedule(SimTime::from_micros(50), ScheduledEvent::Custom(7));
+        sim.schedule(SimTime::from_micros(100), ScheduledEvent::Custom(9));
         assert!(sim.run_due_events().is_empty(), "nothing due at t=0");
         sim.advance(SimDuration::from_micros(60));
         assert_eq!(sim.run_due_events(), vec![ScheduledEvent::Custom(7)]);
-        assert!(sim.is_up(NodeId::new(2)));
         sim.advance(SimDuration::from_micros(60));
         assert_eq!(
             sim.run_due_events(),
-            vec![ScheduledEvent::Crash(NodeId::new(2))]
+            vec![ScheduledEvent::Custom(8), ScheduledEvent::Custom(9)],
+            "equal times fire in scheduling order"
         );
-        assert!(!sim.is_up(NodeId::new(2)));
         assert!(!sim.has_pending_events());
     }
 

@@ -15,10 +15,10 @@
 //!   them.
 //!
 //! The *execution engine* lives in `groupview-scenario`: its runner
-//! (`run_plan`) interleaves the client state machines step by step and
-//! fills in a [`RunMetrics`]. The old `workload::Driver` was retired after
-//! the runner reproduced its runs bit for bit (the scenario crate's
-//! `tests/parity.rs` pins the recorded legacy metrics).
+//! (`run_plan_typed`) interleaves the client state machines step by step
+//! and fills in a [`RunMetrics`]. The old `workload::Driver` was retired
+//! after the runner reproduced its runs bit for bit (the scenario crate's
+//! `tests/parity.rs` pins the recorded runs).
 
 #![forbid(unsafe_code)]
 

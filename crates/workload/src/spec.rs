@@ -4,7 +4,7 @@ use groupview_sim::NodeId;
 use groupview_store::Uid;
 
 /// Describes a population of client applications for the scenario
-/// runner (`groupview-scenario`'s `run_plan`, the workspace's single
+/// runner (`groupview-scenario`'s `run_plan_typed`, the workspace's single
 /// workload execution engine).
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {

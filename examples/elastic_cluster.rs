@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Rebalance: plan from measured per-object load (directory use
     //    counts × committed state bytes), then execute with bounded
     //    concurrency.
-    let rebalancer = Rebalancer::default();
+    let rebalancer = Rebalancer;
     let plan = rebalancer.plan(&membership);
     println!("\n{plan}");
     let report = rebalancer.execute(&membership, &plan);

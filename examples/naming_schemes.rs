@@ -9,10 +9,11 @@
 //! cargo run --example naming_schemes
 //! ```
 
+use groupview::sim::SimDuration;
 use groupview::workload::table::fmt_pct;
 use groupview::{
-    run_plan, BindingScheme, Counter, FaultPlan, NodeId, PlanAction, ReplicationPolicy, System,
-    WorkloadSpec,
+    run_plan_typed, BindingScheme, Counter, FaultPlan, ModelKind, NodeId, PlanAction,
+    ReplicationPolicy, System, WorkloadSpec,
 };
 
 fn n(i: u32) -> NodeId {
@@ -42,14 +43,14 @@ fn main() {
             })
             .collect();
 
-        // n1 crashes just after the workload starts and stays down.
-        let plan = FaultPlan::new().at_step(2, PlanAction::CrashNode(n(1)));
+        // n1 crashes 1 ms into the workload and stays down.
+        let plan = FaultPlan::new().at(SimDuration::from_millis(1), PlanAction::CrashNode(n(1)));
         let spec = WorkloadSpec::new(uids.clone(), vec![n(7), n(8), n(9)])
             .clients(6)
             .actions_per_client(10)
             .ops_per_action(2)
             .replicas(2);
-        let metrics = run_plan(&sys, &spec, &plan).metrics;
+        let metrics = run_plan_typed(&sys, &spec, &plan, &[ModelKind::COUNTER; 6]).metrics;
 
         let entry = sys.naming().server_db.entry(uids[0]).expect("entry");
         println!(

@@ -75,7 +75,7 @@
 //! | [`obs`] | `groupview-obs` | observability: causal action spans, per-shard metrics registry, Perfetto/JSONL exporters |
 //! | [`replication`] | `groupview-replication` | replication policies, activation, commit-time write-back, the [`System`] façade |
 //! | [`membership`] | `groupview-membership` | elastic membership: add/drain nodes, transactional replica migration, stats-driven rebalancing |
-//! | [`workload`] | `groupview-workload` | workload specs, legacy fault scripts, run metrics, tables |
+//! | [`workload`] | `groupview-workload` | workload specs, run metrics, tables |
 //! | [`scenario`] | `groupview-scenario` | chaos + execution engine: the workload runner, time-keyed fault plans, seeded nemeses, history recorder, consistency oracle, scenario matrix, soak mode |
 //!
 //! The most common types are re-exported at the crate root.
@@ -113,7 +113,7 @@ pub use groupview_replication::{
     SystemBuilder, Tx, TxOpError, TypedUid,
 };
 pub use groupview_scenario::{
-    canned_scenarios, run_matrix, run_plan, run_plan_typed, run_scenario, run_scenario_observed,
+    canned_scenarios, run_matrix, run_plan_typed, run_scenario, run_scenario_observed,
     run_scenario_sharded, run_scenario_sharded_observed, run_scenario_traced, run_soak, FaultPlan,
     History, ModelKind, Oracle, OracleReport, PlanAction, Scenario, ScenarioReport,
     ShardedScenarioReport, SoakConfig, SoakReport, TraceBundle, TracedRun,
