@@ -860,16 +860,29 @@ fn e11() -> Vec<TextTable> {
         ],
     );
     for load in [0usize, 2, 4, 6] {
-        let (attempts, ms) = e11_trial(6_000 + load as u64, load);
-        table.row(vec![load.to_string(), attempts.to_string(), fmt_f64(ms)]);
+        let row = match e11_trial(6_000 + load as u64, load) {
+            Some((attempts, ms)) => vec![load.to_string(), attempts.to_string(), fmt_f64(ms)],
+            None => vec![
+                load.to_string(),
+                format!("not included in {E11_MAX_ATTEMPTS}"),
+                "-".to_string(),
+            ],
+        };
+        table.row(row);
     }
     vec![table]
 }
 
+/// Recovery attempts E11 makes before it reports the store as never
+/// re-Included.
+const E11_MAX_ATTEMPTS: u64 = 500;
+
 /// Crash a store, commit past it (excluding it), then measure how many
 /// recovery attempts its re-`Include` takes while `load` readers come and go
-/// (each holds the St read lock while its action is open).
-fn e11_trial(seed: u64, load: usize) -> (u64, f64) {
+/// (each holds the St read lock while its action is open). Returns the
+/// attempts and virtual milliseconds to inclusion, or `None` if
+/// [`E11_MAX_ATTEMPTS`] attempts never included the store.
+fn e11_trial(seed: u64, load: usize) -> Option<(u64, f64)> {
     let sys = System::builder(seed)
         .nodes(12)
         .policy(ReplicationPolicy::Active)
@@ -898,7 +911,7 @@ fn e11_trial(seed: u64, load: usize) -> (u64, f64) {
     sys.sim().recover(n(3));
     let start = sys.sim().now();
     let mut attempts = 0u64;
-    loop {
+    let included = loop {
         // Churn the readers first.
         for (i, reader) in readers.iter().enumerate() {
             if let Some(a) = open[i] {
@@ -916,21 +929,20 @@ fn e11_trial(seed: u64, load: usize) -> (u64, f64) {
             }
         }
         attempts += 1;
-        let report = sys.recovery().recover_store(n(3));
-        if report.fully_recovered() {
-            break;
+        if sys.recovery().recover_store(n(3)).fully_recovered() {
+            break true;
         }
-        if attempts > 500 {
-            break; // safety net
+        if attempts == E11_MAX_ATTEMPTS {
+            break false;
         }
-    }
+    };
     for (i, reader) in readers.iter().enumerate() {
         if let Some(a) = open[i] {
             let _ = reader.commit(a);
         }
     }
     let elapsed = sys.sim().now().since(start);
-    (attempts, elapsed.as_micros() as f64 / 1_000.0)
+    included.then(|| (attempts, elapsed.as_micros() as f64 / 1_000.0))
 }
 
 // ---------------------------------------------------------------------------
@@ -1224,6 +1236,23 @@ mod tests {
         for updating in &rows[1..] {
             assert!(probes(&rows[0]) > probes(updating), "{table}");
         }
+    }
+
+    #[test]
+    fn e11_recovered_store_is_included_and_readers_delay_it() {
+        let table = &e11()[0];
+        let attempts: Vec<u64> = rows(table)
+            .iter()
+            .map(|r| {
+                r[1].parse()
+                    .unwrap_or_else(|_| panic!("never included: {table}"))
+            })
+            .collect();
+        assert_eq!(
+            attempts[0], 1,
+            "no readers, first attempt includes: {table}"
+        );
+        assert!(attempts[1..].iter().all(|&a| a > 1), "{table}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `BENCH_trace.jsonl` (one span or sim event per line).
 
 use groupview_obs::TraceSummary;
-use groupview_scenario::{canned_scenarios, run_scenario_traced, TraceBundle};
+use groupview_scenario::{canned_scenarios, run_scenario_traced};
 
 /// The canned scenario the trace artifact captures: a crash the
 /// replication layer must mask, so the trace shows bind/invoke/multicast
@@ -37,13 +37,12 @@ pub fn capture() -> Result<TraceArtifacts, String> {
         .ok_or_else(|| format!("canned scenario {TRACE_SCENARIO:?} not found"))?;
     let run = run_scenario_traced(&scenario, TRACE_SEED);
     let passed = run.report.passed();
-    let bundle = TraceBundle::solo(run);
-    let chrome_json = bundle.chrome_json();
+    let chrome_json = run.chrome_json();
     let summary = groupview_obs::validate_chrome_trace(&chrome_json)
         .map_err(|e| format!("chrome trace failed in-binary validation: {e}"))?;
     Ok(TraceArtifacts {
         chrome_json,
-        jsonl: bundle.jsonl(),
+        jsonl: run.jsonl(),
         summary,
         passed,
     })

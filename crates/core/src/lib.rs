@@ -59,29 +59,3 @@ pub use crate::nonatomic::{RemoteServerCache, ServerCache};
 pub use crate::recovery::{RecoveryManager, RecoveryReport};
 pub use crate::server_db::{ObjectServerDb, ServerDbOps, ServerEntry};
 pub use crate::state_db::{ExcludePolicy, ObjectStateDb, StateDbOps, StateEntry};
-
-/// Compile-time proof that directory/naming values crossing a
-/// shard-thread boundary are `Send`. The databases themselves
-/// (`ObjectServerDb`, `ObjectStateDb`, `Directory`, …) are shard-local —
-/// one thread owns each shard's world exclusively — but entries, reports,
-/// and errors travel in messages between shards. See `docs/SHARDING.md`.
-#[cfg(test)]
-mod send_boundary {
-    use super::*;
-
-    fn assert_send<T: Send>() {}
-
-    #[test]
-    fn boundary_types_are_send() {
-        assert_send::<Binding>();
-        assert_send::<BindRequest>();
-        assert_send::<BindingScheme>();
-        assert_send::<BindError>();
-        assert_send::<DbError>();
-        assert_send::<ServerEntry>();
-        assert_send::<StateEntry>();
-        assert_send::<ExcludePolicy>();
-        assert_send::<CleanupReport>();
-        assert_send::<RecoveryReport>();
-    }
-}

@@ -4,12 +4,12 @@
 //!
 //! The trace layout convention used throughout the workspace:
 //!
-//! * `pid`  = shard index (one "process" per shard thread; solo runs use 0),
+//! * `pid`  = 0 (one "process": a run has one world),
 //! * `tid < 100`  = one track per simulated node (instant events from the
 //!   sim trace: deliveries, losses, crashes, …),
 //! * `tid = 100 + phase index`  = one track per action phase, carrying
 //!   complete (`"X"`) span events. Phases never overlap on their own track
-//!   within a shard because each world executes serially in virtual time.
+//!   because the world executes serially in virtual time.
 
 use crate::phase::Phase;
 use crate::registry::SpanRec;
@@ -38,10 +38,11 @@ pub fn escape_json(s: &str) -> String {
 }
 
 /// One JSONL line for a span: `{"type":"span","action":..,"phase":..,...}`.
-pub fn span_jsonl(shard: u32, span: &SpanRec) -> String {
+/// Its `"shard"` field is always 0, kept so trace files stay
+/// byte-compatible with their readers.
+pub fn span_jsonl(span: &SpanRec) -> String {
     format!(
-        "{{\"type\":\"span\",\"shard\":{},\"action\":{},\"phase\":\"{}\",\"start_us\":{},\"end_us\":{},\"dur_us\":{}}}",
-        shard,
+        "{{\"type\":\"span\",\"shard\":0,\"action\":{},\"phase\":\"{}\",\"start_us\":{},\"end_us\":{},\"dur_us\":{}}}",
         span.action,
         span.phase.name(),
         span.start_us,
@@ -75,7 +76,7 @@ impl ChromeTrace {
         self.events.is_empty()
     }
 
-    /// Name the process (shard) `pid` in the Perfetto UI.
+    /// Name the process `pid` in the Perfetto UI.
     pub fn process_name(&mut self, pid: u32, name: &str) {
         self.events.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
@@ -124,7 +125,7 @@ impl ChromeTrace {
         );
     }
 
-    /// Declare the named phase tracks for shard `pid` (call once per shard).
+    /// Declare the named phase tracks for process `pid` (call once).
     pub fn phase_tracks(&mut self, pid: u32) {
         for p in Phase::ALL {
             self.thread_name(pid, PHASE_TID_BASE + p.index() as u32, p.name());
@@ -562,17 +563,14 @@ mod tests {
 
     #[test]
     fn span_jsonl_shape() {
-        let line = span_jsonl(
-            2,
-            &SpanRec {
-                action: 41,
-                phase: Phase::Prepare,
-                start_us: 1000,
-                end_us: 1450,
-            },
-        );
+        let line = span_jsonl(&SpanRec {
+            action: 41,
+            phase: Phase::Prepare,
+            start_us: 1000,
+            end_us: 1450,
+        });
         assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"shard\":2"));
+        assert!(line.contains("\"shard\":0"));
         assert!(line.contains("\"action\":41"));
         assert!(line.contains("\"phase\":\"prepare\""));
         assert!(line.contains("\"dur_us\":450"));

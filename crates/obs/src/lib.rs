@@ -11,11 +11,9 @@
 //!   default; when disabled every recording call is an inlined early
 //!   return that performs **zero allocations** (asserted by the objects
 //!   bench), so observability costs nothing unless switched on.
-//! * **Snapshots** ([`MetricsSnapshot`], [`PhaseStats`]): `Send`,
-//!   mergeable aggregates. Sharded runs snapshot on each shard thread and
-//!   merge on the launcher so a multi-world run reports one true total —
-//!   including per-thread wire-pool stats that a single-thread read would
-//!   miss.
+//! * **Snapshots** ([`MetricsSnapshot`], [`PhaseStats`]): one world's
+//!   counters, per-phase latency distributions, per-node loads and
+//!   wire-pool stats, as a scenario report carries them.
 //! * **Exporters** ([`ChromeTrace`], [`span_jsonl`],
 //!   [`validate_chrome_trace`]): Chrome trace-event JSON that loads
 //!   directly in Perfetto (one track per node, one per phase), JSONL span

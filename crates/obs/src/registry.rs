@@ -1,7 +1,7 @@
-//! The per-shard metrics registry: counters plus causal span storage.
+//! The per-world metrics registry: counters plus causal span storage.
 //!
-//! One [`Registry`] lives in each simulated world (each shard thread owns
-//! its own — the hot path is `Cell` bumps, never a lock). The registry is
+//! One [`Registry`] lives in each simulated world (the hot path is `Cell`
+//! bumps, never a lock). The registry is
 //! **disabled by default**: every recording call starts with an inlined
 //! `enabled` check and returns immediately without allocating, so wiring
 //! the registry through the protocol layers costs nothing on unobserved
@@ -154,10 +154,8 @@ struct RegistryCore {
 
 /// Cheap-to-clone handle to one world's metrics registry.
 ///
-/// `!Send` by design (like the sim itself): each shard thread owns its own
-/// registry and cross-shard aggregation happens by shipping
-/// [`MetricsSnapshot`]s (which are `Send`) back to the launching thread and
-/// merging them.
+/// `!Send` by design, like the sim itself: a world and its registry live
+/// on one thread.
 #[derive(Clone, Default)]
 pub struct Registry {
     core: Rc<RegistryCore>,
@@ -242,8 +240,7 @@ impl Registry {
     /// Absorb a delta of wire-pool statistics (buffer allocations, pool
     /// reuses, bytes copied). Unlike the hot-path recorders this is *not*
     /// gated on `enabled`: it is called once per run/quiesce from snapshot
-    /// plumbing, and sharded aggregation needs the numbers even when span
-    /// recording is off.
+    /// plumbing, so the numbers are kept even when span recording is off.
     pub fn record_wire(&self, buffer_allocs: u64, pool_reuses: u64, bytes_copied: u64) {
         let c = &self.core;
         c.wire_buffer_allocs
@@ -275,8 +272,7 @@ impl Registry {
 
     /// Build a [`MetricsSnapshot`] of everything recorded so far: counter
     /// values, wire stats, and per-phase latency distributions derived from
-    /// the buffered spans. The snapshot is `Send` and mergeable, so sharded
-    /// runs snapshot on each shard thread and merge on the launcher.
+    /// the buffered spans.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = [0u64; Counter::COUNT];
         for (slot, cell) in counters.iter_mut().zip(self.core.counters.iter()) {
@@ -290,7 +286,6 @@ impl Registry {
             stats.seal();
         }
         MetricsSnapshot {
-            worlds: 1,
             counters,
             phases,
             node_loads: self

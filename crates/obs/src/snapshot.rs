@@ -1,5 +1,4 @@
-//! Mergeable, `Send` snapshots of a registry — the unit of cross-shard
-//! aggregation.
+//! Snapshots of a registry: what a run's report carries.
 
 use crate::phase::Phase;
 use crate::registry::{Counter, NodeLoad};
@@ -8,9 +7,8 @@ use std::fmt;
 /// Latency distribution for one phase, in virtual microseconds.
 ///
 /// Samples are kept sorted; percentiles use the nearest-rank method (the
-/// same convention as the workload crate's histogram), so merged
-/// distributions report exact multiset percentiles rather than
-/// approximations.
+/// same convention as the workload crate's histogram), so percentiles are
+/// exact rather than approximations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     samples: Vec<u64>,
@@ -68,28 +66,12 @@ impl PhaseStats {
     pub fn max_us(&self) -> u64 {
         self.samples.last().copied().unwrap_or(0)
     }
-
-    /// Fold another distribution into this one (exact multiset union).
-    pub fn merge(&mut self, other: &PhaseStats) {
-        self.samples.extend_from_slice(&other.samples);
-        self.seal_force();
-    }
-
-    fn seal_force(&mut self) {
-        self.sealed = false;
-        self.seal();
-    }
 }
 
-/// A `Send + Clone` snapshot of one (or several merged) registries.
-///
-/// Built on a shard thread by [`crate::Registry::snapshot`], shipped back
-/// to the launcher, and merged across worlds at quiesce so a sharded run
-/// reports one aggregate view.
+/// A snapshot of one world's registry, built by
+/// [`crate::Registry::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// How many world snapshots were merged into this one.
-    pub worlds: u64,
     /// Counter values, indexed by [`Counter::index`].
     pub counters: [u64; Counter::COUNT],
     /// Per-phase latency distributions, indexed by [`Phase::index`].
@@ -111,7 +93,6 @@ pub struct MetricsSnapshot {
 impl Default for MetricsSnapshot {
     fn default() -> Self {
         Self {
-            worlds: 0,
             counters: [0; Counter::COUNT],
             phases: Default::default(),
             node_loads: Vec::new(),
@@ -132,25 +113,6 @@ impl MetricsSnapshot {
     /// Latency distribution of one phase.
     pub fn phase(&self, p: Phase) -> &PhaseStats {
         &self.phases[p.index()]
-    }
-
-    /// Fold another snapshot into this one: counters and wire stats add,
-    /// phase distributions take the multiset union.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.worlds += other.worlds;
-        for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.phases.iter_mut().zip(other.phases.iter()) {
-            mine.merge(theirs);
-        }
-        for load in &other.node_loads {
-            self.absorb_node_load(load);
-        }
-        self.wire_buffer_allocs += other.wire_buffer_allocs;
-        self.wire_pool_reuses += other.wire_pool_reuses;
-        self.wire_bytes_copied += other.wire_bytes_copied;
-        self.trace_dropped += other.trace_dropped;
     }
 
     /// Fold one node's load into the snapshot, keeping `node_loads`
@@ -236,7 +198,7 @@ impl MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "metrics snapshot ({} world(s)):", self.worlds)?;
+        writeln!(f, "metrics snapshot:")?;
         for c in Counter::ALL {
             let v = self.counter(c);
             if v != 0 {
@@ -255,12 +217,6 @@ impl fmt::Display for MetricsSnapshot {
         write!(f, "{}", self.phase_breakdown())
     }
 }
-
-// The snapshot must cross shard-thread boundaries.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<MetricsSnapshot>();
-};
 
 #[cfg(test)]
 mod tests {
@@ -290,48 +246,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_exact_multiset_union() {
-        let mut a = stats(&[5, 100]);
-        let b = stats(&[1, 50, 200]);
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.percentile(20.0), 1);
-        assert_eq!(a.max_us(), 200);
-        // Same result as recording everything into one distribution.
-        assert_eq!(a, stats(&[1, 5, 50, 100, 200]));
-    }
-
-    #[test]
-    fn snapshot_merge_adds_counters_and_unions_phases() {
-        let mut a = MetricsSnapshot {
-            worlds: 1,
-            ..Default::default()
-        };
-        a.counters[Counter::Invokes.index()] = 3;
-        a.phases[Phase::Invoke.index()] = stats(&[10, 30]);
-        a.wire_buffer_allocs = 2;
-        a.wire_pool_reuses = 8;
-
-        let mut b = MetricsSnapshot {
-            worlds: 1,
-            ..Default::default()
-        };
-        b.counters[Counter::Invokes.index()] = 4;
-        b.phases[Phase::Invoke.index()] = stats(&[20]);
-        b.wire_bytes_copied = 512;
-        b.trace_dropped = 7;
-
-        a.merge(&b);
-        assert_eq!(a.worlds, 2);
-        assert_eq!(a.counter(Counter::Invokes), 7);
-        assert_eq!(a.phase(Phase::Invoke).count(), 3);
-        assert_eq!(a.phase(Phase::Invoke).p50(), 20);
-        assert_eq!(a.wire_buffer_allocs, 2);
-        assert_eq!(a.wire_pool_reuses, 8);
-        assert_eq!(a.wire_bytes_copied, 512);
-        assert_eq!(a.trace_dropped, 7);
-        assert!((a.wire_pool_hit_rate() - 0.8).abs() < 1e-9);
-        assert_eq!(a.span_count(), 3);
+    fn snapshot_reports_hit_rate_and_span_count() {
+        let mut snap = MetricsSnapshot::default();
+        snap.counters[Counter::Invokes.index()] = 7;
+        snap.phases[Phase::Invoke.index()] = stats(&[10, 20, 30]);
+        snap.wire_buffer_allocs = 2;
+        snap.wire_pool_reuses = 8;
+        assert_eq!(snap.counter(Counter::Invokes), 7);
+        assert_eq!(snap.phase(Phase::Invoke).p50(), 20);
+        assert!((snap.wire_pool_hit_rate() - 0.8).abs() < 1e-9);
+        assert_eq!(snap.span_count(), 3);
+        assert_eq!(MetricsSnapshot::default().wire_pool_hit_rate(), 1.0);
     }
 
     #[test]
@@ -347,21 +272,19 @@ mod tests {
             bytes_in: 100,
             ..Default::default()
         });
-        let mut b = MetricsSnapshot::default();
-        b.absorb_node_load(&NodeLoad {
+        a.absorb_node_load(&NodeLoad {
             node: 2,
             locks: 3,
             bytes_out: 40,
             ..Default::default()
         });
-        b.absorb_node_load(&NodeLoad {
+        a.absorb_node_load(&NodeLoad {
             node: 1,
             invokes: 1,
             ..Default::default()
         });
-        a.merge(&b);
         let nodes: Vec<u32> = a.node_loads.iter().map(|l| l.node).collect();
-        assert_eq!(nodes, vec![1, 2, 7], "sorted union");
+        assert_eq!(nodes, vec![1, 2, 7], "sorted by node id");
         let n2 = a.node_load(2).unwrap();
         assert_eq!((n2.invokes, n2.locks, n2.bytes_out), (5, 3, 40));
         assert!(a.node_load(9).is_none());

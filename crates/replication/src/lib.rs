@@ -52,7 +52,6 @@ pub mod invoke;
 pub mod object;
 pub mod policy;
 pub mod replica;
-pub mod shard;
 pub mod system;
 pub mod tx;
 pub mod typed;
@@ -68,40 +67,8 @@ pub use crate::object::{
 };
 pub use crate::policy::ReplicationPolicy;
 pub use crate::replica::{ReplicaRegistry, ServerReplica};
-pub use crate::shard::{
-    HashRouter, RangeRouter, ShardError, ShardRouter, ShardWorld, ShardedClient, ShardedSystem,
-};
 pub use crate::system::{Client, System, SystemBuilder};
 pub use crate::tx::{Tx, TxOpError};
 pub use crate::typed::{Handle, TypedUid};
 
 pub use crate::wire::{Frames, GroupMsg, GroupMsgCodec, MemberReply, MemberReplyCodec, Replies};
-
-/// Compile-time proof that replication values crossing a shard-thread
-/// boundary are `Send`. [`System`]/[`Client`]/[`Handle`] are shard-local
-/// by design (`Rc<RefCell<…>>` worlds, no locks on the hot path); what
-/// crosses threads is the message layer — frames, replies, and errors. The sharded façade itself lives in
-/// [`shard`](crate::shard). See `docs/SHARDING.md`.
-#[cfg(test)]
-mod send_boundary {
-    use super::*;
-
-    fn assert_send<T: Send>() {}
-
-    #[test]
-    fn boundary_types_are_send() {
-        assert_send::<InvokeError>();
-        assert_send::<ActivateError>();
-        assert_send::<CommitError>();
-        assert_send::<GroupMsg>();
-        assert_send::<MemberReply>();
-        assert_send::<Replies>();
-        assert_send::<InvokeResult>();
-        assert_send::<CounterOp>();
-        assert_send::<KvOp>();
-        assert_send::<AccountOp>();
-        assert_send::<KvReply>();
-        assert_send::<TypedUid<Counter>>();
-        assert_send::<ReplicationPolicy>();
-    }
-}

@@ -278,10 +278,7 @@ impl System {
     /// drop count into the registry.
     ///
     /// Must be called on the thread that ran the system (always true for
-    /// this `!Send` type): wire counters are thread-local, which is exactly
-    /// why sharded runs call this on each shard thread and merge the
-    /// snapshots — a single-thread read would under-report every foreign
-    /// shard's wire traffic.
+    /// this `!Send` type): wire counters are thread-local.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let inner = &self.inner;
         let cur = wire::stats();
@@ -466,31 +463,6 @@ impl System {
     ) -> Result<TypedUid<O>, DbError> {
         self.create(Some(name), Box::new(initial), sv, st)
             .map(TypedUid::assume)
-    }
-
-    /// Advances the uid generator past uids this world does not own,
-    /// stopping with the next uid to be allocated satisfying `owns`.
-    ///
-    /// Every shard of a [`ShardedSystem`](crate::shard::ShardedSystem)
-    /// walks the *same* deterministic uid sequence; by skipping uids the
-    /// router assigns to other shards, the shards carve the sequence into
-    /// disjoint, router-aligned slices without ever talking to each other.
-    /// With a single shard nothing is foreign, so nothing is skipped and
-    /// uid allocation is bit-for-bit identical to an unsharded world.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no owned uid appears within 2^16 steps (a router that
-    /// starves a shard is a bug, not a workload).
-    pub fn skip_foreign_uids(&self, owns: impl Fn(Uid) -> bool) {
-        let mut gen = self.inner.uid_gen.borrow_mut();
-        for _ in 0..(1 << 16) {
-            if owns(gen.clone().next_uid()) {
-                return;
-            }
-            gen.next_uid();
-        }
-        panic!("no uid owned by this shard within 2^16 steps: router starves the shard");
     }
 
     /// Hands out a client handle running at `node`, with a fresh client id.

@@ -30,8 +30,7 @@ use std::marker::PhantomData;
 /// class without a turbofish.
 ///
 /// The marker is `fn() -> O` rather than `O`: a `TypedUid` names a class,
-/// it does not own an instance, so it stays `Send + Sync + Copy` for
-/// every class — routed sharded calls ship it across shard threads.
+/// it does not own an instance, so its auto traits do not depend on `O`.
 pub struct TypedUid<O: ObjectType> {
     uid: Uid,
     _class: PhantomData<fn() -> O>,

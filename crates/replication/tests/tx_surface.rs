@@ -1,7 +1,6 @@
 //! The typed transaction surface end to end.
 //!
-//! Three contracts of `Tx` (and its sharded wrapper) that the unit tests
-//! can't pin alone:
+//! Two contracts of `Tx` that the unit tests can't pin alone:
 //!
 //! * **Deadlock-by-refusal**: two transactions locking `{A, B}` in opposite
 //!   orders resolve by abort — strict two-phase locking refuses the second
@@ -11,17 +10,10 @@
 //!   `begin_action`/`activate`/`invoke`/`commit` path — same typed reply,
 //!   same simulated clock, same committed store bytes — under every
 //!   replication policy (property-tested over amounts and seeds).
-//! * **Sharded transactions**: `ShardedClient::transact` commits same-shard
-//!   multi-object transactions, aborts (and restores) on a failed body, and
-//!   refuses cross-shard uid sets up front with `ShardError::CrossShard`.
 
-use groupview_replication::{
-    Account, AccountOp, HashRouter, InvokeError, ReplicationPolicy, ShardError, ShardedSystem,
-    System, TxOpError, TypedUid,
-};
+use groupview_replication::{Account, AccountOp, ReplicationPolicy, System, TypedUid};
 use groupview_sim::NodeId;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
@@ -157,64 +149,4 @@ fn dropping_a_tx_aborts_and_restores_both_objects() {
     assert_eq!(audit.invoke(&ha, AccountOp::Balance).unwrap(), 100);
     assert_eq!(audit.invoke(&hb, AccountOp::Balance).unwrap(), 100);
     audit.commit().expect("audit commit");
-}
-
-#[test]
-fn sharded_transact_commits_same_shard_and_refuses_cross_shard() {
-    let builder = System::builder(42)
-        .nodes(5)
-        .policy(ReplicationPolicy::Active);
-    let sys = ShardedSystem::launch(builder, Arc::new(HashRouter::new(2)));
-    let trio = [n(1), n(2), n(3)];
-    let a = sys
-        .create_typed_on(0, Account::new(100), &trio, &trio)
-        .unwrap();
-    let b = sys
-        .create_typed_on(0, Account::new(100), &trio, &trio)
-        .unwrap();
-    let c = sys
-        .create_typed_on(1, Account::new(100), &trio, &trio)
-        .unwrap();
-    let client = sys.client(2);
-
-    // Same shard: the transfer commits atomically on shard 0.
-    let replies = client
-        .transact(&[a.uid(), b.uid()], move |tx| {
-            let from = a.open(tx.client());
-            let to = b.open(tx.client());
-            let w = tx.invoke(&from, AccountOp::Withdraw(30))?;
-            let d = tx.invoke(&to, AccountOp::Deposit(30))?;
-            Ok((w, d))
-        })
-        .expect("same-shard transaction");
-    assert_eq!(replies, (70, 130));
-    assert_eq!(client.invoke(a, AccountOp::Balance).unwrap(), 70);
-    assert_eq!(client.invoke(b, AccountOp::Balance).unwrap(), 130);
-
-    // A failed body aborts the transaction: the withdrawal is restored.
-    let err = client
-        .transact(&[a.uid()], move |tx| {
-            let from = a.open(tx.client());
-            tx.invoke(&from, AccountOp::Withdraw(70))?;
-            Err::<(), _>(TxOpError::Invoke(InvokeError::NotActivated(from.uid())))
-        })
-        .unwrap_err();
-    assert!(matches!(err, ShardError::Invoke(_)), "{err}");
-    assert_eq!(client.invoke(a, AccountOp::Balance).unwrap(), 70);
-
-    // Cross-shard: refused before any shard work, with both shards named.
-    let err = client
-        .transact(&[a.uid(), c.uid()], move |_tx| Ok(()))
-        .unwrap_err();
-    match err {
-        ShardError::CrossShard { home, uid, other } => {
-            assert_eq!(home, 0);
-            assert_eq!(uid, c.uid());
-            assert_eq!(other, 1);
-        }
-        other => panic!("expected CrossShard, got {other}"),
-    }
-    // Nothing moved.
-    assert_eq!(client.invoke(a, AccountOp::Balance).unwrap(), 70);
-    assert_eq!(client.invoke(c, AccountOp::Balance).unwrap(), 100);
 }

@@ -2,7 +2,7 @@
 //! causal [`SpanRec`]s) into a Chrome trace-event JSON file (loads directly
 //! in Perfetto or `chrome://tracing`) and a JSONL dump.
 //!
-//! Layout: one Perfetto "process" per shard; inside it one track per
+//! Layout: one Perfetto "process" for the world; inside it one track per
 //! simulated node carrying instant events (deliveries, losses, crashes,
 //! partitions), one track per action phase carrying the causal spans, and
 //! a `notes` track for free-form annotations. Message events carry the
@@ -18,12 +18,15 @@ use groupview_sim::TraceEvent;
 /// [`groupview_obs::PHASE_TID_BASE`]).
 pub const NOTES_TID: u32 = 99;
 
+/// The Perfetto process id of the one world a run has. The process keeps
+/// the name `"shard 0"` and JSONL lines keep `"shard":0`, so trace files
+/// stay byte-compatible with their readers.
+const PID: u32 = 0;
+
 /// One traced world's worth of observability output: the scenario verdict
 /// plus the drained spans and simulation events that produced it.
 #[derive(Debug)]
 pub struct TracedRun {
-    /// Shard index (0 for a solo run); becomes the Perfetto process id.
-    pub shard: u32,
     /// Node count of the world (names the node tracks).
     pub nodes: usize,
     /// The scenario verdict (carries the metrics snapshot).
@@ -34,42 +37,27 @@ pub struct TracedRun {
     pub events: Vec<TraceEvent>,
 }
 
-/// A set of traced runs (one per shard) renderable as one trace file.
-#[derive(Debug, Default)]
-pub struct TraceBundle {
-    /// The per-shard runs.
-    pub runs: Vec<TracedRun>,
-}
-
-impl TraceBundle {
-    /// Bundle a single solo run.
-    pub fn solo(run: TracedRun) -> Self {
-        TraceBundle { runs: vec![run] }
-    }
-
+impl TracedRun {
     /// Render the Chrome trace-event JSON file.
     pub fn chrome_json(&self) -> String {
         let mut trace = ChromeTrace::new();
-        for run in &self.runs {
-            let pid = run.shard;
-            trace.process_name(pid, &format!("shard {pid}"));
-            for node in 0..run.nodes as u32 {
-                trace.thread_name(pid, node, &format!("node-{node}"));
-            }
-            trace.thread_name(pid, NOTES_TID, "notes");
-            trace.phase_tracks(pid);
-            // Ring order is virtual-time order, so each node track stays
-            // monotone.
-            for ev in &run.events {
-                emit_event(&mut trace, pid, ev);
-            }
-            // Spans are recorded at completion; re-sort by phase track and
-            // start time so every track's `ts` is monotone.
-            let mut spans = run.spans.clone();
-            spans.sort_by_key(|s| (s.phase.index(), s.start_us, s.end_us));
-            for span in &spans {
-                trace.phase_span(pid, span);
-            }
+        trace.process_name(PID, "shard 0");
+        for node in 0..self.nodes as u32 {
+            trace.thread_name(PID, node, &format!("node-{node}"));
+        }
+        trace.thread_name(PID, NOTES_TID, "notes");
+        trace.phase_tracks(PID);
+        // Ring order is virtual-time order, so each node track stays
+        // monotone.
+        for ev in &self.events {
+            emit_event(&mut trace, ev);
+        }
+        // Spans are recorded at completion; re-sort by phase track and
+        // start time so every track's `ts` is monotone.
+        let mut spans = self.spans.clone();
+        spans.sort_by_key(|s| (s.phase.index(), s.start_us, s.end_us));
+        for span in &spans {
+            trace.phase_span(PID, span);
         }
         trace.render()
     }
@@ -83,27 +71,15 @@ impl TraceBundle {
     /// Render the JSONL dump: one line per span, then one per sim event.
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
-        for run in &self.runs {
-            for span in &run.spans {
-                out.push_str(&span_jsonl(run.shard, span));
-                out.push('\n');
-            }
-            for ev in &run.events {
-                out.push_str(&event_jsonl(run.shard, ev));
-                out.push('\n');
-            }
+        for span in &self.spans {
+            out.push_str(&span_jsonl(span));
+            out.push('\n');
+        }
+        for ev in &self.events {
+            out.push_str(&event_jsonl(ev));
+            out.push('\n');
         }
         out
-    }
-
-    /// Total spans across all runs.
-    pub fn span_count(&self) -> usize {
-        self.runs.iter().map(|r| r.spans.len()).sum()
-    }
-
-    /// Total sim events across all runs.
-    pub fn event_count(&self) -> usize {
-        self.runs.iter().map(|r| r.events.len()).sum()
     }
 }
 
@@ -132,10 +108,10 @@ fn event_tid(ev: &TraceEvent) -> u32 {
     }
 }
 
-fn emit_event(trace: &mut ChromeTrace, pid: u32, ev: &TraceEvent) {
+fn emit_event(trace: &mut ChromeTrace, ev: &TraceEvent) {
     let detail = ev.to_string();
     trace.instant(
-        pid,
+        PID,
         event_tid(ev),
         event_kind(ev),
         ev.at().as_micros(),
@@ -144,10 +120,9 @@ fn emit_event(trace: &mut ChromeTrace, pid: u32, ev: &TraceEvent) {
     );
 }
 
-fn event_jsonl(shard: u32, ev: &TraceEvent) -> String {
+fn event_jsonl(ev: &TraceEvent) -> String {
     let mut line = format!(
-        "{{\"type\":\"event\",\"shard\":{},\"at_us\":{},\"kind\":\"{}\",\"text\":\"{}\"",
-        shard,
+        "{{\"type\":\"event\",\"shard\":0,\"at_us\":{},\"kind\":\"{}\",\"text\":\"{}\"",
         ev.at().as_micros(),
         event_kind(ev),
         escape_json(&ev.to_string()),
@@ -182,17 +157,13 @@ mod tests {
             run.report.obs.is_some(),
             "traced run carries a metrics snapshot"
         );
-        let bundle = TraceBundle::solo(run);
-        let summary = bundle.validate().expect("trace must validate");
-        assert_eq!(summary.spans, bundle.span_count());
-        assert_eq!(summary.instants, bundle.event_count());
+        let summary = run.validate().expect("trace must validate");
+        assert_eq!(summary.spans, run.spans.len());
+        assert_eq!(summary.instants, run.events.len());
         assert!(summary.tracks > 1);
 
-        let jsonl = bundle.jsonl();
-        assert_eq!(
-            jsonl.lines().count(),
-            bundle.span_count() + bundle.event_count()
-        );
+        let jsonl = run.jsonl();
+        assert_eq!(jsonl.lines().count(), run.spans.len() + run.events.len());
         assert!(jsonl
             .lines()
             .all(|l| l.starts_with('{') && l.ends_with('}')));

@@ -53,10 +53,9 @@ pub mod oracle;
 pub mod plan;
 pub mod runner;
 pub mod scenarios;
-pub mod sharded;
 pub mod soak;
 
-pub use crate::export::{TraceBundle, TracedRun, NOTES_TID};
+pub use crate::export::{TracedRun, NOTES_TID};
 pub use crate::history::{Event, EventKind, History};
 pub use crate::nemesis::{
     client_churn, flapping_partition, lossy_window, recovery_storm, rolling_crashes,
@@ -72,7 +71,4 @@ pub use crate::runner::{
     run_scenario_traced, Checks, PlanGenerator, RunOutcome, Scenario, ScenarioReport,
 };
 pub use crate::scenarios::canned_scenarios;
-pub use crate::sharded::{
-    run_scenario_sharded, run_scenario_sharded_observed, ShardedScenarioReport,
-};
 pub use crate::soak::{run_soak, SoakConfig, SoakReport};

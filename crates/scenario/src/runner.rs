@@ -79,8 +79,8 @@ impl Machine {
 /// Elastic-membership state for one run, created lazily on the **first**
 /// membership plan action ([`PlanAction::AddNode`], [`PlanAction::DrainNode`],
 /// [`PlanAction::Rebalance`]). Plans without one never build it, so the run
-/// is bit-for-bit identical to a pre-elastic runner — `tests/parity.rs`,
-/// `tests/obs_parity.rs`, and `tests/sharded_parity.rs` all pin this.
+/// is bit-for-bit identical to a pre-elastic runner — `tests/parity.rs`
+/// and `tests/obs_parity.rs` both pin this.
 struct Elastic {
     membership: Membership,
     /// Nodes whose drain still has busy or failed replicas; retried every
@@ -775,11 +775,7 @@ fn finish_action(sys: &System, m: &Machine, metrics: &mut RunMetrics, committed:
 // ---------------------------------------------------------------------------
 
 /// Produces the concrete [`FaultPlan`] for a given seed (nemesis closure).
-///
-/// `Send + Sync` because a sharded run ships the whole [`Scenario`] to
-/// every shard thread (see [`crate::sharded`]); nemesis closures are pure
-/// seed → plan functions, so the bound costs nothing.
-pub type PlanGenerator = Box<dyn Fn(u64) -> FaultPlan + Send + Sync>;
+pub type PlanGenerator = Box<dyn Fn(u64) -> FaultPlan>;
 
 /// Which verdicts a scenario demands.
 #[derive(Debug, Clone, Copy)]
@@ -926,8 +922,8 @@ pub fn run_scenario_observed(scenario: &Scenario, seed: u64) -> ScenarioReport {
 }
 
 /// [`run_scenario_observed`] with sim event tracing on as well; returns the
-/// drained trace events and causal spans alongside the report, ready for
-/// [`crate::export::TraceBundle`].
+/// drained trace events and causal spans alongside the report, ready to
+/// render with [`crate::export::TracedRun::chrome_json`].
 pub fn run_scenario_traced(scenario: &Scenario, seed: u64) -> crate::export::TracedRun {
     let sys = build_scenario_system(scenario, seed, true, true);
     let objects = create_scenario_objects(scenario, &sys);
@@ -935,7 +931,6 @@ pub fn run_scenario_traced(scenario: &Scenario, seed: u64) -> crate::export::Tra
     let spans = sys.obs().take_spans();
     let events = sys.sim().take_trace().unwrap_or_default();
     crate::export::TracedRun {
-        shard: 0,
         nodes: scenario.nodes,
         report,
         spans,
@@ -984,10 +979,9 @@ fn create_scenario_objects(scenario: &Scenario, sys: &System) -> Vec<(Uid, Model
 }
 
 /// Runs a scenario's plan/quiesce/verify cycle inside an **existing**
-/// world whose objects are already created — the world-agnostic half of
-/// [`run_scenario`], shared with the sharded runner
-/// ([`crate::sharded::run_scenario_sharded`]), where each shard world
-/// holds only the objects its router slice owns.
+/// world whose objects are already created — the second half of
+/// [`run_scenario`], public so a caller can build the world itself and
+/// read it after the run.
 ///
 /// `objects` pairs each created uid with its [`ModelKind`]; the
 /// scenario's workload spec is re-targeted at exactly these objects.
@@ -1021,8 +1015,7 @@ pub fn run_scenario_in(
     }
     let outcome = run_plan_typed(sys, &spec, &plan, &kinds);
     quiesce(sys);
-    // Snapshot at quiesce: the merge point where shard threads read their
-    // thread-local wire counters before results cross threads.
+    // Snapshot at quiesce, after the last message of the run.
     let obs = sys.obs().is_enabled().then(|| sys.metrics_snapshot());
 
     let mut oracle = Oracle::new(

@@ -68,42 +68,3 @@ pub use crate::time::{SimDuration, SimTime};
 pub use crate::trace::TraceEvent;
 pub use crate::wire::{Bytes, Codec, WireEncoder, WireStats};
 pub use crate::world::{ScheduledEvent, Sim};
-
-/// Compile-time proof that everything which crosses a shard-thread
-/// boundary is `Send`. The world itself ([`Sim`]) is deliberately
-/// `!Send` — each shard thread owns its world exclusively — but frames,
-/// stats, errors, and counters travel between threads (see
-/// `docs/SHARDING.md`). A stray `Rc` in any of these fails the build
-/// here, not in a future refactor.
-#[cfg(test)]
-mod send_boundary {
-    use super::*;
-
-    fn assert_send<T: Send>() {}
-    fn assert_sync<T: Sync>() {}
-
-    #[test]
-    fn boundary_types_are_send() {
-        assert_send::<Bytes>();
-        assert_send::<WireEncoder>();
-        assert_send::<WireStats>();
-        assert_send::<NetError>();
-        assert_send::<NetCounters>();
-        assert_send::<NetConfig>();
-        assert_send::<SimConfig>();
-        assert_send::<ClientId>();
-        assert_send::<NodeId>();
-        assert_send::<NodeList>();
-        assert_send::<SimTime>();
-        assert_send::<SimDuration>();
-        assert_send::<TraceEvent>();
-        assert_send::<Cost>();
-    }
-
-    #[test]
-    fn shared_frames_are_sync() {
-        // `Bytes` clones fan a frame out to many shard threads at once.
-        assert_sync::<Bytes>();
-        assert_sync::<WireEncoder>();
-    }
-}

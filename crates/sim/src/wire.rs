@@ -23,15 +23,15 @@
 //!   return zero-copy slices of the incoming frame.
 //!
 //! Buffer-ownership rules are documented in `docs/WIRE.md`. Allocation
-//! behaviour is observable through [`stats`] (a per-thread counter: each
-//! shard world runs on exactly one OS thread, so a shard's counters are
-//! exact for its own traffic): benches report per-operation buffer
+//! behaviour is observable through [`stats`] (a per-thread counter: a
+//! world runs on exactly one OS thread, so its counters are exact for its
+//! own traffic): benches report per-operation buffer
 //! allocations, and property tests assert that `clone`/`slice` never
 //! allocate or copy.
 //!
 //! `Bytes` and `WireEncoder` are `Send + Sync` (atomic refcounts; the
-//! encoder is a zero-sized handle): they are the payload types that cross
-//! shard boundaries in the sharded runtime (`docs/SHARDING.md`). The pool
+//! encoder is a zero-sized handle), although every world runs on one
+//! thread and no frame crosses threads today. The pool
 //! itself is per thread, so the hot path takes no lock: the only
 //! synchronisation is the refcount. A frame whose last clone drops on
 //! another thread lands in *that* thread's pool; a frame still shared
@@ -133,8 +133,8 @@ fn bump(f: impl FnOnce(&mut WireStats)) {
 enum Backing {
     /// Borrowed `'static` data (literals, empty buffers): free to create.
     Static(&'static [u8]),
-    /// Shared ownership of a heap frame. The refcount is atomic so frames
-    /// can cross shard threads.
+    /// Shared ownership of a heap frame. The refcount is atomic, so the
+    /// last clone may drop on any thread.
     Shared(Arc<Vec<u8>>),
 }
 
@@ -622,13 +622,12 @@ mod tests {
 
     #[test]
     fn a_frame_dropped_last_on_another_thread_lands_in_that_threads_pool() {
-        // The path a cross-shard reply takes in the sharded runtime: encoded
-        // on thread A, last dropped on thread B.
+        // Encoded on thread A, last dropped on thread B.
         let enc = WireEncoder::new();
-        let frame = enc.encode_with(|buf| buf.extend_from_slice(b"cross-shard"));
+        let frame = enc.encode_with(|buf| buf.extend_from_slice(b"cross-thread"));
         let home = enc.pooled();
         let remote = pooled_on_another_thread(move || {
-            assert_eq!(frame, b"cross-shard");
+            assert_eq!(frame, b"cross-thread");
             drop(frame);
         });
         assert_eq!(remote, 1, "the dropping thread's pool took the frame");

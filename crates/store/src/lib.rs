@@ -55,25 +55,3 @@ pub use crate::stable::{StableStore, TxToken};
 pub use crate::state::{ObjectState, SnapshotCodec, TypeTag, Version};
 pub use crate::uid::{Uid, UidGen};
 pub use crate::volatile::Volatile;
-
-/// Compile-time proof that store values crossing a shard-thread boundary
-/// are `Send`. `Stores`/`StableStore`/`Volatile` are shard-local (each
-/// shard thread owns its stores exclusively), but uids, snapshots, and
-/// errors travel in messages between shards. See `docs/SHARDING.md`.
-#[cfg(test)]
-mod send_boundary {
-    use super::*;
-
-    fn assert_send<T: Send>() {}
-
-    #[test]
-    fn boundary_types_are_send() {
-        assert_send::<Uid>();
-        assert_send::<UidGen>();
-        assert_send::<ObjectState>();
-        assert_send::<TypeTag>();
-        assert_send::<Version>();
-        assert_send::<StoreError>();
-        assert_send::<TxToken>();
-    }
-}

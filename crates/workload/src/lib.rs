@@ -29,19 +29,3 @@ pub mod table;
 pub use crate::metrics::{Histogram, RunMetrics};
 pub use crate::spec::WorkloadSpec;
 pub use crate::table::TextTable;
-
-/// Compile-time proof that workload results crossing a shard-thread
-/// boundary are `Send`: each shard thread fills its own [`RunMetrics`]
-/// and ships it back for merging. See `docs/SHARDING.md`.
-#[cfg(test)]
-mod send_boundary {
-    fn assert_send<T: Send>() {}
-
-    #[test]
-    fn boundary_types_are_send() {
-        assert_send::<crate::RunMetrics>();
-        assert_send::<crate::Histogram>();
-        assert_send::<crate::WorkloadSpec>();
-        assert_send::<crate::TextTable>();
-    }
-}

@@ -214,14 +214,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.samples.borrow().iter().sum()
     }
-
-    /// Merges another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples
-            .get_mut()
-            .extend_from_slice(&other.samples.borrow());
-        self.sorted.set(false);
-    }
 }
 
 /// Multiset equality: two histograms are equal when they hold the same
@@ -332,8 +324,9 @@ mod tests {
     #[test]
     fn merge_and_extend() {
         let mut a: Histogram = [1u64, 2].into_iter().collect();
+        // Another histogram's samples merge in through `Extend`.
         let b: Histogram = [3u64].into_iter().collect();
-        a.merge(&b);
+        a.extend(b.samples.take());
         a.extend([4u64]);
         assert_eq!(a.count(), 4);
         assert_eq!(a.total(), 10);

@@ -72,7 +72,7 @@
 //! | [`actions`] | `groupview-actions` | lock manager (incl. exclude-write mode), nested + nested-top-level atomic actions, two-phase commit |
 //! | [`group`] | `groupview-group` | membership views, reliable totally-ordered multicast, election |
 //! | [`core`] | `groupview-core` | **the paper's contribution**: Object Server / Object State databases, use lists, binding schemes, recovery, cleanup |
-//! | [`obs`] | `groupview-obs` | observability: causal action spans, per-shard metrics registry, Perfetto/JSONL exporters |
+//! | [`obs`] | `groupview-obs` | observability: causal action spans, per-world metrics registry, Perfetto/JSONL exporters |
 //! | [`replication`] | `groupview-replication` | replication policies, activation, commit-time write-back, the [`System`] façade |
 //! | [`membership`] | `groupview-membership` | elastic membership: add/drain nodes, transactional replica migration, stats-driven rebalancing |
 //! | [`workload`] | `groupview-workload` | workload specs, run metrics, tables |
@@ -107,16 +107,14 @@ pub use groupview_obs::{
     TraceSummary,
 };
 pub use groupview_replication::{
-    Account, AccountOp, ActivateError, Client, CommitError, Counter, CounterOp, Handle, HashRouter,
-    InvokeError, KvMap, KvOp, KvReply, ObjectGroup, ObjectType, RangeRouter, ReplicaObject,
-    ReplicationPolicy, ShardError, ShardRouter, ShardedClient, ShardedSystem, System,
-    SystemBuilder, Tx, TxOpError, TypedUid,
+    Account, AccountOp, ActivateError, Client, CommitError, Counter, CounterOp, Handle,
+    InvokeError, KvMap, KvOp, KvReply, ObjectGroup, ObjectType, ReplicaObject, ReplicationPolicy,
+    System, SystemBuilder, Tx, TxOpError, TypedUid,
 };
 pub use groupview_scenario::{
     canned_scenarios, run_matrix, run_plan_typed, run_scenario, run_scenario_observed,
-    run_scenario_sharded, run_scenario_sharded_observed, run_scenario_traced, run_soak, FaultPlan,
-    History, ModelKind, Oracle, OracleReport, PlanAction, Scenario, ScenarioReport,
-    ShardedScenarioReport, SoakConfig, SoakReport, TraceBundle, TracedRun,
+    run_scenario_traced, run_soak, FaultPlan, History, ModelKind, Oracle, OracleReport, PlanAction,
+    Scenario, ScenarioReport, SoakConfig, SoakReport, TracedRun,
 };
 pub use groupview_sim::{
     Bytes, ClientId, Codec, NetConfig, NodeId, NodeList, Sim, SimConfig, WireEncoder,
