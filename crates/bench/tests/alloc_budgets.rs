@@ -21,6 +21,7 @@ use groupview_actions::ActionId;
 use groupview_group::comms::DeliveryMode;
 use groupview_group::member::GroupMember;
 use groupview_group::GroupComms;
+use groupview_membership::Membership;
 use groupview_replication::{
     Account, AccountOp, Counter, CounterOp, Handle, ObjectType, ReplicationPolicy, System,
 };
@@ -101,6 +102,18 @@ const LEDGER_TRANSFERS: u64 = 10_630;
 /// Accounts in the ledger window: the benchmark's `transfers` shape (five
 /// servers, three-replica placement staggered over them, single-copy).
 const LEDGER: usize = 2_000;
+
+/// Objects in the drain windows: the benchmark's `elastic_drain` shape
+/// (five servers, three-replica placement staggered over them, server 1
+/// drained onto two added nodes) at two sizes.
+const DRAINED: [usize; 2] = [300, 600];
+/// One whole drain pass at each size (180 and 360 moves): 7 per
+/// migration, plus 40 and 45 for the pass's own lists, which grow by
+/// doubling with the world. A per-pick recount of the target loads
+/// would allocate in every pick, more of them the larger the world.
+const DRAIN_PASSES: [u64; 2] = [1_300, 2_565];
+/// Allocations per migration (whole part), equal at both sizes.
+const DRAIN_PER_MOVE: u64 = 7;
 
 /// Warm-up then measured units of the invoke and batch windows.
 const OPS: (u64, u64) = (64, 1_000);
@@ -308,6 +321,28 @@ fn recorded(mut history: History) -> u64 {
     count
 }
 
+/// Allocations and migrations of one pass draining server 1 of a world of
+/// `objects` counters onto two added nodes.
+fn drain_pass(objects: usize) -> (u64, u64) {
+    let sys = System::builder(1993).nodes(6).build();
+    let membership = Membership::new(&sys);
+    membership.add_node();
+    membership.add_node();
+    for i in 0..objects {
+        let at: Vec<NodeId> = (0..3)
+            .map(|j| NodeId::new(1 + ((i + j) % 5) as u32))
+            .collect();
+        sys.create_typed(Counter::new(0), &at, &at).expect("create");
+    }
+    let victim = NodeId::new(1);
+    membership.begin_drain(victim);
+    let mut report = None;
+    let count = allocs_in(|| report = Some(membership.drain_step(victim)));
+    let report = report.expect("the pass ran");
+    assert!(report.complete, "a quiescent world drains in one pass");
+    (count, report.moved.len() as u64)
+}
+
 fn main() {
     let mut pins = Pins::default();
     for (i, p) in POLICIES.into_iter().enumerate() {
@@ -330,6 +365,13 @@ fn main() {
     for members in [1, 3, 5, 9] {
         let name = format!("multicast ×1000/{members} members");
         pins.check(name, multicasts(members), 0);
+    }
+    for (objects, pinned) in DRAINED.into_iter().zip(DRAIN_PASSES) {
+        let (count, moves) = drain_pass(objects);
+        let name = format!("drain pass/{objects} objects, {moves} moves");
+        pins.check(name, count, pinned);
+        let name = format!("drain pass/{objects} objects, per move");
+        pins.check(name, count / moves, DRAIN_PER_MOVE);
     }
     let (presized, growing) = (History::with_capacity(20_000), History::new());
     pins.check("history ×10000 ops/presized".into(), recorded(presized), 0);

@@ -7,6 +7,7 @@
 //! (it stops accepting new replicas), but its existing replicas remain
 //! fully serviceable until each one has been migrated away.
 
+use groupview_core::StateEntry;
 use groupview_obs::Phase;
 use groupview_replication::System;
 use groupview_sim::NodeId;
@@ -178,16 +179,10 @@ impl Membership {
         uids
     }
 
-    /// Number of state replicas hosted on `node` (drain progress and the
-    /// least-loaded target heuristic).
+    /// Number of objects whose `St` entry names `node`: the load that
+    /// [`Membership::drain_step`] balances, counted by one scan of `St`.
     pub fn replica_count(&self, node: NodeId) -> usize {
-        let naming = self.sys.naming();
-        naming
-            .state_db
-            .uids()
-            .into_iter()
-            .filter(|&uid| naming.state_db.entry(uid).is_some_and(|e| e.contains(node)))
-            .count()
+        self.sys.naming().state_db.uids_hosting(node).len()
     }
 
     /// Marks `node` as draining: it stops accepting new replicas at once.
@@ -212,11 +207,22 @@ impl Membership {
     /// no reachable state source or no admissible target as `failed` (retry
     /// after recovery). When the pass leaves the node empty, a draining
     /// node is decommissioned.
+    ///
+    /// The loads are [`Membership::replica_count`]s, counted once per pass
+    /// and kept current by diffing the moved object's own `St` entry
+    /// around each migration, which is exact whether it committed, aborted
+    /// or was cut short by a crash. Liveness is rechecked at every pick.
     pub fn drain_step(&self, node: NodeId) -> DrainReport {
         let start = self.sys.sim().now().as_micros();
         let naming = self.sys.naming();
         let mut report = DrainReport::default();
-        for uid in self.hosted(node) {
+        let hosted = self.hosted(node);
+        let mut loads = if hosted.is_empty() {
+            Vec::new()
+        } else {
+            self.target_loads(node)
+        };
+        for uid in hosted {
             let sv = naming.server_db.entry(uid);
             let st = naming.state_db.entry(uid);
             let hosts = |t: NodeId| {
@@ -225,18 +231,25 @@ impl Membership {
             };
             // A host sorts after every non-host, so the minimum is a host
             // only when no admissible target is left.
-            let target = match self
-                .targets(node)
-                .into_iter()
-                .min_by_key(|&t| (hosts(t), self.replica_count(t), t))
+            let target = match loads
+                .iter()
+                .filter(|&&(t, _)| self.sys.sim().is_up(t))
+                .min_by_key(|&&(t, load)| (hosts(t), load, t))
             {
-                Some(t) if !hosts(t) => t,
+                Some(&(t, _)) if !hosts(t) => t,
                 _ => {
                     report.failed.push(uid);
                     continue;
                 }
             };
-            match self.migrate(uid, node, target) {
+            let result = self.migrate(uid, node, target);
+            let after = naming.state_db.entry(uid);
+            let listed =
+                |e: &Option<StateEntry>, t| usize::from(e.as_ref().is_some_and(|e| e.contains(t)));
+            for (t, load) in &mut loads {
+                *load = *load + listed(&after, *t) - listed(&st, *t);
+            }
+            match result {
                 Ok(()) => report.moved.push(uid),
                 Err(e) if e.is_busy() => report.busy.push(uid),
                 Err(_) => report.failed.push(uid),
@@ -254,6 +267,26 @@ impl Membership {
             .obs()
             .span(0, Phase::Drain, start, self.sys.sim().now().as_micros());
         report
+    }
+
+    /// The targets of a pass over `not`, each with its `St` replica count
+    /// from one scan of the state database. Status and store attachment
+    /// cannot change inside a pass and a down node cannot come back, so
+    /// only a crash can shrink the list: the picks check liveness.
+    fn target_loads(&self, not: NodeId) -> Vec<(NodeId, usize)> {
+        let mut loads: Vec<(NodeId, usize)> =
+            self.targets(not).into_iter().map(|n| (n, 0)).collect();
+        let state_db = &self.sys.naming().state_db;
+        for entry in state_db
+            .uids()
+            .into_iter()
+            .filter_map(|uid| state_db.entry(uid))
+        {
+            for (t, load) in &mut loads {
+                *load += usize::from(entry.contains(*t));
+            }
+        }
+        loads
     }
 
     /// Drains `node` to empty: marks it draining, then runs up to

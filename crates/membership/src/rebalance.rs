@@ -238,14 +238,18 @@ impl Rebalancer {
                 .iter()
                 .map(|(&n, l)| (n, frac(l, l.objects)))
                 .collect();
-            let (&most, &hi) = scalar
+            let Some((&most, &hi)) = scalar
                 .iter()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(a.0)))
-                .unwrap();
-            let (&least, &lo) = scalar
+                .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(a.0)))
+            else {
+                break;
+            };
+            let Some((&least, &lo)) = scalar
                 .iter()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(b.0)))
-                .unwrap();
+                .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))
+            else {
+                break;
+            };
             if hi - lo <= TOLERANCE {
                 break;
             }
@@ -260,19 +264,18 @@ impl Rebalancer {
                 .filter(|(_, o)| o.hosts.contains(&most) && !o.hosts.contains(&least))
                 .map(|(i, o)| (i, obj_frac(o)))
                 .collect();
-            if movable.is_empty() {
-                break;
-            }
             movable.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap()
+                b.1.total_cmp(&a.1)
                     .then(objects[a.0].uid.cmp(&objects[b.0].uid))
             });
-            let (idx, _) = movable
+            let Some((idx, _)) = movable
                 .iter()
+                .find(|&&(_, w)| w <= gap)
+                .or(movable.last())
                 .copied()
-                .find(|&(_, w)| w <= gap)
-                .unwrap_or(*movable.last().unwrap());
+            else {
+                break;
+            };
             let obj = &mut objects[idx];
             plan.moves.push(Move {
                 uid: obj.uid,

@@ -9,7 +9,9 @@
 //! `drain_step`, the other the definition below. A node armed to crash
 //! after a few sends dies in the middle of the pass in both (same picks ⇒
 //! same message sequence ⇒ same crash point), so any divergence in a pick
-//! shows up as a different placement or report.
+//! shows up as a different placement or report. A second property runs
+//! two passes with the databases changing between them, so loads carried
+//! over from an earlier pass show up the same way.
 
 use groupview_membership::{DrainReport, Membership};
 use groupview_replication::{Counter, System};
@@ -113,5 +115,82 @@ proptest! {
             );
         }
         prop_assert_eq!(sys_a.sim().now(), sys_b.sim().now());
+    }
+}
+
+/// Report, every object's `Sv` and `St` entries and virtual time agree
+/// between the two worlds.
+fn assert_same_outcome(
+    (sys_a, got): (&System, &DrainReport),
+    (sys_b, want): (&System, &DrainReport),
+) {
+    assert_eq!(got, want);
+    let (a, b) = (sys_a.naming(), sys_b.naming());
+    assert_eq!(a.server_db.uids(), b.server_db.uids());
+    for uid in a.server_db.uids() {
+        assert_eq!(a.server_db.entry(uid), b.server_db.entry(uid));
+        assert_eq!(a.state_db.entry(uid), b.state_db.entry(uid));
+    }
+    assert_eq!(sys_a.sim().now(), sys_b.sim().now());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Loads belong to one pass. Pass 1 leaves an object that a client
+    /// holds active behind as busy; between the passes fresh objects land
+    /// on two of the targets and the client commits; pass 2 must pick
+    /// against the loads as they are then.
+    #[test]
+    fn each_pass_counts_the_loads_afresh(
+        seed in any::<u64>(),
+        stores in 7usize..=8,
+        placement in prop::collection::vec(any::<u64>(), 3..14),
+        held in 0usize..14,
+        drained in 0usize..3,
+        fresh in 1usize..6,
+        first in 0usize..7,
+    ) {
+        let held = held % placement.len();
+        let (sys_a, a, uids) = world(seed, stores, &placement);
+        let (sys_b, b, _) = world(seed, stores, &placement);
+        let held = uids[held];
+        let st = sys_a.naming().state_db.entry(held).expect("created");
+        let node = st.stores[drained % st.len()];
+        let client = NodeId::new(stores as u32 + 1);
+        let mut actions = Vec::new();
+        for (sys, m) in [(&sys_a, &a), (&sys_b, &b)] {
+            m.begin_drain(node);
+            let client = sys.client(client);
+            let action = client.begin_action();
+            client
+                .open::<Counter>(held)
+                .activate(action, 1)
+                .expect("nothing else runs");
+            actions.push((client, action));
+        }
+
+        let got = a.drain_step(node);
+        let want = drain_step_by_definition(&b, node);
+        assert_same_outcome((&sys_a, &got), (&sys_b, &want));
+        prop_assert!(got.busy.contains(&held));
+
+        let targets = a.targets(node);
+        let pair = [
+            targets[first % targets.len()],
+            targets[(first + 1) % targets.len()],
+        ];
+        for (sys, (client, action)) in [&sys_a, &sys_b].into_iter().zip(&actions) {
+            for i in 0..fresh {
+                sys.create_typed(Counter::new(i as i64), &pair, &pair)
+                    .expect("placement is valid");
+            }
+            client.commit(*action).expect("nothing else runs");
+        }
+
+        let got = a.drain_step(node);
+        let want = drain_step_by_definition(&b, node);
+        assert_same_outcome((&sys_a, &got), (&sys_b, &want));
+        prop_assert!(got.moved.contains(&held));
     }
 }
