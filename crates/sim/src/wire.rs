@@ -15,8 +15,8 @@
 //! * [`WireEncoder`] — a handle to the calling thread's frame pool.
 //!   Encoding takes a retired frame (the shared header *and* its vector),
 //!   writes into it, and freezes it into a [`Bytes`]; when the last clone
-//!   of that `Bytes` is dropped, the whole frame returns to the pool of the
-//!   thread that dropped it. Steady-state encoding allocates nothing.
+//!   of that `Bytes` is dropped, the whole frame returns to the pool.
+//!   Steady-state encoding allocates nothing.
 //! * [`Codec`] — explicit encode/decode pairs for each frame type (group
 //!   messages and member replies in `groupview-replication`, snapshot
 //!   frames in `groupview-store`). Decoders receive a [`Bytes`] so they can
@@ -28,19 +28,11 @@
 //! own traffic): benches report per-operation buffer
 //! allocations, and property tests assert that `clone`/`slice` never
 //! allocate or copy.
-//!
-//! `Bytes` and `WireEncoder` are `Send + Sync` (atomic refcounts; the
-//! encoder is a zero-sized handle), although every world runs on one
-//! thread and no frame crosses threads today. The pool
-//! itself is per thread, so the hot path takes no lock: the only
-//! synchronisation is the refcount. A frame whose last clone drops on
-//! another thread lands in *that* thread's pool; a frame still shared
-//! when a handle drops is simply released by that handle.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Fixed per-message framing overhead charged by transport layers, in
 /// bytes (addressing, sequence numbers, checksums). Cost accounting only —
@@ -133,27 +125,21 @@ fn bump(f: impl FnOnce(&mut WireStats)) {
 enum Backing {
     /// Borrowed `'static` data (literals, empty buffers): free to create.
     Static(&'static [u8]),
-    /// Shared ownership of a heap frame. The refcount is atomic, so the
-    /// last clone may drop on any thread.
-    Shared(Arc<Vec<u8>>),
+    /// Shared ownership of a heap frame, counted on this thread.
+    Shared(Rc<Vec<u8>>),
 }
 
 thread_local! {
     /// This thread's retired frames: each is an empty vector that kept its
-    /// capacity, inside the `Arc` header it was shared through, so reusing
+    /// capacity, inside the `Rc` header it was shared through, so reusing
     /// one allocates neither.
-    static FREE_FRAMES: RefCell<Vec<Arc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
+    static FREE_FRAMES: RefCell<Vec<Rc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Hands a frame nobody else holds to this thread's pool. Past the cap, or
 /// while the thread is tearing down its locals, the frame is just freed.
-fn retire(mut frame: Arc<Vec<u8>>) {
-    // A plain load turns most shared drops away before `get_mut`'s
-    // read-modify-write; `get_mut` remains the proof of sole ownership.
-    if Arc::strong_count(&frame) != 1 {
-        return;
-    }
-    let Some(data) = Arc::get_mut(&mut frame) else {
+fn retire(mut frame: Rc<Vec<u8>>) {
+    let Some(data) = Rc::get_mut(&mut frame) else {
         return;
     };
     data.clear();
@@ -211,10 +197,10 @@ impl Bytes {
             s.buffer_allocs += 1;
             s.bytes_copied += data.len() as u64;
         });
-        Bytes::from_frame(Arc::new(data.to_vec()))
+        Bytes::from_frame(Rc::new(data.to_vec()))
     }
 
-    fn from_frame(frame: Arc<Vec<u8>>) -> Bytes {
+    fn from_frame(frame: Rc<Vec<u8>>) -> Bytes {
         let end = frame.len();
         Bytes {
             backing: Backing::Shared(frame),
@@ -279,8 +265,8 @@ impl Default for Bytes {
     }
 }
 
-/// The last handle to a shared frame retires it into the dropping thread's
-/// pool; any other handle just releases its reference.
+/// The last handle to a shared frame retires it into this thread's pool;
+/// any other handle just releases its reference.
 impl Drop for Bytes {
     fn drop(&mut self) {
         if let Backing::Shared(frame) = std::mem::replace(&mut self.backing, Backing::Static(&[])) {
@@ -294,7 +280,7 @@ impl Drop for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Bytes {
         bump(|s| s.buffer_allocs += 1);
-        Bytes::from_frame(Arc::new(data))
+        Bytes::from_frame(Rc::new(data))
     }
 }
 
@@ -383,10 +369,9 @@ impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
 /// [`WireEncoder::encode_with`] pops a retired frame (or allocates one on a
 /// cold start), hands its vector to the closure to fill, and freezes the
 /// result into a [`Bytes`]. When the last clone of that `Bytes` drops, the
-/// whole frame — shared header and vector — returns to the pool of the
-/// thread that dropped it. A hot loop that encodes, fans out, and releases
-/// each frame therefore reuses the same few frames forever, and takes no
-/// lock doing so.
+/// whole frame — shared header and vector — returns to the pool. A hot
+/// loop that encodes, fans out, and releases each frame therefore reuses
+/// the same few frames forever, and takes no lock doing so.
 ///
 /// The handle is zero-sized: every encoder on a thread draws from that
 /// thread's one pool, so clones, and encoders built separately, share it.
@@ -425,11 +410,11 @@ impl WireEncoder {
             }
             None => {
                 bump(|s| s.buffer_allocs += 1);
-                Arc::new(Vec::with_capacity(MIN_FRAME_CAPACITY))
+                Rc::new(Vec::with_capacity(MIN_FRAME_CAPACITY))
             }
         };
         // `retire` pools a frame only once it has proved sole ownership.
-        let data = Arc::get_mut(&mut frame).expect("a pooled frame has no other owner");
+        let data = Rc::get_mut(&mut frame).expect("a pooled frame has no other owner");
         debug_assert!(data.is_empty(), "pooled scratch must be cleared");
         fill(data);
         bump(|s| s.bytes_copied += data.len() as u64);
@@ -600,79 +585,8 @@ mod tests {
     }
 
     #[test]
-    fn bytes_and_encoder_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Bytes>();
-        assert_send_sync::<WireEncoder>();
-        assert_send_sync::<WireStats>();
-        assert_eq!(std::mem::size_of::<WireEncoder>(), 0);
-    }
-
-    /// Runs `f` on a fresh thread and returns how many frames it added to
-    /// that thread's pool.
-    fn pooled_on_another_thread(f: impl FnOnce() + Send + 'static) -> usize {
-        std::thread::spawn(move || {
-            let before = WireEncoder::new().pooled();
-            f();
-            WireEncoder::new().pooled() - before
-        })
-        .join()
-        .expect("other thread")
-    }
-
-    #[test]
-    fn a_frame_dropped_last_on_another_thread_lands_in_that_threads_pool() {
-        // Encoded on thread A, last dropped on thread B.
-        let enc = WireEncoder::new();
-        let frame = enc.encode_with(|buf| buf.extend_from_slice(b"cross-thread"));
-        let home = enc.pooled();
-        let remote = pooled_on_another_thread(move || {
-            assert_eq!(frame, b"cross-thread");
-            drop(frame);
-        });
-        assert_eq!(remote, 1, "the dropping thread's pool took the frame");
-        assert_eq!(
-            enc.pooled(),
-            home,
-            "the encoding thread's pool is untouched"
-        );
-    }
-
-    #[test]
-    fn a_frame_shared_between_threads_is_pooled_once_by_its_last_holder() {
-        let enc = WireEncoder::new();
-        let frame = enc.encode_with(|buf| buf.extend_from_slice(b"shared"));
-        let copy = frame.clone();
-        let home = enc.pooled();
-        let remote = pooled_on_another_thread(move || drop(copy));
-        assert_eq!(remote, 0, "a still-shared frame is released, not pooled");
-        assert_eq!(frame, b"shared");
-        drop(frame);
-        assert_eq!(enc.pooled(), home + 1, "the last holder pools it");
-
-        // Two threads racing to drop the last two handles: at most one of
-        // them may pool the frame (both may simply free it).
-        for _ in 0..100 {
-            let frame = enc.encode_with(|buf| buf.push(9));
-            let copy = frame.clone();
-            let start = std::sync::Arc::new(std::sync::Barrier::new(2));
-            let remote_start = start.clone();
-            let home = enc.pooled();
-            let remote = std::thread::spawn(move || {
-                let before = WireEncoder::new().pooled();
-                remote_start.wait();
-                drop(copy);
-                WireEncoder::new().pooled() - before
-            });
-            start.wait();
-            drop(frame);
-            let remote = remote.join().expect("racing thread");
-            assert!(enc.pooled() - home + remote <= 1, "pooled twice");
-        }
-    }
-
-    #[test]
     fn encoders_on_one_thread_share_its_pool() {
+        assert_eq!(std::mem::size_of::<WireEncoder>(), 0);
         let enc = WireEncoder::new();
         let other = WireEncoder::new();
         drop(enc.encode_with(|buf| buf.push(7)));

@@ -4,7 +4,12 @@
 //!
 //! After every step each live handle must still read exactly what it was
 //! encoded with, and no two live handles from *different* encodes may
-//! share storage. An encode must allocate exactly when the pool is empty.
+//! share storage. An encode must allocate exactly when the pool is empty,
+//! and otherwise take one frame from it. A frame is pooled once, by its
+//! last holder: dropping the last live handle of an encode grows the pool
+//! by exactly one, and dropping any other handle leaves it alone. (The
+//! pool never holds more frames than a case had alive at once, fewer than
+//! 160, so its cap of 192 never turns a frame away.)
 
 use groupview_sim::wire::{self, Bytes, WireEncoder};
 use proptest::prelude::*;
@@ -97,12 +102,14 @@ proptest! {
             match step {
                 Step::Encode { len, seed } => {
                     let expected = content(encodes, len, seed);
-                    let pool_was_empty = enc.pooled() == 0;
+                    let pooled = enc.pooled();
+                    let pool_was_empty = pooled == 0;
                     let before = wire::stats();
                     let bytes = enc.encode_with(|buf| buf.extend_from_slice(&expected));
                     let d = wire::stats().since(before);
                     prop_assert_eq!(d.buffer_allocs, u64::from(pool_was_empty));
                     prop_assert_eq!(d.pool_reuses, u64::from(!pool_was_empty));
+                    prop_assert_eq!(enc.pooled(), pooled.saturating_sub(1), "a reuse takes one frame");
                     live.push(Live { bytes, encode: encodes, offset: 0, expected });
                     encodes += 1;
                 }
@@ -128,7 +135,15 @@ proptest! {
                     });
                 }
                 Step::Drop(i) if !live.is_empty() => {
-                    live.swap_remove(i % live.len());
+                    let pooled = enc.pooled();
+                    let gone = live.swap_remove(i % live.len());
+                    let was_last = live.iter().all(|l| l.encode != gone.encode);
+                    drop(gone);
+                    prop_assert_eq!(
+                        enc.pooled(),
+                        pooled + usize::from(was_last),
+                        "only the last holder pools a frame, and only once"
+                    );
                 }
                 _ => {}
             }
