@@ -316,9 +316,9 @@ fn e2() -> Vec<TextTable> {
             m.attempts.to_string(),
             m.commits.to_string(),
             fmt_pct(m.availability()),
-            m.abort_bind.to_string(),
-            m.abort_invoke.to_string(),
-            m.abort_commit.to_string(),
+            m.abort_bind().to_string(),
+            m.abort_invoke().to_string(),
+            m.abort_commit().to_string(),
         ]);
     }
     vec![table]
@@ -449,8 +449,8 @@ fn e4() -> Vec<TextTable> {
         threshold.row(vec![
             crashed.to_string(),
             fmt_pct(m.availability()),
-            m.abort_bind.to_string(),
-            m.abort_invoke.to_string(),
+            m.abort_bind().to_string(),
+            m.abort_invoke().to_string(),
         ]);
     }
     vec![masking, threshold]
@@ -987,7 +987,7 @@ fn e12() -> Vec<TextTable> {
             policy.to_string(),
             m.attempts.to_string(),
             fmt_pct(m.availability()),
-            m.abort_invoke.to_string(),
+            m.abort_invoke().to_string(),
             (m.abort_bind_failure + m.abort_failure + m.abort_commit_failure).to_string(),
             fmt_f64(m.action_messages.mean()),
             fmt_f64(m.action_latency_us.mean()),
@@ -1214,6 +1214,21 @@ mod tests {
                 assert_eq!(pct(cell), 100.0, "|Sv| = {}: {table}", row[0]);
             }
         }
+    }
+
+    /// The standard scheme never prunes `Sv`, so every client keeps paying
+    /// for each dead server it probes.
+    #[test]
+    fn e6_standard_scheme_keeps_probing_dead_servers() {
+        let table = &e6()[0];
+        let rows = rows(table);
+        for row in &rows {
+            assert_eq!(row[5], "0", "no Sv removals: {table}");
+            assert_eq!(row[8], "4", "|Sv| stays whole: {table}");
+        }
+        let probes: Vec<u64> = rows.iter().map(|r| r[3].parse().unwrap()).collect();
+        assert_eq!(probes[0], 0, "no crashed server, no dead probes: {table}");
+        assert!(probes.windows(2).all(|w| w[1] > w[0]), "{table}");
     }
 
     #[test]

@@ -158,6 +158,10 @@ pub struct Binding {
     pub retries: u32,
 }
 
+/// Retries of a binding (or its completion) refused by lock contention,
+/// after the first attempt.
+const MAX_RETRIES: u32 = 3;
+
 /// The client-side binding engine.
 ///
 /// One binder per world and scheme; clients call [`Binder::bind`] at the
@@ -169,7 +173,6 @@ pub struct Binder {
     tx: TxSystem,
     naming: NamingService,
     scheme: BindingScheme,
-    max_retries: u32,
     cache: Option<RemoteServerCache>,
 }
 
@@ -189,7 +192,6 @@ impl Binder {
             tx: naming.tx().clone(),
             naming: naming.clone(),
             scheme,
-            max_retries: 3,
             cache: None,
         }
     }
@@ -198,12 +200,6 @@ impl Binder {
     /// [`BindingScheme::CachedNameServer`]).
     pub fn with_cache(mut self, cache: RemoteServerCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Overrides the retry budget for contended bindings.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
         self
     }
 
@@ -257,7 +253,7 @@ impl Binder {
         if !binding.registered {
             return Ok(());
         }
-        for _ in 0..=self.max_retries {
+        for _ in 0..=MAX_RETRIES {
             let t2 = match (self.scheme, enclosing) {
                 (BindingScheme::NestedTopLevel, Some(encl)) if self.tx.is_active(encl) => {
                     self.tx.begin_nested_top(encl)
@@ -380,7 +376,7 @@ impl Binder {
         nested_top: bool,
     ) -> Result<Binding, BindError> {
         let mut retries = 0;
-        for attempt in 0..=self.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             let t1 = if nested_top {
                 self.tx.begin_nested_top(action)
             } else {
@@ -392,7 +388,7 @@ impl Binder {
                     return Ok(binding);
                 }
                 Err(BindError::Db(e)) if e.is_lock_refused() => {
-                    if attempt == self.max_retries {
+                    if attempt == MAX_RETRIES {
                         return Err(BindError::Contention);
                     }
                     retries += 1;
@@ -764,7 +760,5 @@ mod tests {
     fn binder_accessors() {
         let (_, _, _, binder) = world(BindingScheme::NestedTopLevel);
         assert_eq!(binder.scheme(), BindingScheme::NestedTopLevel);
-        let b2 = binder.clone().with_max_retries(0);
-        assert_eq!(b2.scheme(), BindingScheme::NestedTopLevel);
     }
 }

@@ -12,17 +12,15 @@
 //! [`Oracle`]. [`run_matrix`] fans a scenario list across a seed list.
 
 use crate::history::History;
-use crate::oracle::{
-    check_final_states, check_quiescent_invariants, with_class, ModelKind, ObjectModel, Oracle,
-    OracleReport,
-};
+use crate::oracle::{with_class, ModelKind, ObjectModel, Oracle, OracleReport};
 use crate::plan::{FaultPlan, PlanAction};
+use groupview_actions::ActionId;
 use groupview_core::BindingScheme;
 use groupview_membership::{Membership, Rebalancer};
 use groupview_obs::MetricsSnapshot;
 use groupview_replication::{
-    Account, AccountOp, Client, Counter, CounterOp, KvMap, KvOp, ObjectGroup, ObjectType,
-    ReplicationPolicy, System, Tx, TxOpError, TypedUid,
+    Account, AccountOp, Client, CommitError, Counter, CounterOp, Handle, KvMap, KvOp, ObjectGroup,
+    ObjectType, ReplicationPolicy, System, Tx, TxOpError, TypedUid,
 };
 use groupview_sim::{Bytes, ClientId, IdSet, NodeId, ScheduledEvent, Sim, SimDuration};
 use groupview_store::Uid;
@@ -36,14 +34,12 @@ pub struct RunOutcome {
     pub metrics: RunMetrics,
     /// The recorded per-client event history.
     pub history: History,
-    /// Clients the plan crashed (still considered dead by later sweeps).
-    pub dead_clients: Vec<ClientId>,
 }
 
 enum Phase {
     Idle,
     Running {
-        action: groupview_actions::ActionId,
+        action: ActionId,
         group: ObjectGroup,
         /// Index of the acted-on object in `spec.objects` (also indexes
         /// the run's `ModelKind`s).
@@ -62,6 +58,19 @@ enum Phase {
     },
 }
 
+impl Phase {
+    /// Takes the in-flight action, if any, leaving the phase idle: its id
+    /// and the object its history events name. A transfer's [`Tx`] is
+    /// released unfinished; the caller ends the action.
+    fn take(&mut self) -> Option<(ActionId, Uid)> {
+        match std::mem::replace(self, Phase::Idle) {
+            Phase::Idle => None,
+            Phase::Running { action, group, .. } => Some((action, group.uid)),
+            Phase::Transfer { tx, uid } => Some((tx.leak(), uid)),
+        }
+    }
+}
+
 struct Machine {
     idx: usize,
     client: Client,
@@ -76,33 +85,33 @@ impl Machine {
     }
 }
 
-/// Elastic-membership state for one run, created lazily on the **first**
-/// membership plan action ([`PlanAction::AddNode`], [`PlanAction::DrainNode`],
-/// [`PlanAction::Rebalance`]). Plans without one never build it, so the run
-/// is bit-for-bit identical to a pre-elastic runner — `tests/parity.rs`
-/// and `tests/obs_parity.rs` both pin this.
-struct Elastic {
-    membership: Membership,
-    /// Nodes whose drain still has busy or failed replicas; retried every
-    /// step (like deferred recovery work) and once more after the workload
-    /// ends, when every lock is released.
-    draining: Vec<NodeId>,
+/// Where an aborted action stopped.
+#[derive(Clone, Copy)]
+enum Stage {
+    Bind,
+    Invoke,
+    Commit,
 }
 
-impl Elastic {
-    fn new(sys: &System) -> Self {
-        Elastic {
-            membership: Membership::new(sys),
-            draining: Vec::new(),
-        }
-    }
+/// How an action ended.
+#[derive(Clone, Copy)]
+enum Ended {
+    Committed,
+    /// `Aborted(stage, failure)`: aborted at `stage`; `failure` when a
+    /// node or network failure, not lock contention, caused it.
+    Aborted(Stage, bool),
+    /// Its client crashed mid-action, leaving locks and bindings behind.
+    Crashed,
+    /// Still in flight at the step bound, and aborted there.
+    Abandoned,
+}
 
-    /// Folds one drain pass into the metrics and reports completion.
-    fn drain_pass(&self, node: NodeId, metrics: &mut RunMetrics) -> bool {
-        let report = self.membership.drain_step(node);
-        metrics.migrations += report.moved.len() as u64;
-        metrics.migrations_deferred += (report.busy.len() + report.failed.len()) as u64;
-        report.complete
+impl Ended {
+    fn of_commit(result: Result<(), CommitError>) -> Ended {
+        match result {
+            Ok(()) => Ended::Committed,
+            Err(e) => Ended::Aborted(Stage::Commit, e.is_failure_caused()),
+        }
     }
 }
 
@@ -233,6 +242,10 @@ impl OpGen {
 /// [`ScheduledEvent::Custom`] markers before the first step, and each fires
 /// at the top of the first step whose clock has reached its offset.
 ///
+/// A client's cost account is armed only while that client steps
+/// ([`Sim::with_account`]): plan actions, §4 recovery retries and drain
+/// passes between steps are charged to no client.
+///
 /// # Panics
 ///
 /// Panics if the spec has no objects or no client nodes, or if `kinds` is
@@ -250,10 +263,19 @@ pub fn run_plan_typed(
         spec.objects.len(),
         "one ModelKind per workload object"
     );
-    let mut metrics = RunMetrics::default();
-    let mut history =
-        History::with_capacity(spec.total_actions() * (spec.ops_per_action + 1) + plan.len());
-    let mut ops = OpGen::new(kinds.to_vec());
+    let sim = sys.sim();
+    let mut run = Run {
+        sys,
+        spec,
+        ops: OpGen::new(kinds.to_vec()),
+        metrics: RunMetrics::default(),
+        history: History::with_capacity(
+            spec.total_actions() * (spec.ops_per_action + 1) + plan.len(),
+        ),
+        recovering: Vec::new(),
+        membership: Membership::new(sys),
+        draining: Vec::new(),
+    };
     let mut machines: Vec<Machine> = (0..spec.clients)
         .map(|i| {
             let node = spec.client_nodes[i % spec.client_nodes.len()];
@@ -270,296 +292,243 @@ pub fn run_plan_typed(
     // Plan entries are offsets from *now* (the start of the run), so plans
     // are independent of how much virtual time setup consumed.
     for (idx, offset) in plan.timed_events() {
-        sys.sim()
-            .schedule_in(offset, ScheduledEvent::Custom(idx as u64));
+        sim.schedule_in(offset, ScheduledEvent::Custom(idx as u64));
     }
 
     // Generous upper bound: every action takes ops+2 steps plus retries.
     let max_steps = (spec.total_actions() as u64) * (spec.ops_per_action as u64 + 3) * 4 + 1000;
 
-    // Nodes whose recovery protocol still has deferred work; retried every
-    // step like the paper's recovering node does.
-    let mut recovering: Vec<NodeId> = Vec::new();
-
-    // Lazily-built elastic membership (None until the plan asks for it).
-    let mut elastic: Option<Elastic> = None;
-
     let mut step = 0u64;
     while step < max_steps {
         step += 1;
         // The plan entries installed above that are now due.
-        for ScheduledEvent::Custom(idx) in sys.sim().run_due_events() {
-            let Some(entry) = plan.events().get(idx as usize) else {
-                continue;
-            };
-            apply_plan_action(
-                sys,
-                &entry.action,
-                &mut machines,
-                &mut metrics,
-                &mut recovering,
-                &mut elastic,
-                &mut history,
-            );
-        }
-        // Retry deferred recovery work.
-        recovering.retain(|&node| {
-            if !sys.sim().is_up(node) {
-                return false; // crashed again; a future recover re-adds it
-            }
-            let mut report = sys.recovery().recover_store(node);
-            report.merge(sys.recovery().recover_server(node));
-            !report.fully_recovered()
-        });
-        // Retry unfinished drains the same way: busy replicas free up as
-        // their clients commit or abort.
-        if let Some(el) = elastic.as_mut() {
-            let pending = std::mem::take(&mut el.draining);
-            for node in pending {
-                if !el.drain_pass(node, &mut metrics) {
-                    el.draining.push(node);
-                }
+        for ScheduledEvent::Custom(idx) in sim.run_due_events() {
+            if let Some(entry) = plan.events().get(idx as usize) {
+                run.apply(&entry.action, &mut machines);
             }
         }
-        sys.sim().advance(SimDuration::from_micros(50));
+        // A recovering node retries its deferred work every step, as the
+        // paper's does; one that crashed again drops out until the plan
+        // recovers it anew.
+        run.recovering
+            .retain(|&node| sim.is_up(node) && !recovery_pass(sys, node));
+        run.retry_drains();
+        sim.advance(SimDuration::from_micros(50));
 
         let mut order: Vec<usize> = machines
             .iter()
             .filter(|m| !m.is_finished())
             .map(|m| m.idx)
             .collect();
-        if order.is_empty() && recovering.is_empty() {
+        if order.is_empty() && run.recovering.is_empty() {
             break;
         }
-        sys.sim().shuffle(&mut order);
+        sim.shuffle(&mut order);
         for idx in order {
-            step_machine(
-                sys,
-                spec,
-                &mut ops,
-                &mut machines[idx],
-                &mut metrics,
-                &mut history,
-            );
+            let m = &mut machines[idx];
+            sim.with_account(idx as u64, || run.step(m));
         }
     }
     // Abort anything still in flight (only reachable at the step bound) so
     // the quiesce phase sees no held locks.
-    for m in &mut machines {
-        if m.dead {
-            continue;
-        }
-        match std::mem::replace(&mut m.phase, Phase::Idle) {
-            Phase::Idle => {}
-            Phase::Running { action, group, .. } => {
-                m.client.abort(action);
-                metrics.aborts += 1;
-                history.aborted(sys.sim().now(), m.idx, action.raw(), group.uid, false);
-            }
-            Phase::Transfer { tx, uid } => {
-                let action = tx.action().raw();
-                tx.abort();
-                metrics.aborts += 1;
-                history.aborted(sys.sim().now(), m.idx, action, uid, false);
-            }
+    for m in machines.iter_mut().filter(|m| !m.dead) {
+        if let Some((action, uid)) = m.phase.take() {
+            m.client.abort(action);
+            run.book(m, action, uid, Ended::Abandoned);
         }
     }
-    // Elastic finalization: with every workload action finished, nothing
-    // holds locks any more, so unfinished drains either complete now or
-    // are genuinely blocked on a down node (quiesce recovers those; the
-    // oracle's invariant check flags anything still stranded).
-    if let Some(el) = elastic.as_mut() {
-        for _ in 0..4 {
-            if el.draining.is_empty() {
-                break;
-            }
-            let pending = std::mem::take(&mut el.draining);
-            for node in pending {
-                if !el.drain_pass(node, &mut metrics) {
-                    el.draining.push(node);
-                }
-            }
+    // With every workload action finished nothing holds locks any more, so
+    // unfinished drains either complete now or are blocked on a down node
+    // (quiesce recovers those; the oracle flags anything still stranded).
+    for _ in 0..4 {
+        if run.draining.is_empty() {
+            break;
         }
+        run.retry_drains();
     }
+    let mut metrics = run.metrics;
     metrics.steps = step;
     metrics.tx = sys.tx().stats();
-    metrics.net = sys.sim().counters();
-    sys.sim().set_active_account(None);
+    metrics.net = sim.counters();
     RunOutcome {
         metrics,
-        history,
-        dead_clients: machines
-            .iter()
-            .filter(|m| m.dead)
-            .map(|m| m.client.id())
-            .collect(),
+        history: run.history,
     }
 }
 
-fn apply_plan_action(
-    sys: &System,
-    action: &PlanAction,
-    machines: &mut [Machine],
-    metrics: &mut RunMetrics,
-    recovering: &mut Vec<NodeId>,
-    elastic: &mut Option<Elastic>,
-    history: &mut History,
-) {
-    match action {
-        PlanAction::CrashNode(node) => sys.sim().crash(*node),
-        PlanAction::CrashAfterSends(node, budget) => {
-            sys.sim().crash_after_sends(*node, *budget);
-        }
-        PlanAction::RecoverNode(node) => {
-            // A recover also disarms an unfired store-commit trap, mirroring
-            // how `Sim::recover` disarms an unfired send budget.
-            sys.stores().disarm_crash_after_prepare(*node);
-            recovering.push(*node);
-            sys.recovery().recover_node(*node);
-        }
-        PlanAction::CrashClient(i) => {
-            if let Some(m) = machines.get_mut(*i) {
-                if !m.dead {
-                    m.dead = true;
-                    match std::mem::replace(&mut m.phase, Phase::Idle) {
-                        Phase::Idle => {}
-                        Phase::Running { action, group, .. } => {
-                            metrics.leaked_bindings +=
-                                m.client.crash_without_cleanup(action) as u64;
-                            metrics.aborts += 1;
-                            history.crashed(sys.sim().now(), m.idx, action.raw(), group.uid);
-                        }
-                        Phase::Transfer { tx, uid } => {
-                            // `leak` disarms the drop-abort: a crashing
-                            // client leaves its locks and bindings behind.
-                            let action = tx.leak();
-                            metrics.leaked_bindings +=
-                                m.client.crash_without_cleanup(action) as u64;
-                            metrics.aborts += 1;
-                            history.crashed(sys.sim().now(), m.idx, action.raw(), uid);
-                        }
-                    }
-                }
-            }
-        }
-        PlanAction::CleanupSweep => {
-            let dead: IdSet<ClientId> = machines
-                .iter()
-                .filter(|m| m.dead)
-                .map(|m| m.client.id())
-                .collect();
-            let report = sys.cleanup().sweep(|c| !dead.contains(&c));
-            metrics.cleanup_reclaimed += report.reclaimed() as u64;
-        }
-        PlanAction::PartitionLink(a, b) => sys.sim().partition(*a, *b),
-        PlanAction::HealLink(a, b) => sys.sim().heal(*a, *b),
-        PlanAction::PartitionGroups(side_a, side_b) => {
-            sys.sim().partition_groups(side_a, side_b);
-        }
-        PlanAction::HealAll => sys.sim().heal_all(),
-        PlanAction::SetDropProbability(p) => sys.sim().set_drop_probability(*p),
-        PlanAction::CrashStoreInCommit(node) => sys.stores().arm_crash_after_prepare(*node),
-        PlanAction::AddNode => {
-            let el = elastic.get_or_insert_with(|| Elastic::new(sys));
-            el.membership.add_node();
-        }
-        PlanAction::DrainNode(node) => {
-            let el = elastic.get_or_insert_with(|| Elastic::new(sys));
-            el.membership.begin_drain(*node);
-            if !el.drain_pass(*node, metrics) && !el.draining.contains(node) {
-                el.draining.push(*node);
-            }
-        }
-        PlanAction::Rebalance => {
-            let el = elastic.get_or_insert_with(|| Elastic::new(sys));
-            let report = Rebalancer.rebalance(&el.membership);
-            metrics.migrations += report.moved.len() as u64;
-            metrics.migrations_deferred += (report.busy.len() + report.failed.len()) as u64;
-        }
-    }
+/// One §4 recovery pass over `node` — its store, then its server role —
+/// reporting whether it left no work deferred.
+fn recovery_pass(sys: &System, node: NodeId) -> bool {
+    let mut report = sys.recovery().recover_store(node);
+    report.merge(sys.recovery().recover_server(node));
+    report.fully_recovered()
 }
 
-fn step_machine(
-    sys: &System,
-    spec: &WorkloadSpec,
-    ops: &mut OpGen,
-    m: &mut Machine,
-    metrics: &mut RunMetrics,
-    history: &mut History,
-) {
-    if m.dead {
-        return;
-    }
-    let sim = sys.sim();
-    let account = m.idx as u64;
-    sim.set_active_account(Some(account));
+/// One drain pass over `node`, its moves counted into `metrics`,
+/// reporting whether the drain is complete.
+fn drain_pass(membership: &Membership, node: NodeId, metrics: &mut RunMetrics) -> bool {
+    let report = membership.drain_step(node);
+    metrics.migrations += report.moved.len() as u64;
+    metrics.migrations_deferred += (report.busy.len() + report.failed.len()) as u64;
+    report.complete
+}
 
-    match std::mem::replace(&mut m.phase, Phase::Idle) {
-        Phase::Idle => {
-            if m.actions_left == 0 {
-                return;
+/// The state one run shares between client steps, plan actions and the
+/// retry passes between steps.
+struct Run<'a> {
+    sys: &'a System,
+    spec: &'a WorkloadSpec,
+    ops: OpGen,
+    metrics: RunMetrics,
+    history: History,
+    /// Nodes whose §4 recovery still has deferred work.
+    recovering: Vec<NodeId>,
+    /// The membership coordinator the plan's `AddNode`, `DrainNode` and
+    /// `Rebalance` actions drive; idle in a plan without them.
+    membership: Membership,
+    /// Nodes whose drain still has busy or failed replicas.
+    draining: Vec<NodeId>,
+}
+
+impl Run<'_> {
+    /// Retries every unfinished drain once: busy replicas free up as their
+    /// clients commit or abort.
+    fn retry_drains(&mut self) {
+        let (membership, metrics) = (&self.membership, &mut self.metrics);
+        self.draining
+            .retain(|&node| !drain_pass(membership, node, metrics));
+    }
+
+    /// Executes one due plan entry.
+    fn apply(&mut self, entry: &PlanAction, machines: &mut [Machine]) {
+        let (sys, sim) = (self.sys, self.sys.sim());
+        match entry {
+            PlanAction::CrashNode(node) => sim.crash(*node),
+            PlanAction::CrashAfterSends(node, budget) => sim.crash_after_sends(*node, *budget),
+            PlanAction::RecoverNode(node) => {
+                // A recover also disarms an unfired store-commit trap,
+                // mirroring how `Sim::recover` disarms an unfired send budget.
+                sys.stores().disarm_crash_after_prepare(*node);
+                self.recovering.push(*node);
+                sys.recovery().recover_node(*node);
             }
-            m.actions_left -= 1;
-            metrics.attempts += 1;
-            sim.account_reset(account);
-            let read_only = sim.chance(spec.read_fraction);
-            if spec.transfers && !read_only && spec.objects.len() >= 2 {
-                start_transfer(sys, spec, m, metrics, history);
-                return;
+            PlanAction::CrashClient(i) => {
+                let Some(m) = machines.get_mut(*i).filter(|m| !m.dead) else {
+                    return;
+                };
+                m.dead = true;
+                if let Some((action, uid)) = m.phase.take() {
+                    self.metrics.leaked_bindings += m.client.crash_without_cleanup(action) as u64;
+                    self.book(m, action, uid, Ended::Crashed);
+                }
             }
-            let object_index = sim.random_below(spec.objects.len() as u64) as usize;
-            let uid = spec.objects[object_index];
-            let action = m.client.begin_action();
-            let outcome = if read_only {
-                m.client.activate_read_only(action, uid, spec.replicas)
-            } else {
-                m.client.activate(action, uid, spec.replicas)
-            };
-            match outcome {
-                Ok(group) => {
-                    let b = group.binding();
-                    metrics.probe_failures += u64::from(b.probe_failures);
-                    metrics.bind_retries += u64::from(b.retries);
-                    metrics.servers_removed += b.removed.len() as u64;
-                    m.phase = Phase::Running {
-                        action,
-                        group,
-                        object_index,
-                        ops_left: spec.ops_per_action,
-                        read_only,
-                    };
+            PlanAction::CleanupSweep => {
+                let dead: IdSet<ClientId> = machines
+                    .iter()
+                    .filter(|m| m.dead)
+                    .map(|m| m.client.id())
+                    .collect();
+                let report = sys.cleanup().sweep(|c| !dead.contains(&c));
+                self.metrics.cleanup_reclaimed += report.reclaimed() as u64;
+            }
+            PlanAction::PartitionLink(a, b) => sim.partition(*a, *b),
+            PlanAction::HealLink(a, b) => sim.heal(*a, *b),
+            PlanAction::PartitionGroups(side_a, side_b) => sim.partition_groups(side_a, side_b),
+            PlanAction::HealAll => sim.heal_all(),
+            PlanAction::SetDropProbability(p) => sim.set_drop_probability(*p),
+            PlanAction::CrashStoreInCommit(node) => sys.stores().arm_crash_after_prepare(*node),
+            PlanAction::AddNode => {
+                self.membership.add_node();
+            }
+            PlanAction::DrainNode(node) => {
+                self.membership.begin_drain(*node);
+                if !drain_pass(&self.membership, *node, &mut self.metrics)
+                    && !self.draining.contains(node)
+                {
+                    self.draining.push(*node);
                 }
-                Err(e) => {
-                    m.client.abort(action);
-                    metrics.abort_bind += 1;
-                    if e.is_failure_caused() {
-                        metrics.abort_bind_failure += 1;
-                    } else {
-                        metrics.abort_bind_contention += 1;
-                    }
-                    history.aborted(sim.now(), m.idx, action.raw(), uid, e.is_failure_caused());
-                    finish_action(sys, m, metrics, false);
-                }
+            }
+            PlanAction::Rebalance => {
+                let report = Rebalancer.rebalance(&self.membership);
+                self.metrics.migrations += report.moved.len() as u64;
+                self.metrics.migrations_deferred +=
+                    (report.busy.len() + report.failed.len()) as u64;
             }
         }
-        Phase::Running {
-            action,
-            group,
-            object_index,
-            ops_left,
-            read_only,
-        } => {
-            if ops_left > 0 {
-                let kind = ops.kind_of(object_index);
+    }
+
+    /// One step of one client: begin and bind, invoke one batch, or commit.
+    fn step(&mut self, m: &mut Machine) {
+        let (sys, spec) = (self.sys, self.spec);
+        let sim = sys.sim();
+        match std::mem::replace(&mut m.phase, Phase::Idle) {
+            Phase::Idle => {
+                if m.actions_left == 0 {
+                    return;
+                }
+                m.actions_left -= 1;
+                self.metrics.attempts += 1;
+                sim.account_reset(m.idx as u64);
+                let read_only = sim.chance(spec.read_fraction);
+                if spec.transfers && !read_only && spec.objects.len() >= 2 {
+                    self.start_transfer(m);
+                    return;
+                }
+                let object_index = sim.random_below(spec.objects.len() as u64) as usize;
+                let uid = spec.objects[object_index];
+                let action = m.client.begin_action();
+                let outcome = if read_only {
+                    m.client.activate_read_only(action, uid, spec.replicas)
+                } else {
+                    m.client.activate(action, uid, spec.replicas)
+                };
+                match outcome {
+                    Ok(group) => {
+                        let b = group.binding();
+                        self.metrics.probe_failures += u64::from(b.probe_failures);
+                        self.metrics.bind_retries += u64::from(b.retries);
+                        self.metrics.servers_removed += b.removed.len() as u64;
+                        m.phase = Phase::Running {
+                            action,
+                            group,
+                            object_index,
+                            ops_left: spec.ops_per_action,
+                            read_only,
+                        };
+                    }
+                    Err(e) => {
+                        m.client.abort(action);
+                        let ended = Ended::Aborted(Stage::Bind, e.is_failure_caused());
+                        self.book(m, action, uid, ended);
+                    }
+                }
+            }
+            Phase::Running {
+                action,
+                group,
+                ops_left: 0,
+                ..
+            } => {
+                let ended = Ended::of_commit(m.client.commit(action));
+                self.book(m, action, group.uid, ended);
+            }
+            Phase::Running {
+                action,
+                group,
+                object_index,
+                ops_left,
+                read_only,
+            } => {
+                let kind = self.ops.kind_of(object_index);
                 // Each step sends up to `ops_per_batch` ops as one
                 // replicated unit (one op, the default, is a batch of one).
                 let k = spec.ops_per_batch.min(ops_left);
                 let batch: Vec<Bytes> = (0..k)
                     .map(|_| {
                         if read_only {
-                            ops.read_op(sim, kind)
+                            self.ops.read_op(sim, kind)
                         } else {
-                            ops.write_op(sim, kind)
+                            self.ops.write_op(sim, kind)
                         }
                     })
                     .collect();
@@ -575,7 +544,7 @@ fn step_machine(
                         // I1–I5 and the per-class models verify batched
                         // histories unchanged.
                         for (op, reply) in batch.into_iter().zip(replies.slices()) {
-                            history.invoked(
+                            self.history.invoked(
                                 sim.now(),
                                 m.idx,
                                 action.raw(),
@@ -595,179 +564,113 @@ fn step_machine(
                     }
                     Err(e) => {
                         m.client.abort(action);
-                        metrics.abort_invoke += 1;
-                        if e.is_failure_caused() {
-                            metrics.abort_failure += 1;
-                        } else {
-                            metrics.abort_contention += 1;
-                        }
-                        history.aborted(
-                            sim.now(),
-                            m.idx,
-                            action.raw(),
-                            group.uid,
-                            e.is_failure_caused(),
-                        );
-                        finish_action(sys, m, metrics, false);
+                        let ended = Ended::Aborted(Stage::Invoke, e.is_failure_caused());
+                        self.book(m, action, group.uid, ended);
                     }
-                }
-            } else {
-                let uid = group.uid;
-                match m.client.commit(action) {
-                    Ok(()) => {
-                        history.committed(sim.now(), m.idx, action.raw(), uid);
-                        finish_action(sys, m, metrics, true);
-                    }
-                    Err(e) => {
-                        metrics.abort_commit += 1;
-                        if e.is_failure_caused() {
-                            metrics.abort_commit_failure += 1;
-                        } else {
-                            metrics.abort_commit_contention += 1;
-                        }
-                        history.aborted(sim.now(), m.idx, action.raw(), uid, e.is_failure_caused());
-                        finish_action(sys, m, metrics, false);
-                    }
-                }
-                if spec.passivate_between_actions {
-                    let _ = sys.try_passivate(uid);
                 }
             }
-        }
-        Phase::Transfer { tx, uid } => {
-            let action = tx.action().raw();
-            match tx.commit() {
-                Ok(()) => {
-                    history.committed(sim.now(), m.idx, action, uid);
-                    finish_action(sys, m, metrics, true);
-                }
-                Err(e) => {
-                    metrics.abort_commit += 1;
-                    if e.is_failure_caused() {
-                        metrics.abort_commit_failure += 1;
-                    } else {
-                        metrics.abort_commit_contention += 1;
-                    }
-                    history.aborted(sim.now(), m.idx, action, uid, e.is_failure_caused());
-                    finish_action(sys, m, metrics, false);
-                }
-            }
-            if spec.passivate_between_actions {
-                let _ = sys.try_passivate(uid);
+            Phase::Transfer { tx, uid } => {
+                let action = tx.action();
+                let ended = Ended::of_commit(tx.commit());
+                self.book(m, action, uid, ended);
             }
         }
     }
-}
 
-/// Starts one balanced two-account transfer through the typed [`Tx`]
-/// surface: withdraw from one seeded-random account, deposit the same
-/// amount into another (skipped when the withdrawal is refused — the
-/// total is conserved either way). Both legs run under one action; the
-/// commit happens on the machine's *next* step, so scripted faults can
-/// land in the invoke→commit window.
-fn start_transfer(
-    sys: &System,
-    spec: &WorkloadSpec,
-    m: &mut Machine,
-    metrics: &mut RunMetrics,
-    history: &mut History,
-) {
-    let sim = sys.sim();
-    let n = spec.objects.len() as u64;
-    let i = sim.random_below(n) as usize;
-    // Draw the deposit side from the remaining objects (never i itself).
-    let mut j = sim.random_below(n - 1) as usize;
-    if j >= i {
-        j += 1;
-    }
-    let (from_uid, to_uid) = (spec.objects[i], spec.objects[j]);
-    let from = TypedUid::<Account>::assume(from_uid).open(&m.client);
-    let to = TypedUid::<Account>::assume(to_uid).open(&m.client);
-    let amount = 1 + sim.random_below(5);
-    let mut tx = m.client.begin().with_replicas(spec.replicas);
-    let action = tx.action().raw();
-    match tx.invoke(&from, AccountOp::Withdraw(amount)) {
-        Ok(reply) => {
+    /// Starts one balanced two-account transfer through the typed [`Tx`]
+    /// surface: withdraw from one seeded-random account, deposit the same
+    /// amount into another (skipped when the withdrawal is refused — the
+    /// total is conserved either way). Both legs run under one action; the
+    /// commit happens on the machine's *next* step, so scripted faults can
+    /// land in the invoke→commit window.
+    fn start_transfer(&mut self, m: &mut Machine) {
+        let sim = self.sys.sim();
+        let objects = &self.spec.objects;
+        let n = objects.len() as u64;
+        let i = sim.random_below(n) as usize;
+        // Draw the deposit side from the remaining objects (never i itself).
+        let mut j = sim.random_below(n - 1) as usize;
+        if j >= i {
+            j += 1;
+        }
+        let (from_uid, to_uid) = (objects[i], objects[j]);
+        let from = TypedUid::<Account>::assume(from_uid).open(&m.client);
+        let to = TypedUid::<Account>::assume(to_uid).open(&m.client);
+        let amount = 1 + sim.random_below(5);
+        let mut tx = m.client.begin().with_replicas(self.spec.replicas);
+        let action = tx.action();
+        let history = &mut self.history;
+        let mut leg = |tx: &mut Tx, handle: &Handle<Account>, uid: Uid, op: AccountOp| {
+            let reply = tx.invoke(handle, op)?;
             history.invoked(
                 sim.now(),
                 m.idx,
-                action,
-                from_uid,
-                Bytes::from(Account::op_vec(&AccountOp::Withdraw(amount))),
+                action.raw(),
+                uid,
+                Bytes::from(Account::op_vec(&op)),
                 Bytes::from(Account::reply_vec(&reply)),
                 true,
             );
+            Ok::<_, TxOpError>(reply)
+        };
+        let legs = leg(&mut tx, &from, from_uid, AccountOp::Withdraw(amount)).and_then(|reply| {
             if reply != AccountOp::REFUSED {
-                match tx.invoke(&to, AccountOp::Deposit(amount)) {
-                    Ok(deposited) => {
-                        history.invoked(
-                            sim.now(),
-                            m.idx,
-                            action,
-                            to_uid,
-                            Bytes::from(Account::op_vec(&AccountOp::Deposit(amount))),
-                            Bytes::from(Account::reply_vec(&deposited)),
-                            true,
-                        );
-                    }
-                    Err(e) => {
-                        abort_transfer(sys, m, metrics, history, tx, from_uid, e);
-                        return;
-                    }
+                leg(&mut tx, &to, to_uid, AccountOp::Deposit(amount))?;
+            }
+            Ok(())
+        });
+        match legs {
+            Ok(()) => m.phase = Phase::Transfer { tx, uid: from_uid },
+            Err(e) => {
+                tx.abort();
+                let stage = match e {
+                    TxOpError::Activate(_) => Stage::Bind,
+                    TxOpError::Invoke(_) => Stage::Invoke,
+                };
+                let ended = Ended::Aborted(stage, e.is_failure_caused());
+                self.book(m, action, from_uid, ended);
+            }
+        }
+    }
+
+    /// Books an ended action — the one place a `RunMetrics` commit or
+    /// abort counter moves. It counts the outcome and records its history
+    /// event; an action its client stepped to the end also yields that
+    /// client's cost sample, and a commit attempt then passivates the
+    /// object if the spec asks for it.
+    fn book(&mut self, m: &Machine, action: ActionId, uid: Uid, ended: Ended) {
+        let (metrics, history) = (&mut self.metrics, &mut self.history);
+        let (now, raw) = (self.sys.sim().now(), action.raw());
+        if matches!(ended, Ended::Committed) {
+            metrics.commits += 1;
+        } else {
+            metrics.aborts += 1;
+        }
+        match ended {
+            Ended::Committed => history.committed(now, m.idx, raw, uid),
+            Ended::Aborted(stage, failure) => {
+                match (stage, failure) {
+                    (Stage::Bind, false) => metrics.abort_bind_contention += 1,
+                    (Stage::Bind, true) => metrics.abort_bind_failure += 1,
+                    (Stage::Invoke, false) => metrics.abort_contention += 1,
+                    (Stage::Invoke, true) => metrics.abort_failure += 1,
+                    (Stage::Commit, false) => metrics.abort_commit_contention += 1,
+                    (Stage::Commit, true) => metrics.abort_commit_failure += 1,
                 }
+                history.aborted(now, m.idx, raw, uid, failure);
             }
-            m.phase = Phase::Transfer { tx, uid: from_uid };
+            // Taken from the machine between its steps: no cost sample.
+            Ended::Crashed => return history.crashed(now, m.idx, raw, uid),
+            Ended::Abandoned => return history.aborted(now, m.idx, raw, uid, false),
         }
-        Err(e) => abort_transfer(sys, m, metrics, history, tx, from_uid, e),
-    }
-}
-
-/// Aborts a failed transfer and books it under the matching taxonomy
-/// bucket: an [`TxOpError::Activate`] is a bind abort, an
-/// [`TxOpError::Invoke`] an invoke abort, each split contention/failure.
-fn abort_transfer(
-    sys: &System,
-    m: &mut Machine,
-    metrics: &mut RunMetrics,
-    history: &mut History,
-    tx: Tx,
-    uid: Uid,
-    e: TxOpError,
-) {
-    let action = tx.action().raw();
-    let failure = e.is_failure_caused();
-    tx.abort();
-    match e {
-        TxOpError::Activate(_) => {
-            metrics.abort_bind += 1;
-            if failure {
-                metrics.abort_bind_failure += 1;
-            } else {
-                metrics.abort_bind_contention += 1;
-            }
-        }
-        TxOpError::Invoke(_) => {
-            metrics.abort_invoke += 1;
-            if failure {
-                metrics.abort_failure += 1;
-            } else {
-                metrics.abort_contention += 1;
-            }
+        let cost = self.sys.sim().account_cost(m.idx as u64);
+        metrics.action_latency_us.add(cost.latency.as_micros());
+        metrics.action_messages.add(cost.messages);
+        let committing = matches!(ended, Ended::Committed | Ended::Aborted(Stage::Commit, _));
+        if committing && self.spec.passivate_between_actions {
+            let _ = self.sys.try_passivate(uid);
         }
     }
-    history.aborted(sys.sim().now(), m.idx, action, uid, failure);
-    finish_action(sys, m, metrics, false);
-}
-
-fn finish_action(sys: &System, m: &Machine, metrics: &mut RunMetrics, committed: bool) {
-    if committed {
-        metrics.commits += 1;
-    } else {
-        metrics.aborts += 1;
-    }
-    let cost = sys.sim().account_cost(m.idx as u64);
-    metrics.action_latency_us.add(cost.latency.as_micros());
-    metrics.action_messages.add(cost.messages);
 }
 
 // ---------------------------------------------------------------------------
@@ -777,14 +680,11 @@ fn finish_action(sys: &System, m: &Machine, metrics: &mut RunMetrics, committed:
 /// Produces the concrete [`FaultPlan`] for a given seed (nemesis closure).
 pub type PlanGenerator = Box<dyn Fn(u64) -> FaultPlan>;
 
-/// Which verdicts a scenario demands.
+/// Which verdicts a scenario demands beyond the oracle's, which every
+/// scenario gets ([`Oracle::verify`]: history replay, final store states
+/// and the paper's quiescence invariants).
 #[derive(Debug, Clone, Copy)]
 pub struct Checks {
-    /// Replay the committed history sequentially and check every reply plus
-    /// the final store states.
-    pub replay: bool,
-    /// Check the paper's quiescence invariants after recovery.
-    pub invariants: bool,
     /// Require at least one committed action.
     pub expect_commits: bool,
     /// Require every crash to be masked: no failure-caused bind, invoke,
@@ -800,8 +700,6 @@ pub struct Checks {
 impl Default for Checks {
     fn default() -> Self {
         Checks {
-            replay: true,
-            invariants: true,
             expect_commits: true,
             expect_crash_masked: false,
             conservation: false,
@@ -852,11 +750,6 @@ pub struct ScenarioReport {
     pub seed: u64,
     /// Workload metrics (commit/abort taxonomy).
     pub metrics: RunMetrics,
-    /// Node crashes injected (from the network counters).
-    pub crashes: u64,
-    /// Whether every crash was masked (no failure-caused bind, invoke, or
-    /// commit aborts).
-    pub masked: bool,
     /// The oracle's verdict.
     pub oracle: OracleReport,
     /// Failed expectations (empty means the scenario passed).
@@ -874,6 +767,18 @@ impl ScenarioReport {
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
+
+    /// Node crashes injected (from the network counters).
+    pub fn crashes(&self) -> u64 {
+        self.metrics.net.crashes
+    }
+
+    /// Whether every crash was masked: no failure-caused bind, invoke, or
+    /// commit aborts.
+    pub fn masked(&self) -> bool {
+        let m = &self.metrics;
+        m.abort_bind_failure == 0 && m.abort_failure == 0 && m.abort_commit_failure == 0
+    }
 }
 
 impl fmt::Display for ScenarioReport {
@@ -887,8 +792,8 @@ impl fmt::Display for ScenarioReport {
             self.metrics,
             self.metrics.tx.multi_committed,
             self.metrics.tx.multi_aborted,
-            self.crashes,
-            self.masked,
+            self.crashes(),
+            self.masked(),
             self.oracle,
             if self.passed() {
                 "PASS".to_string()
@@ -996,27 +901,26 @@ pub fn run_scenario_in(
     let mut spec = scenario.workload.clone();
     spec.objects = uids.clone();
 
-    let mut failures = Vec::new();
     let plan = (scenario.plan)(seed);
+    let mut report = ScenarioReport {
+        name: scenario.name,
+        seed,
+        metrics: RunMetrics::default(),
+        oracle: OracleReport::default(),
+        failures: Vec::new(),
+        obs: None,
+    };
     if let Err(e) = plan.validate() {
         // A malformed plan must never execute (the simulator would panic on
         // e.g. an out-of-range drop probability): return the diagnostic
         // report instead.
-        return ScenarioReport {
-            name: scenario.name,
-            seed,
-            metrics: RunMetrics::default(),
-            crashes: 0,
-            masked: false,
-            oracle: OracleReport::default(),
-            failures: vec![format!("malformed plan: {e}")],
-            obs: None,
-        };
+        report.failures.push(format!("malformed plan: {e}"));
+        return report;
     }
     let outcome = run_plan_typed(sys, &spec, &plan, &kinds);
     quiesce(sys);
     // Snapshot at quiesce, after the last message of the run.
-    let obs = sys.obs().is_enabled().then(|| sys.metrics_snapshot());
+    report.obs = sys.obs().is_enabled().then(|| sys.metrics_snapshot());
 
     let mut oracle = Oracle::new(
         uids.iter()
@@ -1031,47 +935,24 @@ pub fn run_scenario_in(
     if scenario.checks.conservation {
         oracle = oracle.with_conservation();
     }
-    let mut oracle_report = if scenario.checks.replay {
-        let mut report = oracle.replay(&outcome.history);
-        let expected = report.final_states.clone();
-        report.violations.extend(check_final_states(sys, &expected));
-        report
-    } else {
-        OracleReport::default()
-    };
-    if scenario.checks.invariants {
-        oracle_report
-            .violations
-            .extend(check_quiescent_invariants(sys, oracle.objects()));
+    report.oracle = oracle.verify(sys, &outcome.history);
+    report.metrics = outcome.metrics;
+    let masked = report.masked();
+    let (m, failures) = (&report.metrics, &mut report.failures);
+    if !report.oracle.is_ok() {
+        failures.push(format!("oracle: {}", report.oracle));
     }
-    if !oracle_report.is_ok() {
-        failures.push(format!("oracle: {oracle_report}"));
-    }
-    let metrics = outcome.metrics;
-    if scenario.checks.expect_commits && metrics.commits == 0 {
+    if scenario.checks.expect_commits && m.commits == 0 {
         failures.push("expected commits, saw none".to_string());
     }
-    let masked = metrics.abort_bind_failure == 0
-        && metrics.abort_failure == 0
-        && metrics.abort_commit_failure == 0;
     if scenario.checks.expect_crash_masked && !masked {
         failures.push(format!(
             "expected masked crashes, saw {} failure-caused bind, {} invoke, and \
              {} commit aborts",
-            metrics.abort_bind_failure, metrics.abort_failure, metrics.abort_commit_failure
+            m.abort_bind_failure, m.abort_failure, m.abort_commit_failure
         ));
     }
-    let crashes = metrics.net.crashes;
-    ScenarioReport {
-        name: scenario.name,
-        seed,
-        metrics,
-        crashes,
-        masked,
-        oracle: oracle_report,
-        failures,
-        obs,
-    }
+    report
 }
 
 /// Runs every scenario under every seed.
@@ -1110,18 +991,13 @@ fn quiesce(sys: &System) {
     // One node's refresh may need another node up first: iterate to a
     // fixpoint (bounded; the oracle flags anything left unrestored).
     for _ in 0..50 {
-        let mut all_done = true;
+        let mut settled = true;
         for node in sim.nodes() {
-            if !sim.is_up(node) {
-                continue;
-            }
-            let mut report = sys.recovery().recover_store(node);
-            report.merge(sys.recovery().recover_server(node));
-            if !report.fully_recovered() {
-                all_done = false;
+            if sim.is_up(node) {
+                settled &= recovery_pass(sys, node);
             }
         }
-        if all_done {
+        if settled {
             break;
         }
     }
@@ -1184,7 +1060,7 @@ mod tests {
         sc.checks.expect_crash_masked = true;
         let report = run_scenario(&sc, 13);
         assert!(report.passed(), "{report}");
-        assert!(report.crashes >= 1, "the plan crash fired");
+        assert!(report.crashes() >= 1, "the plan crash fired");
     }
 
     #[test]
@@ -1206,15 +1082,6 @@ mod tests {
         assert!(!report.passed());
         assert!(report.failures[0].contains("malformed plan"), "{report}");
         assert_eq!(report.metrics.attempts, 0, "the plan must not execute");
-    }
-
-    #[test]
-    fn replay_check_can_be_disabled() {
-        let mut sc = scenario("no_replay", Box::new(|_| FaultPlan::new()));
-        sc.checks.replay = false;
-        let report = run_scenario(&sc, 9);
-        assert!(report.passed(), "{report}");
-        assert_eq!(report.oracle.replayed_ops, 0, "replay skipped");
     }
 
     #[test]
@@ -1324,7 +1191,7 @@ mod tests {
         let report = run_scenario(&sc, 13);
         assert!(report.passed(), "{report}");
         assert!(
-            report.crashes >= 1,
+            report.crashes() >= 1,
             "the armed send-window crash fired: {report}"
         );
     }

@@ -64,8 +64,8 @@ impl SoakReport {
     pub fn summary(&self) -> String {
         let commits: u64 = self.reports.iter().map(|r| r.metrics.commits).sum();
         let replayed: u64 = self.reports.iter().map(|r| r.oracle.replayed_ops).sum();
-        let crashes: u64 = self.reports.iter().map(|r| r.crashes).sum();
-        let masked = self.reports.iter().filter(|r| r.masked).count();
+        let crashes: u64 = self.reports.iter().map(ScenarioReport::crashes).sum();
+        let masked = self.reports.iter().filter(|r| r.masked()).count();
         let violations: usize = self.reports.iter().map(|r| r.oracle.violations.len()).sum();
         format!(
             "soak: {} cells, {} commits, {} ops replayed, {} crashes injected, \
@@ -171,13 +171,10 @@ fn soak_scenario(name: &'static str, policy: ReplicationPolicy, round: u64) -> S
             }
         }),
         checks: Checks {
-            replay: true,
-            invariants: true,
             // Heavy chained chaos can blanket a short round; the oracle
             // verdicts are the contract, not availability.
             expect_commits: false,
-            expect_crash_masked: false,
-            conservation: false,
+            ..Checks::default()
         },
     }
 }
@@ -219,7 +216,7 @@ mod tests {
         assert!(summary.contains("6 cells"), "{summary}");
         assert!(summary.contains("PASS"), "{summary}");
         assert!(
-            report.reports.iter().any(|r| r.crashes > 0),
+            report.reports.iter().any(|r| r.crashes() > 0),
             "a soak must actually inject faults"
         );
         assert!(report.to_string().contains("soak:"));

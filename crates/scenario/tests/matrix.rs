@@ -27,7 +27,7 @@ fn canned_matrix_passes_across_seeds() {
     // The matrix actually exercised faults and the oracle actually replayed
     // histories — guard against a vacuous pass.
     assert!(
-        reports.iter().any(|r| r.crashes > 0),
+        reports.iter().any(|r| r.crashes() > 0),
         "no scenario injected a crash"
     );
     assert!(

@@ -17,13 +17,13 @@ fn fingerprint(m: &RunMetrics) -> [u64; 15] {
         m.attempts,
         m.commits,
         m.aborts,
-        m.abort_bind,
+        m.abort_bind(),
         m.abort_bind_contention,
         m.abort_bind_failure,
-        m.abort_invoke,
+        m.abort_invoke(),
         m.abort_contention,
         m.abort_failure,
-        m.abort_commit,
+        m.abort_commit(),
         m.abort_commit_contention,
         m.abort_commit_failure,
         m.leaked_bindings,
@@ -78,7 +78,7 @@ fn run(scenario: &Scenario, seed: u64, observe: bool) -> (RunTrace, ScenarioRepo
         delivered: report.metrics.net.delivered,
         crashes: report.metrics.net.crashes,
         timeouts: report.metrics.net.timeouts,
-        masked: report.masked,
+        masked: report.masked(),
         oracle_passed: report.oracle.is_ok(),
         oracle_replayed: report.oracle.replayed_ops,
         oracle_violations: report.oracle.violations.clone(),

@@ -60,13 +60,13 @@ fn fingerprint(m: &RunMetrics) -> [u64; 15] {
         m.attempts,
         m.commits,
         m.aborts,
-        m.abort_bind,
+        m.abort_bind(),
         m.abort_bind_contention,
         m.abort_bind_failure,
-        m.abort_invoke,
+        m.abort_invoke(),
         m.abort_contention,
         m.abort_failure,
-        m.abort_commit,
+        m.abort_commit(),
         m.abort_commit_contention,
         m.abort_commit_failure,
         m.leaked_bindings,

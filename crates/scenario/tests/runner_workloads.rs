@@ -65,9 +65,9 @@ fn fault_free_run_accounts_for_every_action() {
     // No faults: the only possible aborts are object-lock contention
     // between interleaved writers (refusal-based locking). Causal
     // assertions only — no seed-dependent availability floor.
-    assert_eq!(metrics.aborts, metrics.abort_invoke);
+    assert_eq!(metrics.aborts, metrics.abort_invoke());
     assert_eq!(metrics.abort_failure, 0, "no crashes, no failure aborts");
-    assert_eq!(metrics.abort_contention, metrics.abort_invoke);
+    assert_eq!(metrics.abort_contention, metrics.abort_invoke());
     assert_eq!(
         metrics.abort_commit_failure, 0,
         "no crashes, no failure-caused commit aborts"
@@ -192,4 +192,28 @@ fn read_only_workload_uses_read_path() {
         let st = sys.stores().read_local(n(1), uid).unwrap();
         assert_eq!(st.version, groupview_store::Version::INITIAL);
     }
+}
+
+/// §4 recovery is the recovering node's work, not a client's: a node that
+/// hosts only an object the workload never touches crashes and recovers
+/// mid-run, and every action still costs its client exactly the messages
+/// it cost in the fault-free run.
+#[test]
+fn recovery_between_steps_is_charged_to_no_client() {
+    let messages = |plan: FaultPlan| {
+        let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, 21);
+        sys.create_object(Box::new(Counter::new(0)), &[n(5)], &[n(5)])
+            .expect("create");
+        let spec = WorkloadSpec::new(uids, vec![n(4)])
+            .clients(1)
+            .actions_per_client(6)
+            .ops_per_action(2);
+        run(&sys, &spec, plan).action_messages
+    };
+    let bystander_crash = FaultPlan::new()
+        .at(ms(30), PlanAction::CrashNode(n(5)))
+        .at(ms(80), PlanAction::RecoverNode(n(5)));
+    let faulty = messages(bystander_crash);
+    assert_eq!(faulty.count(), 6);
+    assert_eq!(faulty, messages(FaultPlan::new()));
 }

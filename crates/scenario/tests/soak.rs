@@ -24,7 +24,7 @@ fn soak_chains_nemeses_across_seeds_and_passes() {
     );
     // Anti-vacuity: the chained plans actually injected faults and the
     // oracle actually replayed mixed-class histories.
-    assert!(report.reports.iter().any(|r| r.crashes > 0));
+    assert!(report.reports.iter().any(|r| r.crashes() > 0));
     assert!(
         report
             .reports

@@ -48,24 +48,6 @@ impl NetConfig {
         self.drop_probability = p;
         self
     }
-
-    /// Overrides the base one-way latency.
-    pub fn with_base_latency(mut self, d: SimDuration) -> Self {
-        self.base_latency = d;
-        self
-    }
-
-    /// Overrides the latency jitter bound.
-    pub fn with_jitter(mut self, d: SimDuration) -> Self {
-        self.jitter = d;
-        self
-    }
-
-    /// Overrides the RPC timeout.
-    pub fn with_rpc_timeout(mut self, d: SimDuration) -> Self {
-        self.rpc_timeout = d;
-        self
-    }
 }
 
 /// Full configuration of a simulation run.
@@ -162,13 +144,10 @@ mod tests {
     fn builders_compose() {
         let cfg = SimConfig::new(9)
             .with_nodes(5)
-            .with_net(
-                NetConfig::default()
-                    .with_drop_probability(0.25)
-                    .with_base_latency(SimDuration::from_micros(100))
-                    .with_jitter(SimDuration::from_micros(10))
-                    .with_rpc_timeout(SimDuration::from_millis(5)),
-            )
+            .with_net(NetConfig {
+                base_latency: SimDuration::from_micros(100),
+                ..NetConfig::default().with_drop_probability(0.25)
+            })
             .with_trace();
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.nodes, 5);

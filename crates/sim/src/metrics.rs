@@ -6,7 +6,7 @@ use std::fmt;
 
 /// Accumulated cost of some activity: virtual latency plus message count.
 ///
-/// Costs are attributed to *accounts* (see [`crate::Sim::set_active_account`])
+/// Costs are attributed to *accounts* (see [`crate::Sim::with_account`])
 /// so that when a workload driver interleaves many logical clients, each
 /// client's operation latency reflects only the messages *that client* sent
 /// or waited for, not the global serialized clock.

@@ -381,18 +381,18 @@ impl Sim {
 
     // ----- cost accounts ----------------------------------------------------
 
-    /// Sets the account subsequent message costs are charged to.
+    /// Runs `f` with message costs charged to `account`, restoring the
+    /// previous account afterwards.
     ///
-    /// Workload drivers set this to the acting client's id before running a
-    /// client step, so per-client latency is measured correctly even though
-    /// the world is single-threaded.
-    pub fn set_active_account(&self, account: Option<u64>) {
-        self.inner.borrow_mut().active_account = account;
-    }
-
-    /// The currently active account, if any.
-    pub fn active_account(&self) -> Option<u64> {
-        self.inner.borrow().active_account
+    /// Workload drivers wrap each client step in this, so per-client
+    /// latency is measured correctly even though the world is
+    /// single-threaded, and work done between steps is charged to no
+    /// client.
+    pub fn with_account<T>(&self, account: u64, f: impl FnOnce() -> T) -> T {
+        let prev = self.inner.borrow_mut().active_account.replace(account);
+        let out = f();
+        self.inner.borrow_mut().active_account = prev;
+        out
     }
 
     /// Sets the atomic action subsequent message trace events are
@@ -987,14 +987,18 @@ mod tests {
         let sim = sim3();
         sim.account_reset(1);
         sim.account_reset(2);
-        sim.set_active_account(Some(1));
-        sim.deliver(NodeId::new(0), NodeId::new(1), 1).unwrap();
-        sim.set_active_account(Some(2));
-        sim.deliver(NodeId::new(0), NodeId::new(1), 1).unwrap();
-        sim.deliver(NodeId::new(0), NodeId::new(1), 1).unwrap();
-        sim.set_active_account(None);
-        sim.deliver(NodeId::new(0), NodeId::new(1), 1).unwrap();
-        assert_eq!(sim.account_cost(1).messages, 1);
+        let hop = || sim.deliver(NodeId::new(0), NodeId::new(1), 1).unwrap();
+        sim.with_account(1, || {
+            hop();
+            // A nested scope charges its own account, then hands back.
+            sim.with_account(2, || {
+                hop();
+                hop();
+            });
+            hop();
+        });
+        hop();
+        assert_eq!(sim.account_cost(1).messages, 2);
         assert_eq!(sim.account_cost(2).messages, 2);
         assert!(sim.account_cost(1).latency > SimDuration::ZERO);
     }
@@ -1003,9 +1007,8 @@ mod tests {
     fn charge_timeout_advances_clock_and_counts() {
         let sim = sim3();
         sim.account_reset(9);
-        sim.set_active_account(Some(9));
         let before = sim.now();
-        sim.charge_timeout();
+        sim.with_account(9, || sim.charge_timeout());
         assert_eq!(sim.now(), before + sim.config().net.rpc_timeout);
         assert_eq!(sim.counters().timeouts, 1);
         assert_eq!(sim.account_cost(9).messages, 1);

@@ -16,16 +16,12 @@ pub struct RunMetrics {
     pub commits: u64,
     /// Actions that aborted (any phase).
     pub aborts: u64,
-    /// Aborts during binding/activation.
-    pub abort_bind: u64,
     /// Bind aborts caused by ordinary lock contention (see
     /// [`groupview_replication::ActivateError::is_failure_caused`]).
     pub abort_bind_contention: u64,
     /// Bind aborts caused by node/network failures (no live servers,
     /// unreachable databases, lost state).
     pub abort_bind_failure: u64,
-    /// Aborts during operation invocation.
-    pub abort_invoke: u64,
     /// Invocation aborts caused by ordinary lock contention between live
     /// clients ([`groupview_replication::InvokeError::Tx`] with a refused
     /// lock). Always possible under refusal-based locking; says nothing
@@ -35,8 +31,6 @@ pub struct RunMetrics {
     /// failures via `InvokeError::Group`, exhausted replicas, lost state).
     /// Zero means every crash in the run was masked by replication.
     pub abort_failure: u64,
-    /// Aborts during commit (write-back, exclude, or two-phase commit).
-    pub abort_commit: u64,
     /// Commit aborts caused by ordinary lock contention (a refused exclude
     /// or database lock; see
     /// [`groupview_replication::CommitError::is_failure_caused`]).
@@ -76,6 +70,21 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// Aborts during binding/activation.
+    pub fn abort_bind(&self) -> u64 {
+        self.abort_bind_contention + self.abort_bind_failure
+    }
+
+    /// Aborts during operation invocation.
+    pub fn abort_invoke(&self) -> u64 {
+        self.abort_contention + self.abort_failure
+    }
+
+    /// Aborts during commit (write-back, exclude, or two-phase commit).
+    pub fn abort_commit(&self) -> u64 {
+        self.abort_commit_contention + self.abort_commit_failure
+    }
+
     /// Fraction of attempted actions that committed.
     pub fn availability(&self) -> f64 {
         if self.attempts == 0 {
@@ -95,13 +104,13 @@ impl fmt::Display for RunMetrics {
             self.attempts,
             self.commits,
             self.aborts,
-            self.abort_bind,
+            self.abort_bind(),
             self.abort_bind_contention,
             self.abort_bind_failure,
-            self.abort_invoke,
+            self.abort_invoke(),
             self.abort_contention,
             self.abort_failure,
-            self.abort_commit,
+            self.abort_commit(),
             self.abort_commit_contention,
             self.abort_commit_failure,
             self.availability() * 100.0
