@@ -1223,7 +1223,7 @@ mod tests {
         assert_eq!(snap.phase(Phase::LockAcquire).count(), 1);
         assert_eq!(snap.phase(Phase::Prepare).count(), 1);
         assert!(
-            snap.phase(Phase::Prepare).total_us() > 0,
+            snap.phase(Phase::Prepare).total() > 0,
             "prepare RPCs advance virtual time"
         );
         assert_eq!(snap.phase(Phase::Commit).count(), 1);

@@ -133,7 +133,7 @@ impl Membership {
         self.status.borrow_mut().insert(node, NodeStatus::Active);
         self.sys
             .sim()
-            .note(format!("membership: {node} active (store attached)"));
+            .note(format_args!("membership: {node} active (store attached)"));
     }
 
     /// The node's lifecycle status. Nodes never touched by this
@@ -191,7 +191,9 @@ impl Membership {
     /// copies come from the surviving `St` members).
     pub fn begin_drain(&self, node: NodeId) {
         self.status.borrow_mut().insert(node, NodeStatus::Draining);
-        self.sys.sim().note(format!("membership: {node} draining"));
+        self.sys
+            .sim()
+            .note(format_args!("membership: {node} draining"));
     }
 
     /// Whether nothing references `node` any more: it hosts no server
@@ -261,7 +263,7 @@ impl Membership {
             self.status.borrow_mut().insert(node, NodeStatus::Removed);
             self.sys
                 .sim()
-                .note(format!("membership: {node} drained and removed"));
+                .note(format_args!("membership: {node} drained and removed"));
         }
         self.sys
             .obs()

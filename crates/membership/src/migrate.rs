@@ -238,7 +238,7 @@ impl Membership {
             sys.sim().now().as_micros(),
         );
         sys.sim()
-            .note(format!("membership: {uid} migrated {from} -> {to}"));
+            .note(format_args!("membership: {uid} migrated {from} -> {to}"));
         Ok(())
     }
 }

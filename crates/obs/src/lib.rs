@@ -11,9 +11,11 @@
 //!   default; when disabled every recording call is an inlined early
 //!   return that performs **zero allocations** (asserted by the objects
 //!   bench), so observability costs nothing unless switched on.
-//! * **Snapshots** ([`MetricsSnapshot`], [`PhaseStats`]): one world's
+//! * **Snapshots** ([`MetricsSnapshot`], [`Histogram`]): one world's
 //!   counters, per-phase latency distributions, per-node loads and
-//!   wire-pool stats, as a scenario report carries them.
+//!   wire-pool stats, as a scenario report carries them. [`Histogram`]
+//!   keeps every sample and answers exact nearest-rank percentiles; run
+//!   metrics use it too.
 //! * **Exporters** ([`ChromeTrace`], [`span_jsonl`],
 //!   [`validate_chrome_trace`]): Chrome trace-event JSON that loads
 //!   directly in Perfetto (one track per node, one per phase), JSONL span
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 mod export;
+mod metrics;
 mod phase;
 mod registry;
 mod snapshot;
@@ -37,6 +40,7 @@ mod snapshot;
 pub use export::{
     escape_json, span_jsonl, validate_chrome_trace, ChromeTrace, TraceSummary, PHASE_TID_BASE,
 };
+pub use metrics::Histogram;
 pub use phase::Phase;
 pub use registry::{Counter, NodeLoad, Registry, SpanRec};
-pub use snapshot::{MetricsSnapshot, PhaseStats};
+pub use snapshot::MetricsSnapshot;

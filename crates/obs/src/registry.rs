@@ -7,8 +7,9 @@
 //! the registry through the protocol layers costs nothing on unobserved
 //! runs (the objects bench asserts zero added allocs/op).
 
+use crate::metrics::Histogram;
 use crate::phase::Phase;
-use crate::snapshot::{MetricsSnapshot, PhaseStats};
+use crate::snapshot::MetricsSnapshot;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -144,12 +145,6 @@ struct RegistryCore {
     /// Per-node invoke/lock attribution, indexed by raw node id (grown on
     /// demand; only touched while enabled).
     node_loads: RefCell<Vec<NodeLoad>>,
-    /// Wire-pool stats absorbed from `groupview_sim::wire::stats()` deltas.
-    wire_buffer_allocs: Cell<u64>,
-    wire_pool_reuses: Cell<u64>,
-    wire_bytes_copied: Cell<u64>,
-    /// Events evicted from the sim's bounded trace ring.
-    trace_dropped: Cell<u64>,
 }
 
 /// Cheap-to-clone handle to one world's metrics registry.
@@ -237,28 +232,8 @@ impl Registry {
         f(&mut loads[idx]);
     }
 
-    /// Absorb a delta of wire-pool statistics (buffer allocations, pool
-    /// reuses, bytes copied). Unlike the hot-path recorders this is *not*
-    /// gated on `enabled`: it is called once per run/quiesce from snapshot
-    /// plumbing, so the numbers are kept even when span recording is off.
-    pub fn record_wire(&self, buffer_allocs: u64, pool_reuses: u64, bytes_copied: u64) {
-        let c = &self.core;
-        c.wire_buffer_allocs
-            .set(c.wire_buffer_allocs.get() + buffer_allocs);
-        c.wire_pool_reuses
-            .set(c.wire_pool_reuses.get() + pool_reuses);
-        c.wire_bytes_copied
-            .set(c.wire_bytes_copied.get() + bytes_copied);
-    }
-
-    /// Absorb a count of trace events dropped by the sim's bounded ring.
-    pub fn record_trace_dropped(&self, n: u64) {
-        let c = &self.core.trace_dropped;
-        c.set(c.get() + n);
-    }
-
-    /// Drain and return every recorded span (oldest first). Counters and
-    /// wire stats are untouched, but per-phase latency distributions in
+    /// Drain and return every recorded span (oldest first). Counters are
+    /// untouched, but per-phase latency distributions in
     /// [`Registry::snapshot`] are built from the live span list — snapshot
     /// **before** draining when both are needed.
     pub fn take_spans(&self) -> Vec<SpanRec> {
@@ -271,19 +246,17 @@ impl Registry {
     }
 
     /// Build a [`MetricsSnapshot`] of everything recorded so far: counter
-    /// values, wire stats, and per-phase latency distributions derived from
-    /// the buffered spans.
+    /// values, per-node loads and per-phase latency distributions derived
+    /// from the buffered spans. The wire-pool and trace-ring fields are
+    /// left at zero for the system that owns the world to fill in.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = [0u64; Counter::COUNT];
         for (slot, cell) in counters.iter_mut().zip(self.core.counters.iter()) {
             *slot = cell.get();
         }
-        let mut phases: [PhaseStats; Phase::COUNT] = Default::default();
+        let mut phases: [Histogram; Phase::COUNT] = Default::default();
         for span in self.core.spans.borrow().iter() {
-            phases[span.phase.index()].record(span.duration_us());
-        }
-        for stats in phases.iter_mut() {
-            stats.seal();
+            phases[span.phase.index()].add(span.duration_us());
         }
         MetricsSnapshot {
             counters,
@@ -296,10 +269,7 @@ impl Registry {
                 .filter(|l| !l.is_empty())
                 .copied()
                 .collect(),
-            wire_buffer_allocs: self.core.wire_buffer_allocs.get(),
-            wire_pool_reuses: self.core.wire_pool_reuses.get(),
-            wire_bytes_copied: self.core.wire_bytes_copied.get(),
-            trace_dropped: self.core.trace_dropped.get(),
+            ..MetricsSnapshot::default()
         }
     }
 }
@@ -338,7 +308,7 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter(Counter::Invokes), 3);
         assert_eq!(snap.phase(Phase::Invoke).count(), 2);
-        assert_eq!(snap.phase(Phase::Invoke).total_us(), 150 + 20);
+        assert_eq!(snap.phase(Phase::Invoke).total(), 150 + 20);
         assert_eq!(snap.phase(Phase::Commit).count(), 1);
 
         let spans = reg.take_spans();
@@ -355,19 +325,6 @@ mod tests {
         alias.set_enabled(true);
         reg.add(Counter::Aborts, 4);
         assert_eq!(alias.get(Counter::Aborts), 4);
-    }
-
-    #[test]
-    fn wire_and_trace_dropped_accumulate_even_when_disabled() {
-        let reg = Registry::new();
-        reg.record_wire(10, 90, 4096);
-        reg.record_wire(1, 9, 100);
-        reg.record_trace_dropped(3);
-        let snap = reg.snapshot();
-        assert_eq!(snap.wire_buffer_allocs, 11);
-        assert_eq!(snap.wire_pool_reuses, 99);
-        assert_eq!(snap.wire_bytes_copied, 4196);
-        assert_eq!(snap.trace_dropped, 3);
     }
 
     #[test]

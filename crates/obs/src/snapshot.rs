@@ -1,72 +1,9 @@
 //! Snapshots of a registry: what a run's report carries.
 
+use crate::metrics::Histogram;
 use crate::phase::Phase;
 use crate::registry::{Counter, NodeLoad};
 use std::fmt;
-
-/// Latency distribution for one phase, in virtual microseconds.
-///
-/// Samples are kept sorted; percentiles use the nearest-rank method (the
-/// same convention as the workload crate's histogram), so percentiles are
-/// exact rather than approximations.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PhaseStats {
-    samples: Vec<u64>,
-    sealed: bool,
-}
-
-impl PhaseStats {
-    /// Add one span duration. Callers must [`PhaseStats::seal`] before
-    /// reading percentiles.
-    pub fn record(&mut self, duration_us: u64) {
-        self.samples.push(duration_us);
-        self.sealed = false;
-    }
-
-    /// Sort samples so percentile reads are exact. Idempotent.
-    pub fn seal(&mut self) {
-        if !self.sealed {
-            self.samples.sort_unstable();
-            self.sealed = true;
-        }
-    }
-
-    /// Number of spans recorded.
-    pub fn count(&self) -> u64 {
-        self.samples.len() as u64
-    }
-
-    /// Sum of all span durations.
-    pub fn total_us(&self) -> u64 {
-        self.samples.iter().sum()
-    }
-
-    /// Nearest-rank percentile (`p` in 0..=100); 0 when empty.
-    pub fn percentile(&self, p: f64) -> u64 {
-        debug_assert!(self.sealed, "percentile read on unsealed PhaseStats");
-        if self.samples.is_empty() {
-            return 0;
-        }
-        let n = self.samples.len();
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        self.samples[rank.clamp(1, n) - 1]
-    }
-
-    /// Median span duration.
-    pub fn p50(&self) -> u64 {
-        self.percentile(50.0)
-    }
-
-    /// 95th-percentile span duration.
-    pub fn p95(&self) -> u64 {
-        self.percentile(95.0)
-    }
-
-    /// Longest span duration; 0 when empty.
-    pub fn max_us(&self) -> u64 {
-        self.samples.last().copied().unwrap_or(0)
-    }
-}
 
 /// A snapshot of one world's registry, built by
 /// [`crate::Registry::snapshot`].
@@ -74,8 +11,9 @@ impl PhaseStats {
 pub struct MetricsSnapshot {
     /// Counter values, indexed by [`Counter::index`].
     pub counters: [u64; Counter::COUNT],
-    /// Per-phase latency distributions, indexed by [`Phase::index`].
-    pub phases: [PhaseStats; Phase::COUNT],
+    /// Per-phase span durations in virtual µs, indexed by
+    /// [`Phase::index`].
+    pub phases: [Histogram; Phase::COUNT],
     /// Per-node load attribution (invokes, locks, bytes), sorted by raw
     /// node id; zero-load nodes are elided. The rebalancer's report surface
     /// and `ScenarioReport`'s per-node lines both read this field.
@@ -110,8 +48,8 @@ impl MetricsSnapshot {
         self.counters[c.index()]
     }
 
-    /// Latency distribution of one phase.
-    pub fn phase(&self, p: Phase) -> &PhaseStats {
+    /// Span durations of one phase, in virtual µs.
+    pub fn phase(&self, p: Phase) -> &Histogram {
         &self.phases[p.index()]
     }
 
@@ -150,7 +88,7 @@ impl MetricsSnapshot {
 
     /// Total spans across all phases.
     pub fn span_count(&self) -> u64 {
-        self.phases.iter().map(PhaseStats::count).sum()
+        self.phases.iter().map(|h| h.count() as u64).sum()
     }
 
     /// Wire pool hit rate in 0..=1 (1.0 when no buffer was ever needed).
@@ -167,17 +105,17 @@ impl MetricsSnapshot {
     /// view appended to scenario reports. One line per non-empty phase
     /// with count, share of total span time, p50/p95/max.
     pub fn phase_breakdown(&self) -> String {
-        let grand_total: u64 = self.phases.iter().map(PhaseStats::total_us).sum();
+        let grand_total: u64 = self.phases.iter().map(Histogram::total).sum();
         let mut out = String::new();
         for p in Phase::ALL {
             let stats = self.phase(p);
-            if stats.count() == 0 {
+            if stats.is_empty() {
                 continue;
             }
             let share = if grand_total == 0 {
                 0.0
             } else {
-                100.0 * stats.total_us() as f64 / grand_total as f64
+                100.0 * stats.total() as f64 / grand_total as f64
             };
             out.push_str(&format!(
                 "  {:<12} n={:<6} {:>5.1}% of span time | p50={:>6}us p95={:>6}us max={:>6}us\n",
@@ -186,7 +124,7 @@ impl MetricsSnapshot {
                 share,
                 stats.p50(),
                 stats.p95(),
-                stats.max_us(),
+                stats.max(),
             ));
         }
         if out.is_empty() {
@@ -222,27 +160,8 @@ impl fmt::Display for MetricsSnapshot {
 mod tests {
     use super::*;
 
-    fn stats(samples: &[u64]) -> PhaseStats {
-        let mut s = PhaseStats::default();
-        for &v in samples {
-            s.record(v);
-        }
-        s.seal();
-        s
-    }
-
-    #[test]
-    fn nearest_rank_percentiles() {
-        let s = stats(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
-        assert_eq!(s.p50(), 50);
-        assert_eq!(s.p95(), 100);
-        assert_eq!(s.percentile(10.0), 10);
-        assert_eq!(s.max_us(), 100);
-        assert_eq!(s.count(), 10);
-        assert_eq!(s.total_us(), 550);
-        let empty = stats(&[]);
-        assert_eq!(empty.p50(), 0);
-        assert_eq!(empty.max_us(), 0);
+    fn stats(samples: &[u64]) -> Histogram {
+        samples.iter().copied().collect()
     }
 
     #[test]

@@ -435,53 +435,56 @@ impl System {
             let missed_cohorts: std::cell::RefCell<Vec<NodeId>> =
                 std::cell::RefCell::new(Vec::new());
             let missed_in_handler = &missed_cohorts;
-            let result =
-                inner
-                    .sim
-                    .rpc_payload(group.req.client_node, coord, msg, 64, move |frame| {
-                        let m = GroupMsgCodec::decode(frame)?;
-                        let result = replica.borrow_mut().invoke(&sim, &wire, &m);
-                        if let Some(res) = &result {
-                            if res.mutated {
-                                // Checkpoint the new state to every cohort:
-                                // encode ONE snapshot frame and push the same
-                                // buffer to all of them; each cohort decodes a
-                                // zero-copy view.
-                                let snapshot = replica.borrow_mut().snapshot_state(&sim, &wire);
-                                if let Some(state) = snapshot {
-                                    let frame = SnapshotCodec::encode(&wire, &state);
-                                    for &cohort in cohorts_in_handler {
-                                        // Pre-filtered loaded above; a missing
-                                        // handle means the cohort was expelled
-                                        // concurrently and must stay out.
-                                        let Some(target) = registry.get(uid, cohort) else {
-                                            continue;
-                                        };
-                                        let entry = Some((m.op_id, res.reply.clone(), res.mutated));
-                                        let types = &types;
-                                        let sim_inner = &sim;
-                                        if sim
-                                            .send_oneway_payload(coord, cohort, &frame, |payload| {
-                                                if let Some(chk) = SnapshotCodec::decode(payload) {
-                                                    target.borrow_mut().install_checkpoint(
-                                                        sim_inner, &chk, entry, types,
-                                                    );
-                                                }
-                                            })
-                                            .is_err()
-                                            && sim.is_up(cohort)
-                                        {
-                                            // Live but unreachable (partition):
-                                            // the cohort missed this checkpoint
-                                            // and must leave the activated group.
-                                            missed_in_handler.borrow_mut().push(cohort);
-                                        }
+            let result = inner.sim.rpc(
+                group.req.client_node,
+                coord,
+                msg.wire_size(),
+                64,
+                move || {
+                    let m = GroupMsgCodec::decode(msg)?;
+                    let result = replica.borrow_mut().invoke(&sim, &wire, &m);
+                    if let Some(res) = &result {
+                        if res.mutated {
+                            // Checkpoint the new state to every cohort:
+                            // encode ONE snapshot frame and push the same
+                            // buffer to all of them; each cohort decodes a
+                            // zero-copy view.
+                            let snapshot = replica.borrow_mut().snapshot_state(&sim, &wire);
+                            if let Some(state) = snapshot {
+                                let frame = SnapshotCodec::encode(&wire, &state);
+                                for &cohort in cohorts_in_handler {
+                                    // Pre-filtered loaded above; a missing
+                                    // handle means the cohort was expelled
+                                    // concurrently and must stay out.
+                                    let Some(target) = registry.get(uid, cohort) else {
+                                        continue;
+                                    };
+                                    let entry = Some((m.op_id, res.reply.clone(), res.mutated));
+                                    let types = &types;
+                                    let sim_inner = &sim;
+                                    if sim
+                                        .send_oneway(coord, cohort, frame.wire_size(), || {
+                                            if let Some(chk) = SnapshotCodec::decode(&frame) {
+                                                target.borrow_mut().install_checkpoint(
+                                                    sim_inner, &chk, entry, types,
+                                                );
+                                            }
+                                        })
+                                        .is_err()
+                                        && sim.is_up(cohort)
+                                    {
+                                        // Live but unreachable (partition):
+                                        // the cohort missed this checkpoint
+                                        // and must leave the activated group.
+                                        missed_in_handler.borrow_mut().push(cohort);
                                     }
                                 }
                             }
                         }
-                        result
-                    });
+                    }
+                    result
+                },
+            );
             // Expel cohorts that missed the checkpoint (stale copies).
             for &node in missed_cohorts.borrow().iter() {
                 if let Some(handle) = inner.registry.get(uid, node) {
@@ -519,9 +522,12 @@ impl System {
         let pinned = group.pinned_incarnation(server).unwrap_or(0);
         let sim = inner.sim.clone();
         let wire = inner.wire.clone();
-        let result = inner
-            .sim
-            .rpc_payload(group.req.client_node, server, msg, 64, move |frame| {
+        let result = inner.sim.rpc(
+            group.req.client_node,
+            server,
+            msg.wire_size(),
+            64,
+            move || {
                 // Server-side lineage check: a reborn copy (the server
                 // crashed — losing this action's uncommitted updates — and
                 // a later activation reloaded it from the stores) is not
@@ -532,9 +538,10 @@ impl System {
                 if replica.borrow().incarnation() != pinned {
                     return None;
                 }
-                GroupMsgCodec::decode(frame)
+                GroupMsgCodec::decode(msg)
                     .and_then(|m| replica.borrow_mut().invoke(&sim, &wire, &m))
-            });
+            },
+        );
         match result {
             Ok(Some(res)) => Ok((res.reply, res.mutated)),
             Ok(None) => Err(InvokeError::NotLoaded(uid)),

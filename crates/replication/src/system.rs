@@ -45,12 +45,10 @@ pub(crate) struct SystemInner {
     /// Observability registry shared with the action service; disabled by
     /// default (see [`SystemBuilder::observe`]).
     pub(crate) obs: ObsRegistry,
-    /// This thread's wire counters as of the last absorption into `obs`
-    /// (the counters are thread-local and monotonic; the mark turns them
-    /// into per-system deltas).
-    wire_mark: Cell<WireStats>,
-    /// Sim trace-ring drop count as of the last absorption into `obs`.
-    dropped_mark: Cell<u64>,
+    /// This thread's wire counters when the system was built (they are
+    /// thread-local and monotonic; the mark turns them into this system's
+    /// traffic).
+    wire_mark: WireStats,
     uid_gen: RefCell<UidGen>,
     next_op: Cell<u64>,
     next_client: Cell<u32>,
@@ -203,8 +201,7 @@ impl SystemBuilder {
                 active_groups: RefCell::default(),
                 wire: WireEncoder::new(),
                 obs,
-                wire_mark: Cell::new(wire::stats()),
-                dropped_mark: Cell::new(0),
+                wire_mark: wire::stats(),
                 uid_gen: RefCell::new(UidGen::new(naming_node)),
                 next_op: Cell::new(1),
                 next_client: Cell::new(0),
@@ -273,26 +270,23 @@ impl System {
         &self.inner.obs
     }
 
-    /// Builds a [`MetricsSnapshot`] of everything observed so far, after
-    /// absorbing this thread's wire-pool counters and the sim's trace-ring
-    /// drop count into the registry.
+    /// Builds a [`MetricsSnapshot`] of everything observed so far. The
+    /// wire-pool fields are this thread's wire traffic since the system was
+    /// built and `trace_dropped` is the sim's trace-ring drop count; both
+    /// are reported whether or not the system is observed.
     ///
     /// Must be called on the thread that ran the system (always true for
     /// this `!Send` type): wire counters are thread-local.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let inner = &self.inner;
-        let cur = wire::stats();
-        let delta = cur.since(inner.wire_mark.get());
-        inner.wire_mark.set(cur);
-        inner
-            .obs
-            .record_wire(delta.buffer_allocs, delta.pool_reuses, delta.bytes_copied);
-        let dropped = inner.sim.trace_dropped();
-        inner
-            .obs
-            .record_trace_dropped(dropped - inner.dropped_mark.get());
-        inner.dropped_mark.set(dropped);
-        let mut snap = inner.obs.snapshot();
+        let wire = wire::stats().since(inner.wire_mark);
+        let mut snap = MetricsSnapshot {
+            wire_buffer_allocs: wire.buffer_allocs,
+            wire_pool_reuses: wire.pool_reuses,
+            wire_bytes_copied: wire.bytes_copied,
+            trace_dropped: inner.sim.trace_dropped(),
+            ..inner.obs.snapshot()
+        };
         // Fold the sim's per-node delivered-byte counters into the node
         // load table: invokes and locks are recorded by the protocol
         // layers, bytes by the network model. Only when observing — a

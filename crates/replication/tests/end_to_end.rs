@@ -681,7 +681,7 @@ fn observed_system_reports_spans_counters_and_wire_stats() {
     assert_eq!(snap.phase(Phase::Probe).count(), 3);
     assert_eq!(snap.phase(Phase::Multicast).count(), 3);
     assert!(
-        snap.phase(Phase::Invoke).total_us() >= snap.phase(Phase::Multicast).total_us(),
+        snap.phase(Phase::Invoke).total() >= snap.phase(Phase::Multicast).total(),
         "the multicast leg nests inside the invoke span"
     );
     // Object creation + 3 ops moved real bytes through the wire pool.
@@ -705,6 +705,38 @@ fn unobserved_system_records_nothing() {
     assert_eq!(snap.span_count(), 0);
     // Wire stats are absorbed even with span recording off.
     assert!(snap.wire_bytes_copied > 0);
+}
+
+/// A snapshot's wire-pool fields are the wire traffic since the system was
+/// built, read from the wire layer's own counters: a system that was never
+/// observed still reports them, and each snapshot reports the running
+/// total, however many came before it.
+#[test]
+fn never_observed_system_reports_its_wire_traffic() {
+    use groupview_sim::wire;
+    let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
+    let built = wire::stats();
+    let traffic = |snap: groupview_obs::MetricsSnapshot| {
+        (
+            snap.wire_buffer_allocs,
+            snap.wire_pool_reuses,
+            snap.wire_bytes_copied,
+            snap.trace_dropped,
+        )
+    };
+    let moved = || {
+        let w = wire::stats().since(built);
+        (w.buffer_allocs, w.pool_reuses, w.bytes_copied, 0)
+    };
+    let uid = create_counter(&sys, 5);
+    let first = traffic(sys.metrics_snapshot());
+    assert!(first.2 > 0, "creating an object encodes its state");
+    assert_eq!(first, moved());
+    assert_eq!(counter_value(&sys, uid, n(4)), 5);
+    let second = traffic(sys.metrics_snapshot());
+    assert!(second.2 > first.2, "a read moves more bytes");
+    assert_eq!(second, moved());
+    assert!(!sys.obs().is_enabled());
 }
 
 /// An action id that has already committed or aborted is refused with a

@@ -77,6 +77,9 @@ struct Machine {
     actions_left: usize,
     phase: Phase,
     dead: bool,
+    /// What the in-flight action's finished steps cost this client:
+    /// virtual µs and charged messages (see [`meter`]).
+    spent: (u64, u64),
 }
 
 impl Machine {
@@ -242,9 +245,10 @@ impl OpGen {
 /// [`ScheduledEvent::Custom`] markers before the first step, and each fires
 /// at the top of the first step whose clock has reached its offset.
 ///
-/// A client's cost account is armed only while that client steps
-/// ([`Sim::with_account`]): plan actions, §4 recovery retries and drain
-/// passes between steps are charged to no client.
+/// A client pays for its own steps only: the simulator's clock and
+/// message counters are read around each one, so plan actions, §4
+/// recovery retries and drain passes between steps are charged to no
+/// client.
 ///
 /// # Panics
 ///
@@ -275,6 +279,7 @@ pub fn run_plan_typed(
         recovering: Vec::new(),
         membership: Membership::new(sys),
         draining: Vec::new(),
+        step_start: meter(sim),
     };
     let mut machines: Vec<Machine> = (0..spec.clients)
         .map(|i| {
@@ -285,6 +290,7 @@ pub fn run_plan_typed(
                 actions_left: spec.actions_per_client,
                 phase: Phase::Idle,
                 dead: false,
+                spent: (0, 0),
             }
         })
         .collect();
@@ -326,7 +332,9 @@ pub fn run_plan_typed(
         sim.shuffle(&mut order);
         for idx in order {
             let m = &mut machines[idx];
-            sim.with_account(idx as u64, || run.step(m));
+            run.step_start = meter(sim);
+            run.step(m);
+            m.spent = run.spent(m);
         }
     }
     // Abort anything still in flight (only reachable at the step bound) so
@@ -354,6 +362,14 @@ pub fn run_plan_typed(
         metrics,
         history: run.history,
     }
+}
+
+/// The simulator's clock (µs) and charged messages (deliveries plus RPC
+/// timeouts). Inside a client step every clock advance is a charge, so
+/// the difference of two readings around the step is exactly its cost.
+fn meter(sim: &Sim) -> (u64, u64) {
+    let net = sim.counters();
+    (sim.now().as_micros(), net.delivered + net.timeouts)
 }
 
 /// One §4 recovery pass over `node` — its store, then its server role —
@@ -388,9 +404,18 @@ struct Run<'a> {
     membership: Membership,
     /// Nodes whose drain still has busy or failed replicas.
     draining: Vec<NodeId>,
+    /// [`meter`] at the start of the current client step.
+    step_start: (u64, u64),
 }
 
 impl Run<'_> {
+    /// What `m`'s in-flight action has cost it so far, the current step
+    /// included.
+    fn spent(&self, m: &Machine) -> (u64, u64) {
+        let (now, start) = (meter(self.sys.sim()), self.step_start);
+        (m.spent.0 + now.0 - start.0, m.spent.1 + now.1 - start.1)
+    }
+
     /// Retries every unfinished drain once: busy replicas free up as their
     /// clients commit or abort.
     fn retry_drains(&mut self) {
@@ -468,7 +493,7 @@ impl Run<'_> {
                 }
                 m.actions_left -= 1;
                 self.metrics.attempts += 1;
-                sim.account_reset(m.idx as u64);
+                m.spent = (0, 0);
                 let read_only = sim.chance(spec.read_fraction);
                 if spec.transfers && !read_only && spec.objects.len() >= 2 {
                     self.start_transfer(m);
@@ -663,9 +688,9 @@ impl Run<'_> {
             Ended::Crashed => return history.crashed(now, m.idx, raw, uid),
             Ended::Abandoned => return history.aborted(now, m.idx, raw, uid, false),
         }
-        let cost = self.sys.sim().account_cost(m.idx as u64);
-        metrics.action_latency_us.add(cost.latency.as_micros());
-        metrics.action_messages.add(cost.messages);
+        let (latency_us, messages) = self.spent(m);
+        self.metrics.action_latency_us.add(latency_us);
+        self.metrics.action_messages.add(messages);
         let committing = matches!(ended, Ended::Committed | Ended::Aborted(Stage::Commit, _));
         if committing && self.spec.passivate_between_actions {
             let _ = self.sys.try_passivate(uid);

@@ -217,3 +217,25 @@ fn recovery_between_steps_is_charged_to_no_client() {
     assert_eq!(faulty.count(), 6);
     assert_eq!(faulty, messages(FaultPlan::new()));
 }
+
+/// A client's cost is conserved: in a fault-free run every charged message
+/// and every microsecond of the clock falls inside exactly one client
+/// step, so the per-action samples add up to the run's own counters. The
+/// clock also moves 50 µs between steps, which no client pays for.
+#[test]
+fn client_costs_sum_to_the_run_totals() {
+    let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, 9);
+    let sim = sys.sim();
+    let sent = || {
+        let c = sim.counters();
+        c.delivered + c.timeouts
+    };
+    let (t0, n0) = (sim.now(), sent());
+    let metrics = run(&sys, &spec(uids), FaultPlan::new());
+    assert_eq!(metrics.action_messages.count(), 12);
+    assert_eq!(metrics.action_messages.total(), sent() - n0);
+    assert_eq!(
+        metrics.action_latency_us.total(),
+        sim.now().since(t0).as_micros() - 50 * metrics.steps
+    );
+}

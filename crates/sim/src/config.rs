@@ -69,19 +69,12 @@ pub struct SimConfig {
     pub nodes: usize,
     /// Network model parameters.
     pub net: NetConfig,
-    /// Whether to record a full event trace (costs memory; for debugging).
+    /// Whether to record an event trace. The trace is a ring of the most
+    /// recent 65,536 events: once full, the oldest event is discarded for
+    /// each new one and the drop is counted (see `Sim::trace_dropped`), so
+    /// tracing a soak run cannot exhaust memory.
     pub trace: bool,
-    /// Maximum retained trace events. The trace is a ring: once full, the
-    /// oldest event is discarded for each new one and the drop is counted
-    /// (see `Sim::trace_dropped`), so tracing a soak run cannot exhaust
-    /// memory. `0` means unbounded.
-    pub trace_capacity: usize,
 }
-
-/// Default [`SimConfig::trace_capacity`]: generous enough to hold every
-/// event of any scenario/example run in this workspace, small enough that a
-/// traced soak stays bounded (~64k events ≈ a few MiB).
-pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 impl SimConfig {
     /// Creates a configuration with the given RNG seed and defaults.
@@ -91,7 +84,6 @@ impl SimConfig {
             nodes: 0,
             net: NetConfig::default(),
             trace: false,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
         }
     }
 
@@ -110,14 +102,6 @@ impl SimConfig {
     /// Enables event tracing.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
-        self
-    }
-
-    /// Enables event tracing with an explicit ring capacity (`0` =
-    /// unbounded).
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace = true;
-        self.trace_capacity = capacity;
         self
     }
 }
@@ -154,10 +138,6 @@ mod tests {
         assert_eq!(cfg.net.drop_probability, 0.25);
         assert_eq!(cfg.net.base_latency.as_micros(), 100);
         assert!(cfg.trace);
-        assert_eq!(cfg.trace_capacity, DEFAULT_TRACE_CAPACITY);
-        let capped = SimConfig::new(9).with_trace_capacity(16);
-        assert!(capped.trace, "with_trace_capacity implies tracing");
-        assert_eq!(capped.trace_capacity, 16);
     }
 
     #[test]

@@ -22,8 +22,6 @@
 //! * **RPC**: a synchronous request/response helper ([`Sim::rpc`]) that
 //!   preserves the failure asymmetry the paper reasons about — a server may
 //!   execute an invocation and crash *before* the reply is delivered.
-//! * **Cost accounts**: per-client latency/message accounting that stays
-//!   correct when a driver interleaves many logical clients.
 //! * **Event schedule**: timed opaque markers a driver acts on (the scenario
 //!   runner's fault-plan entries).
 //! * **Wire layer** ([`wire`]): reference-counted [`Bytes`] buffers, the
@@ -63,7 +61,7 @@ pub use crate::config::{NetConfig, SimConfig};
 pub use crate::error::NetError;
 pub use crate::ids::{ClientId, IdHasher, IdMap, IdSet, NodeId};
 pub use crate::inline::{InlineVec, NodeList};
-pub use crate::metrics::{Cost, NetCounters};
+pub use crate::metrics::NetCounters;
 pub use crate::time::{SimDuration, SimTime};
 pub use crate::trace::TraceEvent;
 pub use crate::wire::{Bytes, Codec, WireEncoder, WireStats};

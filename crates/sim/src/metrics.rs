@@ -1,42 +1,7 @@
-//! Cost accounting and network counters.
+//! Network counters.
 
-use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Accumulated cost of some activity: virtual latency plus message count.
-///
-/// Costs are attributed to *accounts* (see [`crate::Sim::with_account`])
-/// so that when a workload driver interleaves many logical clients, each
-/// client's operation latency reflects only the messages *that client* sent
-/// or waited for, not the global serialized clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Cost {
-    /// Total virtual latency charged.
-    pub latency: SimDuration,
-    /// Number of messages charged (delivered or timed out).
-    pub messages: u64,
-}
-
-impl Cost {
-    /// A zero cost.
-    pub const ZERO: Cost = Cost {
-        latency: SimDuration::ZERO,
-        messages: 0,
-    };
-
-    /// Adds another cost into this one.
-    pub fn absorb(&mut self, other: Cost) {
-        self.latency += other.latency;
-        self.messages += other.messages;
-    }
-}
-
-impl fmt::Display for Cost {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} / {} msgs", self.latency, self.messages)
-    }
-}
 
 /// Global network statistics for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -87,20 +52,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cost_absorb_adds_both_fields() {
-        let mut a = Cost {
-            latency: SimDuration::from_micros(10),
-            messages: 2,
-        };
-        a.absorb(Cost {
-            latency: SimDuration::from_micros(5),
-            messages: 1,
-        });
-        assert_eq!(a.latency.as_micros(), 15);
-        assert_eq!(a.messages, 3);
-    }
-
-    #[test]
     fn counters_attempts_sums_all_outcomes() {
         let c = NetCounters {
             delivered: 5,
@@ -114,7 +65,6 @@ mod tests {
 
     #[test]
     fn displays_are_nonempty() {
-        assert!(!Cost::ZERO.to_string().is_empty());
         assert!(!NetCounters::default().to_string().is_empty());
     }
 }

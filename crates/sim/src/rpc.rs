@@ -9,7 +9,6 @@
 
 use crate::error::NetError;
 use crate::ids::NodeId;
-use crate::wire::Bytes;
 use crate::world::Sim;
 
 impl Sim {
@@ -95,26 +94,6 @@ impl Sim {
         }
     }
 
-    /// Like [`Sim::rpc`] but carrying an actual request payload: the
-    /// request cost is derived from the buffer's [`Bytes::wire_size`] and
-    /// the handler receives the payload by reference — the server decodes
-    /// a zero-copy view of the very buffer the client encoded, so no
-    /// per-call payload vector is materialised.
-    ///
-    /// # Errors
-    ///
-    /// As [`Sim::rpc`].
-    pub fn rpc_payload<T>(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        req: &Bytes,
-        resp_bytes: usize,
-        handler: impl FnOnce(&Bytes) -> T,
-    ) -> Result<T, NetError> {
-        self.rpc(from, to, req.wire_size(), resp_bytes, || handler(req))
-    }
-
     /// One-way best-effort message (no reply, no timeout charge on failure).
     ///
     /// Used for checkpoint pushes and other fire-and-forget traffic where
@@ -132,26 +111,6 @@ impl Sim {
     ) -> Result<(), NetError> {
         self.deliver(from, to, bytes)?;
         handler();
-        Ok(())
-    }
-
-    /// Like [`Sim::send_oneway`] but carrying an actual payload buffer; the
-    /// handler receives a zero-copy reference to it. One encoded frame can
-    /// therefore be pushed to any number of receivers (checkpoint fan-out)
-    /// without cloning its contents.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the delivery failure; the handler only ran on `Ok`.
-    pub fn send_oneway_payload(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        payload: &Bytes,
-        handler: impl FnOnce(&Bytes),
-    ) -> Result<(), NetError> {
-        self.deliver(from, to, payload.wire_size())?;
-        handler(payload);
         Ok(())
     }
 }
@@ -261,45 +220,6 @@ mod tests {
         s.crash(NodeId::new(1));
         let net: Result<u32, AppError> = s.rpc_flat(NodeId::new(0), NodeId::new(1), 1, 1, || Ok(5));
         assert_eq!(net, Err(AppError::Net(NetError::Timeout)));
-    }
-
-    #[test]
-    fn rpc_payload_hands_the_buffer_to_the_handler_without_copying() {
-        let s = sim();
-        let req = Bytes::from_static(b"op-frame");
-        let req_ptr = req.as_slice().as_ptr();
-        let before = crate::wire::stats();
-        let got = s.rpc_payload(NodeId::new(0), NodeId::new(1), &req, 8, |payload| {
-            assert_eq!(payload.as_slice().as_ptr(), req_ptr, "same buffer");
-            payload.len()
-        });
-        assert_eq!(got, Ok(8));
-        assert_eq!(crate::wire::stats(), before, "no wire allocation");
-        assert_eq!(
-            s.counters().bytes_delivered,
-            (req.wire_size() + 8) as u64,
-            "request charged at wire size"
-        );
-    }
-
-    #[test]
-    fn oneway_payload_runs_handler_only_on_delivery() {
-        let s = sim();
-        let hit = Rc::new(Cell::new(0u8));
-        let payload = Bytes::from_static(b"checkpoint");
-        let h1 = hit.clone();
-        assert!(s
-            .send_oneway_payload(NodeId::new(0), NodeId::new(2), &payload, |p| {
-                h1.set(p.len() as u8)
-            })
-            .is_ok());
-        assert_eq!(hit.get(), 10);
-        s.crash(NodeId::new(2));
-        let h2 = hit.clone();
-        assert!(s
-            .send_oneway_payload(NodeId::new(0), NodeId::new(2), &payload, |_| h2.set(99))
-            .is_err());
-        assert_eq!(hit.get(), 10, "handler must not run on failed delivery");
     }
 
     #[test]

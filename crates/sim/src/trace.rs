@@ -23,7 +23,7 @@ pub enum TraceEvent {
         /// Payload size in bytes.
         bytes: usize,
         /// Raw id of the atomic action whose protocol step sent this
-        /// message (see [`crate::Sim::set_active_action`]), if one was
+        /// message (see [`crate::Sim::with_active_action`]), if one was
         /// active.
         action: Option<u64>,
     },

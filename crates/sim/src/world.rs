@@ -2,8 +2,8 @@
 
 use crate::config::SimConfig;
 use crate::error::NetError;
-use crate::ids::{IdMap, IdSet, NodeId};
-use crate::metrics::{Cost, NetCounters};
+use crate::ids::{IdSet, NodeId};
+use crate::metrics::NetCounters;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
 use rand::rngs::StdRng;
@@ -65,8 +65,6 @@ struct SimCore {
     /// Symmetric blocked pairs, stored with the smaller id first.
     blocked: IdSet<(NodeId, NodeId)>,
     counters: NetCounters,
-    accounts: IdMap<u64, Cost>,
-    active_account: Option<u64>,
     /// Raw id of the atomic action currently driving protocol work, stamped
     /// onto message trace events for causal attribution.
     active_action: Option<u64>,
@@ -75,28 +73,23 @@ struct SimCore {
     trace: Option<TraceRing>,
 }
 
+/// Trace events a traced world retains: enough for every event of any
+/// scenario or example run in this workspace, few enough that a traced
+/// soak stays bounded (~64k events ≈ a few MiB).
+const TRACE_CAPACITY: usize = 65_536;
+
 /// The bounded trace buffer: a ring that discards the oldest event once
-/// full, counting what it drops, so long traced runs stay within a fixed
-/// memory budget.
-#[derive(Debug)]
+/// it holds `TRACE_CAPACITY`, counting what it drops, so long traced
+/// runs stay within a fixed memory budget.
+#[derive(Debug, Default)]
 struct TraceRing {
     buf: std::collections::VecDeque<TraceEvent>,
-    /// Maximum retained events; `0` means unbounded.
-    cap: usize,
     dropped: u64,
 }
 
 impl TraceRing {
-    fn new(cap: usize) -> TraceRing {
-        TraceRing {
-            buf: std::collections::VecDeque::new(),
-            cap,
-            dropped: 0,
-        }
-    }
-
     fn push(&mut self, ev: TraceEvent) {
-        if self.cap > 0 && self.buf.len() >= self.cap {
+        if self.buf.len() >= TRACE_CAPACITY {
             self.buf.pop_front();
             self.dropped += 1;
         }
@@ -145,24 +138,13 @@ impl Sim {
                 nodes,
                 blocked: IdSet::default(),
                 counters: NetCounters::default(),
-                accounts: IdMap::default(),
-                active_account: None,
                 active_action: None,
                 schedule: BinaryHeap::new(),
                 schedule_seq: 0,
-                trace: if cfg.trace {
-                    Some(TraceRing::new(cfg.trace_capacity))
-                } else {
-                    None
-                },
+                trace: cfg.trace.then(TraceRing::default),
                 cfg,
             })),
         }
-    }
-
-    /// The configuration this world was created with.
-    pub fn config(&self) -> SimConfig {
-        self.inner.borrow().cfg
     }
 
     /// Adds a node to the world, returning its id. Membership changes are
@@ -172,11 +154,7 @@ impl Sim {
         let mut core = self.inner.borrow_mut();
         let id = NodeId::new(core.nodes.len() as u32);
         core.nodes.push(NodeState::fresh());
-        let at = core.clock;
-        core.trace(TraceEvent::Note {
-            at,
-            text: format!("membership: node {id} joined the world"),
-        });
+        core.note(format_args!("membership: node {id} joined the world"));
         id
     }
 
@@ -209,7 +187,9 @@ impl Sim {
         self.inner.borrow().clock
     }
 
-    /// Advances the clock without charging any account (driver idle time).
+    /// Advances the clock between client steps (driver idle time). Every
+    /// other clock advance is a charge: a delivery, a timeout or local
+    /// work.
     pub fn advance(&self, d: SimDuration) {
         self.inner.borrow_mut().clock += d;
     }
@@ -303,17 +283,7 @@ impl Sim {
         }
     }
 
-    /// Whether traffic between `a` and `b` is currently blocked.
-    pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        self.inner.borrow().blocked.contains(&norm_pair(a, b))
-    }
-
     // ----- network quality --------------------------------------------------
-
-    /// The current per-message loss probability.
-    pub fn drop_probability(&self) -> f64 {
-        self.inner.borrow().cfg.net.drop_probability
-    }
 
     /// Changes the per-message loss probability mid-run (fault plans ramp
     /// this up and back down to model lossy windows).
@@ -332,7 +302,7 @@ impl Sim {
     // ----- randomness -------------------------------------------------------
 
     /// Uniform `f64` in `[0, 1)` from the seeded generator.
-    pub fn random_f64(&self) -> f64 {
+    pub(crate) fn random_f64(&self) -> f64 {
         let mut core = self.inner.borrow_mut();
         core.rng_draws += 1;
         core.rng.random()
@@ -379,68 +349,26 @@ impl Sim {
         }
     }
 
-    // ----- cost accounts ----------------------------------------------------
+    // ----- attribution and charges ------------------------------------------
 
-    /// Runs `f` with message costs charged to `account`, restoring the
-    /// previous account afterwards.
+    /// Runs `f` with `action` as the atomic action subsequent message trace
+    /// events are attributed to (the causal `action=` tag on
+    /// `Deliver`/`Lost`), restoring the previous attribution afterwards
+    /// (so nested protocol phases compose).
     ///
-    /// Workload drivers wrap each client step in this, so per-client
-    /// latency is measured correctly even though the world is
-    /// single-threaded, and work done between steps is charged to no
-    /// client.
-    pub fn with_account<T>(&self, account: u64, f: impl FnOnce() -> T) -> T {
-        let prev = self.inner.borrow_mut().active_account.replace(account);
-        let out = f();
-        self.inner.borrow_mut().active_account = prev;
-        out
-    }
-
-    /// Sets the atomic action subsequent message trace events are
-    /// attributed to (the causal `action=` tag on `Deliver`/`Lost`).
-    ///
-    /// The replication layer sets this around each protocol phase it runs
-    /// on behalf of an action; attribution costs nothing when tracing is
-    /// off.
-    pub fn set_active_action(&self, action: Option<u64>) {
-        self.inner.borrow_mut().active_action = action;
-    }
-
-    /// The action currently attributed, if any.
-    pub fn active_action(&self) -> Option<u64> {
-        self.inner.borrow().active_action
-    }
-
-    /// Runs `f` with `action` as the attributed action, restoring the
-    /// previous attribution afterwards (so nested protocol phases compose).
+    /// The replication layer wraps each protocol phase it runs on behalf of
+    /// an action in this; attribution costs nothing when tracing is off.
     pub fn with_active_action<T>(&self, action: u64, f: impl FnOnce() -> T) -> T {
-        let prev = self.active_action();
-        self.set_active_action(Some(action));
+        let prev = self.inner.borrow_mut().active_action.replace(action);
         let out = f();
-        self.set_active_action(prev);
+        self.inner.borrow_mut().active_action = prev;
         out
     }
 
-    /// Resets an account to zero cost.
-    pub fn account_reset(&self, account: u64) {
-        self.inner.borrow_mut().accounts.insert(account, Cost::ZERO);
-    }
-
-    /// Reads an account's accumulated cost.
-    pub fn account_cost(&self, account: u64) -> Cost {
-        self.inner
-            .borrow()
-            .accounts
-            .get(&account)
-            .copied()
-            .unwrap_or(Cost::ZERO)
-    }
-
-    /// Charges local (non-network) work to the clock and active account,
-    /// e.g. a stable-storage force.
-    pub fn charge_local(&self, d: SimDuration) {
-        let mut core = self.inner.borrow_mut();
-        core.clock += d;
-        core.charge(d, 0);
+    /// Charges local (non-network) work to the clock, e.g. a stable-storage
+    /// force.
+    pub(crate) fn charge_local(&self, d: SimDuration) {
+        self.inner.borrow_mut().clock += d;
     }
 
     /// Charges the configured stable-storage write cost.
@@ -453,11 +381,10 @@ impl Sim {
 
     /// Attempts to deliver one message from `from` to `to`.
     ///
-    /// On success the clock advances by the sampled latency, which is charged
-    /// to the active account, and the latency is returned. On failure the
-    /// clock does **not** advance here — RPC-level code charges the timeout
-    /// (see [`Sim::charge_timeout`]) because only the caller knows whether it
-    /// waits.
+    /// On success the clock advances by the sampled latency, which is
+    /// returned, and the delivered counter ticks. On failure the clock
+    /// does **not** advance here — [`Sim::rpc`] charges the timeout,
+    /// because only the caller knows whether it waits.
     ///
     /// Scripted `crash_after_sends` fault points fire after the send
     /// attempt completes, delivered or not (the sender sent either way; see
@@ -498,30 +425,22 @@ impl Sim {
         result
     }
 
-    /// Charges one RPC timeout to the clock, the active account, and the
-    /// timeout counter.
-    pub fn charge_timeout(&self) {
-        let mut core = self.inner.borrow_mut();
-        let d = core.cfg.net.rpc_timeout;
-        core.clock += d;
-        core.charge(d, 1);
+    /// Charges one RPC timeout to the clock and the timeout counter.
+    pub(crate) fn charge_timeout(&self) {
+        let core = &mut *self.inner.borrow_mut();
+        core.clock += core.cfg.net.rpc_timeout;
         core.counters.timeouts += 1;
     }
 
     // ----- schedule ---------------------------------------------------------
 
-    /// Schedules an event at an absolute virtual time.
-    pub fn schedule(&self, at: SimTime, ev: ScheduledEvent) {
+    /// Schedules an event `after` from now; events due at the same time
+    /// fire in scheduling order.
+    pub fn schedule_in(&self, after: SimDuration, ev: ScheduledEvent) {
         let mut core = self.inner.borrow_mut();
-        let seq = core.schedule_seq;
+        let (at, seq) = (core.clock + after, core.schedule_seq);
         core.schedule_seq += 1;
         core.schedule.push(Reverse((at, seq, ev)));
-    }
-
-    /// Schedules an event `after` from now.
-    pub fn schedule_in(&self, after: SimDuration, ev: ScheduledEvent) {
-        let at = self.now() + after;
-        self.schedule(at, ev);
     }
 
     /// Removes and returns every event due at or before the current time,
@@ -540,20 +459,6 @@ impl Sim {
         fired
     }
 
-    /// Whether any scheduled events remain.
-    pub fn has_pending_events(&self) -> bool {
-        !self.inner.borrow().schedule.is_empty()
-    }
-
-    /// The time of the next scheduled event, if any.
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.inner
-            .borrow()
-            .schedule
-            .peek()
-            .map(|Reverse((at, _, _))| *at)
-    }
-
     // ----- instrumentation --------------------------------------------------
 
     /// Snapshot of the global network counters.
@@ -561,17 +466,15 @@ impl Sim {
         self.inner.borrow().counters
     }
 
-    /// Appends a free-form note to the trace (no-op when tracing is off).
-    pub fn note(&self, text: impl Into<String>) {
-        let mut core = self.inner.borrow_mut();
-        let at = core.clock;
-        let text = text.into();
-        core.trace(TraceEvent::Note { at, text });
+    /// Appends a free-form note to the trace. The text is formatted only
+    /// when tracing is on, so a note costs nothing otherwise.
+    pub fn note(&self, text: fmt::Arguments<'_>) {
+        self.inner.borrow_mut().note(text);
     }
 
     /// Takes the recorded trace, leaving an empty one. Returns `None` when
     /// tracing was not enabled. When the ring overflowed, the returned
-    /// events are the **most recent** `trace_capacity`; see
+    /// events are the **most recent** 65,536; see
     /// [`Sim::trace_dropped`] for how many older events were discarded.
     pub fn take_trace(&self) -> Option<Vec<TraceEvent>> {
         self.inner.borrow_mut().trace.as_mut().map(TraceRing::take)
@@ -642,7 +545,6 @@ impl SimCore {
         };
         let latency = self.cfg.net.base_latency + SimDuration::from_micros(extra);
         self.clock += latency;
-        self.charge(latency, 1);
         self.counters.delivered += 1;
         self.counters.bytes_delivered += bytes as u64;
         self.nodes[from.index()].bytes_out += bytes as u64;
@@ -697,17 +599,19 @@ impl SimCore {
         }
     }
 
-    fn charge(&mut self, d: SimDuration, msgs: u64) {
-        if let Some(acct) = self.active_account {
-            let entry = self.accounts.entry(acct).or_insert(Cost::ZERO);
-            entry.latency += d;
-            entry.messages += msgs;
-        }
-    }
-
     fn trace(&mut self, ev: TraceEvent) {
         if let Some(ring) = self.trace.as_mut() {
             ring.push(ev);
+        }
+    }
+
+    fn note(&mut self, text: fmt::Arguments<'_>) {
+        if let Some(ring) = self.trace.as_mut() {
+            let at = self.clock;
+            ring.push(TraceEvent::Note {
+                at,
+                text: text.to_string(),
+            });
         }
     }
 }
@@ -736,7 +640,7 @@ mod tests {
         let lat = sim
             .deliver(NodeId::new(0), NodeId::new(1), 100)
             .expect("delivery");
-        assert!(lat >= sim.config().net.base_latency);
+        assert!(lat >= NetConfig::default().base_latency);
         assert_eq!(sim.now(), before + lat);
         let c = sim.counters();
         assert_eq!(c.delivered, 1);
@@ -791,7 +695,6 @@ mod tests {
         let sim = sim3();
         let (a, b) = (NodeId::new(0), NodeId::new(2));
         sim.partition(a, b);
-        assert!(sim.is_partitioned(a, b));
         assert!(matches!(
             sim.deliver(a, b, 1),
             Err(NetError::Partitioned { .. })
@@ -983,53 +886,32 @@ mod tests {
     }
 
     #[test]
-    fn accounts_charge_only_active_client() {
-        let sim = sim3();
-        sim.account_reset(1);
-        sim.account_reset(2);
-        let hop = || sim.deliver(NodeId::new(0), NodeId::new(1), 1).unwrap();
-        sim.with_account(1, || {
-            hop();
-            // A nested scope charges its own account, then hands back.
-            sim.with_account(2, || {
-                hop();
-                hop();
-            });
-            hop();
-        });
-        hop();
-        assert_eq!(sim.account_cost(1).messages, 2);
-        assert_eq!(sim.account_cost(2).messages, 2);
-        assert!(sim.account_cost(1).latency > SimDuration::ZERO);
-    }
-
-    #[test]
     fn charge_timeout_advances_clock_and_counts() {
         let sim = sim3();
-        sim.account_reset(9);
         let before = sim.now();
-        sim.with_account(9, || sim.charge_timeout());
-        assert_eq!(sim.now(), before + sim.config().net.rpc_timeout);
+        sim.charge_timeout();
+        assert_eq!(sim.now(), before + NetConfig::default().rpc_timeout);
         assert_eq!(sim.counters().timeouts, 1);
-        assert_eq!(sim.account_cost(9).messages, 1);
     }
 
     #[test]
     fn schedule_fires_in_time_order() {
         let sim = sim3();
-        sim.schedule(SimTime::from_micros(100), ScheduledEvent::Custom(8));
-        sim.schedule(SimTime::from_micros(50), ScheduledEvent::Custom(7));
-        sim.schedule(SimTime::from_micros(100), ScheduledEvent::Custom(9));
+        let at = |us| SimDuration::from_micros(us);
+        sim.schedule_in(at(100), ScheduledEvent::Custom(8));
+        sim.schedule_in(at(50), ScheduledEvent::Custom(7));
+        sim.schedule_in(at(100), ScheduledEvent::Custom(9));
         assert!(sim.run_due_events().is_empty(), "nothing due at t=0");
-        sim.advance(SimDuration::from_micros(60));
+        sim.advance(at(60));
         assert_eq!(sim.run_due_events(), vec![ScheduledEvent::Custom(7)]);
-        sim.advance(SimDuration::from_micros(60));
+        sim.advance(at(60));
         assert_eq!(
             sim.run_due_events(),
             vec![ScheduledEvent::Custom(8), ScheduledEvent::Custom(9)],
             "equal times fire in scheduling order"
         );
-        assert!(!sim.has_pending_events());
+        sim.advance(at(1_000));
+        assert!(sim.run_due_events().is_empty(), "each event fires once");
     }
 
     #[test]
@@ -1037,7 +919,10 @@ mod tests {
         let sim = sim3();
         sim.advance(SimDuration::from_micros(500));
         sim.schedule_in(SimDuration::from_micros(10), ScheduledEvent::Custom(1));
-        assert_eq!(sim.next_event_at(), Some(SimTime::from_micros(510)));
+        sim.advance(SimDuration::from_micros(9));
+        assert!(sim.run_due_events().is_empty(), "due at 510, not 10");
+        sim.advance(SimDuration::from_micros(1));
+        assert_eq!(sim.run_due_events(), vec![ScheduledEvent::Custom(1)]);
     }
 
     #[test]
@@ -1045,7 +930,7 @@ mod tests {
         let sim = Sim::new(SimConfig::new(1).with_nodes(2).with_trace());
         sim.deliver(NodeId::new(0), NodeId::new(1), 5).unwrap();
         sim.crash(NodeId::new(1));
-        sim.note("checkpoint");
+        sim.note(format_args!("checkpoint"));
         let trace = sim.take_trace().expect("tracing enabled");
         assert_eq!(trace.len(), 3);
         assert!(matches!(trace[0], TraceEvent::Deliver { .. }));
@@ -1064,38 +949,41 @@ mod tests {
 
     #[test]
     fn trace_ring_caps_retained_events_and_counts_drops() {
-        let sim = Sim::new(SimConfig::new(1).with_nodes(2).with_trace_capacity(3));
-        for i in 0..7 {
-            sim.note(format!("n{i}"));
+        let sim = Sim::new(SimConfig::new(1).with_nodes(2).with_trace());
+        for i in 0..TRACE_CAPACITY + 4 {
+            sim.note(format_args!("n{i}"));
         }
         assert_eq!(sim.trace_dropped(), 4);
         let trace = sim.take_trace().expect("tracing enabled");
-        assert_eq!(trace.len(), 3, "ring keeps only the newest capacity");
+        assert_eq!(trace.len(), TRACE_CAPACITY, "ring keeps the newest events");
         // The survivors are the most recent events, in arrival order.
-        let texts: Vec<String> = trace
+        let texts: Vec<&str> = trace
             .iter()
             .map(|e| match e {
-                TraceEvent::Note { text, .. } => text.clone(),
+                TraceEvent::Note { text, .. } => text.as_str(),
                 other => panic!("unexpected event {other:?}"),
             })
             .collect();
-        assert_eq!(texts, vec!["n4", "n5", "n6"]);
+        assert_eq!(texts[0], "n4");
+        assert_eq!(
+            texts[TRACE_CAPACITY - 1],
+            format!("n{}", TRACE_CAPACITY + 3)
+        );
         // The dropped count survives the drain; the drained ring refills.
         assert_eq!(sim.trace_dropped(), 4);
-        sim.note("later");
+        sim.note(format_args!("later"));
         assert_eq!(sim.take_trace().expect("still enabled").len(), 1);
     }
 
     #[test]
     fn message_trace_events_carry_the_active_action() {
         let sim = Sim::new(SimConfig::new(1).with_nodes(3).with_trace());
-        sim.set_active_action(Some(42));
+        sim.with_active_action(42, || {
+            sim.deliver(NodeId::new(0), NodeId::new(1), 5).unwrap();
+            sim.crash(NodeId::new(2));
+            let _ = sim.deliver(NodeId::new(0), NodeId::new(2), 5);
+        });
         sim.deliver(NodeId::new(0), NodeId::new(1), 5).unwrap();
-        sim.crash(NodeId::new(2));
-        let _ = sim.deliver(NodeId::new(0), NodeId::new(2), 5);
-        sim.set_active_action(None);
-        sim.deliver(NodeId::new(0), NodeId::new(1), 5).unwrap();
-        assert_eq!(sim.active_action(), None);
         let trace = sim.take_trace().expect("tracing enabled");
         let actions: Vec<Option<u64>> = trace.iter().map(TraceEvent::action).collect();
         // Deliver(42), Crash(None), Lost(42), Deliver(None).
@@ -1207,7 +1095,6 @@ mod tests {
     #[test]
     fn drop_probability_can_be_ramped_mid_run() {
         let sim = Sim::new(SimConfig::new(7).with_nodes(2));
-        assert_eq!(sim.drop_probability(), 0.0);
         for _ in 0..50 {
             assert!(sim.deliver(NodeId::new(0), NodeId::new(1), 1).is_ok());
         }

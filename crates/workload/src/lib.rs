@@ -26,6 +26,7 @@ pub mod metrics;
 pub mod spec;
 pub mod table;
 
-pub use crate::metrics::{Histogram, RunMetrics};
+pub use crate::metrics::RunMetrics;
 pub use crate::spec::WorkloadSpec;
 pub use crate::table::TextTable;
+pub use groupview_obs::Histogram;
