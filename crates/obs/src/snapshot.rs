@@ -164,6 +164,24 @@ mod tests {
         samples.iter().copied().collect()
     }
 
+    /// A phase read back from a snapshot keeps nearest-rank percentiles,
+    /// and a phase never recorded reads as zeros.
+    #[test]
+    fn nearest_rank_percentiles() {
+        let mut snap = MetricsSnapshot::default();
+        snap.phases[Phase::Invoke.index()] = stats(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
+        let s = snap.phase(Phase::Invoke);
+        assert_eq!(s.p50(), 50);
+        assert_eq!(s.p95(), 100);
+        assert_eq!(s.percentile(10.0), 10);
+        assert_eq!(s.max(), 100);
+        assert_eq!(s.count(), 10);
+        assert_eq!(s.total(), 550);
+        let empty = MetricsSnapshot::default();
+        assert_eq!(empty.phase(Phase::Invoke).p50(), 0);
+        assert_eq!(empty.phase(Phase::Invoke).max(), 0);
+    }
+
     #[test]
     fn snapshot_reports_hit_rate_and_span_count() {
         let mut snap = MetricsSnapshot::default();
