@@ -150,8 +150,10 @@ pub struct Binding {
     /// Whether use lists were incremented (schemes 2 and 3) — if so, the
     /// caller must call [`Binder::complete`] when the client action ends.
     pub registered: bool,
-    /// Servers probed and found dead ("the hard way" discoveries).
-    pub probe_failures: u32,
+    /// Servers probed and found dead ("the hard way" discoveries), in
+    /// probe order. The activation keeps them as suspects, so the action
+    /// does not wait on them again.
+    pub dead: NodeList,
     /// Servers this binding removed from `Sv` (schemes 2 and 3).
     pub removed: NodeList,
     /// Binding attempts that were retried due to lock contention.
@@ -315,8 +317,8 @@ impl Binder {
             uid: req.uid,
             servers,
             registered: false,
-            probe_failures: dead.len() as u32,
-            removed: dead,
+            removed: dead.clone(),
+            dead,
             retries: 0,
         })
     }
@@ -363,7 +365,7 @@ impl Binder {
             uid: req.uid,
             servers,
             registered: false,
-            probe_failures: dead.len() as u32,
+            dead,
             removed: NodeList::new(),
             retries: 0,
         })
@@ -437,10 +439,9 @@ impl Binder {
         // already reached) must stay listed. The write lock is already
         // held, so only genuine database errors can surface here.
         let mut removed = NodeList::new();
-        let probe_failures = dead.len() as u32;
         for &host in &dead {
             match self.naming.remote(req.client_node, Cost::UPDATE, |ns| {
-                ns.server_db.remove(t1, req.uid, host)
+                ns.server_db.prune(t1, req.uid, host)
             }) {
                 Ok(true) => removed.push(host),
                 Ok(false) => {}
@@ -463,7 +464,7 @@ impl Binder {
             uid: req.uid,
             servers,
             registered: true,
-            probe_failures,
+            dead,
             removed,
             retries: 0,
         })
@@ -538,7 +539,7 @@ mod tests {
         let a = tx.begin_top(n(4));
         let b = binder.bind(a, &req()).unwrap();
         assert_eq!(b.servers, vec![n(1), n(2)]);
-        assert_eq!(b.probe_failures, 0);
+        assert_eq!(b.dead.len(), 0);
         assert!(!b.registered);
         // Read lock inherited by the client action until it ends:
         assert!(!tx.locks_empty());
@@ -557,13 +558,13 @@ mod tests {
         let a = tx.begin_top(n(4));
         let b = binder.bind(a, &req()).unwrap();
         assert_eq!(b.servers, vec![n(2), n(3)]);
-        assert_eq!(b.probe_failures, 1, "n1 probed dead");
+        assert_eq!(b.dead.len(), 1, "n1 probed dead");
         tx.commit(a).unwrap();
         // Static Sv: the dead server stays listed for the next client.
         assert_eq!(ns.server_db.entry(uid()).unwrap().servers.len(), 3);
         let a2 = tx.begin_top(n(4));
         let b2 = binder.bind(a2, &req()).unwrap();
-        assert_eq!(b2.probe_failures, 1, "every client pays the probe");
+        assert_eq!(b2.dead.len(), 1, "every client pays the probe");
         tx.commit(a2).unwrap();
     }
 
@@ -727,7 +728,7 @@ mod tests {
         let a = tx.begin_top(n(4));
         let b = binder.bind(a, &req()).unwrap();
         assert_eq!(b.servers, vec![n(2), n(3)]);
-        assert_eq!(b.probe_failures, 1);
+        assert_eq!(b.dead.len(), 1);
         assert!(!b.registered);
         // The dead server was pruned from the cache instantly, without any
         // lock — even while the client action is still running.

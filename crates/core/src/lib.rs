@@ -56,6 +56,6 @@ pub use crate::directory::Directory;
 pub use crate::error::{BindError, DbError};
 pub use crate::naming::{check_node_lists, Cost, NamingService};
 pub use crate::nonatomic::{RemoteServerCache, ServerCache};
-pub use crate::recovery::{RecoveryManager, RecoveryReport};
+pub use crate::recovery::{Deferred, RecoveryManager, RecoveryReport};
 pub use crate::server_db::{ObjectServerDb, ServerDbOps, ServerEntry};
 pub use crate::state_db::{ExcludePolicy, ObjectStateDb, StateDbOps, StateEntry};

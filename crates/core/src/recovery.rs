@@ -9,11 +9,25 @@
 //!   available again." (§4.2)
 //! * A recovered **server** node executes `Insert(UIDA, δ)` before it is
 //!   ready to act as a server again — "execution of this operation is
-//!   necessary to check that A is quiescent" (§4.1.2).
+//!   necessary to check that A is quiescent" (§4.1.2). It does so for every
+//!   object it serves, including those a binder `Remove`d it from while it
+//!   was down ([`crate::ObjectServerDb::uids_served_by`]); a store-only
+//!   node serves nothing and never becomes a server.
 //!
 //! Additionally, two-phase commit leaves *in-doubt* prepared transactions in
 //! the store's intent log; recovery resolves them against the coordinator's
 //! commit record (no record: presumed abort) and then releases the record.
+//!
+//! [`RecoveryManager::recover_node`] does each duty once, for every object.
+//! What it could not finish — a refresh with no reachable source, an
+//! `Insert` refused because the object is in use, a decided commit not yet
+//! applied — comes back as a [`Deferred`] value, and
+//! [`RecoveryManager::retry`] does that work and nothing else. An object
+//! already recovered is never visited again by a retry: if a commit
+//! `Exclude`s the node from it once more while other work is still
+//! deferred, it stays out of `St` until the node's next recovery (§4.2
+//! gives the refresh duty to a *crashed* node; a live node left out of `St`
+//! holds a stale copy nobody reads).
 
 use crate::error::DbError;
 use crate::naming::{Cost, NamingService};
@@ -30,6 +44,9 @@ pub struct RecoveryReport {
     pub resolved_commits: Vec<TxToken>,
     /// In-doubt transactions resolved as aborted (incl. presumed abort).
     pub resolved_aborts: Vec<TxToken>,
+    /// In-doubt transactions decided as committed whose local commit
+    /// failed — the caller should retry these later.
+    pub indoubt_deferred: Vec<TxToken>,
     /// Objects whose local state was refreshed from a current `St` member.
     pub refreshed: Vec<Uid>,
     /// Objects re-`Include`d into their `St` set.
@@ -52,7 +69,9 @@ pub struct RecoveryReport {
 impl RecoveryReport {
     /// Whether anything remains to retry.
     pub fn fully_recovered(&self) -> bool {
-        self.insert_deferred.is_empty() && self.refresh_deferred.is_empty()
+        self.insert_deferred.is_empty()
+            && self.refresh_deferred.is_empty()
+            && self.indoubt_deferred.is_empty()
     }
 
     /// Folds another report's results into this one (e.g. store-side and
@@ -60,12 +79,44 @@ impl RecoveryReport {
     pub fn merge(&mut self, other: RecoveryReport) {
         self.resolved_commits.extend(other.resolved_commits);
         self.resolved_aborts.extend(other.resolved_aborts);
+        self.indoubt_deferred.extend(other.indoubt_deferred);
         self.refreshed.extend(other.refreshed);
         self.included.extend(other.included);
         self.inserted.extend(other.inserted);
         self.insert_deferred.extend(other.insert_deferred);
         self.refresh_deferred.extend(other.refresh_deferred);
         self.purged.extend(other.purged);
+    }
+
+    /// The work this report, a pass over `node`, left for a retry.
+    pub fn deferred(self, node: NodeId) -> Deferred {
+        Deferred {
+            node,
+            refresh: self.refresh_deferred,
+            insert: self.insert_deferred,
+            indoubt: self.indoubt_deferred,
+        }
+    }
+}
+
+/// The §4 work a recovery pass over one node left undone, handed back so
+/// that [`RecoveryManager::retry`] does exactly that work.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Deferred {
+    /// The recovering node.
+    pub node: NodeId,
+    /// Objects whose store refresh + `Include` is still to do.
+    pub refresh: Vec<Uid>,
+    /// Objects whose `Insert` is still to do.
+    pub insert: Vec<Uid>,
+    /// In-doubt transactions decided as committed but not yet applied.
+    pub indoubt: Vec<TxToken>,
+}
+
+impl Deferred {
+    /// Whether nothing is left to do: the node has fully recovered.
+    pub fn is_done(&self) -> bool {
+        self.refresh.is_empty() && self.insert.is_empty() && self.indoubt.is_empty()
     }
 }
 
@@ -106,7 +157,8 @@ impl RecoveryManager {
 
     /// Brings `node` back up (if needed) and runs the full recovery
     /// protocol: in-doubt resolution, store refresh + `Include`, and server
-    /// re-`Insert`.
+    /// re-`Insert`. [`RecoveryReport::deferred`] turns the report into the
+    /// work left for [`RecoveryManager::retry`].
     pub fn recover_node(&self, node: NodeId) -> RecoveryReport {
         self.sim.recover(node);
         let mut report = RecoveryReport::default();
@@ -129,14 +181,84 @@ impl RecoveryManager {
         if !self.sim.is_up(node) {
             return report;
         }
-        // (1) in-doubt resolution.
         let indoubt = self.stores.with(node, |s| s.indoubt()).unwrap_or_default();
+        // Once the node's intent log is empty, the coordinator need not
+        // keep a commit record on its behalf any longer (this also covers a
+        // phase-2 commit that was applied but whose reply was lost).
+        let settled = self.settle(node, &indoubt, &mut report);
+        if settled {
+            self.tx.release_decisions(node);
+        }
+        let mut uids = self.stores.with(node, |s| s.uids()).unwrap_or_default();
+        uids.sort_unstable();
+        self.refresh(node, &uids, settled, &mut report);
+        report
+    }
+
+    /// Server-side recovery of an already-up `node`: executes `Insert` for
+    /// every object it serves — the §4.1.2 quiescence check.
+    pub fn recover_server(&self, node: NodeId) -> RecoveryReport {
+        let mut report = RecoveryReport::default();
+        if !self.sim.is_up(node) {
+            return report;
+        }
+        let uids = self.naming.server_db.uids_served_by(node);
+        self.insert(node, &uids, &mut report);
+        report
+    }
+
+    /// Retries the work a pass deferred, and only that work. An object
+    /// that left the node meanwhile (migrated away) is dropped from it.
+    /// Nothing is tried while the node is down: the report then defers
+    /// all of `work` again.
+    pub fn retry(&self, work: &Deferred) -> RecoveryReport {
+        let node = work.node;
+        let mut report = RecoveryReport::default();
+        if !self.sim.is_up(node) {
+            report.refresh_deferred.clone_from(&work.refresh);
+            report.insert_deferred.clone_from(&work.insert);
+            report.indoubt_deferred.clone_from(&work.indoubt);
+            return report;
+        }
         let mut settled = true;
-        for token in indoubt {
+        if !work.indoubt.is_empty() {
+            let log = self.stores.with(node, |s| s.indoubt()).unwrap_or_default();
+            let (mine, others): (Vec<TxToken>, Vec<TxToken>) =
+                log.into_iter().partition(|t| work.indoubt.contains(t));
+            // The decision records go only once the whole intent log is
+            // settled, not just the part this retry owns.
+            settled = self.settle(node, &mine, &mut report) && others.is_empty();
+            if settled {
+                self.tx.release_decisions(node);
+            }
+        }
+        let held: Vec<Uid> = work
+            .refresh
+            .iter()
+            .copied()
+            .filter(|&uid| self.stores.with(node, |s| s.contains(uid)) == Ok(true))
+            .collect();
+        self.refresh(node, &held, settled, &mut report);
+        let served: Vec<Uid> = work
+            .insert
+            .iter()
+            .copied()
+            .filter(|&uid| self.naming.server_db.is_served_by(uid, node))
+            .collect();
+        self.insert(node, &served, &mut report);
+        report
+    }
+
+    /// Resolves `node`'s in-doubt transactions `tokens` against the
+    /// coordinator's decision record; returns whether they all settled.
+    fn settle(&self, node: NodeId, tokens: &[TxToken], report: &mut RecoveryReport) -> bool {
+        let mut settled = true;
+        for &token in tokens {
             if self.tx.decision(token) {
                 if self.stores.commit_local(node, token).is_ok() {
                     report.resolved_commits.push(token);
                 } else {
+                    report.indoubt_deferred.push(token);
                     settled = false;
                 }
             } else {
@@ -145,19 +267,16 @@ impl RecoveryManager {
                 report.resolved_aborts.push(token);
             }
         }
-        // The node's intent log is empty: the coordinator need not keep a
-        // commit record on its behalf any longer (this also covers a
-        // phase-2 commit that was applied but whose reply was lost).
-        if settled {
-            self.tx.release_decisions(node);
-        }
-        // (2) refresh + Include — unless the replica was retired (migrated
-        // away) while the node was down, in which case the stale local copy
-        // is purged instead of resurrected. With the intent log settled,
-        // nothing can write the copy back, so its tombstone goes too.
-        let mut uids = self.stores.with(node, |s| s.uids()).unwrap_or_default();
-        uids.sort_unstable();
-        for uid in uids {
+        settled
+    }
+
+    /// Refresh + `Include` for each of `uids` — unless the replica was
+    /// retired (migrated away) while the node was down, in which case the
+    /// stale local copy is purged instead of resurrected. With the intent
+    /// log `settled`, nothing can write the copy back, so its tombstone
+    /// goes too.
+    fn refresh(&self, node: NodeId, uids: &[Uid], settled: bool, report: &mut RecoveryReport) {
+        for &uid in uids {
             if self.stores.is_retired(node, uid) {
                 let _ = self.stores.with(node, |s| s.remove(uid));
                 if settled {
@@ -175,17 +294,11 @@ impl RecoveryManager {
                 Err(_) => report.refresh_deferred.push(uid),
             }
         }
-        report
     }
 
-    /// Server-side recovery of an already-up `node`: executes `Insert` for
-    /// every object listing it in `Sv` — the §4.1.2 quiescence check.
-    pub fn recover_server(&self, node: NodeId) -> RecoveryReport {
-        let mut report = RecoveryReport::default();
-        if !self.sim.is_up(node) {
-            return report;
-        }
-        for uid in self.naming.server_db.uids_hosting(node) {
+    /// `Insert(uid, node)` for each of `uids`, one top-level action each.
+    fn insert(&self, node: NodeId, uids: &[Uid], report: &mut RecoveryReport) {
+        for &uid in uids {
             let action = self.tx.begin_top(node);
             let inserted = self.naming.remote(node, Cost::UPDATE, |ns| {
                 ns.server_db.insert(action, uid, node)
@@ -207,7 +320,6 @@ impl RecoveryManager {
                 }
             }
         }
-        report
     }
 
     fn refresh_one(&self, node: NodeId, uid: Uid) -> Result<RefreshOutcome, DbError> {
@@ -488,5 +600,74 @@ mod tests {
         let retry = rm.recover_store(n(2));
         assert_eq!(retry.included, vec![uid()]);
         assert_eq!(stores.read_local(n(2), uid()).unwrap().data, b"v0");
+    }
+
+    #[test]
+    fn retry_does_only_the_deferred_work() {
+        let (sim, tx, ns, stores, rm) = world();
+        // n2 is excluded while down, and its only source n1 goes down too.
+        sim.crash(n(2));
+        let a = tx.begin_top(n(3));
+        exclude_n2(&ns, a);
+        tx.commit(a).unwrap();
+        sim.crash(n(1));
+        let work = rm.recover_node(n(2)).deferred(n(2));
+        assert_eq!(work.refresh, vec![uid()]);
+        assert!(work.insert.is_empty(), "n2's Insert went through");
+        // Nothing changes while the source stays down.
+        assert_eq!(rm.retry(&work).deferred(n(2)), work);
+        sim.recover(n(1));
+        let report = rm.retry(&work);
+        assert_eq!(report.included, vec![uid()]);
+        assert!(report.inserted.is_empty(), "the done Insert is not redone");
+        assert!(report.deferred(n(2)).is_done());
+        assert_eq!(stores.read_local(n(2), uid()).unwrap().data, b"v0");
+    }
+
+    /// An object the node already recovered, then lost again to a commit's
+    /// `Exclude` while other work was still deferred, is left alone by the
+    /// retry: §4.2 gives the refresh duty to a crashed node, and the live
+    /// node's copy is out of `St`, so no one reads it. The node's next
+    /// recovery includes it again.
+    #[test]
+    fn an_object_excluded_again_while_recovering_stays_excluded() {
+        let (sim, tx, ns, stores, rm) = world();
+        // A second object, stored on n2 and n3 only.
+        stores.add_store(n(3));
+        let other = Uid::from_raw(2);
+        let a = tx.begin_top(n(0));
+        ns.register_object(a, other, vec![n(1)], vec![n(2), n(3)])
+            .unwrap();
+        tx.commit(a).unwrap();
+        stores.write_local(n(2), other, state(b"w0")).unwrap();
+        stores.write_local(n(3), other, state(b"w0")).unwrap();
+        // n2 is excluded from both while down; then n3 goes down as well.
+        sim.crash(n(2));
+        let a = tx.begin_top(n(0));
+        let batch = [(uid(), vec![n(2)]), (other, vec![n(2)])];
+        ns.state_db
+            .exclude(a, &batch, ExcludePolicy::ExcludeWriteLock)
+            .unwrap();
+        tx.commit(a).unwrap();
+        sim.crash(n(3));
+        let report = rm.recover_node(n(2));
+        assert_eq!(report.included, vec![uid()]);
+        let work = report.deferred(n(2));
+        assert_eq!(work.refresh, vec![other], "no source for the second");
+        // While n2 is still recovering, a commit excludes it from uid()
+        // again.
+        let a = tx.begin_top(n(0));
+        ns.state_db
+            .exclude(a, &[(uid(), vec![n(2)])], ExcludePolicy::ExcludeWriteLock)
+            .unwrap();
+        tx.commit(a).unwrap();
+        sim.recover(n(3));
+        let report = rm.retry(&work);
+        assert_eq!(report.included, vec![other]);
+        assert!(report.deferred(n(2)).is_done());
+        assert_eq!(ns.state_db.entry(uid()).unwrap().stores, vec![n(1)]);
+        // The next recovery of n2 includes it again.
+        sim.crash(n(2));
+        assert_eq!(rm.recover_node(n(2)).included, vec![uid()]);
     }
 }

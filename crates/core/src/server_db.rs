@@ -116,6 +116,14 @@ pub(crate) struct ServerSide {
     /// proxy (it depends only on the workload execution, not on whether
     /// observability is enabled).
     lifetime_uses: BTreeMap<Uid, u64>,
+    /// `(host, uid)` for every server a binder pruned from `SvA` as dead:
+    /// it keeps its claim on the object, because §4.1.2 has the recovered
+    /// server `Insert` itself again. Only a migration away or the node's
+    /// decommissioning ([`ObjectServerDb::retire_server`],
+    /// [`ObjectServerDb::retire_host`]) ends the claim. Never undone: an
+    /// aborted prune leaves the host listed, and a listed host is served
+    /// anyway.
+    pruned: BTreeSet<(NodeId, Uid)>,
 }
 
 impl Entry for ServerEntry {
@@ -273,6 +281,21 @@ impl ObjectServerDb {
             })
     }
 
+    /// `Remove` of a server a binder found dead (Figures 7 and 8). The
+    /// host keeps its claim on the object ([`ObjectServerDb::uids_served_by`]),
+    /// so its recovery `Insert`s it again.
+    ///
+    /// # Errors
+    ///
+    /// As [`ObjectServerDb::remove`].
+    pub fn prune(&self, action: ActionId, uid: Uid, host: NodeId) -> Result<bool, DbError> {
+        let removed = self.remove(action, uid, host)?;
+        if removed {
+            self.table.with_side(|side| side.pruned.insert((host, uid)));
+        }
+        Ok(removed)
+    }
+
     /// `Increment(client, hostnames...)`: bumps `client`'s counter in the
     /// use list of each named host (§4.1.3).
     ///
@@ -420,6 +443,47 @@ impl ObjectServerDb {
     /// without cloning whole entries.
     pub fn uids_hosting(&self, host: NodeId) -> Vec<Uid> {
         self.table.keys_where(|e| e.servers.contains(&host))
+    }
+
+    /// The objects `host` serves, sorted: those whose `SvA` lists it, and
+    /// those a binder pruned it from that no migration has moved away
+    /// since. A recovered server re-`Insert`s itself into each (§4.1.2).
+    pub fn uids_served_by(&self, host: NodeId) -> Vec<Uid> {
+        let mut uids = self.uids_hosting(host);
+        let listed = uids.len();
+        self.table.with_side(|side| {
+            let range = (host, Uid::from_raw(0))..=(host, Uid::from_raw(u64::MAX));
+            uids.extend(side.pruned.range(range).map(|&(_, uid)| uid));
+        });
+        if uids.len() > listed {
+            uids.sort_unstable();
+            uids.dedup();
+        }
+        uids
+    }
+
+    /// Whether `host` serves `uid` (see [`ObjectServerDb::uids_served_by`]).
+    pub fn is_served_by(&self, uid: Uid, host: NodeId) -> bool {
+        self.table
+            .get(&uid)
+            .is_some_and(|e| e.servers.contains(&host))
+            || self
+                .table
+                .with_side(|side| side.pruned.contains(&(host, uid)))
+    }
+
+    /// Ends `host`'s claim on `uid` once a committed migration has moved
+    /// the server role away: its recovery no longer re-`Insert`s it.
+    pub fn retire_server(&self, uid: Uid, host: NodeId) {
+        self.table
+            .with_side(|side| side.pruned.remove(&(host, uid)));
+    }
+
+    /// Ends every claim `host` kept through a prune: a decommissioned
+    /// node serves nothing, whatever it was pruned from.
+    pub fn retire_host(&self, host: NodeId) {
+        self.table
+            .with_side(|side| side.pruned.retain(|&(h, _)| h != host));
     }
 
     /// Cumulative `GetServer` + `Increment` count for `uid` over the

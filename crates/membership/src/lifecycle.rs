@@ -260,6 +260,9 @@ impl Membership {
         report.remaining = self.hosted(node).len();
         report.complete = report.remaining == 0;
         if report.complete && self.status(node) == NodeStatus::Draining {
+            // A binder may have pruned the node from an `Sv` while it was
+            // down; its recovery must not `Insert` it back.
+            naming.server_db.retire_host(node);
             self.status.borrow_mut().insert(node, NodeStatus::Removed);
             self.sys
                 .sim()
@@ -472,5 +475,42 @@ mod tests {
         assert_eq!(entry.len(), 2, "full strength from surviving member");
         // The dead node is tombstoned so recovery will not resurrect it.
         assert!(sys.stores().is_retired(n[1], uid.uid()));
+    }
+
+    /// A binder prunes a down server from `Sv`, and the server keeps its
+    /// claim so that its recovery `Insert`s it again. Decommissioning the
+    /// node ends the claim: a removed node does not rejoin `Sv`.
+    #[test]
+    fn a_decommissioned_node_does_not_rejoin_sv_on_recovery() {
+        let sys = System::builder(7)
+            .nodes(6)
+            .scheme(groupview_core::BindingScheme::IndependentTopLevel)
+            .build();
+        let m = Membership::new(&sys);
+        let n = nodes(&sys);
+        // n1 serves the object but stores no copy of it.
+        let uid = sys
+            .create_typed(Counter::new(0), &n[1..4], &n[2..4])
+            .unwrap()
+            .uid();
+        sys.sim().crash(n[1]);
+        let client = sys.client(n[4]);
+        let a = client.begin_action();
+        client.activate(a, uid, 2).expect("bind prunes n1");
+        client.commit(a).expect("commit");
+        assert!(!sys
+            .naming()
+            .server_db
+            .entry(uid)
+            .unwrap()
+            .servers
+            .contains(&n[1]));
+        assert!(m.drain_node(n[1], 1).complete);
+        let report = sys.recovery().recover_node(n[1]);
+        assert!(report.inserted.is_empty(), "{report:?}");
+        assert_eq!(
+            sys.naming().server_db.entry(uid).unwrap().servers,
+            vec![n[2], n[3]]
+        );
     }
 }

@@ -222,8 +222,11 @@ impl Membership {
         // these are pure garbage collection. A tombstone makes it
         // crash-proof (recovery purges instead of resurrects), and is left
         // only while a copy could still come back: the source is down with
-        // its copy, or its intent log holds an in-doubt write.
+        // its copy, or its intent log holds an in-doubt write. The source
+        // no longer serves the object either, so its recovery does not
+        // re-`Insert` it.
         sys.registry().remove_at(uid, from);
+        naming.server_db.retire_server(uid, from);
         let settled = sys.stores().with(from, |s| {
             s.remove(uid);
             s.indoubt().is_empty()

@@ -16,7 +16,13 @@
 //!    commit-time `Exclude`).
 //! 4. For a fresh activation, load every bound replica from any reachable
 //!    store in `St` — stores hold only committed states, so a fresh
-//!    activation can never observe uncommitted or stale data.
+//!    activation can never observe uncommitted or stale data. The nodes the
+//!    binding probed dead, and every store whose state read failed, are
+//!    the activation's *suspects*: a later load asks the unsuspected stores
+//!    first, and the commit excludes a suspected store without preparing
+//!    it (see `writeback.rs`), so one dead node costs the action one
+//!    timeout. An action that has seen no failure has no suspects and
+//!    reads the stores in `St` order.
 //! 5. For active replication, make the object's reliable ordered multicast
 //!    group hold exactly the bound replicas: evict the rest, and enrol
 //!    those it does not already hold (a joined activation finds them all
@@ -32,7 +38,7 @@ use groupview_core::{BindRequest, Cost};
 use groupview_group::{DeliveryMode, GroupId};
 use groupview_obs::Phase;
 use groupview_sim::{ClientId, NodeId, NodeList};
-use groupview_store::Uid;
+use groupview_store::{StoreError, Uid};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -146,11 +152,12 @@ impl System {
         // Fresh activation: load every bound replica from the object stores.
         // (A joined activation binds only loaded replicas by construction,
         // so `activated` already is the bound set.)
+        let mut suspects = binding.dead.clone();
         if fresh {
             for &server in &binding.servers {
                 let replica = inner.registry.get_or_create(&inner.sim, uid, server);
                 if !replica.borrow_mut().is_loaded(&inner.sim) {
-                    self.load_from_stores(uid, server, &replica, &st_entry.stores)?;
+                    self.load_from_stores(uid, server, &replica, &st_entry.stores, &mut suspects)?;
                 }
                 activated.push((server, replica));
             }
@@ -180,27 +187,43 @@ impl System {
             comms_group,
             req,
             binding,
+            suspects,
             incarnations,
             dirty: Cell::new(false),
         })))
     }
 
     /// Loads `replica` (at `server`) from the first store in `stores` that
-    /// answers. Stores hold only committed states.
+    /// answers — unsuspected stores first, in `St` order, then the
+    /// `suspects` (one may have recovered). A store whose read fails at the
+    /// network level joins the suspects. Stores hold only committed states.
     fn load_from_stores(
         &self,
         uid: Uid,
         server: NodeId,
         replica: &ReplicaHandle,
         stores: &[NodeId],
+        suspects: &mut NodeList,
     ) -> Result<(), ActivateError> {
         let inner = &self.inner;
-        for &src in stores {
-            if let Ok(state) = inner.stores.read_remote(server, src, uid) {
-                if !replica.borrow_mut().load(&inner.sim, &state, &inner.types) {
-                    return Err(ActivateError::UnknownType(uid));
+        let suspected = suspects.clone();
+        // With no suspects this is `stores` in order, scanned once.
+        let retried = if suspected.is_empty() {
+            &[][..]
+        } else {
+            stores
+        };
+        let unsuspected = stores.iter().filter(|src| !suspected.contains(src));
+        for &src in unsuspected.chain(retried.iter().filter(|src| suspected.contains(src))) {
+            match inner.stores.read_remote(server, src, uid) {
+                Ok(state) => {
+                    if !replica.borrow_mut().load(&inner.sim, &state, &inner.types) {
+                        return Err(ActivateError::UnknownType(uid));
+                    }
+                    return Ok(());
                 }
-                return Ok(());
+                Err(StoreError::Net(_)) if !suspects.contains(&src) => suspects.push(src),
+                Err(_) => {}
             }
         }
         Err(ActivateError::NoState(uid))

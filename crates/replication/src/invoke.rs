@@ -62,6 +62,10 @@ pub struct Activation {
     pub(crate) req: BindRequest,
     /// The binding (registration state, statistics).
     pub(crate) binding: Binding,
+    /// Nodes this activation found dead: the binding's probe failures and
+    /// every store whose state read failed. Empty unless a failure was
+    /// seen; the commit excludes a suspected store without preparing it.
+    pub(crate) suspects: NodeList,
     /// The state lineage of every bound replica, pinned at activation
     /// (see [`crate::ServerReplica::incarnation`]): invoke and commit
     /// refuse replicas that were reborn (crashed and reloaded by a later

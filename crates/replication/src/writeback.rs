@@ -18,13 +18,20 @@
 //! * the `Exclude` lock refused (plain-write promotion under concurrent
 //!   readers) → the action must abort ([`CommitError::Exclude`]);
 //! * the object was never modified → no copy at all (read optimisation).
+//!
+//! A store the action already found dead — a suspect of one of its
+//! activations (see `activation.rs`) — is excluded without being sent a
+//! prepare, so the action waits on each dead node once. That holds only
+//! while every object keeps an unsuspected `St` member to write and
+//! exclusion is enabled; otherwise every store in `St` is prepared, a
+//! suspect included (it may have recovered).
 
 use crate::error::CommitError;
 use crate::invoke::ObjectGroup;
 use crate::system::System;
 use groupview_actions::{ActionId, StoreWriteParticipant, TxSystem};
 use groupview_core::{Cost, DbError};
-use groupview_sim::NodeId;
+use groupview_sim::{NodeId, NodeList};
 use groupview_store::{ObjectState, Uid};
 
 impl System {
@@ -90,6 +97,7 @@ impl System {
         // Stage one write-set per store of the union across all touched
         // objects, in first-seen order (so the single-object message
         // sequence is unchanged); collect failures with sources.
+        let skipped = skipped_suspects(groups, inner.exclude_enabled);
         let mut prepared: Vec<StoreWriteParticipant> = Vec::new();
         let mut failed: Vec<NodeId> = Vec::new();
         let mut last_fault = None;
@@ -105,6 +113,10 @@ impl System {
                 .map(|(_, &st_node)| st_node)
         });
         for st_node in union {
+            if skipped.contains(&st_node) {
+                failed.push(st_node);
+                continue;
+            }
             // The write-set this store's last committed intent left behind.
             let mut writes = inner.stores.write_set(st_node);
             writes.extend(
@@ -194,4 +206,22 @@ impl System {
         }
         Ok(new_states)
     }
+}
+
+/// The suspects of `groups`' activations that the write-back excludes
+/// without a prepare: all of them, if exclusion is on and every object
+/// keeps an unsuspected `St` member; otherwise none. Empty (and no scan
+/// beyond the groups) when the action has seen no failure.
+fn skipped_suspects(groups: &[&ObjectGroup], exclude_enabled: bool) -> NodeList {
+    let mut suspects = NodeList::new();
+    for &node in groups.iter().flat_map(|g| g.suspects.iter()) {
+        if !suspects.contains(&node) {
+            suspects.push(node);
+        }
+    }
+    let writable = |g: &&ObjectGroup| g.st_nodes.iter().any(|n| !suspects.contains(n));
+    if suspects.is_empty() || !exclude_enabled || !groups.iter().all(writable) {
+        return NodeList::new();
+    }
+    suspects
 }

@@ -953,3 +953,138 @@ fn a_64_op_batch_creates_no_fresh_frame() {
         client.commit(action).expect("commit");
     }
 }
+
+/// §4.1.2: a server that recovers `Insert`s itself into `Sv` again, even
+/// where a binder pruned it while it was down. Under the standard scheme
+/// it was never removed; under the updating schemes the client's bind
+/// `Remove`d it, and only its own `Insert` brings it back.
+fn recovered_server_rejoins_sv(scheme: BindingScheme) {
+    let sys = system(ReplicationPolicy::Active, scheme);
+    let uid = create_counter(&sys, 0);
+    sys.sim().crash(n(1));
+    let client = sys.client(n(4));
+    let a = client.begin_action();
+    let g = client.activate(a, uid, 2).expect("activate");
+    client
+        .invoke(a, &g, &counter_op(CounterOp::Add(1)))
+        .expect("op");
+    client.commit(a).expect("commit without n1");
+    let listed = || sys.naming().server_db.entry(uid).unwrap().servers;
+    assert_eq!(
+        listed().contains(&n(1)),
+        !scheme.maintains_use_lists(),
+        "{scheme}: only the updating schemes prune"
+    );
+    let report = sys.recovery().recover_node(n(1));
+    assert_eq!(report.inserted, vec![uid], "{scheme}");
+    assert!(report.fully_recovered(), "{scheme}");
+    assert!(listed().contains(&n(1)), "{scheme}: n1 back in Sv");
+    assert_eq!(listed().len(), 3, "{scheme}");
+}
+
+#[test]
+fn recovered_server_rejoins_sv_under_the_standard_scheme() {
+    recovered_server_rejoins_sv(BindingScheme::Standard);
+}
+
+#[test]
+fn recovered_server_rejoins_sv_under_the_independent_scheme() {
+    recovered_server_rejoins_sv(BindingScheme::IndependentTopLevel);
+}
+
+#[test]
+fn recovered_server_rejoins_sv_under_the_nested_top_level_scheme() {
+    recovered_server_rejoins_sv(BindingScheme::NestedTopLevel);
+}
+
+/// A node that only stores an object is refreshed and re-`Include`d on
+/// recovery, and never becomes one of its servers.
+#[test]
+fn a_recovered_store_only_node_does_not_become_a_server() {
+    let sys = system(
+        ReplicationPolicy::Active,
+        BindingScheme::IndependentTopLevel,
+    );
+    let uid = sys
+        .create_object(
+            Box::new(Counter::new(0)),
+            &[n(1), n(2)],
+            &[n(1), n(2), n(3)],
+        )
+        .expect("create object");
+    sys.sim().crash(n(3));
+    let client = sys.client(n(4));
+    let a = client.begin_action();
+    let g = client.activate(a, uid, 2).expect("activate");
+    client
+        .invoke(a, &g, &counter_op(CounterOp::Add(1)))
+        .expect("op");
+    client.commit(a).expect("commit excludes n3");
+    let report = sys.recovery().recover_node(n(3));
+    assert_eq!(report.included, vec![uid]);
+    assert!(report.inserted.is_empty());
+    assert_eq!(
+        sys.naming().server_db.entry(uid).unwrap().servers,
+        vec![n(1), n(2)]
+    );
+}
+
+/// An action pays one timeout per dead node: the bind probe finds n1 dead,
+/// so both state reads go to live stores and the commit excludes n1 from
+/// `St` without sending it a prepare.
+#[test]
+fn an_action_pays_one_timeout_per_dead_node() {
+    let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
+    let uid = create_counter(&sys, 0);
+    sys.sim().crash(n(1));
+    let timeouts = || sys.sim().counters().timeouts;
+    let before = timeouts();
+    let client = sys.client(n(4));
+    let a = client.begin_action();
+    let g = client.activate(a, uid, 2).expect("activate");
+    assert_eq!(g.servers, vec![n(2), n(3)]);
+    client
+        .invoke(a, &g, &counter_op(CounterOp::Add(5)))
+        .expect("op");
+    client.commit(a).expect("commit");
+    assert_eq!(timeouts() - before, 1);
+    let st = sys.naming().state_db.entry(uid).expect("entry");
+    assert_eq!(st.stores, vec![n(2), n(3)], "n1 excluded");
+    assert_eq!(counter_value(&sys, uid, n(5)), 5);
+}
+
+/// When every `St` member of an object is a suspect, the commit still
+/// prepares them all: a suspect may have come back. Here the client is cut
+/// off from n1 and n2 at bind time (both probes fail; the bound server n3
+/// loads from n1), the cut heals before the commit, and both stores take
+/// the write.
+#[test]
+fn every_store_suspected_is_still_prepared() {
+    let sys = system(ReplicationPolicy::Active, BindingScheme::Standard);
+    let uid = sys
+        .create_object(
+            Box::new(Counter::new(0)),
+            &[n(1), n(2), n(3)],
+            &[n(1), n(2)],
+        )
+        .expect("create object");
+    sys.sim().partition(n(4), n(1));
+    sys.sim().partition(n(4), n(2));
+    let client = sys.client(n(4));
+    let a = client.begin_action();
+    let g = client.activate(a, uid, 2).expect("activate");
+    assert_eq!(g.servers, vec![n(3)]);
+    client
+        .invoke(a, &g, &counter_op(CounterOp::Add(3)))
+        .expect("op");
+    sys.sim().heal_all();
+    client
+        .commit(a)
+        .expect("both suspects prepared and committed");
+    let st = sys.naming().state_db.entry(uid).expect("entry");
+    assert_eq!(st.stores, vec![n(1), n(2)], "no store excluded");
+    for store in [n(1), n(2)] {
+        let state = sys.stores().read_local(store, uid).expect("stored");
+        assert_eq!(Counter::decode_state(&state.data).value(), 3);
+    }
+}

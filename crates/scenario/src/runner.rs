@@ -15,7 +15,7 @@ use crate::history::History;
 use crate::oracle::{with_class, ModelKind, ObjectModel, Oracle, OracleReport};
 use crate::plan::{FaultPlan, PlanAction};
 use groupview_actions::ActionId;
-use groupview_core::BindingScheme;
+use groupview_core::{BindingScheme, Deferred};
 use groupview_membership::{Membership, Rebalancer};
 use groupview_obs::MetricsSnapshot;
 use groupview_replication::{
@@ -313,11 +313,14 @@ pub fn run_plan_typed(
                 run.apply(&entry.action, &mut machines);
             }
         }
-        // A recovering node retries its deferred work every step, as the
-        // paper's does; one that crashed again drops out until the plan
-        // recovers it anew.
-        run.recovering
-            .retain(|&node| sim.is_up(node) && !recovery_pass(sys, node));
+        // A recovering node retries the work its recovery deferred, and
+        // only that, every step; one that crashed again drops out until
+        // the plan recovers it anew, from the full set.
+        if !run.recovering.is_empty() {
+            run.metrics.recovery_steps += 1;
+            run.recovering
+                .retain_mut(|work| sim.is_up(work.node) && !retry(sys, work));
+        }
         run.retry_drains();
         sim.advance(SimDuration::from_micros(50));
 
@@ -372,12 +375,11 @@ fn meter(sim: &Sim) -> (u64, u64) {
     (sim.now().as_micros(), net.delivered + net.timeouts)
 }
 
-/// One §4 recovery pass over `node` — its store, then its server role —
-/// reporting whether it left no work deferred.
-fn recovery_pass(sys: &System, node: NodeId) -> bool {
-    let mut report = sys.recovery().recover_store(node);
-    report.merge(sys.recovery().recover_server(node));
-    report.fully_recovered()
+/// Retries `work` once, narrowing it to what is still deferred, and
+/// reports whether the node has fully recovered.
+fn retry(sys: &System, work: &mut Deferred) -> bool {
+    *work = sys.recovery().retry(work).deferred(work.node);
+    work.is_done()
 }
 
 /// One drain pass over `node`, its moves counted into `metrics`,
@@ -397,8 +399,8 @@ struct Run<'a> {
     ops: OpGen,
     metrics: RunMetrics,
     history: History,
-    /// Nodes whose §4 recovery still has deferred work.
-    recovering: Vec<NodeId>,
+    /// The §4 work each recovering node still has deferred.
+    recovering: Vec<Deferred>,
     /// The membership coordinator the plan's `AddNode`, `DrainNode` and
     /// `Rebalance` actions drive; idle in a plan without them.
     membership: Membership,
@@ -434,8 +436,11 @@ impl Run<'_> {
                 // A recover also disarms an unfired store-commit trap,
                 // mirroring how `Sim::recover` disarms an unfired send budget.
                 sys.stores().disarm_crash_after_prepare(*node);
-                self.recovering.push(*node);
-                sys.recovery().recover_node(*node);
+                self.recovering.retain(|work| work.node != *node);
+                let work = sys.recovery().recover_node(*node).deferred(*node);
+                if !work.is_done() {
+                    self.recovering.push(work);
+                }
             }
             PlanAction::CrashClient(i) => {
                 let Some(m) = machines.get_mut(*i).filter(|m| !m.dead) else {
@@ -510,7 +515,7 @@ impl Run<'_> {
                 match outcome {
                     Ok(group) => {
                         let b = group.binding();
-                        self.metrics.probe_failures += u64::from(b.probe_failures);
+                        self.metrics.probe_failures += b.dead.len() as u64;
                         self.metrics.bind_retries += u64::from(b.retries);
                         self.metrics.servers_removed += b.removed.len() as u64;
                         m.phase = Phase::Running {
@@ -1002,27 +1007,22 @@ fn quiesce(sys: &System) {
     let sim = sys.sim();
     sim.set_drop_probability(0.0);
     sim.heal_all();
+    // Every node, up or down, runs the full §4 recovery once: a node a
+    // commit excluded while it was up is refreshed here too.
+    let mut pending = Vec::new();
     for node in sim.nodes() {
         // Disarm scripted fault points that never fired (a pending
         // `CrashAfterSends` budget or store-commit trap must not crash a
         // node mid-quiesce).
         sys.stores().disarm_crash_after_prepare(node);
-        if !sim.is_up(node) {
-            sys.recovery().recover_node(node);
-        } else {
-            sim.recover(node);
-        }
+        pending.push(sys.recovery().recover_node(node).deferred(node));
     }
-    // One node's refresh may need another node up first: iterate to a
-    // fixpoint (bounded; the oracle flags anything left unrestored).
+    // One node's refresh may need another node up first: retry the
+    // deferred work to a fixpoint (bounded; the oracle flags anything left
+    // unrestored).
     for _ in 0..50 {
-        let mut settled = true;
-        for node in sim.nodes() {
-            if sim.is_up(node) {
-                settled &= recovery_pass(sys, node);
-            }
-        }
-        if settled {
+        pending.retain_mut(|work| !retry(sys, work));
+        if pending.is_empty() {
             break;
         }
     }

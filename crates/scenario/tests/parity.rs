@@ -119,6 +119,9 @@ fn assert_reproduces(
 
 /// The crash-masking test's exact configuration (seed 13, crash node 2 at
 /// 40 ms, inside step 5): the plan must mask the crash identically.
+/// Re-recorded when an action began to pay one timeout per dead node: the
+/// action that found n2 dead at bind excludes it at commit without a
+/// prepare (4 → 3 timeouts, 20 ms less virtual time).
 #[test]
 fn crash_masking_run_matches_recorded_driver_metrics() {
     assert_reproduces(
@@ -130,12 +133,15 @@ fn crash_masking_run_matches_recorded_driver_metrics() {
             fingerprint: [12, 8, 4, 0, 0, 0, 4, 4, 0, 0, 0, 0, 0, 0, 15],
             delivered: 252,
             crashes: 1,
-            timeouts: 4,
-            end_time_us: 282_922,
+            timeouts: 3,
+            end_time_us: 262_922,
         },
     );
 }
 
+/// Re-recorded when an action began to pay one timeout per dead node: an
+/// action that finds n1 dead at bind no longer also waits on it for its
+/// state read and its prepare (12 → 6 timeouts).
 #[test]
 fn single_copy_crash_run_matches_recorded_driver_metrics() {
     assert_reproduces(
@@ -147,8 +153,8 @@ fn single_copy_crash_run_matches_recorded_driver_metrics() {
             fingerprint: [12, 8, 4, 0, 0, 0, 4, 2, 2, 0, 0, 0, 0, 0, 16],
             delivered: 216,
             crashes: 1,
-            timeouts: 12,
-            end_time_us: 419_388,
+            timeouts: 6,
+            end_time_us: 299_388,
         },
     );
 }
@@ -172,6 +178,10 @@ fn client_crash_and_sweep_run_matches_recorded_driver_metrics() {
     );
 }
 
+/// Re-recorded when §4 recovery began to retry only its deferred work:
+/// the recovered n3 no longer re-runs its full pass every step, so it
+/// holds fewer locks against the clients (7 → 8 commits, 5 → 4 invoke
+/// contention aborts).
 #[test]
 fn recovery_run_matches_recorded_driver_metrics() {
     assert_reproduces(
@@ -182,11 +192,11 @@ fn recovery_run_matches_recorded_driver_metrics() {
             .at(ms(15), PlanAction::CrashNode(n(3)))
             .at(ms(190), PlanAction::RecoverNode(n(3))),
         &Recorded {
-            fingerprint: [12, 7, 5, 0, 0, 0, 5, 5, 0, 0, 0, 0, 0, 0, 15],
-            delivered: 382,
+            fingerprint: [12, 8, 4, 0, 0, 0, 4, 4, 0, 0, 0, 0, 0, 0, 17],
+            delivered: 354,
             crashes: 1,
             timeouts: 4,
-            end_time_us: 364_327,
+            end_time_us: 353_387,
         },
     );
 }

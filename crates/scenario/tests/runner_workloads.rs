@@ -239,3 +239,43 @@ fn client_costs_sum_to_the_run_totals() {
         sim.now().since(t0).as_micros() - 50 * metrics.steps
     );
 }
+
+/// A node that recovers under constant client load finishes its §4 work
+/// within a few steps while the clients keep running: each step retries
+/// only the work its recovery deferred, so it stops contending with the
+/// clients over objects it has already recovered.
+#[test]
+fn a_node_recovering_under_load_converges_while_clients_run() {
+    let sys = System::builder(1993)
+        .nodes(7)
+        .policy(ReplicationPolicy::Active)
+        .scheme(BindingScheme::Standard)
+        .build();
+    let servers = [n(1), n(2), n(3)];
+    let uids: Vec<Uid> = (0..8)
+        .map(|_| {
+            sys.create_object(Box::new(Counter::new(0)), &servers, &servers)
+                .expect("create")
+        })
+        .collect();
+    let spec = WorkloadSpec::new(uids, vec![n(4), n(5), n(6)])
+        .clients(12)
+        .actions_per_client(40)
+        .ops_per_action(2)
+        .replicas(2);
+    let plan = FaultPlan::new()
+        .at(ms(10), PlanAction::CrashNode(n(1)))
+        .at(ms(100), PlanAction::RecoverNode(n(1)));
+    let m = run(&sys, &spec, plan);
+    assert!(m.commits > 0);
+    // n1 recovers 100 virtual ms in, a few steps into a run of 130-odd:
+    // its recovery converges within a handful of steps, and the clients
+    // run on for at least 100 more.
+    assert!(
+        m.recovery_steps <= 20,
+        "n1 still recovering after {} of {} steps",
+        m.recovery_steps,
+        m.steps
+    );
+    assert!(m.steps >= m.recovery_steps + 100, "{} steps", m.steps);
+}

@@ -63,6 +63,10 @@ pub struct RunMetrics {
     pub action_messages: Histogram,
     /// Driver steps executed.
     pub steps: u64,
+    /// Steps that began with some recovered node's §4 work still
+    /// deferred (each retried it once). A recovery that converges while
+    /// clients run keeps this small; zero for a plan without recoveries.
+    pub recovery_steps: u64,
     /// Final transaction-layer statistics.
     pub tx: TxStats,
     /// Final network counters.
