@@ -2,7 +2,7 @@
 
 use crate::action::ActionId;
 use crate::lock::{LockKey, LockMode};
-use groupview_sim::{NetError, NodeId};
+use groupview_sim::{Cause, NetError, NodeId};
 use std::error::Error;
 use std::fmt;
 
@@ -35,6 +35,20 @@ pub enum TxError {
     /// A network failure surfaced directly (e.g. the client could not reach
     /// a database node at all).
     Net(NetError),
+}
+
+impl TxError {
+    /// A refused lock is contention; the rest are failures (an action stops
+    /// being active under its client only when a crash or timeout ends it).
+    pub fn cause(&self) -> Cause {
+        match self {
+            TxError::LockRefused { .. } => Cause::Contention,
+            TxError::Net(e) => e.cause(),
+            TxError::NotActive(_) | TxError::PrepareFailed { .. } | TxError::CoordinatorDown(_) => {
+                Cause::Failure
+            }
+        }
+    }
 }
 
 impl fmt::Display for TxError {

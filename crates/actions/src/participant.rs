@@ -1,12 +1,12 @@
 //! Two-phase-commit participants.
 
-use groupview_sim::{NetError, NodeId, Sim};
+use groupview_sim::{Cause, NetError, NodeId, Sim};
 use groupview_store::{ObjectState, Stores, TxToken, Uid};
 use std::fmt;
 
 /// Why a participant's prepare phase failed — the *source* of a store-write
-/// failure, so commit-error taxonomies can tell a crashed/unreachable store
-/// from a store that refused the write locally.
+/// failure, so a commit error can tell a crashed/unreachable store from a
+/// store that refused the write locally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrepareFault {
     /// The store node could not be reached (down, partitioned, or the
@@ -17,10 +17,13 @@ pub enum PrepareFault {
 }
 
 impl PrepareFault {
-    /// Whether the fault was caused by a node/network failure (as opposed
-    /// to a local refusal).
-    pub fn is_failure_caused(&self) -> bool {
-        matches!(self, PrepareFault::Net(_))
+    /// An unreachable store is a failure; a write the store refused is
+    /// [`Cause::Invalid`].
+    pub fn cause(&self) -> Cause {
+        match self {
+            PrepareFault::Net(e) => e.cause(),
+            PrepareFault::Refused(_) => Cause::Invalid,
+        }
     }
 }
 
@@ -271,11 +274,7 @@ mod tests {
             vec![(Uid::from_raw(3), state(b"z"))],
         );
         let fault = p.try_prepare().expect_err("target is down");
-        assert!(
-            fault.is_failure_caused(),
-            "a dead store is a failure: {fault}"
-        );
-        assert!(matches!(fault, PrepareFault::Net(_)));
+        assert!(matches!(fault, PrepareFault::Net(_)), "{fault}");
     }
 
     #[test]
@@ -292,7 +291,6 @@ mod tests {
         );
         let fault = p.try_prepare().expect_err("no store at node 2");
         assert_eq!(fault, PrepareFault::Refused(NodeId::new(2)));
-        assert!(!fault.is_failure_caused(), "a refusal is not a crash");
         assert!(fault.to_string().contains("refused"));
     }
 

@@ -26,11 +26,11 @@
 //! refuse each other forever. Write-lock refusals are retried a bounded
 //! number of times before reporting [`BindError::Contention`].
 
-use crate::error::{BindError, DbError};
+use crate::error::BindError;
 use crate::naming::{Cost, NamingService};
 use crate::nonatomic::RemoteServerCache;
 use groupview_actions::{ActionId, LockMode, TxError, TxSystem};
-use groupview_sim::{ClientId, NodeId, NodeList, Sim};
+use groupview_sim::{Cause, ClientId, NodeId, NodeList, Sim};
 use groupview_store::Uid;
 use std::fmt;
 
@@ -220,11 +220,11 @@ impl Binder {
     /// naming-service failures, [`BindError::Contention`] when the updating
     /// schemes exhaust their lock retries, [`BindError::NoServerCache`] when
     /// the cached scheme's binder was never given its cache,
-    /// [`BindError::Tx`] with [`TxError::NotActive`] when `action` has
+    /// [`BindError::Db`] with [`TxError::NotActive`] when `action` has
     /// already committed or aborted.
     pub fn bind(&self, action: ActionId, req: &BindRequest) -> Result<Binding, BindError> {
         if !self.tx.is_active(action) {
-            return Err(BindError::Tx(TxError::NotActive(action)));
+            return Err(TxError::NotActive(action).into());
         }
         match self.scheme {
             BindingScheme::Standard => self.bind_standard(action, req),
@@ -269,10 +269,10 @@ impl Binder {
                     .decrement(t2, req.client, req.uid, &binding.servers)
             }) {
                 Ok(()) => {
-                    self.tx.commit(t2).map_err(BindError::Tx)?;
+                    self.tx.commit(t2)?;
                     return Ok(());
                 }
-                Err(e) if e.is_lock_refused() => {
+                Err(e) if e.cause() == Cause::Contention => {
                     self.tx.abort(t2);
                     continue;
                 }
@@ -298,9 +298,7 @@ impl Binder {
         let candidates = match &req.required {
             Some(required) => required,
             None => {
-                listed = cache
-                    .read_from(req.client_node, req.uid)
-                    .map_err(|e| BindError::Db(DbError::Net(e)))?;
+                listed = cache.read_from(req.client_node, req.uid)?;
                 &listed
             }
         };
@@ -335,7 +333,7 @@ impl Binder {
                 return Err(e.into());
             }
         };
-        self.tx.commit(nested).map_err(BindError::Tx)?;
+        self.tx.commit(nested)?;
 
         // An already-activated object pins the selection to SvA' (§3.2).
         // Otherwise: fixed selection algorithm; read-only clients start at a
@@ -389,7 +387,7 @@ impl Binder {
                     binding.retries = retries;
                     return Ok(binding);
                 }
-                Err(BindError::Db(e)) if e.is_lock_refused() => {
+                Err(e) if e.cause() == Cause::Contention => {
                     if attempt == MAX_RETRIES {
                         return Err(BindError::Contention);
                     }
@@ -457,9 +455,7 @@ impl Binder {
             self.tx.abort(t1);
             return Err(e.into());
         }
-        if let Err(e) = self.tx.commit(t1) {
-            return Err(BindError::Tx(e));
-        }
+        self.tx.commit(t1)?;
         Ok(Binding {
             uid: req.uid,
             servers,

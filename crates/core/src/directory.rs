@@ -197,7 +197,10 @@ mod tests {
         dir.bind_name(b, "b-name", Uid::from_raw(2)).unwrap();
         // Same name conflicts:
         let err = dir.bind_name(b, "a-name", Uid::from_raw(3)).unwrap_err();
-        assert!(err.is_lock_refused());
+        assert!(matches!(
+            err,
+            DbError::Tx(groupview_actions::TxError::LockRefused { .. })
+        ));
         tx.commit(a).unwrap();
         tx.commit(b).unwrap();
         assert_eq!(dir.names().len(), 2);

@@ -1,7 +1,7 @@
 //! Errors of the naming-and-binding service.
 
 use groupview_actions::TxError;
-use groupview_sim::{NetError, NodeId};
+use groupview_sim::{Cause, NodeId};
 use groupview_store::Uid;
 use std::error::Error;
 use std::fmt;
@@ -23,10 +23,27 @@ pub enum DbError {
         /// The node listed twice, if that was the fault.
         repeated: Option<NodeId>,
     },
-    /// A transaction-layer failure (most commonly a refused lock).
+    /// An `Exclude` would leave the object with no store: every store of
+    /// its `St` missed the copy (§2.3(3)).
+    LastStore(Uid),
+    /// A transaction-layer failure: a refused lock, a dead action, or the
+    /// database node out of reach.
     Tx(TxError),
-    /// The database node could not be reached.
-    Net(NetError),
+}
+
+impl DbError {
+    /// A refused lock and a busy use list are contention; an exclusion that
+    /// would empty `St` is a failure; the rest are invalid requests.
+    pub fn cause(&self) -> Cause {
+        match self {
+            DbError::NotQuiescent(_) => Cause::Contention,
+            DbError::LastStore(_) => Cause::Failure,
+            DbError::Tx(e) => e.cause(),
+            DbError::NotFound(_) | DbError::AlreadyExists(_) | DbError::InvalidNodeList { .. } => {
+                Cause::Invalid
+            }
+        }
+    }
 }
 
 impl fmt::Display for DbError {
@@ -39,8 +56,8 @@ impl fmt::Display for DbError {
             DbError::InvalidNodeList {
                 repeated: Some(node),
             } => write!(f, "node list names {node} twice"),
+            DbError::LastStore(uid) => write!(f, "excluding would leave {uid} with no store"),
             DbError::Tx(e) => write!(f, "database action failed: {e}"),
-            DbError::Net(e) => write!(f, "database unreachable: {e}"),
         }
     }
 }
@@ -49,35 +66,22 @@ impl Error for DbError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             DbError::Tx(e) => Some(e),
-            DbError::Net(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<TxError> for DbError {
-    fn from(e: TxError) -> Self {
-        DbError::Tx(e)
-    }
-}
-
-impl From<NetError> for DbError {
-    fn from(e: NetError) -> Self {
-        DbError::Net(e)
-    }
-}
-
-impl DbError {
-    /// Whether the failure was a lock conflict (retryable by a new action).
-    pub fn is_lock_refused(&self) -> bool {
-        matches!(self, DbError::Tx(TxError::LockRefused { .. }))
+impl<E: Into<TxError>> From<E> for DbError {
+    fn from(e: E) -> Self {
+        DbError::Tx(e.into())
     }
 }
 
 /// Failures of the binding process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BindError {
-    /// The naming service failed (entry missing, unreachable, ...).
+    /// The naming service failed (entry missing, a refused lock, a dead
+    /// action, unreachable, ...).
     Db(DbError),
     /// No functioning server could be bound.
     NoServers {
@@ -87,11 +91,22 @@ pub enum BindError {
     /// Persistent lock contention on the database entry: the binding action
     /// was refused its locks after retries.
     Contention,
-    /// A transaction-layer failure outside the database.
-    Tx(TxError),
     /// The binder was built for `BindingScheme::CachedNameServer` but was
     /// never given the cache that scheme reads (`Binder::with_cache`).
     NoServerCache,
+}
+
+impl BindError {
+    /// No live server is a failure and exhausted retries are contention; a
+    /// missing cache is an invalid setup.
+    pub fn cause(&self) -> Cause {
+        match self {
+            BindError::Db(e) => e.cause(),
+            BindError::NoServers { .. } => Cause::Failure,
+            BindError::Contention => Cause::Contention,
+            BindError::NoServerCache => Cause::Invalid,
+        }
+    }
 }
 
 impl fmt::Display for BindError {
@@ -105,7 +120,6 @@ impl fmt::Display for BindError {
                 )
             }
             BindError::Contention => write!(f, "binding gave up after repeated lock refusals"),
-            BindError::Tx(e) => write!(f, "binding action failed: {e}"),
             BindError::NoServerCache => {
                 write!(
                     f,
@@ -120,21 +134,14 @@ impl Error for BindError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             BindError::Db(e) => Some(e),
-            BindError::Tx(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<DbError> for BindError {
-    fn from(e: DbError) -> Self {
-        BindError::Db(e)
-    }
-}
-
-impl From<TxError> for BindError {
-    fn from(e: TxError) -> Self {
-        BindError::Tx(e)
+impl<E: Into<DbError>> From<E> for BindError {
+    fn from(e: E) -> Self {
+        BindError::Db(e.into())
     }
 }
 
@@ -142,12 +149,14 @@ impl From<TxError> for BindError {
 mod tests {
     use super::*;
     use groupview_actions::{LockKey, LockMode};
+    use groupview_sim::NetError;
 
     #[test]
     fn displays_and_sources() {
         let uid = Uid::from_raw(3);
         assert!(DbError::NotFound(uid).to_string().contains("uid:0.3"));
         assert!(DbError::NotQuiescent(uid).to_string().contains("quiescent"));
+        assert!(DbError::LastStore(uid).to_string().contains("no store"));
         let empty = DbError::InvalidNodeList { repeated: None };
         assert!(empty.to_string().contains("empty"));
         let twice = DbError::InvalidNodeList {
@@ -159,11 +168,10 @@ mod tests {
             requested: LockMode::Write,
             held: LockMode::Read,
         });
-        assert!(tx.is_lock_refused());
         assert!(Error::source(&tx).is_some());
-        assert!(!DbError::AlreadyExists(uid).is_lock_refused());
         let b: BindError = tx.into();
         assert!(b.to_string().contains("naming service"));
+        assert!(Error::source(&b).is_some());
         assert!(BindError::NoServers { probed: 2 }.to_string().contains("2"));
         assert!(BindError::Contention.to_string().contains("lock"));
         assert!(BindError::NoServerCache.to_string().contains("cache"));
@@ -172,6 +180,12 @@ mod tests {
     #[test]
     fn net_conversion() {
         let e: DbError = NetError::Timeout.into();
-        assert_eq!(e, DbError::Net(NetError::Timeout));
+        assert_eq!(e, DbError::Tx(TxError::Net(NetError::Timeout)));
+        let b: BindError = NetError::Timeout.into();
+        assert_eq!(
+            b,
+            BindError::Db(e),
+            "one way for a NetError into a BindError"
+        );
     }
 }

@@ -121,7 +121,8 @@ impl NamingService {
     ///
     /// # Errors
     ///
-    /// `op`'s own errors, or [`DbError::Net`] if the service is
+    /// `op`'s own errors, or [`DbError::Tx`] with a
+    /// [`TxError::Net`](groupview_actions::TxError::Net) if the service is
     /// unreachable.
     pub fn remote<T>(
         &self,
@@ -182,6 +183,7 @@ pub fn check_node_lists(sv: &[NodeId], st: &[NodeId]) -> Result<(), DbError> {
 mod tests {
     use super::*;
     use crate::state_db::ExcludePolicy;
+    use groupview_actions::TxError;
     use groupview_sim::{ClientId, SimConfig};
     use groupview_store::Stores;
 
@@ -279,7 +281,7 @@ mod tests {
                 ns.server_db.get_server(b, Uid::from_raw(1))
             })
             .unwrap_err();
-        assert!(matches!(err, DbError::Net(_)));
+        assert!(matches!(err, DbError::Tx(TxError::Net(_))));
         tx.abort(b);
     }
 
@@ -351,7 +353,7 @@ mod tests {
 
         sim.crash(n(0));
         let c = tx.begin_top(n(1));
-        assert!(matches!(lookup(c), Err(DbError::Net(_))));
+        assert!(matches!(lookup(c), Err(DbError::Tx(TxError::Net(_)))));
         tx.abort(c);
         sim.recover(n(0));
         assert_eq!(ns.directory.lookups(), 1, "the lost request never ran");

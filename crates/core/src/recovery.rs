@@ -354,7 +354,7 @@ impl RecoveryManager {
                 }
                 // `St` is never empty (an exclusion refuses to empty it):
                 // its stores are all unreachable, retry later.
-                None => Err(DbError::Net(groupview_sim::NetError::Timeout)),
+                None => Err(groupview_sim::NetError::Timeout.into()),
             }
         })();
         match &outcome {

@@ -705,7 +705,10 @@ mod tests {
         db.get_server(r2, uid()).unwrap();
         let w = tx.begin_top(n(0));
         let err = db.insert(w, uid(), n(3)).unwrap_err();
-        assert!(err.is_lock_refused());
+        assert!(matches!(
+            err,
+            DbError::Tx(groupview_actions::TxError::LockRefused { .. })
+        ));
         tx.abort(w);
         tx.commit(r1).unwrap();
         tx.commit(r2).unwrap();

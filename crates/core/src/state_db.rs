@@ -200,7 +200,7 @@ impl ObjectStateDb {
     /// # Errors
     ///
     /// [`DbError::NotFound`] for an unknown object,
-    /// [`DbError::InvalidNodeList`] for an exclusion that would leave an
+    /// [`DbError::LastStore`] for an exclusion that would leave an
     /// entry empty, or a lock refusal — in which case, per the paper, the
     /// caller's action must abort. A refused batch changes nothing.
     pub fn exclude(
@@ -216,7 +216,7 @@ impl ObjectStateDb {
             self.table.read(action, uid, policy.mode(), |entry, _| {
                 let entry = entry.ok_or(DbError::NotFound(*uid))?;
                 if entry.stores.iter().all(excluded) {
-                    return Err(DbError::InvalidNodeList { repeated: None });
+                    return Err(DbError::LastStore(*uid));
                 }
                 Ok(())
             })?;
@@ -371,7 +371,10 @@ mod tests {
         let err = db
             .exclude(w, &[(uid(), vec![n(2)])], ExcludePolicy::PromoteToWrite)
             .unwrap_err();
-        assert!(err.is_lock_refused());
+        assert!(matches!(
+            err,
+            DbError::Tx(groupview_actions::TxError::LockRefused { .. })
+        ));
         tx.abort(w);
         tx.commit(r).unwrap();
     }
@@ -406,7 +409,10 @@ mod tests {
         let err = db
             .exclude(b, &[(uid(), vec![n(2)])], ExcludePolicy::ExcludeWriteLock)
             .unwrap_err();
-        assert!(err.is_lock_refused());
+        assert!(matches!(
+            err,
+            DbError::Tx(groupview_actions::TxError::LockRefused { .. })
+        ));
         tx.commit(a).unwrap();
         tx.abort(b);
     }
@@ -419,7 +425,7 @@ mod tests {
         let a = tx.begin_top(n(0));
         db.create_entry(a, uid2, vec![n(3), n(4)]).unwrap();
         tx.commit(a).unwrap();
-        let empty = Err(DbError::InvalidNodeList { repeated: None });
+        let empty = Err(DbError::LastStore(uid()));
         for policy in [
             ExcludePolicy::PromoteToWrite,
             ExcludePolicy::ExcludeWriteLock,

@@ -1,12 +1,14 @@
 //! Group-communication errors.
 //!
-//! Every crate in the workspace keeps its error type in an `error` module
-//! with the same shape: a `Display` impl naming the failing subject, a
-//! `std::error::Error` impl exposing `source()` for wrapped layers, and
-//! `From` conversions so `?` composes across crate boundaries.
+//! Every error type in the workspace has a `Display` naming the failing
+//! subject, a `source()` for the error it wraps, and a `cause()`: the
+//! [`Cause`] of each of its own variants, decided where the variant is
+//! raised, with a wrapped error's cause passed through unchanged. So no
+//! caller walks a chain of wrappers to find out whether contention, a
+//! failure or an invalid request refused an operation.
 
 use crate::view::GroupId;
-use groupview_sim::NodeId;
+use groupview_sim::{Cause, NodeId};
 use std::error::Error;
 use std::fmt;
 
@@ -19,6 +21,14 @@ pub enum GroupError {
     NoLiveMembers(GroupId),
     /// The sending node is down (driver bug).
     SenderDown(NodeId),
+}
+
+impl GroupError {
+    /// Always [`Cause::Failure`]: under a client, a group loses its members,
+    /// its sender, or itself (a fresh activation replaced the dead one).
+    pub fn cause(&self) -> Cause {
+        Cause::Failure
+    }
 }
 
 impl fmt::Display for GroupError {

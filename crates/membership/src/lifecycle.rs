@@ -7,6 +7,7 @@
 //! (it stops accepting new replicas), but its existing replicas remain
 //! fully serviceable until each one has been migrated away.
 
+use crate::migrate::MigrateError;
 use groupview_core::StateEntry;
 use groupview_obs::Phase;
 use groupview_replication::System;
@@ -253,7 +254,7 @@ impl Membership {
             }
             match result {
                 Ok(()) => report.moved.push(uid),
-                Err(e) if e.is_busy() => report.busy.push(uid),
+                Err(MigrateError::Busy(_)) => report.busy.push(uid),
                 Err(_) => report.failed.push(uid),
             }
         }

@@ -33,8 +33,9 @@ use crate::lifecycle::Membership;
 use groupview_actions::{StoreWriteParticipant, TxError, TxSystem};
 use groupview_core::{DbError, ExcludePolicy};
 use groupview_obs::Phase;
-use groupview_sim::NodeId;
+use groupview_sim::{Cause, NodeId};
 use groupview_store::{StoreError, Uid};
+use std::error::Error;
 use std::fmt;
 
 /// Why a migration did not happen.
@@ -54,13 +55,14 @@ pub enum MigrateError {
         /// The destination node.
         node: NodeId,
     },
-    /// The object is in use or its entries are locked — the move aborted
-    /// cleanly; retry once the clients finish.
+    /// The object is in use or its entries are locked (a database error
+    /// of [`Cause::Contention`]) — the move aborted cleanly; retry once the
+    /// clients finish.
     Busy(Uid),
     /// No current `St` member could supply the committed state, or the
     /// destination is down.
     Unreachable(Uid),
-    /// A database error other than the retriable refusals above.
+    /// A database error other than contention.
     Db(DbError),
     /// The surrounding action failed to commit (e.g. the destination
     /// crashed during two-phase commit's prepare).
@@ -68,10 +70,16 @@ pub enum MigrateError {
 }
 
 impl MigrateError {
-    /// Whether the move was refused because of concurrent activity and
-    /// should simply be retried later.
-    pub fn is_busy(&self) -> bool {
-        matches!(self, MigrateError::Busy(_))
+    /// [`Cause::Contention`] exactly for [`MigrateError::Busy`], which a
+    /// later drain round or rebalance sweep retries.
+    pub fn cause(&self) -> Cause {
+        match self {
+            MigrateError::NotHosted { .. } | MigrateError::AlreadyHosted { .. } => Cause::Invalid,
+            MigrateError::Busy(_) => Cause::Contention,
+            MigrateError::Unreachable(_) => Cause::Failure,
+            MigrateError::Db(e) => e.cause(),
+            MigrateError::Commit(e) => e.cause(),
+        }
     }
 }
 
@@ -94,15 +102,13 @@ impl fmt::Display for MigrateError {
     }
 }
 
-impl std::error::Error for MigrateError {}
-
-/// Maps a database refusal to the retriable [`MigrateError::Busy`] and
-/// everything else to a hard error.
-fn classify(uid: Uid, e: DbError) -> MigrateError {
-    match e {
-        DbError::NotQuiescent(_) => MigrateError::Busy(uid),
-        e if e.is_lock_refused() => MigrateError::Busy(uid),
-        e => MigrateError::Db(e),
+impl Error for MigrateError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            MigrateError::Db(e) => Some(e),
+            MigrateError::Commit(e) => Some(e),
+            _ => None,
+        }
     }
 }
 
@@ -144,26 +150,21 @@ impl Membership {
         let start = sys.sim().now().as_micros();
         let tx = sys.tx();
         let action = tx.begin_top(coord);
+        let db = |e: DbError| match e.cause() {
+            Cause::Contention => MigrateError::Busy(uid),
+            _ => MigrateError::Db(e),
+        };
         let staged = (|| {
             // (1)+(2) repoint Sv. Insert's quiescence check is the
             // correctness linchpin: it refuses while any client uses the
             // object, so no activation ever straddles the move.
-            naming
-                .server_db
-                .insert(action, uid, to)
-                .map_err(|e| classify(uid, e))?;
+            naming.server_db.insert(action, uid, to).map_err(db)?;
             if in_sv {
-                naming
-                    .server_db
-                    .remove(action, uid, from)
-                    .map_err(|e| classify(uid, e))?;
+                naming.server_db.remove(action, uid, from).map_err(db)?;
             }
             // (3)+(4) repoint St under the exclude-write lock, so the
             // cardinality of St is preserved within the same action.
-            naming
-                .state_db
-                .include(action, uid, to)
-                .map_err(|e| classify(uid, e))?;
+            naming.state_db.include(action, uid, to).map_err(db)?;
             if in_st {
                 naming
                     .state_db
@@ -172,7 +173,7 @@ impl Membership {
                         &[(uid, vec![from])],
                         ExcludePolicy::ExcludeWriteLock,
                     )
-                    .map_err(|e| classify(uid, e))?;
+                    .map_err(db)?;
             }
             // (5) copy the latest committed state from any current St
             // member (the source itself qualifies if it is up) onto the
@@ -308,7 +309,7 @@ mod tests {
         let before_sv = sys.naming().server_db.entry(uid.uid()).unwrap();
         let before_st = sys.naming().state_db.entry(uid.uid()).unwrap();
         let err = m.migrate(uid.uid(), n[1], fresh).unwrap_err();
-        assert!(err.is_busy(), "{err}");
+        assert!(matches!(err, MigrateError::Busy(_)), "{err}");
         assert_eq!(sys.naming().server_db.entry(uid.uid()).unwrap(), before_sv);
         assert_eq!(sys.naming().state_db.entry(uid.uid()).unwrap(), before_st);
         assert!(sys.tx().locks_empty() || sys.tx().is_active(action));
@@ -397,5 +398,14 @@ mod tests {
         assert_eq!(snap.phase(Phase::Migrate).count(), 1);
         assert_eq!(snap.phase(Phase::MigrateCopy).count(), 1);
         assert!(snap.phase_breakdown().contains("migrate"));
+    }
+
+    #[test]
+    fn wrapped_errors_keep_their_source_chain() {
+        let commit = MigrateError::Commit(TxError::CoordinatorDown(NodeId::new(0)));
+        assert!(Error::source(&commit).is_some());
+        let db = MigrateError::Db(DbError::NotFound(Uid::from_raw(1)));
+        assert!(Error::source(&db).is_some());
+        assert!(Error::source(&MigrateError::Busy(Uid::from_raw(1))).is_none());
     }
 }

@@ -318,7 +318,7 @@ impl Rebalancer {
             for mv in pending {
                 match m.migrate(mv.uid, mv.from, mv.to) {
                     Ok(()) => report.moved.push(mv),
-                    Err(e) if e.is_busy() => still_busy.push(mv),
+                    Err(MigrateError::Busy(_)) => still_busy.push(mv),
                     Err(MigrateError::AlreadyHosted { .. }) => {
                         // A concurrent drain round already moved it — the
                         // goal state holds, count it as done.

@@ -13,7 +13,7 @@
 //! two passes with the databases changing between them, so loads carried
 //! over from an earlier pass show up the same way.
 
-use groupview_membership::{DrainReport, Membership};
+use groupview_membership::{DrainReport, Membership, MigrateError};
 use groupview_replication::{Counter, System};
 use groupview_sim::NodeId;
 use groupview_store::Uid;
@@ -68,7 +68,7 @@ fn drain_step_by_definition(m: &Membership, node: NodeId) -> DrainReport {
         };
         match m.migrate(uid, node, target) {
             Ok(()) => report.moved.push(uid),
-            Err(e) if e.is_busy() => report.busy.push(uid),
+            Err(MigrateError::Busy(_)) => report.busy.push(uid),
             Err(_) => report.failed.push(uid),
         }
     }

@@ -145,7 +145,7 @@ impl System {
             }
             Err(e) => {
                 inner.tx.abort(nested);
-                return Err(ActivateError::Db(e));
+                return Err(e.into());
             }
         };
 

@@ -3,7 +3,7 @@
 use groupview_actions::{PrepareFault, TxError};
 use groupview_core::{BindError, DbError};
 use groupview_group::GroupError;
-use groupview_sim::NetError;
+use groupview_sim::Cause;
 use groupview_store::Uid;
 use std::error::Error;
 use std::fmt;
@@ -11,28 +11,22 @@ use std::fmt;
 /// Failures of object activation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ActivateError {
-    /// Binding to servers failed.
+    /// Binding to servers failed, or the naming service did (`GetView`, a
+    /// name lookup).
     Bind(BindError),
     /// No store in `St` could supply the object's state.
     NoState(Uid),
     /// The stored state's class is not registered at the server node.
     UnknownType(Uid),
-    /// A naming-database failure.
-    Db(DbError),
 }
 
 impl ActivateError {
-    /// Whether this failure was caused by node/network failures, as opposed
-    /// to ordinary lock contention between live clients (the activation
-    /// counterpart of [`InvokeError::is_failure_caused`]).
-    pub fn is_failure_caused(&self) -> bool {
+    /// No reachable state is a failure; an unknown class is invalid.
+    pub fn cause(&self) -> Cause {
         match self {
-            ActivateError::Bind(BindError::Contention | BindError::NoServerCache) => false,
-            ActivateError::Bind(BindError::Db(db)) | ActivateError::Db(db) => !db.is_lock_refused(),
-            ActivateError::Bind(BindError::Tx(tx)) => !matches!(tx, TxError::LockRefused { .. }),
-            ActivateError::Bind(BindError::NoServers { .. })
-            | ActivateError::NoState(_)
-            | ActivateError::UnknownType(_) => true,
+            ActivateError::Bind(e) => e.cause(),
+            ActivateError::NoState(_) => Cause::Failure,
+            ActivateError::UnknownType(_) => Cause::Invalid,
         }
     }
 }
@@ -47,7 +41,6 @@ impl fmt::Display for ActivateError {
             ActivateError::UnknownType(uid) => {
                 write!(f, "no registered class for the stored state of {uid}")
             }
-            ActivateError::Db(e) => write!(f, "activation database failure: {e}"),
         }
     }
 }
@@ -56,27 +49,14 @@ impl Error for ActivateError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ActivateError::Bind(e) => Some(e),
-            ActivateError::Db(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<BindError> for ActivateError {
-    fn from(e: BindError) -> Self {
-        ActivateError::Bind(e)
-    }
-}
-
-impl From<DbError> for ActivateError {
-    fn from(e: DbError) -> Self {
-        ActivateError::Db(e)
-    }
-}
-
-impl From<TxError> for ActivateError {
-    fn from(e: TxError) -> Self {
-        ActivateError::Db(DbError::Tx(e))
+impl<E: Into<BindError>> From<E> for ActivateError {
+    fn from(e: E) -> Self {
+        ActivateError::Bind(e.into())
     }
 }
 
@@ -110,19 +90,18 @@ pub enum InvokeError {
 }
 
 impl InvokeError {
-    /// Whether this failure was caused by node/replica failures (as opposed
-    /// to ordinary lock contention between live clients). Workload metrics
-    /// use this to tell "a crash made the action abort" apart from "two
-    /// writers raced". Typed-surface contract violations
+    /// Lost replicas are failures; the typed surface's contract violations
     /// ([`InvokeError::NotActivated`], [`InvokeError::MalformedReply`]) are
-    /// client bugs, not crashes, and count as neither.
-    pub fn is_failure_caused(&self) -> bool {
-        !matches!(
-            self,
-            InvokeError::Tx(TxError::LockRefused { .. })
-                | InvokeError::NotActivated(_)
-                | InvokeError::MalformedReply(_)
-        )
+    /// client bugs, [`Cause::Invalid`].
+    pub fn cause(&self) -> Cause {
+        match self {
+            InvokeError::Tx(e) => e.cause(),
+            InvokeError::Group(e) => e.cause(),
+            InvokeError::AllReplicasFailed(_)
+            | InvokeError::ServerFailed(_)
+            | InvokeError::NotLoaded(_) => Cause::Failure,
+            InvokeError::NotActivated(_) | InvokeError::MalformedReply(_) => Cause::Invalid,
+        }
     }
 }
 
@@ -159,15 +138,9 @@ impl Error for InvokeError {
     }
 }
 
-impl From<TxError> for InvokeError {
-    fn from(e: TxError) -> Self {
-        InvokeError::Tx(e)
-    }
-}
-
-impl From<GroupError> for InvokeError {
-    fn from(e: GroupError) -> Self {
-        InvokeError::Group(e)
+impl<E: Into<TxError>> From<E> for InvokeError {
+    fn from(e: E) -> Self {
+        InvokeError::Tx(e.into())
     }
 }
 
@@ -194,21 +167,14 @@ pub enum CommitError {
 }
 
 impl CommitError {
-    /// Whether this failure was caused by node/store failures, as opposed to
-    /// ordinary lock contention between live clients (the commit-time
-    /// counterpart of [`InvokeError::is_failure_caused`]). Workload metrics
-    /// and the scenario oracle use this to tell "a crash made the commit
-    /// fail" apart from "the exclude lock was refused by a concurrent
-    /// reader".
-    pub fn is_failure_caused(&self) -> bool {
+    /// The cause of the last store's fault, of the exclusion or of the
+    /// two-phase commit; no surviving replica is a failure.
+    pub fn cause(&self) -> Cause {
         match self {
-            // Every store unreachable is always failure-caused; a refused
-            // write with no network failure anywhere is a store-side
-            // rejection, not a crash.
-            CommitError::AllStoresFailed { last, .. } => last.is_failure_caused(),
-            CommitError::NoFinalState(_) => true,
-            CommitError::Exclude(e) => !e.is_lock_refused(),
-            CommitError::Tx(e) => !matches!(e, TxError::LockRefused { .. }),
+            CommitError::AllStoresFailed { last, .. } => last.cause(),
+            CommitError::Exclude(e) => e.cause(),
+            CommitError::Tx(e) => e.cause(),
+            CommitError::NoFinalState(_) => Cause::Failure,
         }
     }
 }
@@ -241,21 +207,10 @@ impl Error for CommitError {
     }
 }
 
-impl From<TxError> for CommitError {
-    fn from(e: TxError) -> Self {
-        CommitError::Tx(e)
-    }
-}
-
-impl From<NetError> for InvokeError {
-    fn from(e: NetError) -> Self {
-        InvokeError::Tx(TxError::Net(e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use groupview_sim::NetError;
 
     #[test]
     fn displays_are_informative() {
@@ -277,8 +232,6 @@ mod tests {
         assert!(InvokeError::MalformedReply(uid)
             .to_string()
             .contains("decode"));
-        assert!(!InvokeError::NotActivated(uid).is_failure_caused());
-        assert!(!InvokeError::MalformedReply(uid).is_failure_caused());
         assert!(CommitError::AllStoresFailed {
             uid,
             last: PrepareFault::Net(NetError::Timeout)
@@ -289,77 +242,26 @@ mod tests {
     }
 
     #[test]
-    fn activate_error_failure_taxonomy() {
-        let uid = Uid::from_raw(4);
-        assert!(ActivateError::Bind(BindError::NoServers { probed: 2 }).is_failure_caused());
-        assert!(ActivateError::NoState(uid).is_failure_caused());
-        assert!(ActivateError::Db(DbError::Net(NetError::Timeout)).is_failure_caused());
-        assert!(!ActivateError::Bind(BindError::Contention).is_failure_caused());
-        let refused = TxError::LockRefused {
-            key: groupview_actions::LockKey::new(1, 1),
-            requested: groupview_actions::LockMode::Write,
-            held: groupview_actions::LockMode::Read,
-        };
-        assert!(!ActivateError::Bind(BindError::Tx(refused)).is_failure_caused());
-        assert!(!ActivateError::Db(DbError::Tx(refused)).is_failure_caused());
-    }
-
-    #[test]
-    fn commit_error_failure_taxonomy() {
-        let uid = Uid::from_raw(4);
-        // Crash-caused: stores unreachable, lost final state, net failures.
-        assert!(CommitError::AllStoresFailed {
-            uid,
-            last: PrepareFault::Net(NetError::NodeDown(groupview_sim::NodeId::new(1)))
-        }
-        .is_failure_caused());
-        assert!(CommitError::NoFinalState(uid).is_failure_caused());
-        assert!(CommitError::Tx(TxError::PrepareFailed {
-            node: groupview_sim::NodeId::new(2)
-        })
-        .is_failure_caused());
-        assert!(CommitError::Exclude(DbError::Net(NetError::Timeout)).is_failure_caused());
-        // Contention: refused locks anywhere in the chain.
-        let refused = TxError::LockRefused {
-            key: groupview_actions::LockKey::new(3, 1),
-            requested: groupview_actions::LockMode::Write,
-            held: groupview_actions::LockMode::Read,
-        };
-        assert!(!CommitError::Tx(refused).is_failure_caused());
-        assert!(!CommitError::Exclude(DbError::Tx(refused)).is_failure_caused());
-        // A locally refused write with no crash is not failure-caused.
-        assert!(!CommitError::AllStoresFailed {
-            uid,
-            last: PrepareFault::Refused(groupview_sim::NodeId::new(3))
-        }
-        .is_failure_caused());
-    }
-
-    #[test]
     fn conversions() {
         let e: ActivateError = BindError::Contention.into();
         assert_eq!(e, ActivateError::Bind(BindError::Contention));
         let e: ActivateError = DbError::NotFound(Uid::from_raw(1)).into();
-        assert!(matches!(e, ActivateError::Db(_)));
+        assert!(matches!(e, ActivateError::Bind(BindError::Db(_))));
+        let not_active = TxError::NotActive(groupview_actions::ActionId::from_raw(1));
+        let e: ActivateError = not_active.into();
+        assert_eq!(
+            e,
+            ActivateError::Bind(BindError::Db(DbError::Tx(not_active))),
+            "one way for a TxError into an ActivateError"
+        );
+        assert!(e.to_string().contains("not active"));
+        assert!(Error::source(&e).is_some(), "source chain preserved");
         let e: InvokeError = NetError::Timeout.into();
         assert!(matches!(e, InvokeError::Tx(TxError::Net(_))));
-        let g: InvokeError =
-            GroupError::NoLiveMembers(groupview_group::GroupId::from_raw(2)).into();
-        assert!(matches!(g, InvokeError::Group(_)));
-        assert!(g.is_failure_caused());
+        let g = InvokeError::Group(GroupError::NoLiveMembers(
+            groupview_group::GroupId::from_raw(2),
+        ));
         assert!(g.to_string().contains("multicast"));
         assert!(Error::source(&g).is_some(), "source chain preserved");
-        assert!(
-            InvokeError::Tx(TxError::Net(NetError::Timeout)).is_failure_caused(),
-            "a lost database RPC is a failure, not contention"
-        );
-        let refused = InvokeError::Tx(TxError::LockRefused {
-            key: groupview_actions::LockKey::new(3, 1),
-            requested: groupview_actions::LockMode::Write,
-            held: groupview_actions::LockMode::Read,
-        });
-        assert!(!refused.is_failure_caused(), "contention is not a failure");
-        let e: CommitError = TxError::NotActive(groupview_actions::ActionId::from_raw(1)).into();
-        assert!(matches!(e, CommitError::Tx(_)));
     }
 }

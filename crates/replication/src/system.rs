@@ -688,7 +688,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ActivateError::Db`] for unknown names or directory failures, plus
+    /// [`ActivateError::Bind`] for unknown names or directory failures, plus
     /// everything [`Client::activate`] can report.
     pub fn activate_by_name(
         &self,
@@ -712,7 +712,7 @@ impl Client {
             }
             Err(e) => {
                 self.sys.inner.tx.abort(nested);
-                return Err(ActivateError::Db(e));
+                return Err(e.into());
             }
         };
         self.activate(action, uid, replicas)

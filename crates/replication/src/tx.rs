@@ -37,6 +37,7 @@ use crate::system::Client;
 use crate::typed::{invoke_typed, Handle};
 use groupview_actions::ActionId;
 use groupview_obs::Phase;
+use groupview_sim::Cause;
 use std::error::Error;
 use std::fmt;
 
@@ -52,13 +53,11 @@ pub enum TxOpError {
 }
 
 impl TxOpError {
-    /// Whether this failure was caused by node/network failures, as opposed
-    /// to ordinary lock contention between live transactions (see
-    /// [`InvokeError::is_failure_caused`]).
-    pub fn is_failure_caused(&self) -> bool {
+    /// The cause of the activation's or the invocation's error.
+    pub fn cause(&self) -> Cause {
         match self {
-            TxOpError::Activate(e) => e.is_failure_caused(),
-            TxOpError::Invoke(e) => e.is_failure_caused(),
+            TxOpError::Activate(e) => e.cause(),
+            TxOpError::Invoke(e) => e.cause(),
         }
     }
 }

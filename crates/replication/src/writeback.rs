@@ -165,9 +165,9 @@ impl System {
                         uid: group.uid,
                         last,
                     },
-                    // No store was tried: the view is empty, and a group
-                    // view is a set of at least one node.
-                    None => CommitError::Exclude(DbError::InvalidNodeList { repeated: None }),
+                    // No store was tried: the view is empty, which an
+                    // exclusion never leaves.
+                    None => CommitError::Exclude(DbError::LastStore(group.uid)),
                 });
                 break;
             }

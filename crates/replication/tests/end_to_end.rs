@@ -5,7 +5,7 @@ use groupview_replication::{
     Account, AccountOp, CommitError, Counter, CounterOp, InvokeError, ObjectType,
     ReplicationPolicy, Replies, System,
 };
-use groupview_sim::NodeId;
+use groupview_sim::{Cause, NodeId};
 use groupview_store::Version;
 
 /// The wire encoding of one counter operation, as a one-op invocation.
@@ -276,10 +276,10 @@ fn a_stale_st_view_never_empties_st() {
             .expect_err("B's exclusion would empty St");
         assert_eq!(
             err,
-            CommitError::Exclude(DbError::InvalidNodeList { repeated: None }),
+            CommitError::Exclude(DbError::LastStore(uid)),
             "{policy}"
         );
-        assert!(err.is_failure_caused(), "{policy}: {err}");
+        assert_eq!(err.cause(), Cause::Failure, "{policy}: {err}");
         assert_eq!(st(), vec![n(2)], "{policy}: B's abort changed nothing");
         let n1 = sys.stores().read_local(n(1), uid).expect("n1's copy");
         assert_eq!(n1.version, Version::INITIAL, "{policy}: B's write aborted");
@@ -293,7 +293,7 @@ fn a_stale_st_view_never_empties_st() {
             .commit(action_c)
             .expect_err("the only store of St is down");
         assert!(
-            matches!(err, CommitError::AllStoresFailed { .. }) && err.is_failure_caused(),
+            matches!(err, CommitError::AllStoresFailed { .. }) && err.cause() == Cause::Failure,
             "{policy}: {err}"
         );
 
@@ -351,7 +351,11 @@ fn all_stores_down_aborts_commit() {
         | groupview_replication::CommitError::NoFinalState(u) => assert_eq!(u, uid),
         other => panic!("unexpected commit error: {other}"),
     }
-    assert!(err.is_failure_caused(), "crash-caused commit abort: {err}");
+    assert_eq!(
+        err.cause(),
+        Cause::Failure,
+        "crash-caused commit abort: {err}"
+    );
     assert!(sys.tx().locks_empty());
 }
 
@@ -644,7 +648,7 @@ fn reborn_replica_fails_the_in_flight_action() {
         let err = a_client
             .invoke(action, &group, &counter_op(CounterOp::Add(1)))
             .expect_err("the in-flight action must not continue on reborn replicas");
-        assert!(err.is_failure_caused(), "policy {policy}: {err}");
+        assert_eq!(err.cause(), Cause::Failure, "policy {policy}: {err}");
         a_client.abort(action);
         b_client.commit(b_action).expect("B commits its read");
 
@@ -765,7 +769,13 @@ fn stale_action_ids_are_refused_not_panicked_on() {
                 } else {
                     client.abort(stale);
                 }
-                let not_active = |e: ActivateError| matches!(e, ActivateError::Bind(BindError::Tx(TxError::NotActive(a))) if a == stale);
+                let not_active = |e: ActivateError| {
+                    matches!(
+                        e,
+                        ActivateError::Bind(BindError::Db(DbError::Tx(TxError::NotActive(a))))
+                            if a == stale
+                    )
+                };
                 let what = format!("{policy} / {scheme:?}");
                 assert!(
                     not_active(client.activate(stale, uid, 2).unwrap_err()),
@@ -777,9 +787,10 @@ fn stale_action_ids_are_refused_not_panicked_on() {
                 );
                 assert!(not_active(handle.activate(stale, 2).unwrap_err()), "{what}");
                 assert!(
-                    matches!(
-                        client.activate_by_name(stale, "stale/counter", 2),
-                        Err(ActivateError::Db(DbError::Tx(TxError::NotActive(a)))) if a == stale
+                    not_active(
+                        client
+                            .activate_by_name(stale, "stale/counter", 2)
+                            .unwrap_err()
                     ),
                     "{what}"
                 );

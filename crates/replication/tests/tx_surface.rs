@@ -12,7 +12,7 @@
 //!   replication policy (property-tested over amounts and seeds).
 
 use groupview_replication::{Account, AccountOp, ReplicationPolicy, System, TypedUid};
-use groupview_sim::NodeId;
+use groupview_sim::{Cause, NodeId};
 use proptest::prelude::*;
 
 fn n(i: u32) -> NodeId {
@@ -55,8 +55,9 @@ fn opposite_order_lock_transactions_resolve_by_abort_not_deadlock() {
         let e1 = tx1.invoke(&b1, AccountOp::Deposit(10)).unwrap_err();
         let e2 = tx2.invoke(&a2, AccountOp::Deposit(10)).unwrap_err();
         for e in [&e1, &e2] {
-            assert!(
-                !e.is_failure_caused(),
+            assert_eq!(
+                e.cause(),
+                Cause::Contention,
                 "{policy:?}: lock-order conflict must classify as contention, got {e}"
             );
         }

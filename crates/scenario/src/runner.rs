@@ -22,7 +22,7 @@ use groupview_replication::{
     Account, AccountOp, Client, CommitError, Counter, CounterOp, Handle, KvMap, KvOp, ObjectGroup,
     ObjectType, ReplicationPolicy, System, Tx, TxOpError, TypedUid,
 };
-use groupview_sim::{Bytes, ClientId, IdSet, NodeId, ScheduledEvent, Sim, SimDuration};
+use groupview_sim::{Bytes, Cause, ClientId, IdSet, NodeId, ScheduledEvent, Sim, SimDuration};
 use groupview_store::Uid;
 use groupview_workload::{RunMetrics, WorkloadSpec};
 use std::fmt;
@@ -100,9 +100,9 @@ enum Stage {
 #[derive(Clone, Copy)]
 enum Ended {
     Committed,
-    /// `Aborted(stage, failure)`: aborted at `stage`; `failure` when a
-    /// node or network failure, not lock contention, caused it.
-    Aborted(Stage, bool),
+    /// Aborted at a stage, for a cause: [`Cause::Failure`] books a failure,
+    /// any other cause a contention abort.
+    Aborted(Stage, Cause),
     /// Its client crashed mid-action, leaving locks and bindings behind.
     Crashed,
     /// Still in flight at the step bound, and aborted there.
@@ -113,7 +113,7 @@ impl Ended {
     fn of_commit(result: Result<(), CommitError>) -> Ended {
         match result {
             Ok(()) => Ended::Committed,
-            Err(e) => Ended::Aborted(Stage::Commit, e.is_failure_caused()),
+            Err(e) => Ended::Aborted(Stage::Commit, e.cause()),
         }
     }
 }
@@ -528,7 +528,7 @@ impl Run<'_> {
                     }
                     Err(e) => {
                         m.client.abort(action);
-                        let ended = Ended::Aborted(Stage::Bind, e.is_failure_caused());
+                        let ended = Ended::Aborted(Stage::Bind, e.cause());
                         self.book(m, action, uid, ended);
                     }
                 }
@@ -594,7 +594,7 @@ impl Run<'_> {
                     }
                     Err(e) => {
                         m.client.abort(action);
-                        let ended = Ended::Aborted(Stage::Invoke, e.is_failure_caused());
+                        let ended = Ended::Aborted(Stage::Invoke, e.cause());
                         self.book(m, action, group.uid, ended);
                     }
                 }
@@ -657,7 +657,7 @@ impl Run<'_> {
                     TxOpError::Activate(_) => Stage::Bind,
                     TxOpError::Invoke(_) => Stage::Invoke,
                 };
-                let ended = Ended::Aborted(stage, e.is_failure_caused());
+                let ended = Ended::Aborted(stage, e.cause());
                 self.book(m, action, from_uid, ended);
             }
         }
@@ -678,7 +678,8 @@ impl Run<'_> {
         }
         match ended {
             Ended::Committed => history.committed(now, m.idx, raw, uid),
-            Ended::Aborted(stage, failure) => {
+            Ended::Aborted(stage, cause) => {
+                let failure = cause == Cause::Failure;
                 match (stage, failure) {
                     (Stage::Bind, false) => metrics.abort_bind_contention += 1,
                     (Stage::Bind, true) => metrics.abort_bind_failure += 1,

@@ -1,4 +1,5 @@
-//! Network-level failures observable by protocol code.
+//! Network-level failures observable by protocol code, and the [`Cause`]
+//! every error of the workspace reports.
 
 use crate::ids::NodeId;
 use std::error::Error;
@@ -41,6 +42,29 @@ impl fmt::Display for NetError {
 }
 
 impl Error for NetError {}
+
+impl NetError {
+    /// Always [`Cause::Failure`]: the network is what replication masks.
+    pub fn cause(&self) -> Cause {
+        Cause::Failure
+    }
+}
+
+/// Why an operation was refused, in the terms the paper's protocols react
+/// to. Each error type's `cause()` names the cause of its own variants and
+/// passes a wrapped error's cause through unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// A live action's lock or use of the object refused the request: the
+    /// requester aborts without waiting (§2.3, §4.2.1); a new action may retry.
+    Contention,
+    /// A crashed or unreachable node, a lost message or a timeout: what
+    /// replication masks.
+    Failure,
+    /// The request itself is wrong: an unknown uid, name or type, a bad
+    /// node list, a write a store refused, a broken client contract.
+    Invalid,
+}
 
 #[cfg(test)]
 mod tests {

@@ -58,7 +58,7 @@ pub mod wire;
 pub mod world;
 
 pub use crate::config::{NetConfig, SimConfig};
-pub use crate::error::NetError;
+pub use crate::error::{Cause, NetError};
 pub use crate::ids::{ClientId, IdHasher, IdMap, IdSet, NodeId};
 pub use crate::inline::{InlineVec, NodeList};
 pub use crate::metrics::NetCounters;

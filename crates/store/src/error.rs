@@ -2,7 +2,7 @@
 
 use crate::stable::TxToken;
 use crate::uid::Uid;
-use groupview_sim::{NetError, NodeId};
+use groupview_sim::{Cause, NetError, NodeId};
 use std::error::Error;
 use std::fmt;
 
@@ -19,6 +19,20 @@ pub enum StoreError {
     Net(NetError),
     /// The transaction token is unknown to the intent log.
     TxUnknown(TxToken),
+}
+
+impl StoreError {
+    /// A crashed or unreachable store is a failure; the rest are requests
+    /// the store cannot serve.
+    pub fn cause(&self) -> Cause {
+        match self {
+            StoreError::NodeDown(_) => Cause::Failure,
+            StoreError::Net(e) => e.cause(),
+            StoreError::NoStore(_) | StoreError::NotFound(_) | StoreError::TxUnknown(_) => {
+                Cause::Invalid
+            }
+        }
+    }
 }
 
 impl fmt::Display for StoreError {

@@ -16,28 +16,31 @@ pub struct RunMetrics {
     pub commits: u64,
     /// Actions that aborted (any phase).
     pub aborts: u64,
-    /// Bind aborts caused by ordinary lock contention (see
-    /// [`groupview_replication::ActivateError::is_failure_caused`]).
+    /// Bind aborts whose error's cause is not
+    /// [`Cause::Failure`](groupview_sim::Cause::Failure): lock contention,
+    /// or an invalid request (see
+    /// [`groupview_replication::ActivateError::cause`]).
     pub abort_bind_contention: u64,
-    /// Bind aborts caused by node/network failures (no live servers,
-    /// unreachable databases, lost state).
+    /// Bind aborts of `Cause::Failure` (no live servers, unreachable
+    /// databases, lost state).
     pub abort_bind_failure: u64,
-    /// Invocation aborts caused by ordinary lock contention between live
-    /// clients ([`groupview_replication::InvokeError::Tx`] with a refused
-    /// lock). Always possible under refusal-based locking; says nothing
-    /// about crashes.
+    /// Invocation aborts whose cause is not `Cause::Failure`: mostly
+    /// lock contention between live clients
+    /// ([`groupview_replication::InvokeError::Tx`] with a refused lock).
+    /// Always possible under refusal-based locking; says nothing about
+    /// crashes.
     pub abort_contention: u64,
-    /// Invocation aborts caused by node/replica failures (multicast
-    /// failures via `InvokeError::Group`, exhausted replicas, lost state).
-    /// Zero means every crash in the run was masked by replication.
+    /// Invocation aborts of `Cause::Failure` (multicast failures via
+    /// `InvokeError::Group`, exhausted replicas, lost state). Zero means
+    /// every crash in the run was masked by replication.
     pub abort_failure: u64,
-    /// Commit aborts caused by ordinary lock contention (a refused exclude
-    /// or database lock; see
-    /// [`groupview_replication::CommitError::is_failure_caused`]).
+    /// Commit aborts whose cause is not `Cause::Failure`: a refused
+    /// exclude or database lock (see
+    /// [`groupview_replication::CommitError::cause`]).
     pub abort_commit_contention: u64,
-    /// Commit aborts caused by node/store failures (all stores unreachable,
-    /// lost final state, failed two-phase commit). Zero means every crash
-    /// in the run was masked at commit time.
+    /// Commit aborts of `Cause::Failure` (all stores unreachable, lost
+    /// final state, failed two-phase commit). Zero means every crash in the
+    /// run was masked at commit time.
     pub abort_commit_failure: u64,
     /// Dead servers discovered "the hard way" at bind time.
     pub probe_failures: u64,

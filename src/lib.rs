@@ -117,7 +117,7 @@ pub use groupview_scenario::{
     Scenario, ScenarioReport, SoakConfig, SoakReport, TracedRun,
 };
 pub use groupview_sim::{
-    Bytes, ClientId, Codec, NetConfig, NodeId, NodeList, Sim, SimConfig, WireEncoder,
+    Bytes, Cause, ClientId, Codec, NetConfig, NodeId, NodeList, Sim, SimConfig, WireEncoder,
 };
 pub use groupview_store::{ObjectState, SnapshotCodec, Stores, TypeTag, Uid, Version};
 pub use groupview_workload::{RunMetrics, WorkloadSpec};

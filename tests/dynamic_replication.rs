@@ -4,7 +4,8 @@
 //! without causing inconsistencies to current users of the object."
 
 use groupview::{
-    BindingScheme, Counter, CounterOp, DbError, NodeId, ObjectType, ReplicationPolicy, System, Uid,
+    BindingScheme, Cause, Counter, CounterOp, DbError, NodeId, ObjectType, ReplicationPolicy,
+    System, Uid,
 };
 
 fn n(i: u32) -> NodeId {
@@ -133,12 +134,9 @@ fn sv_growth_is_refused_while_clients_use_the_object() {
         let action = user.begin_action();
         let _group = user.activate(action, uid, 2).expect("activate");
         let err = add_server(&sys, uid, n(3)).expect_err("must be refused in use");
-        match scheme {
-            BindingScheme::Standard => assert!(err.is_lock_refused(), "{scheme}: {err}"),
-            _ => assert!(
-                err.is_lock_refused() || matches!(err, DbError::NotQuiescent(_)),
-                "{scheme}: {err}"
-            ),
+        assert_eq!(err.cause(), Cause::Contention, "{scheme}: {err}");
+        if scheme == BindingScheme::Standard {
+            assert!(matches!(err, DbError::Tx(_)), "a refused lock: {err}");
         }
         user.commit(action).expect("commit");
         if scheme.maintains_use_lists() {

@@ -51,7 +51,7 @@ fn unknown_names_fail_cleanly() {
         .expect_err("unknown name");
     assert!(matches!(
         err,
-        groupview::ActivateError::Db(DbError::NotFound(_))
+        groupview::ActivateError::Bind(groupview::BindError::Db(DbError::NotFound(_)))
     ));
     client.abort(action);
 }

@@ -2,7 +2,7 @@
 //! the *outcome* of the same logical workload — they differ only in how the
 //! binding metadata is maintained.
 
-use groupview::{BindingScheme, Counter, CounterOp, NodeId, ReplicationPolicy, System, Uid};
+use groupview::{BindingScheme, Cause, Counter, CounterOp, NodeId, ReplicationPolicy, System, Uid};
 
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
@@ -24,9 +24,9 @@ fn build(scheme: BindingScheme, policy: ReplicationPolicy) -> (System, Uid) {
     (sys, uid)
 }
 
-/// Why a workload round failed: `true` means failure-caused per the error
-/// taxonomy (`ActivateError`/`InvokeError`/`CommitError::is_failure_caused`).
-struct RoundError(bool);
+/// Why a workload round failed: the [`Cause`] of its activation, invocation
+/// or commit error.
+struct RoundError(Cause);
 
 /// Runs the same deterministic sequence of actions (with a crash and a
 /// recovery in the middle) and returns the final committed value.
@@ -49,19 +49,18 @@ fn run_workload(sys: &System, uid: Uid) -> i64 {
         let worked = (|| -> Result<(), RoundError> {
             counter
                 .activate(action, 2)
-                .map_err(|e| RoundError(e.is_failure_caused()))?;
+                .map_err(|e| RoundError(e.cause()))?;
             counter
                 .invoke(action, CounterOp::Add(round))
-                .map_err(|e| RoundError(e.is_failure_caused()))?;
-            client
-                .commit(action)
-                .map_err(|e| RoundError(e.is_failure_caused()))
+                .map_err(|e| RoundError(e.cause()))?;
+            client.commit(action).map_err(|e| RoundError(e.cause()))
         })();
         match worked {
             Ok(()) => expected += round,
-            Err(RoundError(failure_caused)) => {
-                assert!(
-                    failure_caused,
+            Err(RoundError(cause)) => {
+                assert_eq!(
+                    cause,
+                    Cause::Failure,
                     "round {round}: a single-client abort must be failure-caused, \
                      not contention"
                 );
