@@ -242,6 +242,81 @@ mod tests {
     }
 
     #[test]
+    fn activate_error_failure_taxonomy() {
+        let uid = Uid::from_raw(4);
+        let db_down = DbError::Tx(TxError::Net(NetError::Timeout));
+        assert_eq!(
+            ActivateError::Bind(BindError::NoServers { probed: 2 }).cause(),
+            Cause::Failure
+        );
+        assert_eq!(ActivateError::NoState(uid).cause(), Cause::Failure);
+        assert_eq!(
+            ActivateError::Bind(BindError::Db(db_down)).cause(),
+            Cause::Failure
+        );
+        assert_eq!(
+            ActivateError::Bind(BindError::Contention).cause(),
+            Cause::Contention
+        );
+        let refused = TxError::LockRefused {
+            key: groupview_actions::LockKey::new(1, 1),
+            requested: groupview_actions::LockMode::Write,
+            held: groupview_actions::LockMode::Read,
+        };
+        assert_eq!(ActivateError::from(refused).cause(), Cause::Contention);
+        assert_eq!(
+            ActivateError::Bind(BindError::Db(DbError::Tx(refused))).cause(),
+            Cause::Contention
+        );
+    }
+
+    #[test]
+    fn commit_error_failure_taxonomy() {
+        let uid = Uid::from_raw(4);
+        // Crash-caused: stores unreachable, lost final state, net failures.
+        assert_eq!(
+            CommitError::AllStoresFailed {
+                uid,
+                last: PrepareFault::Net(NetError::NodeDown(groupview_sim::NodeId::new(1)))
+            }
+            .cause(),
+            Cause::Failure
+        );
+        assert_eq!(CommitError::NoFinalState(uid).cause(), Cause::Failure);
+        assert_eq!(
+            CommitError::Tx(TxError::PrepareFailed {
+                node: groupview_sim::NodeId::new(2)
+            })
+            .cause(),
+            Cause::Failure
+        );
+        assert_eq!(
+            CommitError::Exclude(DbError::Tx(TxError::Net(NetError::Timeout))).cause(),
+            Cause::Failure
+        );
+        // Contention: refused locks anywhere in the chain.
+        let refused = TxError::LockRefused {
+            key: groupview_actions::LockKey::new(3, 1),
+            requested: groupview_actions::LockMode::Write,
+            held: groupview_actions::LockMode::Read,
+        };
+        assert_eq!(CommitError::Tx(refused).cause(), Cause::Contention);
+        assert_eq!(
+            CommitError::Exclude(DbError::Tx(refused)).cause(),
+            Cause::Contention
+        );
+        // A locally refused write with no crash is not failure-caused.
+        assert_eq!(
+            CommitError::AllStoresFailed {
+                uid,
+                last: PrepareFault::Refused(groupview_sim::NodeId::new(3))
+            }
+            .cause(),
+            Cause::Invalid
+        );
+    }
+
+    #[test]
     fn conversions() {
         let e: ActivateError = BindError::Contention.into();
         assert_eq!(e, ActivateError::Bind(BindError::Contention));
