@@ -51,7 +51,7 @@ pub struct UndoArena {
     /// Pinned `(node raw, incarnation)` pairs, all entries concatenated.
     servers: Vec<(u32, u64)>,
     /// `(key, op_id)` pairs for every applied write (batch frames log the
-    /// batch id once); replay forgets them from the replicas' dedup rings.
+    /// batch id once); replay forgets them from the replicas' dedup slots.
     ops: Vec<(u64, u64)>,
     entries: Vec<UndoEntry>,
 }

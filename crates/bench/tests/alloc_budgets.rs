@@ -1,6 +1,7 @@
 //! Exact heap-allocation counts of the hot paths, under one counting
 //! global allocator (every heap allocation and reallocation is visible,
-//! not just wire buffers).
+//! not just wire buffers), and the live heap a warm world keeps per object
+//! (the allocator counts the bytes it hands out and takes back).
 //!
 //! A plain `harness = false` test: it runs on the main thread, in a fixed
 //! order, so `cargo test` enforces every pin below. The counts are
@@ -29,15 +30,20 @@ use groupview_scenario::History;
 use groupview_sim::{Bytes, NodeId, Sim, SimConfig, SimTime};
 use groupview_store::Uid;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::hint::black_box;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
 
-/// A statistic only: it publishes no other data, so `Relaxed` suffices.
+/// Statistics only: they publish no other data, so `Relaxed` suffices.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes handed out (a reallocation counts its new size) and taken back
+/// (a reallocation gives back its old size): their difference is the live
+/// heap.
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static FREED: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to the system
 // allocator, so the caller's `GlobalAlloc` contract is the system
@@ -45,17 +51,21 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         unsafe { SystemAlloc.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from this allocator, i.e. from `SystemAlloc`.
         unsafe { SystemAlloc.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        FREED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `SystemAlloc` with `layout`; the caller
         // upholds `realloc`'s contract for `new_size`.
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
@@ -70,6 +80,11 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// Bytes live on the heap now.
+fn live_bytes() -> u64 {
+    ALLOCATED.load(Ordering::Relaxed) - FREED.load(Ordering::Relaxed)
 }
 
 const POLICIES: [ReplicationPolicy; 3] = [
@@ -92,12 +107,27 @@ const TRANSFERS: [u64; 3] = [1_200; 3];
 const ACTIONS: [u64; 3] = [1_000; 3];
 /// The read path: no undo snapshot, no dirty marking.
 const GET_INVOKES: [u64; 3] = [0; 3];
+/// Whole actions on never-activated counters (the `wide_active` shape):
+/// the warm action's 5 each, plus what a first activation builds (the
+/// replicas and their object boxes, and under active replication the
+/// multicast group and its members), plus tables doubling. No reply
+/// frame stays out of the pool once its action ends.
+const COLD_ACTIONS: [u64; 3] = [3_242, 2_436, 1_636];
 
-/// 1,000 transfers over `LEDGER` cold-started single-copy accounts. A
-/// commit retires 8-byte account states into the frame pool, and the next
-/// invocation frame (17 bytes) reuses one: without the frame floor each
-/// such reuse reallocates (11,660 here).
-const LEDGER_TRANSFERS: u64 = 10_630;
+/// Counters in the retained-heap window, and warm actions run on each.
+const RETAINED: (usize, u64) = (200, 8);
+/// Live heap bytes a warm 3-replica counter keeps, by policy: its
+/// replicas, their activation bookkeeping and (active) its multicast
+/// group. No reply frame: a replica remembers at most the op a retry can
+/// reach, and only coordinator-cohort fills that slot.
+const RETAINED_PER_OBJECT: [u64; 3] = [1_050, 577, 288];
+
+/// 1,000 transfers over `LEDGER` cold-started single-copy accounts: 6 per
+/// transfer as in `TRANSFERS`, and 400 that the wider world adds. None is
+/// a fresh frame: a commit retires 8-byte account states into the frame
+/// pool, and the next invocation frame (17 bytes) reuses one, which
+/// without the frame floor would reallocate.
+const LEDGER_TRANSFERS: u64 = 6_400;
 
 /// Accounts in the ledger window: the benchmark's `transfers` shape (five
 /// servers, three-replica placement staggered over them, single-copy).
@@ -127,10 +157,14 @@ struct Pins(Vec<String>);
 
 impl Pins {
     fn check(&mut self, name: String, measured: u64, pinned: u64) {
-        println!("{name:<44} {measured:>7} allocs (pinned {pinned})");
+        self.check_in("allocs", name, measured, pinned);
+    }
+
+    fn check_in(&mut self, unit: &str, name: String, measured: u64, pinned: u64) {
+        println!("{name:<44} {measured:>7} {unit} (pinned {pinned})");
         if measured != pinned {
             self.0
-                .push(format!("{name}: {measured} allocations, pinned {pinned}"));
+                .push(format!("{name}: {measured} {unit}, pinned {pinned}"));
         }
     }
 
@@ -257,16 +291,67 @@ fn ledger_transfers(accounts: &[Handle<Account>], done: u64, n: u64) {
     }
 }
 
-/// Whole warm single-object actions (begin, activate joining the live
-/// activation, one `Add`, commit): the shape of a `short_warm` commit.
+/// One whole single-object action: begin, activate, one `Add`, commit.
+fn add_action(handle: &Handle<Counter>) {
+    let client = handle.client();
+    let action = client.begin_action();
+    handle.activate(action, 3).expect("activate");
+    black_box(handle.invoke(action, CounterOp::Add(1)).expect("add"));
+    client.commit(action).expect("commit");
+}
+
+/// Whole warm single-object actions (the activation joins the live one):
+/// the shape of a `short_warm` commit.
 fn actions([handle]: &[Handle<Counter>; 1], n: u64) {
     for _ in 0..n {
-        let client = handle.client();
-        let action = client.begin_action();
-        handle.activate(action, 3).expect("activate");
-        black_box(handle.invoke(action, CounterOp::Add(1)).expect("add"));
-        client.commit(action).expect("commit");
+        add_action(handle);
     }
+}
+
+/// Counters in the cold windows: one per warm-up and measured action.
+const COLD: usize = (ACTS.0 + ACTS.1) as usize;
+
+/// Counters, and how many of them an action has touched.
+type Cold = ([Handle<Counter>; COLD], Cell<usize>);
+
+/// `COLD` never-activated counters, none touched yet.
+fn cold_world(policy: ReplicationPolicy) -> (System, Cold) {
+    let (sys, handles) = world(policy, || Counter::new(0));
+    (sys, (handles, Cell::new(0)))
+}
+
+/// Whole actions, each on the next never-activated counter: the shape of
+/// a `wide_active` commit.
+fn cold_actions((handles, used): &Cold, n: u64) {
+    for _ in 0..n {
+        add_action(&handles[used.get()]);
+        used.set(used.get() + 1);
+    }
+}
+
+/// Fresh wire buffers the measured cold actions create, after warm-up:
+/// none, since a finished action keeps no frame out of the pool.
+fn cold_frames(policy: ReplicationPolicy) -> u64 {
+    let (warm, units) = ACTS;
+    let (_sys, w) = cold_world(policy);
+    cold_actions(&w, warm);
+    let before = groupview_sim::wire::stats();
+    cold_actions(&w, units);
+    groupview_sim::wire::stats().since(before).buffer_allocs
+}
+
+/// Live heap bytes per counter that `RETAINED.1` warm actions on each of
+/// `RETAINED.0` counters leave behind.
+fn retained_per_object(policy: ReplicationPolicy) -> u64 {
+    let (objects, rounds) = RETAINED;
+    let (_sys, handles) = world::<Counter, { RETAINED.0 }>(policy, || Counter::new(0));
+    let before = live_bytes();
+    for handle in &handles {
+        for _ in 0..rounds {
+            add_action(handle);
+        }
+    }
+    (live_bytes() - before) / objects as u64
 }
 
 /// Replies with a static ack, isolating the protocol's allocations from
@@ -357,6 +442,19 @@ fn main() {
         pins.observed(n("warm action ×200"), ACTIONS[i], ACTS, warm, actions);
         let get = invokes(CounterOp::Get);
         pins.observed(n("invoke Get ×1000"), GET_INVOKES[i], OPS, counter, get);
+        let cold = || cold_world(p);
+        pins.observed(
+            n("cold action ×200"),
+            COLD_ACTIONS[i],
+            ACTS,
+            cold,
+            cold_actions,
+        );
+        let frames = cold_frames(p);
+        pins.check_in("frames", n("cold action ×200, fresh"), frames, 0);
+        let retained = retained_per_object(p);
+        let name = n("warm counter, retained");
+        pins.check_in("bytes", name, retained, RETAINED_PER_OBJECT[i]);
     }
     let (_sys, accounts) = ledger();
     ledger_transfers(&accounts, 0, LEDGER as u64);

@@ -2,7 +2,7 @@
 
 use groupview_actions::TxError;
 use groupview_sim::{Cause, NodeId};
-use groupview_store::Uid;
+use groupview_store::{StoreError, Uid};
 use std::error::Error;
 use std::fmt;
 
@@ -29,6 +29,9 @@ pub enum DbError {
     /// A transaction-layer failure: a refused lock, a dead action, or the
     /// database node out of reach.
     Tx(TxError),
+    /// An object-store access the database operation depends on failed
+    /// (a §4.2 refresh writing the fetched state locally).
+    Store(StoreError),
 }
 
 impl DbError {
@@ -39,6 +42,7 @@ impl DbError {
             DbError::NotQuiescent(_) => Cause::Contention,
             DbError::LastStore(_) => Cause::Failure,
             DbError::Tx(e) => e.cause(),
+            DbError::Store(e) => e.cause(),
             DbError::NotFound(_) | DbError::AlreadyExists(_) | DbError::InvalidNodeList { .. } => {
                 Cause::Invalid
             }
@@ -58,6 +62,7 @@ impl fmt::Display for DbError {
             } => write!(f, "node list names {node} twice"),
             DbError::LastStore(uid) => write!(f, "excluding would leave {uid} with no store"),
             DbError::Tx(e) => write!(f, "database action failed: {e}"),
+            DbError::Store(e) => write!(f, "object store access failed: {e}"),
         }
     }
 }
@@ -66,6 +71,7 @@ impl Error for DbError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             DbError::Tx(e) => Some(e),
+            DbError::Store(e) => Some(e),
             _ => None,
         }
     }
@@ -163,6 +169,9 @@ mod tests {
             repeated: Some(NodeId::new(4)),
         };
         assert!(twice.to_string().contains("twice"));
+        let store = DbError::Store(StoreError::NodeDown(NodeId::new(2)));
+        assert!(store.to_string().contains("object store"));
+        assert!(Error::source(&store).is_some());
         let tx = DbError::from(TxError::LockRefused {
             key: LockKey::new(1, 3),
             requested: LockMode::Write,

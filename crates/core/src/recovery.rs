@@ -32,9 +32,9 @@
 use crate::error::DbError;
 use crate::naming::{Cost, NamingService};
 use crate::nonatomic::RemoteServerCache;
-use groupview_actions::TxSystem;
+use groupview_actions::{ActionId, TxSystem};
 use groupview_sim::{NodeId, Sim};
-use groupview_store::{Stores, TxToken, Uid};
+use groupview_store::{ObjectState, Stores, TxToken, Uid};
 use std::fmt;
 
 /// What one recovery pass accomplished.
@@ -344,12 +344,7 @@ impl RecoveryManager {
             }
             match fetched {
                 Some(state) => {
-                    self.stores
-                        .write_local(node, uid, state)
-                        .map_err(|_| DbError::NotFound(uid))?;
-                    self.naming.remote(node, Cost::UPDATE, |ns| {
-                        ns.state_db.include(action, uid, node)
-                    })?;
+                    self.install(action, node, uid, state)?;
                     Ok(RefreshOutcome::Refreshed)
                 }
                 // `St` is never empty (an exclusion refuses to empty it):
@@ -362,6 +357,25 @@ impl RecoveryManager {
             Err(_) => self.tx.abort(action),
         }
         outcome
+    }
+
+    /// Writes a fetched current state into `node`'s store and `Include`s
+    /// the node back into `St`, under `action`. A failed local write is
+    /// the store's own error, so a crashed node reports a failure.
+    fn install(
+        &self,
+        action: ActionId,
+        node: NodeId,
+        uid: Uid,
+        state: ObjectState,
+    ) -> Result<(), DbError> {
+        self.stores
+            .write_local(node, uid, state)
+            .map_err(DbError::Store)?;
+        self.naming.remote(node, Cost::UPDATE, |ns| {
+            ns.state_db.include(action, uid, node)
+        })?;
+        Ok(())
     }
 }
 
@@ -376,9 +390,8 @@ enum RefreshOutcome {
 mod tests {
     use super::*;
     use crate::state_db::ExcludePolicy;
-    use groupview_actions::ActionId;
-    use groupview_sim::{ClientId, SimConfig};
-    use groupview_store::{ObjectState, TypeTag};
+    use groupview_sim::{Cause, ClientId, SimConfig};
+    use groupview_store::{StoreError, TypeTag};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -581,6 +594,24 @@ mod tests {
         let report = rm.recover_node(n(3));
         assert_eq!(report, RecoveryReport::default());
         assert!(ns.server_db.entry(uid()).unwrap().servers.contains(&n(1)));
+    }
+
+    /// A §4.2 refresh whose local write fails (the recovering node crashed
+    /// after fetching the state) reports the store's failure, not a
+    /// missing entry, and leaves the node out of `St`.
+    #[test]
+    fn a_failed_local_install_is_a_store_failure() {
+        let (sim, tx, ns, _stores, rm) = world();
+        sim.crash(n(2));
+        let a = tx.begin_top(n(3));
+        exclude_n2(&ns, a);
+        tx.commit(a).unwrap();
+        let a = tx.begin_top(n(3));
+        let err = rm.install(a, n(2), uid(), state(b"v1")).unwrap_err();
+        tx.abort(a);
+        assert_eq!(err, DbError::Store(StoreError::NodeDown(n(2))));
+        assert_eq!(err.cause(), Cause::Failure);
+        assert_eq!(ns.state_db.entry(uid()).unwrap().stores, vec![n(1)]);
     }
 
     #[test]

@@ -182,8 +182,9 @@ impl System {
     /// behalf of `action`, as **one** replicated unit, declaring write
     /// (`true`) or read-only (`false`) intent for object-level concurrency
     /// control: one lock acquisition, one operation id, one undo snapshot
-    /// (abort restores the pre-invocation state and forgets the one dedup
-    /// entry), one pooled wire frame, one policy round, one dirty-marking.
+    /// (abort restores the pre-invocation state and empties any replica
+    /// slot that remembers the op), one pooled wire frame, one policy
+    /// round, one dirty-marking.
     /// `write_op(i, buf)` encodes the `i`-th op straight into that frame.
     /// The replies come back index-aligned with the ops; `n == 0` is a
     /// no-op that touches neither locks nor the wire. Trace events caused
@@ -380,7 +381,12 @@ impl System {
 
     /// §2.3(2)(ii): the coordinator (lowest-id live loaded replica)
     /// processes and checkpoints to the cohorts; on its failure a cohort is
-    /// elected and the operation retried (deduplicated by `op_id`).
+    /// elected and the operation retried. This loop is the only retry in
+    /// any policy, so only it fills the replicas' at-most-once slots: the
+    /// coordinator remembers each op it applies, and each cohort remembers
+    /// the op its checkpoint carries. A retry at either (the same
+    /// coordinator after a lost reply, or a promoted cohort) replays the op
+    /// instead of re-executing it.
     fn invoke_cohort(
         &self,
         group: &ObjectGroup,
@@ -446,9 +452,17 @@ impl System {
                 64,
                 move || {
                     let m = GroupMsgCodec::decode(msg)?;
+                    // A retry of an op this replica already applied (as
+                    // coordinator, or through a checkpoint) replays it,
+                    // mutation flag included: the action must still write
+                    // the op back at commit.
+                    if let Some(replayed) = replica.borrow_mut().recall(&sim, m.op_id) {
+                        return Some(replayed);
+                    }
                     let result = replica.borrow_mut().invoke(&sim, &wire, &m);
                     if let Some(res) = &result {
                         if res.mutated {
+                            replica.borrow_mut().remember(&sim, m.op_id, res);
                             // Checkpoint the new state to every cohort:
                             // encode ONE snapshot frame and push the same
                             // buffer to all of them; each cohort decodes a
@@ -463,14 +477,16 @@ impl System {
                                     let Some(target) = registry.get(uid, cohort) else {
                                         continue;
                                     };
-                                    let entry = Some((m.op_id, res.reply.clone(), res.mutated));
                                     let types = &types;
                                     let sim_inner = &sim;
                                     if sim
                                         .send_oneway(coord, cohort, frame.wire_size(), || {
                                             if let Some(chk) = SnapshotCodec::decode(&frame) {
                                                 target.borrow_mut().install_checkpoint(
-                                                    sim_inner, &chk, entry, types,
+                                                    sim_inner,
+                                                    &chk,
+                                                    Some((m.op_id, res)),
+                                                    types,
                                                 );
                                             }
                                         })

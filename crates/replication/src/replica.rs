@@ -2,74 +2,33 @@
 
 use crate::object::{InvokeResult, ReplicaObject, TypeRegistry};
 use crate::wire::{self, GroupMsg};
-use groupview_sim::{Bytes, IdMap, NodeId, Sim, WireEncoder};
+use groupview_sim::{IdMap, NodeId, Sim, WireEncoder};
 use groupview_store::{ObjectState, TypeTag, Uid, Version, Volatile};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
-
-/// Entries kept in the per-replica operation dedup ring. Operation ids are
-/// globally monotone and a retry can only happen *inside* the invocation
-/// that issued the id (coordinator failover re-sends the in-flight frame;
-/// the simulator is single-threaded, so nothing interleaves), which makes
-/// anything but the most recent entries unreachable. Bounding the ring also
-/// bounds how many pooled reply buffers a replica pins: evicted replies
-/// return their storage to the [`WireEncoder`] pool, keeping steady-state
-/// reply encoding allocation-free.
-const APPLIED_CAP: usize = 8;
-
-/// Bounded at-most-once cache: `op_id → (reply, mutated)`, newest last.
-#[derive(Default)]
-struct AppliedRing {
-    entries: VecDeque<(u64, Bytes, bool)>,
-}
-
-impl AppliedRing {
-    fn get(&self, op_id: u64) -> Option<(&Bytes, bool)> {
-        self.entries
-            .iter()
-            .find(|(id, _, _)| *id == op_id)
-            .map(|(_, reply, mutated)| (reply, *mutated))
-    }
-
-    fn insert(&mut self, op_id: u64, reply: Bytes, mutated: bool) {
-        if let Some(slot) = self.entries.iter_mut().find(|(id, _, _)| *id == op_id) {
-            *slot = (op_id, reply, mutated);
-            return;
-        }
-        if self.entries.len() == APPLIED_CAP {
-            self.entries.pop_front();
-        }
-        self.entries.push_back((op_id, reply, mutated));
-    }
-
-    fn remove(&mut self, op_id: u64) {
-        self.entries.retain(|(id, _, _)| *id != op_id);
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
 
 /// The loaded, volatile part of a replica.
 struct Loaded {
     obj: Box<dyn ReplicaObject>,
     base_version: Version,
-    /// Operation dedup cache (bounded; see [`AppliedRing`]). Suppresses
-    /// re-execution when a client retries an operation after a coordinator
-    /// failover that already applied it (checkpoint included the effect).
-    /// Replies are shared [`Bytes`], so caching costs a refcount, not a
-    /// copy.
-    applied: AppliedRing,
+    /// The at-most-once slot: the op id and result of the one invocation a
+    /// retry can still reach. Op ids are fresh for every invocation, and
+    /// the only retry is the coordinator-cohort loop inside that same
+    /// invocation (the simulator runs handlers inline, so nothing
+    /// interleaves), so a replica never needs more than the in-flight op.
+    /// Only that policy fills the slot, through
+    /// [`ServerReplica::remember`]; under the others it stays empty and
+    /// every reply frame returns to the pool when its invocation ends. A
+    /// commit empties the slot, and so does an undo of the op it names.
+    remembered: Option<(u64, InvokeResult)>,
 }
 
 impl fmt::Debug for Loaded {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Loaded")
             .field("base_version", &self.base_version)
-            .field("applied", &self.applied.len())
+            .field("remembered", &self.remembered.as_ref().map(|(id, _)| id))
             .finish()
     }
 }
@@ -147,7 +106,7 @@ impl ServerReplica {
             Some(Loaded {
                 obj,
                 base_version: state.version,
-                applied: AppliedRing::default(),
+                remembered: None,
             }),
         );
         true
@@ -158,24 +117,23 @@ impl ServerReplica {
         self.state.set(sim, None);
     }
 
-    /// Executes the ops of `msg` with at-most-once semantics per
-    /// `msg.op_id`, appending every reply to one frame from the pooled
-    /// `enc`. Returns `None` when no state is loaded or the body is
-    /// malformed.
+    /// Executes the ops of `msg`, appending every reply to one frame from
+    /// the pooled `enc`. Returns `None` when no state is loaded or the body
+    /// is malformed. An op id this replica [remembers](Self::remember)
+    /// executes nothing: the remembered reply comes back as a read, so a
+    /// duplicate never reports a fresh mutation.
     ///
     /// The ops apply as one unit: the body is validated whole before the
-    /// first op runs (a malformed batch mutates nothing and leaves no dedup
-    /// entry), and the unit takes one dedup entry, so a client retry after
-    /// coordinator failover can never re-execute a prefix of an applied
-    /// batch. `mutated` is the OR across the ops, so an all-reads batch
-    /// still takes the paper's read optimisation at commit.
+    /// first op runs (a malformed batch mutates nothing), and the unit is
+    /// remembered under its one op id, so a retry after coordinator
+    /// failover can never re-execute a prefix of an applied batch.
+    /// `mutated` is the OR across the ops, so an all-reads batch still
+    /// takes the paper's read optimisation at commit.
     pub fn invoke(&mut self, sim: &Sim, enc: &WireEncoder, msg: &GroupMsg) -> Option<InvokeResult> {
-        let loaded = self.state.get_mut(sim).as_mut()?;
-        if let Some((reply, _mutated)) = loaded.applied.get(msg.op_id) {
-            // Duplicate delivery: return the cached reply without mutating
-            // (and without reporting a fresh mutation).
-            return Some(InvokeResult::read(reply.clone()));
+        if let Some(done) = self.recall(sim, msg.op_id) {
+            return Some(InvokeResult::read(done.reply));
         }
+        let loaded = self.state.get_mut(sim).as_mut()?;
         let mut ops = msg.ops()?;
         let mut mutated = false;
         let reply = enc.encode_with(|buf| {
@@ -184,8 +142,23 @@ impl ServerReplica {
                 mutated |= loaded.obj.invoke(&msg.body[op], buf);
             });
         });
-        loaded.applied.insert(msg.op_id, reply.clone(), mutated);
         Some(InvokeResult { reply, mutated })
+    }
+
+    /// Fills the at-most-once slot with `op_id`'s result, replacing the
+    /// op it held (whose reply frame then returns to the pool). A no-op
+    /// when no state is loaded.
+    pub fn remember(&mut self, sim: &Sim, op_id: u64, result: &InvokeResult) {
+        if let Some(loaded) = self.state.get_mut(sim).as_mut() {
+            loaded.remembered = Some((op_id, result.clone()));
+        }
+    }
+
+    /// The remembered result of `op_id`, mutation flag included, if the
+    /// slot holds it: a retry replays what the first attempt did.
+    pub(crate) fn recall(&mut self, sim: &Sim, op_id: u64) -> Option<InvokeResult> {
+        let (id, result) = self.state.get(sim).as_ref()?.remembered.as_ref()?;
+        (*id == op_id).then(|| result.clone())
     }
 
     /// A snapshot of the current (possibly uncommitted) state, tagged with
@@ -207,22 +180,27 @@ impl ServerReplica {
         self.state.get_mut(sim).as_ref().map(|l| l.base_version)
     }
 
-    /// Records that the surrounding action committed at `version`.
+    /// Records that the surrounding action committed at `version`. The
+    /// slot empties too: no retry reaches an op of a finished action, so
+    /// its reply frame goes back to the pool now, not at the next op.
     pub fn mark_committed(&mut self, sim: &Sim, version: Version) {
         if let Some(loaded) = self.state.get_mut(sim).as_mut() {
             loaded.base_version = version;
+            loaded.remembered = None;
         }
     }
 
-    /// Installs a coordinator checkpoint: full state plus the dedup entry
-    /// of the operation that produced it. A same-class loaded replica is
-    /// restored **in place** ([`ReplicaObject::restore`]); only an unloaded
-    /// (or, defensively, differently-tagged) replica decodes a fresh box.
+    /// Installs a coordinator checkpoint: full state plus the op that
+    /// produced it, which the replica [remembers](Self::remember) so a
+    /// retry at this cohort, once promoted, replays instead of re-executing.
+    /// A same-class loaded replica is restored **in place**
+    /// ([`ReplicaObject::restore`]); only an unloaded (or, defensively,
+    /// differently-tagged) replica decodes a fresh box.
     pub fn install_checkpoint(
         &mut self,
         sim: &Sim,
         state: &ObjectState,
-        op_entry: Option<(u64, Bytes, bool)>,
+        op: Option<(u64, &InvokeResult)>,
         types: &TypeRegistry,
     ) -> bool {
         if !types.knows(state.type_tag) {
@@ -233,32 +211,28 @@ impl ServerReplica {
             Some(loaded) if loaded.obj.type_tag() == state.type_tag => {
                 loaded.obj.restore(&state.data);
                 loaded.base_version = state.version;
-                if let Some((op_id, reply, mutated)) = op_entry {
-                    loaded.applied.insert(op_id, reply, mutated);
-                }
             }
             _ => {
                 let Some(obj) = types.decode(state.type_tag, &state.data) else {
                     return false;
                 };
-                let mut applied = AppliedRing::default();
-                if let Some((op_id, reply, mutated)) = op_entry {
-                    applied.insert(op_id, reply, mutated);
-                }
                 *cell = Some(Loaded {
                     obj,
                     base_version: state.version,
-                    applied,
+                    remembered: None,
                 });
             }
+        }
+        if let Some((op_id, result)) = op {
+            self.remember(sim, op_id, result);
         }
         true
     }
 
     /// Restores the object's data (undo of uncommitted invocations); the
-    /// base version and dedup cache are preserved, but the undone
-    /// operations' cache entries are dropped so a retry re-executes them.
-    /// Same-class restores happen in place, without decoding a fresh box.
+    /// base version is preserved, and a slot naming one of `undone_ops` is
+    /// emptied so a retry re-executes it. Same-class restores happen in
+    /// place, without decoding a fresh box.
     pub fn restore_data(
         &mut self,
         sim: &Sim,
@@ -278,8 +252,8 @@ impl ServerReplica {
             };
             loaded.obj = obj;
         }
-        for op in undone_ops {
-            loaded.applied.remove(*op);
+        if (loaded.remembered.as_ref()).is_some_and(|(id, _)| undone_ops.contains(id)) {
+            loaded.remembered = None;
         }
         true
     }
@@ -381,7 +355,7 @@ mod tests {
     use crate::object::{Counter, CounterOp, ObjectType};
     use crate::wire::{GroupMsgCodec, Replies};
     use groupview_sim::wire::Codec;
-    use groupview_sim::SimConfig;
+    use groupview_sim::{Bytes, SimConfig};
 
     fn world() -> (Sim, TypeRegistry) {
         (
@@ -454,6 +428,7 @@ mod tests {
         let op = msg(42, &[CounterOp::Add(1)]);
         let first = r.invoke(&sim, &enc, &op).unwrap();
         assert!(first.mutated);
+        r.remember(&sim, op.op_id, &first);
         let dup = r.invoke(&sim, &enc, &op).unwrap();
         assert!(!dup.mutated, "duplicate must not report a new mutation");
         assert_eq!(dup.reply, first.reply, "cached reply returned");
@@ -472,6 +447,7 @@ mod tests {
 
         let first = r.invoke(&sim, &enc, &batch).unwrap();
         assert!(first.mutated, "batch contains writes");
+        r.remember(&sim, batch.op_id, &first);
         let replies = Replies::decode(first.reply.clone(), 3).expect("one reply per op");
         let replies: Vec<&[u8]> = replies.iter().collect();
         assert_eq!(counter_reply(replies[0]), Some(1));
@@ -531,7 +507,7 @@ mod tests {
         assert!(cohort.install_checkpoint(
             &sim,
             &chk,
-            Some((7, Bytes::from(9i64.to_le_bytes().to_vec()), true)),
+            Some((7, &InvokeResult::wrote(9i64.to_le_bytes().to_vec()))),
             &types
         ));
         // A retried op 7 at the (now promoted) cohort is deduped.
@@ -544,6 +520,34 @@ mod tests {
             .invoke(&sim, &enc, &msg(8, &[CounterOp::Get]))
             .unwrap();
         assert_eq!(counter_reply(&get.reply), Some(9));
+    }
+
+    #[test]
+    fn the_slot_holds_one_op_and_recall_replays_its_mutation() {
+        let (sim, types) = world();
+        let mut r = ServerReplica::new(&sim, Uid::from_raw(1), NodeId::new(0));
+        let enc = enc();
+        r.load(&sim, &counter_state(0), &types);
+        // Executing alone remembers nothing: a repeat applies again.
+        let add = msg(1, &[CounterOp::Add(1)]);
+        let first = r.invoke(&sim, &enc, &add).unwrap();
+        assert!(r.recall(&sim, 1).is_none());
+        let again = r.invoke(&sim, &enc, &add).unwrap();
+        assert_eq!(counter_reply(&again.reply), Some(2));
+        r.remember(&sim, 1, &first);
+        assert_eq!(r.recall(&sim, 1), Some(first), "replayed as a write");
+        // Remembering the next op forgets the previous one.
+        let next = r.invoke(&sim, &enc, &msg(2, &[CounterOp::Add(1)])).unwrap();
+        r.remember(&sim, 2, &next);
+        assert!(r.recall(&sim, 1).is_none());
+        assert_eq!(r.recall(&sim, 2), Some(next));
+        // An undo that does not name the remembered op keeps it.
+        let snap = r.snapshot_state(&sim, &enc).unwrap();
+        r.restore_data(&sim, snap.type_tag, &snap.data, &[1], &types);
+        assert!(r.recall(&sim, 2).is_some());
+        // No retry reaches an op of a committed action.
+        r.mark_committed(&sim, Version::new(1));
+        assert!(r.recall(&sim, 2).is_none());
     }
 
     #[test]
@@ -561,8 +565,8 @@ mod tests {
         let enc = enc();
         r.load(&sim, &counter_state(10), &types);
         let before = r.snapshot_state(&sim, &enc).unwrap();
-        r.invoke(&sim, &enc, &msg(5, &[CounterOp::Add(100)]))
-            .unwrap();
+        let added = r.invoke(&sim, &enc, &msg(5, &[CounterOp::Add(100)]));
+        r.remember(&sim, 5, &added.unwrap());
         assert!(r.restore_data(&sim, before.type_tag, &before.data, &[5], &types));
         let v = r.invoke(&sim, &enc, &msg(6, &[CounterOp::Get])).unwrap();
         assert_eq!(counter_reply(&v.reply), Some(10));

@@ -31,8 +31,8 @@ const BATCH_FLAG: u64 = 1 << 63;
 
 /// An operation frame: `[op_id: u64 LE, batch bit][body]`.
 ///
-/// The `op_id` drives per-replica at-most-once deduplication (a client
-/// retry after coordinator failover must not re-execute an operation the
+/// The `op_id` drives per-replica at-most-once deduplication (a retry
+/// after coordinator failover must not re-execute an operation the
 /// checkpoint already applied). A body of several ops shares one id, so
 /// a batch dedups, undoes and checkpoints as one unit.
 #[derive(Debug, Clone, PartialEq, Eq)]

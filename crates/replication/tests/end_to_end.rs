@@ -5,7 +5,7 @@ use groupview_replication::{
     Account, AccountOp, CommitError, Counter, CounterOp, InvokeError, ObjectType,
     ReplicationPolicy, Replies, System,
 };
-use groupview_sim::{Cause, NodeId};
+use groupview_sim::{Cause, NodeId, TraceEvent};
 use groupview_store::Version;
 
 /// The wire encoding of one counter operation, as a one-op invocation.
@@ -949,8 +949,7 @@ fn a_64_op_batch_creates_no_fresh_frame() {
         let action = client.begin_action();
         counter.activate(action, 3).expect("activate");
         let ops = [CounterOp::Add(1); 64];
-        // Warm past the replicas' dedup rings, which pin their last 8
-        // replies.
+        // Warm the frame pool up to the window's working set.
         for _ in 0..16 {
             counter.invoke_batch(action, &ops).expect("warm-up batch");
         }
@@ -1098,4 +1097,77 @@ fn every_store_suspected_is_still_prepared() {
         let state = sys.stores().read_local(store, uid).expect("stored");
         assert_eq!(Counter::decode_state(&state.data).value(), 3);
     }
+}
+
+/// The committed counter value in `store`'s object store.
+fn stored_value(sys: &System, uid: groupview_store::Uid, store: NodeId) -> (Version, i64) {
+    let state = sys.stores().read_local(store, uid).expect("stored");
+    (state.version, Counter::decode_state(&state.data).value())
+}
+
+/// §2.3(2)(ii): a coordinator that crashes after checkpointing an op but
+/// before replying leaves the op applied at its cohorts. The retry at the
+/// promoted cohort replays it: the op applies once, and the action still
+/// writes it back at commit.
+#[test]
+fn a_checkpointed_op_retried_on_a_promoted_cohort_applies_once() {
+    let sys = system(
+        ReplicationPolicy::CoordinatorCohort,
+        BindingScheme::Standard,
+    );
+    let uid = create_counter(&sys, 0);
+    let client = sys.client(n(4));
+    let a = client.begin_action();
+    let g = client.activate(a, uid, 3).expect("activate");
+    // n1 coordinates; it crashes right after its two checkpoint sends.
+    sys.sim().crash_after_sends(n(1), 2);
+    let r = client
+        .invoke(a, &g, &counter_op(CounterOp::Add(1)))
+        .expect("retried on n2");
+    assert!(!sys.sim().is_up(n(1)), "n1 crashed before replying");
+    assert_eq!(counter_reply(&r), Some(1), "applied once");
+    client.commit(a).expect("commit");
+    for store in [n(2), n(3)] {
+        assert_eq!(stored_value(&sys, uid, store), (Version::new(1), 1));
+    }
+}
+
+/// A coordinator that stays up but whose reply is lost gets the retry
+/// itself, and replays the op: it applies once, and the action still
+/// writes it back at commit. A lossy network drops the reply on some
+/// seeds; every seed must apply the op at most once, and at least one
+/// must take that path.
+#[test]
+fn a_lost_reply_is_retried_at_the_coordinator_and_applies_once() {
+    let mut replayed = 0;
+    for seed in 0..64 {
+        let sys = System::builder(seed)
+            .nodes(6)
+            .policy(ReplicationPolicy::CoordinatorCohort)
+            .trace()
+            .build();
+        let uid = create_counter(&sys, 0);
+        let client = sys.client(n(4));
+        let a = client.begin_action();
+        let g = client.activate(a, uid, 3).expect("activate");
+        sys.sim().take_trace();
+        sys.sim().set_drop_probability(0.3);
+        let r = client.invoke(a, &g, &counter_op(CounterOp::Add(1)));
+        sys.sim().set_drop_probability(0.0);
+        let trace = sys.sim().take_trace().expect("tracing");
+        let Ok(r) = r else {
+            client.abort(a);
+            continue;
+        };
+        assert_eq!(counter_reply(&r), Some(1), "seed {seed}: applied once");
+        let reply_lost = trace.iter().any(
+            |ev| matches!(ev, TraceEvent::Lost { from, to, .. } if *from == n(1) && *to == n(4)),
+        );
+        client.commit(a).expect("commit");
+        if reply_lost && sys.sim().counters().timeouts == 1 {
+            replayed += 1;
+            assert_eq!(stored_value(&sys, uid, n(1)), (Version::new(1), 1));
+        }
+    }
+    assert!(replayed > 0, "no seed lost the coordinator's reply");
 }

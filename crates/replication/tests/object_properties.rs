@@ -211,8 +211,8 @@ proptest! {
     /// with the batch bit on and off, every truncation of a valid 2–16-op
     /// body, and that body plus one trailing byte. None panics; a body the
     /// replica refuses (`None`) leaves the state unchanged and no dedup
-    /// entry, so the valid body under the same id then applies exactly
-    /// once.
+    /// entry, so the valid body under the same id then applies, and once
+    /// remembered, applies exactly once.
     #[test]
     fn hostile_op_bodies_never_panic_or_mutate_a_replica(
         garbage in prop::collection::vec(any::<u8>(), 0..64),
@@ -256,6 +256,7 @@ proptest! {
             prop_assert_eq!(value(&mut replica), 0, "a refused body mutated the state");
             let first = replica.invoke(&sim, &enc, &valid).expect("valid body");
             prop_assert!(first.mutated, "the refusal left a dedup entry");
+            replica.remember(&sim, valid.op_id, &first);
             let again = replica.invoke(&sim, &enc, &valid).expect("valid body");
             prop_assert!(!again.mutated);
             prop_assert_eq!(again.reply, first.reply);
