@@ -88,6 +88,9 @@ struct TxInner {
     /// The records an abort has taken out of the table, held while their
     /// compensation runs (kept between aborts for its capacity).
     unwinding: Vec<Box<Tx>>,
+    /// The op ids of the arena entry an abort is replaying (kept between
+    /// aborts for its capacity, as `unwinding` is).
+    replayed: Vec<u64>,
     locks: LockManager,
     /// The coordinator's commit records, kept only while a participant is
     /// in doubt: `token →` the nodes whose phase-2 commit went
@@ -149,6 +152,7 @@ impl TxSystem {
                 actions: IdMap::default(),
                 spare: Vec::new(),
                 unwinding: Vec::new(),
+                replayed: Vec::new(),
                 locks: LockManager::new(),
                 decisions: IdMap::default(),
                 stats: TxStats::default(),
@@ -491,7 +495,7 @@ impl TxSystem {
     ///
     /// Aborting a non-active action is a no-op (abort is idempotent).
     pub fn abort(&self, action: ActionId) {
-        let (mut recs, sim, obs, applier) = {
+        let (mut recs, mut replayed, sim, obs, applier) = {
             let mut inner = self.inner.borrow_mut();
             let mut recs = std::mem::take(&mut inner.unwinding);
             if !inner.collect_abort(action, &mut recs) {
@@ -500,6 +504,7 @@ impl TxSystem {
             }
             (
                 recs,
+                std::mem::take(&mut inner.replayed),
                 inner.sim.clone(),
                 inner.obs.clone(),
                 inner.applier.clone(),
@@ -524,9 +529,8 @@ impl TxSystem {
                 }
             }
             if let Some(applier) = applier {
-                let mut scratch = Vec::new();
                 for rec in &recs {
-                    rec.arena.replay(applier.as_ref(), &mut scratch);
+                    rec.arena.replay(applier.as_ref(), &mut replayed);
                 }
             }
             for rec in recs.iter_mut() {
@@ -541,6 +545,7 @@ impl TxSystem {
                 inner.retire(rec);
             }
             inner.unwinding = recs;
+            inner.replayed = replayed;
         }
         obs.add(ObsCounter::Aborts, 1);
         obs.add(ObsCounter::UndoOps, undo_count);

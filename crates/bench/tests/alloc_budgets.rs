@@ -99,20 +99,27 @@ const POLICIES: [ReplicationPolicy; 3] = [
 const ADD_INVOKES: [u64; 3] = [5, 5, 5];
 /// One per batch: the returned reply vector (plus the arena's 5).
 const BATCHES: [u64; 3] = [1_005; 3];
-/// 6 per transfer: two `Rc<Activation>`s and the commit's four
-/// bookkeeping vectors (its activations, the dirty ones, their new
-/// states, the staged participants).
-const TRANSFERS: [u64; 3] = [1_200; 3];
-/// 5 per action: one `Rc<Activation>` and the same four commit vectors.
-const ACTIONS: [u64; 3] = [1_000; 3];
+/// 2 per transfer: its two `Rc<Activation>`s. The commit allocates
+/// nothing: each staged state waits in its activation, each prepared
+/// store in the action record's recycled participant vector.
+const TRANSFERS: [u64; 3] = [400; 3];
+/// 1 per action: its `Rc<Activation>`.
+const ACTIONS: [u64; 3] = [200; 3];
+/// 1 per aborted action (activate, one `Add`, abort): its
+/// `Rc<Activation>`. The undo replay's op-id list is the action
+/// service's, kept between aborts.
+const ABORTS: [u64; 3] = [200; 3];
+/// 1 per read-only action (`activate_read_only`, one `Get`, commit): its
+/// `Rc<Activation>`; a clean commit copies no state.
+const READ_ACTIONS: [u64; 3] = [200; 3];
 /// The read path: no undo snapshot, no dirty marking.
 const GET_INVOKES: [u64; 3] = [0; 3];
 /// Whole actions on never-activated counters (the `wide_active` shape):
-/// the warm action's 5 each, plus what a first activation builds (the
+/// the warm action's 1 each, plus what a first activation builds (the
 /// replicas and their object boxes, and under active replication the
 /// multicast group and its members), plus tables doubling. No reply
 /// frame stays out of the pool once its action ends.
-const COLD_ACTIONS: [u64; 3] = [3_242, 2_436, 1_636];
+const COLD_ACTIONS: [u64; 3] = [2_442, 1_636, 836];
 
 /// Counters in the retained-heap window, and warm actions run on each.
 const RETAINED: (usize, u64) = (200, 8);
@@ -120,14 +127,14 @@ const RETAINED: (usize, u64) = (200, 8);
 /// replicas, their activation bookkeeping and (active) its multicast
 /// group. No reply frame: a replica remembers at most the op a retry can
 /// reach, and only coordinator-cohort fills that slot.
-const RETAINED_PER_OBJECT: [u64; 3] = [1_050, 577, 288];
+const RETAINED_PER_OBJECT: [u64; 3] = [1_049, 577, 288];
 
-/// 1,000 transfers over `LEDGER` cold-started single-copy accounts: 6 per
-/// transfer as in `TRANSFERS`, and 400 that the wider world adds. None is
-/// a fresh frame: a commit retires 8-byte account states into the frame
-/// pool, and the next invocation frame (17 bytes) reuses one, which
+/// 1,000 transfers over `LEDGER` cold-started single-copy accounts: 2 per
+/// transfer as in `TRANSFERS`, and nothing that the wider world adds.
+/// None is a fresh frame: a commit retires 8-byte account states into the
+/// frame pool, and the next invocation frame (17 bytes) reuses one, which
 /// without the frame floor would reallocate.
-const LEDGER_TRANSFERS: u64 = 6_400;
+const LEDGER_TRANSFERS: u64 = 2_000;
 
 /// Accounts in the ledger window: the benchmark's `transfers` shape (five
 /// servers, three-replica placement staggered over them, single-copy).
@@ -308,6 +315,28 @@ fn actions([handle]: &[Handle<Counter>; 1], n: u64) {
     }
 }
 
+/// Whole warm actions that abort after one `Add`, which the abort undoes.
+fn aborts([handle]: &[Handle<Counter>; 1], n: u64) {
+    let client = handle.client();
+    for _ in 0..n {
+        let action = client.begin_action();
+        handle.activate(action, 3).expect("activate");
+        black_box(handle.invoke(action, CounterOp::Add(1)).expect("add"));
+        client.abort(action);
+    }
+}
+
+/// Whole warm read-only actions: the `read_mostly` reader's shape.
+fn read_actions([handle]: &[Handle<Counter>; 1], n: u64) {
+    let client = handle.client();
+    for _ in 0..n {
+        let action = client.begin_action();
+        handle.activate_read_only(action, 3).expect("activate");
+        black_box(handle.invoke(action, CounterOp::Get).expect("get"));
+        client.commit(action).expect("commit");
+    }
+}
+
 /// Counters in the cold windows: one per warm-up and measured action.
 const COLD: usize = (ACTS.0 + ACTS.1) as usize;
 
@@ -440,6 +469,9 @@ fn main() {
         pins.observed(n("Tx ×200"), TRANSFERS[i], ACTS, accounts, transfers);
         let warm = || world(p, || Counter::new(0));
         pins.observed(n("warm action ×200"), ACTIONS[i], ACTS, warm, actions);
+        pins.observed(n("aborted Add action ×200"), ABORTS[i], ACTS, warm, aborts);
+        let reads = READ_ACTIONS[i];
+        pins.observed(n("read-only action ×200"), reads, ACTS, warm, read_actions);
         let get = invokes(CounterOp::Get);
         pins.observed(n("invoke Get ×1000"), GET_INVOKES[i], OPS, counter, get);
         let cold = || cold_world(p);

@@ -180,6 +180,7 @@ impl System {
             (inner.policy == ReplicationPolicy::Active).then(|| self.enrol(uid, fresh, activated));
 
         Ok(ObjectGroup(Rc::new(Activation {
+            action,
             uid,
             policy: inner.policy,
             servers: binding.servers.clone(),
@@ -190,6 +191,7 @@ impl System {
             suspects,
             incarnations,
             dirty: Cell::new(false),
+            staged: RefCell::default(),
         })))
     }
 

@@ -19,8 +19,8 @@ use groupview_group::{Enrolment, GroupId, GroupMember};
 use groupview_obs::{Counter as ObsCounter, Phase};
 use groupview_sim::wire::Codec;
 use groupview_sim::{Bytes, InlineVec, NodeId, NodeList, Sim, WireEncoder};
-use groupview_store::{SnapshotCodec, Uid};
-use std::cell::Cell;
+use groupview_store::{ObjectState, SnapshotCodec, Uid};
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
@@ -46,6 +46,8 @@ impl Deref for ObjectGroup {
 /// What one activation bound (the shared body of an [`ObjectGroup`]).
 #[derive(Debug)]
 pub struct Activation {
+    /// The action this activation was made for.
+    pub(crate) action: ActionId,
     /// The object.
     pub uid: Uid,
     /// The replication policy the object is activated under.
@@ -74,6 +76,10 @@ pub struct Activation {
     /// Whether an operation through this activation mutated the object:
     /// commit writes back exactly the dirty activations of its action.
     pub(crate) dirty: Cell<bool>,
+    /// The state (at its next version) the commit-time copy staged for
+    /// this object, from the write-back until the commit's outcome is
+    /// known (see `writeback.rs`).
+    pub(crate) staged: RefCell<Option<ObjectState>>,
 }
 
 impl Activation {
@@ -442,8 +448,7 @@ impl System {
             let wire = inner.wire.clone();
             // Borrowed by the handler (rpc handlers are plain `FnOnce`s, not
             // boxed), so the common no-miss case allocates nothing.
-            let missed_cohorts: std::cell::RefCell<Vec<NodeId>> =
-                std::cell::RefCell::new(Vec::new());
+            let missed_cohorts: RefCell<Vec<NodeId>> = RefCell::new(Vec::new());
             let missed_in_handler = &missed_cohorts;
             let result = inner.sim.rpc(
                 group.req.client_node,

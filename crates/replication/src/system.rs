@@ -540,11 +540,11 @@ pub struct Client {
     sys: System,
     id: ClientId,
     node: NodeId,
-    /// The action table: every live activation this client made, with the
-    /// action that made it, in activation order — the only record of what
+    /// The action table: every live activation this client made (each
+    /// names its action), in activation order — the only record of what
     /// an action has bound (write-back, binding completion and every
     /// typed lookup read it). Shared by clones of this client.
-    groups: Rc<RefCell<Vec<(ActionId, ObjectGroup)>>>,
+    groups: Rc<RefCell<Vec<ObjectGroup>>>,
 }
 
 impl fmt::Debug for Client {
@@ -600,8 +600,8 @@ impl Client {
             .borrow()
             .iter()
             .rev()
-            .find(|(a, g)| *a == action && g.uid == uid)
-            .map(|(_, g)| g.clone())
+            .find(|g| g.action == action && g.uid == uid)
+            .cloned()
     }
 
     /// How many activations this client holds for `action`.
@@ -609,7 +609,7 @@ impl Client {
         self.groups
             .borrow()
             .iter()
-            .filter(|(a, _)| *a == action)
+            .filter(|g| g.action == action)
             .count()
     }
 
@@ -625,18 +625,33 @@ impl Client {
         let group = self
             .sys
             .do_activate(action, self.id, self.node, uid, replicas, read_only)?;
-        self.groups.borrow_mut().push((action, group.clone()));
+        self.groups.borrow_mut().push(group.clone());
         Ok(group)
     }
 
-    /// Takes `action`'s activations out of the action table, in activation
-    /// order (binding completion and write-back send in this order).
-    fn take_groups(&self, action: ActionId) -> Vec<ObjectGroup> {
-        self.groups
-            .borrow_mut()
-            .extract_if(.., |(a, _)| *a == action)
-            .map(|(_, g)| g)
-            .collect()
+    /// Ends `action` in the action table: `f` runs on its activations, in
+    /// activation order (binding completion and write-back send in this
+    /// order), which are then dropped. They are moved to the tail of the
+    /// table's own buffer, so ending an action allocates nothing.
+    fn end_action<R>(&self, action: ActionId, f: impl FnOnce(&[ObjectGroup]) -> R) -> R {
+        // Out of the cell while `f` runs, so nothing it reaches finds the
+        // table borrowed.
+        let mut table = self.groups.take();
+        // A stable partition: the other actions' activations keep their
+        // order ahead of `tail`, this action's keep theirs behind it.
+        let mut tail = table.len();
+        for i in (0..table.len()).rev() {
+            if table[i].action == action {
+                table[i..tail].rotate_left(1);
+                tail -= 1;
+            }
+        }
+        let result = f(&table[tail..]);
+        table.truncate(tail);
+        let mut slot = self.groups.borrow_mut();
+        table.append(&mut slot);
+        *slot = table;
+        result
     }
 
     /// Refuses a raw invoke through `group` unless this client activated
@@ -648,7 +663,7 @@ impl Client {
             .groups
             .borrow()
             .iter()
-            .any(|(a, g)| *a == action && Rc::ptr_eq(&g.0, &group.0));
+            .any(|g| g.action == action && Rc::ptr_eq(&g.0, &group.0));
         if bound {
             Ok(())
         } else if !self.sys.inner.tx.is_active(action) {
@@ -814,61 +829,49 @@ impl Client {
     /// On any error the action has been aborted and all its effects undone.
     pub fn commit(&self, action: ActionId) -> Result<(), CommitError> {
         let sys = &self.sys;
-        let groups = self.take_groups(action);
-
         // Binding completion and commit-time write-back all send messages
         // on behalf of this action; attribute their trace events to it.
-        sys.sim().with_active_action(action.raw(), || {
-            // Figure 8: Decrement runs as a nested top-level action *inside*
-            // the client action. A contended decrement is left to the cleanup
-            // daemon rather than failing the commit.
-            if sys.scheme() == BindingScheme::NestedTopLevel {
-                for g in &groups {
-                    let _ = sys.inner.binder.complete(Some(action), &g.req, &g.binding);
+        self.end_action(action, |groups| {
+            sys.sim().with_active_action(action.raw(), || {
+                // Figure 8: Decrement runs as a nested top-level action
+                // *inside* the client action. A contended decrement is left
+                // to the cleanup daemon rather than failing the commit.
+                if sys.scheme() == BindingScheme::NestedTopLevel {
+                    for g in groups {
+                        let _ = sys.inner.binder.complete(Some(action), &g.req, &g.binding);
+                    }
                 }
-            }
 
-            // Commit-time state copy (with Exclude) for modified objects —
-            // one staging pass over the union of touched objects, so every
-            // store receives a multi-object transaction's full write-set
-            // under its single transaction token.
-            let dirty: Vec<&ObjectGroup> = groups.iter().filter(|g| g.dirty.get()).collect();
-            let mut staged = Vec::new();
-            if !dirty.is_empty() {
-                match sys.do_writeback(action, &dirty) {
-                    Ok(states) => staged = states,
+                // Commit-time state copy (with Exclude) for modified
+                // objects, staged under the action: abort is the only
+                // cleanup of a copy the verdict dooms.
+                let outcome = match sys.do_writeback(action, groups) {
+                    Ok(()) => sys.inner.tx.commit(action).map_err(CommitError::Tx),
                     Err(e) => {
                         sys.inner.tx.abort(action);
-                        self.finish_bindings(&groups);
-                        return Err(e);
+                        Err(e)
+                    }
+                };
+                for g in groups {
+                    if let (Ok(()), Some(state)) = (&outcome, g.staged.take()) {
+                        sys.bump_replica_versions(g, state.version);
                     }
                 }
-            }
-
-            match sys.inner.tx.commit(action) {
-                Ok(()) => {
-                    for (group, state) in dirty.iter().zip(&staged) {
-                        sys.bump_replica_versions(group, state.version);
-                    }
-                    if sys.scheme() == BindingScheme::IndependentTopLevel {
-                        self.finish_bindings(&groups);
-                    }
-                    Ok(())
+                if outcome.is_err() || sys.scheme() == BindingScheme::IndependentTopLevel {
+                    self.finish_bindings(groups);
                 }
-                Err(e) => {
-                    self.finish_bindings(&groups);
-                    Err(CommitError::Tx(e))
-                }
-            }
+                outcome
+            })
         })
     }
 
     /// Aborts the action, undoing all its effects, and completes any
     /// registered bindings (the Decrement of Figures 7/8).
     pub fn abort(&self, action: ActionId) {
-        let groups = self.take_groups(action);
-        self.sys.inner.tx.abort(action);
-        self.finish_bindings(&groups);
+        self.end_action(action, |groups| {
+            self.sys.inner.tx.abort(action);
+            self.finish_bindings(groups);
+        });
     }
 
     /// Simulates this client crashing mid-action: the action is aborted by
@@ -876,9 +879,10 @@ impl Client {
     /// completion runs** — use lists stay incremented until the cleanup
     /// daemon reclaims them. Returns the leaked group count.
     pub fn crash_without_cleanup(&self, action: ActionId) -> usize {
-        let groups = self.take_groups(action);
-        self.sys.inner.tx.abort(action);
-        groups.iter().filter(|g| g.binding.registered).count()
+        self.end_action(action, |groups| {
+            self.sys.inner.tx.abort(action);
+            groups.iter().filter(|g| g.binding.registered).count()
+        })
     }
 
     /// Best-effort binding completion for the independent scheme (and as a

@@ -9,9 +9,16 @@
 //! The copy is the *prepare* phase of the store write: each store in `St`
 //! durably stages the new state; stores that cannot be reached are
 //! `Exclude`d from `St` within the same client action (so the exclusion
-//! commits or aborts atomically with the state change). The staged
-//! participants then ride the action's two-phase commit, where their
-//! prepare is a no-op: a store participant prepares at most once.
+//! commits or aborts atomically with the state change). Each participant
+//! enlists with the action as soon as its prepare succeeds, and rides the
+//! action's two-phase commit, where its prepare is a no-op: a store
+//! participant prepares at most once.
+//!
+//! The write-back keeps nothing of its own: the new state of each object
+//! waits in its activation (`Activation::staged`), each prepared store in
+//! the action record's participant vector. A verdict that dooms the
+//! action just returns the error; the caller aborts the action, and the
+//! abort discards every staged intent — abort is the only cleanup path.
 //!
 //! Failure rules straight from the paper:
 //! * every store down → the action must abort ([`CommitError::AllStoresFailed`]);
@@ -29,17 +36,19 @@
 use crate::error::CommitError;
 use crate::invoke::ObjectGroup;
 use crate::system::System;
-use groupview_actions::{ActionId, StoreWriteParticipant, TxSystem};
+use groupview_actions::{ActionId, StoreWriteParticipant, TxError, TxSystem};
 use groupview_core::{Cost, DbError};
 use groupview_sim::{NodeId, NodeList};
-use groupview_store::{ObjectState, Uid};
+use groupview_store::Uid;
 
 impl System {
-    /// Stages the modified state of every `groups` object on every
-    /// functioning store in its `St`, excluding the unreachable ones, and
-    /// registers the staged writes with `action`'s two-phase commit.
-    /// Returns the state (and so the version) each object will have once
-    /// the action commits, parallel to `groups`.
+    /// Stages the modified state of every dirty `groups` activation on
+    /// every functioning store in its `St`, excluding the unreachable ones,
+    /// and enlists each staged write with `action`'s two-phase commit as
+    /// soon as it is prepared. Each dirty activation keeps the state (and
+    /// so the version) its object will have once the action commits, in
+    /// its `staged` slot. On an error the caller aborts the action, which
+    /// discards every staged write.
     ///
     /// The staging is **one participant per store node over the union of
     /// touched objects**: a store's intent log keeps one staged write-set
@@ -49,9 +58,17 @@ impl System {
     pub(crate) fn do_writeback(
         &self,
         action: ActionId,
-        groups: &[&ObjectGroup],
-    ) -> Result<Vec<ObjectState>, CommitError> {
+        groups: &[ObjectGroup],
+    ) -> Result<(), CommitError> {
         let inner = &self.inner;
+        let dirty = || groups.iter().filter(|g| g.dirty.get());
+        if dirty().next().is_none() {
+            return Ok(());
+        }
+        let coordinator = inner
+            .tx
+            .client_node(action)
+            .ok_or(CommitError::Tx(TxError::NotActive(action)))?;
 
         // The final (uncommitted) state of each object, from a surviving
         // replica the action actually wrote through (the bound set Sv').
@@ -60,10 +77,9 @@ impl System {
         // activation) holds the last *committed* state without this
         // action's operations — committing its snapshot would silently
         // discard them.
-        let mut new_states: Vec<ObjectState> = Vec::with_capacity(groups.len());
-        for group in groups {
+        for group in dirty() {
             let uid = group.uid;
-            let mut final_state: Option<ObjectState> = None;
+            let mut final_state = None;
             for &node in &group.servers {
                 let Some(pinned) = group.pinned_incarnation(node) else {
                     continue;
@@ -85,30 +101,24 @@ impl System {
             }
             let mut state = final_state.ok_or(CommitError::NoFinalState(uid))?;
             state.version = state.version.next();
-            new_states.push(state);
+            group.staged.replace(Some(state));
         }
-
-        let token = TxSystem::token(action);
-        let coordinator = inner
-            .tx
-            .client_node(action)
-            .unwrap_or_else(|| groups[0].req.client_node);
 
         // Stage one write-set per store of the union across all touched
         // objects, in first-seen order (so the single-object message
         // sequence is unchanged); collect failures with sources.
-        let skipped = skipped_suspects(groups, inner.exclude_enabled);
-        let mut prepared: Vec<StoreWriteParticipant> = Vec::new();
-        let mut failed: Vec<NodeId> = Vec::new();
+        let token = TxSystem::token(action);
+        let skipped = skipped_suspects(dirty(), inner.exclude_enabled);
+        let mut failed = NodeList::new();
         let mut last_fault = None;
-        let union = groups.iter().enumerate().flat_map(|(i, group)| {
+        let union = dirty().enumerate().flat_map(|(i, group)| {
             group
                 .st_nodes
                 .iter()
                 .enumerate()
                 .filter(move |&(j, st_node)| {
                     !group.st_nodes[..j].contains(st_node)
-                        && !groups[..i].iter().any(|g| g.st_nodes.contains(st_node))
+                        && !dirty().take(i).any(|g| g.st_nodes.contains(st_node))
                 })
                 .map(|(_, &st_node)| st_node)
         });
@@ -120,11 +130,9 @@ impl System {
             // The write-set this store's last committed intent left behind.
             let mut writes = inner.stores.write_set(st_node);
             writes.extend(
-                groups
-                    .iter()
-                    .zip(&new_states)
-                    .filter(|(g, _)| g.st_nodes.contains(&st_node))
-                    .map(|(g, state)| (g.uid, state.clone())),
+                dirty()
+                    .filter(|g| g.st_nodes.contains(&st_node))
+                    .filter_map(|g| g.staged.borrow().clone().map(|state| (g.uid, state))),
             );
             let mut participant = StoreWriteParticipant::new(
                 &inner.sim,
@@ -135,7 +143,10 @@ impl System {
                 writes,
             );
             match participant.try_prepare() {
-                Ok(()) => prepared.push(participant),
+                Ok(()) => inner
+                    .tx
+                    .add_participant(action, participant)
+                    .map_err(CommitError::Tx)?,
                 Err(fault) => {
                     failed.push(st_node);
                     last_fault = Some(fault);
@@ -151,8 +162,7 @@ impl System {
         // only missed stores, the `Exclude` refuses to empty it and the
         // action aborts all the same.
         let mut exclusions: Vec<(Uid, Vec<NodeId>)> = Vec::new();
-        let mut doomed: Option<CommitError> = None;
-        for group in groups {
+        for group in dirty() {
             let missed: Vec<NodeId> = group
                 .st_nodes
                 .iter()
@@ -160,7 +170,7 @@ impl System {
                 .filter(|node| failed.contains(node))
                 .collect();
             if missed.len() == group.st_nodes.len() {
-                doomed = Some(match last_fault {
+                return Err(match last_fault {
                     Some(last) => CommitError::AllStoresFailed {
                         uid: group.uid,
                         last,
@@ -169,17 +179,10 @@ impl System {
                     // exclusion never leaves.
                     None => CommitError::Exclude(DbError::LastStore(group.uid)),
                 });
-                break;
             }
             if !missed.is_empty() {
                 exclusions.push((group.uid, missed));
             }
-        }
-        if let Some(e) = doomed {
-            for mut p in prepared {
-                p.abort();
-            }
-            return Err(e);
         }
 
         if !exclusions.is_empty() && inner.exclude_enabled {
@@ -187,40 +190,34 @@ impl System {
             // already holds a read lock on the entries (taken at
             // activation); the policy decides whether this is a write
             // promotion or the paper's exclude-write lock.
-            if let Err(e) = inner.naming.remote(coordinator, Cost::EXCLUDE, |ns| {
-                ns.state_db
-                    .exclude(action, &exclusions, inner.exclude_policy)
-            }) {
-                for mut p in prepared {
-                    p.abort();
-                }
-                return Err(CommitError::Exclude(e));
-            }
-        }
-
-        for participant in prepared {
             inner
-                .tx
-                .add_participant(action, participant)
-                .map_err(CommitError::Tx)?;
+                .naming
+                .remote(coordinator, Cost::EXCLUDE, |ns| {
+                    ns.state_db
+                        .exclude(action, &exclusions, inner.exclude_policy)
+                })
+                .map_err(CommitError::Exclude)?;
         }
-        Ok(new_states)
+        Ok(())
     }
 }
 
-/// The suspects of `groups`' activations that the write-back excludes
+/// The suspects of the `dirty` activations that the write-back excludes
 /// without a prepare: all of them, if exclusion is on and every object
 /// keeps an unsuspected `St` member; otherwise none. Empty (and no scan
 /// beyond the groups) when the action has seen no failure.
-fn skipped_suspects(groups: &[&ObjectGroup], exclude_enabled: bool) -> NodeList {
+fn skipped_suspects<'a>(
+    dirty: impl Iterator<Item = &'a ObjectGroup> + Clone,
+    exclude_enabled: bool,
+) -> NodeList {
     let mut suspects = NodeList::new();
-    for &node in groups.iter().flat_map(|g| g.suspects.iter()) {
+    for &node in dirty.clone().flat_map(|g| g.suspects.iter()) {
         if !suspects.contains(&node) {
             suspects.push(node);
         }
     }
-    let writable = |g: &&ObjectGroup| g.st_nodes.iter().any(|n| !suspects.contains(n));
-    if suspects.is_empty() || !exclude_enabled || !groups.iter().all(writable) {
+    let writable = |g: &ObjectGroup| g.st_nodes.iter().any(|n| !suspects.contains(n));
+    if suspects.is_empty() || !exclude_enabled || !dirty.clone().all(writable) {
         return NodeList::new();
     }
     suspects

@@ -1171,3 +1171,95 @@ fn a_lost_reply_is_retried_at_the_coordinator_and_applies_once() {
     }
     assert!(replayed > 0, "no seed lost the coordinator's reply");
 }
+
+/// A commit whose verdict dooms it after some stores have staged the new
+/// states leaves nothing behind: the abort discards every staged intent
+/// of the action, both objects keep their committed values, and the
+/// commit costs the pinned number of delivered messages.
+#[test]
+fn a_doomed_commit_discards_every_staged_write() {
+    let stores = [n(1), n(2), n(3)];
+    // Whether any live store still holds an intent staged for `token`.
+    let staged_anywhere = |sys: &System, token| {
+        stores.iter().any(|&node| {
+            sys.stores()
+                .with(node, |s| s.indoubt().contains(&token))
+                .unwrap_or(false)
+        })
+    };
+    // Messages the commit delivers under every policy: a prepare and an
+    // abort round trip to each store of `a` (n1, n2; n3 times out), and
+    // in the second case the refused `Exclude`'s round trip to n0.
+    const DELIVERED: (u64, u64) = (8, 10);
+    for policy in ReplicationPolicy::ALL {
+        // All stores of `b` down: `CommitError::AllStoresFailed`.
+        let sys = system(policy, BindingScheme::Standard);
+        let a = sys
+            .create_typed(Counter::new(1), &[n(1)], &[n(1), n(2)])
+            .expect("a");
+        let b = sys
+            .create_typed(Counter::new(2), &[n(1)], &[n(3)])
+            .expect("b");
+        let client = sys.client(n(4));
+        let (ha, hb) = (a.open(&client), b.open(&client));
+        let mut tx = client.begin();
+        let token = groupview_store::TxToken::new(tx.action().raw());
+        tx.invoke(&ha, CounterOp::Add(10)).expect("a");
+        tx.invoke(&hb, CounterOp::Add(20)).expect("b");
+        sys.sim().crash(n(3));
+        let before = sys.sim().counters().delivered;
+        let err = tx.commit().expect_err("b has no live store");
+        let delivered = sys.sim().counters().delivered - before;
+        assert!(
+            matches!(err, CommitError::AllStoresFailed { uid, .. } if uid == b.uid()),
+            "{policy}: {err}"
+        );
+        sys.sim().recover(n(3));
+        assert!(
+            !staged_anywhere(&sys, token),
+            "{policy}: an intent survived"
+        );
+        assert_eq!(counter_value(&sys, a.uid(), n(5)), 1, "{policy}");
+        assert_eq!(counter_value(&sys, b.uid(), n(5)), 2, "{policy}");
+        assert!(sys.tx().locks_empty(), "{policy}");
+        let all_failed = delivered;
+
+        // `b`'s exclusion refused: a reader shares its St entry, and the
+        // plain write promotion (§4.2.1) cannot get the write lock.
+        let sys = System::builder(77)
+            .nodes(6)
+            .policy(policy)
+            .exclude_policy(ExcludePolicy::PromoteToWrite)
+            .build();
+        let a = sys
+            .create_typed(Counter::new(1), &[n(1)], &[n(1), n(2)])
+            .expect("a");
+        let b = sys
+            .create_typed(Counter::new(2), &[n(1)], &[n(2), n(3)])
+            .expect("b");
+        let reader = sys.client(n(5));
+        let read = reader.begin_action();
+        b.open(&reader).activate_read_only(read, 1).expect("reader");
+        let client = sys.client(n(4));
+        let (ha, hb) = (a.open(&client), b.open(&client));
+        let mut tx = client.begin();
+        let token = groupview_store::TxToken::new(tx.action().raw());
+        tx.invoke(&ha, CounterOp::Add(10)).expect("a");
+        tx.invoke(&hb, CounterOp::Add(20)).expect("b");
+        sys.sim().crash(n(3));
+        let before = sys.sim().counters().delivered;
+        let err = tx.commit().expect_err("the exclusion is refused");
+        let delivered = sys.sim().counters().delivered - before;
+        assert!(matches!(err, CommitError::Exclude(_)), "{policy}: {err}");
+        reader.commit(read).expect("reader commits");
+        sys.sim().recover(n(3));
+        assert!(
+            !staged_anywhere(&sys, token),
+            "{policy}: an intent survived"
+        );
+        assert_eq!(counter_value(&sys, a.uid(), n(5)), 1, "{policy}");
+        assert_eq!(counter_value(&sys, b.uid(), n(5)), 2, "{policy}");
+        assert!(sys.tx().locks_empty(), "{policy}");
+        assert_eq!((all_failed, delivered), DELIVERED, "{policy}");
+    }
+}
