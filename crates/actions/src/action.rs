@@ -1,10 +1,9 @@
 //! Action identities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of an atomic action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActionId(u64);
 
 impl ActionId {

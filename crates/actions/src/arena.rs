@@ -64,7 +64,7 @@ impl UndoArena {
 
     /// Whether a snapshot entry for `key` is already logged (the invoke
     /// path snapshots only the first write per object per transaction).
-    pub fn has_entry(&self, key: u64) -> bool {
+    pub(crate) fn has_entry(&self, key: u64) -> bool {
         // Transactions touch a handful of objects; a scan beats a map and
         // allocates nothing.
         self.entries.iter().any(|e| e.key == key)
@@ -103,7 +103,7 @@ impl UndoArena {
     }
 
     /// Number of logged applied-op records.
-    pub fn op_count(&self) -> usize {
+    pub(crate) fn op_count(&self) -> usize {
         self.ops.len()
     }
 

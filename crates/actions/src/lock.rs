@@ -17,14 +17,13 @@
 
 use crate::action::ActionId;
 use groupview_sim::IdMap;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A lockable resource name.
 ///
 /// `space` partitions key namespaces between subsystems (e.g. server-entry
 /// vs state-entry tables); `key` identifies the entry, typically a UID.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LockKey {
     space: u16,
     key: u64,
@@ -54,7 +53,7 @@ impl fmt::Display for LockKey {
 }
 
 /// Lock modes, ordered by strength: `Read < ExcludeWrite < Write`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockMode {
     /// Shared read access.
     Read,
@@ -147,7 +146,6 @@ pub struct LockManager {
     spare_holders: Vec<Vec<(ActionId, LockMode)>>,
     spare_keys: Vec<Vec<LockKey>>,
     refusals: u64,
-    grants: u64,
 }
 
 impl LockManager {
@@ -209,7 +207,6 @@ impl LockManager {
                 self.keys_mut(action).push(key);
             }
         }
-        self.grants += 1;
         Ok(())
     }
 
@@ -273,15 +270,6 @@ impl LockManager {
         self.table.get(&key).cloned().unwrap_or_default()
     }
 
-    /// The mode `action` holds on `key`, if any.
-    pub fn mode_of(&self, action: ActionId, key: LockKey) -> Option<LockMode> {
-        self.table
-            .get(&key)?
-            .iter()
-            .find(|&&(hid, _)| hid == action)
-            .map(|&(_, m)| m)
-    }
-
     /// Keys currently locked by `action`.
     pub fn keys_of(&self, action: ActionId) -> Vec<LockKey> {
         let mut v = self.by_action.get(&action).cloned().unwrap_or_default();
@@ -299,13 +287,8 @@ impl LockManager {
         self.table.len()
     }
 
-    /// Total granted requests (including upgrades and re-grants).
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
     /// Total refused requests.
-    pub fn refusals(&self) -> u64 {
+    pub(crate) fn refusals(&self) -> u64 {
         self.refusals
     }
 }
@@ -316,6 +299,14 @@ mod tests {
 
     fn a(n: u64) -> ActionId {
         ActionId::from_raw(n)
+    }
+
+    /// The mode `action` holds on `key`, if any.
+    fn mode_of(lm: &LockManager, action: ActionId, key: LockKey) -> Option<LockMode> {
+        lm.holders(key)
+            .into_iter()
+            .find(|&(hid, _)| hid == action)
+            .map(|(_, m)| m)
     }
 
     const K: LockKey = LockKey::new(1, 7);
@@ -386,7 +377,7 @@ mod tests {
         lm.release_all(a(2));
         // ...but can once alone.
         lm.acquire(&none(), a(1), K, LockMode::Write).unwrap();
-        assert_eq!(lm.mode_of(a(1), K), Some(LockMode::Write));
+        assert_eq!(mode_of(&lm, a(1), K), Some(LockMode::Write));
     }
 
     #[test]
@@ -399,8 +390,8 @@ mod tests {
         lm.acquire(&none(), a(2), K, LockMode::Read).unwrap();
         lm.acquire(&none(), a(1), K, LockMode::ExcludeWrite)
             .unwrap();
-        assert_eq!(lm.mode_of(a(1), K), Some(LockMode::ExcludeWrite));
-        assert_eq!(lm.mode_of(a(2), K), Some(LockMode::Read));
+        assert_eq!(mode_of(&lm, a(1), K), Some(LockMode::ExcludeWrite));
+        assert_eq!(mode_of(&lm, a(2), K), Some(LockMode::Read));
     }
 
     #[test]
@@ -408,7 +399,7 @@ mod tests {
         let mut lm = LockManager::new();
         lm.acquire(&none(), a(1), K, LockMode::Write).unwrap();
         lm.acquire(&none(), a(1), K, LockMode::Read).unwrap();
-        assert_eq!(lm.mode_of(a(1), K), Some(LockMode::Write));
+        assert_eq!(mode_of(&lm, a(1), K), Some(LockMode::Write));
     }
 
     #[test]
@@ -443,9 +434,9 @@ mod tests {
         lm.acquire(&none(), a(2), K, LockMode::Read).unwrap(); // shared with parent-to-be
         lm.acquire(&none(), a(2), k2, LockMode::Write).unwrap();
         lm.transfer(a(2), a(1));
-        assert_eq!(lm.mode_of(a(1), K), Some(LockMode::Read));
-        assert_eq!(lm.mode_of(a(1), k2), Some(LockMode::Write));
-        assert_eq!(lm.mode_of(a(2), K), None);
+        assert_eq!(mode_of(&lm, a(1), K), Some(LockMode::Read));
+        assert_eq!(mode_of(&lm, a(1), k2), Some(LockMode::Write));
+        assert_eq!(mode_of(&lm, a(2), K), None);
         assert_eq!(lm.keys_of(a(2)), vec![]);
         let mut keys = lm.keys_of(a(1));
         keys.sort_unstable();
@@ -462,7 +453,7 @@ mod tests {
         lm.acquire(&anc, a(1), K, LockMode::Read).unwrap();
         lm.acquire(&anc, a(2), K, LockMode::Write).unwrap();
         lm.transfer(a(2), a(1));
-        assert_eq!(lm.mode_of(a(1), K), Some(LockMode::Write));
+        assert_eq!(mode_of(&lm, a(1), K), Some(LockMode::Write));
         assert_eq!(lm.holders(K).len(), 1);
     }
 
@@ -475,7 +466,6 @@ mod tests {
         assert_eq!(lm.len(), 2);
         lm.release_all(a(1));
         assert!(lm.is_empty());
-        assert_eq!(lm.grants(), 2);
     }
 
     #[test]

@@ -174,11 +174,6 @@ impl TxSystem {
         self.inner.borrow_mut().obs = obs.clone();
     }
 
-    /// The observability registry currently in use (disabled by default).
-    pub fn observer(&self) -> Registry {
-        self.inner.borrow().obs.clone()
-    }
-
     /// Installs the undo-arena applier: the replication layer's hook that
     /// restores object snapshots when a transaction aborts.
     pub fn set_undo_applier(&self, applier: Rc<dyn UndoApplier>) {
@@ -625,11 +620,6 @@ impl TxSystem {
         self.inner.borrow().locks.is_empty()
     }
 
-    /// The mode `action` holds on `key`, if any.
-    pub fn lock_mode_of(&self, action: ActionId, key: LockKey) -> Option<LockMode> {
-        self.inner.borrow().locks.mode_of(action, key)
-    }
-
     /// Current holders of `key` (tests and diagnostics).
     pub fn lock_holders(&self, key: LockKey) -> Vec<(ActionId, LockMode)> {
         self.inner.borrow().locks.holders(key)
@@ -724,6 +714,14 @@ mod tests {
 
     fn key(k: u64) -> LockKey {
         LockKey::new(1, k)
+    }
+
+    /// The mode `action` holds on `key`, if any.
+    fn mode_of(tx: &TxSystem, action: ActionId, key: LockKey) -> Option<LockMode> {
+        tx.lock_holders(key)
+            .into_iter()
+            .find(|&(hid, _)| hid == action)
+            .map(|(_, m)| m)
     }
 
     fn state(b: &[u8]) -> ObjectState {
@@ -873,7 +871,7 @@ mod tests {
             }
             assert!(!tx.is_active(a) && tx.is_active(ntl));
             assert_eq!(tx.live_actions(), 1);
-            assert_eq!(tx.lock_mode_of(ntl, key(6)), Some(LockMode::Write));
+            assert_eq!(mode_of(&tx, ntl, key(6)), Some(LockMode::Write));
             // The survivor still locks, nests, commits and releases.
             tx.lock(ntl, key(7), LockMode::Read).unwrap();
             let n = tx.begin_nested(ntl);
@@ -1191,7 +1189,7 @@ mod tests {
         tx.lock(n2, key(4), LockMode::Write).unwrap();
         tx.commit(n2).unwrap();
         tx.commit(n1).unwrap();
-        assert_eq!(tx.lock_mode_of(a, key(4)), Some(LockMode::Write));
+        assert_eq!(mode_of(&tx, a, key(4)), Some(LockMode::Write));
         let b = tx.begin_top(NodeId::new(1));
         assert!(tx.lock(b, key(4), LockMode::Read).is_err());
         tx.commit(a).unwrap();
@@ -1238,7 +1236,7 @@ mod tests {
         tx.abort(b);
         assert_eq!(obs.get(ObsCounter::Aborts), 1);
         assert_eq!(obs.get(ObsCounter::UndoOps), 1);
-        assert_eq!(tx.observer().get(ObsCounter::Commits), 1);
+        assert_eq!(tx.inner.borrow().obs.get(ObsCounter::Commits), 1);
     }
 
     #[test]

@@ -11,12 +11,10 @@ use groupview_group::member::RecordingMember;
 use groupview_group::GroupComms;
 use groupview_replication::{Counter, CounterOp, ReplicationPolicy, System};
 use groupview_scenario::{run_plan_typed, FaultPlan, ModelKind, PlanAction};
-use groupview_sim::{Bytes, NetConfig, NodeId, Sim, SimConfig, SimDuration};
+use groupview_sim::{Bytes, NetConfig, NodeId, Rng, Sim, SimConfig, SimDuration};
 use groupview_store::Uid;
 use groupview_workload::table::{fmt_f64, fmt_pct};
 use groupview_workload::{RunMetrics, TextTable, WorkloadSpec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -180,14 +178,14 @@ const CRASH_SLOT: SimDuration = SimDuration::from_millis(3);
 /// [`CRASH_SLOT`]: in each slot, while the node is up, it crashes with
 /// probability `p` and recovers `down_for` slots later.
 fn random_crash_plan(seed: u64, node: NodeId, slots: u64, p: f64, down_for: u64) -> FaultPlan {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut plan = FaultPlan::new();
     let mut down_until = 0u64;
     for slot in 0..slots {
         if slot < down_until {
             continue;
         }
-        if rng.random::<f64>() < p {
+        if rng.next_f64() < p {
             let up_at = slot + down_for;
             plan = plan
                 .at(CRASH_SLOT * slot, PlanAction::CrashNode(node))

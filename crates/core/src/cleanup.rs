@@ -143,7 +143,7 @@ mod tests {
         assert!(report.deferred.is_empty());
         let e = ns.server_db.entry(uid()).unwrap();
         assert_eq!(e.total_uses(), 1);
-        assert_eq!(e.clients_of(n(1)), vec![c(2)]);
+        assert_eq!(e.use_lists[&n(1)].keys().collect::<Vec<_>>(), [&c(2)]);
         // Sweep is idempotent.
         let again = daemon.sweep(|cl| alive.contains(&cl));
         assert_eq!(again.reclaimed(), 0);

@@ -14,12 +14,11 @@ use groupview_actions::{ActionId, LockKey, LockMode, TxSystem};
 use groupview_store::Uid;
 use std::fmt;
 
-/// A directory entry is the UID a name is bound to; the table side counts
-/// lookups served.
+/// A directory entry is the UID a name is bound to.
 impl Entry for Uid {
     type Key = String;
     type Query = str;
-    type Side = u64;
+    type Side = ();
 
     fn lock_key(name: &str) -> LockKey {
         name_key(name)
@@ -80,11 +79,9 @@ impl Directory {
     /// [`DbError::NotFound`] (with a nil UID) for unknown names, or a lock
     /// refusal.
     pub fn lookup(&self, action: ActionId, name: &str) -> Result<Uid, DbError> {
-        self.table
-            .read(action, name, LockMode::Read, |entry, lookups| {
-                *lookups += 1;
-                entry.copied().ok_or(DbError::NotFound(Uid::from_raw(0)))
-            })
+        self.table.read(action, name, LockMode::Read, |entry, _| {
+            entry.copied().ok_or(DbError::NotFound(Uid::from_raw(0)))
+        })
     }
 
     /// Removes `name` within `action`. Returns whether it existed.
@@ -105,11 +102,6 @@ impl Directory {
     /// All bound names, sorted (diagnostics; no locks).
     pub fn names(&self) -> Vec<String> {
         self.table.keys()
-    }
-
-    /// Total lookups served.
-    pub fn lookups(&self) -> u64 {
-        self.table.with_side(|lookups| *lookups)
     }
 }
 
@@ -146,7 +138,6 @@ mod tests {
         assert!(!dir.unbind_name(b, "accounts/alice").unwrap());
         tx.commit(b).unwrap();
         assert!(dir.names().is_empty());
-        assert!(dir.lookups() >= 2);
     }
 
     #[test]

@@ -141,14 +141,14 @@ impl RemoteServerCache {
     ///
     /// The [`NetError`] that kept the request or its reply from arriving
     /// (the caller may fall back or abort).
-    pub fn read_from(&self, caller: NodeId, uid: Uid) -> Result<NodeList, NetError> {
+    pub(crate) fn read_from(&self, caller: NodeId, uid: Uid) -> Result<NodeList, NetError> {
         let cache = self.cache.clone();
         self.sim
             .rpc(caller, self.node, 32, 96, move || cache.read(uid))
     }
 
     /// One-way failure report from `caller` (best effort).
-    pub fn report_failure_from(&self, caller: NodeId, uid: Uid, node: NodeId) {
+    pub(crate) fn report_failure_from(&self, caller: NodeId, uid: Uid, node: NodeId) {
         let cache = self.cache.clone();
         let _ = self.sim.send_oneway(caller, self.node, 40, move || {
             cache.record_failure(uid, node);
@@ -156,7 +156,7 @@ impl RemoteServerCache {
     }
 
     /// One-way availability report from `caller` (best effort).
-    pub fn report_server_from(&self, caller: NodeId, uid: Uid, node: NodeId) {
+    pub(crate) fn report_server_from(&self, caller: NodeId, uid: Uid, node: NodeId) {
         let cache = self.cache.clone();
         let _ = self.sim.send_oneway(caller, self.node, 40, move || {
             cache.record_server(uid, node);

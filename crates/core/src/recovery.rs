@@ -11,7 +11,7 @@
 //!   ready to act as a server again — "execution of this operation is
 //!   necessary to check that A is quiescent" (§4.1.2). It does so for every
 //!   object it serves, including those a binder `Remove`d it from while it
-//!   was down ([`crate::ObjectServerDb::uids_served_by`]); a store-only
+//!   was down (`ObjectServerDb::uids_served_by`); a store-only
 //!   node serves nothing and never becomes a server.
 //!
 //! Additionally, two-phase commit leaves *in-doubt* prepared transactions in

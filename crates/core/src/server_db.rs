@@ -6,7 +6,6 @@ use crate::table::{Entry, Table};
 use groupview_actions::{ActionId, LockKey, LockMode, TxSystem};
 use groupview_sim::{ClientId, NodeId, NodeList};
 use groupview_store::Uid;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -16,7 +15,7 @@ use std::fmt;
 /// counting the clients using that server (§4.1.3). We key counters directly
 /// by [`ClientId`]; a per-client-node aggregation would lose the information
 /// the cleanup daemon needs when a single client crashes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerEntry {
     /// `SvA`: nodes capable of running a server, in insertion order.
     pub servers: NodeList,
@@ -34,7 +33,7 @@ impl ServerEntry {
     }
 
     /// Servers whose use list is non-empty (the object is activated there).
-    pub fn active_servers(&self) -> NodeList {
+    pub(crate) fn active_servers(&self) -> NodeList {
         self.servers
             .iter()
             .copied()
@@ -54,14 +53,6 @@ impl ServerEntry {
             .flat_map(|ul| ul.values())
             .map(|&c| c as u64)
             .sum()
-    }
-
-    /// The clients currently counted against `host`.
-    pub fn clients_of(&self, host: NodeId) -> Vec<ClientId> {
-        self.use_lists
-            .get(&host)
-            .map(|ul| ul.keys().copied().collect())
-            .unwrap_or_default()
     }
 
     /// Whether some host's use list counts `client`.
@@ -184,7 +175,7 @@ impl ObjectServerDb {
     /// # Errors
     ///
     /// [`DbError::AlreadyExists`] or a lock refusal.
-    pub fn create_entry(
+    pub(crate) fn create_entry(
         &self,
         action: ActionId,
         uid: Uid,
@@ -288,7 +279,7 @@ impl ObjectServerDb {
     /// # Errors
     ///
     /// As [`ObjectServerDb::remove`].
-    pub fn prune(&self, action: ActionId, uid: Uid, host: NodeId) -> Result<bool, DbError> {
+    pub(crate) fn prune(&self, action: ActionId, uid: Uid, host: NodeId) -> Result<bool, DbError> {
         let removed = self.remove(action, uid, host)?;
         if removed {
             self.table.with_side(|side| side.pruned.insert((host, uid)));
@@ -448,7 +439,7 @@ impl ObjectServerDb {
     /// The objects `host` serves, sorted: those whose `SvA` lists it, and
     /// those a binder pruned it from that no migration has moved away
     /// since. A recovered server re-`Insert`s itself into each (§4.1.2).
-    pub fn uids_served_by(&self, host: NodeId) -> Vec<Uid> {
+    pub(crate) fn uids_served_by(&self, host: NodeId) -> Vec<Uid> {
         let mut uids = self.uids_hosting(host);
         let listed = uids.len();
         self.table.with_side(|side| {
@@ -463,7 +454,7 @@ impl ObjectServerDb {
     }
 
     /// Whether `host` serves `uid` (see [`ObjectServerDb::uids_served_by`]).
-    pub fn is_served_by(&self, uid: Uid, host: NodeId) -> bool {
+    pub(crate) fn is_served_by(&self, uid: Uid, host: NodeId) -> bool {
         self.table
             .get(&uid)
             .is_some_and(|e| e.servers.contains(&host))
@@ -635,7 +626,10 @@ mod tests {
         let e = db.entry(uid()).unwrap();
         assert_eq!(e.total_uses(), 3);
         assert_eq!(e.active_servers(), vec![n(1), n(2)]);
-        assert_eq!(e.clients_of(n(1)), vec![c(1), c(2)]);
+        assert_eq!(
+            e.use_lists[&n(1)].keys().collect::<Vec<_>>(),
+            [&c(1), &c(2)]
+        );
         assert!(!e.is_quiescent());
         // Decrement c1 everywhere.
         let b = tx.begin_top(n(0));
@@ -692,7 +686,11 @@ mod tests {
         assert!(db.entry(uid()).unwrap().is_quiescent());
         tx.abort(b);
         let e = db.entry(uid()).unwrap();
-        assert_eq!(e.clients_of(n(1)), vec![c(1)], "use list restored");
+        assert_eq!(
+            e.use_lists[&n(1)].keys().collect::<Vec<_>>(),
+            [&c(1)],
+            "use list restored"
+        );
     }
 
     #[test]

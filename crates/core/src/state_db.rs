@@ -6,12 +6,11 @@ use crate::table::{Entry, Table};
 use groupview_actions::{ActionId, LockKey, LockMode, TxSystem};
 use groupview_sim::{NodeId, NodeList};
 use groupview_store::Uid;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One object's entry: the set `StA` of nodes whose object stores hold a
 /// (current) state of the object.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StateEntry {
     /// `StA`, in insertion order.
     pub stores: NodeList,
@@ -68,7 +67,7 @@ pub enum ExcludePolicy {
 
 impl ExcludePolicy {
     /// The lock mode this policy requests.
-    pub fn mode(self) -> LockMode {
+    pub(crate) fn mode(self) -> LockMode {
         match self {
             ExcludePolicy::PromoteToWrite => LockMode::Write,
             ExcludePolicy::ExcludeWriteLock => LockMode::ExcludeWrite,
@@ -132,7 +131,7 @@ impl ObjectStateDb {
     /// # Errors
     ///
     /// [`DbError::AlreadyExists`] or a lock refusal.
-    pub fn create_entry(
+    pub(crate) fn create_entry(
         &self,
         action: ActionId,
         uid: Uid,

@@ -48,13 +48,6 @@ pub struct MulticastOutcome {
     pub relayed: bool,
 }
 
-impl MulticastOutcome {
-    /// Reply bytes from the first member that answered.
-    pub fn first_reply(&self) -> Option<&Bytes> {
-        self.replies.first().map(|(_, r)| r)
-    }
-}
-
 /// Emptied reply lists kept per thread for the next multicast.
 const MAX_SPARE_REPLY_LISTS: usize = 8;
 
@@ -680,17 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn first_reply_accessor() {
-        let (_sim, comms) = world();
-        let g = comms.create_group(DeliveryMode::ReliableOrdered);
-        join_recording(&comms, g, NodeId::new(1));
-        let out = comms
-            .multicast(g, NodeId::new(0), &Bytes::from_static(b"m"))
-            .unwrap();
-        assert_eq!(out.first_reply().expect("one reply"), b"ack1");
-    }
-
-    #[test]
     fn a_dropped_outcome_hands_its_reply_list_to_the_next_multicast() {
         let (_sim, comms) = world();
         let g = comms.create_group(DeliveryMode::ReliableOrdered);
@@ -724,7 +706,7 @@ mod tests {
                 .comms
                 .multicast(self.onward, NodeId::new(1), msg)
                 .expect("nested multicast");
-            out.first_reply().expect("one reply").clone()
+            out.replies[0].1.clone()
         }
     }
 

@@ -23,8 +23,7 @@
 //!   to *reproduce* Figure 1 (experiment E1), not to be used.
 //!
 //! Membership is tracked in numbered [`View`]s; [`GroupComms::refresh_view`]
-//! removes crashed members, and [`View::elect`] picks a coordinator (used by
-//! coordinator-cohort replication).
+//! removes crashed members.
 
 #![forbid(unsafe_code)]
 

@@ -1,11 +1,10 @@
 //! Group identities and membership views.
 
-use groupview_sim::{NodeId, Sim};
-use serde::{Deserialize, Serialize};
+use groupview_sim::NodeId;
 use std::fmt;
 
 /// Identity of a process group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(u64);
 
 impl GroupId {
@@ -32,7 +31,7 @@ impl fmt::Display for GroupId {
 /// number increases monotonically. Members are kept in joining order, which
 /// also serves as the deterministic delivery order for the total-order
 /// multicast.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     /// Monotonically increasing view number.
     pub id: u64,
@@ -41,14 +40,6 @@ pub struct View {
 }
 
 impl View {
-    /// An empty initial view.
-    pub fn empty() -> View {
-        View {
-            id: 0,
-            members: Vec::new(),
-        }
-    }
-
     /// Number of members.
     pub fn len(&self) -> usize {
         self.members.len()
@@ -62,25 +53,6 @@ impl View {
     /// Whether `node` is in the view.
     pub fn contains(&self, node: NodeId) -> bool {
         self.members.contains(&node)
-    }
-
-    /// Members of the view that are currently functioning.
-    pub fn live_members(&self, sim: &Sim) -> Vec<NodeId> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|&n| sim.is_up(n))
-            .collect()
-    }
-
-    /// Elects a coordinator: the lowest-id functioning member.
-    ///
-    /// Used by coordinator-cohort replication when the previous coordinator
-    /// fails ("the cohorts elect one of them as the new coordinator",
-    /// §2.3(2)(ii)). Deterministic, so every survivor elects the same node
-    /// without extra rounds.
-    pub fn elect(&self, sim: &Sim) -> Option<NodeId> {
-        self.live_members(sim).into_iter().min()
     }
 }
 
@@ -100,7 +72,6 @@ impl fmt::Display for View {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use groupview_sim::SimConfig;
 
     #[test]
     fn group_id_roundtrip() {
@@ -119,32 +90,10 @@ mod tests {
         assert!(v.contains(NodeId::new(0)));
         assert!(!v.contains(NodeId::new(1)));
         assert_eq!(v.to_string(), "view#1{n2,n0}");
-        assert!(View::empty().is_empty());
-    }
-
-    #[test]
-    fn election_prefers_lowest_live_id() {
-        let sim = Sim::new(SimConfig::new(1).with_nodes(3));
-        let v = View {
-            id: 1,
-            members: vec![NodeId::new(2), NodeId::new(0), NodeId::new(1)],
+        let empty = View {
+            id: 0,
+            members: Vec::new(),
         };
-        assert_eq!(v.elect(&sim), Some(NodeId::new(0)));
-        sim.crash(NodeId::new(0));
-        assert_eq!(v.elect(&sim), Some(NodeId::new(1)));
-        sim.crash(NodeId::new(1));
-        sim.crash(NodeId::new(2));
-        assert_eq!(v.elect(&sim), None);
-    }
-
-    #[test]
-    fn live_members_filters_crashed() {
-        let sim = Sim::new(SimConfig::new(1).with_nodes(3));
-        let v = View {
-            id: 1,
-            members: vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)],
-        };
-        sim.crash(NodeId::new(1));
-        assert_eq!(v.live_members(&sim), vec![NodeId::new(0), NodeId::new(2)]);
+        assert!(empty.is_empty());
     }
 }

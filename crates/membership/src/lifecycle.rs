@@ -149,7 +149,7 @@ impl Membership {
 
     /// Whether `node` may receive new replicas right now: active, has a
     /// store, and is up (a down node cannot acknowledge the state copy).
-    pub fn is_eligible(&self, node: NodeId) -> bool {
+    pub(crate) fn is_eligible(&self, node: NodeId) -> bool {
         self.status(node) == NodeStatus::Active
             && self.sys.stores().has_store(node)
             && self.sys.sim().is_up(node)
@@ -195,12 +195,6 @@ impl Membership {
         self.sys
             .sim()
             .note(format_args!("membership: {node} draining"));
-    }
-
-    /// Whether nothing references `node` any more: it hosts no server
-    /// entry and appears in no state entry.
-    pub fn drain_complete(&self, node: NodeId) -> bool {
-        self.hosted(node).is_empty()
     }
 
     /// One drain pass: migrates every replica on `node` to the
@@ -380,7 +374,7 @@ mod tests {
         assert!(report.complete, "drain finished: {report}");
         assert_eq!(report.moved, vec![a.uid(), b.uid()]);
         assert_eq!(m.status(n[1]), NodeStatus::Removed);
-        assert!(m.drain_complete(n[1]));
+        assert!(m.hosted(n[1]).is_empty());
         // Both objects keep full strength; the new host picked up slack.
         for uid in [a.uid(), b.uid()] {
             let entry = sys.naming().state_db.entry(uid).unwrap();

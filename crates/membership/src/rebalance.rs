@@ -143,7 +143,7 @@ impl Rebalancer {
     /// Collects per-object load statistics, sorted by UID. Only objects
     /// known to both databases appear; state bytes come from the first
     /// reachable replica host.
-    pub fn object_stats(&self, m: &Membership) -> Vec<ObjectStat> {
+    pub(crate) fn object_stats(&self, m: &Membership) -> Vec<ObjectStat> {
         let sys = m.system();
         let naming = sys.naming();
         let mut stats = Vec::new();
@@ -174,7 +174,7 @@ impl Rebalancer {
 
     /// Aggregates object stats into per-node loads over `nodes` (replicas
     /// on other nodes are ignored — they are not movable this round).
-    pub fn node_loads(
+    pub(crate) fn node_loads(
         &self,
         objects: &[ObjectStat],
         nodes: &[NodeId],

@@ -70,7 +70,7 @@ impl Phase {
     pub const COUNT: usize = Phase::ALL.len();
 
     /// Stable lowercase name (JSONL/Chrome-trace event names).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::Bind => "bind",
             Phase::Probe => "probe",

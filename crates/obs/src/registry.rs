@@ -57,7 +57,7 @@ impl Counter {
     pub const COUNT: usize = Counter::ALL.len();
 
     /// Stable snake_case name used by exporters.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Counter::Invokes => "invokes",
             Counter::BatchOps => "batch_ops",
@@ -96,7 +96,7 @@ pub struct SpanRec {
 
 impl SpanRec {
     /// Span duration in virtual microseconds.
-    pub fn duration_us(&self) -> u64 {
+    pub(crate) fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
 }

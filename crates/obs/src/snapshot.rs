@@ -65,14 +65,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The load entry for one raw node id, if any work was attributed.
-    pub fn node_load(&self, node: u32) -> Option<&NodeLoad> {
-        self.node_loads
-            .binary_search_by_key(&node, |l| l.node)
-            .ok()
-            .map(|i| &self.node_loads[i])
-    }
-
     /// Multi-line per-node load breakdown (empty string when no node work
     /// was attributed). One line per node: invokes, locks, bytes in/out.
     pub fn node_load_breakdown(&self) -> String {
@@ -92,7 +84,7 @@ impl MetricsSnapshot {
     }
 
     /// Wire pool hit rate in 0..=1 (1.0 when no buffer was ever needed).
-    pub fn wire_pool_hit_rate(&self) -> f64 {
+    pub(crate) fn wire_pool_hit_rate(&self) -> f64 {
         let total = self.wire_buffer_allocs + self.wire_pool_reuses;
         if total == 0 {
             1.0
@@ -222,9 +214,8 @@ mod tests {
         });
         let nodes: Vec<u32> = a.node_loads.iter().map(|l| l.node).collect();
         assert_eq!(nodes, vec![1, 2, 7], "sorted by node id");
-        let n2 = a.node_load(2).unwrap();
+        let n2 = &a.node_loads[1];
         assert_eq!((n2.invokes, n2.locks, n2.bytes_out), (5, 3, 40));
-        assert!(a.node_load(9).is_none());
         let text = a.node_load_breakdown();
         assert!(text.contains("node 2"), "{text}");
         assert!(text.contains("out=40"), "{text}");

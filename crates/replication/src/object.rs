@@ -45,14 +45,6 @@ impl InvokeResult {
             mutated: false,
         }
     }
-
-    /// A state-changing result.
-    pub fn wrote(reply: impl Into<Bytes>) -> Self {
-        InvokeResult {
-            reply: reply.into(),
-            mutated: true,
-        }
-    }
 }
 
 /// A persistent replicated object's in-memory behaviour, as servers see it:
@@ -212,7 +204,7 @@ impl TypeRegistry {
     }
 
     /// Registers (or replaces) the class `O` under its tag.
-    pub fn register<O: ObjectType>(&self) {
+    pub(crate) fn register<O: ObjectType>(&self) {
         let decode: DecodeFn = |data| Box::new(O::decode_state(data));
         self.inner.borrow_mut().insert(O::TAG, decode);
     }
@@ -223,7 +215,7 @@ impl TypeRegistry {
     }
 
     /// Whether `tag` has a registered decoder.
-    pub fn knows(&self, tag: TypeTag) -> bool {
+    pub(crate) fn knows(&self, tag: TypeTag) -> bool {
         self.inner.borrow().contains_key(&tag)
     }
 }

@@ -29,16 +29,6 @@ impl ReplicationPolicy {
         ReplicationPolicy::CoordinatorCohort,
         ReplicationPolicy::SingleCopyPassive,
     ];
-
-    /// Whether the policy activates more than one server replica.
-    pub fn replicates_servers(self) -> bool {
-        !matches!(self, ReplicationPolicy::SingleCopyPassive)
-    }
-
-    /// Whether a single server crash mid-action forces the client to abort.
-    pub fn crash_aborts_action(self) -> bool {
-        matches!(self, ReplicationPolicy::SingleCopyPassive)
-    }
 }
 
 impl fmt::Display for ReplicationPolicy {
@@ -57,11 +47,6 @@ mod tests {
 
     #[test]
     fn policy_properties() {
-        assert!(ReplicationPolicy::Active.replicates_servers());
-        assert!(ReplicationPolicy::CoordinatorCohort.replicates_servers());
-        assert!(!ReplicationPolicy::SingleCopyPassive.replicates_servers());
-        assert!(ReplicationPolicy::SingleCopyPassive.crash_aborts_action());
-        assert!(!ReplicationPolicy::Active.crash_aborts_action());
         assert_eq!(ReplicationPolicy::ALL.len(), 3);
         assert_eq!(ReplicationPolicy::Active.to_string(), "active");
     }

@@ -88,7 +88,7 @@ impl ServerReplica {
     }
 
     /// Whether the replica currently holds a loaded state (crash-aware).
-    pub fn is_loaded(&mut self, sim: &Sim) -> bool {
+    pub(crate) fn is_loaded(&mut self, sim: &Sim) -> bool {
         self.state.get(sim).is_some()
     }
 
@@ -113,7 +113,7 @@ impl ServerReplica {
     }
 
     /// Unloads the replica (passivation: "destroying the server", §2.3(3)).
-    pub fn unload(&mut self, sim: &Sim) {
+    pub(crate) fn unload(&mut self, sim: &Sim) {
         self.state.set(sim, None);
     }
 
@@ -175,15 +175,10 @@ impl ServerReplica {
         })
     }
 
-    /// The last committed version this replica is based on.
-    pub fn base_version(&mut self, sim: &Sim) -> Option<Version> {
-        self.state.get_mut(sim).as_ref().map(|l| l.base_version)
-    }
-
     /// Records that the surrounding action committed at `version`. The
     /// slot empties too: no retry reaches an op of a finished action, so
     /// its reply frame goes back to the pool now, not at the next op.
-    pub fn mark_committed(&mut self, sim: &Sim, version: Version) {
+    pub(crate) fn mark_committed(&mut self, sim: &Sim, version: Version) {
         if let Some(loaded) = self.state.get_mut(sim).as_mut() {
             loaded.base_version = version;
             loaded.remembered = None;
@@ -196,7 +191,7 @@ impl ServerReplica {
     /// A same-class loaded replica is restored **in place**
     /// ([`ReplicaObject::restore`]); only an unloaded (or, defensively,
     /// differently-tagged) replica decodes a fresh box.
-    pub fn install_checkpoint(
+    pub(crate) fn install_checkpoint(
         &mut self,
         sim: &Sim,
         state: &ObjectState,
@@ -233,7 +228,7 @@ impl ServerReplica {
     /// base version is preserved, and a slot naming one of `undone_ops` is
     /// emptied so a retry re-executes it. Same-class restores happen in
     /// place, without decoding a fresh box.
-    pub fn restore_data(
+    pub(crate) fn restore_data(
         &mut self,
         sim: &Sim,
         tag: TypeTag,
@@ -416,7 +411,6 @@ mod tests {
         sim.recover(n);
         assert!(!r.is_loaded(&sim), "volatile state lost");
         assert!(r.snapshot_state(&sim, &enc()).is_none());
-        assert!(r.base_version(&sim).is_none());
     }
 
     #[test]
@@ -485,7 +479,6 @@ mod tests {
         let mut r = ServerReplica::new(&sim, Uid::from_raw(1), NodeId::new(0));
         r.load(&sim, &counter_state(0), &types);
         r.mark_committed(&sim, Version::new(3));
-        assert_eq!(r.base_version(&sim), Some(Version::new(3)));
         assert_eq!(
             r.snapshot_state(&sim, &enc()).unwrap().version,
             Version::new(3)
@@ -507,7 +500,13 @@ mod tests {
         assert!(cohort.install_checkpoint(
             &sim,
             &chk,
-            Some((7, &InvokeResult::wrote(9i64.to_le_bytes().to_vec()))),
+            Some((
+                7,
+                &InvokeResult {
+                    reply: 9i64.to_le_bytes().to_vec().into(),
+                    mutated: true,
+                }
+            )),
             &types
         ));
         // A retried op 7 at the (now promoted) cohort is deduped.

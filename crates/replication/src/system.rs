@@ -325,11 +325,6 @@ impl System {
         &self.inner.registry
     }
 
-    /// The class registry (pre-loaded with the built-in classes).
-    pub fn types(&self) -> &TypeRegistry {
-        &self.inner.types
-    }
-
     /// The recovery manager.
     pub fn recovery(&self) -> &RecoveryManager {
         &self.inner.recovery

@@ -335,7 +335,10 @@ mod tests {
         for reply in [
             MemberReply::NotLoaded,
             MemberReply::Loaded(InvokeResult::read(Vec::new())),
-            MemberReply::Loaded(InvokeResult::wrote(vec![1, 2, 3])),
+            MemberReply::Loaded(InvokeResult {
+                reply: vec![1, 2, 3].into(),
+                mutated: true,
+            }),
         ] {
             let frame = MemberReplyCodec::encode(&enc, &reply);
             assert_eq!(MemberReplyCodec::decode(&frame), Some(reply));

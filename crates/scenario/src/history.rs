@@ -113,7 +113,14 @@ impl History {
     }
 
     /// Records an abort.
-    pub fn aborted(&mut self, at: SimTime, client: usize, action: u64, uid: Uid, failure: bool) {
+    pub(crate) fn aborted(
+        &mut self,
+        at: SimTime,
+        client: usize,
+        action: u64,
+        uid: Uid,
+        failure: bool,
+    ) {
         self.events.push(Event {
             at,
             client,
@@ -124,7 +131,7 @@ impl History {
     }
 
     /// Records a client crash that abandoned an in-flight action.
-    pub fn crashed(&mut self, at: SimTime, client: usize, action: u64, uid: Uid) {
+    pub(crate) fn crashed(&mut self, at: SimTime, client: usize, action: u64, uid: Uid) {
         self.events.push(Event {
             at,
             client,
@@ -150,7 +157,7 @@ impl History {
     }
 
     /// Number of committed actions in the history.
-    pub fn commits(&self) -> usize {
+    pub(crate) fn commits(&self) -> usize {
         self.events
             .iter()
             .filter(|e| e.kind == EventKind::Committed)

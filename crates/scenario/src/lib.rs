@@ -59,7 +59,7 @@ pub use crate::export::{TracedRun, NOTES_TID};
 pub use crate::history::{Event, EventKind, History};
 pub use crate::nemesis::{
     client_churn, flapping_partition, lossy_window, recovery_storm, rolling_crashes,
-    send_window_crashes, store_commit_crashes,
+    send_window_crashes,
 };
 pub use crate::oracle::{
     check_counter_states, check_final_states, check_quiescent_invariants, ModelKind, ObjectModel,
@@ -67,8 +67,8 @@ pub use crate::oracle::{
 };
 pub use crate::plan::{FaultPlan, PlanAction, PlanError, PlanEvent};
 pub use crate::runner::{
-    run_matrix, run_plan_typed, run_scenario, run_scenario_in, run_scenario_observed,
-    run_scenario_traced, Checks, PlanGenerator, RunOutcome, Scenario, ScenarioReport,
+    run_matrix, run_plan_typed, run_scenario_in, run_scenario_traced, Checks, PlanGenerator,
+    RunOutcome, Scenario, ScenarioReport,
 };
 pub use crate::scenarios::canned_scenarios;
 pub use crate::soak::{run_soak, SoakConfig, SoakReport};

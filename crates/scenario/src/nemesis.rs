@@ -8,22 +8,20 @@
 //! property-tested in `tests/plan_properties.rs`.
 
 use crate::plan::{FaultPlan, PlanAction};
-use groupview_sim::{NodeId, SimDuration};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use groupview_sim::{NodeId, Rng, SimDuration};
 
-fn rng_for(seed: u64, stream: u64) -> StdRng {
+fn rng_for(seed: u64, stream: u64) -> Rng {
     // Distinct streams per nemesis family so composing two nemeses with the
     // same scenario seed still yields independent schedules.
-    StdRng::seed_from_u64(seed ^ (stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+    Rng::new(seed ^ (stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 /// Uniform jitter in `[0, bound)` microseconds (0 when `bound` is 0).
-fn jitter(rng: &mut StdRng, bound: u64) -> u64 {
+fn jitter(rng: &mut Rng, bound: u64) -> u64 {
     if bound == 0 {
         0
     } else {
-        rng.random_range(0..bound)
+        rng.range(0..bound)
     }
 }
 
@@ -158,7 +156,7 @@ pub fn send_window_crashes(
     let mut t = start.as_micros();
     for round in 0..rounds {
         let node = nodes[round % nodes.len()];
-        let budget = 1 + rng.random_range(0..max_budget as u64) as u32;
+        let budget = 1 + rng.range(0..max_budget as u64) as u32;
         let arm_at = t + jitter(&mut rng, slack / 2);
         let recover_at = arm_at + downtime.as_micros();
         plan = plan
@@ -178,7 +176,7 @@ pub fn send_window_crashes(
 /// whatever client action is writing back at that moment, leaving the store
 /// with an in-doubt transaction that only the §4 recovery protocol (via the
 /// coordinator's decision record) can resolve.
-pub fn store_commit_crashes(
+pub(crate) fn store_commit_crashes(
     seed: u64,
     nodes: &[NodeId],
     start: SimDuration,
@@ -224,7 +222,7 @@ pub fn client_churn(
     // Pick `kills` distinct victims by partial Fisher–Yates.
     let mut pool: Vec<usize> = (0..clients).collect();
     for i in 0..kills.min(clients.saturating_sub(1)) {
-        let j = rng.random_range(i..clients);
+        let j = rng.range(i as u64..clients as u64) as usize;
         pool.swap(i, j);
     }
     let mut kill_times: Vec<u64> = (0..kills)
@@ -267,7 +265,7 @@ pub fn recovery_storm(
     let mut rng = rng_for(seed, 5);
     let mut order: Vec<NodeId> = nodes.to_vec();
     for i in (1..order.len()).rev() {
-        let j = rng.random_range(0..=i);
+        let j = rng.range_inclusive(0..=i as u64) as usize;
         order.swap(i, j);
     }
     let spread_us = spread.as_micros().max(1);
@@ -288,7 +286,7 @@ pub fn recovery_storm(
     recover_times.sort_unstable();
     // Recover in a *different* shuffle than the crash order.
     for i in (1..order.len()).rev() {
-        let j = rng.random_range(0..=i);
+        let j = rng.range_inclusive(0..=i as u64) as usize;
         order.swap(i, j);
     }
     for (node, t) in order.iter().zip(&recover_times) {
@@ -304,7 +302,7 @@ pub fn recovery_storm(
 /// Membership actions carry no well-formedness constraints (an add always
 /// succeeds; a drain or rebalance against a busy or degraded world defers
 /// and retries), so the seed only jitters *when* each step lands.
-pub fn elastic_ramp(
+pub(crate) fn elastic_ramp(
     seed: u64,
     adds: usize,
     drain: NodeId,
@@ -336,7 +334,7 @@ pub fn elastic_ramp(
 /// migration transactions keep running into dead state sources, shrunken
 /// target sets, and freshly refreshed stores, and every move must still
 /// commit atomically or abort without a trace.
-pub fn rebalance_storm(
+pub(crate) fn rebalance_storm(
     seed: u64,
     nodes: &[NodeId],
     start: SimDuration,
@@ -353,7 +351,7 @@ pub fn rebalance_storm(
     let q = p / 8;
     let mut t = start.as_micros();
     for _ in 0..rounds {
-        let node = nodes[rng.random_range(0..nodes.len())];
+        let node = nodes[rng.range(0..nodes.len() as u64) as usize];
         let crash_at = t + jitter(&mut rng, q);
         let mid_at = crash_at + 1 + q + jitter(&mut rng, q);
         let recover_at = mid_at + 1 + q + jitter(&mut rng, q);

@@ -195,14 +195,9 @@ impl Oracle {
     /// atomicity oracle for transfers — a transaction that commits only one
     /// leg (a withdrawal without its deposit, or vice versa) shifts the
     /// total and is flagged at the exact action that broke it.
-    pub fn with_conservation(mut self) -> Self {
+    pub(crate) fn with_conservation(mut self) -> Self {
         self.conservation = true;
         self
-    }
-
-    /// The objects under test.
-    pub fn objects(&self) -> &[ObjectModel] {
-        &self.objects
     }
 
     /// Runs the full verdict: history replay, final-state equivalence, and

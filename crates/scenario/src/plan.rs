@@ -183,7 +183,7 @@ impl FaultPlan {
 
     /// Adds an action `micros` microseconds after the start of the run.
     #[must_use]
-    pub fn at_micros(self, micros: u64, action: PlanAction) -> Self {
+    pub(crate) fn at_micros(self, micros: u64, action: PlanAction) -> Self {
         self.at(SimDuration::from_micros(micros), action)
     }
 

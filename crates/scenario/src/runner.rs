@@ -7,7 +7,7 @@
 //! records a [`History`] for the oracle. It subsumed the legacy
 //! `workload::Driver`, whose recorded runs `tests/parity.rs` still pins.
 //!
-//! [`run_scenario`] adds the full verification cycle: build the world, run
+//! `run_scenario` adds the full verification cycle: build the world, run
 //! the plan, quiesce (heal + recover + sweep), and hand the history to the
 //! [`Oracle`]. [`run_matrix`] fans a scenario list across a seed list.
 
@@ -787,7 +787,7 @@ pub struct ScenarioReport {
     pub failures: Vec<String>,
     /// Observability snapshot (per-phase latencies, protocol counters,
     /// wire stats). `None` unless the run was observed
-    /// ([`run_scenario_observed`] or a world built with
+    /// (`run_scenario_observed` or a world built with
     /// `SystemBuilder::observe`) — so default runs render exactly as
     /// before.
     pub obs: Option<MetricsSnapshot>,
@@ -845,7 +845,7 @@ impl fmt::Display for ScenarioReport {
 
 /// Runs one scenario under one seed: build the world, create the objects,
 /// drive the plan, quiesce, and collect verdicts.
-pub fn run_scenario(scenario: &Scenario, seed: u64) -> ScenarioReport {
+pub(crate) fn run_scenario(scenario: &Scenario, seed: u64) -> ScenarioReport {
     run_scenario_built(scenario, seed, false, false)
 }
 
@@ -853,11 +853,11 @@ pub fn run_scenario(scenario: &Scenario, seed: u64) -> ScenarioReport {
 /// report carries a [`MetricsSnapshot`] (and its `Display` appends the
 /// per-phase latency breakdown). The run itself is bit-for-bit identical
 /// to the unobserved one — `tests/obs_parity.rs` pins this.
-pub fn run_scenario_observed(scenario: &Scenario, seed: u64) -> ScenarioReport {
+pub(crate) fn run_scenario_observed(scenario: &Scenario, seed: u64) -> ScenarioReport {
     run_scenario_built(scenario, seed, true, false)
 }
 
-/// [`run_scenario_observed`] with sim event tracing on as well; returns the
+/// `run_scenario_observed` with sim event tracing on as well; returns the
 /// drained trace events and causal spans alongside the report, ready to
 /// render with [`crate::export::TracedRun::chrome_json`].
 pub fn run_scenario_traced(scenario: &Scenario, seed: u64) -> crate::export::TracedRun {
@@ -916,7 +916,7 @@ fn create_scenario_objects(scenario: &Scenario, sys: &System) -> Vec<(Uid, Model
 
 /// Runs a scenario's plan/quiesce/verify cycle inside an **existing**
 /// world whose objects are already created — the second half of
-/// [`run_scenario`], public so a caller can build the world itself and
+/// `run_scenario`, public so a caller can build the world itself and
 /// read it after the run.
 ///
 /// `objects` pairs each created uid with its [`ModelKind`]; the

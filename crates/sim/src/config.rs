@@ -1,14 +1,13 @@
 //! Simulation configuration.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the simulated network.
 ///
 /// Defaults model a lightly loaded early-90s LAN in spirit: sub-millisecond
 /// point-to-point latency, no drops. Experiments override the pieces they
 /// sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
     /// Minimum one-way message latency.
     pub base_latency: SimDuration,
@@ -61,7 +60,7 @@ impl NetConfig {
 /// let sim = Sim::new(cfg);
 /// assert_eq!(sim.num_nodes(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Seed for the simulation's random number generator.
     pub seed: u64,

@@ -1,6 +1,5 @@
 //! Identifiers for the entities participating in a simulation.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{hash_map, hash_set};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -100,9 +99,7 @@ pub type IdSet<K> = hash_set::HashSet<K, BuildHasherDefault<IdHasher>>;
 /// assert_eq!(n.index(), 3);
 /// assert_eq!(n.to_string(), "n3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -145,7 +142,7 @@ impl From<u32> for NodeId {
 /// use groupview_sim::ClientId;
 /// assert_eq!(ClientId::new(7).to_string(), "c7");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(u32);
 
 impl ClientId {

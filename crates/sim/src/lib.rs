@@ -19,6 +19,9 @@
 //! * **Network model**: per-message latency (base + jitter), probabilistic
 //!   drops, symmetric partitions, and scripted fault points such as
 //!   [`Sim::crash_after_sends`].
+//! * **Random stream** ([`Rng`]): the seeded splitmix64 generator behind
+//!   jitter, drops and the scenario nemeses, owned here so that the same
+//!   seed gives the same bytes.
 //! * **RPC**: a synchronous request/response helper ([`Sim::rpc`]) that
 //!   preserves the failure asymmetry the paper reasons about — a server may
 //!   execute an invocation and crash *before* the reply is delivered.
@@ -51,6 +54,7 @@ pub mod error;
 pub mod ids;
 pub mod inline;
 pub mod metrics;
+pub mod rng;
 pub mod rpc;
 pub mod time;
 pub mod trace;
@@ -62,6 +66,7 @@ pub use crate::error::{Cause, NetError};
 pub use crate::ids::{ClientId, IdHasher, IdMap, IdSet, NodeId};
 pub use crate::inline::{InlineVec, NodeList};
 pub use crate::metrics::NetCounters;
+pub use crate::rng::Rng;
 pub use crate::time::{SimDuration, SimTime};
 pub use crate::trace::TraceEvent;
 pub use crate::wire::{Bytes, Codec, WireEncoder, WireStats};

@@ -1,10 +1,9 @@
 //! Network counters.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Global network statistics for a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetCounters {
     /// Messages successfully delivered.
     pub delivered: u64,
@@ -22,13 +21,6 @@ pub struct NetCounters {
     pub recoveries: u64,
     /// Total payload bytes delivered.
     pub bytes_delivered: u64,
-}
-
-impl NetCounters {
-    /// Total send attempts, successful or not.
-    pub fn attempts(&self) -> u64 {
-        self.delivered + self.dropped + self.to_down_node + self.partitioned
-    }
 }
 
 impl fmt::Display for NetCounters {
@@ -50,18 +42,6 @@ impl fmt::Display for NetCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_attempts_sums_all_outcomes() {
-        let c = NetCounters {
-            delivered: 5,
-            dropped: 2,
-            to_down_node: 1,
-            partitioned: 1,
-            ..Default::default()
-        };
-        assert_eq!(c.attempts(), 9);
-    }
 
     #[test]
     fn displays_are_nonempty() {

@@ -5,7 +5,6 @@
 //! charged, or a driver explicitly advances it — wall-clock time never leaks
 //! into protocol behaviour, which keeps runs deterministic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
@@ -17,9 +16,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// let t = SimTime::ZERO + SimDuration::from_millis(2);
 /// assert_eq!(t.as_micros(), 2_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, measured in microseconds.
@@ -29,9 +26,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_millis(1) + SimDuration::from_micros(500);
 /// assert_eq!(d.as_micros(), 1_500);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -76,11 +71,6 @@ impl SimDuration {
     /// The duration in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// The duration in (fractional) milliseconds; convenient for reports.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// Saturating subtraction.
@@ -168,7 +158,6 @@ mod tests {
         assert_eq!((d * 2).as_micros(), 3_000);
         let total: SimDuration = [d, d].into_iter().sum();
         assert_eq!(total.as_micros(), 3_000);
-        assert_eq!(d.as_millis_f64(), 1.5);
         assert_eq!(
             SimDuration::from_micros(1).saturating_sub(SimDuration::from_micros(5)),
             SimDuration::ZERO

@@ -2,7 +2,6 @@
 
 use crate::ids::NodeId;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single traced simulation event.
@@ -10,7 +9,7 @@ use std::fmt;
 /// Traces are only recorded when [`crate::SimConfig::trace`] is set; they are
 /// invaluable when a seeded failure test misbehaves, and power the
 /// `examples/failover` walk-through.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A message was delivered.
     Deliver {

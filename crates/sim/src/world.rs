@@ -4,10 +4,9 @@ use crate::config::SimConfig;
 use crate::error::NetError;
 use crate::ids::{IdSet, NodeId};
 use crate::metrics::NetCounters;
+use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -56,7 +55,7 @@ impl NodeState {
 struct SimCore {
     cfg: SimConfig,
     clock: SimTime,
-    rng: StdRng,
+    rng: Rng,
     /// Values drawn from `rng` since the world was created. Observability
     /// parity tests compare this across runs: tracing and span recording
     /// must never consume a draw.
@@ -132,7 +131,7 @@ impl Sim {
         let nodes = (0..cfg.nodes).map(|_| NodeState::fresh()).collect();
         Sim {
             inner: Rc::new(RefCell::new(SimCore {
-                rng: StdRng::seed_from_u64(cfg.seed),
+                rng: Rng::new(cfg.seed),
                 rng_draws: 0,
                 clock: SimTime::ZERO,
                 nodes,
@@ -305,7 +304,7 @@ impl Sim {
     pub(crate) fn random_f64(&self) -> f64 {
         let mut core = self.inner.borrow_mut();
         core.rng_draws += 1;
-        core.rng.random()
+        core.rng.next_f64()
     }
 
     /// Uniform integer in `[0, n)`.
@@ -317,7 +316,7 @@ impl Sim {
         assert!(n > 0, "random_below(0)");
         let mut core = self.inner.borrow_mut();
         core.rng_draws += 1;
-        core.rng.random_range(0..n)
+        core.rng.range(0..n)
     }
 
     /// Number of values drawn from the seeded generator since the world was
@@ -344,7 +343,7 @@ impl Sim {
         let mut core = self.inner.borrow_mut();
         for i in (1..items.len()).rev() {
             core.rng_draws += 1;
-            let j = core.rng.random_range(0..=i);
+            let j = core.rng.range_inclusive(0..=i as u64) as usize;
             items.swap(i, j);
         }
     }
@@ -524,7 +523,7 @@ impl SimCore {
         let p = self.cfg.net.drop_probability;
         if p > 0.0 {
             self.rng_draws += 1;
-            if self.rng.random::<f64>() < p {
+            if self.rng.next_f64() < p {
                 self.counters.dropped += 1;
                 self.trace(TraceEvent::Lost {
                     at,
@@ -541,7 +540,7 @@ impl SimCore {
             0
         } else {
             self.rng_draws += 1;
-            self.rng.random_range(0..=jitter)
+            self.rng.range_inclusive(0..=jitter)
         };
         let latency = self.cfg.net.base_latency + SimDuration::from_micros(extra);
         self.clock += latency;

@@ -4,7 +4,6 @@ use crate::error::StoreError;
 use crate::state::ObjectState;
 use crate::uid::Uid;
 use groupview_sim::{IdMap, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Token naming a prepared transaction in a store's intent log.
@@ -12,7 +11,7 @@ use std::fmt;
 /// The atomic-action layer uses its action ids here; the store layer only
 /// needs an opaque stable identifier (keeping this crate below the actions
 /// crate in the dependency order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxToken(u64);
 
 impl TxToken {
@@ -118,7 +117,7 @@ impl StableStore {
 
     /// Phase 1: durably records the writes of transaction `tx` without
     /// installing them.
-    pub fn prepare(&mut self, tx: TxToken, writes: Vec<(Uid, ObjectState)>) {
+    pub(crate) fn prepare(&mut self, tx: TxToken, writes: Vec<(Uid, ObjectState)>) {
         self.intents.insert(tx, writes);
     }
 

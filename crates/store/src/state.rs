@@ -1,7 +1,6 @@
 //! Versioned, type-tagged object state snapshots.
 
 use groupview_sim::wire::{Bytes, Codec, FRAME_OVERHEAD_BYTES};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Commit version of an object state.
@@ -9,9 +8,7 @@ use std::fmt;
 /// Every successful top-level commit that modified the object bumps its
 /// version. Versions let recovery code and tests decide which of two stored
 /// states is "the latest committed state" the paper's §3.1 talks about.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Version(u64);
 
 impl Version {
@@ -46,7 +43,7 @@ impl fmt::Display for Version {
 /// Object stores hold opaque bytes; the replication layer keeps a registry
 /// from `TypeTag` to a decode function (the analogue of Arjuna's C++ class
 /// code being available at server nodes, §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TypeTag(u32);
 
 impl TypeTag {
@@ -76,7 +73,7 @@ impl fmt::Display for TypeTag {
 /// The payload is a reference-counted [`Bytes`]: cloning an `ObjectState`
 /// (per cohort checkpoint, per store write-back participant) shares the
 /// encoded state instead of copying it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectState {
     /// Which registered type the bytes decode to.
     pub type_tag: TypeTag,
@@ -92,16 +89,6 @@ impl ObjectState {
         ObjectState {
             type_tag,
             version: Version::INITIAL,
-            data: data.into(),
-        }
-    }
-
-    /// A successor snapshot with new data and a bumped version.
-    #[must_use]
-    pub fn successor(&self, data: impl Into<Bytes>) -> Self {
-        ObjectState {
-            type_tag: self.type_tag,
-            version: self.version.next(),
             data: data.into(),
         }
     }
@@ -162,16 +149,6 @@ mod tests {
         assert!(Version::INITIAL < Version::INITIAL.next());
         assert_eq!(Version::new(4).next().raw(), 5);
         assert_eq!(Version::new(2).to_string(), "v2");
-    }
-
-    #[test]
-    fn successor_bumps_version_and_keeps_tag() {
-        let s0 = ObjectState::initial(TypeTag::new(9), vec![1, 2]);
-        let s1 = s0.successor(vec![3]);
-        assert_eq!(s1.type_tag, TypeTag::new(9));
-        assert_eq!(s1.version, Version::new(1));
-        assert_eq!(s1.data, vec![3]);
-        assert_eq!(s0.version, Version::INITIAL, "original untouched");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Unique identifiers for persistent objects.
 
 use groupview_sim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A system-wide unique identifier for a persistent object.
@@ -11,7 +10,7 @@ use std::fmt;
 /// UIDs to location information. We encode the creating node in the high
 /// bits and a per-node counter in the low bits, so generation needs no
 /// coordination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Uid(u64);
 
 impl Uid {
@@ -33,7 +32,7 @@ impl Uid {
     }
 
     /// The per-creator sequence number.
-    pub const fn sequence(self) -> u64 {
+    pub(crate) const fn sequence(self) -> u64 {
         self.0 & ((1 << Self::NODE_SHIFT) - 1)
     }
 }

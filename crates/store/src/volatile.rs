@@ -46,11 +46,6 @@ impl<T: Default> Volatile<T> {
         self.node
     }
 
-    /// Whether the cell's contents survived all crashes so far.
-    pub fn is_fresh(&self, sim: &Sim) -> bool {
-        self.epoch == sim.epoch(self.node)
-    }
-
     fn refresh(&mut self, sim: &Sim) {
         let current = sim.epoch(self.node);
         if self.epoch != current {
@@ -100,7 +95,7 @@ mod tests {
         let mut c: Volatile<u32> = Volatile::new(&sim, n);
         *c.get_mut(&sim) = 5;
         assert_eq!(*c.get(&sim), 5);
-        assert!(c.is_fresh(&sim));
+        assert_eq!(c.epoch, sim.epoch(n));
         assert_eq!(c.node(), n);
     }
 
@@ -110,10 +105,10 @@ mod tests {
         let mut c: Volatile<u32> = Volatile::new(&sim, n);
         *c.get_mut(&sim) = 5;
         sim.crash(n);
-        assert!(!c.is_fresh(&sim));
+        assert_ne!(c.epoch, sim.epoch(n));
         sim.recover(n);
         assert_eq!(*c.get(&sim), 0);
-        assert!(c.is_fresh(&sim), "access re-freshens the cell");
+        assert_eq!(c.epoch, sim.epoch(n), "access re-freshens the cell");
     }
 
     #[test]

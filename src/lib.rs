@@ -112,9 +112,9 @@ pub use groupview_replication::{
     System, SystemBuilder, Tx, TxOpError, TypedUid,
 };
 pub use groupview_scenario::{
-    canned_scenarios, run_matrix, run_plan_typed, run_scenario, run_scenario_observed,
-    run_scenario_traced, run_soak, FaultPlan, History, ModelKind, Oracle, OracleReport, PlanAction,
-    Scenario, ScenarioReport, SoakConfig, SoakReport, TracedRun,
+    canned_scenarios, run_matrix, run_plan_typed, run_scenario_traced, run_soak, FaultPlan,
+    History, ModelKind, Oracle, OracleReport, PlanAction, Scenario, ScenarioReport, SoakConfig,
+    SoakReport, TracedRun,
 };
 pub use groupview_sim::{
     Bytes, Cause, ClientId, Codec, NetConfig, NodeId, NodeList, Sim, SimConfig, WireEncoder,

@@ -13,9 +13,11 @@
 //! (`Cargo.toml`), not a type. Comments inside fenced blocks are prose
 //! and are skipped.
 
+mod common;
+
+use common::{root, rust_files};
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::{Path, PathBuf};
 
 /// Names the docs may use without a declaration in the workspace: std
 /// and core items, and the paper's own terms.
@@ -53,25 +55,6 @@ const ALLOWED: &[&str] = &[
     "St",
     "Sv",
 ];
-
-fn root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Every `.rs` file under `dir`, recursively.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
 
 fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
