@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{root, rust_files};
+use common::{is_ident_char, root, rust_files};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::sync::OnceLock;
@@ -83,10 +83,6 @@ fn lines_where(
         }
     }
     hits
-}
-
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
 }
 
 /// The byte offset just past the first whole-identifier `word` in `text`.

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{root, rust_files};
+use common::{is_ident_char, root, rust_files};
 use std::collections::BTreeSet;
 use std::fs;
 
@@ -55,10 +55,6 @@ const ALLOWED: &[&str] = &[
     "St",
     "Sv",
 ];
-
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
 
 /// Starts upper-case, is alphanumeric, and has a lower-case letter (so
 /// `PHASE_TID_BASE` and `O` are not CamelCase names).
