@@ -13,9 +13,19 @@
 //!
 //! Anything else exits 2 with a usage line.
 
-use groupview_bench::{all_experiments, tracefile};
-use groupview_scenario::{run_soak, SoakConfig};
+use groupview_bench::all_experiments;
+use groupview_scenario::{canned_scenarios, run_scenario_traced, run_soak, SoakConfig};
+use std::path::Path;
 use std::time::Instant;
+
+/// The canned scenario `trace` captures: a crash the replication layer
+/// must mask, so the trace shows bind/invoke/multicast spans, a crash
+/// instant, lost messages attributed to the actions they interrupted, and
+/// the recovery traffic.
+const TRACE_SCENARIO: &str = "active/masked_server_crash";
+/// The seed `trace` uses (any seed works; fixing one keeps the artifact
+/// reproducible).
+const TRACE_SEED: u64 = 7;
 
 /// What one invocation runs.
 #[derive(Debug, PartialEq)]
@@ -75,30 +85,39 @@ fn main() {
     });
     match command {
         Command::Trace => {
-            // Capture the traced canned scenario, validate the Chrome
-            // trace in-binary and write both artifacts. No timing is
-            // judged: the files are a function of (code, seed), so two
-            // processes must write identical bytes.
-            let artifacts = tracefile::capture().unwrap_or_else(|e| {
+            // Run the canned scenario traced and write both artifacts to
+            // the repository root. No timing is judged: the files are a
+            // function of (code, seed), so two processes must write
+            // identical bytes. A track out of time order or a failed
+            // scenario exits 1.
+            let scenario = canned_scenarios()
+                .into_iter()
+                .find(|s| s.name == TRACE_SCENARIO)
+                .expect("the traced scenario is canned");
+            let run = run_scenario_traced(&scenario, TRACE_SEED);
+            let (chrome_json, summary) = run.chrome_json().unwrap_or_else(|e| {
                 eprintln!("trace capture failed: {e}");
                 std::process::exit(1);
             });
-            std::fs::write(tracefile::chrome_path(), &artifacts.chrome_json)
-                .expect("write BENCH_trace.json");
-            std::fs::write(tracefile::jsonl_path(), &artifacts.jsonl)
-                .expect("write BENCH_trace.jsonl");
+            let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+            let chrome_path = root.join("BENCH_trace.json");
+            let jsonl_path = root.join("BENCH_trace.jsonl");
+            std::fs::write(&chrome_path, chrome_json).expect("write BENCH_trace.json");
+            std::fs::write(&jsonl_path, run.jsonl()).expect("write BENCH_trace.jsonl");
             println!(
-                "wrote {} + {} — validated: {} events ({} spans, {} instants) on {} tracks \
-                 from {} seed {}",
-                tracefile::chrome_path().display(),
-                tracefile::jsonl_path().display(),
-                artifacts.summary.events,
-                artifacts.summary.spans,
-                artifacts.summary.instants,
-                artifacts.summary.tracks,
-                tracefile::TRACE_SCENARIO,
-                tracefile::TRACE_SEED,
+                "wrote {} + {} — checked: {} events ({} spans, {} instants) on {} tracks \
+                 from {TRACE_SCENARIO} seed {TRACE_SEED}",
+                chrome_path.display(),
+                jsonl_path.display(),
+                summary.events,
+                summary.spans,
+                summary.instants,
+                summary.tracks,
             );
+            if !run.report.passed() {
+                println!("{}", run.report);
+                std::process::exit(1);
+            }
         }
         Command::Soak { rounds, base_seed } => {
             let cfg = SoakConfig { base_seed, rounds };

@@ -14,6 +14,5 @@
 //! `alloc_budgets` test.
 
 pub mod experiments;
-pub mod tracefile;
 
 pub use crate::experiments::{all_experiments, Experiment};

@@ -1,6 +1,11 @@
 //! Exporters: Chrome trace-event JSON (loads in Perfetto / `chrome://tracing`)
-//! and JSONL span lines — plus an in-binary validator so CI can assert a
-//! generated trace is well-formed without external tooling.
+//! and JSONL span lines.
+//!
+//! A Chrome trace is checked as it is built, not parsed back: each event
+//! kind is written by one format string with its text escaped, so the
+//! file's shape holds by construction (a unit test pins the exact bytes),
+//! and [`ChromeTrace::render`] refuses a trace whose timestamps go back in
+//! time on a track.
 //!
 //! The trace layout convention used throughout the workspace:
 //!
@@ -13,7 +18,7 @@
 
 use crate::phase::Phase;
 use crate::registry::SpanRec;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Track id offset for phase span tracks (`tid = PHASE_TID_BASE + index`).
 pub const PHASE_TID_BASE: u32 = 100;
@@ -51,13 +56,33 @@ pub fn span_jsonl(span: &SpanRec) -> String {
     )
 }
 
+/// What a rendered trace holds, counted as its events went in.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceSummary {
+    /// Total events in the file (including metadata).
+    pub events: usize,
+    /// Complete (`"X"`) span events.
+    pub spans: usize,
+    /// Instant (`"i"`) events.
+    pub instants: usize,
+    /// Distinct `(pid, tid)` tracks carrying timed events.
+    pub tracks: usize,
+}
+
 /// Incremental builder for a Chrome trace-event file.
 ///
-/// Events are appended pre-rendered; [`ChromeTrace::render`] wraps them in
-/// the `{"traceEvents":[...]}` envelope Perfetto expects.
+/// Events are written as they are appended. The builder keeps the last
+/// timestamp of every `(pid, tid)` track, so [`ChromeTrace::render`] can
+/// refuse a trace Perfetto would draw out of order.
 #[derive(Debug, Default)]
 pub struct ChromeTrace {
-    events: Vec<String>,
+    /// The events written so far, separated by `",\n"`.
+    body: String,
+    summary: TraceSummary,
+    /// The last timestamp of each track that carries a timed event.
+    last_ts: Vec<((u32, u32), u64)>,
+    /// The first event that went back in time on its track.
+    backwards: Option<String>,
 }
 
 impl ChromeTrace {
@@ -66,34 +91,25 @@ impl ChromeTrace {
         Self::default()
     }
 
-    /// Number of events appended so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events have been appended.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Name the process `pid` in the Perfetto UI.
     pub fn process_name(&mut self, pid: u32, name: &str) {
-        self.events.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(name)
-        ));
+        self.metadata(pid, 0, "process_name", name);
     }
 
     /// Name a track (`pid`,`tid`) in the Perfetto UI.
     pub fn thread_name(&mut self, pid: u32, tid: u32, name: &str) {
-        self.events.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
+        self.metadata(pid, tid, "thread_name", name);
+    }
+
+    fn metadata(&mut self, pid: u32, tid: u32, kind: &str, name: &str) {
+        self.push(format_args!(
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\"args\":{{\"name\":\"{}\"}}}}",
             escape_json(name)
         ));
     }
 
     /// Append a complete (`"X"`) span event.
-    pub fn complete(
+    fn complete(
         &mut self,
         pid: u32,
         tid: u32,
@@ -102,13 +118,12 @@ impl ChromeTrace {
         dur_us: u64,
         action: Option<u64>,
     ) {
-        let args = match action {
-            Some(a) => format!("{{\"action\":{a}}}"),
-            None => "{}".to_string(),
-        };
-        self.events.push(format!(
-            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us},\"dur\":{dur_us},\"name\":\"{}\",\"args\":{args}}}",
-            escape_json(name)
+        self.timed(pid, tid, ts_us);
+        self.summary.spans += 1;
+        self.push(format_args!(
+            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us},\"dur\":{dur_us},\"name\":\"{}\",\"args\":{}}}",
+            escape_json(name),
+            Args { detail: None, action },
         ));
     }
 
@@ -143,335 +158,80 @@ impl ChromeTrace {
         detail: Option<&str>,
         action: Option<u64>,
     ) {
-        let mut args = String::from("{");
-        if let Some(d) = detail {
-            let _ = write!(args, "\"detail\":\"{}\"", escape_json(d));
-        }
-        if let Some(a) = action {
-            if args.len() > 1 {
-                args.push(',');
-            }
-            let _ = write!(args, "\"action\":{a}");
-        }
-        args.push('}');
-        self.events.push(format!(
-            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us},\"name\":\"{}\",\"args\":{args}}}",
-            escape_json(name)
+        self.timed(pid, tid, ts_us);
+        self.summary.instants += 1;
+        self.push(format_args!(
+            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us},\"name\":\"{}\",\"args\":{}}}",
+            escape_json(name),
+            Args { detail, action },
         ));
     }
 
-    /// Render the complete trace file.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (i, ev) in self.events.iter().enumerate() {
-            out.push_str(ev);
-            if i + 1 < self.events.len() {
-                out.push(',');
-            }
-            out.push('\n');
+    /// Write one event, after a separator unless it is the first.
+    fn push(&mut self, event: fmt::Arguments<'_>) {
+        if self.summary.events > 0 {
+            self.body.push_str(",\n");
         }
-        out.push_str("]}\n");
-        out
+        self.summary.events += 1;
+        let _ = self.body.write_fmt(event);
+    }
+
+    /// Note the timestamp of the event about to be written on its track,
+    /// keeping the first one that goes back in time.
+    fn timed(&mut self, pid: u32, tid: u32, ts_us: u64) {
+        let (idx, track) = (self.summary.events, (pid, tid));
+        match self.last_ts.iter_mut().find(|(t, _)| *t == track) {
+            Some((_, last)) if ts_us < *last => {
+                let last = *last;
+                self.backwards.get_or_insert_with(|| {
+                    format!(
+                        "event {idx}: ts {ts_us} goes backwards on track pid={pid} tid={tid} (last {last})"
+                    )
+                });
+            }
+            Some((_, last)) => *last = ts_us,
+            None => self.last_ts.push((track, ts_us)),
+        }
+    }
+
+    /// Render the complete trace file with what it holds, or name the
+    /// first event that went back in time on its track.
+    pub fn render(self) -> Result<(String, TraceSummary), String> {
+        if let Some(err) = self.backwards {
+            return Err(err);
+        }
+        let end = if self.body.is_empty() { "" } else { "\n" };
+        let json = format!(
+            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}{end}]}}\n",
+            self.body
+        );
+        let summary = TraceSummary {
+            tracks: self.last_ts.len(),
+            ..self.summary
+        };
+        Ok((json, summary))
     }
 }
 
-/// Summary returned by a successful [`validate_chrome_trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Total events in the file (including metadata).
-    pub events: usize,
-    /// Complete (`"X"`) span events.
-    pub spans: usize,
-    /// Instant (`"i"`/`"I"`) events.
-    pub instants: usize,
-    /// Distinct `(pid, tid)` tracks carrying timed events.
-    pub tracks: usize,
+/// An event's `args` object: an optional detail text, then an optional
+/// causal action id.
+struct Args<'a> {
+    detail: Option<&'a str>,
+    action: Option<u64>,
 }
 
-/// Validate a Chrome trace-event JSON file without a JSON library:
-/// the envelope must hold a `traceEvents` array of objects, every event
-/// needs `ph`/`pid`/`tid`, timed events need a numeric non-negative `ts`,
-/// and `ts` must be monotone non-decreasing per `(pid, tid)` track in file
-/// order — the property Perfetto relies on for our serially generated
-/// traces.
-pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
-    let array = extract_trace_events_array(json)?;
-    let objects = split_top_level_objects(array)?;
-    let mut tracks: Vec<((i64, i64), u64)> = Vec::new();
-    let mut spans = 0usize;
-    let mut instants = 0usize;
-    for (idx, obj) in objects.iter().enumerate() {
-        let fields = object_fields(obj).map_err(|e| format!("event {idx}: {e}"))?;
-        let ph =
-            find_string(&fields, "ph").ok_or_else(|| format!("event {idx}: missing \"ph\""))?;
-        let pid = find_number(&fields, "pid")
-            .ok_or_else(|| format!("event {idx}: missing numeric \"pid\""))?;
-        let tid = find_number(&fields, "tid")
-            .ok_or_else(|| format!("event {idx}: missing numeric \"tid\""))?;
-        if find_string(&fields, "name").is_none() {
-            return Err(format!("event {idx}: missing \"name\""));
+impl fmt::Display for Args<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("{")?;
+        if let Some(d) = self.detail {
+            write!(f, "\"detail\":\"{}\"", escape_json(d))?;
         }
-        let timed = matches!(ph.as_str(), "X" | "i" | "I" | "B" | "E");
-        if ph == "M" {
-            continue;
+        if let Some(a) = self.action {
+            let sep = if self.detail.is_some() { "," } else { "" };
+            write!(f, "{sep}\"action\":{a}")?;
         }
-        if !timed {
-            return Err(format!("event {idx}: unsupported phase type {ph:?}"));
-        }
-        let ts = find_number(&fields, "ts")
-            .ok_or_else(|| format!("event {idx}: timed event missing numeric \"ts\""))?;
-        if ts < 0 {
-            return Err(format!("event {idx}: negative ts {ts}"));
-        }
-        if ph == "X" {
-            let dur = find_number(&fields, "dur")
-                .ok_or_else(|| format!("event {idx}: \"X\" event missing \"dur\""))?;
-            if dur < 0 {
-                return Err(format!("event {idx}: negative dur {dur}"));
-            }
-            spans += 1;
-        } else if ph == "i" || ph == "I" {
-            instants += 1;
-        }
-        let key = (pid, tid);
-        match tracks.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, last)) => {
-                if (ts as u64) < *last {
-                    return Err(format!(
-                        "event {idx}: ts {ts} goes backwards on track pid={pid} tid={tid} (last {last})"
-                    ));
-                }
-                *last = ts as u64;
-            }
-            None => tracks.push((key, ts as u64)),
-        }
+        f.write_str("}")
     }
-    Ok(TraceSummary {
-        events: objects.len(),
-        spans,
-        instants,
-        tracks: tracks.len(),
-    })
-}
-
-/// Slice out the contents of the top-level `"traceEvents": [ ... ]` array.
-fn extract_trace_events_array(json: &str) -> Result<&str, String> {
-    let key = "\"traceEvents\"";
-    let key_at = json.find(key).ok_or("missing \"traceEvents\" key")?;
-    let after = &json[key_at + key.len()..];
-    let rel = after.find('[').ok_or("no array after \"traceEvents\"")?;
-    let body = &after[rel..];
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, ch) in body.char_indices() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if ch == '\\' {
-                escaped = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_str = true,
-            '[' | '{' => depth += 1,
-            ']' | '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(&body[1..i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    Err("unterminated traceEvents array".into())
-}
-
-/// Split an array body into its top-level `{...}` object slices.
-fn split_top_level_objects(array: &str) -> Result<Vec<&str>, String> {
-    let mut objects = Vec::new();
-    let mut depth = 0i32;
-    let mut start = None;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, ch) in array.char_indices() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if ch == '\\' {
-                escaped = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_str = true,
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth -= 1;
-                if depth < 0 {
-                    return Err("unbalanced braces in traceEvents".into());
-                }
-                if depth == 0 {
-                    objects.push(&array[start.take().unwrap()..=i]);
-                }
-            }
-            ',' | ' ' | '\n' | '\r' | '\t' => {}
-            c if depth == 0 => return Err(format!("unexpected {c:?} between events")),
-            _ => {}
-        }
-    }
-    if depth != 0 || in_str {
-        return Err("unterminated event object".into());
-    }
-    Ok(objects)
-}
-
-/// Tokenize the top-level `key: value` pairs of one JSON object. Values are
-/// returned as raw slices (strings keep their quotes); nested objects and
-/// arrays are skipped as opaque values, so free-form text inside `args`
-/// cannot be mistaken for a key.
-fn object_fields(obj: &str) -> Result<Vec<(String, String)>, String> {
-    let inner = obj
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("event is not an object")?;
-    let bytes: Vec<char> = inner.chars().collect();
-    let mut fields = Vec::new();
-    let mut i = 0usize;
-    loop {
-        while i < bytes.len() && (bytes[i].is_whitespace() || bytes[i] == ',') {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            break;
-        }
-        if bytes[i] != '"' {
-            return Err(format!("expected key string, found {:?}", bytes[i]));
-        }
-        let (key, next) = read_string(&bytes, i)?;
-        i = next;
-        while i < bytes.len() && bytes[i].is_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() || bytes[i] != ':' {
-            return Err(format!("missing ':' after key {key:?}"));
-        }
-        i += 1;
-        while i < bytes.len() && bytes[i].is_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err(format!("missing value for key {key:?}"));
-        }
-        let start = i;
-        match bytes[i] {
-            '"' => {
-                let (_, next) = read_string(&bytes, i)?;
-                i = next;
-            }
-            '{' | '[' => {
-                let open = bytes[i];
-                let close = if open == '{' { '}' } else { ']' };
-                let mut depth = 0i32;
-                let mut in_str = false;
-                let mut esc = false;
-                while i < bytes.len() {
-                    let c = bytes[i];
-                    if in_str {
-                        if esc {
-                            esc = false;
-                        } else if c == '\\' {
-                            esc = true;
-                        } else if c == '"' {
-                            in_str = false;
-                        }
-                    } else if c == '"' {
-                        in_str = true;
-                    } else if c == open {
-                        depth += 1;
-                    } else if c == close {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    i += 1;
-                }
-                if depth != 0 {
-                    return Err(format!("unterminated nested value for key {key:?}"));
-                }
-            }
-            _ => {
-                while i < bytes.len() && bytes[i] != ',' {
-                    i += 1;
-                }
-            }
-        }
-        let value: String = bytes[start..i].iter().collect();
-        fields.push((key, value.trim().to_string()));
-    }
-    Ok(fields)
-}
-
-/// Read a quoted string starting at `bytes[at] == '"'`; returns the
-/// unescaped content and the index just past the closing quote.
-fn read_string(bytes: &[char], at: usize) -> Result<(String, usize), String> {
-    let mut out = String::new();
-    let mut i = at + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            '\\' => {
-                i += 1;
-                if i >= bytes.len() {
-                    break;
-                }
-                match bytes[i] {
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    'r' => out.push('\r'),
-                    'u' => {
-                        // Keep \uXXXX opaque; validation never compares them.
-                        out.push_str("\\u");
-                    }
-                    c => out.push(c),
-                }
-                i += 1;
-            }
-            '"' => return Ok((out, i + 1)),
-            c => {
-                out.push(c);
-                i += 1;
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn find_string(fields: &[(String, String)], key: &str) -> Option<String> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| {
-        v.strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .unwrap_or(v)
-            .to_string()
-    })
-}
-
-fn find_number(fields: &[(String, String)], key: &str) -> Option<i64> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.split('.').next().unwrap_or(v).parse::<i64>().ok())
 }
 
 #[cfg(test)]
@@ -479,12 +239,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_round_trips_through_validator() {
+    fn render_writes_every_event_kind_exactly() {
         let mut trace = ChromeTrace::new();
         trace.process_name(0, "shard 0");
         trace.thread_name(0, 1, "node-1");
-        trace.phase_tracks(0);
-        trace.instant(0, 1, "deliver", 10, Some("n0 -> n1 (24B)"), Some(7));
         trace.phase_span(
             0,
             &SpanRec {
@@ -494,71 +252,61 @@ mod tests {
                 end_us: 40,
             },
         );
-        trace.phase_span(
+        trace.complete(0, 2, "gap", 6, 4, None);
+        trace.instant(0, 1, "deliver", 10, Some("n0 -> n1 (24B)"), Some(7));
+        trace.instant(0, 1, "crash", 10, None, None);
+        // Detail text that looks like JSON fields, with quotes, braces and
+        // a newline, stays inside its string.
+        trace.instant(
             0,
-            &SpanRec {
-                action: 8,
-                phase: Phase::Invoke,
-                start_us: 40,
-                end_us: 55,
-            },
+            99,
+            "note",
+            12,
+            Some("\"ts\": -9, \"pid\": 99} {x\ny"),
+            None,
         );
-        let json = trace.render();
-        let summary = validate_chrome_trace(&json).expect("generated trace must validate");
-        assert_eq!(summary.spans, 2);
-        assert_eq!(summary.instants, 1);
-        assert_eq!(summary.tracks, 2); // node-1 track + invoke phase track
-        assert_eq!(summary.events, trace.len());
+        let (json, summary) = trace.render().expect("every track is in time order");
+        assert_eq!(
+            json,
+            r#"{"displayTimeUnit":"ms","traceEvents":[
+{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"shard 0"}},
+{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"node-1"}},
+{"ph":"X","pid":0,"tid":103,"ts":5,"dur":35,"name":"invoke","args":{"action":7}},
+{"ph":"X","pid":0,"tid":2,"ts":6,"dur":4,"name":"gap","args":{}},
+{"ph":"i","s":"t","pid":0,"tid":1,"ts":10,"name":"deliver","args":{"detail":"n0 -> n1 (24B)","action":7}},
+{"ph":"i","s":"t","pid":0,"tid":1,"ts":10,"name":"crash","args":{}},
+{"ph":"i","s":"t","pid":0,"tid":99,"ts":12,"name":"note","args":{"detail":"\"ts\": -9, \"pid\": 99} {x\ny"}}
+]}
+"#
+        );
+        let tracks = 4; // 103, 2, 1 and 99; metadata carries no time
+        assert_eq!(
+            summary,
+            TraceSummary {
+                events: 7,
+                spans: 2,
+                instants: 3,
+                tracks
+            }
+        );
     }
 
     #[test]
-    fn validator_rejects_backwards_ts_on_a_track() {
+    fn render_refuses_a_timestamp_going_back_on_its_track() {
         let mut trace = ChromeTrace::new();
+        trace.thread_name(0, 1, "node-1");
         trace.instant(0, 1, "a", 100, None, None);
         trace.instant(0, 1, "b", 50, None, None);
-        let err = validate_chrome_trace(&trace.render()).unwrap_err();
-        assert!(err.contains("goes backwards"), "unexpected error: {err}");
-        // Same timestamps on *different* tracks are fine.
+        assert_eq!(
+            trace.render().unwrap_err(),
+            "event 2: ts 50 goes backwards on track pid=0 tid=1 (last 100)"
+        );
+        // The same timestamps on different tracks are independent.
         let mut ok = ChromeTrace::new();
         ok.instant(0, 1, "a", 100, None, None);
         ok.instant(0, 2, "b", 50, None, None);
-        validate_chrome_trace(&ok.render()).expect("distinct tracks are independent");
-    }
-
-    #[test]
-    fn validator_rejects_malformed_documents() {
-        assert!(validate_chrome_trace("{}").is_err());
-        assert!(validate_chrome_trace("{\"traceEvents\":[").is_err());
-        assert!(
-            validate_chrome_trace("{\"traceEvents\":[{\"ph\":\"X\",\"pid\":0,\"tid\":1}]}")
-                .is_err(),
-            "X event without ts/dur/name must fail"
-        );
-        assert!(
-            validate_chrome_trace(
-                "{\"traceEvents\":[{\"ph\":\"q\",\"pid\":0,\"tid\":0,\"ts\":1,\"name\":\"x\"}]}"
-            )
-            .is_err(),
-            "unknown phase type must fail"
-        );
-    }
-
-    #[test]
-    fn hostile_names_cannot_confuse_the_field_scanner() {
-        let mut trace = ChromeTrace::new();
-        // A note whose text looks like JSON fields and contains quotes.
-        trace.instant(
-            0,
-            3,
-            "note",
-            12,
-            Some("\"ts\": -9, \"pid\": 99} {injection"),
-            None,
-        );
-        let json = trace.render();
-        let summary = validate_chrome_trace(&json).expect("escaped content must stay opaque");
-        assert_eq!(summary.instants, 1);
-        assert_eq!(summary.tracks, 1);
+        let (_, summary) = ok.render().expect("distinct tracks are independent");
+        assert_eq!(summary.tracks, 2);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Histogram {
         self.samples.borrow().iter().copied().max().unwrap_or(0)
     }
 
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        self.samples.borrow().iter().copied().min().unwrap_or(0)
-    }
-
     /// Sum of all samples.
     pub fn total(&self) -> u64 {
         self.samples.borrow().iter().sum()
@@ -160,7 +155,6 @@ mod tests {
         assert_eq!(h.p50(), 50);
         assert_eq!(h.p95(), 95);
         assert_eq!(h.max(), 100);
-        assert_eq!(h.min(), 1);
         assert_eq!(h.total(), 5050);
         assert_eq!(h.percentile(0.0), 1);
         assert_eq!(h.percentile(100.0), 100);
@@ -195,7 +189,7 @@ mod tests {
         h.add(3);
         assert_eq!(h.p50(), 3, "new sample lands mid-order");
         h.extend([0u64, 9]);
-        assert_eq!(h.min(), 0);
+        assert_eq!(h.percentile(0.0), 0);
         assert_eq!(h.percentile(100.0), 9);
         assert_eq!(h.p50(), 3);
     }

@@ -72,11 +72,6 @@ impl SimDuration {
     pub const fn as_micros(self) -> u64 {
         self.0
     }
-
-    /// Saturating subtraction.
-    pub const fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -158,10 +153,6 @@ mod tests {
         assert_eq!((d * 2).as_micros(), 3_000);
         let total: SimDuration = [d, d].into_iter().sum();
         assert_eq!(total.as_micros(), 3_000);
-        assert_eq!(
-            SimDuration::from_micros(1).saturating_sub(SimDuration::from_micros(5)),
-            SimDuration::ZERO
-        );
     }
 
     #[test]

@@ -71,12 +71,6 @@ impl<T: Default> Volatile<T> {
         self.epoch = sim.epoch(self.node);
         self.value = value;
     }
-
-    /// Takes the value out (leaving the default), honouring crash loss.
-    pub fn take(&mut self, sim: &Sim) -> T {
-        self.refresh(sim);
-        std::mem::take(&mut self.value)
-    }
 }
 
 #[cfg(test)]
@@ -125,11 +119,11 @@ mod tests {
         let (sim, n) = world();
         let mut c: Volatile<String> = Volatile::new(&sim, n);
         c.set(&sim, "alive".into());
-        assert_eq!(c.take(&sim), "alive");
+        assert_eq!(c.get(&sim), "alive");
         c.set(&sim, "doomed".into());
         sim.crash(n);
         sim.recover(n);
-        assert_eq!(c.take(&sim), "", "value written before crash is gone");
+        assert_eq!(c.get(&sim), "", "value written before crash is gone");
     }
 
     #[test]

@@ -103,8 +103,7 @@ pub use groupview_membership::{
     ObjectStat, RebalanceReport, Rebalancer,
 };
 pub use groupview_obs::{
-    validate_chrome_trace, ChromeTrace, Histogram, MetricsSnapshot, Phase, Registry, SpanRec,
-    TraceSummary,
+    ChromeTrace, Histogram, MetricsSnapshot, Phase, Registry, SpanRec, TraceSummary,
 };
 pub use groupview_replication::{
     Account, AccountOp, ActivateError, Client, CommitError, Counter, CounterOp, Handle,
