@@ -426,9 +426,12 @@ impl TxSystem {
                 );
             }
             if let Some(bad_node) = failed {
+                let mut fork = sim.fork();
                 for p in participants.iter_mut() {
+                    sim.branch(&mut fork);
                     p.abort();
                 }
+                sim.join(fork);
                 // No abort record is written: a token without a record is
                 // presumed aborted.
                 self.inner.borrow_mut().stats.prepare_failures += 1;
@@ -448,10 +451,17 @@ impl TxSystem {
             // `decision`. (The world is synchronous: nothing can consult
             // the record between the decision point and the end of phase 2,
             // so an all-acknowledged commit never materialises one.)
+            // The commit messages go out together: the round costs the
+            // slowest participant.
+            let mut fork = sim.fork();
             let in_doubt: Vec<NodeId> = participants
                 .iter_mut()
-                .filter_map(|p| (!p.commit()).then(|| p.node()))
+                .filter_map(|p| {
+                    sim.branch(&mut fork);
+                    (!p.commit()).then(|| p.node())
+                })
                 .collect();
+            sim.join(fork);
             if !in_doubt.is_empty() {
                 self.inner
                     .borrow_mut()
@@ -516,7 +526,8 @@ impl TxSystem {
         // this action. The records are newest first: every closure runs
         // first (LIFO), then each arena replays newest-entry-first —
         // snapshot restoration is idempotent, so only the relative order of
-        // same-object entries matters — then every participant aborts.
+        // same-object entries matters — then every participant aborts, in
+        // one round that costs the slowest participant.
         sim.with_active_action(action.raw(), || {
             for rec in recs.iter_mut() {
                 for u in rec.undos.drain(..).rev() {
@@ -528,11 +539,14 @@ impl TxSystem {
                     rec.arena.replay(applier.as_ref(), &mut replayed);
                 }
             }
+            let mut fork = sim.fork();
             for rec in recs.iter_mut() {
                 for p in rec.participants.iter_mut() {
+                    sim.branch(&mut fork);
                     p.abort();
                 }
             }
+            sim.join(fork);
         });
         {
             let mut inner = self.inner.borrow_mut();

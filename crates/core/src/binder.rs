@@ -469,18 +469,29 @@ impl Binder {
     /// Probes candidates in order until `replicas` servers answered;
     /// returns `(bound, probed_and_dead)`. Candidates beyond the desired
     /// replica count are never probed and appear in neither list.
+    ///
+    /// The probes go out in rounds: each round probes, concurrently, as
+    /// many untried candidates as servers are still missing, so it costs
+    /// its slowest probe (one timeout if any candidate is dead), and the
+    /// hosts probed are the same, in the same order, as one at a time.
     fn probe_candidates(&self, req: &BindRequest, candidates: &[NodeId]) -> (NodeList, NodeList) {
         let mut bound = NodeList::new();
         let mut dead = NodeList::new();
-        for &host in candidates {
-            if bound.len() >= req.replicas.max(1) {
-                break;
+        let mut untried = candidates;
+        let wanted = req.replicas.max(1);
+        while bound.len() < wanted && !untried.is_empty() {
+            let (round, rest) = untried.split_at((wanted - bound.len()).min(untried.len()));
+            untried = rest;
+            let mut fork = self.sim.fork();
+            for &host in round {
+                self.sim.branch(&mut fork);
+                if self.probe(req.client_node, host) {
+                    bound.push(host);
+                } else {
+                    dead.push(host);
+                }
             }
-            if self.probe(req.client_node, host) {
-                bound.push(host);
-            } else {
-                dead.push(host);
-            }
+            self.sim.join(fork);
         }
         (bound, dead)
     }
@@ -496,7 +507,7 @@ impl Binder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use groupview_sim::SimConfig;
+    use groupview_sim::{NetConfig, SimConfig, SimDuration};
     use groupview_store::Stores;
 
     fn n(i: u32) -> NodeId {
@@ -527,6 +538,32 @@ mod tests {
 
     fn req() -> BindRequest {
         BindRequest::new(c(1), n(4), uid()).with_replicas(2)
+    }
+
+    #[test]
+    fn a_probe_round_with_one_dead_candidate_costs_one_timeout_and_one_replacement_round() {
+        let net = NetConfig {
+            jitter: SimDuration::ZERO,
+            ..NetConfig::default()
+        };
+        let sim = Sim::new(SimConfig::new(33).with_nodes(5).with_net(net));
+        let stores = Stores::new(&sim);
+        let tx = TxSystem::new(&sim, &stores);
+        let ns = NamingService::new(&sim, &tx, n(0));
+        let binder = Binder::new(&sim, &ns, BindingScheme::Standard);
+        sim.crash(n(1));
+        let before = sim.now();
+        let (bound, dead) = binder.probe_candidates(&req(), &[n(1), n(2), n(3)]);
+        assert_eq!(bound.as_slice(), [n(2), n(3)]);
+        assert_eq!(dead.as_slice(), [n(1)]);
+        // Round 1 probes n1 and n2 together and waits out n1's timeout;
+        // round 2 probes n3, the replacement, for one round trip.
+        let rtt = 2 * net.base_latency.as_micros();
+        assert_eq!(
+            sim.now().since(before).as_micros(),
+            net.rpc_timeout.as_micros() + rtt
+        );
+        assert_eq!(sim.counters().timeouts, 1);
     }
 
     #[test]

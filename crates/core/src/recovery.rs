@@ -334,9 +334,13 @@ impl RecoveryManager {
                 // otherwise) — nothing to do.
                 return Ok(RefreshOutcome::AlreadyCurrent);
             }
-            // Fetch from the first reachable current store.
+            // Fetch from the first reachable current store. A store whose
+            // phase-2 commit was lost is still in St but holds the state
+            // before that commit until its own recovery runs, so the source
+            // first installs its decided intents on `uid`.
             let mut fetched = None;
             for &src in &view.stores {
+                self.settle_decided(src, uid);
                 if let Ok(state) = self.stores.read_remote(node, src, uid) {
                     fetched = Some(state);
                     break;
@@ -357,6 +361,22 @@ impl RecoveryManager {
             Err(_) => self.tx.abort(action),
         }
         outcome
+    }
+
+    /// Commits the intents on `uid` that `src` holds in doubt and the
+    /// coordinator decided to commit. Undecided ones stay for `src`'s own
+    /// recovery, which also releases the decision records once its whole
+    /// intent log is settled. A down `src` settles nothing.
+    fn settle_decided(&self, src: NodeId, uid: Uid) {
+        let tokens = self
+            .stores
+            .with(src, |s| s.indoubt_on(uid))
+            .unwrap_or_default();
+        for token in tokens {
+            if self.tx.decision(token) {
+                let _ = self.stores.commit_local(src, token);
+            }
+        }
     }
 
     /// Writes a fetched current state into `node`'s store and `Include`s
@@ -556,6 +576,50 @@ mod tests {
             b"committed",
             "decided-commit installed, orphan discarded"
         );
+    }
+
+    #[test]
+    fn refresh_reads_a_source_whose_phase_2_commit_was_lost_after_settling_it() {
+        let (sim, tx, ns, stores, rm) = world();
+        // n2 is down; action a writes v1 to n1 alone and excludes n2.
+        sim.crash(n(2));
+        let a = tx.begin_top(n(3));
+        stores.write_local(n(1), uid(), state(b"v1")).unwrap();
+        exclude_n2(&ns, a);
+        tx.commit(a).unwrap();
+        // Action b prepares v2 at n1, but its phase-2 commit is lost: n1
+        // stays in St, in doubt, still holding v1 as committed.
+        let b = tx.begin_top(n(3));
+        tx.add_participant(
+            b,
+            groupview_actions::StoreWriteParticipant::new(
+                &sim,
+                &stores,
+                n(3),
+                n(1),
+                TxSystem::token(b),
+                vec![(uid(), state(b"v2"))],
+            ),
+        )
+        .unwrap();
+        // n1 stops after its prepare ack and comes back up without running
+        // recovery: the same store as one whose commit message was dropped.
+        sim.crash_after_sends(n(1), 1);
+        tx.commit(b).unwrap();
+        sim.recover(n(1));
+        assert_eq!(stores.read_local(n(1), uid()).unwrap().data, b"v1");
+        assert_eq!(tx.decisions(), vec![(TxSystem::token(b), vec![n(1)])]);
+
+        // n2's refresh copies b's state, not the v1 n1 held as committed.
+        let report = rm.recover_node(n(2));
+        assert_eq!(report.refreshed, vec![uid()]);
+        assert_eq!(stores.read_local(n(2), uid()).unwrap().data, b"v2");
+        assert_eq!(stores.read_local(n(1), uid()).unwrap().data, b"v2");
+        assert!(stores.with(n(1), |s| s.indoubt()).unwrap().is_empty());
+        // n1's own recovery then finds nothing in doubt and releases the
+        // record.
+        rm.recover_node(n(1));
+        assert!(tx.decisions().is_empty());
     }
 
     #[test]

@@ -302,8 +302,11 @@ impl GroupComms {
     /// to the group's delivery mode. `from` need not be a member.
     ///
     /// The fan-out is zero-copy: every member's `deliver` receives a
-    /// reference to the *same* shared buffer, however large the group. The
-    /// simulated network charges per-member message costs as before.
+    /// reference to the *same* shared buffer, however large the group. On
+    /// the virtual clock the members' deliveries overlap (one
+    /// [`Sim::fork`] branch each, relay included): the call costs the
+    /// slowest member's round trip, while every member's messages are
+    /// still sent and counted.
     ///
     /// In reliable-ordered mode the call guarantees that every member that
     /// is still up when the call returns has delivered the message (relaying
@@ -347,7 +350,11 @@ impl GroupComms {
         let mut missed = Vec::new();
         let mut relayed = false;
 
+        // One multicast: every member's delivery, relay and ack overlap, so
+        // the spray costs its slowest member.
+        let mut fork = self.sim.fork();
         for (node, handle) in &targets {
+            self.sim.branch(&mut fork);
             let delivered = match self.sim.deliver(from, *node, msg.wire_size()) {
                 Ok(_) => true,
                 Err(_) if mode == DeliveryMode::ReliableOrdered => {
@@ -384,6 +391,7 @@ impl GroupComms {
                 missed.push(*node);
             }
         }
+        self.sim.join(fork);
 
         {
             let mut inner = self.inner.borrow_mut();
@@ -416,7 +424,7 @@ impl GroupComms {
 mod tests {
     use super::*;
     use crate::member::RecordingMember;
-    use groupview_sim::SimConfig;
+    use groupview_sim::{NetConfig, SimConfig, SimDuration};
 
     fn world() -> (Sim, GroupComms) {
         let sim = Sim::new(SimConfig::new(11).with_nodes(5));
@@ -432,6 +440,36 @@ mod tests {
         let m = Rc::new(RefCell::new(RecordingMember::default()));
         comms.join(g, node, m.clone()).unwrap();
         m
+    }
+
+    #[test]
+    fn a_multicast_costs_the_slowest_round_trip_not_the_sum() {
+        let rtt = |jitter: u64| {
+            let net = NetConfig {
+                jitter: SimDuration::from_micros(jitter),
+                ..NetConfig::default()
+            };
+            let sim = Sim::new(SimConfig::new(11).with_nodes(4).with_net(net));
+            let comms = GroupComms::new(&sim);
+            let g = comms.create_group(DeliveryMode::ReliableOrdered);
+            for i in 1..4 {
+                join_recording(&comms, g, NodeId::new(i));
+            }
+            let before = (sim.now(), sim.counters().delivered);
+            let out = comms
+                .multicast(g, NodeId::new(0), &Bytes::from_static(b"op"))
+                .unwrap();
+            assert_eq!(out.replies.len(), 3);
+            assert_eq!(sim.counters().delivered - before.1, 6, "every message sent");
+            sim.now().since(before.0).as_micros()
+        };
+        let base = NetConfig::default().base_latency.as_micros();
+        assert_eq!(rtt(0), 2 * base, "one round trip, not three");
+        // With jitter, the slowest member's round trip: above one fixed
+        // round trip, at most one jittered round trip.
+        let jitter = NetConfig::default().jitter.as_micros();
+        let charged = rtt(jitter);
+        assert!((2 * base..=2 * (base + jitter)).contains(&charged));
     }
 
     #[test]

@@ -475,7 +475,11 @@ impl System {
                             let snapshot = replica.borrow_mut().snapshot_state(&sim, &wire);
                             if let Some(state) = snapshot {
                                 let frame = SnapshotCodec::encode(&wire, &state);
+                                // The pushes go out together: the round
+                                // costs the slowest cohort's delivery.
+                                let mut fork = sim.fork();
                                 for &cohort in cohorts_in_handler {
+                                    sim.branch(&mut fork);
                                     // Pre-filtered loaded above; a missing
                                     // handle means the cohort was expelled
                                     // concurrently and must stay out.
@@ -504,6 +508,7 @@ impl System {
                                         missed_in_handler.borrow_mut().push(cohort);
                                     }
                                 }
+                                sim.join(fork);
                             }
                         }
                     }

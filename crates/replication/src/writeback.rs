@@ -7,7 +7,8 @@
 //! removed from StA."
 //!
 //! The copy is the *prepare* phase of the store write: each store in `St`
-//! durably stages the new state; stores that cannot be reached are
+//! durably stages the new state, all in one round that costs the slowest
+//! store on the virtual clock; stores that cannot be reached are
 //! `Exclude`d from `St` within the same client action (so the exclusion
 //! commits or aborts atomically with the state change). Each participant
 //! enlists with the action as soon as its prepare succeeds, and rides the
@@ -122,7 +123,10 @@ impl System {
                 })
                 .map(|(_, &st_node)| st_node)
         });
+        // The prepares go out together: the round costs the slowest store.
+        let mut fork = inner.sim.fork();
         for st_node in union {
+            inner.sim.branch(&mut fork);
             if skipped.contains(&st_node) {
                 failed.push(st_node);
                 continue;
@@ -153,6 +157,7 @@ impl System {
                 }
             }
         }
+        inner.sim.join(fork);
 
         // Per-object verdicts: any object whose *entire* `St` missed the
         // copy dooms the action ("all the nodes ∈ StA are down" — the

@@ -1263,3 +1263,44 @@ fn a_doomed_commit_discards_every_staged_write() {
         assert_eq!((all_failed, delivered), DELIVERED, "{policy}");
     }
 }
+
+/// A phase-2 commit lost to a live store leaves its intent in doubt while
+/// later actions commit the same object there. The store's recovery then
+/// resolves the old intent as committed, and must not put its older state
+/// back over the newer one (I2).
+#[test]
+fn a_late_resolved_commit_keeps_the_newer_state() {
+    for policy in ReplicationPolicy::ALL {
+        let sys = system(policy, BindingScheme::Standard);
+        // n3 stores the counter but does not serve it.
+        let c = sys
+            .create_typed(Counter::new(0), &[n(1), n(2)], &[n(1), n(2), n(3)])
+            .expect("create");
+        let client = sys.client(n(4));
+        let h = c.open(&client);
+        let add_one = || {
+            let mut tx = client.begin();
+            tx.invoke(&h, CounterOp::Add(1)).expect("invoke");
+            tx.commit().expect("commit");
+        };
+        // n3 stops right after acknowledging the first action's prepare, so
+        // the phase-2 commit to it is lost, and it is back up before the
+        // next action without running recovery.
+        sys.stores().arm_crash_after_prepare(n(3));
+        add_one();
+        sys.sim().recover(n(3));
+        assert_eq!(sys.tx().decisions().len(), 1, "{policy}: one in doubt");
+        // Two more actions commit at every store, n3 included.
+        add_one();
+        add_one();
+        let report = sys.recovery().recover_node(n(3));
+        assert_eq!(report.resolved_commits.len(), 1, "{policy}");
+        assert!(sys.tx().decisions().is_empty(), "{policy}");
+        for store in [n(1), n(2), n(3)] {
+            let state = sys.stores().read_local(store, c.uid()).expect("stored");
+            assert_eq!(state.version, Version::new(3), "{policy} at {store}");
+            assert_eq!(Counter::decode_state(&state.data).value(), 3);
+        }
+        assert_eq!(counter_value(&sys, c.uid(), n(5)), 3, "{policy}");
+    }
+}

@@ -48,9 +48,12 @@ impl TracedRun {
         }
         trace.thread_name(PID, NOTES_TID, "notes");
         trace.phase_tracks(PID);
-        // Ring order is virtual-time order, so each node track stays
-        // monotone.
-        for ev in &self.events {
+        // Ring order is send order, not time order: each branch of a
+        // fan-out starts again at the fork time. A stable sort by time
+        // keeps every node track monotone and ties in ring order.
+        let mut events: Vec<&TraceEvent> = self.events.iter().collect();
+        events.sort_by_key(|ev| ev.at());
+        for ev in events {
             emit_event(&mut trace, ev);
         }
         // Spans are recorded at completion; re-sort by phase track and
@@ -63,7 +66,8 @@ impl TracedRun {
         trace.render()
     }
 
-    /// Render the JSONL dump: one line per span, then one per sim event.
+    /// Render the JSONL dump: one line per span, then one per sim event,
+    /// both in the order they were recorded.
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
         for span in &self.spans {

@@ -1,6 +1,6 @@
 //! Canned scenarios: the matrix CI runs across seeds.
 //!
-//! Twenty-six scenarios over one base topology (7 nodes: node 0 names,
+//! Twenty-eight scenarios over one base topology (7 nodes: node 0 names,
 //! nodes 1–3 serve and store, nodes 4–6 host clients; the elastic family
 //! grows it mid-run) covering all three
 //! replication policies, all fault families (crashes, rolling crashes,
@@ -21,7 +21,7 @@
 use crate::nemesis;
 use crate::oracle::ModelKind;
 use crate::plan::{FaultPlan, PlanAction};
-use crate::runner::{Checks, Scenario};
+use crate::runner::{Checks, PlanGenerator, Scenario};
 use groupview_core::BindingScheme;
 use groupview_replication::ReplicationPolicy;
 use groupview_sim::{NodeId, SimDuration};
@@ -55,6 +55,30 @@ fn base(name: &'static str, policy: ReplicationPolicy) -> Scenario {
         plan: Box::new(|_| FaultPlan::new()),
         checks: Checks::default(),
     }
+}
+
+/// Two rounds of mid-commit store crashes over the three servers. The
+/// rotation `(start, period, downtime)` is set per policy, because each
+/// policy's actions take their own virtual time; the values were chosen
+/// by checking which action each trap lands on at seeds 1–3. Plan
+/// offsets are virtual times, so a change to what an action costs moves
+/// those landings: check them again after one.
+fn store_commit_crashes(policy: ReplicationPolicy) -> PlanGenerator {
+    let [start, period, downtime] = match policy {
+        ReplicationPolicy::Active => [2_000, 16_000, 12_000],
+        ReplicationPolicy::CoordinatorCohort => [2_500, 20_000, 14_000],
+        ReplicationPolicy::SingleCopyPassive => [2_000, 20_000, 18_000],
+    };
+    Box::new(move |seed| {
+        nemesis::store_commit_crashes(
+            seed,
+            &[n(1), n(2), n(3)],
+            SimDuration::from_micros(start),
+            SimDuration::from_micros(period),
+            SimDuration::from_micros(downtime),
+            2,
+        )
+    })
 }
 
 /// The canned scenario suite (≥ 8 scenarios, all three policies).
@@ -228,15 +252,27 @@ pub fn canned_scenarios() -> Vec<Scenario> {
     // must never corrupt state. Each drives a KvMap *and* an Account (plus
     // a counter), so the oracle's per-operation-type checks — previous
     // values on Put, REFUSED overdrafts — all run in the crash window.
-    for (name, policy) in [
-        ("active/send_window_crashes", ReplicationPolicy::Active),
+    //
+    // Long armed windows (most of each period) and small budgets so the
+    // scripted crash reliably fires inside a message exchange. The active
+    // rotation `(start, period, downtime)` is tighter because its actions
+    // are shorter; like the store-crash rotations below, it was chosen by
+    // checking which action each crash lands on at seeds 1–3.
+    for (name, policy, [start, period, downtime]) in [
+        (
+            "active/send_window_crashes",
+            ReplicationPolicy::Active,
+            [500, 21_000, 17_000],
+        ),
         (
             "cohort/send_window_crashes",
             ReplicationPolicy::CoordinatorCohort,
+            [2_000, 24_000, 20_000],
         ),
         (
             "single_copy/send_window_crashes",
             ReplicationPolicy::SingleCopyPassive,
+            [2_000, 24_000, 20_000],
         ),
     ] {
         let mut sc = base(name, policy);
@@ -245,15 +281,13 @@ pub fn canned_scenarios() -> Vec<Scenario> {
             ModelKind::Account { initial: 10 },
             ModelKind::COUNTER,
         ];
-        sc.plan = Box::new(|seed| {
-            // Long armed windows (20 of 24ms) and small budgets so the
-            // scripted crash reliably fires inside a message exchange.
+        sc.plan = Box::new(move |seed| {
             nemesis::send_window_crashes(
                 seed,
                 &[n(1), n(2), n(3)],
-                SimDuration::from_millis(2),
-                SimDuration::from_millis(24),
-                SimDuration::from_millis(20),
+                SimDuration::from_micros(start),
+                SimDuration::from_micros(period),
+                SimDuration::from_micros(downtime),
                 3,
                 3,
             )
@@ -283,16 +317,7 @@ pub fn canned_scenarios() -> Vec<Scenario> {
         ),
     ] {
         let mut sc = base(name, policy);
-        sc.plan = Box::new(|seed| {
-            nemesis::store_commit_crashes(
-                seed,
-                &[n(1), n(2), n(3)],
-                SimDuration::from_millis(2),
-                SimDuration::from_millis(24),
-                SimDuration::from_millis(18),
-                2,
-            )
-        });
+        sc.plan = store_commit_crashes(policy);
         if policy == ReplicationPolicy::Active {
             sc.checks.expect_crash_masked = true;
         } else {
@@ -327,16 +352,7 @@ pub fn canned_scenarios() -> Vec<Scenario> {
         let mut sc = base(name, policy);
         sc.objects = vec![ModelKind::Account { initial: 50 }; 4];
         sc.workload = base_workload().transfers();
-        sc.plan = Box::new(|seed| {
-            nemesis::store_commit_crashes(
-                seed,
-                &[n(1), n(2), n(3)],
-                SimDuration::from_millis(2),
-                SimDuration::from_millis(24),
-                SimDuration::from_millis(18),
-                2,
-            )
-        });
+        sc.plan = store_commit_crashes(policy);
         sc.checks.conservation = true;
         // A mid-commit store crash can blanket a short run's window.
         sc.checks.expect_commits = false;
@@ -440,6 +456,32 @@ pub fn canned_scenarios() -> Vec<Scenario> {
     });
     sc.checks.expect_commits = false; // crash-heavy storms can blanket a short run
     scenarios.push(sc);
+
+    // 27–28. Scenario 8's loss over a window twice as long, for the other
+    // two policies: a lost phase-2 commit leaves a live store in doubt
+    // while later actions commit the same objects there, and recovery
+    // must then resolve the old intent without putting its older state
+    // back (I2), nor copy that store's stale state in a §4.2 refresh.
+    for (name, policy) in [
+        ("active/lossy_window", ReplicationPolicy::Active),
+        (
+            "single_copy/lossy_window",
+            ReplicationPolicy::SingleCopyPassive,
+        ),
+    ] {
+        let mut sc = base(name, policy);
+        sc.plan = Box::new(|seed| {
+            nemesis::lossy_window(
+                seed,
+                SimDuration::from_millis(2),
+                SimDuration::from_millis(48),
+                0.12,
+                3,
+            )
+        });
+        sc.checks.expect_commits = false; // heavy loss can abort a short run
+        scenarios.push(sc);
+    }
 
     scenarios
 }

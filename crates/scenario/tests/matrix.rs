@@ -34,7 +34,7 @@ fn canned_matrix_passes_across_seeds() {
         reports.iter().map(|r| r.oracle.replayed_ops).sum::<u64>() > 0,
         "the oracle replayed nothing"
     );
-    // Anti-vacuity for the harness itself, not a quality floor: across 78
+    // Anti-vacuity for the harness itself, not a quality floor: across 84
     // deterministic cells some fault must have intersected in-flight work
     // (the single-copy crash scenarios guarantee it — an unreplicated
     // server crash cannot be masked). If the vendored RNG ever changes,

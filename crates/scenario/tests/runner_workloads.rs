@@ -97,7 +97,7 @@ fn active_policy_survives_server_crash() {
     // contention the schedule produces, a masked crash must cause no
     // failure-attributed abort anywhere.
     let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, 13);
-    let script = FaultPlan::new().at(ms(40), PlanAction::CrashNode(n(2)));
+    let script = FaultPlan::new().at(ms(25), PlanAction::CrashNode(n(2)));
     let metrics = run(&sys, &spec(uids), script);
     assert_eq!(metrics.attempts, 12);
     assert!(metrics.commits > 0, "{metrics}");
@@ -139,8 +139,8 @@ fn client_crash_leaks_then_sweep_reclaims() {
         12,
     );
     let script = FaultPlan::new()
-        .at(ms(20), PlanAction::CrashClient(0))
-        .at(ms(80), PlanAction::CleanupSweep);
+        .at(ms(15), PlanAction::CrashClient(0))
+        .at(ms(50), PlanAction::CleanupSweep);
     let metrics = run(&sys, &spec(uids), script);
     assert!(metrics.leaked_bindings >= 1, "{metrics:?}");
     assert!(metrics.cleanup_reclaimed >= 1);
@@ -156,8 +156,8 @@ fn client_crash_leaks_then_sweep_reclaims() {
 fn recovery_action_restores_full_strength() {
     let (sys, uids) = world(ReplicationPolicy::Active, BindingScheme::Standard, 13);
     let script = FaultPlan::new()
-        .at(ms(15), PlanAction::CrashNode(n(3)))
-        .at(ms(190), PlanAction::RecoverNode(n(3)));
+        .at(ms(10), PlanAction::CrashNode(n(3)))
+        .at(ms(145), PlanAction::RecoverNode(n(3)));
     let metrics = run(&sys, &spec(uids), script);
     assert!(metrics.commits > 0);
     // After recovery every object's St is back to full strength.

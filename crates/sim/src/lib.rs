@@ -12,7 +12,8 @@
 //! # Responsibilities
 //!
 //! * **Virtual time** ([`SimTime`], [`SimDuration`]) advanced by message
-//!   latencies and explicit charges.
+//!   latencies and explicit charges. A fan-out the sender does not wait
+//!   on between requests ([`Sim::fork`]) costs its slowest branch.
 //! * **Node lifecycle**: nodes are *up* or *crashed* (fail-silent, §2.1 of
 //!   the paper). Each crash bumps the node's *epoch*, which downstream crates
 //!   use to invalidate volatile state automatically.
@@ -70,4 +71,4 @@ pub use crate::rng::Rng;
 pub use crate::time::{SimDuration, SimTime};
 pub use crate::trace::TraceEvent;
 pub use crate::wire::{Bytes, Codec, WireEncoder, WireStats};
-pub use crate::world::{ScheduledEvent, Sim};
+pub use crate::world::{Fork, ScheduledEvent, Sim};

@@ -26,7 +26,10 @@ impl Sim {
     ///    times out **but the handler's effects stand**;
     /// 4. reply message `to → from` (may fail — again, effects stand).
     ///
-    /// On any failure the caller is charged one RPC timeout.
+    /// On any failure the caller is charged one RPC timeout. A caller that
+    /// sends several requests before it waits for the replies runs each
+    /// call in its own [`Sim::branch`] of a [`Sim::fork`], so the round
+    /// costs its slowest call.
     ///
     /// # Errors
     ///

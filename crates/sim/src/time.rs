@@ -2,8 +2,9 @@
 //!
 //! All latencies in the simulator are expressed in microseconds of *virtual*
 //! time. The clock only advances when messages are delivered, local work is
-//! charged, or a driver explicitly advances it — wall-clock time never leaks
-//! into protocol behaviour, which keeps runs deterministic.
+//! charged, or a driver explicitly advances it, and it only goes back to
+//! start the next branch of a fan-out (`Sim::branch`) — wall-clock time
+//! never leaks into protocol behaviour, which keeps runs deterministic.
 
 use std::fmt;
 use std::iter::Sum;

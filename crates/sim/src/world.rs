@@ -102,6 +102,15 @@ impl TraceRing {
     }
 }
 
+/// A fan-out in progress on the virtual clock, opened by [`Sim::fork`]:
+/// the time every branch starts at and the latest branch end seen so far.
+#[derive(Debug, Clone, Copy)]
+#[must_use = "a fork's branches are charged only when it is joined"]
+pub struct Fork {
+    start: SimTime,
+    end: SimTime,
+}
+
 /// Handle to a simulation world.
 ///
 /// `Sim` is a cheap, cloneable handle (`Rc`-based — the simulator is
@@ -191,6 +200,55 @@ impl Sim {
     /// work.
     pub fn advance(&self, d: SimDuration) {
         self.inner.borrow_mut().clock += d;
+    }
+
+    // ----- fan-out ----------------------------------------------------------
+
+    /// Opens a fan-out at the current time: requests a sender issues without
+    /// waiting for one reply before the next overlap, so the fan-out costs
+    /// its slowest branch, not the sum of all of them.
+    ///
+    /// Call [`Sim::branch`] before each branch's work and [`Sim::join`]
+    /// after the last one. Sends keep their program order — every message,
+    /// RNG draw and fault point is the same as if the branches ran one
+    /// after another; only the timestamps differ.
+    ///
+    /// ```rust
+    /// use groupview_sim::{Sim, SimConfig, SimDuration};
+    ///
+    /// let sim = Sim::new(SimConfig::new(1));
+    /// let start = sim.now();
+    /// let mut fork = sim.fork();
+    /// for ms in [1, 3, 2] {
+    ///     sim.branch(&mut fork);
+    ///     sim.advance(SimDuration::from_millis(ms));
+    /// }
+    /// sim.join(fork);
+    /// assert_eq!(sim.now(), start + SimDuration::from_millis(3));
+    /// ```
+    #[inline]
+    pub fn fork(&self) -> Fork {
+        let now = self.inner.borrow().clock;
+        Fork {
+            start: now,
+            end: now,
+        }
+    }
+
+    /// Starts the next branch of `fork`: notes where the previous branch
+    /// ended and sets the clock back to the fork time.
+    #[inline]
+    pub fn branch(&self, fork: &mut Fork) {
+        let mut core = self.inner.borrow_mut();
+        fork.end = fork.end.max(core.clock);
+        core.clock = fork.start;
+    }
+
+    /// Closes `fork`: the clock moves to the latest end of any branch.
+    #[inline]
+    pub fn join(&self, fork: Fork) {
+        let mut core = self.inner.borrow_mut();
+        core.clock = core.clock.max(fork.end);
     }
 
     // ----- node lifecycle ---------------------------------------------------
@@ -381,7 +439,9 @@ impl Sim {
     /// Attempts to deliver one message from `from` to `to`.
     ///
     /// On success the clock advances by the sampled latency, which is
-    /// returned, and the delivered counter ticks. On failure the clock
+    /// returned, and the delivered counter ticks. Inside a
+    /// [`Sim::branch`] the latency counts from the branch's start, and
+    /// the fan-out pays only its slowest branch. On failure the clock
     /// does **not** advance here — [`Sim::rpc`] charges the timeout,
     /// because only the caller knows whether it waits.
     ///
@@ -891,6 +951,91 @@ mod tests {
         sim.charge_timeout();
         assert_eq!(sim.now(), before + NetConfig::default().rpc_timeout);
         assert_eq!(sim.counters().timeouts, 1);
+    }
+
+    #[test]
+    fn branches_of_1_and_3_ms_join_at_the_slowest() {
+        let sim = sim3();
+        sim.advance(SimDuration::from_millis(5));
+        let start = sim.now();
+        let mut fork = sim.fork();
+        for ms in [1, 3] {
+            sim.branch(&mut fork);
+            assert_eq!(sim.now(), start, "each branch starts at the fork time");
+            sim.advance(SimDuration::from_millis(ms));
+        }
+        sim.join(fork);
+        assert_eq!(sim.now(), start + SimDuration::from_millis(3));
+        // The slowest branch may come first: the join still finds it.
+        let mut fork = sim.fork();
+        for ms in [4, 2] {
+            sim.branch(&mut fork);
+            sim.advance(SimDuration::from_millis(ms));
+        }
+        sim.join(fork);
+        assert_eq!(sim.now(), start + SimDuration::from_millis(7));
+        // A fork without branches costs nothing.
+        let fork = sim.fork();
+        sim.join(fork);
+        assert_eq!(sim.now(), start + SimDuration::from_millis(7));
+    }
+
+    #[test]
+    fn nested_forks_compose() {
+        let sim = sim3();
+        let ms = SimDuration::from_millis;
+        let mut outer = sim.fork();
+        // Branch 1: 1 ms, then an inner fan-out of 2 ms and 5 ms → 6 ms.
+        sim.branch(&mut outer);
+        sim.advance(ms(1));
+        let mut inner = sim.fork();
+        for d in [2, 5] {
+            sim.branch(&mut inner);
+            sim.advance(ms(d));
+        }
+        sim.join(inner);
+        assert_eq!(sim.now(), SimTime::ZERO + ms(6));
+        // Branch 2: 4 ms.
+        sim.branch(&mut outer);
+        assert_eq!(sim.now(), SimTime::ZERO);
+        sim.advance(ms(4));
+        sim.join(outer);
+        assert_eq!(sim.now(), SimTime::ZERO + ms(6));
+    }
+
+    #[test]
+    fn branches_keep_send_order_and_outcomes() {
+        // The same sends with and without a fork: the same draws and
+        // counters, only the clock differs.
+        let run = |forked: bool| {
+            let sim = Sim::new(SimConfig::new(9).with_nodes(4));
+            sim.set_drop_probability(0.3);
+            let mut fork = sim.fork();
+            let outcomes: Vec<bool> = (1..4)
+                .map(|i| {
+                    if forked {
+                        sim.branch(&mut fork);
+                    }
+                    sim.deliver(NodeId::new(0), NodeId::new(i), 10).is_ok()
+                })
+                .collect();
+            sim.join(fork);
+            (outcomes, sim.rng_draws(), sim.counters(), sim.now())
+        };
+        let (seq, forked) = (run(false), run(true));
+        assert_eq!((&seq.0, seq.1, seq.2), (&forked.0, forked.1, forked.2));
+        assert!(forked.3 <= seq.3);
+    }
+
+    #[test]
+    fn a_fork_allocates_nothing() {
+        // No drop glue means no owned heap memory: a fork is two times on
+        // the stack.
+        assert!(!std::mem::needs_drop::<Fork>());
+        assert_eq!(
+            std::mem::size_of::<Fork>(),
+            2 * std::mem::size_of::<SimTime>()
+        );
     }
 
     #[test]

@@ -121,7 +121,11 @@ impl StableStore {
         self.intents.insert(tx, writes);
     }
 
-    /// Phase 2 (commit): installs the prepared writes of `tx`.
+    /// Phase 2 (commit): installs the prepared writes of `tx`, except a
+    /// write of an object this store already holds at a strictly newer
+    /// version. That happens when `tx`'s phase-2 message was lost and
+    /// later actions committed the object here before recovery resolved
+    /// `tx`: the late resolution must not put the older state back.
     ///
     /// # Errors
     ///
@@ -130,7 +134,13 @@ impl StableStore {
     pub fn commit(&mut self, tx: TxToken) -> Result<(), StoreError> {
         let mut writes = self.intents.remove(&tx).ok_or(StoreError::TxUnknown(tx))?;
         for (uid, state) in writes.drain(..) {
-            self.objects.insert(uid, state);
+            let newer_held = self
+                .objects
+                .get(&uid)
+                .is_some_and(|held| held.version > state.version);
+            if !newer_held {
+                self.objects.insert(uid, state);
+            }
         }
         self.spare = writes;
         Ok(())
@@ -148,6 +158,19 @@ impl StableStore {
         std::mem::take(&mut self.spare)
     }
 
+    /// The unresolved transactions here whose staged writes include `uid`,
+    /// sorted.
+    pub fn indoubt_on(&self, uid: Uid) -> Vec<TxToken> {
+        let mut v: Vec<TxToken> = self
+            .intents
+            .iter()
+            .filter(|(_, writes)| writes.iter().any(|(u, _)| *u == uid))
+            .map(|(&tx, _)| tx)
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
     /// Transactions prepared here but not yet resolved; recovery must decide
     /// each one (this reproduction uses presumed-abort).
     pub fn indoubt(&self) -> Vec<TxToken> {
@@ -160,7 +183,7 @@ impl StableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{ObjectState, TypeTag};
+    use crate::state::{ObjectState, TypeTag, Version};
 
     fn st(data: &[u8]) -> ObjectState {
         ObjectState::initial(TypeTag::new(1), data.to_vec())
@@ -210,6 +233,32 @@ mod tests {
         assert!(s.indoubt().is_empty());
         // Double commit is an error (already resolved).
         assert_eq!(s.commit(tx), Err(StoreError::TxUnknown(tx)));
+    }
+
+    #[test]
+    fn a_late_resolved_intent_does_not_overwrite_a_newer_commit() {
+        let mut s = store();
+        let uid = Uid::from_raw(9);
+        s.write(uid, st(b"v0"));
+        let v1 = ObjectState {
+            version: Version::new(1),
+            ..st(b"v1")
+        };
+        let v2 = ObjectState {
+            version: Version::new(2),
+            ..st(b"v2")
+        };
+        // A's intent is staged; its phase-2 commit is lost, so it stays
+        // in doubt while a later action B commits a newer state.
+        let (a, b) = (TxToken::new(1), TxToken::new(2));
+        s.prepare(a, vec![(uid, v1)]);
+        s.prepare(b, vec![(uid, v2)]);
+        s.commit(b).unwrap();
+        // Recovery then resolves A as committed: B's state stays.
+        s.commit(a).unwrap();
+        assert_eq!(s.read(uid).unwrap().data, b"v2");
+        assert_eq!(s.read(uid).unwrap().version, Version::new(2));
+        assert!(s.indoubt().is_empty());
     }
 
     #[test]
